@@ -126,7 +126,6 @@ def _append_rate(data_dir, wal_enabled):
         data_dir,
         wal_enabled=wal_enabled,
         wal_fsync=wal_enabled,
-        group_commit_window=0.002,
     ) as gateway:
         port = gateway.port
         with GatewayClient("127.0.0.1", port) as setup:

@@ -421,10 +421,8 @@ class GatewayConfig:
     default_timeout: float = 30.0
     #: Largest accepted request body (bytes); HTTP 413 beyond it.
     max_body_bytes: int = 16 * 1024 * 1024
-    #: Group commit: appends arriving within this window are coalesced
-    #: into one WAL batch with a single fsync.
-    group_commit_window: float = 0.002
-    #: Upper bound on appends coalesced into one group commit.
+    #: Upper bound on appends coalesced into one group commit (one WAL
+    #: batch, one fsync): whatever queued up during the previous commit.
     group_commit_max_batch: int = 64
     #: Whether creates/appends are logged to the WAL before being
     #: applied (the durability ablation knob for benchmarks).
@@ -453,11 +451,6 @@ class GatewayConfig:
         if self.max_body_bytes <= 0:
             raise AdaptationError(
                 f"max_body_bytes must be positive, got {self.max_body_bytes}"
-            )
-        if self.group_commit_window < 0:
-            raise AdaptationError(
-                "group_commit_window must be >= 0, got "
-                f"{self.group_commit_window}"
             )
         if self.group_commit_max_batch <= 0:
             raise AdaptationError(

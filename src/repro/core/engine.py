@@ -1481,6 +1481,7 @@ class H2OEngine:
         policy's thrash resistance is judged by (docs/adaptation.md).
         """
         with self.lock:
+            snapshot = self.table.snapshot()
             return {
                 "table": self.table.name,
                 "queries": self._query_counter,
@@ -1503,6 +1504,8 @@ class H2OEngine:
                 ),
                 "cluster_key": self.table.cluster_key,
                 "clustered_fraction": self.table.clustered_fraction,
+                "layout_bytes": snapshot.nbytes,
+                "reserved_bytes": snapshot.reserved_bytes,
             }
 
     def cumulative_seconds(self) -> float:

@@ -235,4 +235,22 @@ def render_metrics(
             for name, stats in sorted(engine_stats.items())
         ),
     )
+    out.family(
+        "h2o_table_layout_bytes",
+        "gauge",
+        "Bytes of rows held across the table's layouts (used).",
+        (
+            ({"table": name}, int(stats.get("layout_bytes", 0)))
+            for name, stats in sorted(engine_stats.items())
+        ),
+    )
+    out.family(
+        "h2o_table_reserved_bytes",
+        "gauge",
+        "Bytes of layout capacity, append slack included (reserved).",
+        (
+            ({"table": name}, int(stats.get("reserved_bytes", 0)))
+            for name, stats in sorted(engine_stats.items())
+        ),
+    )
     return out.render()

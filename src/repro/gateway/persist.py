@@ -331,6 +331,25 @@ def list_snapshots(directory: PathLike) -> List[Tuple[int, int, Path]]:
     return found
 
 
+def sweep_partial_checkpoint(directory: PathLike, wal_path: Path) -> None:
+    """Delete what a kill mid-checkpoint leaves behind.
+
+    A ``snap-*`` directory without its manifest is invisible to
+    :func:`list_snapshots`, so pruning never reclaims it; neither does
+    anything revisit a half-written ``wal.log.tmp`` from an interrupted
+    compaction.  Recovery never reads either, so both are safe to drop
+    once it has picked its snapshot.
+    """
+    directory = Path(directory)
+    if directory.exists():
+        for child in directory.iterdir():
+            if _SNAP_RE.match(child.name) and not (
+                child / "manifest.json"
+            ).exists():
+                shutil.rmtree(child, ignore_errors=True)
+    wal_path.with_name(wal_path.name + ".tmp").unlink(missing_ok=True)
+
+
 def load_snapshot(
     snap_dir: PathLike,
 ) -> Tuple[int, Dict[str, Table], Dict[str, Dict[str, object]]]:
@@ -441,6 +460,7 @@ class DurableStore:
             self._replay(tables, record)
             self.recovered = True
             self.replayed_records += 1
+        sweep_partial_checkpoint(self._snap_dir, wal_path)
 
         self._wal = WriteAheadLog(
             wal_path, fsync=self.gateway_config.wal_fsync

@@ -3,9 +3,10 @@
 One event loop accepts connections and parses requests; everything that
 can block — query execution, WAL writes, checkpoints — runs on a thread
 pool via ``loop.run_in_executor`` so the loop never stalls.  Appends are
-coalesced by :class:`AppendBatcher` into group commits: requests arriving
-within ``group_commit_window`` share a single WAL batch and fsync, and
-every rider is acknowledged only after that fsync returns.
+coalesced by :class:`AppendBatcher` into group commits: requests that
+queue up while the previous commit's fsync is in flight share a single
+WAL batch and fsync, and every rider is acknowledged only after that
+fsync returns.
 
 Routes::
 
@@ -100,23 +101,24 @@ class AppendBatcher:
     """Coalesces concurrent appends into group commits.
 
     A single drainer task pulls items off an asyncio queue; the first
-    item opens a batch, then the drainer keeps collecting until the
-    commit window elapses or the batch is full, and ships the whole
-    batch to :meth:`DurableStore.append_many` (one WAL write + one
-    fsync) on the executor.  Each rider's future resolves with its own
-    outcome — a validation failure in one item never poisons the batch.
+    item opens a batch, everything already queued behind it (up to
+    ``max_batch``) rides along, and the whole batch ships at once to
+    :meth:`DurableStore.append_many` (one WAL write + one fsync) on the
+    executor.  There is no timer: appends that arrive during a commit
+    wait in the queue and form the next batch, so coalescing scales with
+    commit latency and a lone writer never waits for riders.  Each
+    rider's future resolves with its own outcome — a validation failure
+    in one item never poisons the batch.
     """
 
     def __init__(
         self,
         store: DurableStore,
         executor: ThreadPoolExecutor,
-        window: float,
         max_batch: int,
     ) -> None:
         self._store = store
         self._executor = executor
-        self._window = window
         self._max_batch = max_batch
         self._queue: "asyncio.Queue[Tuple[str, dict, asyncio.Future]]" = (
             asyncio.Queue()
@@ -140,23 +142,13 @@ class AppendBatcher:
         return await future
 
     async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             item = await self._queue.get()
             if item is None:  # type: ignore[comparison-overlap]
                 break
             batch = [item]
-            deadline = loop.time() + self._window
-            while len(batch) < self._max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self._max_batch and not self._queue.empty():
+                extra = self._queue.get_nowait()
                 if extra is None:  # type: ignore[comparison-overlap]
                     self._closed = True
                     break
@@ -229,7 +221,6 @@ class Gateway:
         self.batcher = AppendBatcher(
             store,
             self._executor,
-            window=self.config.group_commit_window,
             max_batch=self.config.group_commit_max_batch,
         )
         self._server: Optional[asyncio.AbstractServer] = None

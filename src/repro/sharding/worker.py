@@ -107,8 +107,8 @@ class _ShardServer:
         columns, attachments = _attach_columns(header["packs"])
         table = self.system.catalog.get(header["name"])
         table.append_rows(columns)
-        # append_rows copies into reallocated layouts; the staging
-        # segments are not referenced afterwards.
+        # append_rows copies the values into the layouts' own buffers;
+        # the staging segments are not referenced afterwards.
         for seg in attachments:
             seg.close()
         return {

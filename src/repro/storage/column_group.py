@@ -1,11 +1,12 @@
 """Column groups: the workload-aware vertical partitions at H2O's core.
 
 A :class:`ColumnGroup` stores a subset of a table's attributes densely in
-one C-contiguous 2-D array (rows × group attributes).  A group covering
-the entire schema *is* the row-major layout; the class therefore reports
-its :class:`~repro.storage.layout.LayoutKind` as ``ROW`` when it is known
-to span the whole table (paper: "groups of columns are modeled similarly
-to the row-major layouts").
+one C-contiguous 2-D array (rows × group attributes), published as a
+read-only view; :meth:`ColumnGroup.extended` is the only writer.  A
+group covering the entire schema *is* the row-major layout; the class
+therefore reports its :class:`~repro.storage.layout.LayoutKind` as
+``ROW`` when it is known to span the whole table (paper: "groups of
+columns are modeled similarly to the row-major layouts").
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from ..errors import LayoutError
-from .layout import Layout, LayoutKind
+from .layout import Layout, LayoutKind, frozen_view, reserve_rows
 
 
 class ColumnGroup(Layout):
@@ -37,6 +38,7 @@ class ColumnGroup(Layout):
     __slots__ = (
         "_attrs",
         "_data",
+        "_buffer",
         "_positions",
         "_full_width",
         "_attr_set_cache",
@@ -64,7 +66,8 @@ class ColumnGroup(Layout):
                 f"{data.shape[1]} columns"
             )
         self._attrs = attrs
-        self._data = np.ascontiguousarray(data)
+        self._data = frozen_view(np.ascontiguousarray(data))
+        self._buffer = None  # set by extended(): room to append in place
         self._positions = {name: i for i, name in enumerate(attrs)}
         self._full_width = full_width
 
@@ -88,7 +91,7 @@ class ColumnGroup(Layout):
 
     @property
     def data(self) -> np.ndarray:
-        """The backing (rows × width) array."""
+        """The backing (rows × width) array (read-only view)."""
         return self._data
 
     @property
@@ -135,10 +138,12 @@ class ColumnGroup(Layout):
         return {name: self.column(name) for name in names}
 
     def extended(self, columns: Dict[str, np.ndarray]) -> "ColumnGroup":
-        """A new group with the given rows appended (dense, no slack).
+        """A new group with the given rows appended.
 
-        The paper's layouts are densely packed with no update slack
-        (section 3.1), so growth reallocates — exactly what this does.
+        The group a scan sees stays dense and contiguous (paper section
+        3.1); the append slack lives past ``num_rows`` in the backing
+        buffer, so this costs O(appended rows) when this group is the
+        buffer's tip (see :func:`layout.reserve_rows`).
         """
         missing = [a for a in self._attrs if a not in columns]
         if missing:
@@ -150,11 +155,12 @@ class ColumnGroup(Layout):
         if len(lengths) != 1:
             raise LayoutError(f"appended columns differ in length: {lengths}")
         (extra,) = lengths
-        block = np.empty((extra, self.width), dtype=self._data.dtype)
+        buffer, data = reserve_rows(self._buffer, self._data, extra)
+        tail = data[self.num_rows :]
         for position, attr in enumerate(self._attrs):
-            block[:, position] = columns[attr]
-        data = np.concatenate([self._data, block], axis=0)
+            tail[:, position] = columns[attr]
         grown = ColumnGroup(self._attrs, data, full_width=self._full_width)
+        grown._buffer = buffer
         maps = getattr(self, "_zone_maps", None)
         if maps is not None:
             # Incremental zone-map maintenance: reuse every complete

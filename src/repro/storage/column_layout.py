@@ -12,13 +12,23 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import LayoutError
-from .layout import Layout, LayoutKind
+from .layout import Layout, LayoutKind, frozen_view, reserve_rows
 
 
 class SingleColumn(Layout):
-    """One attribute stored contiguously."""
+    """One attribute stored contiguously.
 
-    __slots__ = ("_name", "_data", "_attr_set_cache", "_zone_maps")
+    ``data`` is published as a read-only view; appends go through
+    :meth:`extended`, the only writer (see :func:`layout.reserve_rows`).
+    """
+
+    __slots__ = (
+        "_name",
+        "_data",
+        "_buffer",
+        "_attr_set_cache",
+        "_zone_maps",
+    )
 
     def __init__(self, name: str, data: np.ndarray) -> None:
         if data.ndim != 1:
@@ -26,7 +36,8 @@ class SingleColumn(Layout):
                 f"column data must be 1-D, got shape {data.shape}"
             )
         self._name = name
-        self._data = np.ascontiguousarray(data)
+        self._data = frozen_view(np.ascontiguousarray(data))
+        self._buffer = None  # set by extended(): room to append in place
 
     @property
     def kind(self) -> LayoutKind:
@@ -50,7 +61,7 @@ class SingleColumn(Layout):
 
     @property
     def data(self) -> np.ndarray:
-        """The backing 1-D array."""
+        """The backing 1-D array (read-only view)."""
         return self._data
 
     @property
@@ -66,15 +77,23 @@ class SingleColumn(Layout):
         return self._data
 
     def extended(self, columns) -> "SingleColumn":
-        """A new column with the given rows appended."""
+        """A new column with the given rows appended.
+
+        Costs O(appended rows) when this column is the tip of its
+        backing buffer; this object and every snapshot pinning it keep
+        seeing exactly their own rows.
+        """
         if self._name not in columns:
             raise LayoutError(
                 f"append is missing attribute {self._name!r}"
             )
         new_values = np.asarray(columns[self._name], dtype=self._data.dtype)
-        grown = SingleColumn(
-            self._name, np.concatenate([self._data, new_values])
+        buffer, data = reserve_rows(
+            self._buffer, self._data, len(new_values)
         )
+        data[self.num_rows :] = new_values
+        grown = SingleColumn(self._name, data)
+        grown._buffer = buffer
         maps = getattr(self, "_zone_maps", None)
         if maps is not None:
             # Incremental zone-map maintenance: reuse every complete

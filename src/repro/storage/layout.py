@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+import threading
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..errors import LayoutError
+
+#: Capacity multiplier when an append outgrows its backing buffer.  The
+#: slack is allocated with ``np.empty`` and never written until rows
+#: land in it, so it costs address space, not resident memory.
+GROWTH_FACTOR = 1.5
 
 
 class LayoutKind(enum.Enum):
@@ -50,6 +56,12 @@ class Layout(abc.ABC):
     @abc.abstractmethod
     def nbytes(self) -> int:
         """Total bytes of attribute data held by this layout."""
+
+    @property
+    def reserved_bytes(self) -> int:
+        """Bytes of backing capacity, append slack included (>= nbytes)."""
+        buffer = getattr(self, "_buffer", None)
+        return self.nbytes if buffer is None else int(buffer.array.nbytes)
 
     @abc.abstractmethod
     def column(self, name: str) -> np.ndarray:
@@ -110,6 +122,69 @@ class Layout(abc.ABC):
             raise LayoutError(f"block_rows must be positive: {block_rows}")
         for start in range(0, self.num_rows, block_rows):
             yield start, min(start + block_rows, self.num_rows)
+
+
+def frozen_view(data: np.ndarray) -> np.ndarray:
+    """A read-only view of ``data``; the caller's own array keeps its flag.
+
+    Plain layouts publish their rows only through such views, so the tip
+    append through the private :class:`AppendBuffer` is the sole writer
+    and no reader can scribble on rows a pinned snapshot shares.
+    """
+    view = data.view()
+    view.flags.writeable = False
+    return view
+
+
+class AppendBuffer:
+    """Private backing array shared by successive ``extended()`` layouts.
+
+    ``array`` has room for more rows than any published view shows;
+    ``used`` is the length of the longest view handed out so far.  Rows
+    below ``used`` are never rewritten, which is what keeps every layout
+    viewing this buffer immutable while a later generation appends past
+    its end.
+    """
+
+    __slots__ = ("array", "used", "lock")
+
+    def __init__(self, array: np.ndarray, used: int) -> None:
+        self.array = array
+        self.used = used
+        self.lock = threading.Lock()
+
+
+def reserve_rows(
+    buffer: Optional[AppendBuffer], data: np.ndarray, extra: int
+) -> Tuple[AppendBuffer, np.ndarray]:
+    """Room for ``extra`` rows after ``data``, in O(extra) when possible.
+
+    ``data`` is a layout's published view and ``buffer`` the buffer it
+    views (None for layouts built from caller arrays or shared memory).
+    Returns ``(buffer, grown)``: ``grown`` starts with ``data``'s rows
+    and ends with ``extra`` uninitialised ones that belong to the caller
+    alone — it copies the new values in, then wraps ``grown`` in the
+    extended layout.
+
+    The space comes from the buffer's spare capacity when ``data`` is
+    its *tip* — ``used`` equals ``data``'s length, i.e. nobody has
+    appended after this layout yet — and the rows fit.  Anything else
+    (no buffer, a stale or abandoned earlier extension already claimed
+    the space, capacity exhausted) copies ``data`` into a fresh buffer
+    ``GROWTH_FACTOR`` times the needed size, so a full copy happens
+    O(log n) times over n appends.
+    """
+    rows = data.shape[0]
+    total = rows + extra
+    if buffer is not None:
+        with buffer.lock:
+            if buffer.used == rows and total <= buffer.array.shape[0]:
+                buffer.used = total
+                return buffer, buffer.array[:total]
+    capacity = max(total, int(total * GROWTH_FACTOR))
+    array = np.empty((capacity,) + data.shape[1:], dtype=data.dtype)
+    array[:rows] = data
+    return AppendBuffer(array, total), array[:total]
 
 
 def flatten_kernel_buffers(layouts) -> Tuple[np.ndarray, ...]:

@@ -12,8 +12,10 @@ logical tuple in every layout.  The stitcher preserves order, so the
 invariant holds by construction; :meth:`Table.add_layout` enforces the
 row-count part of it.
 
-**Concurrency model.**  Individual layouts are immutable once built
-(appends create *new* layout objects via ``Layout.extended``), so the
+**Concurrency model.**  Individual layouts are immutable once built:
+appends create *new* layout objects via ``Layout.extended``, which may
+share the old object's backing buffer but only ever writes past the end
+of every view already handed out (``layout.reserve_rows``).  The
 whole physical state of a table at one instant is described by an
 immutable :class:`LayoutSnapshot`: the tuple of layouts, the row count,
 and the layout epoch.  The table holds exactly one reference to the
@@ -209,6 +211,11 @@ class LayoutSnapshot:
         """Total bytes across all layouts (replication counts twice)."""
         return sum(layout.nbytes for layout in self.layouts)
 
+    @property
+    def reserved_bytes(self) -> int:
+        """Backing capacity across all layouts (``nbytes`` + append slack)."""
+        return sum(layout.reserved_bytes for layout in self.layouts)
+
     def __repr__(self) -> str:
         return (
             f"LayoutSnapshot({self.table_name!r}, epoch={self.epoch}, "
@@ -401,8 +408,10 @@ class Table:
 
         All layouts grow by the same rows in the same order, preserving
         the row-alignment invariant (replicated attributes receive the
-        same values everywhere).  The paper's layouts are densely packed
-        with no update slack, so each layout reallocates.
+        same values everywhere).  Each plain layout writes the rows into
+        spare capacity past its end and reallocates only when that runs
+        out, so an append costs O(batch), not O(table); the values are
+        copied, the caller's arrays are not retained.
 
         The extended layouts are built first and published as one new
         snapshot with a **single** epoch bump after *all* secondary

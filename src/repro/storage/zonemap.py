@@ -10,10 +10,12 @@ pruning that dominates scan cost in clustered stores).
 Invariants that make the maps cheap to keep correct:
 
 - Layouts are immutable: :meth:`Table.append_rows` replaces layout
-  objects via ``extended()`` rather than mutating them, so a zone map
-  cached on a layout object can never go stale.  Epoch invalidation is
-  therefore satisfied by construction — a new epoch publishes new layout
-  objects, which carry fresh (or incrementally extended) maps.
+  objects via ``extended()`` rather than mutating them (the new object
+  may share the old one's backing buffer, but rows an existing object
+  shows are never rewritten), so a zone map cached on a layout object
+  can never go stale.  Epoch invalidation is therefore satisfied by
+  construction — a new epoch publishes new layout objects, which carry
+  fresh (or incrementally extended) maps.
 - All layouts of one table are row-aligned, so the per-morsel stats for
   an attribute are identical no matter which layout produced them.
 - Min/max use NaN-ignoring reductions (``np.fmin`` / ``np.fmax``); an

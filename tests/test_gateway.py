@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from tests.conftest import wait_until
 from repro.config import EngineConfig, GatewayConfig
 from repro.gateway import DurableStore, Gateway, GatewayClient, GatewayHTTPError
 
@@ -230,23 +231,47 @@ def test_tenant_quota_exhaustion_is_429(tmp_path):
 
 
 def test_concurrent_appends_coalesce_into_group_commits(tmp_path):
-    with running_gateway(
-        tmp_path / "data", group_commit_window=0.2
-    ) as gateway:
+    """No timer: riders are whatever queued during the in-flight commit.
+
+    The first append's commit is held until the other seven are queued
+    behind it, so they must leave as exactly one more group commit.
+    """
+    with running_gateway(tmp_path / "data") as gateway:
         port = gateway.port
         with GatewayClient("127.0.0.1", port) as setup:
             setup.create_table("t", ATTRS)
+
+        first_started = threading.Event()
+        release_first = threading.Event()
+        append_many = gateway.store.append_many
+
+        def held_append_many(items):
+            if not first_started.is_set():
+                first_started.set()
+                assert release_first.wait(30)
+            return append_many(items)
+
+        gateway.store.append_many = held_append_many
 
         def one_append(i):
             with GatewayClient("127.0.0.1", port) as c:
                 return c.append("t", {"a": [i], "f": [float(i)]})
 
         with ThreadPoolExecutor(max_workers=8) as pool:
-            outcomes = list(pool.map(one_append, range(8)))
+            try:
+                futures = [pool.submit(one_append, 0)]
+                assert first_started.wait(30)
+                futures += [pool.submit(one_append, i) for i in range(1, 8)]
+                wait_until(
+                    lambda: gateway.batcher._queue.qsize() == 7,
+                    message="seven riders queued behind the held commit",
+                )
+            finally:
+                release_first.set()
+            outcomes = [future.result(30) for future in futures]
         assert all(o["appended"] == 1 for o in outcomes)
-        stats = gateway.batcher.stats()
-        assert stats["items"] == 8
-        assert stats["batches"] < 8  # riders actually shared commits
+        assert gateway.batcher.stats() == {"batches": 2, "items": 8}
+        assert gateway.store.stats()["wal_fsyncs"] == 3  # create + 2
         with GatewayClient("127.0.0.1", port) as check:
             assert check.query("SELECT count(*) FROM t")["rows"] == [[8]]
 
@@ -281,6 +306,13 @@ def test_metrics_exposition(client):
     assert 'h2o_scan_morsels_pruned_total{table="t"}' in text
     assert 'h2o_table_pruned_fraction{table="t"}' in text
     assert 'h2o_table_clustered_fraction{table="t"} 0' in text
+    # used vs reserved layout bytes: equal until an append adds slack
+    assert 'h2o_table_layout_bytes{table="t"} 800' in text
+    assert 'h2o_table_reserved_bytes{table="t"} 800' in text
+    client.append("t", {"a": [1], "f": [1.0]})
+    text = client.metrics()
+    assert 'h2o_table_layout_bytes{table="t"} 816' in text
+    assert 'h2o_table_reserved_bytes{table="t"} 1216' in text
     # every exposed family is well-formed: HELP/TYPE precede samples
     for line in text.splitlines():
         assert line.startswith("#") or " " in line

@@ -20,6 +20,7 @@ slow CI runners extend a deadline instead of flipping an outcome.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.config import EngineConfig
 from repro.core.system import H2OSystem
 from repro.errors import ServiceOverloadedError
 from repro.sql.parser import parse_query
+from repro.storage.stitcher import stitch_group
 from repro.testkit.faults import FaultInjector, random_schedule
 from repro.testkit.oracle import results_identical
 from repro.util.rng import derive_rng
@@ -448,4 +450,104 @@ def test_appends_concurrent_with_queries_never_tear():
             layout.num_rows == table.num_rows for layout in table.layouts
         )
     finally:
+        service.close()
+
+
+# ---------------------------------------------------------------------------
+# In-place appends under pinned scans: the writer shares buffers with readers
+# ---------------------------------------------------------------------------
+
+
+def test_in_place_appends_never_disturb_pinned_scans():
+    """Readers scan pinned snapshots whose layouts view the very buffer
+    the writer is appending into; every answer must equal the serial
+    answer at *some* published epoch."""
+    table = generate_table("r", num_attrs=6, num_rows=20_000, rng=23)
+    # A column group too, so both layout kinds append in place.
+    group, _ = stitch_group(table.layouts, ("a1", "a2"), table.schema)
+    table.add_layout(group)
+    batch, num_batches = 64, 150
+    rng = np.random.default_rng(11)
+    batches = [
+        {
+            name: rng.integers(-(10**6), 10**6, size=batch, dtype=np.int64)
+            for name in table.schema.names
+        }
+        for _ in range(num_batches)
+    ]
+    # Serial answers after k appends, k = 0..num_batches.
+    a1 = np.concatenate([table.column("a1")] + [b["a1"] for b in batches])
+    a2 = np.concatenate([table.column("a2")] + [b["a2"] for b in batches])
+    a3 = np.concatenate([table.column("a3")] + [b["a3"] for b in batches])
+    answers = set()
+    for k in range(num_batches + 1):
+        n = table.num_rows + k * batch
+        keep = a3[:n] > 0
+        answers.add(
+            (
+                float(keep.sum()),
+                float((a1[:n] + a2[:n])[keep].sum()),
+                float(a3[:n][keep].sum()),
+            )
+        )
+
+    service = H2OService(config=EngineConfig(), num_workers=4, max_pending=2048)
+    service.register(table)
+    errors: list = []
+    stop = threading.Event()
+    observed: list = []
+    buffers = set()
+
+    def writer() -> None:
+        try:
+            for rows in batches:
+                seen_before = len(observed)
+                table.append_rows(rows)
+                buffers.add(
+                    table.layouts[0].data.__array_interface__["data"][0]
+                )
+                wait_until(
+                    lambda: len(observed) > seen_before or stop.is_set(),
+                    timeout=30.0,
+                    interval=0.0005,
+                    message="a reader observation between appends",
+                )
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def reader(worker_id: int) -> None:
+        session = service.session(f"pinned-{worker_id}", timeout=120.0)
+        try:
+            while not stop.is_set():
+                report = session.execute(
+                    "SELECT count(*), sum(a1 + a2), sum(a3) FROM r "
+                    "WHERE a3 > 0"
+                )
+                got = tuple(float(v) for v in report.result.scalars())
+                assert got in answers, f"answer of no epoch: {got}"
+                observed.append(worker_id)
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(180.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"pinned scan disturbed: {errors[0]!r}"
+        assert observed
+        assert table.num_rows == 20_000 + num_batches * batch
+        # The appends really were in place: one buffer for all of them
+        # (20k rows * GROWTH_FACTOR leaves room for 150 * 64 more).
+        assert len(buffers) == 1
+    finally:
+        sys.setswitchinterval(previous_interval)
         service.close()

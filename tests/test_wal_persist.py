@@ -300,6 +300,36 @@ def test_snapshot_pruning_keeps_newest(tmp_path):
     store.close(checkpoint=False)
 
 
+def test_kill_mid_checkpoint_leftovers_are_swept_on_open(tmp_path):
+    """A manifest-less ``snap-*`` directory is invisible to pruning and
+    ``wal.log.tmp`` to everything: both leaked forever before the sweep."""
+    data_dir = tmp_path / "d"
+    store = open_store(data_dir)
+    store.create_table("t", ATTRS, {"a": [1, 2], "f": [0.5, 1.5]})
+    good = store.checkpoint()
+    store.append("t", {"a": [3], "f": [2.5]})
+    before = store.execute("SELECT a, f FROM t").result.data
+    store.abandon()
+    # Died while writing the next snapshot and, on an earlier run,
+    # while compacting the WAL.
+    partial = good.parent / "snap-0000000000000002-000001"
+    (partial / "tables").mkdir(parents=True)
+    (partial / "tables" / "t.npz").write_bytes(b"half a table")
+    (partial / "manifest.json.tmp").write_text("{")
+    (data_dir / "wal.log.tmp").write_bytes(b"half a log")
+    unrelated = good.parent / "notes"
+    unrelated.mkdir()
+
+    recovered = open_store(data_dir)
+    assert not partial.exists()
+    assert not (data_dir / "wal.log.tmp").exists()
+    assert good.exists() and unrelated.exists()
+    assert recovered.stats()["replayed_records"] == 1
+    after = recovered.execute("SELECT a, f FROM t").result.data
+    assert after.tobytes() == before.tobytes()
+    recovered.close(checkpoint=False)
+
+
 # ---------------------------------------------------------------------------
 # DurableStore units
 # ---------------------------------------------------------------------------
