@@ -90,7 +90,6 @@ def _make_shuffled_table() -> Table:
 def _config(**overrides) -> EngineConfig:
     knobs = dict(
         morsel_rows=MORSEL_ROWS,
-        parallel_threshold_rows=MORSEL_ROWS,
         max_scan_threads=_scan_threads(),
         # Static runs: no adaptation churn unless a sweep turns it on.
         window_size=10**6,

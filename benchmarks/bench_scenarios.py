@@ -13,7 +13,7 @@ The acceptance gates ride on the two scenarios built to punish greedy
   *half* of greedy's reorganizations;
 - while total runtime stays within 1.10x of greedy's.
 
-Methodology notes. The engine runs with ``parallel_scans=False``: the
+Methodology notes. The engine runs with ``max_scan_threads=1``: the
 scan pool's thread scheduling adds tens-of-ms noise per query, which at
 this scale swamps the policy effect being measured (reorganization
 spend).  Each (scenario, policy) cell is the best of ``TRIALS``
@@ -58,7 +58,7 @@ ENGINE_KNOBS = dict(
     min_window=2,
     max_window=12,
     amortization_threshold=1.0,
-    parallel_scans=False,
+    max_scan_threads=1,
 )
 
 #: Hedging factor for the guarded side.  High enough that a phase of

@@ -16,11 +16,10 @@ import numpy as np
 
 from ..config import EngineConfig
 from ..errors import CodegenError
-from ..execution.result import QueryResult
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.volcano import projection_dtype
 from ..sql.analyzer import QueryInfo
-from ..storage.layout import Layout, flatten_kernel_buffers
+from ..storage.layout import Layout
 from .cache import CacheEntry, OperatorCache
 from .compile import compile_kernel
 from .exprc import ParamRegistry, masked_sql
@@ -34,8 +33,7 @@ def collect_literals(info: QueryInfo) -> List[object]:
     source of truth shared with the engine's plan cache, whose order
     mirrors template emission exactly: predicate conjuncts first
     (pre-order each), then — for aggregations — the unique aggregate
-    arguments in collection order followed by the output expressions
-    with aggregate subtrees skipped; for projections, the output
+    arguments in collection order; for projections, the output
     expressions in order.  :class:`ParamRegistry` validates templates
     against this order at generation time.
     """
@@ -91,35 +89,18 @@ def operator_key(
 
 @dataclass
 class GeneratedOperator:
-    """A compiled kernel bound to one query's parameter values."""
+    """A compiled kernel bound to one query's parameter values.
+
+    The buffers are bound late (by :meth:`Executor.run_scan
+    <repro.execution.executor.Executor.run_scan>`), so the cached kernel
+    serves any table whose layout combination matches the generation
+    signature.
+    """
 
     kernel: object
     params: Tuple[object, ...]
-    info: QueryInfo
     source: str
     filename: str
-
-    def run(
-        self, layouts: Sequence[Layout]
-    ) -> Tuple[QueryResult, int, int]:
-        """Execute against the given layouts' buffers.
-
-        The buffers are bound late so the cached operator serves any
-        table whose layout combination matches the generation signature.
-        Returns ``(result, intermediate_bytes, qualifying_rows)`` —
-        aggregation kernels report how many tuples passed the predicate
-        (the shared ``cnt`` accumulator), which feeds the selectivity
-        estimator even though the result itself is a single row.
-        """
-        buffers = flatten_kernel_buffers(layouts)
-        payload = self.kernel(buffers, self.params)
-        names = [out.name for out in self.info.query.select]
-        if self.info.is_aggregation:
-            values, qualifying = payload
-            result = QueryResult.scalar_row(names, values)
-            return result, 0, int(qualifying)
-        result = QueryResult(names, payload)
-        return result, 0, result.num_rows
 
 
 def operator_source(
@@ -184,7 +165,6 @@ def generate_operator(
         operator = GeneratedOperator(
             kernel=entry.kernel,
             params=params,
-            info=info,
             source=entry.source,
             filename=entry.filename,
         )
@@ -212,7 +192,6 @@ def generate_operator(
     operator = GeneratedOperator(
         kernel=kernel,
         params=params,
-        info=info,
         source=source,
         filename=filename,
     )

@@ -1,7 +1,8 @@
 """Source-code templates for the generated access operators.
 
-Each template produces the full source of one ``kernel(bufs, params)``
-function, specialized at generation time for:
+Each template produces the full source of one
+``kernel(bufs, params, lo, hi)`` function, specialized at generation
+time for:
 
 - the layout combination (which buffer provides each attribute, at which
   physical column position, 1-D or 2-D),
@@ -25,15 +26,7 @@ import numpy as np
 
 from ..errors import CodegenError
 from ..sql.analyzer import QueryInfo
-from ..sql.expressions import (
-    Aggregate,
-    AggregateFunc,
-    Arithmetic,
-    ArithmeticOp,
-    ColumnRef,
-    Expr,
-    Literal,
-)
+from ..sql.expressions import Aggregate, AggregateFunc, ColumnRef
 from ..storage.layout import Layout, LayoutKind
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.evaluator import collect_aggregates
@@ -42,16 +35,13 @@ from .source import SourceBuilder
 
 KERNEL_NAME = "kernel"
 
-#: Shared signature of every generated kernel.  ``lo``/``hi`` select the
-#: row slice the kernel scans (defaults scan everything, so serial
-#: callers are unchanged — one compiled operator serves both the serial
-#: and the morsel-parallel path, sharing the operator cache).  With
-#: ``partial=True`` an aggregation kernel returns its raw accumulator
-#: states ``(qualifying_count, (state, ...))`` instead of finalized
-#: outputs, so the morsel runner can combine per-morsel states in
-#: morsel-index order; projection kernels ignore the flag (their sliced
-#: output blocks concatenate in order).
-KERNEL_DEF = f"def {KERNEL_NAME}(bufs, params, lo=0, hi=None, partial=False):"
+#: Shared signature of every generated kernel: it scans the one morsel
+#: ``lo:hi`` the scan driver hands it.  An aggregation kernel returns
+#: its raw accumulator states ``(qualifying_count, (state, ...))`` and
+#: nothing else — the driver combines per-morsel states in morsel-index
+#: order and finalizes the output expressions once; a projection kernel
+#: returns the morsel's output block (blocks concatenate in order).
+KERNEL_DEF = f"def {KERNEL_NAME}(bufs, params, lo, hi):"
 
 
 @dataclass(frozen=True)
@@ -143,9 +133,8 @@ def _emit_prelude(sb: SourceBuilder, providers: Dict[str, _Provider]) -> None:
 
     Row buffers are bound through the kernel's ``lo:hi`` row slice
     (views, no copies; a row slice of a C-contiguous 2-D buffer stays
-    C-contiguous).  With the default ``lo=0, hi=None`` the slice is the
-    whole buffer, so the serial path pays nothing.  Side buffers (a
-    dictionary) are row-independent and bound whole.
+    C-contiguous).  Side buffers (a dictionary) are row-independent and
+    bound whole.
     """
     used = _used_buffers(providers)
     for index in used:
@@ -249,36 +238,6 @@ def _emit_agg_update(
             sb.line(f"acc_x{slot.index} = _b{slot.index}")
 
 
-def _emit_agg_finalize(sb: SourceBuilder, slots: Sequence[_AggSlot]) -> None:
-    """Turn accumulators into ``agg{i}`` scalars with empty-input rules."""
-    _emit_agg_finalize_slots(sb, slots)
-
-
-def _emit_agg_finalize_slots(
-    sb: SourceBuilder, slots: Sequence[_AggSlot]
-) -> None:
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            sb.line(f"agg{slot.index} = float(cnt)")
-        elif slot.func is AggregateFunc.SUM:
-            sb.line(f"agg{slot.index} = acc_s{slot.index}")
-        elif slot.func is AggregateFunc.AVG:
-            sb.line(
-                f"agg{slot.index} = (acc_s{slot.index} / cnt) "
-                f"if cnt else float('nan')"
-            )
-        elif slot.func is AggregateFunc.MIN:
-            sb.line(
-                f"agg{slot.index} = acc_m{slot.index} "
-                f"if acc_m{slot.index} is not None else float('nan')"
-            )
-        elif slot.func is AggregateFunc.MAX:
-            sb.line(
-                f"agg{slot.index} = acc_x{slot.index} "
-                f"if acc_x{slot.index} is not None else float('nan')"
-            )
-
-
 def _scalar_state_expr(slot: _AggSlot) -> str:
     """Raw-accumulator source for one scalar slot's partial state.
 
@@ -295,58 +254,18 @@ def _scalar_state_expr(slot: _AggSlot) -> str:
     return f"acc_x{slot.index}"
 
 
-def _emit_partial_return(
+def _emit_return_states(
     sb: SourceBuilder, cnt_expr: str, state_exprs: Sequence[str]
 ) -> None:
-    """Emit ``if partial: return (float(cnt), (state, ...))``."""
-    states = "".join(f"{expr}, " for expr in state_exprs)
-    with sb.block("if partial:"):
-        sb.line(f"return (float({cnt_expr}), ({states}))")
+    """Emit ``return (float(cnt), (state, ...))``.
 
-
-def _finalize_expr_source(
-    expr: Expr, agg_names: Dict[Aggregate, str], params: ParamRegistry
-) -> str:
-    """Inline scalar source for an output expression over aggregates."""
-    if isinstance(expr, Aggregate):
-        return agg_names[expr]
-    if isinstance(expr, Literal):
-        return params.register(expr.value)
-    if isinstance(expr, Arithmetic):
-        symbol = {
-            ArithmeticOp.ADD: "+",
-            ArithmeticOp.SUB: "-",
-            ArithmeticOp.MUL: "*",
-        }[expr.op]
-        left = _finalize_expr_source(expr.left, agg_names, params)
-        right = _finalize_expr_source(expr.right, agg_names, params)
-        return f"({left} {symbol} {right})"
-    raise CodegenError(
-        f"unsupported output expression over aggregates: {expr.to_sql()}"
-    )
-
-
-def _emit_return_aggregates(
-    sb: SourceBuilder,
-    info: QueryInfo,
-    slots: Sequence[_AggSlot],
-    params: ParamRegistry,
-) -> None:
-    """Return ``((out0, out1, ...), cnt)``.
-
-    Every aggregation template maintains a ``cnt`` accumulator (the
-    number of qualifying tuples); returning it alongside the outputs
-    lets the engine feed observed predicate selectivity back into the
-    cost model even for aggregation queries, whose one-row result would
-    otherwise hide the qualifying count.
+    Every aggregation template maintains the number of qualifying
+    tuples; returning it alongside the states covers COUNT, lets the
+    driver finalize AVG, and feeds observed predicate selectivity back
+    into the cost model even though the result is a single row.
     """
-    agg_names = {slot.agg: f"agg{slot.index}" for slot in slots}
-    outs = []
-    for out in info.query.select:
-        outs.append(
-            f"float({_finalize_expr_source(out.expr, agg_names, params)})"
-        )
-    sb.line(f"return (({', '.join(outs)},), float(cnt))")
+    states = "".join(f"{expr}, " for expr in state_exprs)
+    sb.line(f"return (float({cnt_expr}), ({states}))")
 
 
 # --- Fused (volcano-style) templates -----------------------------------------
@@ -481,11 +400,8 @@ def _columnar_fast_path_applies(
 
 def _emit_columnar_aggregates(
     sb: SourceBuilder,
-    info: QueryInfo,
     slots: Sequence[_AggSlot],
     providers: Dict[str, _Provider],
-    params: ParamRegistry,
-    plan: AccessPlan,
 ) -> None:
     """Specialized no-predicate aggregation: one contiguous axis-0
     reduction per (buffer, function) pair, then constant-position picks.
@@ -494,22 +410,14 @@ def _emit_columnar_aggregates(
     whole tuples stream through the cache once regardless of how many
     of the group's attributes are aggregated.
     """
-    sb.line("cnt = n")
     with sb.block("if n == 0:"):
         empty_states = [
-            "None"
-            if slot.func is AggregateFunc.COUNT
-            else (
-                "0.0"
-                if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG)
-                else "None"
-            )
+            "0.0"
+            if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG)
+            else "None"
             for slot in slots
         ]
-        _emit_partial_return(sb, "0", empty_states)
-        _emit_agg_init(sb, slots)  # zero/None accumulators
-        _emit_agg_finalize(sb, slots)
-        _emit_return_aggregates(sb, info, slots, params)
+        _emit_return_states(sb, "0", empty_states)
 
     # Which buffers are *densely* aggregated?  A whole-buffer axis-0
     # reduction processes every column; it only pays off when most of
@@ -575,9 +483,10 @@ def _emit_columnar_aggregates(
                     sb.line(f"{var} = np.einsum('ij->j', {buf})")
                 else:
                     sb.line(f"{var} = {buf}.{kind}(axis=0)")
+    states = []
     for slot in slots:
         if slot.func is AggregateFunc.COUNT:
-            sb.line(f"agg{slot.index} = float(n)")
+            states.append("None")
             continue
         provider = providers[slot.agg.arg.name]
         kind = kind_of[slot.func]
@@ -599,24 +508,10 @@ def _emit_columnar_aggregates(
                 if provider.position is None
                 else f"{var}[{provider.position}]"
             )
-        if slot.func is AggregateFunc.AVG:
-            # Keep the raw sum in its own local: the partial-state
-            # contract carries sums, not averages (the combiner divides
-            # by the global count once, matching serial semantics).
-            sb.line(f"psum{slot.index} = float({pick})")
-            sb.line(f"agg{slot.index} = psum{slot.index} / n")
-        else:
-            sb.line(f"agg{slot.index} = float({pick})")
-    columnar_states = []
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            columnar_states.append("None")
-        elif slot.func is AggregateFunc.AVG:
-            columnar_states.append(f"psum{slot.index}")
-        else:
-            columnar_states.append(f"agg{slot.index}")
-    _emit_partial_return(sb, "cnt", columnar_states)
-    _emit_return_aggregates(sb, info, slots, params)
+        # AVG carries its raw sum: the driver divides by the global
+        # count once, after combining every morsel.
+        states.append(f"float({pick})")
+    _emit_return_states(sb, "n", states)
 
 
 _VEC_KIND = {
@@ -676,9 +571,7 @@ def fused_aggregate_source(
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
         if _columnar_fast_path_applies(info, slots, providers):
-            _emit_columnar_aggregates(
-                sb, info, slots, providers, params, plan
-            )
+            _emit_columnar_aggregates(sb, slots, providers)
             return sb.render(), params
 
         vec_slots = _vectorizable_slots(info, slots, providers)
@@ -740,7 +633,7 @@ def fused_aggregate_source(
                 count_var = "k" if info.has_predicate else "(stop - start)"
                 for slot in scalar_slots:
                     _emit_agg_update(sb, slot, agg_compiler, count_var)
-        partial_states = []
+        states = []
         for slot in slots:
             if slot.index in vec_set:
                 provider = providers[slot.agg.arg.name]
@@ -748,37 +641,15 @@ def fused_aggregate_source(
                     (provider.buffer_index, _VEC_KIND[slot.func])
                 ]
                 pick = f"float({var}[{provider.position}])"
-                if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG):
-                    partial_states.append(
-                        f"({pick} if {var} is not None else 0.0)"
-                    )
-                else:
-                    partial_states.append(
-                        f"({pick} if {var} is not None else None)"
-                    )
+                empty = (
+                    "0.0"
+                    if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG)
+                    else "None"
+                )
+                states.append(f"({pick} if {var} is not None else {empty})")
             else:
-                partial_states.append(_scalar_state_expr(slot))
-        _emit_partial_return(sb, "cnt", partial_states)
-        _emit_agg_finalize_slots(sb, scalar_slots)
-        for slot in vec_slots:
-            provider = providers[slot.agg.arg.name]
-            var = reductions[(provider.buffer_index, _VEC_KIND[slot.func])]
-            pick = f"float({var}[{provider.position}])"
-            if slot.func is AggregateFunc.SUM:
-                sb.line(
-                    f"agg{slot.index} = {pick} if {var} is not None else 0.0"
-                )
-            elif slot.func is AggregateFunc.AVG:
-                sb.line(
-                    f"agg{slot.index} = ({pick} / cnt) "
-                    f"if cnt else float('nan')"
-                )
-            else:
-                sb.line(
-                    f"agg{slot.index} = {pick} "
-                    f"if {var} is not None else float('nan')"
-                )
-        _emit_return_aggregates(sb, info, slots, params)
+                states.append(_scalar_state_expr(slot))
+        _emit_return_states(sb, "cnt", states)
     return sb.render(), params
 
 
@@ -1006,11 +877,9 @@ def late_aggregate_source(
             compiler = ExprCompiler(bindings, params, fused=False)
             for slot in slots:
                 _emit_agg_update(sb, slot, compiler, "cnt")
-        _emit_partial_return(
+        _emit_return_states(
             sb, "cnt", [_scalar_state_expr(slot) for slot in slots]
         )
-        _emit_agg_finalize(sb, slots)
-        _emit_return_aggregates(sb, info, slots, params)
     return sb.render(), params
 
 

@@ -188,30 +188,26 @@ class EngineConfig:
     #:   Without a scheduler attached the engine safely degrades to
     #:   inline behaviour.
     adaptation_mode: str = "inline"
-    #: Whether scans may run morsel-parallel on the shared scan pool.
-    #: Serial execution remains the reference semantics: parallel runs
-    #: combine per-morsel partial states in morsel-index order so the
-    #: answers are bit-identical either way.
-    parallel_scans: bool = True
     #: Whether per-morsel min/max zone maps are built (during lazy
     #: materialization's fused pass, on stitches and incrementally on
     #: appends) and consulted to skip non-qualifying morsels before
     #: dispatch and to discount scan cost in Eq. 1/Eq. 2 comparisons.
     zone_maps: bool = True
-    #: Rows per morsel: the unit of parallel dispatch and of zone-map
-    #: granularity.  Rounded up to a multiple of ``vector_size`` at
-    #: construction so that the online reorganizer's fused block pass
-    #: always aligns with morsel boundaries.
+    #: Rows per morsel: the unit of scan execution, of parallel
+    #: dispatch and of zone-map granularity — every scan is a loop over
+    #: morsels, and partial results are combined in morsel-index order,
+    #: so answer bits depend on the data and this value only.  Rounded
+    #: up to a multiple of ``vector_size`` at construction so that the
+    #: online reorganizer's fused block pass always aligns with morsel
+    #: boundaries.
     morsel_rows: int = 65536
-    #: Tables at or above this many rows are eligible for parallel
-    #: dispatch; smaller scans stay serial (fan-out overhead dominates).
-    #: Zone-map pruning applies regardless of this threshold.
-    parallel_threshold_rows: int = 131072
     #: Upper bound on threads one query's scan may occupy, including the
-    #: calling thread; 0 means "use every usable core".  The process-wide
-    #: scan pool further deducts threads busy on behalf of other queries
-    #: (service workers register their load), so a saturated service
-    #: degrades toward one thread per query instead of oversubscribing.
+    #: calling thread; 0 means "use every usable core", 1 means serial
+    #: (the morsel loop runs on the caller).  A scan fans out as soon as
+    #: two morsels survive pruning.  The process-wide scan pool further
+    #: deducts threads busy on behalf of other queries (service workers
+    #: register their load), so a saturated service degrades toward one
+    #: thread per query instead of oversubscribing.
     max_scan_threads: int = 0
     #: Storage budget in bytes for the table *including* replicated
     #: groups; 0 means unlimited.  When a new layout pushes the table
@@ -333,11 +329,6 @@ class EngineConfig:
             blocks = -(-self.morsel_rows // self.vector_size)
             object.__setattr__(
                 self, "morsel_rows", blocks * self.vector_size
-            )
-        if self.parallel_threshold_rows < 0:
-            raise AdaptationError(
-                f"parallel_threshold_rows must be >= 0, got "
-                f"{self.parallel_threshold_rows}"
             )
         if self.max_scan_threads < 0:
             raise AdaptationError(

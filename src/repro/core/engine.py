@@ -28,7 +28,8 @@ key construction are all functions of (query shape, layouts, candidate
 pool, learned selectivities).  The engine therefore keeps a
 :class:`~repro.core.plan_cache.PlanCache` keyed by the query's masked
 shape signature: a repeat query goes ``signature → cached plan →
-compiled kernel with freshly extracted literals``.  Entries are
+the same scan driver as the cold path, fed the cached kernel and freshly
+extracted literals``.  Entries are
 invalidated by the table's layout epoch (any create/retire/append), by
 candidate-pool refreshes (a cached plan must not shortcut past a query
 that should trigger online materialization), and by learned-selectivity
@@ -81,12 +82,7 @@ from ..errors import (
     ReorganizationError,
 )
 from ..execution.executor import ExecStats, Executor
-from ..execution.morsel import (
-    DeadlineCheck,
-    keep_mask_for,
-    plan_morsels,
-    run_generated_morsels,
-)
+from ..execution.morsel import DeadlineCheck, keep_mask_for
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.quarantine import QuarantineList
 from ..execution.result import QueryResult
@@ -96,7 +92,7 @@ from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..sql.signature import literal_extractor
 from ..storage.encoded_layout import encode_column
-from ..storage.layout import LayoutKind, flatten_kernel_buffers
+from ..storage.layout import LayoutKind
 from ..storage.relation import LayoutSnapshot, Table
 from ..storage.zonemap import attach_zone_maps, build_zone_maps
 from .adaptation_policy import AdaptationPolicy, make_policy
@@ -150,11 +146,12 @@ class QueryReport:
     #: the candidate's accrued benefit has not yet covered its hedged
     #: build cost — see docs/adaptation.md).
     reorg_deferred: bool = False
-    #: Morsel-driven scan telemetry (zero/serial when the query ran as
-    #: one monolithic scan): how many aligned morsels the table divides
-    #: into, how many zone maps proved empty and skipped, how many scan
-    #: threads actually participated, and whether the scan genuinely ran
-    #: on more than one thread.
+    #: Scan telemetry, populated for every scan (every scan is a morsel
+    #: loop; zero morsels only when no scan ran — attribute-free
+    #: queries and online reorganization): how many aligned morsels the
+    #: table divides into, how many zone maps proved empty and skipped,
+    #: how many scan threads actually participated, and whether the
+    #: scan genuinely ran on more than one thread.
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
@@ -375,14 +372,13 @@ class H2OEngine:
     ) -> DeadlineCheck:
         """A per-morsel cancellation hook for ``deadline``.
 
-        Morsel-driven scans invoke it before every morsel, turning the
+        Every scan invokes it before every morsel, turning the
         stage-boundary deadline into a finer-grained one: an over-budget
-        scan aborts at the next morsel boundary instead of running to
-        completion.  The abort is accounted exactly once (multiple scan
-        threads may observe the expiry concurrently) and feeds the same
-        ``deadline_aborts`` rung of the degradation ladder as the
-        stage-boundary checks.  Monolithic serial scans never see it —
-        their only checks remain the stage boundaries.
+        scan — serial or parallel — aborts at the next morsel boundary
+        instead of running to completion.  The abort is accounted
+        exactly once (multiple scan threads may observe the expiry
+        concurrently) and feeds the same ``deadline_aborts`` rung of the
+        degradation ladder as the stage-boundary checks.
         """
         if deadline is None:
             return None
@@ -525,18 +521,18 @@ class H2OEngine:
         phases: Dict[str, float],
         seconds: float,
     ) -> QueryReport:
+        # Feedback first: a plan cached below stores the selectivity
+        # estimate that already includes this query's observation.
+        self._feedback(query, prep, stats)
+        cost = prep.cost
         if prep.entry is not None:
+            cost = prep.entry.cost_estimate
             self.manager.record_use(prep.entry.plan.layouts)
-            self._fast_feedback(prep.entry, query, stats, prep.snapshot)
         elif prep.result is None:
             # Cold planned path (online reorg already did its own
             # accounting inside ``_materialize_and_execute``).
-            stats.extras["cost_estimate"] = prep.cost
             self.manager.record_use(prep.plan.layouts)
-            self._feedback(prep.info, stats, prep.snapshot)
             self._maybe_cache_plan(query, prep, stats)
-        else:
-            self._feedback(prep.info, stats, prep.snapshot)
 
         report = QueryReport(
             index=prep.index,
@@ -557,20 +553,16 @@ class H2OEngine:
             adaptation_ran=prep.adaptation_ran,
             shift_detected=prep.shift,
             window_size=prep.window_size,
-            cost_estimate=stats.extras.get("cost_estimate", 0.0),
+            cost_estimate=cost,
             snapshot_epoch=prep.snapshot.epoch,
-            codegen_fallback=bool(stats.extras.get("codegen_fallback")),
-            breaker_short_circuit=bool(
-                stats.extras.get("breaker_short_circuit")
-            ),
+            codegen_fallback=stats.codegen_fallback,
+            breaker_short_circuit=stats.breaker_short_circuit,
             reorg_aborted=prep.reorg_aborted,
             reorg_deferred=prep.reorg_deferred,
-            morsels_total=int(stats.extras.get("morsels_total", 0)),
-            morsels_pruned=int(stats.extras.get("morsels_pruned", 0)),
-            scan_threads_used=int(
-                stats.extras.get("scan_threads_used", 1)
-            ),
-            parallel_scan=bool(stats.extras.get("parallel", False)),
+            morsels_total=stats.morsels_total,
+            morsels_pruned=stats.morsels_pruned,
+            scan_threads_used=stats.scan_threads_used,
+            parallel_scan=stats.scan_threads_used > 1,
         )
         self.morsels_total += report.morsels_total
         self.morsels_pruned += report.morsels_pruned
@@ -987,8 +979,8 @@ class H2OEngine:
         )
         if signature is not None:
             if not allow_codegen:
-                stats.extras["breaker_short_circuit"] = True
-            elif stats.extras.get("codegen_fallback"):
+                stats.breaker_short_circuit = True
+            elif stats.codegen_fallback:
                 self.breaker.record_failure(signature)
             elif stats.used_codegen:
                 self.breaker.record_success(signature)
@@ -1010,79 +1002,28 @@ class H2OEngine:
     ) -> Tuple[QueryResult, ExecStats]:
         """Answer a repeat query shape from its cached decision.
 
-        With a compiled kernel the whole query becomes: extract the
-        fresh literals, bind the (epoch-validated) layout buffers, call
-        the kernel.  Large tables go through the morsel-driven path —
-        the cached kernel takes ``lo``/``hi`` slice parameters, so the
-        *same* compiled operator serves the serial and the parallel
-        lane, and the fresh literals still enable zone-map pruning per
-        repeat.  Without a kernel (interpreted configurations) the
+        The cold path's pipeline with cached inputs: rebuild the
+        analyzer facts from the entry, extract the fresh literals, and
+        hand the cached plan and kernel to the executor's one scan
+        driver — so a repeat re-consults the zone maps with its own
+        literals and observes its deadline per morsel exactly like a
+        cold query.  Without a kernel (interpreted configurations) the
         cached plan still skips analysis, enumeration and costing, and
-        the executor runs it generically.  Runs without the engine lock
-        — everything it reads (the entry's plan, kernel, and layout
-        buffers) is immutable.
+        the driver runs the plan's interpreter.  Runs without the engine
+        lock — everything it reads (the entry's plan, kernel, and
+        layout buffers) is immutable.
         """
         t0 = time.perf_counter()
-        if entry.kernel is not None and entry.extract_params is not None:
-            params = entry.extract_params(query)
-            names = [out.name for out in query.select]
-            mp = None
-            pool = None
-            if self.config.parallel_scans or self.config.zone_maps:
-                info = self._entry_info(entry, query)
-                pool = self.executor._pool()
-                mp = plan_morsels(
-                    info,
-                    entry.plan.layouts,
-                    entry.plan.layouts[0].num_rows,
-                    self.executor.morsel_settings,
-                    pool,
-                )
-            if mp is not None:
-                outcome = run_generated_morsels(
-                    entry.kernel,
-                    params,
-                    info,
-                    entry.plan.layouts,
-                    mp,
-                    pool,
-                    deadline_check,
-                )
-                result = outcome.result
-                stats = ExecStats(
-                    strategy=entry.plan.strategy,
-                    plan=entry.plan_desc,
-                    used_codegen=True,
-                    codegen_cache_hit=True,
-                    rows_out=result.num_rows,
-                    qualifying_rows=outcome.qualifying,
-                )
-                outcome.fill_extras(stats.extras)
-            else:
-                buffers = flatten_kernel_buffers(entry.plan.layouts)
-                payload = entry.kernel(buffers, params)
-                if entry.is_aggregation:
-                    values, qualifying_raw = payload
-                    result = QueryResult.scalar_row(names, values)
-                    qualifying = int(qualifying_raw)
-                else:
-                    result = QueryResult(names, payload)
-                    qualifying = result.num_rows
-                stats = ExecStats(
-                    strategy=entry.plan.strategy,
-                    plan=entry.plan_desc,
-                    used_codegen=True,
-                    codegen_cache_hit=True,
-                    rows_out=result.num_rows,
-                    qualifying_rows=qualifying,
-                )
-        else:
-            info = self._entry_info(entry, query)
-            result, stats = self.executor.run_plan(
-                info, entry.plan, deadline_check=deadline_check
-            )
-            stats.extras.pop("operator", None)
-        stats.extras["cost_estimate"] = entry.cost_estimate
+        compiled = entry.kernel is not None
+        result, stats = self.executor.run_scan(
+            self._entry_info(entry, query),
+            entry.plan,
+            entry.plan_desc,
+            deadline_check,
+            kernel=entry.kernel,
+            params=entry.extract_params(query) if compiled else (),
+            codegen_cache_hit=compiled,
+        )
         phases["execute"] = (
             phases.get("execute", 0.0) + time.perf_counter() - t0
         )
@@ -1118,25 +1059,19 @@ class H2OEngine:
         info = prep.info
         if not self.config.plan_cache or not info.all_attrs:
             return
-        if stats.extras.get("codegen_fallback") or stats.extras.get(
-            "breaker_short_circuit"
-        ):
+        if stats.codegen_fallback or stats.breaker_short_circuit:
             # Never cache a degraded execution: the fast lane would pin
             # this shape to the interpreted plan (or replay a decision
             # made while its breaker was open) and bypass the breaker's
             # half-open probe on every future repeat.  Cold-path repeats
             # keep probing until the shape compiles again.
             return
-        plan = stats.extras.pop("access_plan", prep.plan)
-        if plan is None:
-            return
-        operator = stats.extras.pop("operator", None)
         predicate_key = CostModel._predicate_key(info)
         self.plan_cache.store(
             CachedPlan(
                 signature=query.shape_signature(),
                 epoch=prep.snapshot.epoch,
-                plan=plan,
+                plan=prep.plan,
                 plan_desc=stats.plan,
                 select_attrs=info.select_attrs,
                 where_attrs=info.where_attrs,
@@ -1144,13 +1079,13 @@ class H2OEngine:
                 output_types=info.output_types,
                 is_aggregation=info.is_aggregation,
                 has_predicate=info.has_predicate,
-                kernel=operator.kernel if operator is not None else None,
+                kernel=stats.kernel,
                 extract_params=(
                     literal_extractor(query)
-                    if operator is not None
+                    if stats.kernel is not None
                     else None
                 ),
-                cost_estimate=stats.extras.get("cost_estimate", 0.0),
+                cost_estimate=prep.cost,
                 predicate_key=predicate_key,
                 selectivity=self.selectivity.estimate(
                     query.where, predicate_key
@@ -1161,71 +1096,53 @@ class H2OEngine:
     # Selectivity feedback -------------------------------------------------------
 
     def _feedback(
-        self,
-        info: QueryInfo,
-        stats: ExecStats,
-        snapshot: LayoutSnapshot,
+        self, query: Query, prep: _Prepared, stats: ExecStats
     ) -> None:
         """Report observed selectivity back to the estimator.
 
         Aggregation queries are included through the qualifying-row
-        count the executor now plumbs out of every path (generated
-        kernels report the shared ``cnt`` accumulator); paths that
-        cannot tell (online reorganization) leave it ``None`` and only
-        contribute when the result itself is the qualifying row set.
-        The denominator is the row count of the snapshot the query
-        actually scanned, not the table's possibly newer state.
+        count every scan reports (the combined per-morsel counts); the
+        one path that cannot tell (online reorganization) leaves it
+        ``None`` and only contributes when the result itself is the
+        qualifying row set.  The denominator is the row count of the
+        snapshot the query actually scanned, not the table's possibly
+        newer state.
 
         Zone-map pruning does not skew this feedback: a pruned morsel
         provably holds zero qualifying rows, so the sum of per-morsel
-        qualifying counts the morsel path reports equals the full-scan
-        count, and the denominator deliberately stays the snapshot's
-        *total* row count (not the rows actually scanned) — selectivity
-        remains "qualifying fraction of the table", the quantity Eq. 2
+        qualifying counts equals the full-scan count, and the
+        denominator deliberately stays the snapshot's *total* row count
+        (not the rows actually scanned) — selectivity remains
+        "qualifying fraction of the table", the quantity Eq. 2
         estimates with.
+
+        The fast lane's one extra is drift eviction: when the learned
+        selectivity drifts beyond ``config.selectivity_drift_band`` from
+        the estimate the cached plan was stored with, the entry is
+        evicted so the next repeat re-plans (and re-caches) on the cold
+        path — bounding the regret of a stale plan decision.
         """
-        if not info.has_predicate or snapshot.num_rows == 0:
+        num_rows = prep.snapshot.num_rows
+        if query.where is None or num_rows == 0:
             return
         qualifying = stats.qualifying_rows
         if qualifying is None:
-            if info.is_aggregation:
+            if query.is_aggregation:
                 return
             qualifying = stats.rows_out
-        key = CostModel._predicate_key(info)
-        self.selectivity.observe(key, qualifying / snapshot.num_rows)
-
-    def _fast_feedback(
-        self,
-        entry: CachedPlan,
-        query: Query,
-        stats: ExecStats,
-        snapshot: LayoutSnapshot,
-    ) -> None:
-        """Feedback + drift eviction for fast-lane hits.
-
-        The learned selectivity keeps updating on the fast lane too;
-        when it drifts beyond ``config.selectivity_drift_band`` from the
-        estimate the cached plan was stored with, the entry is evicted
-        so the next repeat re-plans (and re-caches) on the cold path —
-        bounding the regret of a stale plan decision.
-        """
-        if (
-            not entry.has_predicate
-            or stats.qualifying_rows is None
-            or snapshot.num_rows == 0
-        ):
-            return
-        self.selectivity.observe(
-            entry.predicate_key,
-            stats.qualifying_rows / snapshot.num_rows,
+        entry = prep.entry
+        key = (
+            entry.predicate_key
+            if entry is not None
+            else CostModel._predicate_key(prep.info)
         )
-        learned = self.selectivity.estimate(
-            query.where, entry.predicate_key
-        )
-        if abs(learned - entry.selectivity) > (
-            self.config.selectivity_drift_band
-        ):
-            self.plan_cache.invalidate(entry.signature, "drift")
+        self.selectivity.observe(key, qualifying / num_rows)
+        if entry is not None:
+            learned = self.selectivity.estimate(query.where, key)
+            if abs(learned - entry.selectivity) > (
+                self.config.selectivity_drift_band
+            ):
+                self.plan_cache.invalidate(entry.signature, "drift")
 
     # Background adaptation hooks ------------------------------------------------
 

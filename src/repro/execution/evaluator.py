@@ -128,23 +128,17 @@ class AggregateAccumulator:
                 block_max if self._max is None else max(self._max, block_max)
             )
 
-    def merge(self, other: "AggregateAccumulator") -> None:
-        """Combine another partial state (same function) into this one."""
-        if other.func is not self.func:
-            raise ExecutionError("cannot merge different aggregate states")
-        self._count += other._count
-        self._sum += other._sum
-        for mine, theirs, pick in (
-            ("_min", other._min, min),
-            ("_max", other._max, max),
-        ):
-            if theirs is not None:
-                current = getattr(self, mine)
-                setattr(
-                    self,
-                    mine,
-                    theirs if current is None else pick(current, theirs),
-                )
+    def state(self) -> "float | None":
+        """This accumulator as one slot of the partial-aggregate contract
+        (see :func:`repro.execution.morsel.combine_partial_aggregates`):
+        COUNT → None (the shared qualifying count covers it), SUM/AVG →
+        the running float sum, MIN/MAX → float or None when no row
+        qualified."""
+        if self.func is AggregateFunc.COUNT:
+            return None
+        if self.func in (AggregateFunc.SUM, AggregateFunc.AVG):
+            return self._sum
+        return self._min if self.func is AggregateFunc.MIN else self._max
 
     def finalize(self) -> float:
         """The aggregate's final scalar value.

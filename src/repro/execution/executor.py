@@ -3,14 +3,16 @@
 Given an analyzed query and a concrete :class:`AccessPlan`, the executor
 runs it either through the generated kernel path (default — H2O's
 on-the-fly operators) or through the interpreted operators (the generic
-fallback and Fig. 14 baseline).  Strategy and layout decisions are *not*
-made here; the engine (or a baseline) passes an explicit plan.
+fallback and Fig. 14 baseline).  Either way the scan is the same morsel
+loop (:meth:`Executor.run_scan`); only what runs per morsel differs.
+Strategy and layout decisions are *not* made here; the engine (or a
+baseline) passes an explicit plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import threading
 
@@ -25,13 +27,8 @@ from .evaluator import (
     evaluate_value,
     finalize_output,
 )
-from .morsel import (
-    DeadlineCheck,
-    MorselSettings,
-    plan_morsels,
-    run_generated_morsels,
-    run_interpreted_morsels,
-)
+from ..storage.layout import flatten_kernel_buffers
+from .morsel import DeadlineCheck, plan_morsels, run_morsels
 from .parallel import ScanPool, get_scan_pool
 from .result import QueryResult
 from .strategies import AccessPlan, ExecutionStrategy
@@ -45,7 +42,6 @@ class ExecStats:
 
     strategy: ExecutionStrategy
     plan: str
-    used_codegen: bool = False
     codegen_cache_hit: bool = False
     #: Seconds spent generating + compiling operator source (charged to
     #: the query, as in the paper).
@@ -61,7 +57,25 @@ class ExecStats:
     #: Filled in by the engine when the query also built a layout.
     reorg_seconds: float = 0.0
     layout_created: Optional[str] = None
-    extras: dict = field(default_factory=dict)
+    #: Morsel telemetry of the scan: aligned morsels the table divides
+    #: into, how many zone maps proved empty and skipped, and how many
+    #: scan threads actually participated (zero/one when no scan ran:
+    #: attribute-free queries, online reorganization).
+    morsels_total: int = 0
+    morsels_pruned: int = 0
+    scan_threads_used: int = 1
+    #: The compiled kernel that ran (``None`` when interpreted); the
+    #: engine's plan cache replays it for repeats of the shape.
+    kernel: Optional[Callable] = None
+    #: Degradation evidence: a compile failed and the interpreted path
+    #: answered instead / the engine's circuit breaker was open, so no
+    #: compile was attempted.
+    codegen_fallback: bool = False
+    breaker_short_circuit: bool = False
+
+    @property
+    def used_codegen(self) -> bool:
+        return self.kernel is not None
 
 
 class Executor:
@@ -83,8 +97,6 @@ class Executor:
         #: faults it injected — a silently swallowed failure is caught.
         self.codegen_fallbacks = 0
         self._fallback_lock = threading.Lock()
-        #: Morsel-driven parallel-scan knobs (see execution/morsel.py).
-        self.morsel_settings = MorselSettings.from_config(self.config)
         #: The shared scan pool; ``None`` until first used.  Tests and
         #: benchmarks may inject a dedicated :class:`ScanPool` here to
         #: control thread counts independently of the machine.
@@ -110,15 +122,14 @@ class Executor:
         whose compiles keep failing (see docs/resilience.md); answers
         are identical either way, only slower.
 
-        ``deadline_check`` is invoked before each morsel on the
-        morsel-driven path (and never on the monolithic serial path); it
+        ``deadline_check`` is invoked before each morsel of the scan; it
         should raise to abort an over-budget query between morsels.
         """
         if not info.all_attrs:
             return self._run_attribute_free(info, plan)
         if self.config.use_codegen and allow_codegen:
             return self._run_generated(info, plan, deadline_check)
-        return self._run_interpreted(info, plan, deadline_check)
+        return self.run_scan(info, plan, plan.describe(), deadline_check)
 
     def _run_attribute_free(
         self, info: QueryInfo, plan: AccessPlan
@@ -160,51 +171,68 @@ class Executor:
         )
         return result, stats
 
-    # Interpreted path ------------------------------------------------------
+    # The scan ----------------------------------------------------------------
 
-    def _run_interpreted(
+    def run_scan(
         self,
         info: QueryInfo,
         plan: AccessPlan,
+        plan_desc: str,
         deadline_check: DeadlineCheck = None,
+        kernel: Optional[Callable] = None,
+        params: Tuple[object, ...] = (),
+        codegen_seconds: float = 0.0,
+        codegen_cache_hit: bool = False,
     ) -> Tuple[QueryResult, ExecStats]:
-        num_rows = plan.layouts[0].num_rows
+        """Scan ``plan``'s layouts morsel by morsel — the one scan driver.
+
+        With a compiled ``kernel`` (and its literal vector ``params``)
+        every surviving morsel is one kernel call over the ``lo:hi``
+        slice; without one, the interpreter of ``plan.strategy`` runs
+        per morsel.  The cold generated path, the codegen fallback and
+        the engine's fast lane (cached kernel, fresh literals) all end
+        here, so they differ only in where their inputs come from.
+        """
+        layouts = plan.layouts
+        if kernel is not None:
+            buffers = flatten_kernel_buffers(layouts)
+
+            def runner(lo: int, hi: int):
+                return kernel(buffers, params, lo, hi), 0
+
+        elif plan.strategy is ExecutionStrategy.FUSED:
+
+            def runner(lo: int, hi: int):
+                return run_fused_interpreted(
+                    info, layouts, lo, hi, self.config.vector_size
+                )
+
+        else:
+
+            def runner(lo: int, hi: int):
+                return run_late_interpreted(info, layouts, lo, hi)
+
         pool = self._pool()
         mp = plan_morsels(
-            info, plan.layouts, num_rows, self.morsel_settings, pool
+            info, layouts, layouts[0].num_rows, self.config, pool
         )
-        if mp is not None:
-            outcome = run_interpreted_morsels(
-                info, plan.layouts, mp, pool, deadline_check
-            )
-            stats = ExecStats(
-                strategy=plan.strategy,
-                plan=plan.describe(),
-                used_codegen=False,
-                rows_out=outcome.result.num_rows,
-                qualifying_rows=outcome.qualifying,
-            )
-            outcome.fill_extras(stats.extras)
-            return outcome.result, stats
-        if plan.strategy is ExecutionStrategy.FUSED:
-            result, intermediate, qualifying = run_fused_interpreted(
-                info, plan.layouts, self.config.vector_size
-            )
-        else:
-            result, intermediate, qualifying = run_late_interpreted(
-                info, plan.layouts, num_rows
-            )
+        result, qualifying, intermediate, used = run_morsels(
+            runner, info, mp, pool, deadline_check
+        )
         stats = ExecStats(
             strategy=plan.strategy,
-            plan=plan.describe(),
-            used_codegen=False,
+            plan=plan_desc,
+            codegen_cache_hit=codegen_cache_hit,
+            codegen_seconds=codegen_seconds,
             intermediate_bytes=intermediate,
             rows_out=result.num_rows,
             qualifying_rows=qualifying,
+            morsels_total=mp.morsels_total,
+            morsels_pruned=mp.morsels_pruned,
+            scan_threads_used=used,
+            kernel=kernel,
         )
         return result, stats
-
-    # Generated path --------------------------------------------------------
 
     def _run_generated(
         self,
@@ -229,48 +257,18 @@ class Executor:
                 raise
             with self._fallback_lock:
                 self.codegen_fallbacks += 1
-            result, stats = self._run_interpreted(info, plan, deadline_check)
-            stats.extras["codegen_fallback"] = True
+            result, stats = self.run_scan(
+                info, plan, plan.describe(), deadline_check
+            )
+            stats.codegen_fallback = True
             return result, stats
-        pool = self._pool()
-        num_rows = plan.layouts[0].num_rows
-        mp = plan_morsels(
-            info, plan.layouts, num_rows, self.morsel_settings, pool
-        )
-        if mp is not None:
-            outcome = run_generated_morsels(
-                operator.kernel,
-                operator.params,
-                info,
-                plan.layouts,
-                mp,
-                pool,
-                deadline_check,
-            )
-            stats = ExecStats(
-                strategy=plan.strategy,
-                plan=plan.describe(),
-                used_codegen=True,
-                codegen_cache_hit=cache_hit,
-                codegen_seconds=gen_seconds,
-                rows_out=outcome.result.num_rows,
-                qualifying_rows=outcome.qualifying,
-            )
-            outcome.fill_extras(stats.extras)
-            stats.extras["operator"] = operator
-            return outcome.result, stats
-        result, intermediate, qualifying = operator.run(plan.layouts)
-        stats = ExecStats(
-            strategy=plan.strategy,
-            plan=plan.describe(),
-            used_codegen=True,
-            codegen_cache_hit=cache_hit,
+        return self.run_scan(
+            info,
+            plan,
+            plan.describe(),
+            deadline_check,
+            kernel=operator.kernel,
+            params=operator.params,
             codegen_seconds=gen_seconds,
-            intermediate_bytes=intermediate,
-            rows_out=result.num_rows,
-            qualifying_rows=qualifying,
+            codegen_cache_hit=cache_hit,
         )
-        # The engine's plan cache needs the compiled kernel + params to
-        # replay this shape without re-deriving them.
-        stats.extras["operator"] = operator
-        return result, stats

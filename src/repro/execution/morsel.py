@@ -1,20 +1,25 @@
-"""Morsel-driven scan execution with zone-map pruning.
+"""The scan driver: every scan is a loop over morsels.
 
 A *morsel* is an aligned ``(lo, hi)`` row range of
-``EngineConfig.morsel_rows`` rows.  This module turns one access plan
-into per-morsel work items, prunes morsels that zone maps prove empty,
-dispatches the survivors over the shared :class:`ScanPool`, and combines
-the per-morsel partial results **in morsel-index order** — regardless of
-thread completion order — so parallel answers are bit-identical to
-serial execution.
+``EngineConfig.morsel_rows`` rows — the single unit of pruning,
+scheduling and execution (paper section 3.3 processes data a
+cache-sized vector at a time for every layout and strategy).  This
+module turns one access plan into per-morsel work items, prunes morsels
+that zone maps prove empty, runs the survivors — on the caller alone
+when one morsel survives or one thread is allowed, over the shared
+:class:`ScanPool` otherwise — and combines the per-morsel partial
+results **in morsel-index order**, regardless of thread completion
+order.  Answer bits are therefore a function of the data and
+``morsel_rows`` only: never of core count, pool load, pruning or
+plan-cache state.
 
-Both execution flavours run per-morsel:
-
-- *generated*: the compiled kernel is invoked with its ``lo``/``hi``
-  slice parameters (``partial=True`` for aggregations), so one cached
-  operator serves the serial and the parallel path alike;
-- *interpreted*: the generic evaluator runs on sliced column views with
-  one accumulator set per morsel.
+The driver evaluates nothing itself.  A *runner* — a compiled kernel
+bound to its buffers and literals, or one of the two interpreters
+(:func:`~repro.execution.volcano.run_fused_interpreted`,
+:func:`~repro.execution.vectorized.run_late_interpreted`) — maps a
+morsel to ``(partial, intermediate_bytes)``, where the partial is a
+``(qualifying_count, states)`` payload for an aggregation and a
+row-major output block for a projection.
 
 Pruning is exact — a pruned morsel provably holds zero qualifying rows
 (see :mod:`repro.storage.zonemap`) — so the sum of per-morsel qualifying
@@ -32,7 +37,7 @@ import numpy as np
 from ..config import EngineConfig
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import AggregateFunc
-from ..storage.layout import Layout, flatten_kernel_buffers
+from ..storage.layout import Layout
 from ..storage.zonemap import (
     conjunct_bounds,
     ensure_attr_stats,
@@ -40,13 +45,7 @@ from ..storage.zonemap import (
     num_morsels_for,
     prune_mask,
 )
-from .evaluator import (
-    AggregateAccumulator,
-    collect_aggregates,
-    evaluate_predicate,
-    evaluate_value,
-    finalize_output,
-)
+from .evaluator import collect_aggregates, finalize_output
 from .parallel import ScanPool
 from .result import QueryResult
 from .volcano import projection_dtype
@@ -55,54 +54,18 @@ from .volcano import projection_dtype
 #: check, which raises QueryTimeoutError when the budget is exhausted).
 DeadlineCheck = Optional[Callable[[], None]]
 
-
-@dataclass(frozen=True)
-class MorselSettings:
-    """The execution-relevant subset of the parallel-scan knobs."""
-
-    parallel: bool
-    zone_maps: bool
-    morsel_rows: int
-    threshold_rows: int
-    max_threads: int  # per-query thread cap; 0 = pool maximum
-
-    @classmethod
-    def from_config(cls, config: EngineConfig) -> "MorselSettings":
-        return cls(
-            parallel=config.parallel_scans,
-            zone_maps=config.zone_maps,
-            morsel_rows=config.morsel_rows,
-            threshold_rows=config.parallel_threshold_rows,
-            max_threads=config.max_scan_threads,
-        )
-
-
-@dataclass
-class MorselOutcome:
-    """Result + telemetry of one morsel-driven execution."""
-
-    result: QueryResult
-    qualifying: Optional[int]
-    morsels_total: int
-    morsels_pruned: int
-    threads_used: int
-    parallel: bool
-
-    def fill_extras(self, extras: dict) -> None:
-        extras["morsels_total"] = self.morsels_total
-        extras["morsels_pruned"] = self.morsels_pruned
-        extras["scan_threads_used"] = self.threads_used
-        extras["parallel"] = self.parallel
+#: Maps one morsel ``(lo, hi)`` to ``(partial, intermediate_bytes)``.
+MorselRunner = Callable[[int, int], Tuple[object, int]]
 
 
 @dataclass(frozen=True)
-class _MorselPlan:
+class MorselPlan:
     """The dispatch decision for one query over one layout set."""
 
     ranges: List[Tuple[int, int]]  # surviving morsels, index order
     morsels_total: int
     morsels_pruned: int
-    want_threads: int  # 1 = morsel-serial (pruning only)
+    want_threads: int  # 1 = the loop runs on the caller alone
 
 
 def keep_mask_for(
@@ -140,119 +103,79 @@ def plan_morsels(
     info: QueryInfo,
     layouts: Sequence[Layout],
     num_rows: int,
-    settings: MorselSettings,
+    config: EngineConfig,
     pool: ScanPool,
-) -> Optional[_MorselPlan]:
-    """Decide whether this query runs morsel-driven, and on how much.
+) -> MorselPlan:
+    """Which morsels an attribute-bearing query scans, on how many threads.
 
-    Returns None when plain serial execution is both correct and
-    cheapest: morsels add value only via parallelism (above the row
-    threshold) or via pruning (zone maps removed at least one morsel).
+    An empty table has zero ranges and a small one a single range; the
+    scan fans out as soon as two morsels survive pruning and both the
+    pool and ``max_scan_threads`` allow a second thread.
     """
-    if not (settings.parallel or settings.zone_maps):
-        return None
-    if not info.all_attrs or num_rows == 0:
-        return None
-    total = num_morsels_for(num_rows, settings.morsel_rows)
+    ranges = morsel_ranges(num_rows, config.morsel_rows)
     keep = (
-        keep_mask_for(info, layouts, num_rows, settings.morsel_rows)
-        if settings.zone_maps
+        keep_mask_for(info, layouts, num_rows, config.morsel_rows)
+        if config.zone_maps
         else None
     )
-    ranges = morsel_ranges(num_rows, settings.morsel_rows)
-    if keep is not None:
-        surviving = [ranges[i] for i in np.flatnonzero(keep)]
-    else:
-        surviving = ranges
-    pruned = total - len(surviving)
-    parallel_eligible = (
-        settings.parallel
-        and num_rows >= settings.threshold_rows
-        and len(surviving) > 1
-        and pool.max_threads > 1
+    surviving = (
+        ranges if keep is None else [ranges[i] for i in np.flatnonzero(keep)]
     )
-    if not parallel_eligible and pruned == 0:
-        return None  # serial whole-table scan is strictly cheaper
-    want = 1
-    if parallel_eligible:
-        cap = settings.max_threads or pool.max_threads
-        want = max(1, min(cap, len(surviving)))
-    return _MorselPlan(
+    cap = min(config.max_scan_threads or pool.max_threads, pool.max_threads)
+    return MorselPlan(
         ranges=surviving,
-        morsels_total=total,
-        morsels_pruned=pruned,
-        want_threads=want,
+        morsels_total=len(ranges),
+        morsels_pruned=len(ranges) - len(surviving),
+        want_threads=max(1, min(cap, len(surviving))),
     )
 
 
-def _dispatch(
-    mp: _MorselPlan,
-    pool: ScanPool,
-    fn: Callable[[int], None],
-) -> Tuple[int, bool]:
-    """Run ``fn`` over the surviving morsel indices; returns
-    ``(threads_used, went_parallel)``."""
-    count = len(mp.ranges)
-    if mp.want_threads <= 1:
-        for index in range(count):
-            fn(index)
-        return 1, False
-    with pool.acquire(mp.want_threads) as grant:
-        used = grant.map_indexed(count, fn)
-    return used, used > 1
-
-
-# Generated (compiled-kernel) path -------------------------------------
-
-
-def run_generated_morsels(
-    kernel,
-    params: Tuple[object, ...],
+def run_morsels(
+    runner: MorselRunner,
     info: QueryInfo,
-    layouts: Sequence[Layout],
-    mp: _MorselPlan,
+    mp: MorselPlan,
     pool: ScanPool,
     deadline_check: DeadlineCheck = None,
-) -> MorselOutcome:
-    """Execute a compiled kernel morsel-at-a-time over ``layouts``."""
-    buffers = flatten_kernel_buffers(layouts)
-    names = [out.name for out in info.query.select]
+) -> Tuple[QueryResult, int, int, int]:
+    """Run ``runner`` over the surviving morsels and combine in order.
+
+    Returns ``(result, qualifying_rows, intermediate_bytes,
+    threads_used)``.  ``deadline_check`` is invoked before every morsel.
+    Pruned morsels contribute nothing — exactly what executing them
+    would have contributed, since they hold zero qualifying rows.
+    """
     count = len(mp.ranges)
-    results: List[object] = [None] * count
-    if info.is_aggregation:
+    outcomes: List[Tuple[object, int]] = [None] * count
 
-        def run_agg(index: int) -> None:
-            if deadline_check is not None:
-                deadline_check()
-            lo, hi = mp.ranges[index]
-            results[index] = kernel(buffers, params, lo, hi, True)
+    def run_one(index: int) -> None:
+        if deadline_check is not None:
+            deadline_check()
+        outcomes[index] = runner(*mp.ranges[index])
 
-        used, went_parallel = _dispatch(mp, pool, run_agg)
-        result, qualifying = _combine_generated_aggregates(
-            info, names, results
-        )
+    used = 1
+    if mp.want_threads <= 1:
+        for index in range(count):
+            run_one(index)
     else:
+        with pool.acquire(mp.want_threads) as grant:
+            used = grant.map_indexed(count, run_one)
 
-        def run_proj(index: int) -> None:
-            if deadline_check is not None:
-                deadline_check()
-            lo, hi = mp.ranges[index]
-            results[index] = kernel(buffers, params, lo, hi)
-
-        used, went_parallel = _dispatch(mp, pool, run_proj)
-        blocks = [block for block in results if block.shape[0]]
-        result = QueryResult.from_blocks(
-            names, blocks, projection_dtype(info)
+    partials = [partial for partial, _ in outcomes]
+    intermediate = sum(nbytes for _, nbytes in outcomes)
+    names = [out.name for out in info.query.select]
+    if info.is_aggregation:
+        agg_values, cnt = combine_partial_aggregates(
+            collect_aggregates(info.query.select), partials
         )
-        qualifying = result.num_rows
-    return MorselOutcome(
-        result=result,
-        qualifying=qualifying,
-        morsels_total=mp.morsels_total,
-        morsels_pruned=mp.morsels_pruned,
-        threads_used=used,
-        parallel=went_parallel,
-    )
+        values = [
+            float(finalize_output(out.expr, agg_values))
+            for out in info.query.select
+        ]
+        result = QueryResult.scalar_row(names, values)
+        return result, int(cnt), intermediate, used
+    blocks = [block for block in partials if block.shape[0]]
+    result = QueryResult.from_blocks(names, blocks, projection_dtype(info))
+    return result, result.num_rows, intermediate, used
 
 
 def combine_partial_aggregates(
@@ -261,8 +184,8 @@ def combine_partial_aggregates(
     """Fold ``(count, states)`` partial payloads in payload-index order.
 
     This is **the** combine contract shared by every partial-aggregation
-    producer: per-morsel kernels (this module), and per-shard engines
-    (:mod:`repro.sharding`).  State contract per slot (see
+    producer: per-morsel kernels and interpreters (this module), and
+    per-shard engines (:mod:`repro.sharding`).  State contract per slot (see
     codegen/templates.py): COUNT → None, SUM/AVG → running float sum,
     MIN/MAX → float or None (None = no qualifying rows in that
     partial).  Empty partials contribute nothing — exactly what
@@ -306,126 +229,3 @@ def combine_partial_aggregates(
                 maxs[i] if maxs[i] is not None else float("nan")
             )
     return agg_values, cnt
-
-
-def _combine_generated_aggregates(
-    info: QueryInfo, names: List[str], payloads: Sequence[object]
-) -> Tuple[QueryResult, int]:
-    """Fold per-morsel ``(count, states)`` payloads in morsel order.
-
-    Pruned morsels contribute nothing — exactly what executing them
-    would have contributed, since they hold zero qualifying rows.
-    """
-    aggregates = collect_aggregates(info.query.select)
-    agg_values, cnt = combine_partial_aggregates(aggregates, payloads)
-    values = [
-        float(finalize_output(out.expr, agg_values))
-        for out in info.query.select
-    ]
-    return QueryResult.scalar_row(names, values), int(cnt)
-
-
-# Interpreted path -----------------------------------------------------
-
-
-def _narrowest_columns(
-    layouts: Sequence[Layout], attrs: Sequence[str]
-) -> dict:
-    columns = {}
-    for attr in attrs:
-        candidates = [lay for lay in layouts if attr in lay.attr_set]
-        provider = min(candidates, key=lambda lay: lay.width)
-        columns[attr] = provider.column(attr)
-    return columns
-
-
-def run_interpreted_morsels(
-    info: QueryInfo,
-    layouts: Sequence[Layout],
-    mp: _MorselPlan,
-    pool: ScanPool,
-    deadline_check: DeadlineCheck = None,
-) -> MorselOutcome:
-    """Execute the generic evaluator morsel-at-a-time over ``layouts``."""
-    columns = _narrowest_columns(layouts, info.all_attrs)
-    names = [out.name for out in info.query.select]
-    aggregates = (
-        collect_aggregates(info.query.select) if info.is_aggregation else ()
-    )
-    out_dtype = None if info.is_aggregation else projection_dtype(info)
-    num_outputs = len(info.query.select)
-    count = len(mp.ranges)
-    results: List[object] = [None] * count
-
-    def run_one(index: int) -> None:
-        if deadline_check is not None:
-            deadline_check()
-        lo, hi = mp.ranges[index]
-
-        def resolve(name: str) -> np.ndarray:
-            return columns[name][lo:hi]
-
-        if info.has_predicate:
-            mask = evaluate_predicate(info.query.where, resolve)
-            kept = int(np.count_nonzero(mask))
-
-            def resolve_rows(name: str) -> np.ndarray:
-                return resolve(name)[mask]
-
-        else:
-            kept = hi - lo
-            resolve_rows = resolve
-
-        if info.is_aggregation:
-            states = tuple(
-                AggregateAccumulator(agg.func) for agg in aggregates
-            )
-            if kept:
-                for agg, state in zip(aggregates, states):
-                    if agg.arg is None:
-                        state.update(None, kept)
-                    else:
-                        state.update(
-                            evaluate_value(agg.arg, resolve_rows), kept
-                        )
-            results[index] = (kept, states)
-        else:
-            if kept == 0:
-                results[index] = None
-                return
-            block = np.empty((kept, num_outputs), dtype=out_dtype)
-            for j, out in enumerate(info.query.select):
-                block[:, j] = evaluate_value(out.expr, resolve_rows)
-            results[index] = block
-
-    used, went_parallel = _dispatch(mp, pool, run_one)
-
-    if info.is_aggregation:
-        merged = [AggregateAccumulator(agg.func) for agg in aggregates]
-        qualifying = 0
-        for payload in results:
-            kept, states = payload
-            qualifying += kept
-            for master, part in zip(merged, states):
-                master.merge(part)
-        agg_values = {
-            agg: state.finalize()
-            for agg, state in zip(aggregates, merged)
-        }
-        values = [
-            finalize_output(out.expr, agg_values)
-            for out in info.query.select
-        ]
-        result = QueryResult.scalar_row(names, values)
-    else:
-        blocks = [block for block in results if block is not None]
-        result = QueryResult.from_blocks(names, blocks, out_dtype)
-        qualifying = result.num_rows
-    return MorselOutcome(
-        result=result,
-        qualifying=qualifying,
-        morsels_total=mp.morsels_total,
-        morsels_pruned=mp.morsels_pruned,
-        threads_used=used,
-        parallel=went_parallel,
-    )

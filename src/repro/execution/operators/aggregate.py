@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...sql.expressions import Aggregate as AggregateExpr
 from ...sql.query import OutputColumn
@@ -62,6 +62,13 @@ class Aggregate(Operator):
                     state.update(values, chunk.num_rows)
         self._done = True
         return Chunk(num_rows=1, columns={})
+
+    def partial(self) -> Tuple[int, tuple]:
+        """The ``(qualifying_count, states)`` partial of the rows consumed
+        (after exhaustion), for the morsel driver's in-order combine."""
+        return self.rows_seen, tuple(
+            state.state() for state in self._accumulators.values()
+        )
 
     def result(self) -> QueryResult:
         """Finalize into the one-row query result (after exhaustion)."""

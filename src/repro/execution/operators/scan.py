@@ -23,8 +23,10 @@ class LayoutScan(Operator):
         layouts: Sequence[Layout],
         attrs: Sequence[str],
         block_rows: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
     ) -> None:
-        self._cursor = BlockCursor(layouts, attrs, block_rows)
+        self._cursor = BlockCursor(layouts, attrs, block_rows, lo, hi)
         self._attrs = tuple(attrs)
         self._iterator = None
 

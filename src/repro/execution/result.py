@@ -53,10 +53,17 @@ class QueryResult:
         blocks: Sequence[np.ndarray],
         dtype: Optional[np.dtype] = None,
     ) -> "QueryResult":
-        """Concatenate row-major output blocks into one result."""
+        """Concatenate row-major output blocks into one result.
+
+        A lone block is adopted as is (no copy): exactly one morsel
+        survives for every table up to ``morsel_rows`` rows and for
+        every well-pruned projection.
+        """
         names = tuple(column_names)
         if not blocks:
             data = np.empty((0, len(names)), dtype=dtype or np.float64)
+        elif len(blocks) == 1:
+            data = np.atleast_2d(blocks[0])
         else:
             data = np.concatenate([np.atleast_2d(b) for b in blocks], axis=0)
         return cls(names, data)

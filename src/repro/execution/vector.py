@@ -9,7 +9,7 @@ array slices for that row range.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class BlockCursor:
         execution fails fast rather than mid-scan.
     block_rows:
         Vector size in rows.
+    lo, hi:
+        The row range to walk (one morsel); defaults to every row.
     """
 
     def __init__(
@@ -68,6 +70,8 @@ class BlockCursor:
         layouts: Sequence[Layout],
         attrs: Sequence[str],
         block_rows: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
     ) -> None:
         if block_rows <= 0:
             raise ExecutionError(f"block_rows must be positive: {block_rows}")
@@ -79,6 +83,8 @@ class BlockCursor:
                 f"layouts disagree on row count: {sorted(rows)}"
             )
         (self.num_rows,) = rows
+        self.lo = lo
+        self.hi = self.num_rows if hi is None else min(hi, self.num_rows)
         self.block_rows = block_rows
         providers: Dict[str, Layout] = {}
         for attr in attrs:
@@ -91,10 +97,9 @@ class BlockCursor:
         self._providers = providers
 
     def __iter__(self) -> Iterator[Block]:
-        for start in range(0, self.num_rows, self.block_rows):
-            stop = min(start + self.block_rows, self.num_rows)
+        for start, stop in self.ranges():
             yield Block(start, stop, self._providers)
 
     def ranges(self) -> Iterator[Tuple[int, int]]:
-        for start in range(0, self.num_rows, self.block_rows):
-            yield start, min(start + self.block_rows, self.num_rows)
+        for start in range(self.lo, self.hi, self.block_rows):
+            yield start, min(start + self.block_rows, self.hi)

@@ -25,7 +25,6 @@ import numpy as np
 from ..errors import ExecutionError
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import (
-    Aggregate,
     Arithmetic,
     ArithmeticOp,
     ColumnRef,
@@ -37,9 +36,7 @@ from .evaluator import (
     AggregateAccumulator,
     collect_aggregates,
     evaluate_predicate,
-    finalize_output,
 )
-from .result import QueryResult
 from .selection import SelectionVector
 from .volcano import projection_dtype
 
@@ -85,17 +82,23 @@ def _provider_columns(
 
 
 def run_late_interpreted(
-    info: QueryInfo, layouts: Sequence[Layout], num_rows: int
-) -> Tuple[QueryResult, int, int]:
-    """Execute with interpreted late materialization.
+    info: QueryInfo, layouts: Sequence[Layout], lo: int, hi: int
+) -> Tuple[object, int]:
+    """Run interpreted late materialization over the morsel ``[lo, hi)``.
 
-    Returns the result, the total bytes of intermediates (selection
-    vectors, gathered columns, per-op arrays) materialized, and the
-    number of tuples that qualified the predicate.
+    Returns ``(partial, intermediate_bytes)`` for the morsel driver: the
+    ``(qualifying_count, states)`` payload of an aggregation or the
+    morsel's output block of a projection, and the total bytes of
+    intermediates (selection vectors, gathered columns, per-op arrays)
+    materialized on the way.
     """
-    columns = _provider_columns(layouts, info.all_attrs)
-    selection = SelectionVector.all_rows(num_rows)
-    intermediate = 0
+    columns = {
+        name: column[lo:hi]
+        for name, column in _provider_columns(
+            layouts, info.all_attrs
+        ).items()
+    }
+    selection = SelectionVector.all_rows(hi - lo)
 
     # Phase 1: predicate conjuncts refine the selection vector in turn.
     for conjunct in info.query.predicates:
@@ -111,35 +114,27 @@ def run_late_interpreted(
         name: selection.gather(columns[name]) for name in info.select_attrs
     }
     evaluator = _MaterializingEvaluator(select_values)
+    count = selection.count
 
     if info.is_aggregation:
-        aggregates = collect_aggregates(info.query.select)
-        agg_values: Dict[Aggregate, float] = {}
-        count = selection.count
-        for agg in aggregates:
+        states = []
+        for agg in collect_aggregates(info.query.select):
             state = AggregateAccumulator(agg.func)
             if agg.arg is None:
                 state.update(None, count)
             else:
                 values = evaluator.evaluate(agg.arg)
                 state.update(np.atleast_1d(values), count)
-            agg_values[agg] = state.finalize()
-        names = [out.name for out in info.query.select]
-        values = [
-            finalize_output(out.expr, agg_values)
-            for out in info.query.select
-        ]
-        result = QueryResult.scalar_row(names, values)
+            states.append(state.state())
+        partial = (count, tuple(states))
+        intermediate = 0
     else:
-        out_dtype = projection_dtype(info)
-        block = np.empty(
-            (selection.count, len(info.query.select)), dtype=out_dtype
+        partial = np.empty(
+            (count, len(info.query.select)), dtype=projection_dtype(info)
         )
         for position, out in enumerate(info.query.select):
-            block[:, position] = evaluator.evaluate(out.expr)
-        names = [out.name for out in info.query.select]
-        result = QueryResult(names, block)
-        intermediate += int(block.nbytes)
+            partial[:, position] = evaluator.evaluate(out.expr)
+        intermediate = int(partial.nbytes)
 
     intermediate += selection.materialized_bytes + evaluator.intermediate_bytes
-    return result, intermediate, selection.count
+    return partial, intermediate

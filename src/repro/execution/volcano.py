@@ -9,7 +9,7 @@ the generated kernels of :mod:`repro.codegen` eliminate (Fig. 14).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +29,14 @@ def projection_dtype(info: QueryInfo) -> np.dtype:
 
 
 def build_pipeline(
-    info: QueryInfo, layouts: Sequence[Layout], block_rows: int
+    info: QueryInfo,
+    layouts: Sequence[Layout],
+    block_rows: int,
+    lo: int = 0,
+    hi: Optional[int] = None,
 ) -> Operator:
-    """Assemble the operator tree for ``info`` over ``layouts``."""
-    node: Operator = LayoutScan(layouts, info.all_attrs, block_rows)
+    """Assemble the operator tree for ``info`` over rows ``[lo, hi)``."""
+    node: Operator = LayoutScan(layouts, info.all_attrs, block_rows, lo, hi)
     if info.has_predicate:
         node = Filter(node, info.query.where)
     if info.is_aggregation:
@@ -43,34 +47,29 @@ def build_pipeline(
 
 
 def run_fused_interpreted(
-    info: QueryInfo, layouts: Sequence[Layout], block_rows: int
-) -> Tuple[QueryResult, int, int]:
-    """Execute with the interpreted volcano pipeline.
+    info: QueryInfo,
+    layouts: Sequence[Layout],
+    lo: int,
+    hi: int,
+    block_rows: int,
+) -> Tuple[object, int]:
+    """Run the interpreted volcano pipeline over the morsel ``[lo, hi)``.
 
-    Returns the result, the bytes of intermediates materialized (filter
-    compaction buffers) and the number of qualifying tuples — the rows
-    that survived the predicate, which feeds the engine's selectivity
-    feedback even for aggregations that emit a single row.
+    Returns ``(partial, intermediate_bytes)`` for the morsel driver: the
+    partial is the ``(qualifying_count, states)`` payload of an
+    aggregation (which feeds the engine's selectivity feedback even
+    though the result is a single row) or the morsel's row-major output
+    block of a projection; the intermediates are the filter compaction
+    buffers the projection materialized.
     """
-    root = build_pipeline(info, layouts, block_rows)
+    root = build_pipeline(info, layouts, block_rows, lo, hi)
     if isinstance(root, AggregateOperator):
         for _ in root:
             pass
-        return root.result(), 0, root.rows_seen
-
-    blocks = []
-    intermediate = 0
-    root.open()
-    try:
-        while True:
-            chunk = root.next_chunk()
-            if chunk is None:
-                break
-            block = chunk.col(Project.OUTPUT_KEY)
-            blocks.append(block)
-            intermediate += int(block.nbytes)
-    finally:
-        root.close()
+        return root.partial(), 0
+    blocks = [chunk.col(Project.OUTPUT_KEY) for chunk in root]
     names = [out.name for out in info.query.select]
-    result = QueryResult.from_blocks(names, blocks, projection_dtype(info))
-    return result, intermediate, result.num_rows
+    block = QueryResult.from_blocks(
+        names, blocks, projection_dtype(info)
+    ).data
+    return block, sum(int(b.nbytes) for b in blocks)

@@ -13,8 +13,9 @@ affinity matrices and zone maps — per-shard adaptation is the point
 the workload deserves).  Three knobs are forced regardless of the
 coordinator's config:
 
-- ``parallel_scans=False`` — shard processes *are* the parallel tier;
-  nesting thread fan-out inside each shard would oversubscribe cores;
+- ``max_scan_threads=1`` — shard processes *are* the parallel tier;
+  nesting thread fan-out inside each shard would oversubscribe cores,
+  so every shard's morsel loop runs on its one thread;
 - ``adaptation_mode="inline"`` — there is no background scheduler in a
   shard; inline adaptation keeps per-shard evolution deterministic;
 - ``shard_count=0`` — shards do not recursively shard.
@@ -51,7 +52,7 @@ def worker_config(knobs: dict) -> EngineConfig:
         # dataclasses.asdict flattened the MachineProfile for transport.
         merged["machine"] = MachineProfile(**machine)
     merged.update(
-        parallel_scans=False,
+        max_scan_threads=1,
         adaptation_mode="inline",
         shard_count=0,
     )

@@ -84,21 +84,21 @@ def masked_sql(expr: Expr) -> str:
     return masker(expr)
 
 
-def _walk_literals(expr: Expr, out: List[object], skip_aggs: bool) -> None:
-    """Pre-order literal collection, optionally stopping at aggregates."""
+def _walk_literals(expr: Expr, out: List[object]) -> None:
+    """Pre-order literal collection."""
     kind = type(expr)
     if kind is Literal:
         out.append(expr.value)
     elif kind is ColumnRef:
         pass
     elif kind is Arithmetic or kind is Comparison or kind is BooleanOp:
-        _walk_literals(expr.left, out, skip_aggs)
-        _walk_literals(expr.right, out, skip_aggs)
+        _walk_literals(expr.left, out)
+        _walk_literals(expr.right, out)
     elif kind is Not:
-        _walk_literals(expr.child, out, skip_aggs)
+        _walk_literals(expr.child, out)
     elif kind is Aggregate:
-        if not skip_aggs and expr.arg is not None:
-            _walk_literals(expr.arg, out, skip_aggs)
+        if expr.arg is not None:
+            _walk_literals(expr.arg, out)
     else:
         raise AnalysisError(f"cannot collect literals from {expr!r}")
 
@@ -120,16 +120,16 @@ def _unique_aggregates(query: Query) -> Tuple[Aggregate, ...]:
 def _collect(query: Query, is_aggregation: bool) -> List[object]:
     literals: List[object] = []
     for conjunct in query.predicates:
-        _walk_literals(conjunct, literals, skip_aggs=False)
-    if is_aggregation:
-        for agg in _unique_aggregates(query):
-            if agg.arg is not None:
-                _walk_literals(agg.arg, literals, skip_aggs=False)
-        for out in query.select:
-            _walk_literals(out.expr, literals, skip_aggs=True)
-    else:
-        for out in query.select:
-            _walk_literals(out.expr, literals, skip_aggs=False)
+        _walk_literals(conjunct, literals)
+    # Literals in arithmetic *over* aggregates (``sum(a) * 2``) are not
+    # kernel parameters: kernels return raw aggregate states and the
+    # scan driver finalizes the output expressions from the query itself.
+    for expr in (
+        _unique_aggregates(query)
+        if is_aggregation
+        else [out.expr for out in query.select]
+    ):
+        _walk_literals(expr, literals)
     return literals
 
 
@@ -138,8 +138,7 @@ def query_literals(query: Query) -> List[object]:
 
     The order mirrors template emission exactly: predicate conjuncts
     first (pre-order each), then — for aggregations — the unique
-    aggregate arguments in collection order followed by the output
-    expressions with aggregate subtrees skipped; for projections, the
+    aggregate arguments in collection order; for projections, the
     output expressions in order.
     """
     return _collect(query, query.is_aggregation)

@@ -5,8 +5,9 @@ through ten independent paths, each over its *own* copy of the same
 deterministic data:
 
 1. **row reference** — the static row-store baseline, interpreted
-   (no codegen): the ground truth, sharing as little machinery with the
-   adaptive paths as possible;
+   (no codegen, no zone-map pruning, one scan thread): the ground
+   truth, sharing as little machinery with the adaptive paths as
+   possible;
 2. **volcano** — the generic interpreted Volcano evaluator over the
    initial column layouts (a :class:`~repro.baselines.base.StaticEngine`
    with codegen off);
@@ -105,6 +106,13 @@ ORACLE_CONFIG = dict(
     min_window=2,
     max_window=12,
     amortization_threshold=1.0,
+)
+
+#: The ground truth must not depend on what it judges: no zone-map
+#: pruning (the paths under test are checked against those very
+#: statistics) and no thread fan-out — a plain interpreted morsel loop.
+REFERENCE_CONFIG = EngineConfig(
+    use_codegen=False, zone_maps=False, max_scan_threads=1
 )
 
 CLEAN_MODES = (
@@ -377,9 +385,7 @@ class DifferentialOracle:
 
     def reference_results(self, spec: CaseSpec) -> List[QueryResult]:
         """Ground truth: the interpreted row baseline."""
-        engine = RowStoreEngine(
-            spec.build_table(), EngineConfig(use_codegen=False)
-        )
+        engine = RowStoreEngine(spec.build_table(), REFERENCE_CONFIG)
         return [engine.execute(q).result for q in spec.parsed()]
 
     # Clean differential modes ---------------------------------------------
@@ -469,10 +475,9 @@ class DifferentialOracle:
         """Parallel morsel path vs a morsel-serial twin of itself.
 
         Both engines share every adaptive knob (tiny morsels so even a
-        small case splits into many, threshold 1 so every scan is
-        parallel-eligible); only ``parallel_scans`` differs, and the
-        parallel engine gets a dedicated 4-thread pool so the check is
-        independent of the host's core count.  Adaptation is
+        small case splits into many); only ``max_scan_threads`` differs
+        (4 vs 1), and the parallel engine gets a dedicated 4-thread pool
+        so the check is independent of the host's core count.  Adaptation is
         deterministic and blind to the thread count, so the two engines
         evolve identical layouts — which lets the oracle assert the
         *stronger* property: per query, answers are bit-identical to
@@ -483,21 +488,15 @@ class DifferentialOracle:
         from ..execution.parallel import ScanPool
 
         mode = "adaptive-parallel"
-        morsel_knobs = dict(
-            vector_size=64,
-            morsel_rows=128,
-            max_scan_threads=4,
-        )
+        morsel_knobs = dict(vector_size=64, morsel_rows=128)
         engine = H2OEngine(
             spec.build_table(),
-            self._adaptive_config(
-                parallel_threshold_rows=1, **morsel_knobs
-            ),
+            self._adaptive_config(max_scan_threads=4, **morsel_knobs),
         )
         engine.executor.scan_pool = ScanPool(max_threads=4)
         twin = H2OEngine(
             spec.build_table(),
-            self._adaptive_config(parallel_scans=False, **morsel_knobs),
+            self._adaptive_config(max_scan_threads=1, **morsel_knobs),
         )
         epoch = 0
         for index, query in enumerate(spec.parsed()):
@@ -1017,9 +1016,7 @@ class ScenarioOutcome:
 def _scenario_reference(scenario: "Scenario") -> List[QueryResult]:
     """Ground truth for a scenario stream: the interpreted row baseline,
     with the scenario's appends applied at the same stream positions."""
-    engine = RowStoreEngine(
-        scenario.make_table(), EngineConfig(use_codegen=False)
-    )
+    engine = RowStoreEngine(scenario.make_table(), REFERENCE_CONFIG)
     expected: List[QueryResult] = []
     for op in scenario.ops:
         if op[0] == "query":

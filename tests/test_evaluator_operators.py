@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
+from repro.execution.morsel import combine_partial_aggregates
 from repro.execution.evaluator import (
     AggregateAccumulator,
     collect_aggregates,
@@ -102,19 +103,24 @@ class TestAccumulator:
         assert np.isnan(AggregateAccumulator(AggregateFunc.MIN).finalize())
         assert np.isnan(AggregateAccumulator(AggregateFunc.AVG).finalize())
 
-    def test_merge(self):
-        a = AggregateAccumulator(AggregateFunc.MIN)
-        b = AggregateAccumulator(AggregateFunc.MIN)
-        a.update(np.array([3, 4]), 2)
-        b.update(np.array([1, 9]), 2)
-        a.merge(b)
-        assert a.finalize() == 1.0
-
-    def test_merge_mismatch(self):
-        a = AggregateAccumulator(AggregateFunc.MIN)
-        b = AggregateAccumulator(AggregateFunc.MAX)
-        with pytest.raises(ExecutionError):
-            a.merge(b)
+    @pytest.mark.parametrize("func", list(AggregateFunc))
+    def test_states_combine_to_the_whole(self, func):
+        """Per-morsel ``state()`` slots folded by the shared combine
+        contract equal one accumulator over all the values — including
+        an empty partial, which must contribute nothing."""
+        values = np.array([3.5, -4.0, 1.25, 9.0, 2.0])
+        arg = None if func is AggregateFunc.COUNT else col("a")
+        agg = Aggregate(func, arg)
+        whole = AggregateAccumulator(func)
+        whole.update(values, len(values))
+        payloads = []
+        for part in (values[:2], values[:0], values[2:]):
+            state = AggregateAccumulator(func)
+            state.update(part, len(part))
+            payloads.append((len(part), (state.state(),)))
+        agg_values, count = combine_partial_aggregates([agg], payloads)
+        assert count == len(values)
+        assert agg_values[agg] == whole.finalize()
 
 
 class TestFinalizeOutput:

@@ -5,9 +5,9 @@ Covers the PR 5 subsystem bottom-up:
 - **ScanPool units** — grant budget arithmetic (external load deducts
   from the helper budget), dynamic work stealing covering every index
   exactly once, and error propagation out of helper threads;
-- **plan_morsels decisions** — when morsel execution engages (parallel
-  above the row threshold, pruning at any size) and when plain serial
-  execution is the chosen fast path;
+- **plan_morsels decisions** — every scan gets a morsel plan (one range
+  for a one-morsel table, zero when everything is pruned); it fans out
+  as soon as two morsels survive and two threads are allowed;
 - **prune_mask rules** — every comparison operator's keep rule,
   literal-on-the-left normalization, conservative fallbacks, NaN;
 - **zone-map exactness properties** (hypothesis) — built, extended
@@ -39,11 +39,7 @@ from tests.conftest import wait_until
 from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.errors import QueryTimeoutError
-from repro.execution.morsel import (
-    MorselSettings,
-    keep_mask_for,
-    plan_morsels,
-)
+from repro.execution.morsel import keep_mask_for, plan_morsels
 from repro.execution.parallel import ScanPool
 from repro.sql import parse_query
 from repro.sql.analyzer import analyze_query
@@ -65,10 +61,6 @@ from repro.storage.zonemap import (
 
 def make_info(table: Table, sql: str):
     return analyze_query(parse_query(sql), table.schema)
-
-
-def settings_for(config: EngineConfig) -> MorselSettings:
-    return MorselSettings.from_config(config)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +146,7 @@ class TestScanPool:
 
 
 # ---------------------------------------------------------------------------
-# plan_morsels: when morsel execution engages
+# plan_morsels: every scan gets a plan
 # ---------------------------------------------------------------------------
 
 
@@ -163,54 +155,66 @@ class TestPlanMorsels:
         self.table = generate_table("r", 6, 4096, rng=3)
         self.pool = ScanPool(max_threads=4)
 
-    def plan(self, sql: str, **overrides):
-        knobs = dict(
-            vector_size=64, morsel_rows=256, parallel_threshold_rows=1024
-        )
+    def plan(self, sql: str, pool=None, **overrides):
+        knobs = dict(vector_size=64, morsel_rows=256)
         knobs.update(overrides)
-        config = EngineConfig(**knobs)
         info = make_info(self.table, sql)
         return plan_morsels(
             info,
             self.table.layouts,
             self.table.num_rows,
-            settings_for(config),
+            EngineConfig(**knobs),
+            pool or self.pool,
+        )
+
+    def test_one_morsel_table_is_one_range_on_one_thread(self):
+        mp = self.plan(
+            "SELECT sum(a1) FROM r WHERE a2 > 0", morsel_rows=65536
+        )
+        assert mp.ranges == [(0, 4096)]
+        assert mp.morsels_total == 1 and mp.morsels_pruned == 0
+        assert mp.want_threads == 1
+        engine = H2OEngine(self.table, EngineConfig())
+        report = engine.execute("SELECT sum(a1) FROM r WHERE a2 > 0")
+        assert report.morsels_total == 1
+        assert report.scan_threads_used == 1 and not report.parallel_scan
+
+    def test_empty_table_has_zero_ranges(self):
+        empty = Table.from_columns(
+            "r",
+            Schema.from_names(("a1",)),
+            {"a1": np.empty(0, dtype=np.int64)},
+            "column",
+        )
+        mp = plan_morsels(
+            make_info(empty, "SELECT sum(a1) FROM r"),
+            empty.layouts,
+            0,
+            EngineConfig(),
             self.pool,
         )
+        assert mp.ranges == [] and mp.morsels_total == 0
+        assert mp.want_threads == 1
 
-    def test_disabled_knobs_mean_plain_serial(self):
+    def test_without_zone_maps_every_morsel_survives(self):
         mp = self.plan(
-            "SELECT sum(a1) FROM r WHERE a2 > 0",
-            parallel_scans=False,
-            zone_maps=False,
+            "SELECT sum(a1) FROM r WHERE a2 > 4000000000", zone_maps=False
         )
-        assert mp is None
+        assert mp.morsels_pruned == 0
+        assert mp.ranges == morsel_ranges(4096, 256)
 
-    def test_below_threshold_without_pruning_stays_serial(self):
-        mp = self.plan(
-            "SELECT sum(a1) FROM r WHERE a2 > 0",
-            parallel_threshold_rows=1_000_000,
-        )
-        assert mp is None
-
-    def test_pruning_engages_below_the_parallel_threshold(self):
-        # Literal beyond the data range: every morsel is prunable, and
-        # pruning pays regardless of table size.
-        mp = self.plan(
-            "SELECT sum(a1) FROM r WHERE a2 > 4000000000",
-            parallel_threshold_rows=1_000_000,
-        )
-        assert mp is not None
+    def test_everything_pruned_is_zero_ranges(self):
+        # Literal beyond the data range: every morsel is prunable.
+        mp = self.plan("SELECT sum(a1) FROM r WHERE a2 > 4000000000")
         assert mp.morsels_total == num_morsels_for(4096, 256)
         assert mp.morsels_pruned == mp.morsels_total
         assert mp.ranges == []
         assert mp.want_threads == 1
 
-    def test_parallel_above_threshold_caps_threads(self):
+    def test_thread_cap_bounds_the_fan_out(self):
         mp = self.plan(
             "SELECT sum(a1) FROM r WHERE a2 > 0", max_scan_threads=2
         )
-        assert mp is not None
         assert mp.want_threads == 2
         assert mp.morsels_pruned == 0
         assert mp.ranges == morsel_ranges(4096, 256)
@@ -219,28 +223,14 @@ class TestPlanMorsels:
         mp = self.plan(
             "SELECT sum(a1) FROM r WHERE a2 > 0", max_scan_threads=0
         )
-        assert mp is not None
         assert mp.want_threads == self.pool.max_threads
 
-    def test_single_thread_pool_still_prunes(self):
-        info = make_info(
-            self.table, "SELECT count(*) FROM r WHERE a1 > 4000000000"
-        )
-        mp = plan_morsels(
-            info,
-            self.table.layouts,
-            self.table.num_rows,
-            settings_for(
-                EngineConfig(
-                    vector_size=64,
-                    morsel_rows=256,
-                    parallel_threshold_rows=1,
-                )
-            ),
-            ScanPool(max_threads=1),
-        )
-        assert mp is not None and mp.want_threads == 1
-        assert mp.morsels_pruned == mp.morsels_total
+    def test_one_thread_is_serial_however_it_is_spelled(self):
+        sql = "SELECT count(*) FROM r WHERE a1 > 0"
+        assert self.plan(sql, max_scan_threads=1).want_threads == 1
+        mp = self.plan(sql, pool=ScanPool(max_threads=1))
+        assert mp.want_threads == 1
+        assert len(mp.ranges) == num_morsels_for(4096, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +443,7 @@ def test_pruned_morsels_hold_zero_qualifying_rows(case, data):
 
 
 def parallel_config(**overrides) -> EngineConfig:
-    defaults = dict(
-        vector_size=64,
-        morsel_rows=128,
-        parallel_threshold_rows=1,
-        max_scan_threads=4,
-    )
+    defaults = dict(vector_size=64, morsel_rows=128, max_scan_threads=4)
     defaults.update(overrides)
     return EngineConfig(**defaults)
 
@@ -486,7 +471,7 @@ class TestEngineParallel:
         parallel = make_parallel_engine(generate_table("r", 8, 4096, rng=21))
         serial = H2OEngine(
             generate_table("r", 8, 4096, rng=21),
-            EngineConfig(parallel_scans=False, zone_maps=False),
+            EngineConfig(max_scan_threads=1, zone_maps=False),
         )
         saw_parallel = False
         for repeat in range(2):  # second pass rides the fast lane
@@ -556,7 +541,7 @@ class TestEngineParallel:
         parallel = make_parallel_engine(generate_table("r", 6, 3000, rng=9))
         serial = H2OEngine(
             generate_table("r", 6, 3000, rng=9),
-            EngineConfig(parallel_scans=False, zone_maps=False),
+            EngineConfig(max_scan_threads=1, zone_maps=False),
         )
         sql = "SELECT a1, a2 FROM r WHERE a3 > 0"
         got = parallel.execute(sql)

@@ -33,6 +33,14 @@ class TestQueryResult:
         assert result.num_rows == 5
         assert list(result.column("v")) == [1, 1, 0, 0, 0]
 
+    def test_from_blocks_adopts_a_lone_block(self):
+        # One surviving morsel (any table up to morsel_rows rows, any
+        # well-pruned projection) must not duplicate the whole result.
+        block = np.arange(6.0).reshape(3, 2)
+        result = QueryResult.from_blocks(["a", "b"], [block])
+        assert np.shares_memory(result.data, block)
+        assert result.rows() == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+
     def test_column_by_name_and_index(self):
         result = QueryResult(["p", "q"], np.arange(6).reshape(3, 2))
         assert (result.column("q") == result.column(1)).all()

@@ -37,7 +37,7 @@ from repro.testkit import (
     run_sequence,
     shrink_case,
 )
-from repro.testkit.oracle import ORACLE_CONFIG
+from repro.testkit.oracle import ORACLE_CONFIG, results_identical
 from repro.testkit.runner import main as run_testkit_cli
 from repro.util import faultpoints
 
@@ -272,6 +272,34 @@ def test_oracle_detects_a_wrong_answer():
     with pytest.raises(OracleFailure, match="diverged"):
         LyingOracle(with_faults=False).run_case(spec)
     oracle.run_case(spec)  # sanity: the honest oracle stays green
+
+
+def test_mutation_broken_pruning_blames_the_engine_not_the_reference(
+    monkeypatch,
+):
+    """The ground truth must not prune with the zone maps under test: a
+    ``prune_mask`` that wrongly drops morsel 0 leaves the reference
+    answers untouched, and the oracle still catches the engines that
+    consulted it."""
+    from repro.execution import morsel
+
+    spec = random_case(0)
+    oracle = DifferentialOracle(with_faults=False)
+    honest = oracle.reference_results(spec)
+    real = morsel.prune_mask
+
+    def drops_morsel_zero(num_morsels, conjuncts, stats_for):
+        keep = real(num_morsels, conjuncts, stats_for)
+        keep[0] = False
+        return keep
+
+    monkeypatch.setattr(morsel, "prune_mask", drops_morsel_zero)
+    mutated = oracle.reference_results(spec)
+    assert len(mutated) == len(honest)
+    for got, want in zip(mutated, honest):
+        assert results_identical(got, want)
+    with pytest.raises(OracleFailure, match="diverged"):
+        oracle.run_case(spec)
 
 
 # ---------------------------------------------------------------------------
