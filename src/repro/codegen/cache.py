@@ -12,7 +12,7 @@ with the constants passed as runtime parameters.
 The cache is bounded: beyond ``capacity`` entries the least-recently
 used operator is evicted (a long-running engine serving a drifting
 workload would otherwise accumulate one compiled kernel per shape ×
-layout combination it ever saw).  ``capacity = 0`` means unbounded.
+layout combination it ever saw).
 
 **Thread safety.**  One operator cache is shared by all workers of the
 concurrent query service (codegen happens *outside* the engine's
@@ -51,8 +51,8 @@ class OperatorCache:
     """
 
     enabled: bool = True
-    #: Maximum number of cached operators; 0 means unbounded.
-    capacity: int = 0
+    #: Maximum number of cached operators (LRU eviction beyond it).
+    capacity: int = 256
     _entries: "OrderedDict[Hashable, CacheEntry]" = field(
         default_factory=OrderedDict
     )
@@ -84,10 +84,9 @@ class OperatorCache:
                 return
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            if self.capacity > 0:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:

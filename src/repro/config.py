@@ -73,20 +73,6 @@ class EngineConfig:
     max_window: int = 60
     #: Whether the window adapts to workload shifts (Fig. 9 ablation).
     dynamic_window: bool = True
-    #: Fraction of a query's attribute set that must overlap recent
-    #: history for the query to count as a "seen" pattern.
-    shift_overlap_threshold: float = 0.5
-    #: Fraction of recent queries with unseen patterns that triggers
-    #: window shrinking.  Mild pattern drift (a workload gradually
-    #: rotating its hot set) should not shrink the window — that starves
-    #: the advisor of pattern frequencies; only a substantial burst of
-    #: novel patterns counts as a shift.
-    shift_trigger_fraction: float = 0.45
-    #: Multiplicative window shrink factor on detected shift.
-    window_shrink_factor: float = 0.5
-    #: Additive window growth (queries) while the workload is stable —
-    #: stable workloads earn long windows so adaptation overhead decays.
-    window_grow_step: int = 6
     #: Number of tuples per execution vector (sized for cache locality).
     vector_size: int = 4096
     #: How proposed layouts get materialized:
@@ -99,21 +85,11 @@ class EngineConfig:
     materialization: str = "lazy"
     #: Whether generated operators are cached and reused.
     operator_cache: bool = True
-    #: Maximum number of compiled operators kept in the operator cache
-    #: (LRU eviction beyond it); 0 means unbounded.
-    max_cached_operators: int = 256
     #: Whether the engine keeps a signature-keyed plan cache (the
     #: steady-state fast lane): a repeat query shape skips analysis,
     #: plan enumeration, Eq. 2 costing and codegen-key construction and
     #: goes straight to the cached kernel with fresh literals.
     plan_cache: bool = True
-    #: Maximum number of cached plans (LRU eviction beyond it).
-    plan_cache_size: int = 256
-    #: How far (absolute qualifying-fraction difference) the learned
-    #: selectivity of a predicate may drift from the estimate its cached
-    #: plan was costed with before the fast-lane entry is evicted and
-    #: the next repeat re-plans on the cold path.
-    selectivity_drift_band: float = 0.2
     #: Whether to use on-the-fly generated operators at all; when False the
     #: engine falls back to the generic interpreted operator (Fig. 14).
     use_codegen: bool = True
@@ -122,26 +98,6 @@ class EngineConfig:
     #: instead of failing the query.  Disable to surface codegen bugs
     #: loudly in tests; the fault-injection oracle exercises both.
     codegen_fallback: bool = True
-    #: Whether the engine runs a per-signature circuit breaker over the
-    #: codegen path: after ``breaker_threshold`` *consecutive* compile
-    #: failures for one query shape the breaker opens and the engine
-    #: serves that shape through the interpreted path without touching
-    #: the compiler, half-open-probing once per ``breaker_cooldown``
-    #: seconds (see repro/resilience/breaker.py and docs/resilience.md).
-    codegen_breaker: bool = True
-    #: Consecutive compile failures (per shape signature) that open the
-    #: codegen circuit breaker.
-    breaker_threshold: int = 3
-    #: Seconds (on the engine's injectable clock) the breaker stays open
-    #: before allowing a half-open probe compile.
-    breaker_cooldown: float = 1.0
-    #: Initial quarantine span, in *queries*, applied to a candidate
-    #: layout whose stitch aborted; doubles per consecutive failure up
-    #: to ``quarantine_cap`` so the advisor stops re-stitching a
-    #: poisoned group on every trigger.
-    quarantine_base: float = 4.0
-    #: Upper bound (in queries) on a candidate's quarantine span.
-    quarantine_cap: float = 256.0
     #: Minimum windowed pattern frequency needed before a candidate
     #: layout may be materialized (its expected net gain must also be
     #: positive, so this is a floor, not the whole amortization test).
@@ -165,14 +121,6 @@ class EngineConfig:
     #: decision-identical to greedy; larger values trade adaptation
     #: latency for thrash resistance.  Ignored under "greedy-paper".
     hedging_factor: float = 2.0
-    #: Maximum number of candidate layouts kept in the candidate pool.
-    max_candidates: int = 8
-    #: Estimated future uses of a proposed layout, as a multiple of its
-    #: observed windowed frequency ("the benefit of a new data layout
-    #: depends on ... how many times H2O is going to use it", paper
-    #: section 3.2): a pattern seen k times in the window is expected to
-    #: recur about this-times-k more before it fades.
-    future_use_multiplier: float = 2.0
     #: Where adaptation work (advisor runs and layout materialization)
     #: happens:
     #: - "inline" (the paper-faithful default): the advisor runs on the
@@ -229,10 +177,6 @@ class EngineConfig:
     cluster_rows_min: int = 4096
     #: Columns below this many rows are never encoding candidates.
     encoding_min_rows: int = 4096
-    #: Maximum distinct values for dictionary encoding; columns with
-    #: higher cardinality stay plain (or bit-packed when their range
-    #: allows).
-    dict_max_cardinality: int = 4096
     #: Number of shard *processes* a :class:`~repro.sharding.coordinator.
     #: ShardedSystem` partitions each table across; 0 (the default)
     #: disables the sharding tier and the system runs single-process.
@@ -267,22 +211,10 @@ class EngineConfig:
             )
         if self.vector_size <= 0:
             raise AdaptationError("vector_size must be positive")
-        if not 0.0 < self.window_shrink_factor < 1.0:
-            raise AdaptationError("window_shrink_factor must be in (0, 1)")
         if self.materialization not in ("lazy", "eager", "never"):
             raise AdaptationError(
                 "materialization must be 'lazy', 'eager' or 'never', got "
                 f"{self.materialization!r}"
-            )
-        if self.max_cached_operators < 0:
-            raise AdaptationError(
-                "max_cached_operators must be >= 0 (0 = unbounded), got "
-                f"{self.max_cached_operators}"
-            )
-        if self.plan_cache_size <= 0:
-            raise AdaptationError(
-                f"plan_cache_size must be positive, got "
-                f"{self.plan_cache_size}"
             )
         if self.adaptation_policy not in ("greedy-paper", "guarded"):
             raise AdaptationError(
@@ -297,26 +229,6 @@ class EngineConfig:
             raise AdaptationError(
                 "adaptation_mode must be 'inline' or 'background', got "
                 f"{self.adaptation_mode!r}"
-            )
-        if self.breaker_threshold < 1:
-            raise AdaptationError(
-                f"breaker_threshold must be >= 1, got "
-                f"{self.breaker_threshold}"
-            )
-        if self.breaker_cooldown <= 0:
-            raise AdaptationError(
-                f"breaker_cooldown must be positive, got "
-                f"{self.breaker_cooldown}"
-            )
-        if self.quarantine_base <= 0:
-            raise AdaptationError(
-                f"quarantine_base must be positive, got "
-                f"{self.quarantine_base}"
-            )
-        if self.quarantine_cap < self.quarantine_base:
-            raise AdaptationError(
-                "quarantine_cap must be >= quarantine_base, got "
-                f"{self.quarantine_cap} < {self.quarantine_base}"
             )
         if self.morsel_rows <= 0:
             raise AdaptationError(
@@ -335,11 +247,6 @@ class EngineConfig:
                 f"max_scan_threads must be >= 0 (0 = all usable cores), "
                 f"got {self.max_scan_threads}"
             )
-        if not 0.0 < self.selectivity_drift_band <= 1.0:
-            raise AdaptationError(
-                "selectivity_drift_band must be in (0, 1], got "
-                f"{self.selectivity_drift_band}"
-            )
         if self.cluster_rows_min < 0:
             raise AdaptationError(
                 f"cluster_rows_min must be >= 0, got {self.cluster_rows_min}"
@@ -348,11 +255,6 @@ class EngineConfig:
             raise AdaptationError(
                 f"encoding_min_rows must be >= 0, got "
                 f"{self.encoding_min_rows}"
-            )
-        if self.dict_max_cardinality < 2:
-            raise AdaptationError(
-                f"dict_max_cardinality must be >= 2, got "
-                f"{self.dict_max_cardinality}"
             )
         if self.shard_count < 0:
             raise AdaptationError(
@@ -389,10 +291,6 @@ class GatewayConfig:
     #: port (the bound port is reported by :attr:`Gateway.port`).
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Request header carrying the tenant's API key.  Requests without
-    #: it share the ``default_tenant``.
-    api_key_header: str = "x-api-key"
-    default_tenant: str = "public"
     #: Maximum in-flight requests *per tenant* (admission quota on top
     #: of the service-wide bound); excess requests get HTTP 429 so one
     #: hot tenant cannot starve the rest.
@@ -405,16 +303,13 @@ class GatewayConfig:
     #: Optional API-key allowlist.  ``None`` (the default) accepts any
     #: key; a tuple rejects requests whose key is not listed with
     #: HTTP 401 before any tenant state is allocated.  Requests with no
-    #: key at all always map to the shared ``default_tenant``.
+    #: key at all always map to the shared ``public`` tenant.
     api_keys: "tuple[str, ...] | None" = None
     #: Default per-request deadline in seconds; a request body may lower
     #: or raise its own via ``timeout_ms``.
     default_timeout: float = 30.0
     #: Largest accepted request body (bytes); HTTP 413 beyond it.
     max_body_bytes: int = 16 * 1024 * 1024
-    #: Upper bound on appends coalesced into one group commit (one WAL
-    #: batch, one fsync): whatever queued up during the previous commit.
-    group_commit_max_batch: int = 64
     #: Whether creates/appends are logged to the WAL before being
     #: applied (the durability ablation knob for benchmarks).
     wal_enabled: bool = True
@@ -443,11 +338,6 @@ class GatewayConfig:
             raise AdaptationError(
                 f"max_body_bytes must be positive, got {self.max_body_bytes}"
             )
-        if self.group_commit_max_batch <= 0:
-            raise AdaptationError(
-                "group_commit_max_batch must be positive, got "
-                f"{self.group_commit_max_batch}"
-            )
         if self.snapshot_every_records < 0:
             raise AdaptationError(
                 "snapshot_every_records must be >= 0 (0 = manual), got "
@@ -468,8 +358,6 @@ class GatewayConfig:
                 "api_keys must be non-empty strings (or None to accept "
                 "any key)"
             )
-        if not self.api_key_header or "\n" in self.api_key_header:
-            raise AdaptationError("api_key_header must be a header name")
 
     def with_overrides(self, **kwargs: object) -> "GatewayConfig":
         """Return a copy with the given fields replaced."""

@@ -30,10 +30,22 @@ import numpy as np
 
 from ..config import EngineConfig
 from ..sql.analyzer import QueryInfo, analyze_query
+from ..storage.encoded_layout import DEFAULT_DICT_MAX_CARDINALITY
 from ..storage.layout import LayoutKind
 from ..storage.relation import Table
 from .cost_model import CostModel, GroupSpec
 from .monitor import Monitor
+
+#: Groups one adaptation phase may select; the engine's accumulated
+#: candidate pool keeps twice as many.
+MAX_CANDIDATES = 8
+
+#: Estimated future uses of a proposed layout, as a multiple of its
+#: observed windowed frequency ("the benefit of a new data layout
+#: depends on ... how many times H2O is going to use it", paper section
+#: 3.2): a pattern seen k times in the window is expected to recur about
+#: this-times-k more before it fades.
+FUTURE_USE_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -386,7 +398,7 @@ class LayoutAdvisor:
         chosen: List[FrozenSet[str]] = []
         chosen_origin: Dict[FrozenSet[str], str] = {}
         first_net = 0.0
-        while len(chosen) < self.config.max_candidates:
+        while len(chosen) < MAX_CANDIDATES:
             candidates = dict(pool)
             # Merging helps only when some query spans both parts (it
             # removes that query's group-joining overhead, section 3.2);
@@ -416,7 +428,7 @@ class LayoutAdvisor:
             best_group = None
             best_net = 0.0
             best_origin = ""
-            horizon = self.config.future_use_multiplier
+            horizon = FUTURE_USE_MULTIPLIER
             for group, origin in candidates.items():
                 gain = 0.0
                 multi_try = multi_existing + chosen + [group]
@@ -488,7 +500,7 @@ class LayoutAdvisor:
                     # Expected future uses, not just the windowed count.
                     frequency=max(
                         frequency,
-                        int(frequency * self.config.future_use_multiplier),
+                        int(frequency * FUTURE_USE_MULTIPLIER),
                     ),
                     benefit_per_use=saving / frequency,
                     build_cost=build_cost(group),
@@ -548,7 +560,7 @@ class LayoutAdvisor:
         scan_unit = self.cost_model.sequential_access(
             GroupSpec.of(1, 1, num_rows)
         )
-        horizon = config.future_use_multiplier
+        horizon = FUTURE_USE_MULTIPLIER
         out: List[CandidateLayout] = []
 
         if config.adaptive_clustering and num_rows >= config.cluster_rows_min:
@@ -626,7 +638,7 @@ class LayoutAdvisor:
             return 0.0
         sample = values[: self.ENCODE_PROBE_ROWS]
         cardinality = np.unique(sample).shape[0]
-        if cardinality > self.config.dict_max_cardinality:
+        if cardinality > DEFAULT_DICT_MAX_CARDINALITY:
             return 0.0
         code_bytes = 1 if cardinality <= 256 else 2
         return 1.0 - code_bytes / word

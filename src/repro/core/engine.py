@@ -33,7 +33,7 @@ extracted literals``.  Entries are
 invalidated by the table's layout epoch (any create/retire/append), by
 candidate-pool refreshes (a cached plan must not shortcut past a query
 that should trigger online materialization), and by learned-selectivity
-drift beyond ``config.selectivity_drift_band``.  Monitoring and shift
+drift beyond :data:`SELECTIVITY_DRIFT_BAND`.  Monitoring and shift
 detection still run for every query — adaptivity is never bypassed,
 only re-derivation of unchanged decisions.
 
@@ -96,7 +96,7 @@ from ..storage.layout import LayoutKind
 from ..storage.relation import LayoutSnapshot, Table
 from ..storage.zonemap import attach_zone_maps, build_zone_maps
 from .adaptation_policy import AdaptationPolicy, make_policy
-from .advisor import CandidateLayout, LayoutAdvisor
+from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
 from .cost_model import CostModel, SelectivityEstimator
 from .history import ShiftDetector
 from .layout_manager import LayoutManager
@@ -104,6 +104,19 @@ from .monitor import Monitor
 from .plan_cache import CachedPlan, PlanCache
 from .reorganizer import Reorganizer
 from .window import DynamicWindow
+
+#: How far (absolute qualifying-fraction difference) the learned
+#: selectivity of a predicate may drift from the estimate its cached
+#: plan was costed with before the fast-lane entry is evicted and the
+#: next repeat re-plans on the cold path.
+SELECTIVITY_DRIFT_BAND = 0.2
+
+#: Most recent :class:`QueryReport` objects an engine retains (each pins
+#: its query AST and result array, so a long-lived server must not keep
+#: them all).  Sixteen times the 64 shapes :meth:`H2OEngine.
+#: adaptation_state` scans the history for; cumulative totals are kept
+#: separately and cover every query.
+REPORT_HISTORY = 1024
 
 
 @dataclass
@@ -234,18 +247,23 @@ class H2OEngine:
         self.cost_model = CostModel(self.config.machine, self.selectivity)
         self.monitor = Monitor(table.schema, self.config.window_size)
         self.window = DynamicWindow(self.config)
-        self.shift_detector = ShiftDetector(self.config)
+        self.shift_detector = ShiftDetector()
         self.advisor = LayoutAdvisor(table, self.cost_model, self.config)
         self.manager = LayoutManager(table, self.config)
         self.reorganizer = Reorganizer(self.config)
         self.executor = Executor(self.config)
-        self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         #: The layout-switching policy (docs/adaptation.md): greedy
         #: (paper-faithful, every gate open) or guarded (regret-bounded
         #: benefit ledger).  Mutated only under the engine lock.
         self.policy: AdaptationPolicy = make_policy(self.config)
         self.candidates: List[CandidateLayout] = []
+        #: The last :data:`REPORT_HISTORY` reports, oldest first.
         self.reports: List[QueryReport] = []
+        #: Running sums over *every* report since construction (or the
+        #: last :meth:`seed_adaptation_state`), trimmed ones included.
+        self._seconds_total = 0.0
+        self._phase_totals: Dict[str, float] = {}
         #: Online reorganizations that aborted mid-stitch (the partial
         #: group was discarded, the query answered via plain planning).
         #: The testkit oracle matches this against its injected faults.
@@ -254,22 +272,16 @@ class H2OEngine:
         #: had already passed (see :meth:`execute`'s ``deadline``).
         self.deadline_aborts = 0
         #: Per-signature codegen circuit breaker (docs/resilience.md):
-        #: after ``breaker_threshold`` consecutive compile failures for
-        #: one query shape the engine serves that shape interpreted
+        #: after the breaker's threshold of consecutive compile failures
+        #: for one query shape the engine serves that shape interpreted
         #: without touching the compiler, half-open-probing once per
-        #: ``breaker_cooldown`` seconds on :attr:`clock`.
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-            clock=self.clock,
-        )
+        #: cooldown on :attr:`clock`.
+        self.breaker = CircuitBreaker(clock=self.clock)
         #: Exponential-backoff quarantine for candidate layouts whose
         #: stitches keep aborting.  Its clock is the query counter, so
         #: spans are "skip for the next N queries".
         self.quarantine = QuarantineList(
-            base=self.config.quarantine_base,
-            cap=self.config.quarantine_cap,
-            clock=lambda: float(self._query_counter),
+            clock=lambda: float(self._query_counter)
         )
         self._query_counter = 0
         #: Cumulative morsel telemetry across every query (zone-map
@@ -567,6 +579,13 @@ class H2OEngine:
         self.morsels_total += report.morsels_total
         self.morsels_pruned += report.morsels_pruned
         self.reports.append(report)
+        if len(self.reports) > REPORT_HISTORY:
+            del self.reports[0]
+        self._seconds_total += seconds
+        for phase, spent in phases.items():
+            self._phase_totals[phase] = (
+                self._phase_totals.get(phase, 0.0) + spent
+            )
         return report
 
     # Decision steps -------------------------------------------------------------
@@ -623,7 +642,7 @@ class H2OEngine:
             ranked = sorted(
                 pool.values(), key=lambda c: -c.expected_gain
             )
-            self.candidates = ranked[: 2 * self.config.max_candidates]
+            self.candidates = ranked[: 2 * MAX_CANDIDATES]
             self._last_adaptation_snapshot = snapshot
             if self.config.materialization == "eager":
                 # The ablation discipline: build every proposal now,
@@ -793,9 +812,8 @@ class H2OEngine:
             if c.ledger_key != candidate.ledger_key
         ]
         if registered and self.config.max_table_bytes:
-            # Enforce the storage budget by retiring cold groups (never
-            # the one just built — it has a use already recorded).
-            self.manager.record_use([outcome.group])
+            # Enforce the storage budget by retiring cold groups (the
+            # one just built goes last).
             dropped = self.manager.retire_cold_groups(
                 self.config.max_table_bytes
             )
@@ -843,13 +861,7 @@ class H2OEngine:
                 bytes_written = self.table.nbytes
             else:
                 t0 = time.perf_counter()
-                encoded = encode_column(
-                    attr,
-                    self.table.column(attr),
-                    dict_max_cardinality=(
-                        self.config.dict_max_cardinality
-                    ),
-                )
+                encoded = encode_column(attr, self.table.column(attr))
                 if encoded is None:
                     # The stats probe was optimistic; no codec shrinks
                     # this column.  Drop the candidate for good.
@@ -964,11 +976,7 @@ class H2OEngine:
         t1 = time.perf_counter()
         allow_codegen = True
         signature = None
-        if (
-            self.config.use_codegen
-            and self.config.codegen_breaker
-            and prep.info.all_attrs
-        ):
+        if self.config.use_codegen and prep.info.all_attrs:
             signature = prep.info.query.shape_signature()
             allow_codegen = self.breaker.allow(signature)
         result, stats = self.executor.run_plan(
@@ -1117,7 +1125,7 @@ class H2OEngine:
         estimates with.
 
         The fast lane's one extra is drift eviction: when the learned
-        selectivity drifts beyond ``config.selectivity_drift_band`` from
+        selectivity drifts beyond :data:`SELECTIVITY_DRIFT_BAND` from
         the estimate the cached plan was stored with, the entry is
         evicted so the next repeat re-plans (and re-caches) on the cold
         path — bounding the regret of a stale plan decision.
@@ -1139,9 +1147,7 @@ class H2OEngine:
         self.selectivity.observe(key, qualifying / num_rows)
         if entry is not None:
             learned = self.selectivity.estimate(query.where, key)
-            if abs(learned - entry.selectivity) > (
-                self.config.selectivity_drift_band
-            ):
+            if abs(learned - entry.selectivity) > SELECTIVITY_DRIFT_BAND:
                 self.plan_cache.invalidate(entry.signature, "drift")
 
     # Background adaptation hooks ------------------------------------------------
@@ -1248,7 +1254,6 @@ class H2OEngine:
                 )
             ]
             if self.config.max_table_bytes:
-                self.manager.record_use([group])
                 dropped = self.manager.retire_cold_groups(
                     self.config.max_table_bytes
                 )
@@ -1375,6 +1380,8 @@ class H2OEngine:
                     attrs for attrs, _ in monitor.distinct_access_sets()
                 ]
                 self.reports.clear()
+                self._seconds_total = 0.0
+                self._phase_totals = {}
                 self.candidates = []
                 self._last_adaptation_snapshot = None
                 self._shift_since_adaptation = False
@@ -1427,15 +1434,11 @@ class H2OEngine:
 
     def cumulative_seconds(self) -> float:
         with self.lock:
-            return sum(report.seconds for report in self.reports)
+            return self._seconds_total
 
     def phase_totals(self) -> Dict[str, float]:
         with self.lock:
-            totals: Dict[str, float] = {}
-            for report in self.reports:
-                for phase, seconds in report.phases.items():
-                    totals[phase] = totals.get(phase, 0.0) + seconds
-            return totals
+            return dict(self._phase_totals)
 
     def layout_creation_seconds(self) -> float:
         with self.lock:

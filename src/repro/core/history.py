@@ -18,7 +18,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, FrozenSet, Iterable
 
-from ..config import EngineConfig
+#: A query counts as *familiar* when at least this fraction of its
+#: attributes is contained in some pattern known at the last adaptation.
+SHIFT_OVERLAP_THRESHOLD = 0.5
+
+#: Fraction of recent queries that must be unfamiliar before a shift is
+#: reported.  Mild pattern drift (a workload gradually rotating its hot
+#: set) must not shrink the window — that starves the advisor of pattern
+#: frequencies; only a substantial burst of novel patterns is a shift.
+SHIFT_TRIGGER_FRACTION = 0.45
 
 
 def jaccard(first: FrozenSet[str], second: FrozenSet[str]) -> float:
@@ -47,10 +55,7 @@ def containment(query_attrs: FrozenSet[str], pattern: FrozenSet[str]) -> float:
 class ShiftDetector:
     """Tracks how novel recent query patterns are."""
 
-    def __init__(
-        self, config: EngineConfig, recent: int = 10, warmup: int = 0
-    ) -> None:
-        self.config = config
+    def __init__(self, recent: int = 10, warmup: int = 0) -> None:
         self._recent_flags: Deque[bool] = deque(maxlen=recent)
         self._in_shift = False
         self._seen = 0
@@ -70,9 +75,9 @@ class ShiftDetector:
             similarity = containment(attrs, pattern)
             if similarity > best:
                 best = similarity
-                if best >= self.config.shift_overlap_threshold:
+                if best >= SHIFT_OVERLAP_THRESHOLD:
                     break
-        unseen = best < self.config.shift_overlap_threshold
+        unseen = best < SHIFT_OVERLAP_THRESHOLD
         self._recent_flags.append(unseen)
         self._seen += 1
         fraction = (
@@ -80,7 +85,7 @@ class ShiftDetector:
             if self._recent_flags
             else 0.0
         )
-        shifted = fraction >= self.config.shift_trigger_fraction
+        shifted = fraction >= SHIFT_TRIGGER_FRACTION
         if self._seen <= self.warmup:
             self._in_shift = shifted
             return False

@@ -177,17 +177,24 @@ class LayoutManager:
 
     def retire_cold_groups(self, max_bytes: int) -> List[Layout]:
         """Drop least-used *group* layouts until the table fits the
-        budget, never breaking attribute coverage.  Returns the dropped
+        budget, never breaking attribute coverage.  The newest group —
+        the one whose creation prompted this pass — goes last, however
+        few uses it has had time to collect.  Returns the dropped
         layouts (empty when the budget already holds)."""
         dropped: List[Layout] = []
         candidates = [
             layout
-            for layout in self.table.layouts
+            for layout in self.table.layouts  # creation order
             if layout.kind is LayoutKind.GROUP
         ]
+        newest = candidates[-1] if candidates else None
         with self._log_lock:
             uses = dict(self._uses)
-        candidates.sort(key=lambda lay: (uses.get(id(lay), 0), -lay.nbytes))
+        candidates.sort(
+            key=lambda lay: (
+                lay is newest, uses.get(id(lay), 0), -lay.nbytes
+            )
+        )
         for layout in candidates:
             if self.table.nbytes <= max_bytes:
                 break

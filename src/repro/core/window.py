@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 
 from ..config import EngineConfig
 
+#: Multiplicative shrink on a detected shift and additive growth (in
+#: queries) per stable adaptation phase: paper section 4.1 starts from a
+#: 20-query window; halving reacts to a shift within one phase, and +6
+#: lets stable workloads earn long windows so adaptation overhead decays.
+WINDOW_SHRINK_FACTOR = 0.5
+WINDOW_GROW_STEP = 6
+
 
 @dataclass
 class DynamicWindow:
@@ -45,8 +52,7 @@ class DynamicWindow:
         if not self.config.dynamic_window:
             return
         new_size = max(
-            self.config.min_window,
-            int(self.size * self.config.window_shrink_factor),
+            self.config.min_window, int(self.size * WINDOW_SHRINK_FACTOR)
         )
         if new_size != self.size:
             self.size = new_size
@@ -56,9 +62,7 @@ class DynamicWindow:
         """Workload looks stable → grow additively (if dynamic)."""
         if not self.config.dynamic_window:
             return
-        new_size = min(
-            self.config.max_window, self.size + self.config.window_grow_step
-        )
+        new_size = min(self.config.max_window, self.size + WINDOW_GROW_STEP)
         if new_size != self.size:
             self.size = new_size
             self.grow_events += 1

@@ -88,8 +88,7 @@ class Executor:
         from ..codegen.cache import OperatorCache
 
         self.operator_cache = OperatorCache(
-            enabled=self.config.operator_cache,
-            capacity=self.config.max_cached_operators,
+            enabled=self.config.operator_cache
         )
         #: How many times the generated path failed and the interpreted
         #: fallback answered instead (see :meth:`_run_generated`).  The

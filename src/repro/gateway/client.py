@@ -13,6 +13,7 @@ import json
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import GatewayError
+from .http import API_KEY_HEADER
 
 
 class GatewayHTTPError(GatewayError):
@@ -37,12 +38,11 @@ class GatewayClient:
         port: int,
         api_key: Optional[str] = None,
         timeout: float = 30.0,
-        api_key_header: str = "x-api-key",
     ) -> None:
         self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
         self._headers = {"Content-Type": "application/json"}
         if api_key:
-            self._headers[api_key_header] = api_key
+            self._headers[API_KEY_HEADER] = api_key
 
     def _request(
         self,

@@ -17,6 +17,9 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import BadRequestError
 
+#: Request header carrying the tenant's API key (client and server).
+API_KEY_HEADER = "x-api-key"
+
 #: Hard parser limits (pre-body); the body limit is configured.
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 32768

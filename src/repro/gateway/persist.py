@@ -420,7 +420,6 @@ class DurableStore:
         engine_config: Optional[EngineConfig] = None,
         gateway_config: Optional[GatewayConfig] = None,
         num_workers: int = 2,
-        default_timeout: Optional[float] = 30.0,
         seed_adaptation: bool = True,
     ) -> None:
         self.data_dir = Path(data_dir)
@@ -477,7 +476,7 @@ class DurableStore:
         self.service = H2OService(
             config=self.engine_config,
             num_workers=num_workers,
-            default_timeout=default_timeout,
+            default_timeout=self.gateway_config.default_timeout,
         )
         self.system = self.service.system
         for name in sorted(tables):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -42,6 +43,7 @@ from ..errors import (
     TenantQuotaError,
 )
 from .http import (
+    API_KEY_HEADER,
     HTTPError,
     Request,
     json_response,
@@ -52,6 +54,10 @@ from .http import (
 from .metrics import render_metrics
 from .persist import DurableStore
 from .tenancy import Tenant, TenantRegistry
+
+#: Upper bound on appends coalesced into one group commit (one WAL
+#: batch, one fsync): whatever queued up during the previous commit.
+GROUP_COMMIT_MAX_BATCH = 64
 
 #: Exception class → HTTP status, most specific first.
 _STATUS_MAP: Tuple[Tuple[type, int], ...] = (
@@ -102,24 +108,20 @@ class AppendBatcher:
 
     A single drainer task pulls items off an asyncio queue; the first
     item opens a batch, everything already queued behind it (up to
-    ``max_batch``) rides along, and the whole batch ships at once to
-    :meth:`DurableStore.append_many` (one WAL write + one fsync) on the
-    executor.  There is no timer: appends that arrive during a commit
-    wait in the queue and form the next batch, so coalescing scales with
-    commit latency and a lone writer never waits for riders.  Each
-    rider's future resolves with its own outcome — a validation failure
-    in one item never poisons the batch.
+    :data:`GROUP_COMMIT_MAX_BATCH`) rides along, and the whole batch
+    ships at once to :meth:`DurableStore.append_many` (one WAL write +
+    one fsync) on the executor.  There is no timer: appends that arrive
+    during a commit wait in the queue and form the next batch, so
+    coalescing scales with commit latency and a lone writer never waits
+    for riders.  Each rider's future resolves with its own outcome — a
+    validation failure in one item never poisons the batch.
     """
 
     def __init__(
-        self,
-        store: DurableStore,
-        executor: ThreadPoolExecutor,
-        max_batch: int,
+        self, store: DurableStore, executor: ThreadPoolExecutor
     ) -> None:
         self._store = store
         self._executor = executor
-        self._max_batch = max_batch
         self._queue: "asyncio.Queue[Tuple[str, dict, asyncio.Future]]" = (
             asyncio.Queue()
         )
@@ -147,7 +149,10 @@ class AppendBatcher:
             if item is None:  # type: ignore[comparison-overlap]
                 break
             batch = [item]
-            while len(batch) < self._max_batch and not self._queue.empty():
+            while (
+                len(batch) < GROUP_COMMIT_MAX_BATCH
+                and not self._queue.empty()
+            ):
                 extra = self._queue.get_nowait()
                 if extra is None:  # type: ignore[comparison-overlap]
                     self._closed = True
@@ -211,18 +216,13 @@ class Gateway:
         self.tenants = TenantRegistry(
             store.service,
             quota=self.config.tenant_quota,
-            default_tenant=self.config.default_tenant,
             allowed_keys=self.config.api_keys,
             max_tenants=self.config.max_tenants,
         )
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="gateway-exec"
         )
-        self.batcher = AppendBatcher(
-            store,
-            self._executor,
-            max_batch=self.config.group_commit_max_batch,
-        )
+        self.batcher = AppendBatcher(store, self._executor)
         self._server: Optional[asyncio.AbstractServer] = None
         self._counter_lock = threading.Lock()
         self._endpoint_counters: Dict[Tuple[str, int], int] = {}
@@ -362,9 +362,7 @@ class Gateway:
         )
 
     def _tenant(self, request: Request) -> Tenant:
-        return self.tenants.resolve(
-            request.header(self.config.api_key_header) or None
-        )
+        return self.tenants.resolve(request.header(API_KEY_HEADER) or None)
 
     @staticmethod
     def _timeout_from(body: object, default: float) -> float:
@@ -375,8 +373,10 @@ class Gateway:
                 raise BadRequestError(
                     f"timeout_ms must be a number, got {body['timeout_ms']!r}"
                 )
-            if timeout <= 0:
-                raise BadRequestError("timeout_ms must be positive")
+            if not 0 < timeout < math.inf:
+                raise BadRequestError(
+                    "timeout_ms must be positive and finite"
+                )
             return timeout
         return default
 

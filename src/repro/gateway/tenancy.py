@@ -79,18 +79,18 @@ class TenantRegistry:
 
     #: Public name of the shared tenant handed to keys past the cap.
     OVERFLOW_NAME = "tenant-overflow"
+    #: Public name of the tenant every request without a key shares.
+    DEFAULT_NAME = "public"
 
     def __init__(
         self,
         service: H2OService,
         quota: int,
-        default_tenant: str = "public",
         allowed_keys: Optional[Iterable[str]] = None,
         max_tenants: int = 64,
     ) -> None:
         self._service = service
         self._quota = quota
-        self._default = default_tenant
         self._allowed = (
             None if allowed_keys is None else frozenset(allowed_keys)
         )
@@ -124,7 +124,7 @@ class TenantRegistry:
                         self._quota,
                     )
                 return self._overflow
-            name = self._public_name(key) if key else self._default
+            name = self._public_name(key) if key else self.DEFAULT_NAME
             session = self._service.session(client=name)
             tenant = Tenant(name, session, self._quota)
             self._tenants[key] = tenant

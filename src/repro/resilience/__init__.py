@@ -17,9 +17,9 @@ sleeps:
   backoff for poisoned reorganization candidates: a candidate whose
   stitch aborted is blocked for a growing number of queries so the
   advisor stops re-stitching it on every trigger;
-- :class:`~repro.resilience.budget.TokenBucket` — a bounded-rate budget
-  used by the service's worker watchdog so a crash loop cannot turn
-  into a respawn storm;
+- :class:`~repro.resilience.supervisor.Supervisor` — the one watchdog
+  thread (workers and shards alike), whose :class:`~repro.resilience.
+  budget.TokenBucket` keeps a crash loop from becoming a respawn storm;
 - :class:`~repro.resilience.health.HealthReport` — one defensive
   snapshot of the whole degradation state (workers alive, breaker
   states, quarantined candidates, fallback/respawn counters, queue
@@ -48,10 +48,12 @@ from .breaker import CircuitBreaker
 from .budget import TokenBucket
 from .health import HealthReport
 from .quarantine import QuarantineList
+from .supervisor import Supervisor
 
 __all__ = [
     "CircuitBreaker",
     "HealthReport",
     "QuarantineList",
+    "Supervisor",
     "TokenBucket",
 ]

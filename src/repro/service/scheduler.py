@@ -35,17 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import H2OSystem
 
 
+#: Seconds the scheduler sleeps between cycles when no query signals
+#: due-ness (the signal wakes it at once; the poll only picks up
+#: candidates left over from an earlier cycle).
+POLL_INTERVAL = 0.02
+
+
 class AdaptationScheduler:
     """Daemon thread running adaptation cycles for a system's engines."""
 
     def __init__(
-        self,
-        system: "H2OSystem",
-        poll_interval: float = 0.02,
-        name: str = "h2o-adaptation",
+        self, system: "H2OSystem", name: str = "h2o-adaptation"
     ) -> None:
         self.system = system
-        self.poll_interval = poll_interval
         self._wake = threading.Event()
         self._stop = threading.Event()
         #: Overload ladder (docs/resilience.md): the service pauses
@@ -131,7 +133,7 @@ class AdaptationScheduler:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            self._wake.wait(self.poll_interval)
+            self._wake.wait(POLL_INTERVAL)
             self._wake.clear()
             if self._stop.is_set():
                 break

@@ -44,6 +44,7 @@ from ..errors import (
 from ..execution.parallel import get_scan_pool
 from ..resilience.budget import TokenBucket
 from ..resilience.health import HealthReport
+from ..resilience.supervisor import Supervisor
 from ..sql.parser import parse_query
 from ..util.faultpoints import fault_point
 from ..sql.query import Query
@@ -58,6 +59,10 @@ _RUNNING = "running"
 _DONE = "done"
 _FAILED = "failed"
 _CANCELLED = "cancelled"
+
+#: Base sleep before a retryable failure's next attempt (PR 4's
+#: retry ladder): doubles per attempt, capped at 100 ms.
+RETRY_BACKOFF = 0.005
 
 
 class _QueryTicket:
@@ -249,8 +254,6 @@ class H2OService:
         max_pending: int = 64,
         default_timeout: Optional[float] = None,
         max_query_attempts: int = 3,
-        retry_backoff: float = 0.005,
-        watchdog_interval: float = 0.05,
         name: str = "h2o-service",
     ) -> None:
         if system is not None and config is not None:
@@ -276,9 +279,6 @@ class H2OService:
         #: Retry ladder: total execution attempts one ticket may start
         #: (first try included) before its failure surfaces.
         self.max_query_attempts = max_query_attempts
-        #: Base sleep before a retryable failure's next attempt
-        #: (exponential per attempt, capped in :meth:`_retry_delay`).
-        self.retry_backoff = retry_backoff
         self.admission = AdmissionController(max_pending)
         self.stats = ServiceStats()
         #: Budget the shared scan pool against this service's load: the
@@ -301,13 +301,6 @@ class H2OService:
         self._workers: List[threading.Thread] = []
         #: Pool strength the watchdog restores after deaths.
         self._target_workers = num_workers
-        #: Respawn budget: a dying-in-a-loop pool must not spin the
-        #: watchdog into a thread-creation storm.  Continuous refill,
-        #: generous burst — steady-state deaths are absorbed, a
-        #: pathological crash loop is throttled, never starved.
-        self._respawn_budget = TokenBucket(
-            burst=max(4, 2 * num_workers), window=1.0
-        )
         for _ in range(num_workers):
             self._spawn_worker()
         self.scheduler: Optional[AdaptationScheduler] = None
@@ -324,19 +317,11 @@ class H2OService:
         #: flapping at the boundary.
         self._pause_fraction = 0.75
         self._resume_fraction = 0.5
-        #: Watchdog: periodically prunes dead worker threads and spawns
-        #: replacements up to the respawn budget.  Only needed when the
-        #: service actually owns workers.
-        self._watchdog_wake = threading.Event()
-        self._watchdog: Optional[threading.Thread] = None
+        #: Watchdog: prunes dead worker threads and respawns them within
+        #: its budget.  Only a service that owns workers needs one.
+        self._supervisor: Optional[Supervisor] = None
         if num_workers > 0:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop,
-                name=f"{name}-watchdog",
-                daemon=True,
-            )
-            self._watchdog_interval = watchdog_interval
-            self._watchdog.start()
+            self._supervisor = Supervisor(name, self._heal_pool, num_workers)
 
     # Catalog -------------------------------------------------------------
 
@@ -376,6 +361,12 @@ class H2OService:
         """A defensive copy of the open sessions by id."""
         with self._session_lock:
             return dict(self._sessions)
+
+    def _forget_session(self, session: Session) -> None:
+        """Drop a closed session (unless its id was since re-opened)."""
+        with self._session_lock:
+            if self._sessions.get(session.session_id) is session:
+                del self._sessions[session.session_id]
 
     # Submission ----------------------------------------------------------
 
@@ -477,36 +468,17 @@ class H2OService:
 
     # Watchdog -------------------------------------------------------------
 
-    def _watchdog_loop(self) -> None:
-        """Keep the pool at target strength until the service closes."""
-        while not self._closed.is_set():
-            self._watchdog_wake.wait(self._watchdog_interval)
-            self._watchdog_wake.clear()
-            if self._closed.is_set():
-                return
-            self._heal_pool()
-
-    def _heal_pool(self) -> int:
-        """Prune dead threads and respawn the deficit; returns spawns.
-
-        Respawns draw from a token bucket so a crash-looping pool is
-        throttled (the deficit is retried on the next tick) instead of
-        spinning up threads as fast as they die.
-        """
+    def _heal_pool(self, budget: TokenBucket) -> None:
+        """Prune dead threads and respawn the deficit, budget willing."""
         with self._worker_lock:
             self._workers = [w for w in self._workers if w.is_alive()]
             deficit = self._target_workers - len(self._workers)
-        spawned = 0
         for _ in range(max(0, deficit)):
-            if self._closed.is_set():
-                break
-            if not self._respawn_budget.try_take():
+            if not budget.try_take():
                 break  # budget exhausted; next tick retries
             if self._spawn_worker() is None:
-                break
+                break  # the service closed meanwhile
             self.stats.note_worker_respawn()
-            spawned += 1
-        return spawned
 
     def alive_workers(self) -> int:
         """How many worker threads are currently alive."""
@@ -530,7 +502,8 @@ class H2OService:
                 requeued = self._on_worker_death(ticket, exc)
                 if not requeued:
                     self._release_slot()
-                self._watchdog_wake.set()
+                if self._supervisor is not None:
+                    self._supervisor.wake()
                 return
             if not requeued:
                 self._release_slot()
@@ -610,7 +583,7 @@ class H2OService:
     def _retry_delay(self, attempt: int) -> float:
         """Exponential backoff (capped) before attempt ``attempt+1``."""
         return min(
-            0.1, self.retry_backoff * (2.0 ** max(0, attempt - 1))
+            0.1, RETRY_BACKOFF * (2.0 ** max(0, attempt - 1))
         )
 
     def _run_ticket(self, ticket: _QueryTicket) -> bool:
@@ -706,9 +679,8 @@ class H2OService:
             return
         self._closed.set()
         get_scan_pool().unregister_load(self._scan_load_key)
-        self._watchdog_wake.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout)
+        if self._supervisor is not None:
+            self._supervisor.close(timeout)
         with self._worker_lock:
             workers = list(self._workers)
         for _ in workers:

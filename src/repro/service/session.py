@@ -78,9 +78,10 @@ class Session:
         return self.submit(query, timeout=effective).result(effective)
 
     def close(self) -> None:
-        """Refuse further submissions from this session."""
+        """Refuse further submissions; the service forgets the session."""
         with self._lock:
             self._closed = True
+        self.service._forget_session(self)
 
     @property
     def closed(self) -> bool:

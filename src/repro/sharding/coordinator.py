@@ -54,6 +54,7 @@ from ..execution.evaluator import collect_aggregates, finalize_output
 from ..execution.morsel import combine_partial_aggregates
 from ..execution.result import QueryResult
 from ..resilience.budget import TokenBucket
+from ..resilience.supervisor import Supervisor
 from ..sql.expressions import (
     Aggregate,
     AggregateFunc,
@@ -71,6 +72,10 @@ from .shm import create_segment, unlink_segment
 from .worker import shard_worker_main
 
 from .. import errors as _errors
+
+#: Seconds a query waits for the watchdog to respawn its dead target
+#: shards before it fails with a (retryable) ShardError.
+RESPAWN_WAIT = 30.0
 
 
 class _Shard:
@@ -142,8 +147,6 @@ class ShardedSystem:
         config: Optional[EngineConfig] = None,
         *,
         name: str = "h2o-sharded",
-        watchdog_interval: float = 0.05,
-        respawn_wait: float = 30.0,
     ) -> None:
         config = config or EngineConfig(shard_count=2)
         if config.shard_count < 1:
@@ -156,7 +159,6 @@ class ShardedSystem:
         self.name = name
         self.shard_count = config.shard_count
         self.scatter_timeout = config.scatter_timeout
-        self._respawn_wait = respawn_wait
         self._ctx = multiprocessing.get_context("spawn")
         self._knobs = _scalar_knobs(config)
         self._tables: Dict[str, _TableState] = {}
@@ -170,9 +172,6 @@ class ShardedSystem:
         self._cumulative = 0.0
         self.shard_respawns = 0
         self.shard_deaths = 0
-        self._respawn_budget = TokenBucket(
-            burst=max(4, 2 * self.shard_count), window=1.0
-        )
         self._shards: List[_Shard] = [
             self._spawn_shard(index) for index in range(self.shard_count)
         ]
@@ -182,14 +181,7 @@ class ShardedSystem:
         self._finalizer = weakref.finalize(
             self, _finalize_shards, self._finalize_procs
         )
-        self._watchdog_wake = threading.Event()
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop,
-            name=f"{name}-watchdog",
-            daemon=True,
-        )
-        self._watchdog_interval = watchdog_interval
-        self._watchdog.start()
+        self._supervisor = Supervisor(name, self._heal, self.shard_count)
 
     # Shard lifecycle ---------------------------------------------------
 
@@ -205,27 +197,18 @@ class ShardedSystem:
         child_conn.close()
         return _Shard(index, process, parent_conn)
 
-    def _watchdog_loop(self) -> None:
-        while not self._closed.is_set():
-            self._watchdog_wake.wait(self._watchdog_interval)
-            self._watchdog_wake.clear()
-            if self._closed.is_set():
-                return
-            self._heal()
-
-    def _heal(self) -> int:
+    def _heal(self, budget: TokenBucket) -> None:
         """Respawn dead shards (budgeted) and replay their data."""
-        respawned = 0
         for position, shard in enumerate(list(self._shards)):
             dead = not shard.alive or not shard.process.is_alive()
             if not dead or self._closed.is_set():
                 continue
             self.shard_deaths += shard.alive  # died without being marked
-            if not self._respawn_budget.try_take():
+            if not budget.try_take():
                 continue  # throttled; next tick retries
             with self._io_lock:
                 if self._closed.is_set():
-                    return respawned
+                    return
                 fresh = self._spawn_shard(shard.index)
                 try:
                     self._replay(fresh)
@@ -241,10 +224,8 @@ class ShardedSystem:
                 self._finalize_procs.append(fresh.process)
             if fresh.alive:
                 self.shard_respawns += 1
-                respawned += 1
                 with self._ready:
                     self._ready.notify_all()
-        return respawned
 
     def _replay(self, shard: _Shard) -> None:
         """Rebuild a fresh shard's slice of every table, batch order."""
@@ -279,7 +260,7 @@ class ShardedSystem:
             self.shard_deaths += 1
         if kill and shard.process.is_alive():
             shard.process.kill()
-        self._watchdog_wake.set()
+        self._supervisor.wake()
 
     def _shard_failed(self, shard: _Shard, reason: str, kill: bool = False):
         self._mark_dead(shard, reason, kill)
@@ -288,17 +269,14 @@ class ShardedSystem:
             f"respawned — retry the query"
         )
 
-    def _await_ready(
-        self, shard_ids: Sequence[int], timeout: Optional[float]
-    ) -> None:
+    def _await_ready(self, shard_ids: Sequence[int]) -> None:
         """Block (bounded) until the target shards are alive again.
 
         This is what makes the service's retry ladder deterministic: a
         requeued ticket's next attempt waits here for the watchdog's
         respawn instead of failing again on a still-dead shard.
         """
-        wait = self._respawn_wait if timeout is None else timeout
-        deadline = time.monotonic() + wait
+        deadline = time.monotonic() + RESPAWN_WAIT
 
         def ready() -> bool:
             if self._closed.is_set():
@@ -314,7 +292,7 @@ class ShardedSystem:
                 if remaining <= 0:
                     raise ShardError(
                         f"shards {list(shard_ids)} of {self.name!r} not "
-                        f"ready within {wait:.1f}s"
+                        f"ready within {RESPAWN_WAIT:.1f}s"
                     )
                 self._ready.wait(min(0.05, remaining))
         if self._closed.is_set():
@@ -432,7 +410,7 @@ class ShardedSystem:
             self.drop(name, missing_ok=True)
         self._tables[name] = state
         with self._io_lock:
-            self._await_ready(range(self.shard_count), None)
+            self._await_ready(range(self.shard_count))
             pending = [
                 (
                     shard,
@@ -588,7 +566,7 @@ class ShardedSystem:
         budget = self.scatter_timeout
         if deadline is not None:
             budget = min(budget, max(0.0, deadline - time.monotonic()))
-        self._await_ready(shard_ids, None)
+        self._await_ready(shard_ids)
         if route.is_aggregation:
             aggregates, slots, partials_sql = self._partials_for(query)
             sql, mode = partials_sql, "scalar"
@@ -852,8 +830,7 @@ class ShardedSystem:
         if self._closed.is_set():
             return
         self._closed.set()
-        self._watchdog_wake.set()
-        self._watchdog.join(timeout)
+        self._supervisor.close(timeout)
         with self._ready:
             self._ready.notify_all()
         with self._io_lock:

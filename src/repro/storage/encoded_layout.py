@@ -37,8 +37,9 @@ import numpy as np
 from ..errors import LayoutError
 from .layout import Layout, LayoutKind
 
-#: Default cardinality ceiling for dictionary encoding (kept in sync
-#: with ``EngineConfig.dict_max_cardinality``).
+#: Cardinality ceiling for dictionary encoding: columns with more
+#: distinct values stay plain (or bit-packed when their range allows).
+#: The advisor's cardinality probe uses the same ceiling.
 DEFAULT_DICT_MAX_CARDINALITY = 4096
 
 

@@ -140,9 +140,9 @@ def _open_store(
             wal_enabled=wal,
             wal_fsync=wal,
             snapshot_every_records=0,  # manual checkpoint only
+            default_timeout=60.0,
         ),
         num_workers=2,
-        default_timeout=60.0,
     )
 
 

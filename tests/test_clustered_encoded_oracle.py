@@ -100,9 +100,9 @@ def _open_store(data_dir) -> DurableStore:
             wal_enabled=True,
             wal_fsync=False,
             snapshot_every_records=0,  # manual checkpoint only
+            default_timeout=60.0,
         ),
         num_workers=2,
-        default_timeout=60.0,
     )
 
 

@@ -63,10 +63,6 @@ class TestEngineConfig:
         with pytest.raises(errors.AdaptationError):
             EngineConfig(window_size=10, min_window=20, max_window=30)
 
-    def test_rejects_bad_shrink_factor(self):
-        with pytest.raises(errors.AdaptationError):
-            EngineConfig(window_shrink_factor=1.5)
-
     def test_rejects_nonpositive_vector(self):
         with pytest.raises(errors.AdaptationError):
             EngineConfig(vector_size=0)

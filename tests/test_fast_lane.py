@@ -192,9 +192,7 @@ class TestEpochInvalidation:
 
 class TestDriftInvalidation:
     def test_selectivity_drift_evicts_the_entry(self):
-        engine = fresh_engine(
-            rows=2_000, attrs=4, selectivity_drift_band=0.2
-        )
+        engine = fresh_engine(rows=2_000, attrs=4)
         sql = "SELECT a1 FROM r WHERE a2 < {v}"
         empty, full = -(2 * 10**9), 2 * 10**9
         for _ in range(4):  # learn: nothing qualifies

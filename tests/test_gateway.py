@@ -177,10 +177,14 @@ def test_bad_table_name_is_400(client):
 
 def test_bad_timeout_is_400(client):
     seed_table(client)
-    for bad in ("soon", -5):
+    # Non-finite values are legal JSON numbers (1e999 parses to inf) and
+    # used to pass the sign check: inf overflowed the deadline (500) and
+    # NaN timed out at once (504), both after the query was queued.
+    for bad in ("soon", -5, float("inf"), float("nan")):
         with pytest.raises(GatewayHTTPError) as excinfo:
             client.query("SELECT count(*) FROM t", timeout_ms=bad)
         assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "BadRequestError"
 
 
 def test_ragged_append_is_400_and_not_applied(client):

@@ -6,7 +6,7 @@ from repro.config import EngineConfig
 from repro.core.affinity import AffinityMatrix
 from repro.core.history import ShiftDetector, jaccard
 from repro.core.monitor import Monitor
-from repro.core.window import DynamicWindow
+from repro.core.window import WINDOW_GROW_STEP, DynamicWindow
 from repro.sql import parse_query
 from repro.storage import wide_schema
 
@@ -127,7 +127,7 @@ class TestDynamicWindow:
         window.note_shift()
         assert window.size == 8  # clamped at min
         window.note_stable()
-        assert window.size == 8 + window.config.window_grow_step
+        assert window.size == 8 + WINDOW_GROW_STEP
 
     def test_static_window_never_moves(self):
         config = EngineConfig(window_size=20, dynamic_window=False)
@@ -152,8 +152,7 @@ class TestShiftDetector:
         assert jaccard(frozenset(), frozenset()) == 1.0
 
     def test_detects_abrupt_shift(self):
-        config = EngineConfig()
-        detector = ShiftDetector(config, recent=6)
+        detector = ShiftDetector(recent=6)
         known = [frozenset({"a1", "a2", "a3"})]
         for _ in range(6):
             assert not detector.assess(frozenset({"a1", "a2", "a3"}), known)
@@ -165,8 +164,7 @@ class TestShiftDetector:
         assert any(fired)
 
     def test_fires_once_per_burst(self):
-        config = EngineConfig()
-        detector = ShiftDetector(config, recent=4, warmup=2)
+        detector = ShiftDetector(recent=4, warmup=2)
         known = [frozenset({"a1"})]
         # Warm, stable phase first (novelty during warm-up never fires).
         for _ in range(6):
@@ -177,8 +175,7 @@ class TestShiftDetector:
         assert sum(fires) == 1  # latched until stability returns
 
     def test_similar_patterns_not_a_shift(self):
-        config = EngineConfig()
-        detector = ShiftDetector(config, recent=5)
+        detector = ShiftDetector(recent=5)
         known = [frozenset({"a1", "a2", "a3", "a4"})]
         fired = [
             detector.assess(frozenset({"a1", "a2", "a3"}), known)

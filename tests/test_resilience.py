@@ -235,23 +235,22 @@ class TestEngineBreaker:
 
     def test_breaker_stops_compile_attempts_and_probe_recloses(self, table):
         now = [0.0]
-        config = EngineConfig(
-            use_codegen=True,
-            breaker_threshold=2,
-            breaker_cooldown=10.0,
+        engine = H2OEngine(
+            table, EngineConfig(use_codegen=True), clock=lambda: now[0]
         )
-        engine = H2OEngine(table, config, clock=lambda: now[0])
+        threshold = engine.breaker.threshold
+        cooldown = engine.breaker.cooldown
         want = expected_sum(table, "a1", "a2")
 
         injector = FaultInjector({"codegen.compile": frozenset(range(1000))})
         with injector:
             # Every compile fails; the first `threshold` queries fall
             # back per-query, then the breaker opens.
-            for index in range(6):
+            for index in range(threshold + 4):
                 report = engine.execute(self.SQL)
                 assert report.result.scalars()[0] == pytest.approx(want)
                 assert report.degraded
-                if index < 2:
+                if index < threshold:
                     assert report.codegen_fallback
                 else:
                     assert report.breaker_short_circuit
@@ -270,7 +269,7 @@ class TestEngineBreaker:
 
             # After the cooldown exactly one probe goes through — and
             # fails again, re-opening the breaker.
-            now[0] = 10.0
+            now[0] = cooldown
             report = engine.execute(self.SQL)
             assert report.codegen_fallback
             assert (
@@ -280,7 +279,7 @@ class TestEngineBreaker:
 
         # The compiler heals (injector uninstalled).  After another
         # cooldown the next probe succeeds and the breaker closes.
-        now[0] = 20.0
+        now[0] = 2 * cooldown
         report = engine.execute(self.SQL)
         assert report.result.scalars()[0] == pytest.approx(want)
         assert not report.degraded
@@ -299,17 +298,20 @@ class TestEngineBreaker:
         ) in (OPEN, CLOSED)
         assert engine.executor.codegen_fallbacks == 2
 
-    def test_breaker_can_be_disabled(self, table):
+    def test_fallback_off_surfaces_the_compile_error(self, table):
         engine = H2OEngine(
-            table, EngineConfig(use_codegen=True, codegen_breaker=False)
+            table, EngineConfig(use_codegen=True, codegen_fallback=False)
         )
-        injector = FaultInjector({"codegen.compile": frozenset(range(1000))})
-        with injector:
-            for _ in range(5):
+        with FaultInjector({"codegen.compile": frozenset({0})}):
+            with pytest.raises(CodegenError):
                 engine.execute(self.SQL)
-        # Without the breaker every repeat pays a doomed compile attempt.
-        assert injector.occurrences("codegen.compile") == 5
-        assert engine.breaker.opens == 0
+            # Nothing was absorbed; the next compile answers normally.
+            assert engine.executor.codegen_fallbacks == 0
+            report = engine.execute(self.SQL)
+        assert report.used_codegen and not report.degraded
+        assert report.result.scalars()[0] == pytest.approx(
+            expected_sum(table, "a1", "a2")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +488,7 @@ class TestHealthReport:
 
             # Open a breaker: the service reports degraded while still
             # answering every query.
-            threshold = service.system.config.breaker_threshold
+            threshold = service.system.engines()[0].breaker.threshold
             with FaultInjector(
                 {"codegen.compile": frozenset(range(1000))}
             ):

@@ -106,6 +106,16 @@ class TestSessions:
             service.session("b")
             assert set(service.sessions()) == {"a", "b"}
 
+    def test_closed_sessions_leave_the_service(self, table):
+        with make_service(table, num_workers=1) as service:
+            for _ in range(50):  # anonymous handles must not accumulate
+                service.session().close()
+            assert service.sessions() == {}
+            stale = service.session("a")
+            reopened = service.session("a")
+            stale.close()  # must not evict the live holder of the id
+            assert service.sessions() == {"a": reopened}
+
     def test_session_rejection_is_counted_per_client(self, table):
         service = make_service(table, num_workers=0, max_pending=1)
         try:
