@@ -1,54 +1,45 @@
-"""Morsel-parallel scan scaling, shard-process scaling, and pruning.
+"""Morsel-parallel scan scaling and pruning.
 
-Three measurements on a >= 1M-row table:
+Two measurements on a >= 1M-row table:
 
 - **thread sweep** — wall time of a scan-heavy aggregation at 1, 2, and
   4 scan threads (the engine's shared pool is swapped per run), plus the
   4v1 speedup ratio;
-- **process sweep** — the same aggregation through a
-  :class:`~repro.sharding.coordinator.ShardedSystem` at 1, 2, and 4
-  shard processes (each shard a full engine over its shared-memory
-  slice), plus the best-shard vs best-thread ratio — the GIL-ceiling
-  question the sharding tier exists to answer;
 - **pruning ablation** — a selective (< 5% qualifying) range query over
   a clustered column with ``zone_maps`` on vs off: fraction of morsels
   skipped, wall time both ways, and bit-identical answers.
 
 The measurement lands in ``BENCH_parallel.json`` (or
-``$BENCH_PARALLEL_JSON``).  Every thread count runs the same morsel
-loop (one thread is a pool grant of one), so ``scaling_2v1`` and
+``$BENCH_PARALLEL_JSON``) with a provenance block (git sha, usable
+cores, Python and NumPy versions).  Every thread count runs the same
+morsel loop (one thread is a pool grant of one), so ``scaling_2v1`` and
 ``scaling_4v1`` measure threads and nothing else.  The scaling
 assertions are honest about the host: parallelism needs parallel
 hardware.  Threads: >= 2x for 4v1 only with >= 4 usable cores; below
 that the gate is no-collapse + engagement (two shared vCPUs need not
 deliver any speedup: plain NumPy reductions on two threads measured
 0.82x of serial on the 2-vCPU host that produced the committed
-artefact).  Processes: >= 1.5x over the
-best thread config with >= 4 cores; on fewer cores, extra processes
-merely time-slice one CPU and pay scatter overhead, so the sweep still
-runs but the gate relaxes to no-collapse (>= 0.2x of the best thread
-config) + bit-identical answers at every shard count.  The pruning
-bar — a < 5% qualifying query skips >= 80% of morsels — holds on any
-host: pruning is data math, not hardware.
+artefact).  The pruning bar — a < 5% qualifying query skips >= 80% of
+morsels — holds on any host: pruning is data math, not hardware.
 
 Run directly (``python benchmarks/bench_parallel.py``) or via pytest.
 """
 
 import json
 import os
+import platform
+import subprocess
 import time
 
 import numpy as np
 
 from repro.config import EngineConfig, scaled_rows
 from repro.core.engine import H2OEngine
-from repro.core.system import build_system
 from repro.execution.parallel import ScanPool
 from repro.storage import Schema, Table
 from repro.storage.generator import shuffle_columns
 
 THREAD_COUNTS = (1, 2, 4)
-SHARD_COUNTS = (1, 2, 4)
 NUM_ROWS = scaled_rows(1_048_576, minimum=1_048_576)
 MORSEL_ROWS = 16_384
 REPEATS = 5
@@ -66,6 +57,29 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _git_sha() -> "str | None":
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _provenance() -> dict:
+    return {
+        "git_sha": _git_sha(),
+        "nproc": _usable_cores(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def _make_table() -> Table:
@@ -124,41 +138,6 @@ def _measure_threads(table: Table) -> list:
                 "answer": list(report.result.scalars()),
             }
         )
-    return sweep
-
-
-def _measure_shards(table: Table) -> list:
-    """The same scan through 1/2/4 shard *processes* (shared memory).
-
-    Each shard runs single-threaded inline (the coordinator forces
-    ``max_scan_threads=1`` per worker), so this isolates process-level
-    parallelism: N full engines, each scanning its slice of the table
-    from /dev/shm, partials gathered over the framed pipe protocol.
-    """
-    sweep = []
-    for shards in SHARD_COUNTS:
-        system = build_system(_config(shard_count=shards))
-        try:
-            system.register(table)
-            system.execute(SCAN_SQL.format(t=0))  # warm: spawn + plan
-            best = float("inf")
-            report = None
-            for _ in range(REPEATS):
-                started = time.perf_counter()
-                report = system.execute(SCAN_SQL.format(t=0))
-                best = min(best, time.perf_counter() - started)
-            sweep.append(
-                {
-                    "shards": shards,
-                    "seconds": best,
-                    "rows_per_second": NUM_ROWS / best,
-                    "shards_used": report.shards_used,
-                    "strategy": report.strategy,
-                    "answer": list(report.result.scalars()),
-                }
-            )
-        finally:
-            system.close()
     return sweep
 
 
@@ -252,20 +231,14 @@ def measure() -> dict:
     table = _make_table()
     sweep = _measure_threads(table)
     by_threads = {entry["threads"]: entry for entry in sweep}
-    shard_sweep = _measure_shards(table)
-    best_thread = min(entry["seconds"] for entry in sweep)
-    best_shard = min(entry["seconds"] for entry in shard_sweep)
     data = {
+        "provenance": _provenance(),
         "cores": _usable_cores(),
         "num_rows": NUM_ROWS,
         "morsel_rows": MORSEL_ROWS,
         "sweep": sweep,
         "scaling_4v1": by_threads[1]["seconds"] / by_threads[4]["seconds"],
         "scaling_2v1": by_threads[1]["seconds"] / by_threads[2]["seconds"],
-        "shard_sweep": shard_sweep,
-        "best_thread_seconds": best_thread,
-        "best_shard_seconds": best_shard,
-        "process_vs_best_thread": best_thread / best_shard,
         "pruning": _measure_pruning(table),
     }
     with open(_artifact_path(), "w") as handle:
@@ -296,30 +269,6 @@ def test_parallel_scan_scales_and_prunes():
     assert sweep[4]["parallel_scan"], "4-thread run never went parallel"
     assert sweep[4]["scan_threads_used"] >= 2
     assert sweep[1]["scan_threads_used"] == 1
-    # Process sweep: every shard count must agree bit-for-bit with the
-    # thread-sweep answer (the aggregation gather contract), and the
-    # scatter must have actually fanned out.
-    shard_answers = {tuple(e["answer"]) for e in data["shard_sweep"]}
-    assert shard_answers == answers, (
-        f"sharding changed the answer: {shard_answers} vs {answers}"
-    )
-    by_shards = {e["shards"]: e for e in data["shard_sweep"]}
-    for shards, entry in by_shards.items():
-        assert entry["shards_used"] == shards, entry
-    ratio = data["process_vs_best_thread"]
-    if data["cores"] >= 4:
-        assert ratio >= 1.5, (
-            f"best shard config only {ratio:.2f}x of best thread config "
-            f"on {data['cores']} cores"
-        )
-    else:
-        # Too few cores for process parallelism to win: N workers
-        # time-slice the CPU and pay scatter/gather overhead on top.
-        # Require that sharding does not collapse the scan.
-        assert ratio >= 0.2, (
-            f"sharded scatter-gather collapsed the scan to {ratio:.2f}x "
-            f"of the best thread config on {data['cores']} core(s)"
-        )
     pruning = data["pruning"]
     assert pruning["answers_identical"], "pruning changed the answer"
     assert pruning["before_clustering"]["pruned_fraction"] <= 0.1, (
@@ -345,17 +294,9 @@ if __name__ == "__main__":
             f"({entry['rows_per_second'] / 1e6:6.1f} Mrows/s, "
             f"used {entry['scan_threads_used']})"
         )
-    for entry in result["shard_sweep"]:
-        print(
-            f"{entry['shards']} shards:  {entry['seconds'] * 1e3:8.1f} ms  "
-            f"({entry['rows_per_second'] / 1e6:6.1f} Mrows/s, "
-            f"{entry['strategy']})"
-        )
     pruning = result["pruning"]
     print(
         f"\n4v1 scaling: {result['scaling_4v1']:.2f}x on "
-        f"{result['cores']} core(s); best shard config "
-        f"{result['process_vs_best_thread']:.2f}x of best thread config; "
-        f"pruning skipped {pruning['pruned_fraction']:.0%} of morsels "
+        f"{result['cores']} core(s); pruning skipped {pruning['pruned_fraction']:.0%} of morsels "
         f"({pruning['speedup']:.2f}x vs unpruned)"
     )

@@ -93,11 +93,6 @@ class EngineConfig:
     #: Whether to use on-the-fly generated operators at all; when False the
     #: engine falls back to the generic interpreted operator (Fig. 14).
     use_codegen: bool = True
-    #: Whether a *failed* generation/compilation degrades to the
-    #: interpreted operator (counted in ``Executor.codegen_fallbacks``)
-    #: instead of failing the query.  Disable to surface codegen bugs
-    #: loudly in tests; the fault-injection oracle exercises both.
-    codegen_fallback: bool = True
     #: Minimum windowed pattern frequency needed before a candidate
     #: layout may be materialized (its expected net gain must also be
     #: positive, so this is a floor, not the whole amortization test).
@@ -177,26 +172,6 @@ class EngineConfig:
     cluster_rows_min: int = 4096
     #: Columns below this many rows are never encoding candidates.
     encoding_min_rows: int = 4096
-    #: Number of shard *processes* a :class:`~repro.sharding.coordinator.
-    #: ShardedSystem` partitions each table across; 0 (the default)
-    #: disables the sharding tier and the system runs single-process.
-    #: Each shard hosts its own full adaptive engine over its slice of
-    #: the rows; answers are gathered bit-identically via the per-morsel
-    #: combine contract (see docs/architecture.md §11).
-    shard_count: int = 0
-    #: How rows are distributed across shards:
-    #: - "range" (default): contiguous row chunks, preserving global row
-    #:   order (projection results concatenate bit-identically to
-    #:   serial); appends go to the tail shard so order is kept;
-    #: - "hash": rows are hashed on a per-table partition key, enabling
-    #:   single-shard routing for key-equality predicates; appends fan
-    #:   out by key.  Projection row *order* then follows shard order.
-    shard_partition: str = "range"
-    #: Seconds the coordinator waits for one shard's reply before it
-    #: declares the shard wedged, kills it for respawn, and raises a
-    #: retryable ShardError (the service's retry ladder requeues the
-    #: ticket; the watchdog respawns the shard).
-    scatter_timeout: float = 30.0
     #: Machine model used for all cost estimation.
     machine: MachineProfile = field(default_factory=MachineProfile)
 
@@ -255,21 +230,6 @@ class EngineConfig:
             raise AdaptationError(
                 f"encoding_min_rows must be >= 0, got "
                 f"{self.encoding_min_rows}"
-            )
-        if self.shard_count < 0:
-            raise AdaptationError(
-                f"shard_count must be >= 0 (0 = sharding off), got "
-                f"{self.shard_count}"
-            )
-        if self.shard_partition not in ("range", "hash"):
-            raise AdaptationError(
-                "shard_partition must be 'range' or 'hash', got "
-                f"{self.shard_partition!r}"
-            )
-        if self.scatter_timeout <= 0:
-            raise AdaptationError(
-                f"scatter_timeout must be positive, got "
-                f"{self.scatter_timeout}"
             )
 
     def with_overrides(self, **kwargs: object) -> "EngineConfig":

@@ -36,7 +36,7 @@ from .layout_manager import LayoutManager
 from .plan_cache import CachedPlan, PlanCache
 from .reorganizer import Reorganizer
 from .engine import H2OEngine, QueryReport
-from .system import H2OSystem, build_system
+from .system import H2OSystem
 
 __all__ = [
     "AdaptationPolicy",
@@ -59,6 +59,5 @@ __all__ = [
     "Reorganizer",
     "H2OEngine",
     "H2OSystem",
-    "build_system",
     "QueryReport",
 ]

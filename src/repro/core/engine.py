@@ -169,10 +169,6 @@ class QueryReport:
     morsels_pruned: int = 0
     scan_threads_used: int = 1
     parallel_scan: bool = False
-    #: Shard processes that served this query (0 = not sharded).  Set
-    #: only by :class:`repro.sharding.coordinator.ShardedSystem`; the
-    #: per-shard telemetry above is then summed/or-ed across shards.
-    shards_used: int = 0
 
     @property
     def degraded(self) -> bool:

@@ -125,22 +125,3 @@ class H2OSystem:
         for name in sorted(engines):
             parts.append(engines[name].describe())
         return "\n\n".join(parts)
-
-
-def build_system(config: Optional[EngineConfig] = None):
-    """The system the config asks for: sharded or single-process.
-
-    ``shard_count > 0`` returns a
-    :class:`~repro.sharding.coordinator.ShardedSystem` (N worker
-    processes over shared-memory slices); otherwise a plain
-    :class:`H2OSystem`.  Both expose the same register / drop /
-    execute / run_sequence / describe surface, so callers (notably
-    :class:`repro.service.H2OService`) need not care which they got.
-    """
-    config = config or EngineConfig()
-    if config.shard_count > 0:
-        # Imported lazily: repro.sharding imports this module.
-        from ..sharding.coordinator import ShardedSystem
-
-        return ShardedSystem(config)
-    return H2OSystem(config=config)

@@ -221,21 +221,3 @@ class TenantQuotaError(GatewayError):
     #: Transient: the quota frees as the tenant's in-flight requests
     #: drain.
     is_retryable = True
-
-
-class ShardError(H2OError):
-    """Raised when a shard process fails mid-query: it died, its pipe
-    broke, or it missed the scatter timeout.
-
-    The coordinator marks the shard dead and wakes its watchdog before
-    raising, so by the time a retry arrives the shard is being respawned
-    with its data replayed from the coordinator's retained shared-memory
-    segments.  The query itself is untainted — scatter reads are
-    snapshot-isolated inside each shard and gather only combines
-    complete replies — which is why re-running it is safe.
-    """
-
-    #: Transient: the watchdog respawns dead shards (token-bucket
-    #: budgeted) and replays their data; the service's retry ladder
-    #: requeues the ticket instead of surfacing the death to the waiter.
-    is_retryable = True

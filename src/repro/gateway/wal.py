@@ -12,10 +12,9 @@ Record framing (all integers little-endian)::
 
 The header describes the mutation (kind, table, schema, per-column dtype
 and row count, LSN); the column blobs are the raw little-endian bytes of
-each column array, in header order.  Raw ``tobytes`` framing — the same
-choice as the sharding tier's pipe protocol — keeps float64 payloads
-(including NaN bit patterns) exactly intact, so recovered answers are
-bit-identical to the pre-crash store.
+each column array, in header order.  Raw ``tobytes`` framing keeps
+float64 payloads (including NaN bit patterns) exactly intact, so
+recovered answers are bit-identical to the pre-crash store.
 
 **Torn tails vs. corruption.**  A crash mid-write leaves an incomplete
 final record (or a complete-length final record whose payload bytes

@@ -17,8 +17,8 @@ sleeps:
   backoff for poisoned reorganization candidates: a candidate whose
   stitch aborted is blocked for a growing number of queries so the
   advisor stops re-stitching it on every trigger;
-- :class:`~repro.resilience.supervisor.Supervisor` — the one watchdog
-  thread (workers and shards alike), whose :class:`~repro.resilience.
+- :class:`~repro.resilience.supervisor.Supervisor` — the watchdog
+  thread over the service's worker pool, whose :class:`~repro.resilience.
   budget.TokenBucket` keeps a crash loop from becoming a respawn storm;
 - :class:`~repro.resilience.health.HealthReport` — one defensive
   snapshot of the whole degradation state (workers alive, breaker

@@ -70,12 +70,6 @@ class HealthReport:
     reorgs_deferred: int = 0
     #: Layout switches the policy granted, summed over tables.
     layout_switches: int = 0
-    #: Sharding tier (zero when the system runs single-process).  The
-    #: per-shard engine telemetry is merged into the maps above under
-    #: ``"{table}@shard{i}"`` keys, worst-rung-wins into ``status``.
-    shards_alive: int = 0
-    shards_expected: int = 0
-    shard_respawns: int = 0
 
     # Derived views --------------------------------------------------------
 
@@ -118,9 +112,6 @@ class HealthReport:
             "deadline_aborts": self.deadline_aborts,
             "reorgs_deferred": self.reorgs_deferred,
             "layout_switches": self.layout_switches,
-            "shards_alive": self.shards_alive,
-            "shards_expected": self.shards_expected,
-            "shard_respawns": self.shard_respawns,
         }
 
     def describe(self) -> str:
@@ -145,11 +136,6 @@ class HealthReport:
             f"  policy: switches={self.layout_switches} "
             f"deferred={self.reorgs_deferred}",
         ]
-        if self.shards_expected:
-            lines.append(
-                f"  shards: {self.shards_alive}/{self.shards_expected} "
-                f"alive (respawns={self.shard_respawns})"
-            )
         if self.open_breakers:
             rendered = ", ".join(
                 f"{table}:{sig}" for table, sig in self.open_breakers

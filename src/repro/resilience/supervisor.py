@@ -1,10 +1,10 @@
 """The one watchdog: a daemon thread that calls its owner's ``heal``.
 
-Worker threads (the service) and shard processes (the coordinator) are
-healed alike: on every tick, or at once on :meth:`Supervisor.wake`,
-``heal(budget)`` prunes the dead and respawns them at one token each; a
-dry bucket defers to the next tick, so a crash loop is throttled and the
-pool still converges back to full strength (see budget.py).
+The service's worker pool is healed here: on every tick, or at once on
+:meth:`Supervisor.wake`, ``heal(budget)`` prunes the dead workers and
+respawns them at one token each; a dry bucket defers to the next tick,
+so a crash loop is throttled and the pool still converges back to full
+strength (see budget.py).
 """
 
 from __future__ import annotations

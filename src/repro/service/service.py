@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..config import EngineConfig
 from ..core.engine import QueryReport
-from ..core.system import H2OSystem, build_system
+from ..core.system import H2OSystem
 from ..errors import (
     QueryTimeoutError,
     ServiceClosedError,
@@ -260,11 +260,9 @@ class H2OService:
             raise ValueError(
                 "pass either an existing system or a config, not both"
             )
-        #: A config-built system (possibly a ShardedSystem with worker
-        #: processes) is owned by the service and closed with it; a
-        #: caller-provided system stays the caller's to close.
-        self._owns_system = system is None
-        self.system = system if system is not None else build_system(config)
+        self.system = (
+            system if system is not None else H2OSystem(config=config)
+        )
         if num_workers < 0:
             raise ValueError(
                 f"num_workers must be >= 0, got {num_workers}"
@@ -304,10 +302,7 @@ class H2OService:
         for _ in range(num_workers):
             self._spawn_worker()
         self.scheduler: Optional[AdaptationScheduler] = None
-        #: Sharded systems have no in-process engines to schedule —
-        #: each shard adapts inline inside its own process.
-        sharded = getattr(self.system, "shard_count", 0) > 0
-        if not sharded and self.system.config.adaptation_mode == "background":
+        if self.system.config.adaptation_mode == "background":
             self.scheduler = AdaptationScheduler(self.system)
             self.scheduler.start()
         #: Overload ladder thresholds, as fractions of admission
@@ -709,13 +704,6 @@ class H2OService:
                 if ticket.session is not None:
                     ticket.session._note("failed")
             self.admission.release()
-        # A system built from our config is ours to tear down — for a
-        # ShardedSystem that shuts the worker processes down and unlinks
-        # their shared-memory segments.
-        if self._owns_system:
-            closer = getattr(self.system, "close", None)
-            if callable(closer):
-                closer()
 
     @property
     def closed(self) -> bool:
@@ -758,40 +746,6 @@ class H2OService:
         )
         reorg_aborts = sum(e.reorg_aborts for e in engines)
         deadline_aborts = sum(e.deadline_aborts for e in engines)
-        # Sharded systems keep their engines in worker processes: fold
-        # every shard's telemetry in (worst rung wins — a dead shard or
-        # an open breaker anywhere degrades the whole service).
-        shards_expected = int(getattr(self.system, "shard_count", 0))
-        shards_alive = 0
-        shard_respawns = 0
-        shards_down = False
-        if shards_expected:
-            shards_alive = self.system.alive_shards()
-            shard_respawns = int(self.system.shard_respawns)
-            shards_down = shards_alive < shards_expected
-            for sid, shard_health in self.system.shard_health().items():
-                if shard_health is None:
-                    shards_down = True
-                    continue
-                for table, tele in shard_health.get("tables", {}).items():
-                    key = f"{table}@shard{sid}"
-                    breaker_states[key] = tele["breaker"]
-                    quarantines[key] = tele["quarantine"]
-                    shard_policy = tele.get("policy")
-                    if shard_policy is not None:
-                        policies[key] = shard_policy
-                        reorgs_deferred += int(
-                            shard_policy.get("deferrals", 0)
-                        )
-                        layout_switches += int(
-                            shard_policy.get("switches", 0)
-                        )
-                    codegen_fallbacks += int(tele["codegen_fallbacks"])
-                    breaker_short_circuits += int(
-                        tele["breaker_short_circuits"]
-                    )
-                    reorg_aborts += int(tele["reorg_aborts"])
-                    deadline_aborts += int(tele["deadline_aborts"])
         workers_alive = self.alive_workers()
         scheduler_paused = (
             self.scheduler.paused if self.scheduler is not None else False
@@ -814,7 +768,6 @@ class H2OService:
             status = "closed"
         elif (
             workers_alive < self._target_workers
-            or shards_down
             or open_breakers
             or blocked
             or scheduler_paused
@@ -846,9 +799,6 @@ class H2OService:
             deadline_aborts=deadline_aborts,
             reorgs_deferred=reorgs_deferred,
             layout_switches=layout_switches,
-            shards_alive=shards_alive,
-            shards_expected=shards_expected,
-            shard_respawns=shard_respawns,
         )
 
     def describe(self) -> str:

@@ -10,13 +10,14 @@ package is the standing correctness gate for that property:
   aggregates built through :mod:`repro.sql.builder`), fully determined
   by one seed;
 - :mod:`~repro.testkit.oracle` — the differential oracle: every
-  generated sequence runs through the adaptive engine in all adaptation
-  modes (inline, interpreted, background via the service with N
-  workers) *and* through the row baseline, the column baseline, and the
-  interpreted Volcano evaluator, asserting bit-identical results and
-  engine invariants (epoch monotonicity, snapshot row-count
-  consistency, schema coverage, operator-cache key/source agreement)
-  after every step;
+  generated sequence runs through nine paths — the row reference, the
+  interpreted Volcano evaluator, the column baseline, and the adaptive
+  engine inline, interpreted, in the background behind the service
+  with N workers, on morsel-parallel scan threads, under the guarded
+  switching policy, and with clustering + encoded layouts — asserting
+  bit-identical results and engine invariants (epoch monotonicity,
+  snapshot row-count consistency, schema coverage, operator-cache
+  key/source agreement) after every step;
 - :mod:`~repro.testkit.faults` — the deterministic fault-injection
   driver: a seeded schedule of compile failures, mid-stitch aborts,
   worker deaths and forced timeouts, installed into the production
@@ -34,7 +35,7 @@ package is the standing correctness gate for that property:
   query, and the guarded policy's regret ledger balanced at the end;
 - :mod:`~repro.testkit.runner` — the CLI:
   ``python -m repro.testkit run --seqs 50 --seed 0`` /
-  ``python -m repro.testkit scenarios``.
+  ``chaos`` / ``restart`` / ``scenarios`` / ``repro``.
 
 See ``docs/testing.md`` for the architecture, how to reproduce a
 failure from a printed seed, and how to add a new injection point.

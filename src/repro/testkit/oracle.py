@@ -1,7 +1,7 @@
 """The differential oracle: adaptation must be invisible in answers.
 
 One generated :class:`~repro.testkit.generate.CaseSpec` is executed
-through ten independent paths, each over its *own* copy of the same
+through nine independent paths, each over its *own* copy of the same
 deterministic data:
 
 1. **row reference** — the static row-store baseline, interpreted
@@ -24,32 +24,25 @@ deterministic data:
    checked both against the row reference and against a morsel-serial
    twin: answers bit-identical *and* ``morsels_pruned`` equal — the
    zone-map pruning decision must not depend on the thread count;
-8. **adaptive sharded** — a 2-shard :class:`~repro.sharding.coordinator.
-   ShardedSystem`: the table range-partitioned across two worker
-   *processes* (each running its own full adaptive engine over a
-   shared-memory slice), answers gathered via the per-morsel combine
-   contract in shard-index order — partitioning must be invisible in
-   answers, and each shard's published layout epoch must stay
-   monotone;
-9. **adaptive guarded** — the full engine under the regret-bounded
+8. **adaptive guarded** — the full engine under the regret-bounded
    switching policy (``adaptation_policy="guarded"``, see
    docs/adaptation.md): materializations may be *deferred* but answers
    must stay bit-identical, and the policy's regret invariant
    (hedged reorganization spend never exceeds accrued benefit at
    switch) must hold at the end of the sequence;
-10. **adaptive clustered+encoded** — the full engine with adaptive
-    clustering *and* encoded column layouts enabled
-    (``adaptive_clustering=True, encoded_layouts=True`` with tiny
-    row minimums so even small cases cluster and encode): the
-    reorganizer may permute the table's physical row order and add
-    dictionary/bit-packed replicas mid-sequence.  Aggregations must
-    stay bit-identical; projections are compared as *multisets*
-    (canonical row sort on both sides — SQL semantics don't fix row
-    order, and clustering legitimately changes it).  After the
-    sequence the oracle re-derives every cached zone map from the
-    layout's decoded values and asserts **exact** equality (clustering
-    must never leave stale or merely-conservative bounds behind), and
-    the physical + policy-ledger invariants must hold throughout.
+9. **adaptive clustered+encoded** — the full engine with adaptive
+   clustering *and* encoded column layouts enabled
+   (``adaptive_clustering=True, encoded_layouts=True`` with tiny
+   row minimums so even small cases cluster and encode): the
+   reorganizer may permute the table's physical row order and add
+   dictionary/bit-packed replicas mid-sequence.  Aggregations must
+   stay bit-identical; projections are compared as *multisets*
+   (canonical row sort on both sides — SQL semantics don't fix row
+   order, and clustering legitimately changes it).  After the
+   sequence the oracle re-derives every cached zone map from the
+   layout's decoded values and asserts **exact** equality (clustering
+   must never leave stale or merely-conservative bounds behind), and
+   the physical + policy-ledger invariants must hold throughout.
 
 The module also hosts the **scenario-replay oracle**
 (:func:`scenario_case` / :func:`run_all_scenarios`, exposed as
@@ -122,7 +115,6 @@ CLEAN_MODES = (
     "adaptive-interpreted",
     "adaptive-background",
     "adaptive-parallel",
-    "adaptive-sharded",
     "adaptive-guarded",
     "adaptive-clustered-encoded",
 )
@@ -408,7 +400,6 @@ class DifferentialOracle:
         self._run_adaptive(spec, expected, use_codegen=False)
         self._run_service(spec, expected)
         self._run_adaptive_parallel(spec, expected)
-        self._run_sharded(spec, expected)
         self._run_adaptive_guarded(spec, expected)
         self._run_adaptive_clustered_encoded(spec, expected)
         outcome.queries_checked = len(expected) * (len(CLEAN_MODES) + 1)
@@ -533,59 +524,10 @@ class DifferentialOracle:
                 )
             epoch = check_engine_invariants(engine, epoch, mode)
 
-    def _run_sharded(
-        self, spec: CaseSpec, expected: Sequence[QueryResult]
-    ) -> None:
-        """Two shard processes over shared-memory slices vs the reference.
-
-        Each shard runs the full adaptive engine (small oracle window,
-        so advisor runs and reorganizations happen *inside the worker
-        processes*) on its half of the rows; the coordinator rewrites
-        aggregations into partials and folds them in shard-index order.
-        Beyond bit-identity, the oracle asserts per-shard layout-epoch
-        monotonicity — each shard adapts independently, and its
-        published epoch must never regress across the sequence.
-        """
-        from ..core.system import build_system
-
-        mode = "adaptive-sharded"
-        system = build_system(self._adaptive_config(shard_count=2))
-        try:
-            system.register(spec.build_table())
-            last_epochs = system.shard_epochs(spec.table_name)
-            for index, query in enumerate(spec.parsed()):
-                report = system.execute(query)
-                if not results_identical(report.result, expected[index]):
-                    raise OracleFailure(
-                        _describe_divergence(
-                            index,
-                            spec.queries[index],
-                            report.result,
-                            expected[index],
-                            mode,
-                        )
-                    )
-                if report.shards_used != 2:
-                    raise OracleFailure(
-                        f"[{mode}] query #{index} used "
-                        f"{report.shards_used} shard(s), expected 2 "
-                        f"(range partitioning scatters everywhere)"
-                    )
-                epochs = system.shard_epochs(spec.table_name)
-                for sid, epoch in epochs.items():
-                    if epoch < last_epochs[sid]:
-                        raise OracleFailure(
-                            f"[{mode}] shard {sid} layout epoch "
-                            f"regressed: {epoch} < {last_epochs[sid]}"
-                        )
-                last_epochs = epochs
-        finally:
-            system.close()
-
     def _run_adaptive_guarded(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
     ) -> None:
-        """The ninth path: the regret-bounded switching policy.
+        """The eighth path: the regret-bounded switching policy.
 
         Same adaptive knobs as ``adaptive-inline`` but with
         ``adaptation_policy="guarded"`` — materializations the greedy
@@ -621,7 +563,7 @@ class DifferentialOracle:
     def _run_adaptive_clustered_encoded(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
     ) -> None:
-        """The tenth path: adaptive clustering + encoded layouts.
+        """The ninth path: adaptive clustering + encoded layouts.
 
         Same adaptive knobs as ``adaptive-inline`` plus
         ``adaptive_clustering`` and ``encoded_layouts`` with tiny row

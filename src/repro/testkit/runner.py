@@ -5,7 +5,7 @@ Green path::
     PYTHONPATH=src python -m repro.testkit run --seqs 50 --seed 0
 
 runs 50 seeded oracle sequences (seeds ``seed .. seed+seqs-1``), each
-through every engine mode plus the two fault passes, and prints a
+through the nine oracle paths plus the two fault passes, and prints a
 one-line summary.  Red path: the first failing sequence is shrunk to a
 minimal spec and printed as a ≤10-line repro (seed + schema + SQL), and
 the process exits 1.
@@ -21,6 +21,14 @@ answers, a healed worker pool and an exact degradation-evidence audit
 (see :meth:`repro.testkit.oracle.DifferentialOracle.chaos_case`).  It
 also reports cumulative fault-point coverage and fails if any point
 never fired across the run.
+
+Restart oracle::
+
+    PYTHONPATH=src python -m repro.testkit restart --seqs 10 --seed 0
+
+abandons the durable store at a seeded cut, recovers it from disk and
+asserts bit-identical answers and preserved adaptation state (see
+:mod:`repro.testkit.restart`).
 
 Scenario replay::
 

@@ -1,4 +1,4 @@
-"""The tenth differential-oracle path and its restart-recovery story.
+"""The ninth differential-oracle path and its restart-recovery story.
 
 - **20-sequence smoke** — seeded random workloads through
   ``adaptive-clustered-encoded``: clustering may permute row order and
@@ -12,7 +12,7 @@
   codec, same signature) must all survive, and probe queries must
   answer bit-identically across the restart.
 - The multiset comparator itself is exercised on adversarial payloads
-  (NaN, ``-0.0``) so the tenth path's weaker-ordering compare is known
+  (NaN, ``-0.0``) so the ninth path's weaker-ordering compare is known
   to stay bit-exact in every other respect.
 """
 
@@ -38,7 +38,7 @@ SEED_CHUNKS = [range(0, 5), range(5, 10), range(10, 15), range(15, 20)]
 
 def test_clustered_encoded_is_a_clean_mode():
     assert "adaptive-clustered-encoded" in CLEAN_MODES
-    assert len(CLEAN_MODES) == 9
+    assert len(CLEAN_MODES) == 8  # + the row reference: nine paths
 
 
 @pytest.mark.parametrize("seeds", SEED_CHUNKS, ids=lambda r: f"seeds{r.start}-{r.stop - 1}")

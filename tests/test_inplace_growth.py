@@ -149,7 +149,7 @@ def test_appended_values_are_copied_not_retained():
     rows = {n: np.arange(10, dtype=np.int64) for n in table.schema.names}
     table.append_rows(rows)
     for values in rows.values():
-        values[:] = -1  # the shard worker closes its staging segments
+        values[:] = -1  # the caller reuses its batch buffers
     assert np.array_equal(table.column("a1")[-10:], np.arange(10))
 
 

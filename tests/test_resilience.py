@@ -298,21 +298,6 @@ class TestEngineBreaker:
         ) in (OPEN, CLOSED)
         assert engine.executor.codegen_fallbacks == 2
 
-    def test_fallback_off_surfaces_the_compile_error(self, table):
-        engine = H2OEngine(
-            table, EngineConfig(use_codegen=True, codegen_fallback=False)
-        )
-        with FaultInjector({"codegen.compile": frozenset({0})}):
-            with pytest.raises(CodegenError):
-                engine.execute(self.SQL)
-            # Nothing was absorbed; the next compile answers normally.
-            assert engine.executor.codegen_fallbacks == 0
-            report = engine.execute(self.SQL)
-        assert report.used_codegen and not report.degraded
-        assert report.result.scalars()[0] == pytest.approx(
-            expected_sum(table, "a1", "a2")
-        )
-
 
 # ---------------------------------------------------------------------------
 # Deadline propagation

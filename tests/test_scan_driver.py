@@ -13,11 +13,15 @@ monolithic scan path beside the morsel loop):
   deadline at every morsel boundary;
 - **the literal contract** — literals in arithmetic *over* aggregates
   are not kernel parameters, yet fast-lane repeats with every literal
-  changed stay correct.
+  changed stay correct;
+- **the combine contract** — folding ``(count, states)`` partials is
+  independent of how the rows were split into morsels, including empty
+  input and partials with no qualifying rows.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -28,11 +32,14 @@ from repro.core.engine import H2OEngine
 from repro.errors import QueryTimeoutError
 from repro.execution import executor as executor_module
 from repro.execution.executor import Executor
+from repro.execution.morsel import combine_partial_aggregates
 from repro.execution.parallel import ScanPool
 from repro.execution.strategies import AccessPlan, ExecutionStrategy
 from repro.sql import analyze_query, parse_query
+from repro.sql.expressions import Aggregate, AggregateFunc, ColumnRef
 from repro.sql.types import DataType
 from repro.storage import Schema, Table
+from repro.storage.zonemap import morsel_ranges
 
 MORSEL_ROWS = 256
 ATTRS = ("a1", "a2", "a3", "a4")
@@ -264,3 +271,134 @@ def test_literals_over_aggregates_rebind_on_the_fast_lane():
             float((a1[mask] + add).sum()) * mul,
             float(a2[mask].min()) - sub,
         )
+
+
+# ---------------------------------------------------------------------------
+# (e) the combine contract: split independence, pure form
+# ---------------------------------------------------------------------------
+
+
+def _partial(aggregates, values_by_slot, lo, hi):
+    """The ``(count, states)`` partial a kernel returns for rows [lo, hi)."""
+    states = []
+    for i, agg in enumerate(aggregates):
+        vals = values_by_slot[i][lo:hi]
+        if agg.func is AggregateFunc.COUNT:
+            states.append(None)
+        elif agg.func in (AggregateFunc.SUM, AggregateFunc.AVG):
+            states.append(float(sum(vals)))
+        elif agg.func is AggregateFunc.MIN:
+            states.append(float(min(vals)) if len(vals) else None)
+        else:
+            states.append(float(max(vals)) if len(vals) else None)
+    return float(hi - lo), tuple(states)
+
+
+def _serial_payload(aggregates, values_by_slot):
+    """One payload representing ALL rows (the serial reference)."""
+    num_rows = len(values_by_slot[0]) if values_by_slot else 0
+    return _partial(aggregates, values_by_slot, 0, num_rows)
+
+
+def _split_payloads(aggregates, values_by_slot, splits):
+    return [_partial(aggregates, values_by_slot, lo, hi) for lo, hi in splits]
+
+
+def _all_aggregates():
+    return (
+        Aggregate(AggregateFunc.COUNT, None),
+        Aggregate(AggregateFunc.SUM, ColumnRef("a")),
+        Aggregate(AggregateFunc.AVG, ColumnRef("b")),
+        Aggregate(AggregateFunc.MIN, ColumnRef("c")),
+        Aggregate(AggregateFunc.MAX, ColumnRef("d")),
+    )
+
+
+def _same(a, b):
+    return (a == b) or (math.isnan(a) and math.isnan(b))
+
+
+class TestCombineContract:
+    def test_empty_input_matches_serial_semantics(self):
+        aggregates = _all_aggregates()
+        values = [[] for _ in aggregates]
+        serial, _ = combine_partial_aggregates(
+            aggregates, [_serial_payload(aggregates, values)]
+        )
+        # Two empty partials, and no partial at all (zero morsels).
+        for splits in ([(0, 0), (0, 0)], morsel_ranges(0, 16)):
+            split, _ = combine_partial_aggregates(
+                aggregates, _split_payloads(aggregates, values, splits)
+            )
+            for agg in aggregates:
+                assert _same(serial[agg], split[agg])
+        # MIN/MAX/AVG of zero rows are NaN; COUNT and SUM are 0.0.
+        for agg in aggregates:
+            if agg.func in (AggregateFunc.COUNT, AggregateFunc.SUM):
+                assert serial[agg] == 0.0
+            else:
+                assert math.isnan(serial[agg])
+
+    # 61 rows split into 1, 2, 3 and 5 morsels, the last one short.
+    @pytest.mark.parametrize("morsel_rows", [61, 31, 21, 13])
+    def test_split_independence(self, morsel_rows):
+        rng = np.random.default_rng(17)
+        aggregates = _all_aggregates()
+        n = 61
+        values = [
+            [int(v) for v in rng.integers(-1000, 1000, n)]
+            for _ in aggregates
+        ]
+        serial, _ = combine_partial_aggregates(
+            aggregates, [_serial_payload(aggregates, values)]
+        )
+        split, _ = combine_partial_aggregates(
+            aggregates,
+            _split_payloads(aggregates, values, morsel_ranges(n, morsel_rows)),
+        )
+        for agg in aggregates:
+            # VALUE_BOUND-style int inputs: float64 arithmetic is exact,
+            # so regrouping must be bit-identical.
+            assert serial[agg] == split[agg]
+
+
+def test_hypothesis_split_independence():
+    """Property: the combine fold is independent of how rows are split.
+
+    Finite ints bounded like the testkit's VALUE_BOUND (exact float64
+    arithmetic) plus the empty-input edge (MIN/MAX/AVG of zero rows is
+    NaN, SUM is 0.0, COUNT is 0.0) — for every morsel size, with an
+    empty partial (a morsel in which no row qualified) spliced in.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    aggregates = _all_aggregates()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.lists(
+            st.integers(min_value=-1000, max_value=1000),
+            min_size=0,
+            max_size=40,
+        ),
+        morsel_rows=st.integers(min_value=1, max_value=45),
+        empty_at=st.integers(min_value=0, max_value=45),
+    )
+    def property_check(rows, morsel_rows, empty_at):
+        values = [list(rows) for _ in aggregates]
+        serial, serial_cnt = combine_partial_aggregates(
+            aggregates, [_serial_payload(aggregates, values)]
+        )
+        splits = morsel_ranges(len(rows), morsel_rows)
+        cut = min(empty_at, len(splits))
+        at = splits[cut - 1][1] if cut else 0
+        splits.insert(cut, (at, at))
+        split, split_cnt = combine_partial_aggregates(
+            aggregates, _split_payloads(aggregates, values, splits)
+        )
+        assert serial_cnt == split_cnt
+        for agg in aggregates:
+            assert _same(serial[agg], split[agg])
+
+    property_check()
