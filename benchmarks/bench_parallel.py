@@ -73,7 +73,7 @@ def _git_sha() -> "str | None":
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _provenance() -> dict:
+def provenance() -> dict:
     return {
         "git_sha": _git_sha(),
         "nproc": _usable_cores(),
@@ -232,7 +232,7 @@ def measure() -> dict:
     sweep = _measure_threads(table)
     by_threads = {entry["threads"]: entry for entry in sweep}
     data = {
-        "provenance": _provenance(),
+        "provenance": provenance(),
         "cores": _usable_cores(),
         "num_rows": NUM_ROWS,
         "morsel_rows": MORSEL_ROWS,

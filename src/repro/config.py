@@ -14,6 +14,7 @@ larger.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -97,25 +98,18 @@ class EngineConfig:
     #: layout may be materialized (its expected net gain must also be
     #: positive, so this is a floor, not the whole amortization test).
     amortization_threshold: float = 1.0
-    #: Which layout-switching policy gates materialization:
-    #: - "greedy-paper" (the paper's H2O): any candidate that covers the
-    #:   query, clears ``amortization_threshold`` and has positive
-    #:   expected gain is built immediately — reorganizations are paid
-    #:   up front with no guarantee they amortize;
-    #: - "guarded": the regret-bounded policy (docs/adaptation.md).  A
-    #:   per-candidate ledger accrues the Eq. 2 benefit the candidate
-    #:   *would have delivered* on each query it covers; the build is
-    #:   deferred until accrued benefit reaches ``hedging_factor`` times
-    #:   the projected build cost, bounding total reorganization spend
-    #:   to a constant factor of the benefit actually observed (the
-    #:   ski-rental discipline of arXiv 2405.04984).
-    adaptation_policy: str = "greedy-paper"
-    #: The guarded policy's hedging factor: accrued estimated benefit
-    #: must reach this multiple of a candidate's projected build cost
-    #: before the switch is allowed.  0 makes the guarded policy
-    #: decision-identical to greedy; larger values trade adaptation
-    #: latency for thrash resistance.  Ignored under "greedy-paper".
-    hedging_factor: float = 2.0
+    #: The layout-switching policy's hedge (docs/adaptation.md).  A
+    #: per-candidate ledger accrues the Eq. 2 benefit the candidate
+    #: *would have delivered* on each query it covers; the build is
+    #: deferred until accrued benefit reaches this multiple of the
+    #: projected build cost, bounding total reorganization spend to a
+    #: constant factor of the benefit actually observed (the ski-rental
+    #: discipline of arXiv 2405.04984).  0 (the paper's H2O) keeps the
+    #: gate open: any candidate that covers the query, clears
+    #: ``amortization_threshold`` and has positive expected gain is
+    #: built immediately.  Larger values trade adaptation latency for
+    #: thrash resistance.
+    hedging_factor: float = 0.0
     #: Where adaptation work (advisor runs and layout materialization)
     #: happens:
     #: - "inline" (the paper-faithful default): the advisor runs on the
@@ -191,14 +185,14 @@ class EngineConfig:
                 "materialization must be 'lazy', 'eager' or 'never', got "
                 f"{self.materialization!r}"
             )
-        if self.adaptation_policy not in ("greedy-paper", "guarded"):
+        if not (
+            math.isfinite(self.hedging_factor) and self.hedging_factor >= 0
+        ):
+            # NaN or inf would close the gate forever: the engine would
+            # silently stop adapting.
             raise AdaptationError(
-                "adaptation_policy must be 'greedy-paper' or 'guarded', "
-                f"got {self.adaptation_policy!r}"
-            )
-        if self.hedging_factor < 0:
-            raise AdaptationError(
-                f"hedging_factor must be >= 0, got {self.hedging_factor}"
+                "hedging_factor must be finite and >= 0, got "
+                f"{self.hedging_factor}"
             )
         if self.adaptation_mode not in ("inline", "background"):
             raise AdaptationError(

@@ -10,7 +10,7 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
 - :mod:`~repro.core.advisor` — candidate-layout generation by iterative
   merging, costed with workload + transformation cost (Eq. 1),
 - :mod:`~repro.core.adaptation_policy` — the layout-switching policy
-  (greedy-paper vs the regret-bounded guarded ledger),
+  (the regret-bounded ledger; greedy at ``hedging_factor = 0``),
 - :mod:`~repro.core.layout_manager` — owns the physical layouts,
 - :mod:`~repro.core.reorganizer` — offline and online (fused with query
   execution) data reorganization,
@@ -19,13 +19,7 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
 - :mod:`~repro.core.engine` — the query processor tying it together.
 """
 
-from .adaptation_policy import (
-    AdaptationPolicy,
-    GuardedPolicy,
-    LedgerEntry,
-    SwitchRecord,
-    make_policy,
-)
+from .adaptation_policy import AdaptationPolicy, LedgerEntry, SwitchRecord
 from .affinity import AffinityMatrix
 from .cost_model import CostModel, SelectivityEstimator
 from .monitor import AccessPattern, Monitor
@@ -40,10 +34,8 @@ from .system import H2OSystem
 
 __all__ = [
     "AdaptationPolicy",
-    "GuardedPolicy",
     "LedgerEntry",
     "SwitchRecord",
-    "make_policy",
     "AffinityMatrix",
     "CostModel",
     "SelectivityEstimator",

@@ -1,4 +1,4 @@
-"""Layout-switching policies: when may a candidate actually be built?
+"""The layout-switching policy: when may a candidate actually be built?
 
 The paper's H2O is *greedy*: the moment a candidate layout covers the
 incoming query, clears the amortization floor and shows positive
@@ -8,13 +8,13 @@ ping-pong between query classes, a periodic shift) break that bet:
 every phase change buys a layout the next phase abandons, and the
 engine thrashes.
 
-The *guarded* policy treats each reorganization as an investment hedged
-against observed benefit, following the ski-rental discipline of
-"Dynamic Data Layout Optimization with Worst-case Guarantees" (arXiv
-2405.04984).  Per candidate layout it keeps a ledger entry accruing the
-Eq. 2 benefit the candidate *would have delivered* on every windowed
-query it covers (``CandidateLayout.benefit_per_use``, the advisor's
-per-use cost-model delta).  The switch is allowed only once
+The policy treats each reorganization as an investment hedged against
+observed benefit, following the ski-rental discipline of "Dynamic Data
+Layout Optimization with Worst-case Guarantees" (arXiv 2405.04984).
+Per candidate layout it keeps a ledger entry accruing the Eq. 2 benefit
+the candidate *would have delivered* on every windowed query it covers
+(``CandidateLayout.benefit_per_use``, the advisor's per-use cost-model
+delta).  The switch is allowed only once
 
     accrued_benefit >= hedging_factor * projected_build_cost
 
@@ -29,18 +29,18 @@ tests/test_adaptation_policy.py assert on arbitrary workload streams.
 A workload that never re-uses a layout long enough to accrue its hedged
 cost never pays for it; a stable workload pays a one-off delay of
 ``hedging_factor`` build-costs' worth of benefit and then switches
-exactly as greedy would.  With ``hedging_factor == 0`` the gate is
-always open and the policy is decision-identical to greedy.
+exactly as greedy would.  At ``hedging_factor == 0`` (the default) the
+gate is always open: every decision is the paper's greedy one, and the
+ledger shows what that run accrued.
 
-Both policies expose the same interface, so the engine carries exactly
-one conditional (which class to construct).  All methods are called
-under ``engine.lock``; the policy itself is not thread-safe.
+All methods are called under ``engine.lock``; the policy itself is not
+thread-safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from ..config import EngineConfig
 from .advisor import CandidateLayout
@@ -97,7 +97,7 @@ class SwitchRecord:
     accrued: float
     #: The candidate's build-cost estimate at switch time.
     build_cost: float
-    #: The hedging factor in force (0 under greedy).
+    #: The hedging factor in force (0 = the paper's greedy gate).
     hedging_factor: float
     query_index: int
 
@@ -112,18 +112,10 @@ class SwitchRecord:
 
 
 class AdaptationPolicy:
-    """The greedy (paper-faithful) policy: every gate is open.
-
-    Also the shared base class.  It still keeps the switch ledger so
-    ``engine.stats()`` / ``health()`` report reorganization spend
-    uniformly across policies.
-    """
-
-    name = "greedy-paper"
+    """Regret-bounded switching: accrue first, build once hedged."""
 
     def __init__(self, config: EngineConfig) -> None:
-        self.config = config
-        self.hedging_factor = 0.0
+        self.hedging_factor = config.hedging_factor
         self.ledger: Dict[FrozenSet[str], LedgerEntry] = {}
         self.switches: List[SwitchRecord] = []
         #: Totals are exact even when ``switches`` is truncated.
@@ -133,6 +125,23 @@ class AdaptationPolicy:
         self.deferrals = 0
 
     # Decision interface ---------------------------------------------------
+
+    def _entry(self, candidate: CandidateLayout) -> LedgerEntry:
+        entry = self.ledger.get(candidate.ledger_key)
+        if entry is None:
+            if len(self.ledger) >= MAX_LEDGER_ENTRIES:
+                coldest = min(
+                    self.ledger, key=lambda k: self.ledger[k].accrued
+                )
+                del self.ledger[coldest]
+            entry = LedgerEntry(
+                attrs=tuple(candidate.attrs), kind=candidate.kind
+            )
+            self.ledger[candidate.ledger_key] = entry
+        return entry
+
+    def _gate_open(self, accrued: float, build_cost: float) -> bool:
+        return accrued >= self.hedging_factor * build_cost
 
     def observe(
         self,
@@ -146,16 +155,41 @@ class AdaptationPolicy:
         Returns True when the engine should *skip the plan-cache fast
         lane* for this query: a previously deferred candidate now
         clears its hedged threshold, and only the cold path can trigger
-        its materialization.  Greedy never defers, hence never asks for
-        the bypass — fast-lane behaviour is untouched.
+        its materialization.  A candidate that was never deferred never
+        asks for the bypass, so at ``hedging_factor == 0`` fast-lane
+        behaviour is the paper's.
         """
-        return False
+        ripe = False
+        for candidate in candidates:
+            if not candidate.serves(select_attrs, where_attrs):
+                continue
+            entry = self._entry(candidate)
+            entry.accrued += max(candidate.benefit_per_use, 0.0)
+            entry.projected_cost = candidate.build_cost
+            entry.observations += 1
+            entry.last_observed = query_index
+            # Ask for the fast-lane bypass only when the gate has
+            # actually deferred this candidate before (so greedy would
+            # already have built it and the shape's plan is cached) and
+            # the accrual now covers the hedged cost — the cold path
+            # must get one shot at triggering the build.
+            if entry.deferrals > 0 and self._gate_open(
+                entry.accrued, candidate.build_cost
+            ):
+                ripe = True
+        return ripe
 
     def allow_materialization(
         self, candidate: CandidateLayout, query_index: int
     ) -> bool:
-        """May this candidate be built right now?  Greedy: always."""
-        return True
+        """May this candidate be built right now?  A refusal is
+        ledgered as a deferral."""
+        entry = self._entry(candidate)
+        if self._gate_open(entry.accrued, candidate.build_cost):
+            return True
+        entry.deferrals += 1
+        self.deferrals += 1
+        return False
 
     def would_allow(self, candidate: CandidateLayout) -> bool:
         """Side-effect-free preview of :meth:`allow_materialization`.
@@ -163,7 +197,9 @@ class AdaptationPolicy:
         Used by the background scheduler's polling loop, which must not
         inflate the deferral counters on every cycle.
         """
-        return True
+        entry = self.ledger.get(candidate.ledger_key)
+        accrued = entry.accrued if entry is not None else 0.0
+        return self._gate_open(accrued, candidate.build_cost)
 
     def note_materialized(
         self, candidate: CandidateLayout, query_index: int
@@ -194,9 +230,9 @@ class AdaptationPolicy:
     def regret_bound_satisfied(self, tolerance: float = 1e-9) -> bool:
         """``hedging_factor * invested_cost <= accrued_at_switch``.
 
-        The guarded policy maintains this by construction (every switch
-        is granted only once its entry's accrual covers the hedged
-        cost); for greedy the factor is 0 and the bound is vacuous.
+        Maintained by construction (every switch is granted only once
+        its entry's accrual covers the hedged cost); at a factor of 0
+        the bound is vacuous.
         """
         bound = self.hedging_factor * self.invested_cost
         return bound <= self.accrued_at_switch + tolerance
@@ -209,7 +245,6 @@ class AdaptationPolicy:
             self.ledger.values(), key=lambda e: -e.accrued
         )[:ledger_limit]
         return {
-            "policy": self.name,
             "hedging_factor": self.hedging_factor,
             "switches": self.switch_count,
             "invested_cost": self.invested_cost,
@@ -230,7 +265,6 @@ class AdaptationPolicy:
     def export(self) -> Dict[str, object]:
         """JSON-serializable full state (see ``adaptation_state()``)."""
         return {
-            "policy": self.name,
             "hedging_factor": self.hedging_factor,
             "switch_count": self.switch_count,
             "invested_cost": self.invested_cost,
@@ -245,9 +279,10 @@ class AdaptationPolicy:
     def restore(self, state: Dict[str, object]) -> None:
         """Replace this policy's state with an exported one.
 
-        Tolerant of malformed or cross-policy snapshots: every field
-        falls back to a clean default, so a corrupt checkpoint yields a
-        fresh ledger rather than a crash.  The configured
+        Tolerant of malformed snapshots: every field falls back to a
+        clean default, so a corrupt checkpoint yields a fresh ledger
+        rather than a crash; unknown keys (older checkpoints carry a
+        policy name) are ignored.  The configured
         ``hedging_factor`` is *not* overwritten — the knob belongs to
         the running config, the ledger to the recovered history.
         """
@@ -302,84 +337,6 @@ class AdaptationPolicy:
                         query_index=_as_int(raw.get("query_index")),
                     )
                 )
-
-
-class GuardedPolicy(AdaptationPolicy):
-    """Regret-bounded switching: accrue first, build once hedged."""
-
-    name = "guarded"
-
-    def __init__(self, config: EngineConfig) -> None:
-        super().__init__(config)
-        self.hedging_factor = config.hedging_factor
-
-    def _entry(self, candidate: CandidateLayout) -> LedgerEntry:
-        entry = self.ledger.get(candidate.ledger_key)
-        if entry is None:
-            if len(self.ledger) >= MAX_LEDGER_ENTRIES:
-                coldest = min(
-                    self.ledger, key=lambda k: self.ledger[k].accrued
-                )
-                del self.ledger[coldest]
-            entry = LedgerEntry(
-                attrs=tuple(candidate.attrs), kind=candidate.kind
-            )
-            self.ledger[candidate.ledger_key] = entry
-        return entry
-
-    def _gate_open(
-        self, entry: LedgerEntry, build_cost: float
-    ) -> bool:
-        return entry.accrued >= self.hedging_factor * build_cost
-
-    def observe(
-        self,
-        select_attrs: FrozenSet[str],
-        where_attrs: FrozenSet[str],
-        candidates: Iterable[CandidateLayout],
-        query_index: int,
-    ) -> bool:
-        ripe = False
-        for candidate in candidates:
-            if not candidate.serves(select_attrs, where_attrs):
-                continue
-            entry = self._entry(candidate)
-            entry.accrued += max(candidate.benefit_per_use, 0.0)
-            entry.projected_cost = candidate.build_cost
-            entry.observations += 1
-            entry.last_observed = query_index
-            # Ask for the fast-lane bypass only when the guard has
-            # actually deferred this candidate before (so greedy would
-            # already have built it and the shape's plan is cached) and
-            # the accrual now covers the hedged cost — the cold path
-            # must get one shot at triggering the build.
-            if entry.deferrals > 0 and self._gate_open(
-                entry, candidate.build_cost
-            ):
-                ripe = True
-        return ripe
-
-    def allow_materialization(
-        self, candidate: CandidateLayout, query_index: int
-    ) -> bool:
-        entry = self._entry(candidate)
-        if self._gate_open(entry, candidate.build_cost):
-            return True
-        entry.deferrals += 1
-        self.deferrals += 1
-        return False
-
-    def would_allow(self, candidate: CandidateLayout) -> bool:
-        entry = self.ledger.get(candidate.ledger_key)
-        accrued = entry.accrued if entry is not None else 0.0
-        return accrued >= self.hedging_factor * candidate.build_cost
-
-
-def make_policy(config: EngineConfig) -> AdaptationPolicy:
-    """The policy instance for ``config.adaptation_policy``."""
-    if config.adaptation_policy == "guarded":
-        return GuardedPolicy(config)
-    return AdaptationPolicy(config)
 
 
 def _as_float(value: object, default: float = 0.0) -> float:

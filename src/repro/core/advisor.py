@@ -605,9 +605,9 @@ class LayoutAdvisor:
           shrink on the attribute's scan; the build cost is a one-column
           rewrite.
 
-        Both are hedged by the switching policy exactly like vertical
+        Both are gated by the switching policy exactly like vertical
         switches — a proposal here materializes only after its ledger
-        entry covers ``hedging_factor`` build costs.
+        entry covers ``hedging_factor`` build costs (at once at 0).
         """
         config = self.config
         if not (config.adaptive_clustering or config.encoded_layouts):

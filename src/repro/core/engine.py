@@ -95,7 +95,7 @@ from ..storage.encoded_layout import encode_column
 from ..storage.layout import LayoutKind
 from ..storage.relation import LayoutSnapshot, Table
 from ..storage.zonemap import attach_zone_maps, build_zone_maps
-from .adaptation_policy import AdaptationPolicy, make_policy
+from .adaptation_policy import AdaptationPolicy
 from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
 from .cost_model import CostModel, SelectivityEstimator
 from .history import ShiftDetector
@@ -155,9 +155,9 @@ class QueryReport:
     #: candidate was quarantined and the query answered via planning.
     reorg_aborted: bool = False
     #: The adaptation policy deferred an otherwise-eligible online
-    #: reorganization this query would have triggered (guarded policy:
-    #: the candidate's accrued benefit has not yet covered its hedged
-    #: build cost — see docs/adaptation.md).
+    #: reorganization this query would have triggered (the candidate's
+    #: accrued benefit has not yet covered its hedged build cost — see
+    #: docs/adaptation.md).
     reorg_deferred: bool = False
     #: Scan telemetry, populated for every scan (every scan is a morsel
     #: loop; zero morsels only when no scan ran — attribute-free
@@ -249,10 +249,10 @@ class H2OEngine:
         self.reorganizer = Reorganizer(self.config)
         self.executor = Executor(self.config)
         self.plan_cache = PlanCache()
-        #: The layout-switching policy (docs/adaptation.md): greedy
-        #: (paper-faithful, every gate open) or guarded (regret-bounded
-        #: benefit ledger).  Mutated only under the engine lock.
-        self.policy: AdaptationPolicy = make_policy(self.config)
+        #: The layout-switching policy (docs/adaptation.md); every gate
+        #: is open at the default ``hedging_factor`` of 0 (the paper's
+        #: greedy H2O).  Mutated only under the engine lock.
+        self.policy = AdaptationPolicy(self.config)
         self.candidates: List[CandidateLayout] = []
         #: The last :data:`REPORT_HISTORY` reports, oldest first.
         self.reports: List[QueryReport] = []
@@ -715,8 +715,8 @@ class H2OEngine:
 
         Returns ``(candidate, deferred)``: the winning candidate (or
         None), and whether the switching policy refused an otherwise
-        eligible build (guarded policy, hedged threshold not yet met —
-        the refusal is recorded in the policy's debt ledger).
+        eligible build (hedged threshold not yet met — the refusal is
+        recorded in the policy's debt ledger).
         """
         if self.config.materialization != "lazy":
             return None, False
@@ -1298,7 +1298,7 @@ class H2OEngine:
                 "selectivities": self.selectivity.export(),
                 # The switching policy's debt ledger: recovery must not
                 # silently reset accrued benefit/deferral history, or a
-                # restarted guarded store would re-thrash from scratch.
+                # restarted hedged store would re-thrash from scratch.
                 "policy": self.policy.export(),
                 # Oldest-shape-last iteration above; reverse so warmup
                 # replays in roughly original execution order.
@@ -1397,8 +1397,8 @@ class H2OEngine:
 
         ``policy`` is the switching policy's bounded snapshot: the debt
         ledger's hottest entries, switch/deferral totals, and invested
-        reorganization cost — the observability surface the guarded
-        policy's thrash resistance is judged by (docs/adaptation.md).
+        reorganization cost — the observability surface the hedge's
+        thrash resistance is judged by (docs/adaptation.md).
         """
         with self.lock:
             snapshot = self.table.snapshot()
@@ -1451,9 +1451,9 @@ class H2OEngine:
                 f"  candidates pending: {len(self.candidates)} "
                 f"(reorg aborts: {self.reorg_aborts}, "
                 f"quarantined: {len(self.quarantine.blocked_keys())})",
-                "  policy: {} switches={} deferrals={} "
+                "  policy: hedging_factor={:g} switches={} deferrals={} "
                 "invested={:.4f}s-cost".format(
-                    self.policy.name,
+                    self.policy.hedging_factor,
                     self.policy.switch_count,
                     self.policy.deferrals,
                     self.policy.invested_cost,

@@ -54,9 +54,9 @@ class HealthReport:
     quarantines: Mapping[str, Mapping[str, object]] = field(
         default_factory=dict
     )
-    #: Per-table switching-policy telemetry (debt ledger, switches,
-    #: deferrals — see AdaptationPolicy.snapshot() and
-    #: docs/adaptation.md).
+    #: Per-table switching-policy telemetry (hedging factor, debt
+    #: ledger, switches, deferrals — see AdaptationPolicy.snapshot()
+    #: and docs/adaptation.md).
     policies: Mapping[str, Mapping[str, object]] = field(
         default_factory=dict
     )

@@ -13,7 +13,7 @@ package is the standing correctness gate for that property:
   generated sequence runs through nine paths — the row reference, the
   interpreted Volcano evaluator, the column baseline, and the adaptive
   engine inline, interpreted, in the background behind the service
-  with N workers, on morsel-parallel scan threads, under the guarded
+  with N workers, on morsel-parallel scan threads, with a hedged
   switching policy, and with clustering + encoded layouts — asserting
   bit-identical results and engine invariants (epoch monotonicity,
   snapshot row-count consistency, schema coverage, operator-cache
@@ -29,10 +29,10 @@ package is the standing correctness gate for that property:
   minimal schema + query repro (printed in ≤10 lines with the seed);
 - the **scenario replay oracle** (also in
   :mod:`~repro.testkit.oracle`) — the adversarial scenario pack of
-  :mod:`repro.workloads.scenarios` replayed under both layout-switching
-  policies (greedy-paper and regret-bounded guarded) against the row
+  :mod:`repro.workloads.scenarios` replayed at hedging factor 0 (the
+  paper's greedy gate) and at a hedged factor against the row
   reference: bit-identical answers, engine invariants after every
-  query, and the guarded policy's regret ledger balanced at the end;
+  query, and the regret ledger balanced at the end;
 - :mod:`~repro.testkit.runner` — the CLI:
   ``python -m repro.testkit run --seqs 50 --seed 0`` /
   ``chaos`` / ``restart`` / ``scenarios`` / ``repro``.

@@ -24,12 +24,12 @@ deterministic data:
    checked both against the row reference and against a morsel-serial
    twin: answers bit-identical *and* ``morsels_pruned`` equal — the
    zone-map pruning decision must not depend on the thread count;
-8. **adaptive guarded** — the full engine under the regret-bounded
-   switching policy (``adaptation_policy="guarded"``, see
-   docs/adaptation.md): materializations may be *deferred* but answers
-   must stay bit-identical, and the policy's regret invariant
-   (hedged reorganization spend never exceeds accrued benefit at
-   switch) must hold at the end of the sequence;
+8. **adaptive guarded** — the full engine with a hedged switching
+   policy (``hedging_factor=2.0``, see docs/adaptation.md):
+   materializations may be *deferred* but answers must stay
+   bit-identical, and the policy's regret invariant (hedged
+   reorganization spend never exceeds accrued benefit at switch) must
+   hold at the end of the sequence;
 9. **adaptive clustered+encoded** — the full engine with adaptive
    clustering *and* encoded column layouts enabled
    (``adaptive_clustering=True, encoded_layouts=True`` with tiny
@@ -48,9 +48,9 @@ The module also hosts the **scenario-replay oracle**
 (:func:`scenario_case` / :func:`run_all_scenarios`, exposed as
 ``python -m repro.testkit scenarios``): every adversarial scenario in
 :mod:`repro.workloads.scenarios` — queries *and* appends — is replayed
-under both switching policies against the row reference, asserting
-bit-identical answers, the physical invariants after every query, and
-the guarded policy's regret invariant.
+at hedging factor 0 (the paper's greedy gate) and at a hedged factor
+against the row reference, asserting bit-identical answers, the
+physical invariants after every query, and the regret invariant.
 
 Every mode must produce **bit-identical** :class:`~repro.execution.
 result.QueryResult` data (the generator bounds values so all float64
@@ -527,11 +527,11 @@ class DifferentialOracle:
     def _run_adaptive_guarded(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
     ) -> None:
-        """The eighth path: the regret-bounded switching policy.
+        """The eighth path: a hedged switching policy.
 
         Same adaptive knobs as ``adaptive-inline`` but with
-        ``adaptation_policy="guarded"`` — materializations the greedy
-        engine performs immediately may be deferred or skipped here,
+        ``hedging_factor=2.0`` — materializations the hedge-0 engine
+        performs immediately may be deferred or skipped here,
         which must be invisible in answers.  Beyond bit-identity and
         the physical invariants, the oracle asserts the policy's own
         regret invariant and that its deferral/switch ledger is
@@ -540,9 +540,7 @@ class DifferentialOracle:
         mode = "adaptive-guarded"
         engine = H2OEngine(
             spec.build_table(),
-            self._adaptive_config(
-                adaptation_policy="guarded", hedging_factor=2.0
-            ),
+            self._adaptive_config(hedging_factor=2.0),
         )
         epoch = 0
         for index, query in enumerate(spec.parsed()):
@@ -921,13 +919,10 @@ def run_chaos_sequence(
 # Scenario replay oracle ------------------------------------------------------
 #
 # The adversarial scenario pack (repro/workloads/scenarios.py) replayed
-# under BOTH switching policies against the row reference: the policies
-# may reorganize differently, but every answer must stay bit-identical,
-# every engine invariant must hold after every query, and the guarded
-# policy's regret ledger must balance at the end of the stream.
-
-#: Every scenario replays under each of these policies.
-SCENARIO_POLICIES = ("greedy-paper", "guarded")
+# at two hedging factors against the row reference: the replays may
+# reorganize differently, but every answer must stay bit-identical,
+# every engine invariant must hold after every query, and the regret
+# ledger must balance at the end of the stream.
 
 
 @dataclass
@@ -938,15 +933,16 @@ class ScenarioOutcome:
     seed: int
     queries_checked: int = 0
     appends_replayed: int = 0
-    #: policy → layouts the manager built during the replay.
-    reorgs: Dict[str, int] = field(default_factory=dict)
-    #: policy → materializations the policy deferred.
-    deferrals: Dict[str, int] = field(default_factory=dict)
+    #: hedging factor → layouts the manager built during the replay.
+    reorgs: Dict[float, int] = field(default_factory=dict)
+    #: hedging factor → materializations the policy deferred.
+    deferrals: Dict[float, int] = field(default_factory=dict)
     seconds: float = 0.0
 
     def describe(self) -> str:
         reorgs = " ".join(
-            f"{policy}={count}" for policy, count in self.reorgs.items()
+            f"hedge {factor:g}={count}"
+            for factor, count in self.reorgs.items()
         )
         return (
             f"{self.name} (seed {self.seed}) — {self.queries_checked} "
@@ -973,18 +969,14 @@ def _scenario_reference(scenario: "Scenario") -> List[QueryResult]:
 def _replay_scenario(
     scenario: "Scenario",
     expected: Sequence[QueryResult],
-    policy: str,
     hedging_factor: float,
 ) -> H2OEngine:
-    """Replay one scenario under one policy, checking every answer."""
-    label = f"scenario:{scenario.name}:{policy}"
+    """Replay one scenario at one hedging factor, checking every
+    answer."""
+    label = f"scenario:{scenario.name}:hedge-{hedging_factor:g}"
     engine = H2OEngine(
         scenario.make_table(),
-        EngineConfig(
-            adaptation_policy=policy,
-            hedging_factor=hedging_factor,
-            **ORACLE_CONFIG,
-        ),
+        EngineConfig(hedging_factor=hedging_factor, **ORACLE_CONFIG),
     )
     epoch = 0
     index = 0
@@ -1014,32 +1006,29 @@ def scenario_case(
     hedging_factor: float = 2.0,
     **kwargs: object,
 ) -> ScenarioOutcome:
-    """Replay one named scenario under both policies against the row
-    reference; raises :class:`OracleFailure` on any divergence."""
+    """Replay one named scenario at hedging factors 0 and
+    ``hedging_factor`` against the row reference; raises
+    :class:`OracleFailure` on any divergence."""
     from ..workloads.scenarios import build_scenario
 
     started = time.perf_counter()
     scenario = build_scenario(name, seed, **kwargs)
     expected = _scenario_reference(scenario)
     outcome = ScenarioOutcome(name=scenario.name, seed=seed)
-    for policy in SCENARIO_POLICIES:
-        engine = _replay_scenario(
-            scenario, expected, policy, hedging_factor
-        )
-        outcome.reorgs[policy] = len(engine.manager.creation_log)
-        outcome.deferrals[policy] = engine.policy.deferrals
-    guarded = outcome.reorgs.get("guarded", 0)
-    greedy = outcome.reorgs.get("greedy-paper", 0)
-    if guarded > greedy:
+    factors = (0.0, hedging_factor)
+    for factor in factors:
+        engine = _replay_scenario(scenario, expected, factor)
+        outcome.reorgs[factor] = len(engine.manager.creation_log)
+        outcome.deferrals[factor] = engine.policy.deferrals
+    hedged, greedy = outcome.reorgs[hedging_factor], outcome.reorgs[0.0]
+    if hedged > greedy:
         raise OracleFailure(
-            f"[scenario:{scenario.name}] guarded built {guarded} "
-            f"layout(s), more than greedy's {greedy} — hedging must "
-            f"never reorganize more than the policy it hedges"
+            f"[scenario:{scenario.name}] hedge {hedging_factor:g} built "
+            f"{hedged} layout(s), more than hedge 0's {greedy} — hedging "
+            f"must never reorganize more than the greedy gate it hedges"
         )
-    outcome.queries_checked = len(expected) * len(SCENARIO_POLICIES)
-    outcome.appends_replayed = (
-        scenario.append_count * len(SCENARIO_POLICIES)
-    )
+    outcome.queries_checked = len(expected) * len(factors)
+    outcome.appends_replayed = scenario.append_count * len(factors)
     outcome.seconds = time.perf_counter() - started
     return outcome
 

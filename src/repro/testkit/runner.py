@@ -35,11 +35,11 @@ Scenario replay::
     PYTHONPATH=src python -m repro.testkit scenarios
 
 replays the adversarial scenario pack (repro/workloads/scenarios.py)
-under both switching policies (greedy-paper and guarded) against the
-row reference: every answer bit-identical, every engine invariant held,
-the guarded regret ledger balanced, and guarded never reorganizing more
-than greedy.  Name scenarios to replay a subset; ``--seed`` reseeds the
-pack.
+at hedging factor 0 (the paper's greedy gate) and at
+``--hedging-factor`` against the row reference: every answer
+bit-identical, every engine invariant held, the regret ledger balanced,
+and the hedged replay never reorganizing more than hedge 0.  Name
+scenarios to replay a subset; ``--seed`` reseeds the pack.
 
 Reproducing a printed case::
 
@@ -207,7 +207,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"ok   {outcome.describe()}")
     elapsed = time.perf_counter() - started
     print(
-        f"scenarios: {len(names)} scenario(s) x both policies, {answers} "
+        f"scenarios: {len(names)} scenario(s) x hedge 0 and "
+        f"{args.hedging_factor:g}, {answers} "
         f"answers bit-identical, regret ledger balanced ({elapsed:.1f}s)"
     )
     return 0
@@ -287,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     scenarios = sub.add_parser(
         "scenarios",
-        help="replay the adversarial scenario pack under both policies",
+        help="replay the adversarial scenario pack at hedge 0 and hedged",
     )
     scenarios.add_argument(
         "names",
@@ -299,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--hedging-factor",
         type=float,
         default=2.0,
-        help="hedging factor for the guarded replay (default 2.0)",
+        help="hedging factor of the hedged replay (default 2.0)",
     )
     scenarios.add_argument("-v", "--verbose", action="store_true")
     scenarios.set_defaults(func=_cmd_scenarios)

@@ -5,12 +5,14 @@ Three layers:
 1. pure policy-level unit tests (ledger accrual, deferral accounting,
    export/restore, config validation);
 2. Hypothesis property tests: on *arbitrary* observation/attempt
-   streams the guarded policy maintains the regret invariant, and with
-   ``hedging_factor == 0`` it is decision-identical to greedy;
+   streams the policy maintains the regret invariant, and with
+   ``hedging_factor == 0`` it is decision-identical to the paper's
+   greedy gate (kept below as :class:`GreedyReference`);
 3. engine-level tests: deferrals surface in ``QueryReport`` /
    ``engine.stats()``, a huge hedging factor suppresses inline
-   reorganization entirely, and hedge-0 guarded replays a scenario
-   with the same per-query observable behaviour as greedy.
+   reorganization entirely, and the default engine replays a scenario
+   with the same per-query observable behaviour and answers as one
+   driven by the greedy reference.
 """
 
 import hypothesis.strategies as st
@@ -21,13 +23,13 @@ from repro.config import EngineConfig
 from repro.core.adaptation_policy import (
     MAX_LEDGER_ENTRIES,
     AdaptationPolicy,
-    GuardedPolicy,
-    make_policy,
+    SwitchRecord,
 )
 from repro.core.advisor import CandidateLayout
 from repro.core.engine import H2OEngine
 from repro.errors import AdaptationError
 from repro.sql.parser import parse_query
+from repro.testkit.oracle import results_identical
 from repro.workloads.scenarios import build_scenario
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,24 @@ def candidate(
     )
 
 
-def guarded(hedging: float) -> GuardedPolicy:
-    return GuardedPolicy(
-        EngineConfig(adaptation_policy="guarded", hedging_factor=hedging)
-    )
+def hedged(hedging: float) -> AdaptationPolicy:
+    return AdaptationPolicy(EngineConfig(hedging_factor=hedging))
+
+
+class GreedyReference(AdaptationPolicy):
+    """Reference: the paper's greedy gate, written out.  Every
+    materialization allowed, no ledger accrual, no deferrals and never
+    a fast-lane bypass; switches are still recorded (inherited), so
+    the two sides' totals compare."""
+
+    def observe(self, select_attrs, where_attrs, candidates, query_index):
+        return False
+
+    def allow_materialization(self, candidate, query_index):
+        return True
+
+    def would_allow(self, candidate):
+        return True
 
 
 def drive(policy: AdaptationPolicy, events) -> None:
@@ -80,22 +96,12 @@ def drive(policy: AdaptationPolicy, events) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(AdaptationError):
-        EngineConfig(adaptation_policy="optimistic")
-
-
 def test_negative_hedging_rejected():
-    with pytest.raises(AdaptationError):
-        EngineConfig(hedging_factor=-0.5)
-
-
-def test_factory_picks_class():
-    assert type(make_policy(EngineConfig())) is AdaptationPolicy
-    assert isinstance(
-        make_policy(EngineConfig(adaptation_policy="guarded")),
-        GuardedPolicy,
-    )
+    # NaN and inf would close the gate forever (``accrued >= nan`` is
+    # never true): the engine would silently stop adapting.
+    for hedging in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(AdaptationError):
+            EngineConfig(hedging_factor=hedging)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +110,7 @@ def test_factory_picks_class():
 
 
 def test_guarded_accrues_then_opens():
-    policy = guarded(2.0)
+    policy = hedged(2.0)
     cand = candidate(0, benefit=1.0, cost=3.0)
     # Needs accrued >= 2 * 3 = 6, i.e. six observations of benefit 1.
     for i in range(5):
@@ -125,7 +131,7 @@ def test_guarded_accrues_then_opens():
 
 
 def test_observe_only_accrues_serving_candidates():
-    policy = guarded(1.0)
+    policy = hedged(1.0)
     served = candidate(0, benefit=1.0, cost=10.0)
     bystander = candidate(4, benefit=1.0, cost=10.0)
     policy.observe(
@@ -136,14 +142,14 @@ def test_observe_only_accrues_serving_candidates():
 
 
 def test_negative_benefit_never_decreases_accrual():
-    policy = guarded(1.0)
+    policy = hedged(1.0)
     cand = candidate(0, benefit=-5.0, cost=1.0)
     policy.observe(frozenset(cand.attrs), frozenset(), [cand], 0)
     assert policy.ledger[cand.attr_set].accrued == 0.0
 
 
 def test_ledger_bounded_with_eviction():
-    policy = guarded(1.0)
+    policy = hedged(1.0)
     for i in range(MAX_LEDGER_ENTRIES + 40):
         attrs = (f"x{i}", f"y{i}")
         cand = CandidateLayout(
@@ -161,13 +167,13 @@ def test_ledger_bounded_with_eviction():
 
 
 def test_export_restore_round_trip():
-    policy = guarded(2.0)
+    policy = hedged(2.0)
     drive(
         policy,
         [(0, 1.0, 1.0, True)] * 4 + [(1, 2.0, 100.0, True)] * 3,
     )
     state = policy.export()
-    fresh = guarded(2.0)
+    fresh = hedged(2.0)
     fresh.restore(state)
     assert fresh.export() == state
     # Corrupt snapshots degrade to a clean ledger, never a crash.
@@ -177,9 +183,58 @@ def test_export_restore_round_trip():
 
 
 def test_restore_keeps_configured_hedging_factor():
-    policy = guarded(4.0)
-    policy.restore(guarded(1.0).export())
+    policy = hedged(4.0)
+    policy.restore(hedged(1.0).export())
     assert policy.hedging_factor == 4.0
+
+
+@pytest.mark.parametrize("name", ["greedy-paper", "guarded"])
+def test_restore_reads_checkpoints_that_name_a_policy(name):
+    """Checkpoints written while two policy classes existed carry a
+    ``"policy"`` name key; recovery must still load their ledger."""
+    state = {
+        "policy": name,
+        "hedging_factor": 2.0 if name == "guarded" else 0.0,
+        "switch_count": 3,
+        "invested_cost": 4.5,
+        "accrued_at_switch": 9.0,
+        "deferrals": 7,
+        "entries": [
+            {
+                "attrs": ["a1", "a2"],
+                "kind": "group",
+                "accrued": 1.25,
+                "projected_cost": 3.0,
+                "observations": 5,
+                "deferrals": 2,
+                "last_observed": 40,
+            }
+        ],
+        "switches": [
+            {
+                "attrs": ["a3", "a4"],
+                "accrued": 3.0,
+                "build_cost": 1.5,
+                "hedging_factor": 2.0,
+                "query_index": 12,
+            }
+        ],
+    }
+    policy = hedged(0.0)
+    policy.restore(state)
+    assert (policy.switch_count, policy.deferrals) == (3, 7)
+    assert (policy.invested_cost, policy.accrued_at_switch) == (4.5, 9.0)
+    entry = policy.ledger[frozenset(("a1", "a2"))]
+    assert (entry.accrued, entry.observations, entry.deferrals) == (
+        1.25, 5, 2,
+    )
+    assert policy.switches == [
+        SwitchRecord(("a3", "a4"), 3.0, 1.5, 2.0, 12)
+    ]
+    # Re-exported without the name; the running factor is kept.
+    expected = dict(state, hedging_factor=0.0)
+    del expected["policy"]
+    assert policy.export() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +263,7 @@ events_strategy = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_regret_invariant_on_any_stream(events, hedging):
     """Whatever the stream does, every granted switch was hedged."""
-    policy = guarded(hedging)
+    policy = hedged(hedging)
     drive(policy, events)
     assert policy.regret_bound_satisfied()
     for record in policy.switches:
@@ -223,9 +278,9 @@ def test_regret_invariant_on_any_stream(events, hedging):
 @given(events_strategy)
 @settings(max_examples=80, deadline=None)
 def test_hedge_zero_is_greedy_decision_for_decision(events):
-    """``hedging_factor == 0`` reduces guarded to greedy exactly."""
-    greedy_policy = AdaptationPolicy(EngineConfig())
-    zero = guarded(0.0)
+    """``hedging_factor == 0`` reduces the hedge to greedy exactly."""
+    greedy_policy = GreedyReference(EngineConfig())
+    zero = hedged(0.0)
     for index, (pool_index, benefit, cost, attempt) in enumerate(events):
         cand = candidate(pool_index, benefit, cost)
         ripe_g = greedy_policy.observe(
@@ -258,8 +313,10 @@ ENGINE_KNOBS = dict(
 )
 
 
-def replay(scenario, config):
+def replay(scenario, config, policy=None):
     engine = H2OEngine(scenario.make_table(), config)
+    if policy is not None:
+        engine.policy = policy
     reports = []
     for op in scenario.ops:
         if op[0] == "query":
@@ -276,20 +333,15 @@ def test_engine_surfaces_deferrals():
                               num_rows=512)
     engine, reports = replay(
         scenario,
-        EngineConfig(
-            adaptation_policy="guarded", hedging_factor=3.0,
-            **ENGINE_KNOBS,
-        ),
+        EngineConfig(hedging_factor=3.0, **ENGINE_KNOBS),
     )
     assert engine.policy.deferrals > 0
     assert any(r.reorg_deferred for r in reports)
     stats = engine.stats()
-    assert stats["policy"]["policy"] == "guarded"
+    assert stats["policy"]["hedging_factor"] == 3.0
     assert stats["policy"]["deferrals"] == engine.policy.deferrals
     assert "policy" in engine.adaptation_state()
-    assert "policy: switches=" in engine.describe() or "policy" in (
-        engine.describe()
-    )
+    assert "policy: hedging_factor=3 switches=" in engine.describe()
 
 
 def test_huge_hedging_never_reorganizes_inline():
@@ -297,10 +349,7 @@ def test_huge_hedging_never_reorganizes_inline():
                               num_rows=512)
     engine, reports = replay(
         scenario,
-        EngineConfig(
-            adaptation_policy="guarded", hedging_factor=1e12,
-            **ENGINE_KNOBS,
-        ),
+        EngineConfig(hedging_factor=1e12, **ENGINE_KNOBS),
     )
     assert len(engine.manager.creation_log) == 0
     assert engine.policy.deferrals > 0
@@ -308,18 +357,16 @@ def test_huge_hedging_never_reorganizes_inline():
 
 
 def test_hedge_zero_engine_matches_greedy():
+    """The shipped default replays a scenario exactly as an engine
+    driven by the greedy reference does: same builds, same fast-lane
+    hits, no deferrals, bit-identical answers."""
     scenario = build_scenario("periodic-shift", 1, phases=4,
                               phase_len=10, num_rows=512)
+    config = EngineConfig(**ENGINE_KNOBS)
     _, greedy_reports = replay(
-        scenario, EngineConfig(**ENGINE_KNOBS)
+        scenario, config, policy=GreedyReference(config)
     )
-    _, zero_reports = replay(
-        scenario,
-        EngineConfig(
-            adaptation_policy="guarded", hedging_factor=0.0,
-            **ENGINE_KNOBS,
-        ),
-    )
+    engine, zero_reports = replay(scenario, config)
     assert [
         (r.layout_created, r.plan_cache_hit, r.reorg_deferred)
         for r in greedy_reports
@@ -327,6 +374,12 @@ def test_hedge_zero_engine_matches_greedy():
         (r.layout_created, r.plan_cache_hit, r.reorg_deferred)
         for r in zero_reports
     ]
+    assert any(r.layout_created for r in zero_reports)
+    assert all(
+        results_identical(g.result, z.result)
+        for g, z in zip(greedy_reports, zero_reports)
+    )
+    assert engine.policy.deferrals == 0
 
 
 def test_guarded_eventually_builds_and_records_switch():
@@ -334,10 +387,7 @@ def test_guarded_eventually_builds_and_records_switch():
                               queries_per_round=10, num_rows=512)
     engine, _ = replay(
         scenario,
-        EngineConfig(
-            adaptation_policy="guarded", hedging_factor=1.5,
-            **ENGINE_KNOBS,
-        ),
+        EngineConfig(hedging_factor=1.5, **ENGINE_KNOBS),
     )
     assert engine.policy.switch_count >= 1
     for record in engine.policy.switches:

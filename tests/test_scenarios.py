@@ -2,7 +2,7 @@
 replay oracle.
 
 Tier 1 keeps this cheap: generator determinism/parseability plus one
-short scenario replayed under both policies.  The full-pack replay (the
+short scenario replayed at hedge 0 and hedged.  The full-pack replay (the
 nightly/scenario CI job) carries ``@pytest.mark.scenario``.
 """
 
@@ -60,13 +60,13 @@ def test_describe_mentions_stream_shape():
 
 
 def test_smoke_replay_both_policies():
-    """Tier-1 gate: one short scenario, both policies, bit-identical."""
+    """Tier-1 gate: one short scenario, hedge 0 and 2, bit-identical."""
     outcome = scenario_case(
         "ping-pong", seed=0, phases=3, phase_len=8, num_rows=512
     )
-    assert outcome.queries_checked == 48  # 24 queries x 2 policies
-    assert set(outcome.reorgs) == {"greedy-paper", "guarded"}
-    assert outcome.reorgs["guarded"] <= outcome.reorgs["greedy-paper"]
+    assert outcome.queries_checked == 48  # 24 queries x 2 factors
+    assert set(outcome.reorgs) == {0.0, 2.0}
+    assert outcome.reorgs[2.0] <= outcome.reorgs[0.0]
 
 
 @pytest.mark.scenario
@@ -75,7 +75,7 @@ def test_full_pack_replay(name):
     """The full scenario-replay oracle gate (dedicated CI job)."""
     outcome = scenario_case(name, seed=0)
     assert outcome.queries_checked > 0
-    assert outcome.reorgs["guarded"] <= outcome.reorgs["greedy-paper"]
+    assert outcome.reorgs[2.0] <= outcome.reorgs[0.0]
 
 
 @pytest.mark.scenario

@@ -307,9 +307,10 @@ def _run_ping_pong_service(scenario, expected, policy_config, tag):
 
 def test_ping_pong_scenario_guarded_bounds_reorgs_under_chaos():
     """The ping-pong adversary through the full service with chaos
-    faults firing: answers stay bit-identical under *both* policies,
-    and the guarded ledger bounds reorganization spend (an unhedged
-    candidate is never built) while greedy pays for the thrash."""
+    faults firing: answers stay bit-identical at *both* hedging
+    factors, and the hedged ledger bounds reorganization spend (an
+    unhedged candidate is never built) while hedge 0 (the paper's
+    greedy gate) pays for the thrash."""
     scenario = build_scenario(
         "ping-pong", seed=0, phases=4, phase_len=12, num_rows=2048
     )
@@ -342,9 +343,7 @@ def test_ping_pong_scenario_guarded_bounds_reorgs_under_chaos():
     guarded_engine = _run_ping_pong_service(
         scenario,
         expected,
-        EngineConfig(
-            adaptation_policy="guarded", hedging_factor=1e9, **knobs
-        ),
+        EngineConfig(hedging_factor=1e9, **knobs),
         "guarded",
     )
     greedy_reorgs = len(greedy_engine.manager.creation_log)
