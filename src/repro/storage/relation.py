@@ -141,9 +141,12 @@ class LayoutSnapshot:
             raise LayoutError(f"unknown attributes: {sorted(unknown)}")
         index = self._index()
         # Only layouts that store at least one needed attribute matter.
+        # They are collected in schema order: the greedy pass below keeps
+        # the first of equal-key layouts, so iterating the ``needed`` set
+        # would make ties — and the plan — follow string-hash order.
         relevant: List[Layout] = []
         seen: set = set()
-        for attr in needed:
+        for attr in self.schema.ordered(needed):
             for layout in index[attr]:
                 if id(layout) not in seen:
                     seen.add(id(layout))
