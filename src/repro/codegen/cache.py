@@ -9,6 +9,18 @@ execution strategy, and the exact layout-combination signature.  Two
 queries differing only in constants therefore share one compiled kernel,
 with the constants passed as runtime parameters.
 
+Compiled kernels are also shared by **source text**.  A key names
+attributes, but the generated source does not — it binds buffer slots
+and column positions — so different keys often generate identical
+text (on the drifting Fig. 7 sequence most do).  On a key miss the
+generator builds the source as usual and asks :meth:`find_source` for a
+live entry with identical text; if one exists, the new key is stored
+with that entry's kernel and nothing is compiled.  Lookup is a scan of
+the live entries under the same lock, so sharing adds no index, no
+capacity and no eviction rule: once every key holding a text is
+evicted, that text compiles again on its next use.  A disabled cache
+shares nothing, so every generation compiles.
+
 The cache is bounded: beyond ``capacity`` entries the least-recently
 used operator is evicted (a long-running engine serving a drifting
 workload would otherwise accumulate one compiled kernel per shape ×
@@ -77,6 +89,20 @@ class OperatorCache:
             self.hits += 1
             entry.uses += 1
             return entry
+
+    def find_source(self, source: str) -> Optional[CacheEntry]:
+        """A live entry compiled from exactly ``source``, if any.
+
+        Statistics are untouched: the caller has already counted its key
+        miss, and it still generated the source.
+        """
+        with self._lock:
+            if not self.enabled:
+                return None
+            for entry in self._entries.values():
+                if entry.source == source:
+                    return entry
+            return None
 
     def store(self, key: Hashable, entry: CacheEntry) -> None:
         with self._lock:

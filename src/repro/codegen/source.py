@@ -23,7 +23,7 @@ class SourceBuilder:
     def __init__(self) -> None:
         self._lines: List[str] = []
         self._depth = 0
-        self._temp_counter = 0
+        self._fresh: List[str] = []  # every name fresh() handed out
 
     def line(self, text: str = "") -> None:
         """Emit one line at the current indentation."""
@@ -54,9 +54,22 @@ class SourceBuilder:
 
     def fresh(self, prefix: str = "t") -> str:
         """A new unique local-variable name."""
-        name = f"{prefix}{self._temp_counter}"
-        self._temp_counter += 1
+        name = f"{prefix}{len(self._fresh)}"
+        self._fresh.append(name)
         return name
+
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        """Emit ``del`` for every :meth:`fresh` name the body created.
+
+        A generated kernel is straight-line code, so a named temporary
+        otherwise keeps its array alive until the kernel returns.  Every
+        fresh name must be bound on every path through the body.
+        """
+        start = len(self._fresh)
+        yield
+        if len(self._fresh) > start:
+            self.line(f"del {', '.join(self._fresh[start:])}")
 
     def render(self) -> str:
         return "\n".join(self._lines)

@@ -177,11 +177,6 @@ class _AggSlot:
         return self.agg.func
 
 
-def _emit_agg_init(sb: SourceBuilder, slots: Sequence[_AggSlot]) -> None:
-    sb.line("cnt = 0")
-    _emit_agg_init_slots(sb, slots)
-
-
 def _emit_agg_init_slots(
     sb: SourceBuilder, slots: Sequence[_AggSlot]
 ) -> None:
@@ -761,6 +756,24 @@ def fused_project_source(
 # --- Late-materialization templates -------------------------------------------
 
 
+def _late_bindings(
+    info: QueryInfo, providers: Dict[str, _Provider], rows: str = ""
+) -> Dict[str, Binding]:
+    """Bind every attribute to its morsel column ``c{j}`` — or, with
+    ``rows="[sel]"``, to the gather of its qualifying values, spelled
+    inline so each use fetches its own copy and frees it right after
+    (for an encoded provider the gathered values are *codes*; the
+    compiler decodes them)."""
+    return {
+        attr: Binding(
+            f"c{position}{rows}",
+            providers[attr].dtype,
+            encoding=providers[attr].encoding,
+        )
+        for position, attr in enumerate(info.all_attrs)
+    }
+
+
 def _emit_late_selection(
     sb: SourceBuilder,
     info: QueryInfo,
@@ -768,115 +781,90 @@ def _emit_late_selection(
     params: ParamRegistry,
     count_only: bool = False,
 ) -> str:
-    """Emit the selection-vector phase (cf. paper Fig. 6).
+    """Emit the selection phase: one bitmap per conjunction, then one
+    selection vector (cf. paper Fig. 6).
+
+    Column views ``c{j}`` for all attributes are emitted first.  Every
+    conjunct is then compiled over the morsel's full provider columns —
+    an encoded provider is tested in code space by
+    :meth:`ExprCompiler.compile_mask` — and ANDed in place into one
+    boolean ``qmask``; each conjunct's temporaries are deleted as soon
+    as its mask is folded in.  One ``np.flatnonzero`` turns the bitmap
+    into the selection vector ``sel``.
+
+    Fig. 6 refines the selection vector conjunct by conjunct instead,
+    fetching each later conjunct's columns at the surviving positions.
+    In numpy every refinement is a gather per column plus a compaction
+    of ``sel``, each several times dearer per row than one streaming
+    compare over the full column, so the bitmap wins at every
+    selectivity the engine sees (DESIGN.md §4b).  The interpreted
+    reference, :func:`~repro.execution.vectorized.run_late_interpreted`,
+    and ``CostModel.late_cost`` keep the per-conjunct refinement.
 
     Returns ``"sel"`` when a selection vector ``sel`` exists afterwards,
-    ``"mask"`` when only a boolean mask ``qmask`` does, ``"none"`` when
-    the query has no predicate.  Column bindings ``c{j}`` for all
-    attributes are emitted first.
-
-    ``count_only`` marks kernels that never gather qualifying rows
-    (COUNT(*)-only aggregations): with a single conjunct the position
-    list would be built just to take its length, so the kernel keeps the
-    boolean mask instead and counts it directly — the dominant
-    ``np.flatnonzero`` pass disappears from the scan.
+    ``"mask"`` when only ``qmask`` does, ``"none"`` when the query has
+    no predicate.  ``count_only`` marks kernels that never gather
+    qualifying rows (COUNT(*)-only aggregations): they count ``qmask``
+    directly and skip ``np.flatnonzero``.
     """
     for position, attr in enumerate(info.all_attrs):
-        provider = providers[attr]
-        sb.line(f"c{position} = {_slice_source(provider, ':')}")
+        sb.line(f"c{position} = {_slice_source(providers[attr], ':')}")
     if not info.has_predicate:
         return "none"
-    column_index = {attr: i for i, attr in enumerate(info.all_attrs)}
-    predicates = info.query.predicates
-    if count_only and len(predicates) == 1:
-        (conjunct,) = predicates
-        bindings = {
-            attr: Binding(
-                f"c{column_index[attr]}",
-                providers[attr].dtype,
-                encoding=providers[attr].encoding,
-            )
-            for attr in conjunct.columns()
-        }
-        compiler = ExprCompiler(bindings, params, fused=False)
-        mask = compiler.compile_mask(conjunct, sb)
-        sb.line(f"qmask = {mask}")
-        return "mask"
-    have_sel = False
-    for conjunct in predicates:
-        bindings: Dict[str, Binding] = {}
-        for attr in sorted(conjunct.columns(), key=column_index.__getitem__):
-            provider = providers[attr]
-            base = f"c{column_index[attr]}"
-            if have_sel:
-                # Fetch qualifying values into a new intermediate column
-                # (for an encoded provider these are gathered *codes*;
-                # the compiler filters or decodes them as needed).
-                var = sb.fresh("g")
-                sb.line(f"{var} = {base}[sel]")
-                bindings[attr] = Binding(
-                    var, provider.dtype, encoding=provider.encoding
-                )
+    bindings = _late_bindings(info, providers)
+    for number, conjunct in enumerate(info.query.predicates):
+        with sb.scope():
+            compiler = ExprCompiler(bindings, params, fused=False)
+            mask = compiler.compile_mask(conjunct, sb)
+            if number == 0:
+                sb.line(f"qmask = {mask}")
             else:
-                bindings[attr] = Binding(
-                    base, provider.dtype, encoding=provider.encoding
-                )
-        compiler = ExprCompiler(bindings, params, fused=False)
-        mask = compiler.compile_mask(conjunct, sb)
-        if have_sel:
-            sb.line(f"sel = sel[{mask}]")
-        else:
-            sb.line(f"sel = np.flatnonzero({mask})")
-            have_sel = True
+                sb.line(f"np.logical_and(qmask, {mask}, out=qmask)")
+    if count_only:
+        return "mask"
+    sb.line("sel = np.flatnonzero(qmask)")
+    sb.line("del qmask")
     return "sel"
 
 
 def late_aggregate_source(
     info: QueryInfo, plan: AccessPlan
 ) -> Tuple[str, ParamRegistry]:
-    """Generate the late-materialization aggregation kernel (Fig. 6)."""
+    """Generate the late-materialization aggregation kernel (Fig. 6).
+
+    Each aggregate gathers its arguments inside its own reduction, so no
+    gathered column outlives the slot that uses it.
+    """
     params = ParamRegistry()
     providers = _assign_providers(plan.layouts, info.all_attrs)
     slots = [
         _AggSlot(i, agg)
         for i, agg in enumerate(collect_aggregates(info.query.select))
     ]
-    column_index = {attr: i for i, attr in enumerate(info.all_attrs)}
     sb = SourceBuilder()
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
         sel_mode = _emit_late_selection(
             sb, info, providers, params, count_only=not info.select_attrs
         )
-        has_sel = sel_mode == "sel"
-        _emit_agg_init(sb, slots)
+        _emit_agg_init_slots(sb, slots)
         if sel_mode == "sel":
             sb.line("cnt = int(sel.shape[0])")
         elif sel_mode == "mask":
             sb.line("cnt = int(np.count_nonzero(qmask))")
         else:
             sb.line("cnt = n")
+        bindings = _late_bindings(
+            info, providers, "[sel]" if sel_mode == "sel" else ""
+        )
         with sb.block("if cnt != 0:"):
             # COUNT(*)-only queries need no gathers or updates; keep the
             # guarded block syntactically valid.
             sb.line("pass")
-            bindings: Dict[str, Binding] = {}
-            for position, attr in enumerate(info.select_attrs):
-                provider = providers[attr]
-                base = f"c{column_index[attr]}"
-                if has_sel:
-                    var = f"q{position}"
-                    sb.line(f"{var} = {base}[sel]")
-                    bindings[attr] = Binding(
-                        var, provider.dtype, encoding=provider.encoding
-                    )
-                else:
-                    bindings[attr] = Binding(
-                        base, provider.dtype, encoding=provider.encoding
-                    )
-            compiler = ExprCompiler(bindings, params, fused=False)
             for slot in slots:
-                _emit_agg_update(sb, slot, compiler, "cnt")
+                with sb.scope():
+                    compiler = ExprCompiler(bindings, params, fused=False)
+                    _emit_agg_update(sb, slot, compiler, "cnt")
         _emit_return_states(
             sb, "cnt", [_scalar_state_expr(slot) for slot in slots]
         )
@@ -886,36 +874,27 @@ def late_aggregate_source(
 def late_project_source(
     info: QueryInfo, plan: AccessPlan, out_dtype: np.dtype
 ) -> Tuple[str, ParamRegistry]:
-    """Generate the late-materialization projection kernel."""
+    """Generate the late-materialization projection kernel.
+
+    Each output column gathers its attributes inside its own write, so
+    no gathered column outlives the column it fills.
+    """
     params = ParamRegistry()
     providers = _assign_providers(plan.layouts, info.all_attrs)
     outputs = info.query.select
     num_outputs = len(outputs)
-    column_index = {attr: i for i, attr in enumerate(info.all_attrs)}
     sb = SourceBuilder()
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
         has_sel = _emit_late_selection(sb, info, providers, params) == "sel"
         sb.line(f"cnt = {'int(sel.shape[0])' if has_sel else 'n'}")
-        bindings: Dict[str, Binding] = {}
-        for position, attr in enumerate(info.select_attrs):
-            provider = providers[attr]
-            base = f"c{column_index[attr]}"
-            if has_sel:
-                var = f"q{position}"
-                sb.line(f"{var} = {base}[sel]")
-                bindings[attr] = Binding(
-                    var, provider.dtype, encoding=provider.encoding
-                )
-            else:
-                bindings[attr] = Binding(
-                    base, provider.dtype, encoding=provider.encoding
-                )
-        compiler = ExprCompiler(bindings, params, fused=False)
+        bindings = _late_bindings(info, providers, "[sel]" if has_sel else "")
         sb.line(f"out = np.empty((cnt, {num_outputs}), dtype=np.{out_dtype.name})")
         for position, out in enumerate(outputs):
-            operand = compiler.compile_value(out.expr, sb)
-            sb.line(f"out[:, {position}] = {operand.source}")
+            with sb.scope():
+                compiler = ExprCompiler(bindings, params, fused=False)
+                operand = compiler.compile_value(out.expr, sb)
+                sb.line(f"out[:, {position}] = {operand.source}")
         sb.line("return out")
     return sb.render(), params
 

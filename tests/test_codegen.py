@@ -40,6 +40,21 @@ class TestSourceBuilder:
         names = {sb.fresh("t") for _ in range(10)}
         assert len(names) == 10
 
+    def test_scope_deletes_the_names_it_created(self):
+        sb = SourceBuilder()
+        kept = sb.fresh("k")
+        with sb.scope():
+            first, second = sb.fresh("m"), sb.fresh("t")
+            sb.line(f"{first} = {second} = 1")
+        with sb.scope():
+            sb.line("pass")  # nothing named, nothing deleted
+        assert sb.render().splitlines() == [
+            f"{first} = {second} = 1",
+            f"del {first}, {second}",
+            "pass",
+        ]
+        assert kept not in sb.render()
+
 
 class TestMaskedSql:
     def test_masks_literals(self):
@@ -206,6 +221,21 @@ class TestOperatorCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_find_source_sees_live_entries_only(self):
+        from repro.codegen.cache import CacheEntry
+
+        cache = OperatorCache(capacity=1)
+        entry = CacheEntry(kernel=lambda: 0, source="text", filename="")
+        cache.store("a", entry)
+        assert cache.find_source("text") is entry
+        assert cache.find_source("other") is None
+        assert cache.stats() == (1, 0, 0, 0)  # no hit or miss counted
+        cache.store("b", CacheEntry(kernel=lambda: 1, source="", filename=""))
+        assert cache.find_source("text") is None  # evicted with "a"
+        disabled = OperatorCache(enabled=False)
+        disabled.store("a", entry)
+        assert disabled.find_source("text") is None
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -278,3 +308,55 @@ class TestGeneratorIntegration:
         source = operator_source(info, plan)
         assert "params[0]" in source  # the predicate constant
         assert "[:, 0]" in source  # a1 at position 0 of the group
+
+
+class TestOneCompilePerSource:
+    """Operator keys name attributes, generated source does not, so many
+    keys share one source text — and compile it once."""
+
+    @staticmethod
+    def run_fig7(monkeypatch, config, num_queries=200):
+        from repro.codegen import generator
+        from repro.core.engine import H2OEngine
+        from repro.workloads.sequences import fig7_sequence
+
+        generated, compiled = [], []
+        build, compile_ = generator.build_source, generator.compile_kernel
+
+        def spy_build(*args):
+            source, registry = build(*args)
+            generated.append(source)
+            return source, registry
+
+        def spy_compile(source, name):
+            compiled.append(source)
+            return compile_(source, name)
+
+        monkeypatch.setattr(generator, "build_source", spy_build)
+        monkeypatch.setattr(generator, "compile_kernel", spy_compile)
+        workload = fig7_sequence(
+            num_rows=2_000, num_queries=num_queries, rng=7000
+        )
+        engine = H2OEngine(workload.make_table(rng=1), config)
+        for query in workload.queries:
+            engine.execute(query)
+        return engine, generated, compiled
+
+    def test_fig7_compiles_each_distinct_source_once(self, monkeypatch):
+        engine, generated, compiled = self.run_fig7(
+            monkeypatch, EngineConfig()
+        )
+        assert len(set(generated)) < len(generated)  # sharing is possible
+        assert len(compiled) == len(set(compiled)) == len(set(generated))
+        # Shared kernels keep the oracle's key/source audit true.
+        entries = engine.executor.operator_cache.entries()
+        assert len({id(entry.kernel) for _, entry in entries}) < len(entries)
+        for _, entry in entries:
+            assert entry.kernel.__h2o_source__ == entry.source
+
+    def test_disabled_cache_compiles_every_generation(self, monkeypatch):
+        _, generated, compiled = self.run_fig7(
+            monkeypatch, EngineConfig(operator_cache=False), num_queries=60
+        )
+        assert len(set(generated)) < len(generated)
+        assert compiled == generated

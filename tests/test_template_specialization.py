@@ -133,13 +133,52 @@ class TestLateFaithfulness:
     def test_late_selection_vector_pipeline(self, table):
         source = source_for(
             table,
-            "SELECT a1 FROM r WHERE a2 < 0 AND a3 > 0",
-            tuple(table.narrowest_cover(["a1", "a2", "a3"])),
+            "SELECT a1 FROM r WHERE a2 < 0 AND a3 > 0 AND a4 != 5",
+            tuple(table.narrowest_cover(["a1", "a2", "a3", "a4"])),
             strategy=ExecutionStrategy.LATE,
         )
-        assert "np.flatnonzero" in source
-        assert "sel = sel[" in source  # conjunct-by-conjunct refinement
-        assert "[sel]" in source  # gathers at qualifying positions
+        # One bitmap for the whole conjunction, one selection vector.
+        assert source.count("qmask = ") == 1
+        assert source.count("np.logical_and(qmask, ") == 2
+        assert source.count("np.flatnonzero") == 1
+        assert "sel = sel[" not in source  # no per-conjunct refinement
+        # The one gather happens inside the output write.
+        assert source.count("[sel]") == 1
+        assert "out[:, 0] = c0[sel]" in source
+
+    def test_late_count_star_counts_the_bitmap(self, table):
+        source = source_for(
+            table,
+            "SELECT count(*) FROM r WHERE a2 < 0 AND a3 > 0 AND a4 != 5",
+            tuple(table.narrowest_cover(["a2", "a3", "a4"])),
+            strategy=ExecutionStrategy.LATE,
+        )
+        assert "np.count_nonzero(qmask)" in source
+        assert "np.flatnonzero" not in source
+        assert "[sel]" not in source
+
+    def test_late_temporaries_die_after_use(self, table):
+        source = source_for(
+            table,
+            "SELECT sum(a1 + a2), min(a1) FROM r "
+            "WHERE a3 + a4 < 0 AND a5 > 0",
+            tuple(table.narrowest_cover([f"a{i}" for i in range(1, 6)])),
+            strategy=ExecutionStrategy.LATE,
+        )
+        lines = [line.strip() for line in source.splitlines()]
+        assigned = {
+            line.split(" = ")[0]
+            for line in lines
+            if " = " in line and line.split(" = ")[0][0] in "mtg"
+        }
+        deleted = set()
+        for line in lines:
+            if line.startswith("del "):
+                deleted.update(name.strip() for name in line[4:].split(","))
+        assert assigned and assigned <= deleted
+        # Each use gathers its own qualifying values.
+        assert "np.add(c0[sel], c1[sel])" in source
+        assert "float(c0[sel].min())" in source
 
     def test_parameters_not_inlined(self, table):
         source = source_for(
