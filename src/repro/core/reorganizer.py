@@ -298,15 +298,24 @@ class Reorganizer:
 
             if info.has_predicate:
                 mask = evaluate_predicate(info.query.where, resolve)
-                kept = int(mask.sum())
-                if kept == 0:
+                idx = np.flatnonzero(mask)
+                if idx.size == 0:
                     continue
+                # Compact the qualifying tuples once per block; every
+                # aggregate argument then reads the compacted block.
+                qblock = block.take(idx, axis=0)
 
-                def resolve_q(name: str, _resolve=resolve, _mask=mask):
-                    return _resolve(name)[_mask]
+                def resolve_q(
+                    name: str, _qblock=qblock, _start=start, _stop=stop,
+                    _idx=idx,
+                ) -> np.ndarray:
+                    index = position.get(name)
+                    if index is None:  # attribute outside the new group
+                        return sources[name][_start:_stop].take(_idx)
+                    return _qblock[:, index]
 
                 row_resolver = resolve_q
-                row_count = kept
+                row_count = int(idx.size)
             else:
                 row_resolver = resolve
                 row_count = stop - start

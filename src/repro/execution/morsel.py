@@ -30,7 +30,7 @@ selectivity feedback (qualifying / num_rows) unskewed by pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,23 +77,35 @@ def keep_mask_for(
     """Per-morsel keep mask from zone maps, or None when nothing prunes.
 
     Stats are resolved per predicate attribute from its narrowest
-    providing layout (all layouts are row-aligned, so any provider's
-    stats are equally valid) and built lazily on first consultation.
+    providing layout — the first of equally narrow ones (all layouts are
+    row-aligned, so any provider's stats are equally valid) — and built
+    lazily on first consultation.  Providers are found in one pass over
+    ``layouts``: a planner's snapshot holds every column and group.
     """
     if not info.has_predicate:
         return None
     predicates = info.query.predicates
-    if not any(conjunct_bounds(c) is not None for c in predicates):
+    bounded = {
+        bounds[0]
+        for bounds in map(conjunct_bounds, predicates)
+        if bounds is not None
+    }
+    if not bounded:
         return None
     num = num_morsels_for(num_rows, morsel_rows)
     if num == 0:
         return None
+    narrowest: Dict[str, Layout] = {}
+    for layout in layouts:
+        for attr in layout.attr_set & bounded:
+            best = narrowest.get(attr)
+            if best is None or layout.width < best.width:
+                narrowest[attr] = layout
 
     def stats_for(attr: str):
-        candidates = [lay for lay in layouts if attr in lay.attr_set]
-        if not candidates:
+        layout = narrowest.get(attr)
+        if layout is None:
             return None
-        layout = min(candidates, key=lambda lay: lay.width)
         return ensure_attr_stats(layout, attr, morsel_rows)
 
     return prune_mask(num, predicates, stats_for)

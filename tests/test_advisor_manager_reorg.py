@@ -206,6 +206,35 @@ class TestReorganizer:
             float((a1[mask] + a2[mask]).sum())
         )
 
+    def test_online_compaction_keeps_values_and_order(self, table):
+        """Qualifying tuples are compacted once per block, whether the
+        attribute sits in the new group or outside it: per-block sums
+        and the projected rows equal a boolean-indexing reference."""
+        reorg = Reorganizer()
+        block_rows = reorg.config.vector_size
+        a1, a2, a9 = (np.asarray(table.column(a)) for a in ("a1", "a2", "a9"))
+        mask = np.asarray(table.column("a3")) < 0
+        info = analyze_query(
+            parse_query("SELECT sum(a1 + a9), min(a9) FROM r WHERE a3 < 0"),
+            table.schema,
+        )
+        outcome = reorg.online(table, ["a1", "a2", "a3"], info)
+        total = 0.0
+        for start in range(0, table.num_rows, block_rows):
+            keep = mask[start : start + block_rows]
+            block = a1[start : start + block_rows][keep]
+            block = block + a9[start : start + block_rows][keep]
+            total += float(block.sum(dtype=np.float64))
+        got = outcome.result.scalars()
+        assert got[0].hex() == total.hex()
+        assert got[1] == float(a9[mask].min())
+        info = analyze_query(
+            parse_query("SELECT a9, a2 FROM r WHERE a3 < 0"), table.schema
+        )
+        outcome = reorg.online(table, ["a1", "a2", "a3"], info)
+        assert np.array_equal(outcome.result.column(0), a9[mask])
+        assert np.array_equal(outcome.result.column(1), a2[mask])
+
     def test_online_no_predicate(self, table):
         reorg = Reorganizer()
         info = analyze_query(

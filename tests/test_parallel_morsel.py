@@ -52,6 +52,7 @@ from repro.sql.expressions import (
 from repro.storage import Schema, Table, generate_table
 from repro.storage.stitcher import stitch_group, stitch_single_columns
 from repro.storage.zonemap import (
+    cached_zone_maps,
     layout_zone_maps,
     morsel_ranges,
     num_morsels_for,
@@ -435,6 +436,19 @@ def test_pruned_morsels_hold_zero_qualifying_rows(case, data):
         if keep[i]
     )
     assert surviving == int(mask.sum())
+
+
+def test_keep_mask_reads_the_first_of_the_narrowest_providers():
+    table = generate_table("r", 6, 4_000, rng=3, initial_layout="column")
+    group, _ = stitch_group(table.layouts, ("a1", "a2"), table.schema)
+    (twin,) = stitch_single_columns(table.layouts, ("a1",))[0]
+    column = table.layouts_containing("a1")[0]
+    info = make_info(table, "SELECT count(*) FROM r WHERE a1 < 0")
+    keep = keep_mask_for(info, (group, column, twin), 4_000, 1_024)
+    assert keep is not None and keep.shape == (4,)
+    assert cached_zone_maps(column).stats_for("a1") is not None
+    assert cached_zone_maps(twin) is None
+    assert cached_zone_maps(group) is None
 
 
 # ---------------------------------------------------------------------------
