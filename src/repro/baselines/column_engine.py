@@ -15,10 +15,14 @@ from .base import StaticEngine
 class ColumnStoreEngine(StaticEngine):
     """Fixed column-major layout + late-materialization execution.
 
-    Predicates produce selection vectors, qualifying values are fetched
-    into intermediate columns, and arithmetic materializes one
-    intermediate per operator — the classic DSM pipeline of paper
-    section 2.1.
+    The classic DSM pipeline of paper section 2.1, run by the same
+    generated late kernels H2O uses: every conjunct is compared over
+    its full column into one bitmap, one selection vector is taken
+    from it, qualifying values are gathered where each aggregate or
+    output column uses them, and arithmetic materializes one
+    intermediate per operator.  With codegen off, the interpreted
+    operator refines the selection vector conjunct by conjunct instead
+    (same answers).
     """
 
     strategy = ExecutionStrategy.LATE

@@ -796,10 +796,11 @@ def _emit_late_selection(
     fetching each later conjunct's columns at the surviving positions.
     In numpy every refinement is a gather per column plus a compaction
     of ``sel``, each several times dearer per row than one streaming
-    compare over the full column, so the bitmap wins at every
-    selectivity the engine sees (DESIGN.md §4b).  The interpreted
-    reference, :func:`~repro.execution.vectorized.run_late_interpreted`,
-    and ``CostModel.late_cost`` keep the per-conjunct refinement.
+    compare over the full column.  The bitmap therefore wins unless the
+    first conjunct alone keeps only a few percent of the rows and many
+    conjuncts follow (DESIGN.md §4b).  The interpreted reference,
+    :func:`~repro.execution.vectorized.run_late_interpreted`, and
+    ``CostModel.late_cost`` keep the per-conjunct refinement.
 
     Returns ``"sel"`` when a selection vector ``sel`` exists afterwards,
     ``"mask"`` when only ``qmask`` does, ``"none"`` when the query has
