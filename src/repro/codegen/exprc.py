@@ -65,25 +65,12 @@ class Binding:
     (``base[:, position]``) so the compiler can fuse ADD-chains over one
     buffer into a single contiguous row-wise reduction (Fig. 5's
     per-tuple ``ptr[0] + ptr[1] + ptr[2]``).
-
-    ``encoding`` marks a binding whose ``source`` holds *codes* of an
-    encoded layout rather than decoded values:
-
-    - ``("dict", dict_source)``: codes into the sorted dictionary bound
-      at ``dict_source``; comparisons against literals become code-range
-      tests via ``searchsorted`` and values decode with one ``take``;
-    - ``("pack", offset, max_code)``: order-preserving ``value - offset``
-      codes; comparisons become clamped integer thresholds.
-
-    ``dtype`` is always the *decoded* value dtype, so arithmetic typing
-    is independent of the physical encoding.
     """
 
     source: str
     dtype: np.dtype
     base: "str | None" = None
     position: "int | None" = None
-    encoding: "tuple | None" = None
 
 
 @dataclass
@@ -162,11 +149,6 @@ class ExprCompiler:
         self._bindings = bindings
         self._params = params
         self._fused = fused
-        # Decoded-temp cache: one decode per encoded binding, shared by
-        # every expression that reads it.  Deliberately registered as
-        # non-temporary operands so in-place arithmetic reuse can never
-        # clobber a cached decode.
-        self._decoded: Dict[str, str] = {}
 
     # Value expressions -----------------------------------------------------
 
@@ -240,13 +222,6 @@ class ExprCompiler:
                 raise CodegenError(
                     f"no binding for attribute {expr.name!r}"
                 ) from None
-            if binding.encoding is not None:
-                return Operand(
-                    source=self._decode(binding, sb),
-                    dtype=binding.dtype,
-                    is_temp=False,  # cached; never mutated in place
-                    is_array=True,
-                )
             return Operand(
                 source=binding.source,
                 dtype=binding.dtype,
@@ -258,6 +233,19 @@ class ExprCompiler:
             right = self.compile_value(expr.right, sb)
             return self._emit_arith(expr.op, left, right, sb)
         raise CodegenError(f"cannot compile {expr!r} as a value")
+
+    def register_literals(self, expr: "Expr | None") -> None:
+        """Register ``expr``'s literals, pre-order, without computing it.
+
+        For an argument the kernel never evaluates (COUNT's: this engine
+        has no NULLs) whose literals still hold places in the canonical
+        parameter vector.
+        """
+        if isinstance(expr, Literal):
+            self._params.register(expr.value)
+        elif isinstance(expr, Arithmetic):
+            self.register_literals(expr.left)
+            self.register_literals(expr.right)
 
     def _emit_arith(
         self,
@@ -304,145 +292,11 @@ class ExprCompiler:
         sb.line(f"{temp} = {ufunc}({left.source}, {right.source})")
         return Operand(temp, out_dtype, True, True)
 
-    # Encoded-column access -----------------------------------------------------
-
-    def _decode(self, binding: Binding, sb: SourceBuilder) -> str:
-        """Decode an encoded binding's codes into values (once)."""
-        cached = self._decoded.get(binding.source)
-        if cached is not None:
-            return cached
-        encoding = binding.encoding
-        temp = sb.fresh("dv")
-        if encoding[0] == "dict":
-            sb.line(f"{temp} = {encoding[1]}.take({binding.source})")
-        else:  # pack
-            offset = encoding[1]
-            sb.line(f"{temp} = {binding.source}.astype(np.int64)")
-            if offset:
-                sb.line(f"np.add({temp}, {offset}, out={temp})")
-        self._decoded[binding.source] = temp
-        return temp
-
-    def _encoded_comparison(self, expr: Comparison):
-        """(binding, op, literal) when ``expr`` is an encoded column
-        compared against a literal, else None."""
-        left, right, op = expr.left, expr.right, expr.op
-        if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right, op = right, left, op.flipped()
-        if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-            return None
-        binding = self._bindings.get(left.name)
-        if binding is None or binding.encoding is None:
-            return None
-        return binding, op, right
-
-    def _encoded_mask(
-        self,
-        binding: Binding,
-        op: ComparisonOp,
-        literal: Literal,
-        sb: SourceBuilder,
-    ) -> str:
-        """Evaluate ``column OP literal`` directly in code space.
-
-        The comparison never touches decoded values: dictionary codes
-        are tested against a ``searchsorted`` code range (the dictionary
-        is sorted with ``-0.0`` before ``+0.0`` and NaNs last, so the
-        range semantics match numpy's comparisons bit for bit, NaN rows
-        never qualifying for ``<,<=,>,>=,=``); bit-packed codes are
-        tested against one clamped integer threshold.  The literal stays
-        a runtime parameter either way, so operator caching by query
-        shape is unaffected.
-        """
-        lit = self._params.register(literal.value)
-        codes = binding.source
-        encoding = binding.encoding
-        mask = sb.fresh("m")
-        if encoding[0] == "dict":
-            dic = encoding[1]
-            lo = sb.fresh("elo")
-            hi = sb.fresh("ehi")
-            sb.line(f"{lo} = np.searchsorted({dic}, {lit}, side='left')")
-            sb.line(f"{hi} = np.searchsorted({dic}, {lit}, side='right')")
-            if op in (ComparisonOp.EQ, ComparisonOp.NE):
-                sb.line(
-                    f"{mask} = ({codes} >= {lo}) & ({codes} < {hi})"
-                )
-                if op is ComparisonOp.NE:
-                    sb.line(f"np.logical_not({mask}, out={mask})")
-            elif op is ComparisonOp.LT:
-                sb.line(f"{mask} = {codes} < {lo}")
-            elif op is ComparisonOp.LE:
-                sb.line(f"{mask} = {codes} < {hi}")
-            else:  # GT / GE exclude the NaN codes at the dictionary tail
-                nv = sb.fresh("env")
-                sb.line(
-                    f"{nv} = np.searchsorted({dic}, np.inf, side='right')"
-                )
-                bound = hi if op is ComparisonOp.GT else lo
-                sb.line(
-                    f"{mask} = ({codes} >= {bound}) & ({codes} < {nv})"
-                )
-            return mask
-        # Bit-packed: translate the literal into code space (pv) and
-        # clamp.  Every branch below mirrors numpy's semantics on the
-        # decoded int64 values, including NaN/fractional/out-of-range
-        # literals.
-        offset, max_code = encoding[1], encoding[2]
-        pv = sb.fresh("pv")
-        sb.line(f"{pv} = {lit} - {offset}")
-        zeros = f"np.zeros({codes}.shape, dtype=np.bool_)"
-        ones = f"np.ones({codes}.shape, dtype=np.bool_)"
-        if op in (ComparisonOp.EQ, ComparisonOp.NE):
-            with sb.block(
-                f"if {pv} != {pv} or {pv} < 0 or {pv} > {max_code}:"
-            ):
-                sb.line(f"{mask} = {zeros}")
-            with sb.block(f"elif {pv} != int({pv}):"):
-                sb.line(f"{mask} = {zeros}")
-            with sb.block("else:"):
-                sb.line(f"{mask} = np.equal({codes}, int({pv}))")
-            if op is ComparisonOp.NE:
-                sb.line(f"np.logical_not({mask}, out={mask})")
-            return mask
-        if op is ComparisonOp.GE:
-            low_mask, high_mask = ones, zeros
-            low = f"{pv} <= 0"
-            high = f"{pv} > {max_code}"
-            test = f"{mask} = {codes} >= int(np.ceil({pv}))"
-        elif op is ComparisonOp.GT:
-            low_mask, high_mask = ones, zeros
-            low = f"{pv} < 0"
-            high = f"{pv} >= {max_code}"
-            test = f"{mask} = {codes} >= int(np.floor({pv})) + 1"
-        elif op is ComparisonOp.LT:
-            low_mask, high_mask = zeros, ones
-            low = f"{pv} <= 0"
-            high = f"{pv} > {max_code}"
-            test = f"{mask} = {codes} < int(np.ceil({pv}))"
-        else:  # LE
-            low_mask, high_mask = zeros, ones
-            low = f"{pv} < 0"
-            high = f"{pv} >= {max_code}"
-            test = f"{mask} = {codes} < int(np.floor({pv})) + 1"
-        with sb.block(f"if {pv} != {pv}:"):
-            sb.line(f"{mask} = {zeros}")  # NaN compares False everywhere
-        with sb.block(f"elif {low}:"):
-            sb.line(f"{mask} = {low_mask}")
-        with sb.block(f"elif {high}:"):
-            sb.line(f"{mask} = {high_mask}")
-        with sb.block("else:"):
-            sb.line(test)
-        return mask
-
     # Predicates ---------------------------------------------------------------
 
     def compile_mask(self, expr: Expr, sb: SourceBuilder) -> str:
         """Emit statements computing a boolean mask; return its name."""
         if isinstance(expr, Comparison):
-            encoded = self._encoded_comparison(expr)
-            if encoded is not None:
-                return self._encoded_mask(*encoded, sb)
             left = self.compile_value(expr.left, sb)
             right = self.compile_value(expr.right, sb)
             mask = sb.fresh("m")

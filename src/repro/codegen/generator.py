@@ -43,22 +43,13 @@ def collect_literals(info: QueryInfo) -> List[object]:
 
 
 def _layout_signature(layouts: Sequence[Layout]) -> Tuple:
-    """Hashable identity of a layout combination, order-sensitive.
-
-    Kind and codec identity ride along: an encoded replica generates
-    different source than the plain column over the same attribute (and
-    a bit-packed column burns its offset/max_code into the source), so
-    they must never share a cache entry.  ``encoding_signature`` covers
-    exactly what the source depends on; runtime buffers (a dictionary's
-    contents) stay out of the key.
-    """
+    """Hashable identity of a layout combination, order-sensitive."""
     return tuple(
         (
             layout.kind.value,
             layout.attrs,
             layout.data.dtype.name,
             layout.data.ndim,
-            getattr(layout, "encoding_signature", lambda: None)(),
         )
         for layout in layouts
     )

@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import CodegenError
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import Aggregate, AggregateFunc, ColumnRef
-from ..storage.layout import Layout, LayoutKind
+from ..storage.layout import Layout
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.evaluator import collect_aggregates
 from .exprc import Binding, ExprCompiler, ParamRegistry
@@ -48,43 +48,21 @@ KERNEL_DEF = f"def {KERNEL_NAME}(bufs, params, lo, hi):"
 class _Provider:
     """Where one attribute lives: which buffer, at which position.
 
-    ``buffer_index`` is the attribute's *flat* index into the kernel's
-    ``bufs`` tuple — each layout contributes ``kernel_buffers()`` in
-    order, so a plan of only plain layouts keeps buffer_index == layout
-    index, while a dictionary layout occupies two slots (codes at
-    ``buffer_index``, dictionary at ``dict_index``).
-
-    ``dtype`` is always the *decoded* value dtype.  ``dict_index`` /
-    ``pack`` carry the encoding: exactly one is set for an encoded
-    provider, neither for a plain one.
+    ``buffer_index`` is the providing layout's index in the plan, which
+    is also its index into the kernel's ``bufs`` tuple (one backing
+    array per layout).
     """
 
     buffer_index: int
     position: Optional[int]  # None for a 1-D single-column buffer
     dtype: np.dtype
     width: int = 1  # total attributes stored in the providing buffer
-    dict_index: Optional[int] = None
-    pack: Optional[Tuple[int, int]] = None  # (offset, max_code)
-
-    @property
-    def encoding(self) -> Optional[tuple]:
-        """The :class:`~repro.codegen.exprc.Binding` encoding tag."""
-        if self.dict_index is not None:
-            return ("dict", f"buf{self.dict_index}")
-        if self.pack is not None:
-            return ("pack", self.pack[0], self.pack[1])
-        return None
 
 
 def _assign_providers(
     layouts: Sequence[Layout], attrs: Sequence[str]
 ) -> Dict[str, _Provider]:
     """Bind each attribute to its narrowest providing layout."""
-    bases: List[int] = []
-    base = 0
-    for layout in layouts:
-        bases.append(base)
-        base += len(layout.kernel_buffers())
     providers: Dict[str, _Provider] = {}
     for attr in attrs:
         candidates = [
@@ -95,22 +73,6 @@ def _assign_providers(
         if not candidates:
             raise CodegenError(f"no layout provides attribute {attr!r}")
         index, layout = min(candidates, key=lambda pair: pair[1].width)
-        if layout.kind is LayoutKind.ENCODED:
-            dict_index = None
-            pack = None
-            if layout.codec == "dict":
-                dict_index = bases[index] + 1
-            else:
-                pack = (layout.offset, layout.max_code)
-            providers[attr] = _Provider(
-                bases[index],
-                None,
-                layout.value_dtype,
-                layout.width,
-                dict_index=dict_index,
-                pack=pack,
-            )
-            continue
         # A width-1 ColumnGroup is still a 2-D buffer; dimensionality,
         # not width, decides whether a position subscript is needed.
         if layout.data.ndim == 1:
@@ -118,9 +80,7 @@ def _assign_providers(
         else:
             position = layout.index_of(attr)
         dtype = layout.data.dtype  # both concrete layouts expose .data
-        providers[attr] = _Provider(
-            bases[index], position, dtype, layout.width
-        )
+        providers[attr] = _Provider(index, position, dtype, layout.width)
     return providers
 
 
@@ -131,23 +91,13 @@ def _used_buffers(providers: Dict[str, _Provider]) -> List[int]:
 def _emit_prelude(sb: SourceBuilder, providers: Dict[str, _Provider]) -> None:
     """Bind the used buffers to locals and determine the row count.
 
-    Row buffers are bound through the kernel's ``lo:hi`` row slice
-    (views, no copies; a row slice of a C-contiguous 2-D buffer stays
-    C-contiguous).  Side buffers (a dictionary) are row-independent and
-    bound whole.
+    Buffers are bound through the kernel's ``lo:hi`` row slice (views,
+    no copies; a row slice of a C-contiguous 2-D buffer stays
+    C-contiguous).
     """
     used = _used_buffers(providers)
     for index in used:
         sb.line(f"buf{index} = bufs[{index}][lo:hi]")
-    side = sorted(
-        {
-            p.dict_index
-            for p in providers.values()
-            if p.dict_index is not None
-        }
-    )
-    for index in side:
-        sb.line(f"buf{index} = bufs[{index}]")
     first = used[0]
     sb.line(f"n = buf{first}.shape[0]")
 
@@ -197,7 +147,11 @@ def _emit_agg_update(
 ) -> None:
     """Fold one batch of qualifying values into the slot's accumulator."""
     if slot.func is AggregateFunc.COUNT:
-        return  # the shared cnt covers COUNT (no NULLs in this engine)
+        # The shared cnt covers COUNT (no NULLs in this engine), so the
+        # argument is never computed; its literals keep their places in
+        # the canonical parameter vector.
+        compiler.register_literals(slot.agg.arg)
+        return
     operand = compiler.compile_value(slot.agg.arg, sb)
     if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG):
         if operand.is_array:
@@ -286,11 +240,7 @@ def _block_bindings(
         if provider.position is None:
             var = f"{prefix}{position}"
             sb.line(f"{var} = {_slice_source(provider, rows)}")
-            bindings[attr] = Binding(
-                source=var,
-                dtype=provider.dtype,
-                encoding=provider.encoding,
-            )
+            bindings[attr] = Binding(source=var, dtype=provider.dtype)
             continue
         index = provider.buffer_index
         if index not in blocks:
@@ -361,9 +311,7 @@ def _emit_compaction(
             compacted[index] = var
         var = compacted[index]
         if provider.position is None:
-            bindings[attr] = Binding(
-                var, provider.dtype, encoding=provider.encoding
-            )
+            bindings[attr] = Binding(var, provider.dtype)
         else:
             bindings[attr] = Binding(
                 f"{var}[:, {provider.position}]",
@@ -374,21 +322,15 @@ def _emit_compaction(
     return bindings
 
 
-def _columnar_fast_path_applies(
-    info: QueryInfo, slots, providers: Dict[str, _Provider]
-) -> bool:
+def _columnar_fast_path_applies(info: QueryInfo, slots) -> bool:
     """Whole-array axis reductions apply when there is no predicate and
-    every aggregate is SUM/MIN/MAX/AVG/COUNT over a plain column.
-    Encoded providers are excluded — reducing raw codes would be wrong;
-    they take the blocked path, which decodes before accumulating."""
+    every aggregate is SUM/MIN/MAX/AVG/COUNT over a plain column."""
     if info.has_predicate:
         return False
     for slot in slots:
         if slot.func is AggregateFunc.COUNT:
             continue
         if not isinstance(slot.agg.arg, ColumnRef):
-            return False
-        if providers[slot.agg.arg.name].encoding is not None:
             return False
     return True
 
@@ -428,9 +370,6 @@ def _emit_columnar_aggregates(
             needed_per_buffer.setdefault(
                 provider.buffer_index, set()
             ).add(provider.position)
-    # provider.buffer_index is a *flat* kernel-buffer index, which can
-    # diverge from the layout index once multi-buffer (encoded) layouts
-    # exist — width therefore comes from the provider, not the plan.
     widths: Dict[int, int] = {}
     for slot in slots:
         if slot.func is AggregateFunc.COUNT:
@@ -565,7 +504,12 @@ def fused_aggregate_source(
     sb = SourceBuilder()
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
-        if _columnar_fast_path_applies(info, slots, providers):
+        if _columnar_fast_path_applies(info, slots):
+            # Only COUNT arguments can carry literals on this path.
+            compiler = ExprCompiler({}, params)
+            for slot in slots:
+                if slot.func is AggregateFunc.COUNT:
+                    compiler.register_literals(slot.agg.arg)
             _emit_columnar_aggregates(sb, slots, providers)
             return sb.render(), params
 
@@ -761,15 +705,9 @@ def _late_bindings(
 ) -> Dict[str, Binding]:
     """Bind every attribute to its morsel column ``c{j}`` — or, with
     ``rows="[sel]"``, to the gather of its qualifying values, spelled
-    inline so each use fetches its own copy and frees it right after
-    (for an encoded provider the gathered values are *codes*; the
-    compiler decodes them)."""
+    inline so each use fetches its own copy and frees it right after."""
     return {
-        attr: Binding(
-            f"c{position}{rows}",
-            providers[attr].dtype,
-            encoding=providers[attr].encoding,
-        )
+        attr: Binding(f"c{position}{rows}", providers[attr].dtype)
         for position, attr in enumerate(info.all_attrs)
     }
 
@@ -785,9 +723,8 @@ def _emit_late_selection(
     selection vector (cf. paper Fig. 6).
 
     Column views ``c{j}`` for all attributes are emitted first.  Every
-    conjunct is then compiled over the morsel's full provider columns —
-    an encoded provider is tested in code space by
-    :meth:`ExprCompiler.compile_mask` — and ANDed in place into one
+    conjunct is then compiled over the morsel's full provider columns
+    and ANDed in place into one
     boolean ``qmask``; each conjunct's temporaries are deleted as soon
     as its mask is folded in.  One ``np.flatnonzero`` turns the bitmap
     into the selection vector ``sel``.

@@ -151,21 +151,6 @@ class EngineConfig:
     #: past the budget, the least-used replicated groups are retired
     #: (attribute coverage is never broken).
     max_table_bytes: int = 0
-    #: Whether the advisor may propose *row reordering*: clustering a
-    #: table on its hottest WHERE attribute during reorganization so
-    #: zone maps over the sorted prefix prune near-perfectly.  Appends
-    #: stay correct by growing an unclustered tail; only the clustered
-    #: prefix earns the pruning discount (``clustered_fraction``).
-    adaptive_clustering: bool = False
-    #: Whether the advisor may propose encoded column layouts
-    #: (dictionary / bit-packed replicas whose kernels filter directly
-    #: on the codes and decode only qualifying rows).
-    encoded_layouts: bool = False
-    #: Tables below this many rows are never clustering candidates
-    #: (a sort of a small table costs more than it will ever save).
-    cluster_rows_min: int = 4096
-    #: Columns below this many rows are never encoding candidates.
-    encoding_min_rows: int = 4096
     #: Machine model used for all cost estimation.
     machine: MachineProfile = field(default_factory=MachineProfile)
 
@@ -215,15 +200,6 @@ class EngineConfig:
             raise AdaptationError(
                 f"max_scan_threads must be >= 0 (0 = all usable cores), "
                 f"got {self.max_scan_threads}"
-            )
-        if self.cluster_rows_min < 0:
-            raise AdaptationError(
-                f"cluster_rows_min must be >= 0, got {self.cluster_rows_min}"
-            )
-        if self.encoding_min_rows < 0:
-            raise AdaptationError(
-                f"encoding_min_rows must be >= 0, got "
-                f"{self.encoding_min_rows}"
             )
 
     def with_overrides(self, **kwargs: object) -> "EngineConfig":

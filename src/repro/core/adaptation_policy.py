@@ -60,10 +60,6 @@ class LedgerEntry:
     """Running debt/benefit account for one candidate layout."""
 
     attrs: Tuple[str, ...]
-    #: Candidate kind ("group" | "cluster" | "encode") — part of the
-    #: ledger identity so a cluster proposal and a group over the same
-    #: attributes keep separate accounts.
-    kind: str = "group"
     #: Cumulative estimated benefit (Eq. 2 delta per covered query).
     accrued: float = 0.0
     #: Latest projected build cost (advisor estimate, refreshed on
@@ -79,7 +75,6 @@ class LedgerEntry:
     def as_dict(self) -> Dict[str, object]:
         return {
             "attrs": list(self.attrs),
-            "kind": self.kind,
             "accrued": self.accrued,
             "projected_cost": self.projected_cost,
             "observations": self.observations,
@@ -134,9 +129,7 @@ class AdaptationPolicy:
                     self.ledger, key=lambda k: self.ledger[k].accrued
                 )
                 del self.ledger[coldest]
-            entry = LedgerEntry(
-                attrs=tuple(candidate.attrs), kind=candidate.kind
-            )
+            entry = LedgerEntry(attrs=tuple(candidate.attrs))
             self.ledger[candidate.ledger_key] = entry
         return entry
 
@@ -282,7 +275,9 @@ class AdaptationPolicy:
         Tolerant of malformed snapshots: every field falls back to a
         clean default, so a corrupt checkpoint yields a fresh ledger
         rather than a crash; unknown keys (older checkpoints carry a
-        policy name) are ignored.  The configured
+        policy name) are ignored, and so are entries of a non-group
+        ``kind`` (older checkpoints ledgered row-order and replica
+        switches that this engine no longer makes).  The configured
         ``hedging_factor`` is *not* overwritten — the knob belongs to
         the running config, the ledger to the recovered history.
         """
@@ -301,16 +296,11 @@ class AdaptationPolicy:
                 attrs = raw.get("attrs")
                 if not isinstance(attrs, (list, tuple)) or not attrs:
                     continue
+                if raw.get("kind", "group") != "group":
+                    continue
                 attrs = tuple(str(a) for a in attrs)
-                kind = str(raw.get("kind", "group"))
-                key = (
-                    frozenset(attrs)
-                    if kind == "group"
-                    else (kind,) + attrs
-                )
-                self.ledger[key] = LedgerEntry(
+                self.ledger[frozenset(attrs)] = LedgerEntry(
                     attrs=attrs,
-                    kind=kind,
                     accrued=_as_float(raw.get("accrued")),
                     projected_cost=_as_float(raw.get("projected_cost")),
                     observations=_as_int(raw.get("observations")),

@@ -26,13 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import EngineConfig
 from ..execution.strategies import MAX_FUSED_SINGLES, MAX_FUSED_STREAMS
 from ..sql.analyzer import QueryInfo, analyze_query
-from ..storage.encoded_layout import DEFAULT_DICT_MAX_CARDINALITY
-from ..storage.layout import LayoutKind
 from ..storage.relation import Table
 from .cost_model import CostModel, GroupSpec
 from .monitor import Monitor
@@ -51,16 +47,7 @@ FUTURE_USE_MULTIPLIER = 2.0
 
 @dataclass(frozen=True)
 class CandidateLayout:
-    """One proposed physical change awaiting lazy materialization.
-
-    Three kinds share the candidate pool and the switching-policy
-    ledger: ``"group"`` (a new column group — the paper's vertical
-    axis), ``"cluster"`` (reorder every layout's rows on one hot WHERE
-    attribute so zone maps prune), and ``"encode"`` (an added
-    dictionary/bit-packed replica of one hot WHERE attribute so scans
-    read fewer bytes).  The engine dispatches on :attr:`kind`; the
-    policy hedges all three uniformly through :attr:`ledger_key`.
-    """
+    """One proposed column group awaiting lazy materialization."""
 
     attrs: Tuple[str, ...]
     #: Windowed queries whose full access set the group covers.
@@ -70,23 +57,15 @@ class CandidateLayout:
     #: Estimated transformation cost to build the group (Eq. 1's T).
     build_cost: float
     origin: str  # "select" | "where" | "merge"
-    kind: str = "group"  # "group" | "cluster" | "encode"
 
     @property
     def attr_set(self) -> FrozenSet[str]:
         return frozenset(self.attrs)
 
     @property
-    def ledger_key(self):
-        """Pool/ledger/quarantine identity.
-
-        Groups keep their historical frozenset key; the physical-design
-        kinds tag theirs so a cluster proposal and an encode proposal
-        over the same attribute never collide or alias a group.
-        """
-        if self.kind == "group":
-            return self.attr_set
-        return (self.kind,) + self.attrs
+    def ledger_key(self) -> FrozenSet[str]:
+        """Pool/ledger/quarantine identity: the attribute set."""
+        return self.attr_set
 
     @property
     def expected_gain(self) -> float:
@@ -101,15 +80,10 @@ class CandidateLayout:
     def serves(
         self, select_attrs: FrozenSet[str], where_attrs: FrozenSet[str]
     ) -> bool:
-        """Whether a query benefits from this candidate.
-
-        Groups: the group covers the whole access set, or one full
-        clause (a select group feeds the projection/aggregation, a
-        where group drives the selection vector — Fig. 6).  Clustering
-        and encoding help exactly the queries whose predicate touches
-        their attribute."""
-        if self.kind != "group":
-            return self.attrs[0] in where_attrs
+        """Whether a query benefits from this candidate: the group covers
+        the whole access set, or one full clause (a select group feeds
+        the projection/aggregation, a where group drives the selection
+        vector — Fig. 6)."""
         all_attrs = select_attrs | where_attrs
         if not all_attrs:
             return False
@@ -576,136 +550,3 @@ class LayoutAdvisor:
             )
         candidates_out.sort(key=lambda c: -c.expected_gain)
         return candidates_out
-
-    # Physical-design proposals (clustering + encoding) --------------------------
-
-    #: A clustered table prunes most morsels for a selective predicate
-    #: on the cluster key; the residual fraction a scan still touches.
-    CLUSTER_RESIDUAL_SCAN = 0.2
-
-    #: Cardinality probe sample size for float columns (a full
-    #: ``np.unique`` would cost nearly as much as the encoding itself).
-    ENCODE_PROBE_ROWS = 65536
-
-    def propose_physical(self, monitor: Monitor) -> List[CandidateLayout]:
-        """Clustering/encoding candidates from the hottest WHERE attrs.
-
-        The same Eq. 1 discipline as :meth:`propose`, applied to the two
-        physical-design axes the knobs enable:
-
-        - **cluster** (``config.adaptive_clustering``): reorder rows on
-          the single most predicate-hot attribute.  Benefit per covered
-          query is the scan cost Eq. 2 says zone-map pruning would then
-          skip (``1 - CLUSTER_RESIDUAL_SCAN`` of a sequential pass over
-          the query's providers); the build cost is a full-table rewrite
-          (every layout is permuted).
-        - **encode** (``config.encoded_layouts``): add a compressed
-          replica of each sufficiently hot predicate attribute whose
-          stats probe suggests a codec exists.  Benefit is the byte
-          shrink on the attribute's scan; the build cost is a one-column
-          rewrite.
-
-        Both are gated by the switching policy exactly like vertical
-        switches — a proposal here materializes only after its ledger
-        entry covers ``hedging_factor`` build costs (at once at 0).
-        """
-        config = self.config
-        if not (config.adaptive_clustering or config.encoded_layouts):
-            return []
-        num_rows = self.table.num_rows
-        if num_rows == 0:
-            return []
-        heat: Dict[str, int] = {}
-        for pattern in monitor.patterns():
-            if pattern.clause != "where":
-                continue
-            for attr in pattern.attrs:
-                heat[attr] = heat.get(attr, 0) + pattern.count
-        if not heat:
-            return []
-        ranked = sorted(heat, key=lambda a: (-heat[a], a))
-        scan_unit = self.cost_model.sequential_access(
-            GroupSpec.of(1, 1, num_rows)
-        )
-        horizon = FUTURE_USE_MULTIPLIER
-        out: List[CandidateLayout] = []
-
-        if config.adaptive_clustering and num_rows >= config.cluster_rows_min:
-            attr = ranked[0]
-            already = (
-                self.table.cluster_key == attr
-                and self.table.clustered_fraction >= 0.95
-            )
-            if not already:
-                frequency = heat[attr]
-                out.append(
-                    CandidateLayout(
-                        attrs=(attr,),
-                        frequency=max(
-                            frequency, int(frequency * horizon)
-                        ),
-                        benefit_per_use=scan_unit
-                        * (1.0 - self.CLUSTER_RESIDUAL_SCAN),
-                        build_cost=self.cost_model.build_cost_estimate(
-                            num_rows,
-                            self.table.schema.width,
-                            self.table.schema.width,
-                        ),
-                        origin="where",
-                        kind="cluster",
-                    )
-                )
-
-        if config.encoded_layouts and num_rows >= config.encoding_min_rows:
-            encoded_attrs = {
-                layout.attrs[0]
-                for layout in self.table.layouts
-                if layout.kind is LayoutKind.ENCODED
-            }
-            for attr in ranked[:2]:
-                if attr in encoded_attrs:
-                    continue
-                shrink = self._encode_shrink(attr, num_rows)
-                if shrink <= 0.0:
-                    continue
-                frequency = heat[attr]
-                out.append(
-                    CandidateLayout(
-                        attrs=(attr,),
-                        frequency=max(
-                            frequency, int(frequency * horizon)
-                        ),
-                        benefit_per_use=scan_unit * shrink,
-                        build_cost=self.cost_model.build_cost_estimate(
-                            num_rows, 1, 1
-                        ),
-                        origin="where",
-                        kind="encode",
-                    )
-                )
-        return out
-
-    def _encode_shrink(self, attr: str, num_rows: int) -> float:
-        """Estimated fractional byte saving of encoding ``attr``, or 0.
-
-        A cheap stats probe, not a trial encode: integer columns cost
-        one min/max pass (the bit-packing decision is exact); float
-        columns sample ``ENCODE_PROBE_ROWS`` values for a cardinality
-        estimate — the actual :func:`encode_column` run at
-        materialization time is the authoritative decision and may
-        still decline, which simply drops the candidate.
-        """
-        values = self.table.column(attr)
-        word = float(values.dtype.itemsize)
-        if values.dtype.kind == "i":
-            span = int(values.max()) - int(values.min())
-            for nbytes in (1, 2, 4):
-                if span < 1 << (8 * nbytes):
-                    return 1.0 - nbytes / word
-            return 0.0
-        sample = values[: self.ENCODE_PROBE_ROWS]
-        cardinality = np.unique(sample).shape[0]
-        if cardinality > DEFAULT_DICT_MAX_CARDINALITY:
-            return 0.0
-        code_bytes = 1 if cardinality <= 256 else 2
-        return 1.0 - code_bytes / word

@@ -62,16 +62,11 @@ class GroupSpec:
 
     ``width`` is the layout's total attribute count; ``useful`` how many
     of them this query actually reads.  ``num_rows`` is the table size.
-    ``bytes_per_value`` is the stored size of one value — 8 for plain
-    word layouts, 1–4 for encoded columns whose kernels scan the code
-    array instead of the decoded values (the Eq. 2 scan terms shrink
-    proportionally; CPU work per value is unchanged).
     """
 
     width: int
     useful: int
     num_rows: int
-    bytes_per_value: int = 8
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.useful < 0 or self.num_rows < 0:
@@ -81,27 +76,17 @@ class GroupSpec:
                 f"useful attributes ({self.useful}) exceed width "
                 f"({self.width})"
             )
-        if self.bytes_per_value <= 0:
-            raise CostModelError(
-                f"bytes_per_value must be positive: {self}"
-            )
 
-    _interned: ClassVar[Dict[Tuple[int, int, int, int], "GroupSpec"]] = {}
+    _interned: ClassVar[Dict[Tuple[int, int, int], "GroupSpec"]] = {}
 
     @classmethod
-    def of(
-        cls,
-        width: int,
-        useful: int,
-        num_rows: int,
-        bytes_per_value: int = 8,
-    ) -> "GroupSpec":
+    def of(cls, width: int, useful: int, num_rows: int) -> "GroupSpec":
         """Interned constructor — the advisor builds the same handful of
         descriptors hundreds of thousands of times per adaptation."""
-        key = (width, useful, num_rows, bytes_per_value)
+        key = (width, useful, num_rows)
         spec = cls._interned.get(key)
         if spec is None:
-            spec = cls(width, useful, num_rows, bytes_per_value)
+            spec = cls(width, useful, num_rows)
             cls._interned[key] = spec
         return spec
 
@@ -216,7 +201,7 @@ class CostModel:
         if cached is not None:
             return cached
         m = self.machine
-        bytes_scanned = spec.num_rows * spec.width * spec.bytes_per_value
+        bytes_scanned = spec.num_rows * spec.width * m.word_bytes
         io = bytes_scanned / m.io_bandwidth
         misses = bytes_scanned / m.cache_line_bytes
         work = spec.num_rows * spec.useful * m.cpu_per_word
@@ -237,7 +222,7 @@ class CostModel:
             return cached
         m = self.machine
         values_per_line = max(
-            1, m.cache_line_bytes // (spec.width * spec.bytes_per_value)
+            1, m.cache_line_bytes // (spec.width * m.word_bytes)
         )
         lines_per_column = math.ceil(spec.num_rows / values_per_line)
         lines = spec.useful * lines_per_column
@@ -260,7 +245,7 @@ class CostModel:
             return cached
         m = self.machine
         values_per_line = max(
-            1, m.cache_line_bytes // (spec.width * spec.bytes_per_value)
+            1, m.cache_line_bytes // (spec.width * m.word_bytes)
         )
         total_lines = spec.useful * math.ceil(
             spec.num_rows / values_per_line
@@ -416,20 +401,7 @@ class CostModel:
             useful = len(needed & layout.attr_set)
             if useful == 0:
                 continue
-            specs.append(
-                GroupSpec.of(
-                    layout.width,
-                    useful,
-                    layout.num_rows,
-                    int(
-                        getattr(
-                            layout,
-                            "scan_bytes_per_value",
-                            self.machine.word_bytes,
-                        )
-                    ),
-                )
-            )
+            specs.append(GroupSpec.of(layout.width, useful, layout.num_rows))
         return tuple(specs)
 
     def plan_cost(

@@ -91,10 +91,7 @@ from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..sql.signature import literal_extractor
-from ..storage.encoded_layout import encode_column
-from ..storage.layout import LayoutKind
 from ..storage.relation import LayoutSnapshot, Table
-from ..storage.zonemap import attach_zone_maps, build_zone_maps
 from .adaptation_policy import AdaptationPolicy
 from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
 from .cost_model import CostModel, SelectivityEstimator
@@ -490,14 +487,7 @@ class H2OEngine:
         prep.info = info
         candidate, deferred = self._triggered_candidate(info, index)
         prep.reorg_deferred = deferred
-        if candidate is not None and candidate.kind != "group":
-            # Physical-design switch (cluster reorder / encoded
-            # replica): applied inline under the lock, then the query
-            # falls through to ordinary planning against the *new*
-            # physical state — the reorganization cost is charged to
-            # this query's response time like any online reorg.
-            self._apply_physical(prep, candidate, index, phases)
-        elif candidate is not None:
+        if candidate is not None:
             try:
                 prep.result, prep.stats = self._materialize_and_execute(
                     info, candidate, index, phases
@@ -627,13 +617,9 @@ class H2OEngine:
             # Accumulate: earlier proposals stay in the pool until a
             # query materializes them or fresher analysis supersedes
             # them — a candidate's pattern may recur only after the
-            # window that proposed it has rolled on.  Physical-design
-            # proposals (clustering/encoding, default off) join the
-            # same pool under their tagged ledger keys.
+            # window that proposed it has rolled on.
             pool = {c.ledger_key: c for c in self.candidates}
             for candidate in proposals:
-                pool[candidate.ledger_key] = candidate
-            for candidate in self.advisor.propose_physical(self.monitor):
                 pool[candidate.ledger_key] = candidate
             ranked = sorted(
                 pool.values(), key=lambda c: -c.expected_gain
@@ -643,12 +629,7 @@ class H2OEngine:
             if self.config.materialization == "eager":
                 # The ablation discipline: build every proposal now,
                 # offline, instead of fusing creation with a query.
-                # Only vertical groups build eagerly — the physical
-                # kinds are inherently lazy (a cluster reorder outside
-                # a query would have no cost attribution).
                 for candidate in self.candidates:
-                    if candidate.kind != "group":
-                        continue
                     if candidate.expected_gain > 0:
                         self.manager.build_group(
                             candidate.attrs, query_index=index
@@ -730,8 +711,8 @@ class H2OEngine:
         for candidate in self.candidates:
             if not candidate.serves(select_attrs, where_attrs):
                 continue
-            if self._candidate_satisfied(candidate):
-                continue
+            if self.table.find_group(candidate.attrs) is not None:
+                continue  # the table already embodies this candidate
             if self.quarantine.blocked(candidate.ledger_key):
                 # A recent stitch of this group aborted; its backoff
                 # span (in queries) has not elapsed yet.
@@ -752,21 +733,6 @@ class H2OEngine:
             # pool accruing benefit until the gate opens.
             return None, True
         return best, False
-
-    def _candidate_satisfied(self, candidate: CandidateLayout) -> bool:
-        """Whether the table already embodies this candidate."""
-        if candidate.kind == "cluster":
-            return (
-                self.table.cluster_key == candidate.attrs[0]
-                and self.table.clustered_fraction >= 0.95
-            )
-        if candidate.kind == "encode":
-            return any(
-                layout.kind is LayoutKind.ENCODED
-                and layout.attrs == candidate.attrs
-                for layout in self.table.layouts
-            )
-        return self.table.find_group(candidate.attrs) is not None
 
     def _materialize_and_execute(
         self,
@@ -826,85 +792,6 @@ class H2OEngine:
             layout_created=",".join(candidate.attrs) if registered else None,
         )
         return outcome.result, stats
-
-    def _apply_physical(
-        self,
-        prep: _Prepared,
-        candidate: CandidateLayout,
-        index: int,
-        phases: Dict[str, float],
-    ) -> bool:
-        """Apply a cluster/encode candidate inline, under the lock.
-
-        On success the candidate leaves the pool, the switch is
-        ledgered (``policy.note_materialized`` paired with a
-        ``manager.record_transform`` creation-log event — the oracle
-        balances the two), and ``prep.snapshot`` is re-pinned so this
-        query plans against the new physical state.  A mid-transform
-        abort quarantines the candidate and leaves the old state
-        untouched; an append racing the permutation just retries on a
-        later trigger.  Returns True when the physical state changed.
-        """
-        attr = candidate.attrs[0]
-        try:
-            if candidate.kind == "cluster":
-                outcome = self.reorganizer.cluster(self.table, attr)
-                if outcome is None:  # already fully clustered
-                    self._drop_candidate(candidate)
-                    return False
-                seconds = outcome.seconds
-                mode = outcome.mode
-                bytes_written = self.table.nbytes
-            else:
-                t0 = time.perf_counter()
-                encoded = encode_column(attr, self.table.column(attr))
-                if encoded is None:
-                    # The stats probe was optimistic; no codec shrinks
-                    # this column.  Drop the candidate for good.
-                    self._drop_candidate(candidate)
-                    return False
-                if self.config.zone_maps:
-                    attach_zone_maps(
-                        encoded,
-                        build_zone_maps(
-                            encoded, self.config.morsel_rows
-                        ),
-                    )
-                self.table.add_layout(encoded)
-                seconds = time.perf_counter() - t0
-                mode = "encode"
-                bytes_written = encoded.nbytes
-        except ReorganizationError:
-            self.reorg_aborts += 1
-            self.quarantine.note_failure(candidate.ledger_key)
-            prep.reorg_aborted = True
-            return False
-        except LayoutError:
-            # An append raced the reorder/encode; the candidate stays
-            # in the pool and a later query retries from fresh state.
-            return False
-        self.quarantine.note_success(candidate.ledger_key)
-        self.policy.note_materialized(candidate, index)
-        self.manager.record_transform(
-            candidate.attrs,
-            seconds,
-            mode=mode,
-            query_index=index,
-            bytes_written=bytes_written,
-        )
-        self._drop_candidate(candidate)
-        phases["reorg"] = phases.get("reorg", 0.0) + seconds
-        # The epoch bump invalidated every cached plan; re-pin so this
-        # query's planning and scan see the clustered/encoded layouts.
-        prep.snapshot = self.table.snapshot()
-        return True
-
-    def _drop_candidate(self, candidate: CandidateLayout) -> None:
-        self.candidates = [
-            c
-            for c in self.candidates
-            if c.ledger_key != candidate.ledger_key
-        ]
 
     def _choose_plan(
         self,
@@ -1191,11 +1078,7 @@ class H2OEngine:
             return [
                 c
                 for c in self.candidates
-                # Only vertical groups stitch off-path; the physical
-                # kinds mutate shared row order / add replicas and are
-                # applied inline by the query that triggers them.
-                if c.kind == "group"
-                and c.expected_gain > 0
+                if c.expected_gain > 0
                 and c.frequency >= self.config.amortization_threshold
                 and self.table.find_group(c.attrs) is None
                 and not self.quarantine.blocked(c.ledger_key)
@@ -1234,20 +1117,13 @@ class H2OEngine:
                 return False
             self.quarantine.note_success(group.attr_set)
             for candidate in self.candidates:
-                if (
-                    candidate.kind == "group"
-                    and candidate.attr_set == group.attr_set
-                ):
+                if candidate.attr_set == group.attr_set:
                     self.policy.note_materialized(
                         candidate, self._query_counter
                     )
                     break
             self.candidates = [
-                c
-                for c in self.candidates
-                if not (
-                    c.kind == "group" and c.attr_set == group.attr_set
-                )
+                c for c in self.candidates if c.attr_set != group.attr_set
             ]
             if self.config.max_table_bytes:
                 dropped = self.manager.retire_cold_groups(
@@ -1289,12 +1165,6 @@ class H2OEngine:
                 "grow_events": self.window.grow_events,
                 "queries_seen": self.monitor.queries_seen,
                 "query_counter": self._query_counter,
-                # Clustering telemetry: snapshots persist the columns
-                # *post-permutation*, so only the key and sorted-prefix
-                # length need carrying — recovery re-seeds them so the
-                # cost model keeps discounting the clustered scan.
-                "cluster_key": self.table.cluster_key,
-                "clustered_rows": self.table.clustered_rows,
                 "selectivities": self.selectivity.export(),
                 # The switching policy's debt ledger: recovery must not
                 # silently reset accrued benefit/deferral history, or a
@@ -1330,13 +1200,6 @@ class H2OEngine:
 
         with self.lock:
             self.selectivity.restore(state.get("selectivities", {}))
-            cluster_key = state.get("cluster_key")
-            if isinstance(cluster_key, str) and cluster_key:
-                # Rows were persisted post-permutation; this restores
-                # only the telemetry (clamped, unknown keys ignored).
-                self.table.seed_cluster_state(
-                    cluster_key, _intval("clustered_rows")
-                )
             # Malformed state keeps the current window size rather than
             # poisoning it.
             window_size = _intval("window_size", self.window.size)
@@ -1422,8 +1285,6 @@ class H2OEngine:
                     if self.morsels_total
                     else 0.0
                 ),
-                "cluster_key": self.table.cluster_key,
-                "clustered_fraction": self.table.clustered_fraction,
                 "layout_bytes": snapshot.nbytes,
                 "reserved_bytes": snapshot.reserved_bytes,
             }

@@ -132,33 +132,6 @@ class LayoutManager:
                 )
             )
 
-    def record_transform(
-        self,
-        attrs: Iterable[str],
-        seconds: float,
-        mode: str,
-        query_index: Optional[int] = None,
-        bytes_written: int = 0,
-    ) -> None:
-        """Log a physical transform that is not a new column group.
-
-        Used for the adaptive-clustering reorder (``mode="cluster"`` /
-        ``"cluster-refine"``) and encoded-replica builds
-        (``mode="encode"``), so ``creation_log`` stays the single ledger
-        the oracle balances against the policy's switch count.
-        """
-        with self._log_lock:
-            self._creation_log.append(
-                LayoutEvent(
-                    attrs=tuple(attrs),
-                    seconds=seconds,
-                    bytes_read=0,
-                    bytes_written=bytes_written,
-                    query_index=query_index,
-                    mode=mode,
-                )
-            )
-
     # Usage tracking & retirement ---------------------------------------------------
 
     def record_use(self, layouts: Iterable[Layout]) -> None:

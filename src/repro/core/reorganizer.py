@@ -43,12 +43,7 @@ from ..sql.analyzer import QueryInfo
 from ..storage.column_group import ColumnGroup
 from ..storage.relation import LayoutSnapshot, Table
 from ..storage.stitcher import stitch_group
-from ..storage.zonemap import (
-    ZoneMapBuilder,
-    attach_zone_maps,
-    build_zone_maps,
-)
-from ..extensions.cracking import CrackedColumn
+from ..storage.zonemap import ZoneMapBuilder, attach_zone_maps
 from ..util.faultpoints import fault_point
 from ..util.timing import Timer
 
@@ -65,16 +60,6 @@ class ReorgOutcome:
     result: Optional[QueryResult]
     seconds: float
     mode: str  # "online" | "offline"
-
-
-@dataclass
-class ClusterOutcome:
-    """Result of one clustering pass over a table."""
-
-    attr: str
-    clustered_rows: int
-    seconds: float
-    mode: str  # "cluster-sort" | "cluster-refine"
 
 
 class Reorganizer:
@@ -116,101 +101,6 @@ class Reorganizer:
         return ReorgOutcome(
             group=group, result=None, seconds=timer.elapsed, mode="offline"
         )
-
-    # Clustering -----------------------------------------------------------------
-
-    #: Upper bound on cracking pivots per incremental refinement pass.
-    MAX_REFINE_PIVOTS = 64
-
-    def cluster(self, table: Table, attr: str) -> Optional[ClusterOutcome]:
-        """Reorder the table's rows so ``attr`` is (mostly) sorted.
-
-        The adaptive-clustering axis: one permutation is applied to
-        *every* layout atomically (row alignment and the logical tuple
-        multiset are preserved — see :meth:`Table.reorder_rows`), then
-        zone maps are rebuilt eagerly so the very next selective query
-        on ``attr`` prunes almost every morsel.
-
-        Two modes, picked automatically:
-
-        - **cluster-sort**: a full stable argsort (NaNs last).  Used on
-          first clustering, on a key change, or when the unclustered
-          tail has outgrown the sorted prefix.
-        - **cluster-refine**: when the table is already clustered on
-          ``attr`` and only an appended tail is out of order, the tail
-          is partitioned with :class:`CrackedColumn` cracks at the
-          sorted prefix's morsel-boundary quantiles — each tail morsel
-          then covers a bounded value range, so zone maps prune it
-          nearly as well, at a fraction of a full sort's cost.  The
-          clustered prefix length is *not* extended (the tail is
-          range-partitioned, not sorted) — telemetry stays honest.
-
-        Returns ``None`` when there is nothing to do, and raises
-        :class:`~repro.errors.LayoutError` when an append raced the
-        permutation (callers retry on a later trigger).
-        """
-        snapshot = table.snapshot()
-        num_rows = snapshot.num_rows
-        if num_rows == 0:
-            return None
-        values = snapshot.column(attr)
-        prev_rows = (
-            snapshot.clustered_rows if snapshot.cluster_key == attr else 0
-        )
-        tail = num_rows - prev_rows
-        fault_point("reorg.cluster", attr=attr, rows=num_rows)
-        with Timer() as timer:
-            if prev_rows > 0 and 0 < tail <= num_rows // 2:
-                mode = "cluster-refine"
-                perm = self._refine_perm(values, prev_rows)
-                clustered_rows = prev_rows
-            elif tail == 0:
-                return None  # fully clustered already
-            else:
-                mode = "cluster-sort"
-                perm = np.argsort(values, kind="stable")
-                clustered_rows = num_rows
-            table.reorder_rows(perm, attr, clustered_rows)
-            if self.config.zone_maps:
-                self._rebuild_zone_maps(table)
-        return ClusterOutcome(
-            attr=attr,
-            clustered_rows=clustered_rows,
-            seconds=timer.elapsed,
-            mode=mode,
-        )
-
-    def _refine_perm(
-        self, values: np.ndarray, prev_rows: int
-    ) -> np.ndarray:
-        """Permutation that range-partitions the tail by prefix quantiles."""
-        prefix = values[:prev_rows]
-        cracked = CrackedColumn(values[prev_rows:])
-        boundaries = range(
-            self.config.morsel_rows, prev_rows, self.config.morsel_rows
-        )
-        pivots = sorted(
-            {
-                float(prefix[position])
-                for position in list(boundaries)[: self.MAX_REFINE_PIVOTS]
-            }
-        )
-        for pivot in pivots:
-            if pivot == pivot:  # skip NaN quantiles (sorted last)
-                cracked.crack(pivot)
-        return np.concatenate(
-            [
-                np.arange(prev_rows, dtype=np.intp),
-                prev_rows + cracked.row_ids,
-            ]
-        )
-
-    def _rebuild_zone_maps(self, table: Table) -> None:
-        """Eager zone-map rebuild after a reorder dropped them all."""
-        for layout in table.layouts:
-            attach_zone_maps(
-                layout, build_zone_maps(layout, self.config.morsel_rows)
-            )
 
     # Online ---------------------------------------------------------------------
 

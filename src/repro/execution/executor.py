@@ -27,7 +27,6 @@ from .evaluator import (
     evaluate_value,
     finalize_output,
 )
-from ..storage.layout import flatten_kernel_buffers
 from .morsel import DeadlineCheck, plan_morsels, run_morsels
 from .parallel import ScanPool, get_scan_pool
 from .result import QueryResult
@@ -194,7 +193,7 @@ class Executor:
         """
         layouts = plan.layouts
         if kernel is not None:
-            buffers = flatten_kernel_buffers(layouts)
+            buffers = tuple(layout.data for layout in layouts)
 
             def runner(lo: int, hi: int):
                 return kernel(buffers, params, lo, hi), 0

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Union
 
 from ..errors import ExecutionError
 from ..sql.analyzer import QueryInfo
-from ..storage.layout import Layout, LayoutKind
+from ..storage.layout import Layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.relation import LayoutSnapshot, Table
@@ -79,57 +79,10 @@ class AccessPlan:
 
     @property
     def layout_key(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-        """Hashable identity of the layout combination.
-
-        Kind rides along with the attr tuples so an encoded provider is
-        never deduplicated against the plain column storing the same
-        attribute — they are different physical accesses with different
-        costs.
-        """
+        """Hashable identity of the layout combination."""
         return tuple(
             (layout.kind.value, layout.attrs) for layout in self.layouts
         )
-
-
-def _encoded_where_cover(
-    table: "Union[Table, LayoutSnapshot]",
-    info: QueryInfo,
-    cover: Sequence[Layout],
-):
-    """``cover`` with WHERE-attribute singles swapped for encoded replicas.
-
-    Only width-1 providers whose attribute appears in the predicate are
-    substituted — encoded layouts shine exactly there (code-space
-    filtering); SELECT-side reads would decode every row anyway.
-    Returns None when nothing substitutes.
-    """
-    if not info.has_predicate:
-        return None
-    encoded = {
-        layout.attrs[0]: layout
-        for layout in table.layouts
-        if layout.kind is LayoutKind.ENCODED
-    }
-    if not encoded:
-        return None
-    changed = False
-    substituted: List[Layout] = []
-    for layout in cover:
-        attr = layout.attrs[0] if layout.width == 1 else None
-        if (
-            attr is not None
-            and attr in info.where_attrs
-            and attr not in info.select_attrs
-            and attr in encoded
-            and layout.kind is not LayoutKind.ENCODED
-        ):
-            substituted.append(encoded[attr])
-            changed = True
-        else:
-            substituted.append(layout)
-    if not changed:
-        return None
-    return tuple(dict.fromkeys(substituted))
 
 
 def enumerate_plans(
@@ -171,15 +124,6 @@ def enumerate_plans(
             )
         )
         covers.append(split)
-    # Encoded WHERE variants: for every cover, substitute encoded
-    # replicas for the single-column providers of predicate attributes
-    # (the kernels then filter on 1–4-byte codes and decode only
-    # qualifying rows).  The plain covers stay in the pool; the cost
-    # model arbitrates.
-    for cover in list(covers):
-        variant = _encoded_where_cover(table, info, cover)
-        if variant is not None:
-            covers.append(variant)
 
     plans: List[AccessPlan] = []
     seen = set()

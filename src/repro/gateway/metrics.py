@@ -227,15 +227,6 @@ def render_metrics(
         ),
     )
     out.family(
-        "h2o_table_clustered_fraction",
-        "gauge",
-        "Fraction of rows inside the clustered prefix (0 = unclustered).",
-        (
-            ({"table": name}, float(stats.get("clustered_fraction", 0.0)))
-            for name, stats in sorted(engine_stats.items())
-        ),
-    )
-    out.family(
         "h2o_table_layout_bytes",
         "gauge",
         "Bytes of rows held across the table's layouts (used).",

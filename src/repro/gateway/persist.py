@@ -52,9 +52,8 @@ from ..service import H2OService
 from ..sql.types import DataType
 from ..storage.column_group import ColumnGroup
 from ..storage.column_layout import SingleColumn
-from ..storage.encoded_layout import encode_column
 from ..storage.io import save_table
-from ..storage.layout import Layout, LayoutKind
+from ..storage.layout import Layout
 from ..storage.relation import Table
 from ..storage.schema import Attribute, Schema
 from .wal import (
@@ -176,28 +175,10 @@ def _fsync_path(path: Path) -> None:
 
 def _layout_descriptors(table: Table) -> List[Dict[str, object]]:
     """The table's physical configuration as JSON-able descriptors."""
-    descriptors: List[Dict[str, object]] = []
-    for layout in table.layouts:
-        if layout.kind is LayoutKind.ENCODED:
-            # Codes/dictionaries are not persisted — the codec is
-            # re-derived deterministically from the logical column at
-            # rebuild time (the snapshot stores columns post-
-            # permutation, so the re-encode sees identical values).
-            descriptors.append(
-                {
-                    "kind": "encoded",
-                    "attrs": list(layout.attrs),
-                    "codec": layout.codec,
-                }
-            )
-            continue
-        kind = {
-            LayoutKind.COLUMN: "column",
-            LayoutKind.GROUP: "group",
-            LayoutKind.ROW: "row",
-        }[layout.kind]
-        descriptors.append({"kind": kind, "attrs": list(layout.attrs)})
-    return descriptors
+    return [
+        {"kind": layout.kind.value, "attrs": list(layout.attrs)}
+        for layout in table.layouts
+    ]
 
 
 def _rebuild_layouts(
@@ -214,19 +195,10 @@ def _rebuild_layouts(
             (name,) = attrs
             layouts.append(SingleColumn(name, columns[name]))
         elif kind == "encoded":
-            (name,) = attrs
-            encoded = encode_column(
-                name,
-                columns[name],
-                dict_max_cardinality=float("inf"),
-                force=str(desc.get("codec") or "") or None,
-            )
-            if encoded is not None:
-                layouts.append(encoded)
-            # A declined re-encode (possible only if the column's stats
-            # changed, which a faithful snapshot precludes) is dropped:
-            # encoded layouts are additive replicas, so attribute
-            # coverage still holds via the plain descriptors.
+            # Older checkpoints may name an encoded replica.  Replicas
+            # were additive — the plain descriptors still cover the
+            # attribute — so recovery simply drops it.
+            continue
         elif kind in ("group", "row"):
             dtype = schema.common_dtype(attrs).numpy_dtype
             data = np.column_stack(

@@ -170,18 +170,6 @@ class ColumnGroup(Layout):
             attach_zone_maps(grown, extend_zone_maps(maps, grown))
         return grown
 
-    def reordered(self, perm: np.ndarray) -> "ColumnGroup":
-        """A new group with rows permuted by ``perm`` (clustering).
-
-        Zone maps are intentionally dropped; the reorganizer rebuilds
-        them eagerly after a clustering pass.
-        """
-        return ColumnGroup(
-            self._attrs,
-            self._data.take(perm, axis=0),
-            full_width=self._full_width,
-        )
-
     def __repr__(self) -> str:
         return (
             f"ColumnGroup({self.describe()}, rows={self.num_rows}, "

@@ -103,15 +103,6 @@ class SingleColumn(Layout):
             attach_zone_maps(grown, extend_zone_maps(maps, grown))
         return grown
 
-    def reordered(self, perm: np.ndarray) -> "SingleColumn":
-        """A new column with rows permuted by ``perm`` (clustering).
-
-        Zone maps are intentionally dropped: a reorder invalidates every
-        per-morsel min/max, and the reorganizer rebuilds them eagerly in
-        its fused pass.
-        """
-        return SingleColumn(self._name, self._data.take(perm))
-
     def describe(self) -> str:
         return f"column[{self._name}]"
 

@@ -59,30 +59,6 @@ def uniform_columns(
     return columns
 
 
-def shuffle_columns(
-    columns: Dict[str, np.ndarray], rng: RngLike = None
-) -> Dict[str, np.ndarray]:
-    """Apply **one** seeded permutation across every column.
-
-    Row identity is preserved (the same permutation reorders all
-    columns), so answers over the shuffled table are multiset-identical
-    to the original — only the physical row order changes.  Benchmarks
-    use this to destroy any incidental value clustering, producing the
-    worst case for zone-map pruning that adaptive clustering must then
-    repair.
-    """
-    if not columns:
-        return {}
-    sizes = {int(values.shape[0]) for values in columns.values()}
-    if len(sizes) != 1:
-        raise WorkloadError(
-            f"columns disagree on row count: {sorted(sizes)}"
-        )
-    generator = ensure_rng(rng)
-    perm = generator.permutation(sizes.pop())
-    return {name: values[perm] for name, values in columns.items()}
-
-
 def generate_table(
     name: str,
     num_attrs: int,
@@ -92,16 +68,12 @@ def generate_table(
     schema: Optional[Schema] = None,
     low: int = PAPER_LOW,
     high: int = PAPER_HIGH,
-    shuffle: bool = False,
 ) -> Table:
     """Generate a paper-style wide table of uniform integers.
 
     Parameters mirror the paper's setup: ``initial_layout="column"`` is
     the starting point of the adaptive experiment (section 4.1);
     benchmarks that start from a row-major relation pass ``"row"``.
-    ``shuffle=True`` additionally applies one seeded permutation across
-    all columns (drawn from the same ``rng`` stream, so the result
-    stays fully determined by the seed) — see :func:`shuffle_columns`.
     """
     if schema is None:
         schema = wide_schema(num_attrs)
@@ -111,6 +83,4 @@ def generate_table(
         )
     generator = ensure_rng(rng)
     columns = uniform_columns(schema, num_rows, generator, low=low, high=high)
-    if shuffle:
-        columns = shuffle_columns(columns, generator)
     return Table.from_columns(name, schema, columns, initial_layout)

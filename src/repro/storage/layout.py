@@ -25,13 +25,11 @@ GROWTH_FACTOR = 1.5
 
 
 class LayoutKind(enum.Enum):
-    """The three layout families of the paper (section 3.1), plus the
-    encoded (dictionary / bit-packed) family added on top of it."""
+    """The three layout families of the paper (section 3.1)."""
 
     ROW = "row"
     COLUMN = "column"
     GROUP = "group"
-    ENCODED = "encoded"
 
 
 class Layout(abc.ABC):
@@ -62,6 +60,12 @@ class Layout(abc.ABC):
         """Bytes of backing capacity, append slack included (>= nbytes)."""
         buffer = getattr(self, "_buffer", None)
         return self.nbytes if buffer is None else int(buffer.array.nbytes)
+
+    @property
+    @abc.abstractmethod
+    def data(self) -> np.ndarray:
+        """The one backing array (read-only view) a generated kernel
+        binds for this layout; a morsel ``[lo:hi]`` slices its rows."""
 
     @abc.abstractmethod
     def column(self, name: str) -> np.ndarray:
@@ -100,17 +104,6 @@ class Layout(abc.ABC):
                 f"attribute {name!r} is not stored in this layout "
                 f"({self.describe()})"
             ) from None
-
-    def kernel_buffers(self) -> Tuple[np.ndarray, ...]:
-        """Arrays a generated kernel binds for this layout.
-
-        Plain layouts expose their single backing array; encoded layouts
-        add side buffers (e.g. the dictionary).  The first buffer is
-        always the per-row scan target — the one a morsel ``[lo:hi]``
-        slice applies to; any further buffers are row-independent and
-        passed whole.
-        """
-        return (self.data,)  # type: ignore[attr-defined]
 
     @abc.abstractmethod
     def describe(self) -> str:
@@ -186,15 +179,3 @@ def reserve_rows(
     array[:rows] = data
     return AppendBuffer(array, total), array[:total]
 
-
-def flatten_kernel_buffers(layouts) -> Tuple[np.ndarray, ...]:
-    """Flattened kernel buffers of every layout of a plan, in order.
-
-    Generated kernels bind one flat ``bufs`` tuple; each layout
-    contributes ``layout.kernel_buffers()`` at a base index computed by
-    the template planner, so plain and encoded layouts mix freely.
-    """
-    flat = []
-    for layout in layouts:
-        flat.extend(layout.kernel_buffers())
-    return tuple(flat)

@@ -62,8 +62,6 @@ class LayoutSnapshot:
         "epoch",
         "num_rows",
         "layouts",
-        "cluster_key",
-        "clustered_rows",
         "_attr_index",
     )
 
@@ -74,30 +72,13 @@ class LayoutSnapshot:
         epoch: int,
         num_rows: int,
         layouts: Iterable[Layout],
-        cluster_key: Optional[str] = None,
-        clustered_rows: int = 0,
     ) -> None:
         self.table_name = table_name
         self.schema = schema
         self.epoch = epoch
         self.num_rows = num_rows
         self.layouts: Tuple[Layout, ...] = tuple(layouts)
-        #: Attribute the leading ``clustered_rows`` rows are sorted on
-        #: (None = unclustered).  Appends land *after* the clustered
-        #: prefix, so the tail is unclustered until the next clustering
-        #: pass; zone maps stay exact either way — clustering only
-        #: concentrates qualifying rows so pruning approaches 1.0.
-        self.cluster_key = cluster_key
-        self.clustered_rows = int(clustered_rows)
         self._attr_index: Optional[Dict[str, List[Layout]]] = None
-
-    @property
-    def clustered_fraction(self) -> float:
-        """Fraction of rows inside the sorted prefix (telemetry and the
-        cost model's clustering-aware scan_fraction discount)."""
-        if self.cluster_key is None or self.num_rows == 0:
-            return 0.0
-        return min(1.0, self.clustered_rows / self.num_rows)
 
     # Attribute index -----------------------------------------------------
 
@@ -308,32 +289,14 @@ class Table:
         """
         return self._snapshot
 
-    def _publish(
-        self,
-        layouts: Sequence[Layout],
-        num_rows: int,
-        cluster_key: Optional[str] = None,
-        clustered_rows: Optional[int] = None,
-    ) -> None:
-        """Replace the current snapshot (writer lock held), one epoch bump.
-
-        Clustering state carries forward unless explicitly replaced:
-        appends and layout create/retire leave the sorted prefix intact
-        (new rows land after it), so only :meth:`reorder_rows` passes
-        new values.
-        """
-        current = self._snapshot
-        if cluster_key is None and clustered_rows is None:
-            cluster_key = current.cluster_key
-            clustered_rows = current.clustered_rows
+    def _publish(self, layouts: Sequence[Layout], num_rows: int) -> None:
+        """Replace the current snapshot (writer lock held), one epoch bump."""
         self._snapshot = LayoutSnapshot(
             self.name,
             self.schema,
-            current.epoch + 1,
+            self._snapshot.epoch + 1,
             num_rows,
             layouts,
-            cluster_key,
-            int(clustered_rows or 0),
         )
 
     # Delegating read views ----------------------------------------------
@@ -436,102 +399,10 @@ class Table:
             return
         with self._write_lock:
             current = self._snapshot
-            extended = []
-            for layout in current.layouts:
-                try:
-                    extended.append(layout.extended(columns))
-                except LayoutError:
-                    if layout.kind is not LayoutKind.ENCODED:
-                        raise
-                    # The appended values outgrew the codec (e.g. a
-                    # bit-packed span no narrow code dtype can hold).
-                    # Encoded layouts are additive replicas — the plain
-                    # layouts still cover the attribute — so the append
-                    # drops the replica rather than failing; the advisor
-                    # re-proposes an encoding later if it still pays.
-                    continue
+            extended = [layout.extended(columns) for layout in current.layouts]
             self._publish(extended, current.num_rows + extra)
 
-    def reorder_rows(
-        self,
-        perm: np.ndarray,
-        cluster_key: str,
-        clustered_rows: int,
-    ) -> None:
-        """Apply one row permutation to *every* layout atomically.
-
-        This is the clustering primitive: ``perm`` maps new row position
-        → old row position (``new[i] = old[perm[i]]``), so applying it
-        uniformly preserves row alignment across layouts and the
-        logical multiset of tuples — only their order changes.  SQL
-        answers are therefore unchanged (aggregations exactly;
-        projections up to row order, which SQL does not promise).
-
-        Raises :class:`LayoutError` when ``perm`` no longer matches the
-        current row count — the caller computed it from a stale snapshot
-        while an append raced in; clustering is opportunistic, so
-        callers just retry on a later trigger.
-        """
-        perm = np.asarray(perm)
-        with self._write_lock:
-            current = self._snapshot
-            if perm.shape != (current.num_rows,):
-                raise LayoutError(
-                    f"permutation covers {perm.shape[0] if perm.ndim == 1 else perm.shape} "
-                    f"rows, table {self.name!r} has {current.num_rows}"
-                )
-            if cluster_key not in self.schema:
-                raise LayoutError(
-                    f"cluster key {cluster_key!r} is not in the schema"
-                )
-            reordered = [
-                layout.reordered(perm) for layout in current.layouts
-            ]
-            self._publish(
-                reordered,
-                current.num_rows,
-                cluster_key=cluster_key,
-                clustered_rows=min(int(clustered_rows), current.num_rows),
-            )
-
-    def seed_cluster_state(
-        self, cluster_key: Optional[str], clustered_rows: int
-    ) -> None:
-        """Restore clustering telemetry after recovery.
-
-        Snapshots persist columns in logical row order — i.e. *post*
-        permutation — so the data already sits clustered on disk; only
-        the bookkeeping (key + sorted-prefix length) needs re-seeding.
-        WAL-replayed appends have already grown the unclustered tail by
-        the time this runs, hence the clamp to the current row count.
-        """
-        with self._write_lock:
-            current = self._snapshot
-            if cluster_key is not None and cluster_key not in self.schema:
-                return
-            self._snapshot = LayoutSnapshot(
-                self.name,
-                self.schema,
-                current.epoch,
-                current.num_rows,
-                current.layouts,
-                cluster_key,
-                min(int(clustered_rows), current.num_rows),
-            )
-
     # Access ----------------------------------------------------------------
-
-    @property
-    def cluster_key(self) -> Optional[str]:
-        return self._snapshot.cluster_key
-
-    @property
-    def clustered_rows(self) -> int:
-        return self._snapshot.clustered_rows
-
-    @property
-    def clustered_fraction(self) -> float:
-        return self._snapshot.clustered_fraction
 
     def layouts_containing(self, attr: str) -> Tuple[Layout, ...]:
         """All layouts storing ``attr``, narrowest first."""

@@ -10,11 +10,11 @@ package is the standing correctness gate for that property:
   aggregates built through :mod:`repro.sql.builder`), fully determined
   by one seed;
 - :mod:`~repro.testkit.oracle` — the differential oracle: every
-  generated sequence runs through nine paths — the row reference, the
-  interpreted Volcano evaluator, the column baseline, and the adaptive
-  engine inline, interpreted, in the background behind the service
-  with N workers, on morsel-parallel scan threads, with a hedged
-  switching policy, and with clustering + encoded layouts — asserting
+  generated sequence runs through eight paths — the row reference,
+  the interpreted Volcano evaluator, the column baseline, and the
+  adaptive engine inline, interpreted, in the background behind the
+  service with N workers, on morsel-parallel scan threads, and with a
+  hedged switching policy — asserting
   bit-identical results and engine invariants (epoch monotonicity,
   snapshot row-count consistency, schema coverage, operator-cache
   key/source agreement) after every step;

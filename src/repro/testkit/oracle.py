@@ -1,7 +1,7 @@
 """The differential oracle: adaptation must be invisible in answers.
 
 One generated :class:`~repro.testkit.generate.CaseSpec` is executed
-through nine independent paths, each over its *own* copy of the same
+through eight independent paths, each over its *own* copy of the same
 deterministic data:
 
 1. **row reference** — the static row-store baseline, interpreted
@@ -29,20 +29,13 @@ deterministic data:
    materializations may be *deferred* but answers must stay
    bit-identical, and the policy's regret invariant (hedged
    reorganization spend never exceeds accrued benefit at switch) must
-   hold at the end of the sequence;
-9. **adaptive clustered+encoded** — the full engine with adaptive
-   clustering *and* encoded column layouts enabled
-   (``adaptive_clustering=True, encoded_layouts=True`` with tiny
-   row minimums so even small cases cluster and encode): the
-   reorganizer may permute the table's physical row order and add
-   dictionary/bit-packed replicas mid-sequence.  Aggregations must
-   stay bit-identical; projections are compared as *multisets*
-   (canonical row sort on both sides — SQL semantics don't fix row
-   order, and clustering legitimately changes it).  After the
-   sequence the oracle re-derives every cached zone map from the
-   layout's decoded values and asserts **exact** equality (clustering
-   must never leave stale or merely-conservative bounds behind), and
-   the physical + policy-ledger invariants must hold throughout.
+   hold at the end of the sequence.
+
+At the end of the adaptive inline, interpreted and parallel paths (and
+of every scenario replay below, whose streams append) the oracle also
+re-derives every cached zone map from its layout's values and asserts
+**exact** equality: stitches build zone maps and appends extend them,
+and neither may leave stale or merely-conservative bounds behind.
 
 The module also hosts the **scenario-replay oracle**
 (:func:`scenario_case` / :func:`run_all_scenarios`, exposed as
@@ -50,7 +43,8 @@ The module also hosts the **scenario-replay oracle**
 :mod:`repro.workloads.scenarios` — queries *and* appends — is replayed
 at hedging factor 0 (the paper's greedy gate) and at a hedged factor
 against the row reference, asserting bit-identical answers, the
-physical invariants after every query, and the regret invariant.
+physical invariants after every query, exact zone maps and the regret
+invariant.
 
 Every mode must produce **bit-identical** :class:`~repro.execution.
 result.QueryResult` data (the generator bounds values so all float64
@@ -116,7 +110,6 @@ CLEAN_MODES = (
     "adaptive-background",
     "adaptive-parallel",
     "adaptive-guarded",
-    "adaptive-clustered-encoded",
 )
 
 
@@ -160,43 +153,6 @@ def results_identical(a: QueryResult, b: QueryResult) -> bool:
     mine = np.asarray(a.data, dtype=np.float64)
     theirs = np.asarray(b.data, dtype=np.float64)
     return bool(np.array_equal(mine, theirs, equal_nan=True))
-
-
-def _canonical_rows(data: np.ndarray) -> np.ndarray:
-    """Rows sorted into a canonical order for multiset comparison.
-
-    Sorts on the float64 *bit patterns* (last column least significant)
-    so NaN payloads and -0.0 vs +0.0 land deterministically — two
-    multiset-equal results canonicalize to bit-identical arrays.
-    """
-    rows = np.ascontiguousarray(data, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows.reshape(-1, 1)
-    bits = rows.view(np.int64)
-    if bits.shape[0] <= 1:
-        return bits
-    order = np.lexsort(tuple(bits[:, j] for j in range(bits.shape[1] - 1, -1, -1)))
-    return bits[order]
-
-
-def results_multiset_identical(a: QueryResult, b: QueryResult) -> bool:
-    """Bit-identical as *row multisets* (SQL semantics for projections).
-
-    Adaptive clustering permutes the table's physical row order, so a
-    projection's rows may come back in a different — equally valid —
-    order.  Both sides are canonically sorted before the bit-exact
-    compare, which keeps the check as strong as
-    :func:`results_identical` on everything except row order.
-    """
-    if a.column_names != b.column_names:
-        return False
-    if a.data.shape != b.data.shape:
-        return False
-    # Canonical rows are int64 bit views: plain equality is bit-exact
-    # (each NaN payload only equals itself, -0.0 never equals +0.0).
-    mine = _canonical_rows(a.data)
-    theirs = _canonical_rows(b.data)
-    return bool(np.array_equal(mine, theirs))
 
 
 def _describe_divergence(
@@ -252,12 +208,12 @@ def check_engine_invariants(
 def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
     """Every cached zone map must match a from-scratch recompute exactly.
 
-    Clustering rebuilds zone maps eagerly after permuting rows and
-    encoded replicas build theirs over *decoded* values; either path
-    leaving stale or merely-conservative bounds behind would silently
-    weaken pruning (or worse, prune a qualifying morsel).  Recomputing
-    per-morsel min/max from ``layout.column(attr)`` and demanding exact
-    equality catches both directions.
+    Stitches build zone maps in their fused pass and appends extend
+    them incrementally; either path leaving stale or merely-conservative
+    bounds behind would silently weaken pruning (or worse, prune a
+    qualifying morsel).  Recomputing per-morsel min/max from
+    ``layout.column(attr)`` and demanding exact equality catches both
+    directions.
     """
     from ..storage.zonemap import _minmax_per_morsel, cached_zone_maps
 
@@ -292,25 +248,6 @@ def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
                     f"[{label}] zone map for {attr!r} on "
                     f"{layout.describe()} is not exact after adaptation"
                 )
-
-
-def check_cluster_telemetry(engine: H2OEngine, label: str) -> None:
-    """``clustered_fraction`` must be honest bookkeeping."""
-    table = engine.table
-    fraction = table.clustered_fraction
-    if not (0.0 <= fraction <= 1.0):
-        raise OracleFailure(
-            f"[{label}] clustered_fraction out of range: {fraction}"
-        )
-    if table.cluster_key is None and fraction != 0.0:
-        raise OracleFailure(
-            f"[{label}] no cluster key but clustered_fraction={fraction}"
-        )
-    if table.clustered_rows > table.num_rows:
-        raise OracleFailure(
-            f"[{label}] clustered_rows {table.clustered_rows} exceeds "
-            f"table rows {table.num_rows}"
-        )
 
 
 def check_policy_invariants(engine: H2OEngine, label: str) -> None:
@@ -401,7 +338,6 @@ class DifferentialOracle:
         self._run_service(spec, expected)
         self._run_adaptive_parallel(spec, expected)
         self._run_adaptive_guarded(spec, expected)
-        self._run_adaptive_clustered_encoded(spec, expected)
         outcome.queries_checked = len(expected) * (len(CLEAN_MODES) + 1)
         if self.with_faults:
             fired_inline = self._run_faulted_inline(spec, expected)
@@ -459,6 +395,7 @@ class DifferentialOracle:
                     f"[{mode}] report pinned epoch {report.snapshot_epoch} "
                     f"newer than the table's {epoch}"
                 )
+        check_zone_map_exactness(engine, mode)
 
     def _run_adaptive_parallel(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
@@ -523,6 +460,7 @@ class DifferentialOracle:
                     f"  sql: {spec.queries[index]}"
                 )
             epoch = check_engine_invariants(engine, epoch, mode)
+        check_zone_map_exactness(engine, mode)
 
     def _run_adaptive_guarded(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
@@ -556,59 +494,6 @@ class DifferentialOracle:
                     )
                 )
             epoch = check_engine_invariants(engine, epoch, mode)
-        check_policy_invariants(engine, mode)
-
-    def _run_adaptive_clustered_encoded(
-        self, spec: CaseSpec, expected: Sequence[QueryResult]
-    ) -> None:
-        """The ninth path: adaptive clustering + encoded layouts.
-
-        Same adaptive knobs as ``adaptive-inline`` plus
-        ``adaptive_clustering`` and ``encoded_layouts`` with tiny row
-        minimums, so even small oracle cases trigger physical
-        transforms that *permute row order* and add dictionary /
-        bit-packed replicas mid-sequence.  Aggregations must stay
-        bit-identical to the row reference; projections are compared
-        as canonical-sorted multisets (row order is not part of SQL
-        semantics, and clustering legitimately changes it).  After the
-        sequence: zone maps must recompute exactly, clustering
-        telemetry must be honest, and the switch ledger must balance
-        against the layouts/transforms actually built.
-        """
-        mode = "adaptive-clustered-encoded"
-        engine = H2OEngine(
-            spec.build_table(),
-            self._adaptive_config(
-                adaptive_clustering=True,
-                encoded_layouts=True,
-                cluster_rows_min=64,
-                encoding_min_rows=64,
-            ),
-        )
-        epoch = 0
-        queries = spec.parsed()
-        for index, query in enumerate(queries):
-            report = engine.execute(query)
-            same = (
-                results_identical(report.result, expected[index])
-                if query.is_aggregation
-                else results_multiset_identical(
-                    report.result, expected[index]
-                )
-            )
-            if not same:
-                raise OracleFailure(
-                    _describe_divergence(
-                        index,
-                        spec.queries[index],
-                        report.result,
-                        expected[index],
-                        mode,
-                    )
-                )
-            epoch = check_engine_invariants(engine, epoch, mode)
-        check_zone_map_exactness(engine, mode)
-        check_cluster_telemetry(engine, mode)
         check_policy_invariants(engine, mode)
 
     def _run_service(
@@ -921,8 +806,9 @@ def run_chaos_sequence(
 # The adversarial scenario pack (repro/workloads/scenarios.py) replayed
 # at two hedging factors against the row reference: the replays may
 # reorganize differently, but every answer must stay bit-identical,
-# every engine invariant must hold after every query, and the regret
-# ledger must balance at the end of the stream.
+# every engine invariant must hold after every query, and the zone maps
+# (extended by the scenario's appends) and the regret ledger must be
+# exact and balanced at the end of the stream.
 
 
 @dataclass
@@ -995,6 +881,7 @@ def _replay_scenario(
             engine.table.append_rows(
                 scenario.append_batch(op[1], op[2])
             )
+    check_zone_map_exactness(engine, label)
     check_policy_invariants(engine, label)
     return engine
 

@@ -305,11 +305,10 @@ def test_metrics_exposition(client):
     assert "h2o_wal_records_total" in text
     assert 'tenant="public"' in text
     assert "h2o_store_tables 1" in text
-    # the queried table's engine exports its pruning/clustering story
+    # the queried table's engine exports its pruning story
     assert 'h2o_scan_morsels_total{table="t"}' in text
     assert 'h2o_scan_morsels_pruned_total{table="t"}' in text
     assert 'h2o_table_pruned_fraction{table="t"}' in text
-    assert 'h2o_table_clustered_fraction{table="t"} 0' in text
     # used vs reserved layout bytes: equal until an append adds slack
     assert 'h2o_table_layout_bytes{table="t"} 800' in text
     assert 'h2o_table_reserved_bytes{table="t"} 800' in text

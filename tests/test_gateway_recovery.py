@@ -10,11 +10,14 @@ SIGKILL-equivalent + recovery.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import EngineConfig, GatewayConfig
-from repro.gateway.persist import DurableStore
+from repro.errors import SnapshotError
+from repro.gateway.persist import DurableStore, list_snapshots
 from repro.testkit.restart import restart_case
 
 pytestmark = pytest.mark.oracle
@@ -180,3 +183,87 @@ def test_recovery_without_adaptation_seeding(tmp_path):
         assert recovered.system.engine_for("t").monitor.queries_seen == 1
     finally:
         recovered.close(checkpoint=False)
+
+
+def _old_format_checkpoint(tmp_path):
+    """A checkpointed store whose snapshot is rewritten, by hand, in the
+    format older versions wrote: an encoded-replica layout descriptor,
+    row-order bookkeeping in the adaptation state, and non-group ledger
+    entries.  Returns (data_dir, answers before the crash, layouts,
+    path of the rewritten state.json)."""
+    data_dir = tmp_path / "d"
+    store = DurableStore(data_dir, num_workers=1)
+    rng = np.random.default_rng(3)
+    store.create_table(
+        "t",
+        [("a", "int64"), ("b", "int64"), ("c", "float64")],
+        {
+            "a": rng.integers(-50, 50, size=3000, dtype=np.int64),
+            "b": rng.integers(-9, 9, size=3000, dtype=np.int64),
+            "c": rng.integers(-7, 7, size=3000).astype(np.float64),
+        },
+    )
+    for i in range(12):
+        store.execute(f"SELECT a, b FROM t WHERE a > {i}")
+    answers = {
+        sql: store.execute(sql).result.data.tobytes()
+        for sql in OLD_FORMAT_SQL
+    }
+    layouts = sorted(l.attrs for l in store.system.catalog.get("t").layouts)
+    store.checkpoint()
+    store.abandon()
+
+    (_, _, snap_dir), = list_snapshots(data_dir / "snapshots")
+    state_path = snap_dir / "state.json"
+    state = json.loads(state_path.read_text())
+    table = state["tables"]["t"]
+    table["layouts"] += [
+        {"kind": "encoded", "attrs": ["b"], "codec": "pack"},
+        {"kind": "encoded", "attrs": ["c"], "codec": "dict"},
+    ]
+    adaptation = table["adaptation"]
+    adaptation.update({"cluster_key": "a", "clustered_rows": 3000})
+    policy = adaptation.setdefault("policy", {})
+    policy["entries"] = [
+        {"attrs": ["a", "b"], "kind": "group", "accrued": 1.5},
+        {"attrs": ["a"], "kind": "cluster", "accrued": 9.0},
+        {"attrs": ["b"], "kind": "encode", "accrued": 4.0},
+    ]
+    state_path.write_text(json.dumps(state))
+    return data_dir, answers, layouts, state_path
+
+
+OLD_FORMAT_SQL = (
+    "SELECT count(*), sum(b), max(c) FROM t WHERE a < 10",
+    "SELECT a, b FROM t WHERE a > 3",
+    "SELECT sum(c), min(a) FROM t WHERE b = 2",
+)
+
+
+def test_restore_reads_checkpoints_with_row_order_and_replica_state(tmp_path):
+    """Checkpoints written while the engine could sort rows and add
+    encoded replicas must still recover.  Replicas were additive, so the
+    plain layouts still cover every attribute; recovery drops them and
+    ignores the row-order bookkeeping and non-group ledger entries."""
+    data_dir, answers, layouts, _ = _old_format_checkpoint(tmp_path)
+    recovered = DurableStore(data_dir, num_workers=1)
+    try:
+        assert recovered.stats()["recovered"]
+        table = recovered.system.catalog.get("t")
+        assert sorted(l.attrs for l in table.layouts) == layouts
+        ledger = recovered.system.engine_for("t").policy.ledger
+        assert list(ledger) == [frozenset(("a", "b"))]
+        for sql, want in answers.items():
+            got = recovered.execute(sql).result.data
+            assert got.tobytes() == want, sql
+    finally:
+        recovered.close(checkpoint=False)
+
+
+def test_restore_still_rejects_an_unknown_layout_kind(tmp_path):
+    data_dir, _, _, state_path = _old_format_checkpoint(tmp_path)
+    state = json.loads(state_path.read_text())
+    state["tables"]["t"]["layouts"].append({"kind": "bogus", "attrs": ["a"]})
+    state_path.write_text(json.dumps(state))
+    with pytest.raises(SnapshotError, match="unknown layout kind"):
+        DurableStore(data_dir, num_workers=1)

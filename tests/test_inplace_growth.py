@@ -52,7 +52,6 @@ _OPS = st.one_of(
     st.tuples(st.just("append"), st.integers(1, 8)),
     st.tuples(st.just("detached"), st.integers(0, 10**6)),
     st.tuples(st.just("add_layout"), st.integers(0, 2)),
-    st.tuples(st.just("reorder"), st.just(0)),
 )
 
 
@@ -93,10 +92,6 @@ def test_pinned_snapshots_never_change_and_live_table_matches_reference(
             if table.find_group(attrs) is None:
                 group, _ = stitch_group(table.layouts, attrs, table.schema)
                 table.add_layout(group)
-        elif op == "reorder":
-            perm = rng.permutation(table.num_rows)
-            table.reorder_rows(perm, "c0", 0)
-            reference = {a: reference[a][perm] for a in ATTRS}
         pinned.append(_pin(table))
 
         for snapshot, frozen in pinned:
@@ -174,7 +169,7 @@ def test_published_views_are_read_only(initial_layout):
 
 
 @pytest.mark.parametrize("use_codegen", [True, False])
-def test_scans_and_reorders_run_over_read_only_layouts(use_codegen):
+def test_scans_run_over_read_only_layouts(use_codegen):
     table = generate_table("r", 6, 5000, rng=4)
     group, _ = stitch_group(table.layouts, ("a1", "a2"), table.schema)
     table.add_layout(group)
@@ -187,7 +182,6 @@ def test_scans_and_reorders_run_over_read_only_layouts(use_codegen):
     before = engine.execute(sql).result.scalars()
     a1, a2, a3 = (table.column(n) for n in ("a1", "a2", "a3"))
     assert before == (float((a1 + a2)[a3 > 0].sum()), float((a3 > 0).sum()))
-    table.reorder_rows(np.argsort(a3, kind="stable"), "a3", table.num_rows)
     assert engine.execute(sql).result.scalars() == before
     projected = engine.execute("SELECT a1, a2 FROM r WHERE a3 > 0").result
     assert projected.num_rows == int((a3 > 0).sum())

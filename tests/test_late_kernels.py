@@ -5,9 +5,8 @@ SELECT attribute where it is used; ``run_late_interpreted`` refines a
 selection vector conjunct by conjunct and gathers up front.  The two
 must agree bit for bit on one morsel: the qualifying count, every
 partial-aggregate state (compared by ``float.hex``) and every projected
-value (compared by bit pattern), over plain, grouped, dictionary- and
-bit-packed providers, NaN and signed-zero floats, and empty and one-row
-morsels.
+value (compared by bit pattern), over plain and grouped providers, NaN
+and signed-zero floats, and empty and one-row morsels.
 """
 
 import hypothesis.strategies as st
@@ -22,8 +21,6 @@ from repro.execution.vectorized import run_late_interpreted
 from repro.sql import analyze_query, parse_query
 from repro.sql.types import DataType
 from repro.storage import Schema, Table
-from repro.storage.encoded_layout import encode_column
-from repro.storage.layout import flatten_kernel_buffers
 from repro.storage.schema import Attribute
 from repro.storage.stitcher import stitch_group
 
@@ -116,8 +113,8 @@ def cases(draw):
     sql = f"SELECT {draw(select_lists())} FROM r WHERE {where}"
     info = analyze_query(parse_query(sql), SCHEMA)
 
-    # One provider per attribute: its plain column, an encoded replica,
-    # or (for i0/i1) a two-column group.
+    # One provider per attribute: its plain column or (for i0/i1) a
+    # two-column group.
     layouts = []
     grouped = draw(st.booleans())
     if grouped:
@@ -126,12 +123,7 @@ def cases(draw):
     for name in ATTRS:
         if grouped and name in ("i0", "i1"):
             continue
-        codecs = ["plain", "dict"] + (["pack"] if name in INTS else [])
-        codec = draw(st.sampled_from(codecs))
-        if codec == "plain":
-            layouts.append(table.layouts_containing(name)[0])
-        else:
-            layouts.append(encode_column(name, table.column(name), force=codec))
+        layouts.append(table.layouts_containing(name)[0])
     draw(st.randoms()).shuffle(layouts)
 
     size = draw(st.sampled_from(["empty", "one", "any"]))
@@ -162,7 +154,10 @@ def test_late_kernel_matches_interpreter_bit_for_bit(case):
     )
     with np.errstate(invalid="ignore"):  # inf + -inf in both paths
         got = operator.kernel(
-            flatten_kernel_buffers(plan.layouts), operator.params, lo, hi
+            tuple(layout.data for layout in plan.layouts),
+            operator.params,
+            lo,
+            hi,
         )
         want, _ = run_late_interpreted(info, plan.layouts, lo, hi)
     if info.is_aggregation:

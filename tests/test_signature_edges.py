@@ -5,7 +5,8 @@ the same :class:`~repro.sql.signature.QueryShapeSignature` **iff** a
 kernel compiled for one can be re-bound with the other's literal vector.
 These tests pin the tricky corners of that invariant — IN lists of
 different lengths, literals duplicated across clauses, and int-vs-float
-drift — end to end through the engine's plan cache.
+drift, literals inside COUNT's argument — end to end through the
+engine's plan cache.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ import pytest
 
 from repro import H2OEngine, generate_table, parse_query
 from repro.config import EngineConfig
+from repro.execution.executor import Executor
+from repro.execution.strategies import AccessPlan, ExecutionStrategy
+from repro.sql import analyze_query
 from repro.sql.signature import (
     literal_extractor,
     masked_sql,
     query_literals,
     shape_signature,
 )
+from repro.storage.stitcher import stitch_group
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +159,74 @@ class TestNumericTypeDrift:
             int_report.result.scalars(),
             cold.execute("SELECT sum(a1 + 1) FROM r").result.scalars(),
         )
+
+
+# ---------------------------------------------------------------------------
+# Literals inside COUNT's argument
+# ---------------------------------------------------------------------------
+
+
+def _interpreted(table, sql):
+    engine = H2OEngine(table, config=EngineConfig(use_codegen=False))
+    return engine.execute(sql).result
+
+
+class TestCountArguments:
+    """COUNT never evaluates its argument (the engine has no NULLs), but
+    the argument's literals hold places in the canonical parameter
+    vector, so every kernel template must register them too."""
+
+    @pytest.mark.parametrize(
+        "strategy", list(ExecutionStrategy), ids=lambda s: s.value
+    )
+    @pytest.mark.parametrize(
+        "where", ["", " WHERE a2 > 10"], ids=["scan", "filter"]
+    )
+    def test_every_template_compiles_count_of_expression(
+        self, table, strategy, where
+    ):
+        group, _ = stitch_group(
+            table.layouts, ("a1", "a2", "a3"), table.schema
+        )
+        sql = f"SELECT count(a1 * 2), sum(a3 + 5) FROM r{where}"
+        info = analyze_query(parse_query(sql), table.schema)
+        plan = AccessPlan(strategy, (group,))
+        got, stats = Executor(EngineConfig()).run_plan(info, plan)
+        want, _ = Executor(EngineConfig(use_codegen=False)).run_plan(
+            info, plan
+        )
+        assert stats.used_codegen and not stats.codegen_fallback
+        assert got.column_names == want.column_names
+        assert np.array_equal(got.data, want.data)
+
+    def test_generated_answer_is_bit_identical_to_the_interpreter(
+        self, table
+    ):
+        sql = "SELECT count(a1 * 2) FROM r WHERE a2 > 10"
+        report = H2OEngine(table, config=EngineConfig()).execute(sql)
+        assert report.used_codegen and not report.codegen_fallback
+        want = _interpreted(table, sql)
+        assert report.result.column_names == want.column_names
+        assert np.array_equal(report.result.data, want.data)
+
+    def test_fast_lane_repeat_rebinds_fresh_literals(self, table):
+        engine = H2OEngine(table, config=EngineConfig())
+        engine.execute("SELECT count(a1 * 2), sum(a3 + 5) FROM r WHERE a2 > 10")
+        sql = "SELECT count(a1 * 3), sum(a3 + 7) FROM r WHERE a2 > -20"
+        repeat = engine.execute(sql)
+        assert repeat.plan_cache_hit and repeat.used_codegen
+        assert np.array_equal(repeat.result.data, _interpreted(table, sql).data)
+
+    def test_dedup_never_shares_a_kernel_across_slot_counts(self, table):
+        distinct = "SELECT count(a1 + 1), count(a1 + 2) FROM r WHERE a2 > 0"
+        folded = "SELECT count(a1 + 1), count(a1 + 1) FROM r WHERE a2 > 0"
+        assert query_literals(parse_query(distinct)) == [0, 1, 2]
+        assert query_literals(parse_query(folded)) == [0, 1]
+        engine = H2OEngine(table, config=EngineConfig())
+        for sql in (distinct, folded, distinct):
+            report = engine.execute(sql)
+            assert report.used_codegen and not report.codegen_fallback
+            assert np.array_equal(
+                report.result.data, _interpreted(table, sql).data
+            )
+        assert report.plan_cache_hit
