@@ -71,7 +71,7 @@ def _workload():
 
 def _measure_workers(num_workers: int, queries) -> dict:
     service = H2OService(
-        config=EngineConfig(adaptation_mode="background"),
+        config=EngineConfig(),
         num_workers=num_workers,
         max_pending=4 * QUERIES_PER_RUN,
         name=f"bench-{num_workers}w",
@@ -80,7 +80,7 @@ def _measure_workers(num_workers: int, queries) -> dict:
         service.register(
             generate_table("r", num_attrs=NUM_ATTRS, num_rows=NUM_ROWS, rng=23)
         )
-        # Warmup: let the fast lane and background adaptation settle.
+        # Warmup: let the fast lane and inline adaptation settle.
         for sql in queries[:40]:
             service.execute(sql, timeout=120.0)
         started = time.perf_counter()

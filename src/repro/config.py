@@ -110,21 +110,6 @@ class EngineConfig:
     #: built immediately.  Larger values trade adaptation latency for
     #: thrash resistance.
     hedging_factor: float = 0.0
-    #: Where adaptation work (advisor runs and layout materialization)
-    #: happens:
-    #: - "inline" (the paper-faithful default): the advisor runs on the
-    #:   query path when the window elapses and new layouts are built
-    #:   *online*, fused with the triggering query — all adaptation cost
-    #:   is charged to that query's response time;
-    #: - "background": queries only *signal* that adaptation is due; a
-    #:   background scheduler (see :mod:`repro.service`) runs the
-    #:   advisor and materializes layouts off the query path from a
-    #:   pinned snapshot, publishing each finished layout atomically via
-    #:   an epoch bump.  Queries never pay adaptation cost, at the price
-    #:   of answering a few more queries from pre-adaptation layouts.
-    #:   Without a scheduler attached the engine safely degrades to
-    #:   inline behaviour.
-    adaptation_mode: str = "inline"
     #: Whether per-morsel min/max zone maps are built (during lazy
     #: materialization's fused pass, on stitches and incrementally on
     #: appends) and consulted to skip non-qualifying morsels before
@@ -178,11 +163,6 @@ class EngineConfig:
             raise AdaptationError(
                 "hedging_factor must be finite and >= 0, got "
                 f"{self.hedging_factor}"
-            )
-        if self.adaptation_mode not in ("inline", "background"):
-            raise AdaptationError(
-                "adaptation_mode must be 'inline' or 'background', got "
-                f"{self.adaptation_mode!r}"
             )
         if self.morsel_rows <= 0:
             raise AdaptationError(

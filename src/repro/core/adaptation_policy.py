@@ -184,16 +184,6 @@ class AdaptationPolicy:
         self.deferrals += 1
         return False
 
-    def would_allow(self, candidate: CandidateLayout) -> bool:
-        """Side-effect-free preview of :meth:`allow_materialization`.
-
-        Used by the background scheduler's polling loop, which must not
-        inflate the deferral counters on every cycle.
-        """
-        entry = self.ledger.get(candidate.ledger_key)
-        accrued = entry.accrued if entry is not None else 0.0
-        return self._gate_open(accrued, candidate.build_cost)
-
     def note_materialized(
         self, candidate: CandidateLayout, query_index: int
     ) -> None:

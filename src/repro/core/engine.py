@@ -18,7 +18,7 @@ Per query (paper Fig. 3 and sections 3.2–3.5):
 
 All adaptation overheads — advisor runs, code generation, layout
 creation — are charged to the triggering query's response time, exactly
-as the paper reports them (``adaptation_mode="inline"``, the default).
+as the paper reports them.
 
 **The steady-state fast lane.**  Once the store has adapted (the tail
 of Fig. 7), a recurring workload repeats the same query *shapes* with
@@ -54,16 +54,13 @@ only re-derivation of unchanged decisions.
 3. *finish* (under ``engine.lock``): selectivity feedback, plan-cache
    store, usage accounting, report append.
 
-Layout mutations (online reorganization, background publication,
-budget retirement) happen under the engine lock and publish atomically
-through the table's snapshot mechanism — a running scan keeps reading
-its pinned snapshot and can never observe a partially-materialized
-layout.  With ``adaptation_mode="background"`` the adaptation phase is
-exported to a scheduler thread (see
-:class:`repro.service.AdaptationScheduler`): queries merely *signal*
-due-ness, the scheduler runs the advisor and stitches new layouts from
-a pinned snapshot off the query path, then publishes them via a single
-epoch bump.
+Layout mutations (online reorganization, budget retirement) happen
+under the engine lock and publish atomically through the table's
+snapshot mechanism — a running scan keeps reading its pinned snapshot
+and can never observe a partially-materialized layout.  Adaptation is
+always charged to the query that triggers it, also under concurrent
+traffic: the worker that runs a triggering query pays its advisor run
+and stitch while the other workers keep scanning their snapshots.
 """
 
 from __future__ import annotations
@@ -286,12 +283,6 @@ class H2OEngine:
         self._last_adaptation_snapshot: Optional[tuple] = None
         #: Distinct access sets as of the last adaptation phase.
         self._reference_patterns: List = []
-        #: Non-blocking callback invoked (outside the lock) when the
-        #: adaptation window elapses in background mode; the service's
-        #: scheduler attaches one to wake its thread.
-        self._adaptation_signal: Optional[Callable[["H2OEngine"], None]] = (
-            None
-        )
 
     # Public API ---------------------------------------------------------------
 
@@ -326,15 +317,6 @@ class H2OEngine:
         self._check_deadline(deadline, "prepare")
         with self.lock:
             prep = self._prepare(query, phases)
-
-        if prep.result is None and self.config.adaptation_mode == (
-            "background"
-        ):
-            # Wake the scheduler outside the lock (the callback must be
-            # non-blocking; it typically just sets an Event).
-            signal = self._adaptation_signal
-            if signal is not None and self.window.due():
-                signal(self)
 
         if prep.result is not None:
             result, stats = prep.result, prep.stats
@@ -433,15 +415,10 @@ class H2OEngine:
             self.window.note_shift()
             self.monitor.resize(self.window.size)
 
-        # 2. Periodic adaptation: refresh the candidate pool.  Inline
-        # mode runs it here (cost charged to this query); background
-        # mode leaves it to the scheduler, which this query signals
-        # after releasing the lock.
+        # 2. Periodic adaptation: refresh the candidate pool (cost
+        # charged to this query).
         adaptation_ran = False
-        if self.window.due() and (
-            self.config.adaptation_mode == "inline"
-            or self._adaptation_signal is None
-        ):
+        if self.window.due():
             self._adapt(index, phases)
             adaptation_ran = True
 
@@ -690,20 +667,12 @@ class H2OEngine:
     ) -> Tuple[Optional[CandidateLayout], bool]:
         """The best candidate this query both matches and amortizes.
 
-        Only the inline adaptation mode fuses materialization with the
-        triggering query; in background mode the scheduler builds
-        candidates off the query path instead.
-
         Returns ``(candidate, deferred)``: the winning candidate (or
         None), and whether the switching policy refused an otherwise
         eligible build (hedged threshold not yet met — the refusal is
         recorded in the policy's debt ledger).
         """
         if self.config.materialization != "lazy":
-            return None, False
-        if self.config.adaptation_mode != "inline" and (
-            self._adaptation_signal is not None
-        ):
             return None, False
         select_attrs = frozenset(info.select_attrs)
         where_attrs = frozenset(info.where_attrs)
@@ -943,9 +912,9 @@ class H2OEngine:
         reorganization changes the layouts, so its epoch is stale by
         construction; attribute-free queries have nothing to reuse).
         The entry is tagged with the epoch of the snapshot the plan was
-        *derived against* — if a background publication raced this
-        query, the entry is stale immediately and the next lookup drops
-        it, never serving a plan across an epoch boundary.
+        *derived against* — if another worker's stitch or an append
+        raced this query, the entry is stale immediately and the next
+        lookup drops it, never serving a plan across an epoch boundary.
         """
         info = prep.info
         if not self.config.plan_cache or not info.all_attrs:
@@ -1032,106 +1001,6 @@ class H2OEngine:
             learned = self.selectivity.estimate(query.where, key)
             if abs(learned - entry.selectivity) > SELECTIVITY_DRIFT_BAND:
                 self.plan_cache.invalidate(entry.signature, "drift")
-
-    # Background adaptation hooks ------------------------------------------------
-
-    def attach_adaptation_signal(
-        self, callback: Optional[Callable[["H2OEngine"], None]]
-    ) -> None:
-        """Register (or clear, with ``None``) the due-ness callback.
-
-        Used by :class:`repro.service.AdaptationScheduler`.  The
-        callback must be non-blocking (it typically sets an Event); it
-        is invoked from query threads *outside* the engine lock.
-        """
-        with self.lock:
-            self._adaptation_signal = callback
-
-    def adaptation_due(self) -> bool:
-        """Whether the adaptation window has elapsed (thread-safe)."""
-        with self.lock:
-            return self.window.due()
-
-    def run_adaptation_cycle(self) -> List[CandidateLayout]:
-        """One background adaptation phase: advisor + candidate refresh.
-
-        Runs :meth:`_adapt` under the engine lock (blocking other
-        queries' *decision* stages briefly — their scans continue) and
-        returns the candidates eligible for background materialization.
-        The caller (the scheduler) stitches them off-lock from a pinned
-        snapshot and publishes via :meth:`publish_group`.
-        """
-        with self.lock:
-            if self.window.due():
-                self._adapt(self._query_counter, {})
-            return self.background_candidates()
-
-    def background_candidates(self) -> List[CandidateLayout]:
-        """Candidates worth materializing off the query path.
-
-        Empty unless lazy materialization is enabled — the eager/off
-        modes never stitch new groups, inline or background.
-        """
-        if self.config.materialization != "lazy":
-            return []
-        with self.lock:
-            return [
-                c
-                for c in self.candidates
-                if c.expected_gain > 0
-                and c.frequency >= self.config.amortization_threshold
-                and self.table.find_group(c.attrs) is None
-                and not self.quarantine.blocked(c.ledger_key)
-                # Side-effect-free policy preview: the scheduler polls
-                # every cycle and must not inflate deferral counters.
-                and self.policy.would_allow(c)
-            ]
-
-    def note_stitch_failure(self, candidate: CandidateLayout) -> None:
-        """Quarantine a candidate whose *background* stitch aborted.
-
-        Called by :class:`repro.service.AdaptationScheduler` when a
-        cycle's off-path stitch raises
-        :class:`~repro.errors.ReorganizationError` — the same backoff
-        policy as an online abort, so a poisoned group is not re-stitched
-        on every cycle.
-        """
-        with self.lock:
-            self.quarantine.note_failure(candidate.ledger_key)
-
-    def publish_group(self, group, seconds: float) -> bool:
-        """Atomically adopt a background-built column group.
-
-        Returns ``False`` (discarding the group) when a concurrent
-        append invalidated it — the stitch can be retried against a
-        fresh snapshot on the next cycle.  On success the epoch bump
-        implicitly invalidates every cached plan derived from the old
-        layout set.
-        """
-        with self.lock:
-            try:
-                self.manager.register_group(
-                    group, seconds, query_index=None, mode="background"
-                )
-            except LayoutError:
-                return False
-            self.quarantine.note_success(group.attr_set)
-            for candidate in self.candidates:
-                if candidate.attr_set == group.attr_set:
-                    self.policy.note_materialized(
-                        candidate, self._query_counter
-                    )
-                    break
-            self.candidates = [
-                c for c in self.candidates if c.attr_set != group.attr_set
-            ]
-            if self.config.max_table_bytes:
-                dropped = self.manager.retire_cold_groups(
-                    self.config.max_table_bytes
-                )
-                if dropped:
-                    self._last_adaptation_snapshot = None
-            return True
 
     # Learned-state persistence ---------------------------------------------
 

@@ -7,8 +7,7 @@ garbage-collect unused replicated groups under a memory budget.
 
 Thread-safety: the engine invokes the mutating paths under its own
 lock, but the creation log and usage counters are also read by report
-threads (``describe``, benchmarks) and written by the background
-adaptation scheduler's publish path — so the manager guards its own
+threads (``describe``, benchmarks) — so the manager guards its own
 bookkeeping with an internal lock and hands out defensive copies.
 The table mutations themselves (``add_layout``/``drop_layout``) are
 atomic snapshot publications, independent of this lock.
@@ -37,7 +36,7 @@ class LayoutEvent:
     bytes_read: int
     bytes_written: int
     query_index: Optional[int] = None
-    mode: str = "offline"  # "offline" | "online" | "background"
+    mode: str = "offline"  # "offline" | "online"
 
 
 class LayoutManager:

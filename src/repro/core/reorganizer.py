@@ -14,11 +14,9 @@ twice").
 
 Both passes accept either a live :class:`~repro.storage.relation.Table`
 or a pinned :class:`~repro.storage.relation.LayoutSnapshot` — they only
-read (schema, covering layouts, row count) and never mutate.  The
-background adaptation scheduler exploits this: it stitches from a
-snapshot *without holding any engine lock*, then publishes the finished
-group atomically; a stitch raced by an append simply yields a group
-whose row count no longer matches and is discarded at publication.
+read (schema, covering layouts, row count) and never mutate.  A stitch
+raced by an append yields a group whose row count no longer matches
+the table; the layout manager refuses to register it.
 """
 
 from __future__ import annotations
@@ -79,17 +77,11 @@ class Reorganizer:
     ) -> ReorgOutcome:
         """Stitch the group in a dedicated pass (no query involved).
 
-        Read-only over ``table`` — pass a pinned snapshot to stitch
-        off-lock while queries keep running.
+        Read-only over ``table``.
         """
         ordered = table.schema.ordered(attrs)
         sources = table.covering_layouts(ordered)
         full_width = len(ordered) == table.schema.width
-        # Injectable failure site: a background stitch dying before the
-        # group is built.  Raises ReorganizationError; the caller (the
-        # adaptation scheduler) counts a stitch failure and retries the
-        # candidate on a later cycle from a fresh snapshot.
-        fault_point("reorg.offline", attrs=ordered)
         with Timer() as timer:
             group, _stats = stitch_group(
                 sources,

@@ -94,9 +94,8 @@ class ReorganizationError(StorageError):
     discarded), the triggering candidate stays eligible so the stitch is
     retried later, and — for online reorganization — the triggering
     query is still answered through ordinary cost-based planning.  The
-    engine counts these aborts (``H2OEngine.reorg_aborts``) and the
-    background scheduler counts them as ``stitch_failures``; the testkit
-    oracle asserts the counts match its injected faults, so a silently
+    engine counts these aborts (``H2OEngine.reorg_aborts``); the testkit
+    oracle asserts the count matches its injected faults, so a silently
     swallowed abort is detected.
     """
 

@@ -1,7 +1,7 @@
 """The self-healing layer: every adaptive mechanism gets a safety net.
 
-H2O's premise is that adaptation — JiT code generation, online and
-background reorganization, plan caching — runs *inside* the serving
+H2O's premise is that adaptation — JiT code generation, online
+reorganization, plan caching — runs *inside* the serving
 path.  That makes every adaptive mechanism a failure surface for live
 queries.  This package holds the runtime's answers, all deterministic
 and clock-injectable so the degradation ladder is unit-testable without
@@ -34,10 +34,8 @@ The ladder these pieces implement, from cheapest to most drastic:
    candidate, both with bounded, growing backoff;
 3. *heal the pool* — a dead worker is detected by the watchdog and
    replaced at a bounded rate, its ticket requeued;
-4. *shed adaptation before queries* — under overload the service
-   pauses the background :class:`~repro.service.AdaptationScheduler`
-   first and only rejects submissions when the admission bound itself
-   is hit.
+4. *shed load* — the service rejects submissions once the admission
+   bound is hit, instead of queueing without bound.
 
 Every rung is observable (counters, the health report) and audited by
 the testkit's chaos mode (``python -m repro.testkit chaos``): an

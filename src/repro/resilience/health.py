@@ -6,13 +6,13 @@ plans, a quarantined candidate never re-stitched, a worker pool quietly
 running below strength — each is correct behaviour in the moment and an
 operational problem if unnoticed.  :class:`HealthReport` is the
 defensive, immutable snapshot :meth:`repro.service.H2OService.health`
-assembles from the admission controller, the worker pool, the
-scheduler, and every engine's breaker/quarantine/fallback counters.
+assembles from the admission controller, the worker pool and every
+engine's breaker/quarantine/fallback counters.
 
 ``status`` summarizes the ladder:
 
 - ``"healthy"`` — full worker strength, no open breakers, nothing
-  quarantined, scheduler running;
+  quarantined;
 - ``"degraded"`` — serving correct answers through at least one
   fallback rung (the whole point of the ladder: degraded, never wrong);
 - ``"closed"`` — the service has been shut down.
@@ -42,10 +42,6 @@ class HealthReport:
     requeued_deaths: int
     retried_failures: int
     degraded_queries: int
-    #: Background adaptation.
-    scheduler_paused: bool
-    scheduler_pauses: int
-    stitch_failures: int
     #: Per-table breaker telemetry (see CircuitBreaker.snapshot()).
     breaker_states: Mapping[str, Mapping[str, object]] = field(
         default_factory=dict
@@ -104,8 +100,6 @@ class HealthReport:
             "requeued_deaths": self.requeued_deaths,
             "retried_failures": self.retried_failures,
             "degraded_queries": self.degraded_queries,
-            "scheduler_pauses": self.scheduler_pauses,
-            "stitch_failures": self.stitch_failures,
             "codegen_fallbacks": self.codegen_fallbacks,
             "breaker_short_circuits": self.breaker_short_circuits,
             "reorg_aborts": self.reorg_aborts,
@@ -126,9 +120,6 @@ class HealthReport:
             f"  retries: deaths_requeued={self.requeued_deaths} "
             f"failures_retried={self.retried_failures} "
             f"degraded_queries={self.degraded_queries}",
-            f"  adaptation: paused={self.scheduler_paused} "
-            f"(pauses={self.scheduler_pauses}, "
-            f"stitch_failures={self.stitch_failures})",
             f"  fallbacks: codegen={self.codegen_fallbacks} "
             f"breaker_short_circuits={self.breaker_short_circuits} "
             f"reorg_aborts={self.reorg_aborts} "

@@ -1,6 +1,6 @@
 """Exponential-backoff quarantine for poisoned reorganization candidates.
 
-When an online or background stitch for a candidate layout aborts, the
+When an online stitch for a candidate layout aborts, the
 candidate deliberately *stays in the pool* — the abort is usually
 transient (PR 3's contract).  But "stays eligible" without backoff
 means the advisor re-triggers the same stitch on the very next matching

@@ -9,8 +9,6 @@ into a multi-client service:
   in-flight capacity with O(1) back-pressure rejection;
 - :class:`~repro.service.session.Session` — per-client handles with
   their own accounting and default timeout;
-- :class:`~repro.service.scheduler.AdaptationScheduler` — background
-  adaptation off the query path (``adaptation_mode="background"``);
 - :class:`~repro.service.stats.ServiceStats` — thread-safe counters and
   latency percentiles.
 
@@ -18,8 +16,7 @@ The service is *self-healing* (docs/resilience.md): a worker watchdog
 prunes dead threads and respawns them under a token-bucket budget,
 tickets whose worker died (or whose failure was transient, see
 ``H2OError.is_retryable``) are requeued within an attempt budget and
-deadline, an overload ladder pauses background adaptation before
-queries are shed, and :meth:`~repro.service.service.H2OService.health`
+deadline, and :meth:`~repro.service.service.H2OService.health`
 exposes the whole degradation state as one immutable
 :class:`~repro.resilience.health.HealthReport`.
 
@@ -31,14 +28,12 @@ via a single atomic epoch bump.
 
 from ..resilience.health import HealthReport
 from .admission import AdmissionController
-from .scheduler import AdaptationScheduler
 from .service import H2OService, QueryFuture
 from .session import Session
 from .stats import ServiceStats, percentile
 
 __all__ = [
     "AdmissionController",
-    "AdaptationScheduler",
     "H2OService",
     "HealthReport",
     "QueryFuture",

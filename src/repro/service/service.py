@@ -16,12 +16,10 @@ H2OSystem` into a multi-client service:
   waiter; if it had not started it is cancelled and never runs;
 - **snapshot-isolated reads** — every query executes against the layout
   snapshot pinned at its admission into the engine (see
-  :class:`~repro.storage.relation.LayoutSnapshot`), so a background
-  reorganization can never mutate a layout mid-scan;
-- **background adaptation** — with ``adaptation_mode="background"`` in
-  the engine config, an :class:`~repro.service.scheduler.
-  AdaptationScheduler` thread runs the advisor and stitches new layouts
-  off the query path, publishing them atomically via epoch bumps.
+  :class:`~repro.storage.relation.LayoutSnapshot`), so another
+  worker's online reorganization can never mutate a layout mid-scan.
+  Adaptation stays inline: the worker running the triggering query
+  pays for it, as in the paper.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from ..util.faultpoints import fault_point
 from ..sql.query import Query
 from ..storage.relation import Table
 from .admission import AdmissionController
-from .scheduler import AdaptationScheduler
 from .session import Session
 from .stats import ServiceStats
 
@@ -301,17 +298,6 @@ class H2OService:
         self._target_workers = num_workers
         for _ in range(num_workers):
             self._spawn_worker()
-        self.scheduler: Optional[AdaptationScheduler] = None
-        if self.system.config.adaptation_mode == "background":
-            self.scheduler = AdaptationScheduler(self.system)
-            self.scheduler.start()
-        #: Overload ladder thresholds, as fractions of admission
-        #: capacity: above ``_pause_fraction`` in-system queries the
-        #: scheduler is paused (adaptation yields to traffic); below
-        #: ``_resume_fraction`` it resumes.  The hysteresis gap stops
-        #: flapping at the boundary.
-        self._pause_fraction = 0.75
-        self._resume_fraction = 0.5
         #: Watchdog: prunes dead worker threads and respawns them within
         #: its budget.  Only a service that owns workers needs one.
         self._supervisor: Optional[Supervisor] = None
@@ -321,16 +307,8 @@ class H2OService:
     # Catalog -------------------------------------------------------------
 
     def register(self, table: Table, replace: bool = False) -> None:
-        """Register a table with the underlying system.
-
-        Under background adaptation the engine is created eagerly and
-        the scheduler's due-ness signal attached *before* the first
-        query arrives, so no early query pays the inline adaptation
-        cost during the scheduler's startup window.
-        """
+        """Register a table with the underlying system."""
         self.system.register(table, replace=replace)
-        if self.scheduler is not None:
-            self.scheduler.attach(self.system.engine_for(table.name))
 
     # Sessions ------------------------------------------------------------
 
@@ -396,30 +374,12 @@ class H2OService:
                 f"({self.admission.capacity} queries in flight); "
                 "retry later"
             )
-        self._note_load()
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
         ticket = _QueryTicket(query, session, deadline)
         self._queue.put(ticket)
         return QueryFuture(ticket, self)
-
-    def _note_load(self) -> None:
-        """Advance the overload ladder on every load change.
-
-        Before the admission bound starts shedding queries, the service
-        sheds *optional* work: above ``_pause_fraction`` of capacity
-        the background adaptation scheduler is paused, below
-        ``_resume_fraction`` it resumes (hysteresis stops flapping).
-        Queries always win over adaptation.
-        """
-        if self.scheduler is None:
-            return
-        fraction = self.admission.in_flight / self.admission.capacity
-        if fraction >= self._pause_fraction:
-            self.scheduler.pause()
-        elif fraction <= self._resume_fraction:
-            self.scheduler.resume()
 
     def execute(
         self,
@@ -496,17 +456,12 @@ class H2OService:
                 # strength; this thread just exits.
                 requeued = self._on_worker_death(ticket, exc)
                 if not requeued:
-                    self._release_slot()
+                    self.admission.release()
                 if self._supervisor is not None:
                     self._supervisor.wake()
                 return
             if not requeued:
-                self._release_slot()
-
-    def _release_slot(self) -> None:
-        """Return an admission slot and advance the overload ladder."""
-        self.admission.release()
-        self._note_load()
+                self.admission.release()
 
     def _on_worker_death(
         self, ticket: _QueryTicket, exc: BaseException
@@ -663,7 +618,7 @@ class H2OService:
     # Lifecycle ------------------------------------------------------------
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, drain workers, stop the scheduler.
+        """Stop accepting work and drain the workers.
 
         Every ticket still queued when the workers exit — including one
         that raced past the closed check in :meth:`submit` — is failed
@@ -682,8 +637,6 @@ class H2OService:
             self._queue.put(None)
         for worker in workers:
             worker.join(timeout)
-        if self.scheduler is not None:
-            self.scheduler.stop()
         # Fail anything left in the queue (raced submissions, tickets
         # behind a dead worker's unconsumed sentinel).
         while True:
@@ -720,8 +673,8 @@ class H2OService:
     def health(self) -> HealthReport:
         """One consistent snapshot of the whole degradation ladder.
 
-        Assembled from the worker pool, the admission controller, the
-        scheduler, and every engine's breaker/quarantine/fallback
+        Assembled from the worker pool, the admission controller and
+        every engine's breaker/quarantine/fallback
         counters — see :mod:`repro.resilience.health` for the status
         semantics (``healthy`` / ``degraded`` / ``closed``).
         """
@@ -747,17 +700,6 @@ class H2OService:
         reorg_aborts = sum(e.reorg_aborts for e in engines)
         deadline_aborts = sum(e.deadline_aborts for e in engines)
         workers_alive = self.alive_workers()
-        scheduler_paused = (
-            self.scheduler.paused if self.scheduler is not None else False
-        )
-        scheduler_pauses = (
-            self.scheduler.pauses if self.scheduler is not None else 0
-        )
-        stitch_failures = (
-            self.scheduler.stitch_failures
-            if self.scheduler is not None
-            else 0
-        )
         open_breakers = any(
             snapshot["open"] for snapshot in breaker_states.values()
         )
@@ -767,10 +709,7 @@ class H2OService:
         if self._closed.is_set():
             status = "closed"
         elif (
-            workers_alive < self._target_workers
-            or open_breakers
-            or blocked
-            or scheduler_paused
+            workers_alive < self._target_workers or open_breakers or blocked
         ):
             status = "degraded"
         else:
@@ -787,9 +726,6 @@ class H2OService:
             requeued_deaths=int(snap["requeued_deaths"]),
             retried_failures=int(snap["retried_failures"]),
             degraded_queries=int(snap["degraded"]),
-            scheduler_paused=scheduler_paused,
-            scheduler_pauses=scheduler_pauses,
-            stitch_failures=stitch_failures,
             breaker_states=breaker_states,
             quarantines=quarantines,
             policies=policies,
@@ -829,7 +765,5 @@ class H2OService:
                 int(snap["degraded"]),
             ),
         ]
-        if self.scheduler is not None:
-            lines.append(f"  adaptation: {self.scheduler.stats()}")
         lines.append(self.system.describe())
         return "\n".join(lines)

@@ -1,7 +1,7 @@
 """The H2O testkit: differential oracle + deterministic fault injection.
 
 H2O's value proposition is that continuous physical change — lazy
-materialization fused with execution, background stitching, JiT
+materialization fused with execution, online stitching, JiT
 operator swaps, plan caching — is *invisible* in query answers.  This
 package is the standing correctness gate for that property:
 
@@ -12,8 +12,8 @@ package is the standing correctness gate for that property:
 - :mod:`~repro.testkit.oracle` — the differential oracle: every
   generated sequence runs through eight paths — the row reference,
   the interpreted Volcano evaluator, the column baseline, and the
-  adaptive engine inline, interpreted, in the background behind the
-  service with N workers, on morsel-parallel scan threads, and with a
+  adaptive engine inline, interpreted, behind the concurrent service
+  with N workers, on morsel-parallel scan threads, and with a
   hedged switching policy — asserting
   bit-identical results and engine invariants (epoch monotonicity,
   snapshot row-count consistency, schema coverage, operator-cache

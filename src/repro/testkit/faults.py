@@ -20,8 +20,6 @@ kind / point          injected exception       documented surface
 ``reorg.online``      ReorganizationError      partial group discarded,
                                                query answered via planning;
                                                ``H2OEngine.reorg_aborts``
-``reorg.offline``     ReorganizationError      background stitch retried;
-                                               ``scheduler.stitch_failures``
 ``service.worker``    RuntimeError (escapes)   waiter gets ServiceError,
                                                worker replaced;
                                                ``stats.worker_deaths``
@@ -53,7 +51,6 @@ from ..util.rng import RngLike, ensure_rng
 FAULT_KINDS: Dict[str, type] = {
     "codegen.compile": CodegenError,
     "reorg.online": ReorganizationError,
-    "reorg.offline": ReorganizationError,
     "service.worker": RuntimeError,
     "service.execute": QueryTimeoutError,
 }
@@ -80,8 +77,8 @@ class FaultInjector:
     []
 
     Thread-safe: occurrence counting and the fired log are guarded by
-    one lock (points are hit from query workers, the adaptation
-    scheduler thread, and the caller's thread simultaneously).
+    one lock (points are hit from query workers and the caller's thread
+    simultaneously).
     """
 
     def __init__(self, schedule: Mapping[str, FrozenSet[int]]) -> None:

@@ -16,8 +16,10 @@ deterministic data:
    small adaptation window so advisor runs, online reorganizations and
    plan-cache hits all happen inside a short sequence;
 5. **adaptive interpreted** — the same engine with codegen disabled;
-6. **adaptive background** — the engine behind the concurrent service
-   with N workers and the background adaptation scheduler;
+6. **adaptive service** — the engine behind the concurrent service
+   with N workers, the whole sequence submitted at once, so workers
+   interleave shapes while their triggering queries stitch layouts
+   inline;
 7. **adaptive parallel** — the full engine with morsel-driven parallel
    scans on a dedicated 4-thread :class:`~repro.execution.parallel.
    ScanPool` and tiny morsels (so even small cases split into many),
@@ -107,7 +109,7 @@ CLEAN_MODES = (
     "column",
     "adaptive-inline",
     "adaptive-interpreted",
-    "adaptive-background",
+    "adaptive-service",
     "adaptive-parallel",
     "adaptive-guarded",
 )
@@ -499,9 +501,9 @@ class DifferentialOracle:
     def _run_service(
         self, spec: CaseSpec, expected: Sequence[QueryResult]
     ) -> None:
-        mode = "adaptive-background"
+        mode = "adaptive-service"
         service = H2OService(
-            config=self._adaptive_config(adaptation_mode="background"),
+            config=self._adaptive_config(),
             num_workers=self.workers,
             max_pending=4 * max(1, len(spec.queries)),
             name="oracle-service",
@@ -511,7 +513,7 @@ class DifferentialOracle:
             engine = service.system.engine_for(spec.table_name)
             epoch = 0
             # Submit the whole sequence concurrently — workers interleave
-            # shapes while the background scheduler publishes layouts.
+            # shapes while triggering queries stitch layouts online.
             futures = [
                 service.submit(sql, timeout=120.0) for sql in spec.queries
             ]
@@ -593,15 +595,15 @@ class DifferentialOracle:
         expected: Sequence[QueryResult],
         rng_tag: str = "service",
     ) -> Dict[str, int]:
-        """Service under compile, offline-stitch, worker-death and
+        """Service under compile, online-stitch, worker-death and
         transient-execute faults — every one *absorbed*.
 
         The self-healing ladder (docs/resilience.md) means none of
         these may reach a waiter: a worker death requeues the ticket
         (the watchdog heals the pool), a transient execute failure is
         retried under the attempt budget, a compile failure falls back
-        interpreted, an offline stitch abort is counted and the
-        candidate quarantined.  Every query must therefore be answered
+        interpreted, an online stitch abort answers through planning and
+        quarantines the candidate.  Every query must therefore be answered
         **bit-identically** — a surfaced exception is an oracle
         failure — and every absorbed fault must show up in the evidence
         counters with *exact* equality, so a silently swallowed fault
@@ -614,7 +616,7 @@ class DifferentialOracle:
         """
         mode = f"faults-{rng_tag}"
         service = H2OService(
-            config=self._adaptive_config(adaptation_mode="background"),
+            config=self._adaptive_config(),
             num_workers=self.workers,
             max_pending=4 * max(1, len(spec.queries)),
             max_query_attempts=2 * self.faults_per_point + 2,
@@ -626,7 +628,7 @@ class DifferentialOracle:
             faults_per_point=self.faults_per_point,
             points=(
                 "codegen.compile",
-                "reorg.offline",
+                "reorg.online",
                 "service.worker",
                 "service.execute",
             ),
@@ -659,16 +661,6 @@ class DifferentialOracle:
                             )
                         )
                     epoch = check_engine_invariants(engine, epoch, mode)
-                # Let the background scheduler drain its candidates (and
-                # hit any scheduled offline-stitch faults) before the
-                # evidence audit; bounded wait, no fixed sleeps.
-                deadline = time.monotonic() + 10.0
-                while (
-                    engine.background_candidates()
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                check_engine_invariants(engine, epoch, mode)
                 # The watchdog must have healed the pool back to full
                 # strength (bounded wait — respawns are budgeted).
                 heal_deadline = time.monotonic() + 10.0
@@ -689,9 +681,6 @@ class DifferentialOracle:
             service.close()
         fired = injector.fired_by_point()
         stats = service.stats.snapshot()
-        scheduler_stats = (
-            service.scheduler.stats() if service.scheduler else {}
-        )
         audits: List[Tuple[str, int, int]] = [
             (
                 "codegen.compile → executor.codegen_fallbacks",
@@ -699,9 +688,9 @@ class DifferentialOracle:
                 engine.executor.codegen_fallbacks,
             ),
             (
-                "reorg.offline → scheduler.stitch_failures",
-                fired.get("reorg.offline", 0),
-                int(scheduler_stats.get("stitch_failures", 0)),
+                "reorg.online → engine.reorg_aborts",
+                fired.get("reorg.online", 0),
+                engine.reorg_aborts,
             ),
             (
                 "service.worker → stats.worker_deaths",
@@ -735,15 +724,13 @@ class DifferentialOracle:
     def chaos_case(self, spec: CaseSpec) -> SequenceResult:
         """One chaos sequence: faults at *every* registered point.
 
-        Two sub-passes cover the five fault points end to end (online
-        stitches only happen on the inline path by design — background
-        mode routes materialization through the scheduler):
+        Two sub-passes cover the four fault points end to end:
 
         1. **inline** — ``codegen.compile`` + ``reorg.online`` against
-           the inline engine;
-        2. **service** — ``codegen.compile``, ``reorg.offline``,
+           the bare engine;
+        2. **service** — ``codegen.compile``, ``reorg.online``,
            ``service.worker``, ``service.execute`` against the full
-           background service.
+           service.
 
         Acceptance is strict: zero crashes, zero wrong answers, the
         worker pool healed, and every fired fault accounted for in the

@@ -15,8 +15,8 @@ Chaos mode::
     PYTHONPATH=src python -m repro.testkit chaos --seqs 20 --seed 0
 
 runs seeded *chaos* sequences: faults scheduled at every registered
-injection point (compile, online + offline stitch, worker death,
-transient execute failure), asserting zero crashes, bit-identical
+injection point (compile, online stitch, worker death, transient
+execute failure), asserting zero crashes, bit-identical
 answers, a healed worker pool and an exact degradation-evidence audit
 (see :meth:`repro.testkit.oracle.DifferentialOracle.chaos_case`).  It
 also reports cumulative fault-point coverage and fails if any point

@@ -23,8 +23,6 @@ Registered points (name → site → injected failure):
 - ``reorg.online`` — :meth:`repro.core.reorganizer.Reorganizer.online`,
   inside the block loop (a stitch aborted mid-reorganization, after
   partial data has been written into the new group's backing array);
-- ``reorg.offline`` — :meth:`repro.core.reorganizer.Reorganizer.
-  offline`, before the stitch (a background stitch failure);
 - ``service.worker`` — :meth:`repro.service.service.H2OService.
   _run_ticket`, after the query is marked running but outside the
   per-query exception scope (an abrupt worker-thread death);

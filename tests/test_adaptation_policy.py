@@ -76,9 +76,6 @@ class GreedyReference(AdaptationPolicy):
     def allow_materialization(self, candidate, query_index):
         return True
 
-    def would_allow(self, candidate):
-        return True
-
 
 def drive(policy: AdaptationPolicy, events) -> None:
     """Replay ``events`` = [(pool_index, benefit, cost, attempt)]."""
@@ -115,11 +112,9 @@ def test_guarded_accrues_then_opens():
     # Needs accrued >= 2 * 3 = 6, i.e. six observations of benefit 1.
     for i in range(5):
         policy.observe(frozenset(cand.attrs), frozenset(), [cand], i)
-        assert not policy.would_allow(cand)
         assert not policy.allow_materialization(cand, i)
     assert policy.deferrals == 5
     policy.observe(frozenset(cand.attrs), frozenset(), [cand], 5)
-    assert policy.would_allow(cand)
     assert policy.allow_materialization(cand, 5)
     policy.note_materialized(cand, 5)
     assert policy.switch_count == 1

@@ -10,10 +10,12 @@ from repro.baselines import (
     OptimalEngine,
     RowStoreEngine,
 )
+from repro.core.engine import H2OEngine
 from repro.errors import ExecutionError, WorkloadError
 from repro.sql import parse_query
 from repro.storage import generate_table
 from repro.storage.layout import LayoutKind
+from repro.workloads.sequences import fig7_sequence
 
 
 @pytest.fixture()
@@ -58,6 +60,21 @@ class TestStaticEngines:
             results = [engine.execute(sql).result for engine in engines]
             for other in results[1:]:
                 assert results[0].allclose(other), sql
+
+    def test_h2o_matches_column_store_on_table1_sequence(self):
+        # The Table 1 workload (the Fig. 7 sequence) at tier-1 scale:
+        # adapting must not change a single answer.
+        workload = fig7_sequence(
+            num_attrs=60, num_rows=8_000, num_queries=30, rng=17
+        )
+        h2o = H2OEngine(workload.make_table(rng=1))
+        column = ColumnStoreEngine(workload.make_table(rng=1))
+        for query in workload.queries:
+            mine = h2o.execute(query).result
+            assert np.array_equal(
+                mine.data, column.execute(query).result.data
+            ), query.to_sql()
+        assert h2o.manager.creation_log, "the sequence never adapted"
 
     def test_strategies_match_design(self, table):
         col = ColumnStoreEngine(generate_table("r", 10, 1000, rng=8))

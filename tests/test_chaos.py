@@ -1,8 +1,8 @@
 """The chaos acceptance gate: faults everywhere, answers identical.
 
 Runs seeded chaos sequences through :func:`repro.testkit.run_chaos_sequence`:
-every registered fault point (compile failures, online and offline
-stitch aborts, worker deaths, transient execute failures) fires on a
+every registered fault point (compile failures, online stitch aborts,
+worker deaths, transient execute failures) fires on a
 seeded schedule while the engine and the service keep returning
 bit-identical answers, the worker pool heals, and every absorbed fault
 is matched against its degradation-evidence counter — a silently
@@ -10,7 +10,7 @@ swallowed fault fails the run (docs/resilience.md, docs/testing.md).
 
 The default tier runs a quick smoke; the ``chaos`` marker tier (its own
 CI job) runs the full 20-sequence acceptance gate with cumulative
-coverage of all five fault points.
+coverage of all four fault points.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ Covers the PR 5 subsystem bottom-up:
 - **per-morsel deadline** — the once-latch increments
   ``deadline_aborts`` exactly once under concurrent expiry;
 - **parallel_stress** — scan-pool helpers racing service workers,
-  background adaptation, and concurrent appends (dedicated CI job).
+  online stitches, and concurrent appends (dedicated CI job).
 
 The generated tables hold integers with |v| < 2**31, so float64 sums
 over a few thousand rows are exact and order-independent: parallel and
@@ -589,13 +589,13 @@ class TestEngineParallel:
 
 
 # ---------------------------------------------------------------------------
-# Stress: scan pool vs service workers vs background adaptation
+# Stress: scan pool vs service workers vs inline adaptation
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parallel_stress
 def test_parallel_scans_race_service_and_appends():
-    """Morsel helpers, service workers, background adaptation, and
+    """Morsel helpers, service workers, online stitches, and
     appends all race; every answer must stay consistent and the pool
     budget must return to zero."""
     from repro import H2OService
@@ -606,7 +606,7 @@ def test_parallel_scans_race_service_and_appends():
     valid_counts = {base_rows + k * batch for k in range(num_batches + 1)}
 
     service = H2OService(
-        config=parallel_config(adaptation_mode="background"),
+        config=parallel_config(),
         num_workers=4,
         max_pending=4096,
     )
@@ -651,7 +651,7 @@ def test_parallel_scans_race_service_and_appends():
             i = 0
             while not stop.is_set():
                 i += 1
-                # Hot shape drives background adaptation; the count
+                # Hot shape drives online stitches; the count
                 # probe checks snapshot consistency under appends.
                 report = session.execute(
                     "SELECT count(*), sum(a1 - a1) FROM r"

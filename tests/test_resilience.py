@@ -369,51 +369,6 @@ class TestWaiterIsolation:
             service.close()
 
 
-class TestOverloadLadder:
-    def test_load_pauses_then_resumes_background_adaptation(self, table):
-        service = make_service(
-            table,
-            config=EngineConfig(adaptation_mode="background"),
-            num_workers=0,
-            max_pending=8,
-        )
-        try:
-            scheduler = service.scheduler
-            assert scheduler is not None and not scheduler.paused
-            service.admission._in_flight = 6  # 75% of capacity
-            service._note_load()
-            assert scheduler.paused
-            service.admission._in_flight = 6
-            service._note_load()
-            assert scheduler.pauses == 1  # pause is idempotent
-            service.admission._in_flight = 5  # inside the hysteresis gap
-            service._note_load()
-            assert scheduler.paused
-            service.admission._in_flight = 2  # 25%: resume
-            service._note_load()
-            assert not scheduler.paused
-        finally:
-            service.admission._in_flight = 0
-            service.close()
-
-    def test_paused_scheduler_does_no_work(self, table):
-        service = make_service(
-            table,
-            config=EngineConfig(adaptation_mode="background"),
-            num_workers=0,
-        )
-        try:
-            scheduler = service.scheduler
-            scheduler.pause()
-            assert scheduler.run_cycle() == 0
-            stats = scheduler.stats()
-            assert stats["paused"] and stats["pauses"] == 1
-            scheduler.resume()
-            assert not scheduler.paused
-        finally:
-            service.close()
-
-
 class TestWorkerRespawn:
     def test_watchdog_restores_full_strength_after_deaths(self, table):
         service = make_service(table, num_workers=3)
@@ -503,8 +458,6 @@ class TestHealthReport:
             "requeued_deaths",
             "retried_failures",
             "degraded_queries",
-            "scheduler_pauses",
-            "stitch_failures",
             "codegen_fallbacks",
             "breaker_short_circuits",
             "reorg_aborts",

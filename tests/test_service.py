@@ -1,8 +1,8 @@
 """Unit tests for the concurrent query service's building blocks.
 
 Covers admission control, sessions, futures/timeouts, service stats,
-snapshot isolation (including the append-epoch contract), and the
-background adaptation scheduler driven synchronously.
+snapshot isolation (including the append-epoch contract), and an
+append racing an inline online stitch.
 """
 
 from __future__ import annotations
@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from repro import H2OService, generate_table
+from repro.baselines.row_engine import RowStoreEngine
 from repro.config import EngineConfig
+from repro.core.engine import H2OEngine
 from repro.errors import (
-    AdaptationError,
     QueryTimeoutError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
 )
 from repro.service import AdmissionController, ServiceStats, percentile
-from repro.service.scheduler import AdaptationScheduler
+from repro.sql.parser import parse_query
 from repro.storage.relation import LayoutSnapshot
 
 
@@ -286,89 +287,49 @@ class TestSnapshotIsolation:
 
 
 # ---------------------------------------------------------------------------
-# Background adaptation (scheduler driven synchronously)
+# An append racing an inline online stitch
 # ---------------------------------------------------------------------------
 
 
-class TestBackgroundAdaptation:
-    def test_invalid_adaptation_mode_rejected(self):
-        with pytest.raises(AdaptationError):
-            EngineConfig(adaptation_mode="sometimes")
+def test_append_during_online_stitch_keeps_answer_and_drops_group(table):
+    """An append that lands while a triggering query stitches its group
+    online: the query keeps its answer (computed from the pinned
+    pre-append rows), the group is discarded rather than torn, the
+    candidate leaves the pool, and the switch is still ledgered (the
+    stitch cost was paid)."""
+    sql = "SELECT sum(a1 + a2), count(*) FROM r WHERE a3 > 0"
+    reference = RowStoreEngine(
+        generate_table("r", num_attrs=10, num_rows=2000, rng=3),
+        EngineConfig(use_codegen=False),
+    )
+    expected = reference.execute(parse_query(sql)).result
+    engine = H2OEngine(table, EngineConfig())
+    online = engine.reorganizer.online
+    raced = []
 
-    def test_background_mode_starts_a_scheduler(self, table):
-        with make_service(
-            table, config=EngineConfig(adaptation_mode="background")
-        ) as service:
-            assert service.scheduler is not None
-            assert service.scheduler.running
-        assert not service.scheduler.running
+    def stitch_then_append(source, attrs, info):
+        outcome = online(source, attrs, info)
+        if not raced:
+            table.append_rows(
+                {
+                    name: np.zeros(3, dtype=np.int64)
+                    for name in table.schema.names
+                }
+            )
+            raced.append(tuple(outcome.group.attrs))
+        return outcome
 
-    def test_inline_mode_has_no_scheduler(self, table):
-        with make_service(table) as service:
-            assert service.scheduler is None
-
-    def test_synchronous_cycle_publishes_a_group(self, table):
-        from repro.core.system import H2OSystem
-
-        system = H2OSystem(
-            config=EngineConfig(adaptation_mode="background")
-        )
-        system.register(table)
-        engine = system.engine_for("r")
-        scheduler = AdaptationScheduler(system)  # never started
-        scheduler.attach(engine)
-        before = table.layout_epoch
-        # Drive enough repeats for the advisor to find a hot group.
-        for _ in range(engine.config.max_window + 5):
-            system.execute("SELECT sum(a1 + a2) FROM r WHERE a3 > 0")
-        published = 0
-        for _ in range(10):
-            published += scheduler.run_cycle()
-            if published:
-                break
-        assert published >= 1
-        assert table.layout_epoch > before
-        assert table.find_group(("a1", "a2", "a3")) is not None or (
-            table.find_group(("a1", "a2")) is not None
-        )
-        assert scheduler.stats()["groups_published"] == published
-
-    def test_published_group_preserves_results(self, table):
-        from repro.core.system import H2OSystem
-
-        sql = "SELECT sum(a1 + a2), count(*) FROM r WHERE a3 > 0"
-        system = H2OSystem(
-            config=EngineConfig(adaptation_mode="background")
-        )
-        system.register(table)
-        engine = system.engine_for("r")
-        scheduler = AdaptationScheduler(system)
-        scheduler.attach(engine)
-        baseline = system.execute(sql).result.scalars()
-        for _ in range(engine.config.max_window + 5):
-            system.execute(sql)
-        scheduler.run_cycle()
-        after = system.execute(sql).result.scalars()
-        assert after == baseline
-
-    def test_append_between_stitch_and_publish_discards_group(self, table):
-        """A publication raced by an append is dropped, not torn."""
-        from repro.core.system import H2OSystem
-        from repro.storage.stitcher import stitch_group
-
-        system = H2OSystem(
-            config=EngineConfig(adaptation_mode="background")
-        )
-        system.register(table)
-        engine = system.engine_for("r")
-        snapshot = table.snapshot()
-        group, _ = stitch_group(
-            snapshot.layouts, ("a1", "a4"), snapshot.schema
-        )
-        rows = {
-            name: np.zeros(3, dtype=np.int64)
-            for name in table.schema.names
-        }
-        table.append_rows(rows)  # invalidates the stitched group
-        assert engine.publish_group(group, 0.0) is False
-        assert table.find_group(("a1", "a4")) is None
+    engine.reorganizer.online = stitch_then_append
+    for _ in range(engine.config.max_window + 5):
+        report = engine.execute(sql)
+        if raced:
+            break
+    assert raced, "no query triggered an online stitch"
+    assert np.array_equal(
+        report.result.data, expected.data, equal_nan=True
+    )
+    assert report.layout_created is None
+    assert table.find_group(raced[0]) is None
+    assert all(c.attrs != raced[0] for c in engine.candidates)
+    assert engine.policy.switch_count == 1
+    assert engine.policy.switches[-1].attrs == raced[0]

@@ -1,9 +1,10 @@
-"""Stress tests: many clients, background adaptation, overload, appends.
+"""Stress tests: many clients, inline adaptation, overload, appends.
 
 The acceptance bar for the concurrent service:
 
-- N >= 8 client threads x M >= 50 mixed query shapes with background
-  adaptation enabled produce results *identical* to serial execution;
+- N >= 8 client threads x M >= 50 mixed query shapes, with triggering
+  queries stitching layouts online on whichever worker runs them,
+  produce results *identical* to serial execution;
 - overload triggers graceful admission rejection, never a crash;
 - no query ever observes a partially materialized layout or a torn
   row count, even with concurrent appends.
@@ -94,7 +95,7 @@ def serial_results(queries):
 
 
 # ---------------------------------------------------------------------------
-# Serial equivalence under heavy concurrency + background adaptation
+# Serial equivalence under heavy concurrency + inline adaptation
 # ---------------------------------------------------------------------------
 
 
@@ -103,7 +104,7 @@ def test_concurrent_results_identical_to_serial():
     expected = serial_results(queries)
 
     service = H2OService(
-        config=EngineConfig(adaptation_mode="background"),
+        config=EngineConfig(),
         num_workers=NUM_CLIENTS,
         max_pending=4 * NUM_CLIENTS * NUM_SHAPES,
     )
@@ -153,15 +154,16 @@ def test_concurrent_results_identical_to_serial():
         service.close()
 
 
-def test_background_adaptation_publishes_during_traffic():
-    """Layout epochs advance mid-run and late queries still agree."""
+def test_inline_adaptation_publishes_during_traffic():
+    """Online stitches publish a layout mid-run under concurrent
+    traffic, and late queries still agree."""
     hot = "SELECT sum(a1 + a2 + a3) FROM r WHERE a4 > 0"
     serial = H2OSystem(config=EngineConfig())
     serial.register(make_table())
     expected = serial.execute(hot).result.scalars()
 
     service = H2OService(
-        config=EngineConfig(adaptation_mode="background"),
+        config=EngineConfig(),
         num_workers=NUM_CLIENTS,
         max_pending=2048,
     )
@@ -190,18 +192,15 @@ def test_background_adaptation_publishes_during_traffic():
     try:
         assert not errors, f"client thread failed: {errors[0]!r}"
         engine = service.system.engine_for("r")
-        wait_until(
-            lambda: (
-                engine.table.find_group(("a1", "a2", "a3", "a4")) is not None
-                or engine.table.layout_epoch >= 1
-            ),
-            timeout=30.0,
-            message="background layout publication",
-        )
         assert engine.table.layout_epoch >= 1, (
-            "background adaptation never published a layout"
+            "inline adaptation never published a layout"
         )
-        assert service.scheduler.stats()["groups_published"] >= 1
+        online = [
+            event
+            for event in engine.manager.creation_log
+            if event.mode == "online"
+        ]
+        assert len(online) >= 1
         # Queries that planned against the new epoch saw the same data.
         assert service.execute(hot, timeout=60.0).result.scalars() == (
             expected
@@ -285,7 +284,7 @@ def _run_ping_pong_service(scenario, expected, policy_config, tag):
         faults_per_point=2,
         points=(
             "codegen.compile",
-            "reorg.offline",
+            "reorg.online",
             "service.worker",
             "service.execute",
         ),
@@ -326,18 +325,10 @@ def test_ping_pong_scenario_guarded_bounds_reorgs_under_chaos():
         min_window=2,
         max_window=12,
         amortization_threshold=1.0,
-        adaptation_mode="background",
     )
 
     greedy_engine = _run_ping_pong_service(
         scenario, expected, EngineConfig(**knobs), "greedy"
-    )
-    # Greedy's background scheduler chases every rotating hot trio;
-    # publication is asynchronous, so wait (bounded) for at least one.
-    wait_until(
-        lambda: len(greedy_engine.manager.creation_log) >= 1,
-        timeout=30.0,
-        message="greedy background layout publication",
     )
 
     guarded_engine = _run_ping_pong_service(
@@ -373,7 +364,7 @@ def test_appends_concurrent_with_queries_never_tear():
     valid_counts = {base_rows + k * batch for k in range(num_batches + 1)}
 
     service = H2OService(
-        config=EngineConfig(adaptation_mode="background"),
+        config=EngineConfig(),
         num_workers=4,
         max_pending=2048,
     )
@@ -441,8 +432,8 @@ def test_appends_concurrent_with_queries_never_tear():
         assert observed, "readers never completed a query"
         torn = [c for c in observed if c not in valid_counts]
         assert not torn, f"torn row counts observed: {sorted(set(torn))}"
-        # Epoch advanced exactly once per append (plus any background
-        # layout publications, which only ever add to it).
+        # Epoch advanced exactly once per append (plus any online
+        # stitches, which only ever add to it).
         assert table.layout_epoch >= num_batches
         assert table.num_rows == base_rows + num_batches * batch
         assert all(

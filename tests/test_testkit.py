@@ -21,7 +21,6 @@ from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.errors import (
     QueryTimeoutError,
-    ReorganizationError,
     ServiceError,
 )
 from repro.service.service import H2OService
@@ -126,22 +125,6 @@ def test_compile_fault_falls_back_to_interpreted_identically():
     assert inj.fired_count("codegen.compile") == 1
     assert engine.executor.codegen_fallbacks == 1
     assert faulted.rows() == clean.rows()
-
-
-def test_offline_stitch_abort_publishes_nothing():
-    table = small_table()
-    engine = H2OEngine(table, EngineConfig(**ORACLE_CONFIG))
-    epoch_before = table.layout_epoch
-    layouts_before = len(table.layouts)
-    with FaultInjector({"reorg.offline": frozenset({0})}):
-        with pytest.raises(ReorganizationError):
-            engine.reorganizer.offline(table.snapshot(), ("a1", "a2"))
-    assert table.layout_epoch == epoch_before
-    assert len(table.layouts) == layouts_before
-    # Retry without the fault succeeds (the abort was transient).
-    outcome = engine.reorganizer.offline(table.snapshot(), ("a1", "a2"))
-    assert engine.publish_group(outcome.group, outcome.seconds)
-    assert table.find_group(("a1", "a2")) is not None
 
 
 def test_online_stitch_abort_still_answers_and_is_counted():
