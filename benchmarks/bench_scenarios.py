@@ -148,6 +148,8 @@ def test_guarded_halves_reorgs_within_runtime_budget():
     for name in GATED:
         cell = data["scenarios"][name]
         greedy, hedged = cell[GREEDY], cell[HEDGED]
+        # Halving zero reorgs is vacuous: hedge 0 must build something.
+        assert greedy["reorgs"] > 0, f"{name}: hedge 0 never reorganized"
         assert 2 * hedged["reorgs"] <= greedy["reorgs"], (
             f"{name}: hedge {HEDGING_FACTOR:g} performed "
             f"{hedged['reorgs']} reorgs vs hedge 0's {greedy['reorgs']} "

@@ -84,10 +84,6 @@ class AutoPartPartitioner:
             cover = [f for f in fragments if f & needed]
             select_set = frozenset(info.select_attrs)
             where_set = frozenset(info.where_attrs)
-            specs = tuple(
-                GroupSpec.of(len(f), len(f & needed), num_rows)
-                for f in cover
-            )
             select_specs = tuple(
                 GroupSpec.of(len(f), len(f & select_set), num_rows)
                 for f in cover
@@ -98,7 +94,7 @@ class AutoPartPartitioner:
                 for f in cover
                 if f & where_set
             )
-            fused = self.cost_model.fused_cost(info, specs)
+            fused = self.cost_model.fused_cost(info, select_specs, where_specs)
             late = self.cost_model.late_cost(info, select_specs, where_specs)
             total += min(fused, late)
         return total

@@ -3,31 +3,45 @@
 "The performance we would get for each single query if we had a
 perfectly tailored data layout as well as the most appropriate code to
 access the data (without including the cost of creating the data
-layout)."  For each query the oracle materializes — outside the measured
-interval — a column group containing exactly the accessed attributes,
-then executes fused generated code over it.
+layout)."  For each query the oracle prepares — outside the measured
+interval — two tailored plans: a fused scan over a column group holding
+exactly the accessed attributes, and a late-materialization plan over
+single columns of those attributes.  It warms both, times each
+:data:`RUNS` times, and reports the faster plan's best time.
+
+Which one wins depends on the substrate: on NumPy a tailored group wins
+projections and unfiltered dense aggregations, while filtered
+aggregations run faster over single columns (DESIGN.md §4b).  Timing
+both keeps "optimal" a lower bound on both static engines.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
+from ..codegen.generator import generate_operator
 from ..config import EngineConfig
 from ..errors import ExecutionError
 from ..execution.executor import Executor
 from ..execution.strategies import AccessPlan, ExecutionStrategy
-from ..sql.analyzer import analyze_query
+from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.column_group import ColumnGroup
+from ..storage.column_layout import SingleColumn
+from ..storage.layout import Layout
 from ..storage.relation import Table
 from ..storage.stitcher import stitch_group
 from .base import StaticReport
 
+#: Timed runs per candidate plan; the fastest counts.
+RUNS = 3
+
 
 class OptimalEngine:
-    """Per-query perfect layouts, preparation excluded from timing."""
+    """Per-query perfect layouts and plans, preparation excluded from
+    timing."""
 
     name = "optimal"
 
@@ -39,6 +53,7 @@ class OptimalEngine:
         self.executor = Executor(self.config)
         self.reports: list = []
         self._groups: Dict[FrozenSet[str], ColumnGroup] = {}
+        self._singles: Dict[str, Layout] = {}
 
     def _perfect_group(self, attrs) -> ColumnGroup:
         """The tailored group for this access set (cached, untimed)."""
@@ -56,6 +71,32 @@ class OptimalEngine:
             self._groups[key] = group
         return group
 
+    def _single(self, attr: str) -> Layout:
+        """``attr`` as one column: the table's own when it has one, else
+        a copy (cached, untimed)."""
+        single = self._singles.get(attr)
+        if single is None:
+            single = min(
+                self.table.layouts_containing(attr), key=lambda l: l.width
+            )
+            if single.width > 1:
+                single = SingleColumn(attr, self.table.column(attr))
+            self._singles[attr] = single
+        return single
+
+    def _plans(self, info: QueryInfo) -> List[AccessPlan]:
+        """Fused over the tailored group, late over single columns."""
+        return [
+            AccessPlan(
+                ExecutionStrategy.FUSED,
+                (self._perfect_group(info.all_attrs),),
+            ),
+            AccessPlan(
+                ExecutionStrategy.LATE,
+                tuple(self._single(attr) for attr in info.all_attrs),
+            ),
+        ]
+
     def execute(self, query: Union[Query, str]) -> StaticReport:
         if isinstance(query, str):
             query = parse_query(query)
@@ -65,20 +106,21 @@ class OptimalEngine:
                 f"{query.table!r}"
             )
         info = analyze_query(query, self.table.schema)
-        group = self._perfect_group(info.all_attrs)
-        plan = AccessPlan(
-            strategy=ExecutionStrategy.FUSED, layouts=(group,)
-        )
-        # Warm the operator cache outside the measured window as well —
-        # the oracle assumes "ample time to prepare" (paper section 4.1).
-        from ..codegen.generator import generate_operator
-
-        generate_operator(
-            info, plan, self.config, self.executor.operator_cache
-        )
-        started = time.perf_counter()
-        result, stats = self.executor.run_plan(info, plan)
-        seconds = time.perf_counter() - started
+        best = None
+        for plan in self._plans(info):
+            # Compile and run once outside the measured window — the
+            # oracle assumes "ample time to prepare" (paper section 4.1).
+            generate_operator(
+                info, plan, self.config, self.executor.operator_cache
+            )
+            self.executor.run_plan(info, plan)
+            for _ in range(RUNS):
+                started = time.perf_counter()
+                result, stats = self.executor.run_plan(info, plan)
+                seconds = time.perf_counter() - started
+                if best is None or seconds < best[0]:
+                    best = (seconds, result, stats)
+        seconds, result, stats = best
         report = StaticReport(
             index=len(self.reports),
             query=query,

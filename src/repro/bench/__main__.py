@@ -1,4 +1,5 @@
-"""Command-line entry point: ``python -m repro.bench [ids... | all]``."""
+"""Command-line entry point: ``python -m repro.bench [ids... | all]``,
+or ``python -m repro.bench calibrate`` (see :mod:`.calibrate`)."""
 
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ def main(argv=None) -> int:
         prog="python -m repro.bench",
         description=(
             "Regenerate the tables and figures of 'H2O: A Hands-free "
-            "Adaptive Store' (SIGMOD 2014). Scale with H2O_SCALE."
+            "Adaptive Store' (SIGMOD 2014). Scale with H2O_SCALE. "
+            "'calibrate' fits the cost model instead (calibrate --help)."
         ),
     )
     parser.add_argument(
@@ -83,6 +85,12 @@ def main(argv=None) -> int:
             "leaks between experiments)"
         ),
     )
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["calibrate"]:
+        from .calibrate import main as calibrate
+
+        return calibrate(argv[1:])
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:

@@ -28,7 +28,12 @@ from ..errors import CodegenError
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import Aggregate, AggregateFunc, ColumnRef
 from ..storage.layout import Layout
-from ..execution.strategies import AccessPlan, ExecutionStrategy
+from ..execution.strategies import (
+    AccessPlan,
+    ExecutionStrategy,
+    narrowest_provider,
+    read_whole,
+)
 from ..execution.evaluator import collect_aggregates
 from .exprc import Binding, ExprCompiler, ParamRegistry
 from .source import SourceBuilder
@@ -65,14 +70,10 @@ def _assign_providers(
     """Bind each attribute to its narrowest providing layout."""
     providers: Dict[str, _Provider] = {}
     for attr in attrs:
-        candidates = [
-            (index, layout)
-            for index, layout in enumerate(layouts)
-            if attr in layout.attr_set
-        ]
-        if not candidates:
+        index = narrowest_provider(layouts, attr)
+        if index is None:
             raise CodegenError(f"no layout provides attribute {attr!r}")
-        index, layout = min(candidates, key=lambda pair: pair[1].width)
+        layout = layouts[index]
         # A width-1 ColumnGroup is still a 2-D buffer; dimensionality,
         # not width, decides whether a position subscript is needed.
         if layout.data.ndim == 1:
@@ -290,7 +291,7 @@ def _emit_compaction(
         index = provider.buffer_index
         if (
             provider.position is not None
-            and 2 * len(needed_positions[index]) < provider.width
+            and not read_whole(len(needed_positions[index]), provider.width)
         ):
             key = (index, provider.position)
             if key not in compacted:
@@ -379,7 +380,7 @@ def _emit_columnar_aggregates(
     dense_buffers = {
         index
         for index, positions in needed_per_buffer.items()
-        if 2 * len(positions) >= widths[index]
+        if read_whole(len(positions), widths[index])
     }
 
     kind_of = {
@@ -485,7 +486,9 @@ def _vectorizable_slots(
         provider = providers[slot.agg.arg.name]
         if provider.position is None:
             continue
-        if 2 * len(needed_positions[provider.buffer_index]) < provider.width:
+        if not read_whole(
+            len(needed_positions[provider.buffer_index]), provider.width
+        ):
             continue
         out.append(slot)
     return out
@@ -735,9 +738,10 @@ def _emit_late_selection(
     of ``sel``, each several times dearer per row than one streaming
     compare over the full column.  The bitmap therefore wins unless the
     first conjunct alone keeps only a few percent of the rows and many
-    conjuncts follow (DESIGN.md §4b).  The interpreted reference,
-    :func:`~repro.execution.vectorized.run_late_interpreted`, and
-    ``CostModel.late_cost`` keep the per-conjunct refinement.
+    conjuncts follow (DESIGN.md §4b).  ``CostModel.late_cost`` prices
+    this bitmap plan; only the interpreted reference,
+    :func:`~repro.execution.vectorized.run_late_interpreted`, keeps the
+    per-conjunct refinement.
 
     Returns ``"sel"`` when a selection vector ``sel`` exists afterwards,
     ``"mask"`` when only ``qmask`` does, ``"none"`` when the query has

@@ -33,22 +33,24 @@ class MachineProfile:
 
     The paper's cost model combines sequential/random I/O bandwidth with a
     CPU cost derived from data-cache misses.  All our experiments are hot
-    and in-memory (as in the paper), so ``io_bandwidth`` models memory
-    bandwidth for sequential scans and ``miss_penalty`` the cost of one
-    data-cache miss.
+    and in-memory (as in the paper), so the bandwidths are memory
+    bandwidths.  The four rates are per-unit prices of the NumPy passes
+    the generated kernels run (see :mod:`repro.core.cost_model`); the
+    defaults were fitted on a 2-vCPU Xeon host by ``python -m repro.bench
+    calibrate`` (docs/cost_model.md), which refits them for any host.
     """
 
     cache_line_bytes: int = CACHE_LINE_BYTES
     word_bytes: int = WORD_BYTES
-    #: Sequential scan bandwidth in bytes/second (memory-resident data).
-    io_bandwidth: float = 8e9
-    #: Random access bandwidth in bytes/second (gather-style access).
-    random_io_bandwidth: float = 1e9
-    #: Seconds of CPU stall per data-cache miss.
-    miss_penalty: float = 1.2e-8
-    #: Seconds of CPU work per value actually processed (predicate or
-    #: arithmetic evaluation on one word).
-    cpu_per_word: float = 1.5e-9
+    #: Bytes/second a contiguous (unit-stride) vector pass streams.
+    io_bandwidth: float = 2.3e10
+    #: Bytes/second a strided pass moves: one attribute read out of a
+    #: row-major group drags ``min(width * word, line)`` bytes per value.
+    random_io_bandwidth: float = 1.9e10
+    #: Seconds per cache line a gather (``col[sel]``, ``take``) touches.
+    miss_penalty: float = 4.9e-9
+    #: Seconds per value gathered, reduced or position-listed.
+    cpu_per_word: float = 5.4e-10
 
     @property
     def words_per_line(self) -> int:

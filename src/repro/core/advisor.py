@@ -279,6 +279,10 @@ class _Costing:
         info = pattern.info
         costs: List[float] = []
         for cover in variants:
+            specs = (
+                self._group_specs(cover, pattern.select),
+                self._group_specs(cover, pattern.where),
+            )
             # Mirror the planner's fused_allowed rule: anchored by a
             # tuple-bearing group, few singleton streams, few streams.
             fused_singles = sum(1 for mask in cover if not mask & (mask - 1))
@@ -287,18 +291,8 @@ class _Costing:
                 and fused_singles <= MAX_FUSED_SINGLES
                 and fused_singles < len(cover)
             ):
-                costs.append(
-                    self.cost_model.fused_cost(
-                        info, self._group_specs(cover, pattern.all)
-                    )
-                )
-            costs.append(
-                self.cost_model.late_cost(
-                    info,
-                    self._group_specs(cover, pattern.select),
-                    self._group_specs(cover, pattern.where),
-                )
-            )
+                costs.append(self.cost_model.fused_cost(info, *specs))
+            costs.append(self.cost_model.late_cost(info, *specs))
         if not costs:
             raise ValueError(
                 f"no group cover for attributes {sorted(info.all_attrs)}"

@@ -1,24 +1,16 @@
 """The query cost model (paper section 3.5, Eq. 2).
 
-For a query ``q`` over a set of accessed layouts ``L``::
-
-    q(L) = sum_i max(costIO_i, costCPU_i)
-
-- I/O cost is data volume over scan bandwidth (all experiments are
-  memory-resident, so "I/O" is memory traffic, sequential or gathered).
-- CPU cost is modelled from data-cache misses (the dominant stall source
-  for scan-heavy plans [Ailamaki et al., VLDB'99]) plus per-value
-  processing work.  Misses are derived from the layout width, the tuple
-  count, the words actually useful to the query, and the access pattern
-  (sequential vs. gather at some selectivity) — the HYRISE-style model
-  the paper cites.  Intermediate-result traffic is charged explicitly,
-  because strategies differ exactly there (late materialization pays it,
-  fused scans avoid it).
-
-The model is used for *relative* decisions (which plan / which layout /
-is a transformation amortized), matching how the paper uses it.  All
-estimates work on abstract group descriptors so the advisor can cost
-hypothetical layouts that do not exist yet.
+Eq. 2 sums the cost of each access a plan makes.  Each estimate here
+prices, pass by pass, the kernel :mod:`repro.codegen.templates` emits
+for the plan.  A contiguous vector pass streams its words at
+``io_bandwidth``; a strided pass over one attribute of a ``W``-wide
+group moves ``min(W·word, line)`` bytes per value at
+``random_io_bandwidth``; a gather (``col[sel]``, ``take``) pays
+``miss_penalty`` per cache line it touches; gathers, reductions and
+position lists pay ``cpu_per_word`` per value.  NumPy runs one pass
+after another, so terms add.  ``python -m repro.bench calibrate`` fits
+the constants (docs/cost_model.md).  Estimates work on abstract group
+descriptors so the advisor can cost layouts that do not exist yet.
 """
 
 from __future__ import annotations
@@ -26,21 +18,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import (
-    ClassVar,
-    Dict,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import ClassVar, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..config import MachineProfile
 from ..errors import CostModelError
 from ..execution.strategies import AccessPlan, ExecutionStrategy
+from ..execution.strategies import narrowest_provider, read_whole
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import (
+    AggregateFunc,
     Arithmetic,
     BoolConnective,
     BooleanOp,
@@ -158,6 +144,12 @@ class SelectivityEstimator:
         return 1.0
 
 
+def _dense(spec: GroupSpec) -> bool:
+    """Whether kernels handle the layout whole (``einsum``, whole-tuple
+    ``take``); a single column never is."""
+    return spec.width > 1 and read_whole(spec.useful, spec.width)
+
+
 def count_arithmetic_ops(expr: Expr) -> int:
     """Number of per-tuple arithmetic operations in an expression tree."""
     if isinstance(expr, Arithmetic):
@@ -184,108 +176,71 @@ class CostModel:
     ) -> None:
         self.machine = machine or MachineProfile()
         self.selectivity = selectivity or SelectivityEstimator()
-        # (ops count, predicate key) memoized by query structure — the
-        # advisor costs the same windowed patterns thousands of times.
-        self._shape_cache: Dict[Tuple, Tuple[int, str]] = {}
-        # Elementary access costs are pure functions of their inputs;
-        # the advisor hits the same (spec, k) points constantly.
-        self._seq_cache: Dict[GroupSpec, float] = {}
-        self._stride_cache: Dict[GroupSpec, float] = {}
-        self._gather_cache: Dict[Tuple[GroupSpec, int], float] = {}
+        # (ops, reductions, predicate key) memoized by query structure —
+        # the advisor costs the same windowed patterns thousands of times.
+        self._shape_cache: Dict[Tuple, Tuple[int, int, str]] = {}
 
     # Elementary access costs ------------------------------------------------
 
-    def sequential_access(self, spec: GroupSpec) -> float:
-        """max(IO, CPU) for one full sequential scan of a layout."""
-        cached = self._seq_cache.get(spec)
-        if cached is not None:
-            return cached
+    def per_value(self, width: int) -> float:
+        """One value read or written by a vector pass over one attribute
+        of a ``width``-wide row-major buffer (contiguous when 1-wide)."""
         m = self.machine
-        bytes_scanned = spec.num_rows * spec.width * m.word_bytes
-        io = bytes_scanned / m.io_bandwidth
-        misses = bytes_scanned / m.cache_line_bytes
-        work = spec.num_rows * spec.useful * m.cpu_per_word
-        cpu = misses * m.miss_penalty + work
-        result = max(io, cpu)
-        self._seq_cache[spec] = result
-        return result
+        if width == 1:
+            return m.word_bytes / m.io_bandwidth
+        line_share = min(width * m.word_bytes, m.cache_line_bytes)
+        return line_share / m.random_io_bandwidth
+
+    def sequential_access(self, spec: GroupSpec) -> float:
+        """One contiguous pass over the whole layout (an ``einsum``
+        reduction or a block copy)."""
+        m = self.machine
+        return spec.num_rows * spec.width * m.word_bytes / m.io_bandwidth
 
     def column_stride_access(self, spec: GroupSpec) -> float:
-        """max(IO, CPU) for reading ``useful`` columns *individually*
-        out of a layout of ``width`` attributes (strided access).
+        """One vector pass per useful attribute over every row: a
+        compare, a reduction's read, or a copy out of the layout."""
+        return spec.num_rows * spec.useful * self.per_value(spec.width)
 
-        Every cache line containing a useful value is fetched; when the
-        layout is wide, one value costs one whole line.
-        """
-        cached = self._stride_cache.get(spec)
-        if cached is not None:
-            return cached
+    def gather_access(self, spec: GroupSpec, k: float) -> float:
+        """Fetching ``k`` of ``num_rows`` values of each useful attribute
+        through a position list (``col[sel]`` or ``take``): work per
+        value plus a miss per cache line touched, saturating at every
+        line of the column."""
         m = self.machine
         values_per_line = max(
             1, m.cache_line_bytes // (spec.width * m.word_bytes)
         )
-        lines_per_column = math.ceil(spec.num_rows / values_per_line)
-        lines = spec.useful * lines_per_column
-        # A wide layout cannot require more lines than a full scan per
-        # column pass, nor fewer than the useful values demand.
-        bytes_touched = lines * m.cache_line_bytes
-        io = bytes_touched / m.io_bandwidth
-        work = spec.num_rows * spec.useful * m.cpu_per_word
-        cpu = lines * m.miss_penalty + work
-        result = max(io, cpu)
-        self._stride_cache[spec] = result
-        return result
-
-    def gather_access(self, spec: GroupSpec, k: int) -> float:
-        """max(IO, CPU) for fetching ``k`` of ``num_rows`` tuples'
-        useful values through a position list (random access)."""
-        cache_key = (spec, k)
-        cached = self._gather_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        m = self.machine
-        values_per_line = max(
-            1, m.cache_line_bytes // (spec.width * m.word_bytes)
-        )
-        total_lines = spec.useful * math.ceil(
-            spec.num_rows / values_per_line
-        )
-        touched = min(k * spec.useful, total_lines)
-        bytes_touched = touched * m.cache_line_bytes
-        io = bytes_touched / m.random_io_bandwidth
-        work = k * spec.useful * m.cpu_per_word
-        cpu = touched * m.miss_penalty + work
-        result = max(io, cpu)
-        self._gather_cache[cache_key] = result
-        return result
+        lines = min(k, math.ceil(spec.num_rows / values_per_line))
+        return spec.useful * (k * m.cpu_per_word + lines * m.miss_penalty)
 
     def intermediate(self, values: float) -> float:
-        """Write + read back one intermediate of ``values`` words."""
+        """Writing one contiguous intermediate of ``values`` words."""
         m = self.machine
-        traffic = 2.0 * values * m.word_bytes
-        io = traffic / m.io_bandwidth
-        cpu = (traffic / m.cache_line_bytes) * m.miss_penalty
-        return max(io, cpu)
+        return values * m.word_bytes / m.io_bandwidth
 
     # Strategy-level query costs -------------------------------------------------
 
-    def _query_shape(
-        self, info: QueryInfo
-    ) -> Tuple[float, int, int]:
-        """(estimated selectivity, #select attrs, per-tuple ops)."""
+    def _query_shape(self, info: QueryInfo) -> Tuple[float, int, int]:
+        """(estimated selectivity, per-tuple arithmetic ops, reductions)."""
         cache_key = info.query.signature().structure
         cached = self._shape_cache.get(cache_key)
         if cached is None:
-            ops = sum(
-                count_arithmetic_ops(out.expr) for out in info.query.select
-            )
-            cached = (ops, self._predicate_key(info))
+            select = info.query.select
+            ops = sum(count_arithmetic_ops(out.expr) for out in select)
+            reductions = len({
+                agg
+                for out in select
+                for agg in out.expr.aggregates()
+                if agg.func is not AggregateFunc.COUNT
+            })
+            cached = (ops, reductions, self._predicate_key(info))
             self._shape_cache[cache_key] = cached
-        ops, predicate_key = cached
+        ops, reductions, predicate_key = cached
         selectivity = self.selectivity.estimate(
             info.query.where, predicate_key
         )
-        return selectivity, len(info.select_attrs), ops
+        return selectivity, ops, reductions
 
     @staticmethod
     def _predicate_key(info: QueryInfo) -> str:
@@ -295,114 +250,157 @@ class CostModel:
 
         return masked_sql(info.query.where)
 
+    def _selection(
+        self,
+        info: QueryInfo,
+        where_cover: Sequence[GroupSpec],
+        scan_fraction: float,
+        per_row: float,
+    ) -> Tuple[float, float]:
+        """(cost, qualifying rows) of the predicate phase over the
+        morsels that survive zone-map pruning: one compare pass per
+        predicate column, one AND (a byte per row) per extra conjunct,
+        then ``per_row`` to count or position-list the bitmap."""
+        num_rows = where_cover[0].num_rows if where_cover else 0
+        compares = sum(
+            count * self.column_stride_access(spec)
+            for spec, count in Counter(where_cover).items()
+        )
+        per_row += max(0, len(info.query.predicates) - 1) / (
+            self.machine.io_bandwidth
+        )
+        selectivity = self._query_shape(info)[0]
+        return (
+            scan_fraction * (compares + num_rows * per_row),
+            selectivity * num_rows,
+        )
+
+    def _consume(
+        self, info: QueryInfo, qualifying: float, ops: int, reductions: int
+    ) -> float:
+        """Work on the qualifying tuples: one intermediate per arithmetic
+        operator, one pass per reduction, and a projection's column-by-
+        column writes into its row-major output block."""
+        total = self.intermediate(qualifying * ops)
+        total += qualifying * reductions * self.machine.cpu_per_word
+        if not info.is_aggregation:
+            outputs = len(info.query.select)
+            total += qualifying * outputs * self.per_value(outputs)
+        return total
+
     def fused_cost(
         self,
         info: QueryInfo,
         cover: Sequence[GroupSpec],
+        where_cover: Sequence[GroupSpec],
         scan_fraction: float = 1.0,
     ) -> float:
-        """Eq. 2 for a fused single-pass scan over ``cover``.
+        """Eq. 2 for the generated fused kernel.
 
-        ``scan_fraction`` is the fraction of morsels that survive
-        zone-map pruning (1.0 when nothing prunes): pruning skips whole
-        morsels before they are scanned, so only the *scan* term
-        shrinks.  The qualifying-tuple terms are untouched — pruning is
-        exact, every qualifying tuple lives in a surviving morsel.
+        ``cover`` describes the providers of the SELECT attributes and
+        ``where_cover`` those of the predicate columns.  Filtered: the
+        selection, a count, positions, then ``take`` compaction per
+        SELECT provider (``_emit_compaction``'s rule).  Unfiltered: one
+        ``einsum`` pass per densely aggregated buffer, one copy for a
+        plain projection out of one group (a memcpy when it takes the
+        whole group, else a walk over its rows).  ``scan_fraction`` (morsels
+        surviving zone-map pruning) scales the predicate phase only:
+        every qualifying tuple lives in a surviving morsel.
         """
-        selectivity, n_select, ops = self._query_shape(info)
-        # Identical (interned) specs are grouped: cost is linear in the
-        # number of *distinct* access shapes, not the number of layouts.
-        total = scan_fraction * sum(
-            count * self.sequential_access(spec)
-            for spec, count in Counter(cover).items()
-        )
-        num_rows = cover[0].num_rows if cover else 0
-        qualifying = selectivity * num_rows
-        # Arithmetic on qualifying tuples only (predicate push-down).
-        total += qualifying * ops * self.machine.cpu_per_word
-        if info.has_predicate and n_select:
-            # Compaction buffers for qualifying tuples.
-            total += self.intermediate(qualifying * n_select)
-        if not info.is_aggregation:
-            total += self.intermediate(qualifying * len(info.query.select))
-        return total
-
-    def late_cost(
-        self, info: QueryInfo, cover: Sequence[GroupSpec],
-        where_cover: Optional[Sequence[GroupSpec]] = None,
-        scan_fraction: float = 1.0,
-    ) -> float:
-        """Eq. 2 for a late-materialization plan.
-
-        ``cover`` describes the accesses serving the SELECT clause and
-        ``where_cover`` (default: derived from ``cover``) the predicate
-        columns.  Predicate columns are read with strided column access;
-        SELECT columns are gathered at the estimated selectivity, and
-        every arithmetic operator materializes an intermediate.
-
-        ``scan_fraction`` scales the predicate-column scan exactly as in
-        :meth:`fused_cost`: zone-map pruning skips whole morsels of the
-        filter scan, while the qualifying-tuple gathers are unchanged.
-        """
-        selectivity, n_select, ops = self._query_shape(info)
-        num_rows = cover[0].num_rows if cover else 0
+        _, ops, reductions = self._query_shape(info)
+        m = self.machine
         total = 0.0
         if info.has_predicate:
-            where_specs = where_cover if where_cover is not None else ()
-            for spec, count in Counter(where_specs).items():
-                total += scan_fraction * count * (
-                    self.column_stride_access(spec)
-                )
-            qualifying = selectivity * num_rows
-            # The selection vector itself is an intermediate.
-            total += self.intermediate(qualifying)
-            # Conjunct-by-conjunct refinement (paper section 2.1): every
-            # predicate after the first fetches its qualifying values
-            # into a fresh intermediate column and rewrites the position
-            # list.  A fused scan evaluates the whole conjunction in one
-            # pass and pays none of this.
-            num_conjuncts = len(info.query.predicates)
-            if num_conjuncts > 1:
-                # Geometric per-conjunct selectivity; the chain gathers
-                # at the running qualifying count after each conjunct.
-                per_conjunct = selectivity ** (1.0 / num_conjuncts)
-                running = float(num_rows)
-                single = GroupSpec.of(1, 1, num_rows)
-                for _ in range(num_conjuncts - 1):
-                    running *= per_conjunct
-                    total += self.gather_access(single, int(running))
-                    total += 2.0 * self.intermediate(running)
-        else:
-            qualifying = float(num_rows)
+            total, qualifying = self._selection(
+                info, where_cover, scan_fraction,
+                m.cpu_per_word + 1.0 / m.io_bandwidth,
+            )
+            for spec, count in Counter(cover).items():
+                if _dense(spec):
+                    # A position per row, then the whole tuple copied.
+                    cost = qualifying * (
+                        m.cpu_per_word
+                        + 2.0 * spec.width * m.word_bytes / m.io_bandwidth
+                    )
+                else:
+                    # ``take`` copies a strided column view whole first.
+                    cost = spec.useful * self.gather_access(
+                        GroupSpec.of(1, 1, spec.num_rows), qualifying
+                    )
+                    if spec.width > 1:
+                        cost += self.column_stride_access(spec)
+                total += count * cost
+            return total + self._consume(info, qualifying, ops, reductions)
+        num_rows = cover[0].num_rows if cover else 0
+        if ops == 0 and info.is_aggregation:
+            for spec, count in Counter(cover).items():
+                if _dense(spec):
+                    total += count * self.sequential_access(spec)
+                else:
+                    total += count * (
+                        self.column_stride_access(spec)
+                        + num_rows * spec.useful * m.cpu_per_word
+                    )
+            return total
+        if ops == 0 and len(cover) == 1 and cover[0].width > 1:
+            spec = cover[0]
+            write = self.intermediate(num_rows * len(info.query.select))
+            if spec.useful == spec.width:
+                return 2.0 * write
+            # A strided copy gathers each row's share of the group.
+            pieces = math.ceil(spec.useful * m.word_bytes / m.cache_line_bytes)
+            row = GroupSpec.of(spec.width, 1, num_rows)
+            return pieces * self.gather_access(row, num_rows) + write
         for spec, count in Counter(cover).items():
-            if info.has_predicate:
-                total += count * (
-                    self.gather_access(spec, int(qualifying))
-                    + self.intermediate(qualifying * spec.useful)
-                )
-            else:
+            total += count * self.column_stride_access(spec)
+        return total + self._consume(info, num_rows, ops, reductions)
+
+    def late_cost(
+        self,
+        info: QueryInfo,
+        cover: Sequence[GroupSpec],
+        where_cover: Sequence[GroupSpec],
+        scan_fraction: float = 1.0,
+    ) -> float:
+        """Eq. 2 for the generated late-materialization kernel.
+
+        ``cover`` and ``where_cover`` are as in :meth:`fused_cost`.  The
+        kernel compares every predicate column over the whole morsel,
+        ANDs the masks into one bitmap and takes one selection vector
+        (``flatnonzero``; a COUNT(*)-only query just counts the bitmap).
+        Each SELECT attribute is then gathered at the final selectivity.
+        ``scan_fraction`` scales the predicate phase as in
+        :meth:`fused_cost`.
+        """
+        _, ops, reductions = self._query_shape(info)
+        m = self.machine
+        total = 0.0
+        if info.has_predicate:
+            per_row = m.cpu_per_word if cover else 1.0 / m.io_bandwidth
+            total, qualifying = self._selection(
+                info, where_cover, scan_fraction, per_row
+            )
+            for spec, count in Counter(cover).items():
+                total += count * self.gather_access(spec, qualifying)
+        else:
+            qualifying = cover[0].num_rows if cover else 0
+            for spec, count in Counter(cover).items():
                 total += count * self.column_stride_access(spec)
-        # Per-operator intermediates for the arithmetic pipeline.
-        total += ops * self.intermediate(qualifying)
-        total += qualifying * ops * self.machine.cpu_per_word
-        if not info.is_aggregation:
-            total += self.intermediate(qualifying * len(info.query.select))
-        return total
+        return total + self._consume(info, qualifying, ops, reductions)
 
     # Concrete-plan costing -------------------------------------------------------
 
+    @staticmethod
     def _specs_for_layouts(
-        self, layouts, attrs: Iterable[str]
+        layouts, attrs: Iterable[str]
     ) -> Tuple[GroupSpec, ...]:
-        """GroupSpecs for concrete layouts given the needed attributes."""
-        needed = set(attrs)
-        specs = []
-        for layout in layouts:
-            useful = len(needed & layout.attr_set)
-            if useful == 0:
-                continue
-            specs.append(GroupSpec.of(layout.width, useful, layout.num_rows))
-        return tuple(specs)
+        """GroupSpecs for concrete layouts, each attribute charged to its
+        narrowest provider (the binding the generated kernels use)."""
+        useful = Counter(narrowest_provider(layouts, attr) for attr in attrs)
+        return tuple(
+            GroupSpec.of(layouts[i].width, count, layouts[i].num_rows)
+            for i, count in sorted(useful.items())
+        )
 
     def plan_cost(
         self,
@@ -414,30 +412,31 @@ class CostModel:
 
         ``scan_fraction`` is the fraction of morsels surviving zone-map
         pruning (the engine measures it against the pinned snapshot once
-        per planning); it discounts the scan terms only.
+        per planning); it discounts the predicate phase only.
         """
-        if plan.strategy is ExecutionStrategy.FUSED:
-            cover = self._specs_for_layouts(plan.layouts, info.all_attrs)
-            return self.fused_cost(info, cover, scan_fraction)
-        select_specs = self._specs_for_layouts(
-            plan.layouts, info.select_attrs
+        price = (
+            self.fused_cost
+            if plan.strategy is ExecutionStrategy.FUSED
+            else self.late_cost
         )
-        where_specs = self._specs_for_layouts(plan.layouts, info.where_attrs)
-        return self.late_cost(
-            info, select_specs, where_specs, scan_fraction
+        return price(
+            info,
+            self._specs_for_layouts(plan.layouts, info.select_attrs),
+            self._specs_for_layouts(plan.layouts, info.where_attrs),
+            scan_fraction,
         )
 
     # Transformation cost (the T term of Eq. 1) -----------------------------------
 
     def transformation_cost(
-        self, bytes_read: float, bytes_written: float
+        self, bytes_read: float, bytes_written: float, width: int
     ) -> float:
-        """Estimated seconds to stitch a new layout from existing ones."""
+        """Estimated seconds to stitch a ``width``-wide layout: the
+        sources streamed once, then the new layout written column by
+        column, as :func:`~repro.storage.stitcher.stitch_group` does."""
         m = self.machine
-        traffic = bytes_read + bytes_written
-        io = traffic / m.io_bandwidth
-        cpu = (traffic / m.cache_line_bytes) * m.miss_penalty
-        return max(io, cpu)
+        written = bytes_written / m.word_bytes
+        return bytes_read / m.io_bandwidth + written * self.per_value(width)
 
     def build_cost_estimate(
         self, num_rows: int, new_width: int, source_width_total: int
@@ -451,4 +450,5 @@ class CostModel:
         return self.transformation_cost(
             bytes_read=num_rows * source_width_total * word,
             bytes_written=num_rows * new_width * word,
+            width=new_width,
         )

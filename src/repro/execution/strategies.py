@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING, Union
 
@@ -64,6 +64,27 @@ def fused_allowed(layouts: Sequence[Layout]) -> bool:
     if singles > MAX_FUSED_SINGLES:
         return False
     return singles < len(layouts)  # at least one tuple-bearing layout
+
+
+def narrowest_provider(layouts: Sequence[Layout], attr: str) -> Optional[int]:
+    """Index of the layout the kernels read ``attr`` from: its narrowest
+    provider, the first on ties (``None`` when no layout has it).  The
+    code generator binds attributes with it and the cost model prices
+    the same binding."""
+    candidates = [
+        index for index, layout in enumerate(layouts)
+        if attr in layout.attr_set
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda index: layouts[index].width)
+
+
+def read_whole(useful: int, width: int) -> bool:
+    """Whether kernels handle a 2-D buffer whole (one ``einsum``, one
+    whole-tuple ``take``) rather than column by column: the query reads
+    at least half of its attributes."""
+    return 2 * useful >= width
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ See ``docs/testing.md`` for the architecture, how to reproduce a
 failure from a printed seed, and how to add a new injection point.
 """
 
+from ..config import MachineProfile
 from .generate import CaseSpec, random_case, random_query
 from .faults import FaultInjector, FiredFault, random_schedule
 from .oracle import (
@@ -55,7 +56,21 @@ from .oracle import (
 )
 from .shrink import format_repro, shrink_case
 
+#: Test-only cost profile for tests of the adaptation machinery (the
+#: advisor search, the switching policy, stitching, budgets): strided
+#: access is priced like contiguous access, as on the paper's C++
+#: substrate, where a tuple-at-a-time scan over a group reads each cache
+#: line once for all of its attributes.  Under it a tailored group wins
+#: filtered aggregations, so those tests get layouts to build.  The
+#: shipped default prices NumPy's strided loops, under which a group
+#: wins only projections and unfiltered dense aggregations.
+PAPER_SUBSTRATE = MachineProfile(
+    random_io_bandwidth=MachineProfile().io_bandwidth
+    * MachineProfile().words_per_line
+)
+
 __all__ = [
+    "PAPER_SUBSTRATE",
     "CaseSpec",
     "DifferentialOracle",
     "FaultInjector",

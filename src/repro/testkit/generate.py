@@ -77,14 +77,17 @@ class CaseSpec:
         """A fresh table with this spec's (deterministic) data.
 
         Every engine mode gets its *own* table built from the same
-        spec: identical bytes, independent physical evolution.
+        spec: identical bytes, independent physical evolution.  Even
+        seeds start column-major, odd seeds row-major: from a row-major
+        base a tailored group wins filtered queries too, so half the
+        sequences keep the advisor and the online stitch busy.
         """
         return generate_table(
             self.table_name,
             num_attrs=self.num_attrs,
             num_rows=self.num_rows,
             rng=np.random.default_rng(self.seed),
-            initial_layout="column",
+            initial_layout="row" if self.seed % 2 else "column",
             low=-VALUE_BOUND,
             high=VALUE_BOUND,
         )

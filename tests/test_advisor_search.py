@@ -30,6 +30,7 @@ from repro.execution.strategies import MAX_FUSED_SINGLES, MAX_FUSED_STREAMS
 from repro.sql import analyze_query, parse_query
 from repro.sql.analyzer import QueryInfo
 from repro.storage import Table, generate_table, wide_schema
+from repro.testkit import PAPER_SUBSTRATE
 from repro.workloads.sequences import fig7_sequence
 
 
@@ -144,20 +145,17 @@ class ReferenceAdvisor(LayoutAdvisor):
         costs: List[float] = []
         for cover in covers:
             fused_singles = sum(1 for group in cover if len(group) == 1)
+            specs = (
+                self._specs(cover, select_attrs, num_rows),
+                self._specs(cover, where_attrs, num_rows),
+            )
             if (
                 len(cover) <= MAX_FUSED_STREAMS
                 and fused_singles <= MAX_FUSED_SINGLES
                 and fused_singles < len(cover)
             ):
-                specs = self._specs(cover, all_attrs, num_rows)
-                costs.append(self.cost_model.fused_cost(info, specs))
-            costs.append(
-                self.cost_model.late_cost(
-                    info,
-                    self._specs(cover, select_attrs, num_rows),
-                    self._specs(cover, where_attrs, num_rows),
-                )
-            )
+                costs.append(self.cost_model.fused_cost(info, *specs))
+            costs.append(self.cost_model.late_cost(info, *specs))
         if not costs:
             raise ValueError(
                 f"no group cover for attributes {sorted(all_attrs)}"
@@ -450,7 +448,7 @@ def fig7_phases():
     (new candidates, reference candidates, late_cost calls made by the
     new search, distinct (pattern, covers) pairs the phase priced)."""
     table = generate_table("r", 150, 5000, rng=21, initial_layout="column")
-    engine = H2OEngine(table, EngineConfig())
+    engine = H2OEngine(table, EngineConfig(machine=PAPER_SUBSTRATE))
     advisor = engine.advisor
     real_propose = advisor.propose
     cost_model = advisor.cost_model

@@ -10,11 +10,14 @@ from repro.baselines import (
     OptimalEngine,
     RowStoreEngine,
 )
+from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.errors import ExecutionError, WorkloadError
-from repro.sql import parse_query
+from repro.execution.strategies import ExecutionStrategy
+from repro.sql import analyze_query, parse_query
 from repro.storage import generate_table
 from repro.storage.layout import LayoutKind
+from repro.testkit import PAPER_SUBSTRATE
 from repro.workloads.sequences import fig7_sequence
 
 
@@ -67,7 +70,9 @@ class TestStaticEngines:
         workload = fig7_sequence(
             num_attrs=60, num_rows=8_000, num_queries=30, rng=17
         )
-        h2o = H2OEngine(workload.make_table(rng=1))
+        h2o = H2OEngine(
+            workload.make_table(rng=1), EngineConfig(machine=PAPER_SUBSTRATE)
+        )
         column = ColumnStoreEngine(workload.make_table(rng=1))
         for query in workload.queries:
             mine = h2o.execute(query).result
@@ -108,6 +113,33 @@ class TestOptimal:
         engine.execute("SELECT a1 FROM r")
         engine.execute("SELECT a2 FROM r")
         assert len(engine._groups) == 2
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT sum(a1), sum(a2) FROM r WHERE a3 < 0 AND a4 > 0",
+            "SELECT a1, a2, a3 FROM r",
+            "SELECT a1 + a2, a5 FROM r WHERE a6 < 100",
+        ],
+    )
+    @pytest.mark.parametrize("initial", ["column", "row"])
+    def test_times_group_and_columns_and_names_the_winner(self, sql, initial):
+        table = generate_table("r", 10, 8000, rng=8, initial_layout=initial)
+        engine = OptimalEngine(table)
+        report = engine.execute(sql)
+        info = analyze_query(parse_query(sql), table.schema)
+        plans = engine._plans(info)
+        assert [p.strategy for p in plans] == [
+            ExecutionStrategy.FUSED,
+            ExecutionStrategy.LATE,
+        ]
+        group, columns = (
+            engine.executor.run_plan(info, plan)[0] for plan in plans
+        )
+        assert np.array_equal(group.data, columns.data)
+        assert np.array_equal(report.result.data, group.data)
+        assert report.plan in {plan.describe() for plan in plans}
+        assert report.strategy in {"fused", "late"}
 
 
 class TestAutoPart:

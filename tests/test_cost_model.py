@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.exprc import masked_sql
 from repro.core.cost_model import (
     CostModel,
     GroupSpec,
@@ -144,10 +145,84 @@ class TestPlanCosts:
         )
         assert late_multi > late_single
 
+    def test_extra_conjuncts_raise_late_cost_at_equal_selectivity(
+        self, table
+    ):
+        model = CostModel()
+        infos = [
+            analyze_query(parse_query(sql), table.schema)
+            for sql in (
+                "SELECT sum(a1) FROM r WHERE a2 < 0",
+                "SELECT sum(a1) FROM r WHERE a2 < 0 AND a3 < 0 AND a4 < 0",
+            )
+        ]
+        # Same qualifying fraction, so only the extra conjuncts differ.
+        for info in infos:
+            model.selectivity.observe(masked_sql(info.query.where), 1 / 3)
+        cover = table.narrowest_cover(["a1", "a2", "a3", "a4"])
+        single, multi = (
+            model.plan_cost(info, AccessPlan(ExecutionStrategy.LATE, layouts))
+            for info, layouts in zip(infos, (cover[:2], cover))
+        )
+        assert multi > single
+
+    @staticmethod
+    def _chosen(model, table, sql):
+        """The plan the engine would pick: the cheapest enumerated one."""
+        info = analyze_query(parse_query(sql), table.schema)
+        return min(
+            enumerate_plans(table, info),
+            key=lambda plan: model.plan_cost(info, plan),
+        )
+
+    def test_filtered_aggregation_picks_late_over_single_columns(
+        self, table
+    ):
+        # A covering 10-wide group exists, but comparing its strided
+        # columns costs more than comparing and gathering contiguous ones.
+        sums = ", ".join(f"sum(a{i})" for i in range(1, 9))
+        plan = self._chosen(
+            CostModel(), table,
+            f"SELECT {sums} FROM r WHERE a1 < 0 AND a2 < 0 AND a3 < 0",
+        )
+        assert plan.strategy is ExecutionStrategy.LATE
+        assert all(layout.width == 1 for layout in plan.layouts)
+
+    def test_unfiltered_dense_aggregation_picks_fused_group(self, table):
+        sums = ", ".join(f"sum(a{i})" for i in range(1, 11))
+        plan = self._chosen(CostModel(), table, f"SELECT {sums} FROM r")
+        assert plan.strategy is ExecutionStrategy.FUSED
+        assert [layout.width for layout in plan.layouts] == [10]
+
+    def test_narrow_projection_picks_single_columns_over_group(self, table):
+        # Copying 2 of a 10-wide group's attributes walks every row of
+        # the group; two contiguous columns are cheaper to read.
+        plan = self._chosen(CostModel(), table, "SELECT a1, a2 FROM r")
+        assert all(layout.width == 1 for layout in plan.layouts)
+
+    def test_wide_projection_from_one_group_picks_fused(self, table):
+        outputs = ", ".join(f"a{i}" for i in range(1, 9))
+        plan = self._chosen(CostModel(), table, f"SELECT {outputs} FROM r")
+        assert plan.strategy is ExecutionStrategy.FUSED
+        assert [layout.width for layout in plan.layouts] == [10]
+
+    def test_count_only_prices_selection_over_predicate_rows(self, table):
+        # Regression: the row count came from the (empty) SELECT cover,
+        # so a COUNT(*)-only query's AND and count passes cost nothing.
+        model = CostModel()
+        info = analyze_query(
+            parse_query("SELECT count(*) FROM r WHERE a2 < 0 AND a3 < 0"),
+            table.schema,
+        )
+        column = GroupSpec.of(1, 1, table.num_rows)
+        compares = 2 * model.column_stride_access(column)
+        assert model.late_cost(info, (), (column, column)) > compares
+        assert model.fused_cost(info, (), (column, column)) > compares
+
     def test_transformation_cost_positive_and_monotone(self):
         model = CostModel()
-        small = model.transformation_cost(1000, 1000)
-        large = model.transformation_cost(10_000_000, 10_000_000)
+        small = model.transformation_cost(1000, 1000, 1)
+        large = model.transformation_cost(10_000_000, 10_000_000, 1)
         assert 0 < small < large
 
     def test_build_cost_estimate(self):

@@ -10,6 +10,7 @@ from repro.errors import ExecutionError
 from repro.sql import parse_query
 from repro.storage import generate_table
 from repro.storage.layout import LayoutKind
+from repro.testkit import PAPER_SUBSTRATE
 from repro.workloads.microbench import aggregation_query
 from repro.workloads.sequences import fig7_sequence
 
@@ -201,12 +202,17 @@ class TestStorageBudget:
             rng=3,
         )
         unbudgeted = H2OEngine(
-            workload.make_table(rng=1), EngineConfig(window_size=10)
+            workload.make_table(rng=1),
+            EngineConfig(window_size=10, machine=PAPER_SUBSTRATE),
         )
         table = workload.make_table(rng=1)
         budget = int(table.nbytes * 1.75)
         engine = H2OEngine(
-            table, EngineConfig(window_size=10, max_table_bytes=budget)
+            table,
+            EngineConfig(
+                window_size=10, max_table_bytes=budget,
+                machine=PAPER_SUBSTRATE,
+            ),
         )
 
         def groups():
