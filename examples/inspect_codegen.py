@@ -45,14 +45,11 @@ print(operator_source(info, plan2))
 
 # Same structure, different constants -> the cached operator is reused.
 from repro.codegen.generator import operator_key
-from repro.config import EngineConfig
 
 other = analyze_query(
     parse_query("SELECT sum(a1 + a2 + a3) FROM r WHERE a4 < 7 AND a5 > 3"),
     table.schema,
 )
-same = operator_key(info, plan, EngineConfig()) == operator_key(
-    other, plan, EngineConfig()
-)
+same = operator_key(info, plan) == operator_key(other, plan)
 print()
 print(f"operator cache key identical across constants: {same}")

@@ -110,9 +110,7 @@ class OptimalEngine:
         for plan in self._plans(info):
             # Compile and run once outside the measured window — the
             # oracle assumes "ample time to prepare" (paper section 4.1).
-            generate_operator(
-                info, plan, self.config, self.executor.operator_cache
-            )
+            generate_operator(info, plan, self.executor.operator_cache)
             self.executor.run_plan(info, plan)
             for _ in range(RUNS):
                 started = time.perf_counter()

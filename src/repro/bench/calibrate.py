@@ -133,6 +133,22 @@ def _shapes() -> List[Tuple[str, str]]:
         "aggregate",
         f"SELECT sum(a1 * a2 + a3) FROM t WHERE {_predicate(('a4',), 0.5)}",
     ))
+    # MIN/MAX reduce one column each, whatever the layout: price them
+    # next to the sums, alone and mixed with an expression.
+    for width, selectivity in itertools.product((2, 4, 8), (None, 0.05, 0.5)):
+        attrs = tuple(f"a{i}" for i in range(1, width + 1))
+        calls = ", ".join(
+            f"{('min', 'max')[i % 2]}({a})" for i, a in enumerate(attrs)
+        )
+        where = (
+            f" WHERE {_predicate(attrs[:1], selectivity)}"
+            if selectivity else ""
+        )
+        shapes.append(("aggregate", f"SELECT {calls} FROM t{where}"))
+    for where in ("", f" WHERE {_predicate(('a4',), 0.5)}"):
+        shapes.append((
+            "aggregate", f"SELECT sum(a1 + a2), max(a3) FROM t{where}"
+        ))
     return shapes
 
 
@@ -152,7 +168,6 @@ def measure(num_rows: int, seed: int = 0) -> List[Case]:
             )[0]
         return groups[attrs]
 
-    config = EngineConfig()
     cache = OperatorCache()
     estimators = [
         CostModel(profile, SelectivityEstimator(blend=1.0))
@@ -185,7 +200,7 @@ def measure(num_rows: int, seed: int = 0) -> List[Case]:
             ):
                 continue  # fused plans need a tuple-bearing layout
             plan = AccessPlan(strategy, plan_layouts)
-            operator, _, _ = generate_operator(info, plan, config, cache)
+            operator, _, _ = generate_operator(info, plan, cache)
             bufs = tuple(layout.data for layout in plan_layouts)
             seconds = _best_of(
                 lambda: operator.kernel(bufs, operator.params, 0, num_rows)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..config import EngineConfig
 from ..errors import CodegenError
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.volcano import projection_dtype
@@ -55,10 +54,8 @@ def _layout_signature(layouts: Sequence[Layout]) -> Tuple:
     )
 
 
-def operator_key(
-    info: QueryInfo, plan: AccessPlan, config: EngineConfig
-) -> Hashable:
-    """The operator-cache key: structural query shape × layouts × knobs."""
+def operator_key(info: QueryInfo, plan: AccessPlan) -> Hashable:
+    """The operator-cache key: structural query shape × layouts."""
     masked_outputs = tuple(masked_sql(out.expr) for out in info.query.select)
     masked_where = (
         masked_sql(info.query.where) if info.query.where is not None else None
@@ -72,7 +69,6 @@ def operator_key(
         masked_where,
         plan.strategy,
         _layout_signature(plan.layouts),
-        config.vector_size,
         out_dtype,
         param_types,
     )
@@ -94,11 +90,8 @@ class GeneratedOperator:
     filename: str
 
 
-def operator_source(
-    info: QueryInfo, plan: AccessPlan, config: Optional[EngineConfig] = None
-) -> str:
+def operator_source(info: QueryInfo, plan: AccessPlan) -> str:
     """The specialized source for (query, plan) — for inspection/docs."""
-    config = config or EngineConfig()
     out_dtype = (
         np.dtype(np.float64)
         if info.is_aggregation
@@ -106,7 +99,7 @@ def operator_source(
     )
     expected = collect_literals(info)
     source, registry = _build_validated_source(
-        info, plan, config, out_dtype, expected
+        info, plan, out_dtype, expected
     )
     del registry
     return source
@@ -115,16 +108,13 @@ def operator_source(
 def _build_validated_source(
     info: QueryInfo,
     plan: AccessPlan,
-    config: EngineConfig,
     out_dtype: np.dtype,
     expected: List[object],
 ) -> Tuple[str, ParamRegistry]:
     # ``build_source`` constructs its own registry internally; rebuild
     # with validation by monkey-free injection: templates accept the
     # info/plan only, so validation happens here by re-walking.
-    source, registry = build_source(
-        info, plan, config.vector_size, out_dtype
-    )
+    source, registry = build_source(info, plan, out_dtype)
     if registry.values != expected or any(
         type(a) is not type(b) for a, b in zip(registry.values, expected)
     ):
@@ -138,7 +128,6 @@ def _build_validated_source(
 def generate_operator(
     info: QueryInfo,
     plan: AccessPlan,
-    config: EngineConfig,
     cache: OperatorCache,
 ) -> Tuple[GeneratedOperator, float, bool]:
     """Produce the operator for (query, plan), using the cache.
@@ -152,7 +141,7 @@ def generate_operator(
     by the engine to the running query as in the paper.
     """
     started = time.perf_counter()
-    key = operator_key(info, plan, config)
+    key = operator_key(info, plan)
     params = tuple(collect_literals(info))
     entry = cache.lookup(key)
     if entry is not None:
@@ -171,7 +160,7 @@ def generate_operator(
         else projection_dtype(info)
     )
     source, _registry = _build_validated_source(
-        info, plan, config, out_dtype, list(params)
+        info, plan, out_dtype, list(params)
     )
     shared = cache.find_source(source)
     if shared is not None:

@@ -10,11 +10,16 @@ time for:
 - the query shape (aggregation vs. projection, predicate structure,
   arithmetic pipelines).
 
-The generated code is the Python/numpy analog of the paper's Fig. 5
-(single-group fused evaluation) and Fig. 6 (two-group selection-vector
-plan).  Literals are parameters; everything else — column positions,
-predicate chains, accumulator layouts, even whether a fast memcpy or
-axis-reduction path applies — is burned into the source.
+Both strategies share one selection: one bitmap over the whole morsel,
+then one selection vector.  They differ only in how values are fetched
+after it: a fused kernel takes the qualifying tuples once and reads
+them from the compacted block (the numpy analog of the paper's Fig. 5,
+single-group fused evaluation); a late kernel gathers each column where
+it is used (Fig. 6, the selection-vector plan).  Neither loops over
+blocks inside the morsel.  Literals are parameters; everything else —
+column positions, predicate chains, accumulator layouts, even whether a
+block copy or a dense column-sum pass applies — is burned into the
+source.
 """
 
 from __future__ import annotations
@@ -218,504 +223,30 @@ def _emit_return_states(
     sb.line(f"return (float({cnt_expr}), ({states}))")
 
 
-# --- Fused (volcano-style) templates -----------------------------------------
+# --- Selection and value fetching -------------------------------------------
+#
+# Both strategies select with one bitmap over the whole morsel and one
+# selection vector; they differ only in how values are fetched
+# afterwards.  LATE gathers each attribute where it is used (Fig. 6);
+# FUSED fetches the qualifying tuples once and reads them from the
+# compacted block (Fig. 5).
 
 
-def _block_bindings(
+def _emit_views(
     sb: SourceBuilder,
-    providers: Dict[str, _Provider],
-    attrs: Sequence[str],
-    rows: str,
-    prefix: str,
-) -> Dict[str, Binding]:
-    """Emit block-slice bindings for ``attrs``.
-
-    2-D buffers get one shared block local (``blk{i}``) and per-column
-    views carrying base/position provenance, enabling the compiler's
-    row-sum fusion; 1-D buffers get one local each.
-    """
-    bindings: Dict[str, Binding] = {}
-    blocks: Dict[int, str] = {}
-    for position, attr in enumerate(attrs):
-        provider = providers[attr]
-        if provider.position is None:
-            var = f"{prefix}{position}"
-            sb.line(f"{var} = {_slice_source(provider, rows)}")
-            bindings[attr] = Binding(source=var, dtype=provider.dtype)
-            continue
-        index = provider.buffer_index
-        if index not in blocks:
-            block_var = f"{prefix}blk{index}"
-            sb.line(f"{block_var} = buf{index}[{rows}]")
-            blocks[index] = block_var
-        base = blocks[index]
-        bindings[attr] = Binding(
-            source=f"{base}[:, {provider.position}]",
-            dtype=provider.dtype,
-            base=base,
-            position=provider.position,
-        )
-    return bindings
-
-
-def _emit_compaction(
-    sb: SourceBuilder,
-    providers: Dict[str, _Provider],
-    attrs: Sequence[str],
-    rows: str,
-    mask: str,
-) -> Dict[str, Binding]:
-    """Compact qualifying tuples per buffer with one row gather each.
-
-    The position list is materialized once (``np.flatnonzero``) and each
-    buffer's qualifying tuples are fetched with ``take(axis=0)`` — the
-    group-layout analog of the paper's early tuple filtering, and
-    several times faster than a boolean row gather per buffer.  Returns
-    bindings of each attribute into its compacted block.
-    """
-    bindings: Dict[str, Binding] = {}
-    compacted: Dict[object, str] = {}
-    sb.line(f"idx = np.flatnonzero({mask})")
-    # Buffers whose width far exceeds the query's needs (the row-major
-    # case) are compacted column by column — copying 150-attribute
-    # tuples to use 20 of them would dominate the query.
-    needed_positions: Dict[int, set] = {}
-    for attr in attrs:
-        provider = providers[attr]
-        if provider.position is not None:
-            needed_positions.setdefault(
-                provider.buffer_index, set()
-            ).add(provider.position)
-    for attr in attrs:
-        provider = providers[attr]
-        index = provider.buffer_index
-        if (
-            provider.position is not None
-            and not read_whole(len(needed_positions[index]), provider.width)
-        ):
-            key = (index, provider.position)
-            if key not in compacted:
-                var = f"qc{index}_{provider.position}"
-                sb.line(
-                    f"{var} = buf{index}[{rows}, "
-                    f"{provider.position}].take(idx)"
-                )
-                compacted[key] = var
-            bindings[attr] = Binding(compacted[key], provider.dtype)
-            continue
-        if index not in compacted:
-            var = f"qb{index}"
-            if provider.position is None:
-                sb.line(f"{var} = buf{index}[{rows}].take(idx)")
-            else:
-                sb.line(f"{var} = buf{index}[{rows}].take(idx, axis=0)")
-            compacted[index] = var
-        var = compacted[index]
-        if provider.position is None:
-            bindings[attr] = Binding(var, provider.dtype)
-        else:
-            bindings[attr] = Binding(
-                f"{var}[:, {provider.position}]",
-                provider.dtype,
-                base=var,
-                position=provider.position,
-            )
-    return bindings
-
-
-def _columnar_fast_path_applies(info: QueryInfo, slots) -> bool:
-    """Whole-array axis reductions apply when there is no predicate and
-    every aggregate is SUM/MIN/MAX/AVG/COUNT over a plain column."""
-    if info.has_predicate:
-        return False
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            continue
-        if not isinstance(slot.agg.arg, ColumnRef):
-            return False
-    return True
-
-
-def _emit_columnar_aggregates(
-    sb: SourceBuilder,
-    slots: Sequence[_AggSlot],
-    providers: Dict[str, _Provider],
-) -> None:
-    """Specialized no-predicate aggregation: one contiguous axis-0
-    reduction per (buffer, function) pair, then constant-position picks.
-
-    For a group layout this is the single sequential pass of Fig. 5 —
-    whole tuples stream through the cache once regardless of how many
-    of the group's attributes are aggregated.
-    """
-    with sb.block("if n == 0:"):
-        empty_states = [
-            "0.0"
-            if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG)
-            else "None"
-            for slot in slots
-        ]
-        _emit_return_states(sb, "0", empty_states)
-
-    # Which buffers are *densely* aggregated?  A whole-buffer axis-0
-    # reduction processes every column; it only pays off when most of
-    # the buffer's columns are needed (the tailored-group case).  For a
-    # wide buffer with few needed columns (row-major layout), reduce the
-    # needed columns individually instead.
-    needed_per_buffer: Dict[int, set] = {}
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            continue
-        provider = providers[slot.agg.arg.name]
-        if provider.position is not None:
-            needed_per_buffer.setdefault(
-                provider.buffer_index, set()
-            ).add(provider.position)
-    widths: Dict[int, int] = {}
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            continue
-        provider = providers[slot.agg.arg.name]
-        widths[provider.buffer_index] = provider.width
-    dense_buffers = {
-        index
-        for index, positions in needed_per_buffer.items()
-        if read_whole(len(positions), widths[index])
-    }
-
-    kind_of = {
-        AggregateFunc.SUM: "sum",
-        AggregateFunc.AVG: "sum",
-        AggregateFunc.MIN: "min",
-        AggregateFunc.MAX: "max",
-    }
-    reductions = {}  # (buffer_index, kind) -> var name
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            continue
-        provider = providers[slot.agg.arg.name]
-        kind = kind_of[slot.func]
-        if (
-            provider.position is not None
-            and provider.buffer_index not in dense_buffers
-        ):
-            continue  # sparse buffer: reduced per slot below
-        key = (provider.buffer_index, kind)
-        if key not in reductions:
-            var = f"red_{provider.buffer_index}_{kind}"
-            reductions[key] = var
-            buf = f"buf{provider.buffer_index}"
-            if provider.position is None:
-                if kind == "sum":
-                    sb.line(f"{var} = {buf}.sum(dtype=np.float64)")
-                else:
-                    sb.line(f"{var} = {buf}.{kind}()")
-            else:
-                if kind == "sum":
-                    # einsum reduces a C-order 2-D block ~4x faster than
-                    # sum(axis=0); int64 accumulation is exact for the
-                    # value ranges the engine stores (|v| < 2^31).
-                    sb.line(f"{var} = np.einsum('ij->j', {buf})")
-                else:
-                    sb.line(f"{var} = {buf}.{kind}(axis=0)")
-    states = []
-    for slot in slots:
-        if slot.func is AggregateFunc.COUNT:
-            states.append("None")
-            continue
-        provider = providers[slot.agg.arg.name]
-        kind = kind_of[slot.func]
-        if (
-            provider.position is not None
-            and provider.buffer_index not in dense_buffers
-        ):
-            # Single strided-column reduction; no wasted compute on the
-            # buffer's unneeded columns.
-            column = f"buf{provider.buffer_index}[:, {provider.position}]"
-            if kind == "sum":
-                pick = f"{column}.sum(dtype=np.float64)"
-            else:
-                pick = f"{column}.{kind}()"
-        else:
-            var = reductions[(provider.buffer_index, kind)]
-            pick = (
-                var
-                if provider.position is None
-                else f"{var}[{provider.position}]"
-            )
-        # AVG carries its raw sum: the driver divides by the global
-        # count once, after combining every morsel.
-        states.append(f"float({pick})")
-    _emit_return_states(sb, "n", states)
-
-
-_VEC_KIND = {
-    AggregateFunc.SUM: "sum",
-    AggregateFunc.AVG: "sum",
-    AggregateFunc.MIN: "min",
-    AggregateFunc.MAX: "max",
-}
-
-
-def _vectorizable_slots(
     info: QueryInfo,
-    slots: Sequence[_AggSlot],
     providers: Dict[str, _Provider],
-) -> List[_AggSlot]:
-    """Filtered-scan slots that reduce a plain column of a 2-D buffer —
-    these fold into one contiguous axis-0 reduction per (buffer, kind)
-    over the compacted block instead of one strided pass each."""
-    if not info.has_predicate:
-        return []
-    # Mirror the compaction rule: sparse buffers (width far beyond the
-    # query's needs) are compacted per column, so no 2-D ``qb`` block
-    # exists to reduce over.
-    needed_positions: Dict[int, set] = {}
-    for attr in info.select_attrs:
-        provider = providers[attr]
-        if provider.position is not None:
-            needed_positions.setdefault(
-                provider.buffer_index, set()
-            ).add(provider.position)
-    out = []
-    for slot in slots:
-        if slot.func not in _VEC_KIND:
-            continue
-        if not isinstance(slot.agg.arg, ColumnRef):
-            continue
-        provider = providers[slot.agg.arg.name]
-        if provider.position is None:
-            continue
-        if not read_whole(
-            len(needed_positions[provider.buffer_index]), provider.width
-        ):
-            continue
-        out.append(slot)
-    return out
+    attrs: Sequence[str],
+) -> None:
+    """Emit the morsel column view ``c{j}`` of each of ``attrs``, where
+    ``j`` is the attribute's index in ``info.all_attrs`` (a group column
+    is the strided view ``buf[:, j]``)."""
+    for position, attr in enumerate(info.all_attrs):
+        if attr in attrs:
+            sb.line(f"c{position} = {_slice_source(providers[attr], ':')}")
 
 
-def fused_aggregate_source(
-    info: QueryInfo, plan: AccessPlan, block_rows: int
-) -> Tuple[str, ParamRegistry]:
-    """Generate the fused-scan aggregation kernel (cf. paper Fig. 5)."""
-    params = ParamRegistry()
-    providers = _assign_providers(plan.layouts, info.all_attrs)
-    slots = [
-        _AggSlot(i, agg)
-        for i, agg in enumerate(collect_aggregates(info.query.select))
-    ]
-    sb = SourceBuilder()
-    with sb.block(KERNEL_DEF):
-        _emit_prelude(sb, providers)
-        if _columnar_fast_path_applies(info, slots):
-            # Only COUNT arguments can carry literals on this path.
-            compiler = ExprCompiler({}, params)
-            for slot in slots:
-                if slot.func is AggregateFunc.COUNT:
-                    compiler.register_literals(slot.agg.arg)
-            _emit_columnar_aggregates(sb, slots, providers)
-            return sb.render(), params
-
-        vec_slots = _vectorizable_slots(info, slots, providers)
-        vec_set = {slot.index for slot in vec_slots}
-        scalar_slots = [s for s in slots if s.index not in vec_set]
-        reductions: Dict[Tuple[int, str], str] = {}
-        for slot in vec_slots:
-            provider = providers[slot.agg.arg.name]
-            key = (provider.buffer_index, _VEC_KIND[slot.func])
-            if key not in reductions:
-                var = f"vr_{key[0]}_{key[1]}"
-                reductions[key] = var
-                sb.line(f"{var} = None")
-
-        sb.line("cnt = 0")
-        _emit_agg_init_slots(sb, scalar_slots)
-        with sb.block(f"for start in range(0, n, {block_rows}):"):
-            sb.line(f"stop = min(start + {block_rows}, n)")
-            rows = "start:stop"
-            if info.has_predicate:
-                where_bindings = _block_bindings(
-                    sb, providers, info.where_attrs, rows, "w"
-                )
-                compiler = ExprCompiler(where_bindings, params)
-                mask = compiler.compile_mask(info.query.where, sb)
-                sb.line(f"k = int(np.count_nonzero({mask}))")
-                with sb.block("if k == 0:"):
-                    sb.line("continue")
-                sb.line("cnt += k")
-                # Compact whole tuples per buffer in one row gather (the
-                # vectorized equivalent of Fig. 5's early filtering) and
-                # bind attributes to the compacted, cache-hot block.
-                agg_bindings = _emit_compaction(
-                    sb, providers, info.select_attrs, rows, mask
-                )
-                # One contiguous axis-0 reduction per (buffer, kind).
-                for (buffer_index, kind), var in reductions.items():
-                    partial = sb.fresh("pr")
-                    if kind == "sum":
-                        sb.line(
-                            f"{partial} = "
-                            f"np.einsum('ij->j', qb{buffer_index})"
-                        )
-                        combine = f"{var} + {partial}"
-                    else:
-                        sb.line(f"{partial} = qb{buffer_index}.{kind}(axis=0)")
-                        fn = "np.minimum" if kind == "min" else "np.maximum"
-                        combine = f"{fn}({var}, {partial})"
-                    sb.line(
-                        f"{var} = {partial} if {var} is None else {combine}"
-                    )
-            else:
-                sb.line("cnt += stop - start")
-                agg_bindings = _block_bindings(
-                    sb, providers, info.select_attrs, rows, "v"
-                )
-            if scalar_slots:
-                agg_compiler = ExprCompiler(agg_bindings, params)
-                count_var = "k" if info.has_predicate else "(stop - start)"
-                for slot in scalar_slots:
-                    _emit_agg_update(sb, slot, agg_compiler, count_var)
-        states = []
-        for slot in slots:
-            if slot.index in vec_set:
-                provider = providers[slot.agg.arg.name]
-                var = reductions[
-                    (provider.buffer_index, _VEC_KIND[slot.func])
-                ]
-                pick = f"float({var}[{provider.position}])"
-                empty = (
-                    "0.0"
-                    if slot.func in (AggregateFunc.SUM, AggregateFunc.AVG)
-                    else "None"
-                )
-                states.append(f"({pick} if {var} is not None else {empty})")
-            else:
-                states.append(_scalar_state_expr(slot))
-        _emit_return_states(sb, "cnt", states)
-    return sb.render(), params
-
-
-def _contiguous_run(positions: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """(lo, hi) when positions are a contiguous ascending run, else None."""
-    if not positions:
-        return None
-    lo = positions[0]
-    for offset, position in enumerate(positions):
-        if position != lo + offset:
-            return None
-    return lo, lo + len(positions)
-
-
-def fused_project_source(
-    info: QueryInfo, plan: AccessPlan, block_rows: int, out_dtype: np.dtype
-) -> Tuple[str, ParamRegistry]:
-    """Generate the fused-scan projection kernel.
-
-    When the query is a plain unfiltered projection whose attributes all
-    sit in one group, the kernel degenerates to a single block copy —
-    the best case the group layout was built for (Fig. 10a).
-    """
-    params = ParamRegistry()
-    providers = _assign_providers(plan.layouts, info.all_attrs)
-    outputs = info.query.select
-    num_outputs = len(outputs)
-    sb = SourceBuilder()
-    with sb.block(KERNEL_DEF):
-        _emit_prelude(sb, providers)
-
-        plain = (
-            not info.has_predicate
-            and all(isinstance(out.expr, ColumnRef) for out in outputs)
-        )
-        if plain:
-            buffer_indexes = {
-                providers[out.expr.name].buffer_index for out in outputs
-            }
-            if len(buffer_indexes) == 1 and all(
-                providers[out.expr.name].position is not None
-                for out in outputs
-            ):
-                (buffer_index,) = buffer_indexes
-                positions = [
-                    providers[out.expr.name].position for out in outputs
-                ]
-                run = _contiguous_run(positions)
-                # Always materialize a fresh output block (the engine's
-                # contract): a contiguous slice copy is a plain memcpy.
-                if run is not None:
-                    lo, hi = run
-                    source = f"buf{buffer_index}[:, {lo}:{hi}]"
-                else:
-                    source = f"buf{buffer_index}[:, {positions!r}]"
-                sb.line(
-                    f"out = {source}.astype(np.{out_dtype.name}, "
-                    f"copy=True)"
-                )
-                sb.line("return out")
-                return sb.render(), params
-
-        if not info.has_predicate:
-            # Known output size: fill one preallocated row-major array.
-            sb.line(f"out = np.empty((n, {num_outputs}), dtype=np.{out_dtype.name})")
-            with sb.block(f"for start in range(0, n, {block_rows}):"):
-                sb.line(f"stop = min(start + {block_rows}, n)")
-                bindings = _block_bindings(
-                    sb, providers, info.select_attrs, "start:stop", "v"
-                )
-                compiler = ExprCompiler(bindings, params)
-                sb.line("ob = out[start:stop]")
-                for position, out in enumerate(outputs):
-                    operand = compiler.compile_value(out.expr, sb)
-                    sb.line(f"ob[:, {position}] = {operand.source}")
-            sb.line("return out")
-            return sb.render(), params
-
-        # Filtered projection: unknown output size, collect compacted blocks.
-        sb.line("out_blocks = []")
-        with sb.block(f"for start in range(0, n, {block_rows}):"):
-            sb.line(f"stop = min(start + {block_rows}, n)")
-            rows = "start:stop"
-            where_bindings = _block_bindings(
-                sb, providers, info.where_attrs, rows, "w"
-            )
-            compiler = ExprCompiler(where_bindings, params)
-            mask = compiler.compile_mask(info.query.where, sb)
-            sb.line(f"k = int(np.count_nonzero({mask}))")
-            with sb.block("if k == 0:"):
-                sb.line("continue")
-            out_bindings = _emit_compaction(
-                sb, providers, info.select_attrs, rows, mask
-            )
-            out_compiler = ExprCompiler(out_bindings, params)
-            sb.line(f"ob = np.empty((k, {num_outputs}), dtype=np.{out_dtype.name})")
-            for position, out in enumerate(outputs):
-                operand = out_compiler.compile_value(out.expr, sb)
-                sb.line(f"ob[:, {position}] = {operand.source}")
-            sb.line("out_blocks.append(ob)")
-        with sb.block("if not out_blocks:"):
-            sb.line(
-                f"return np.empty((0, {num_outputs}), dtype=np.{out_dtype.name})"
-            )
-        sb.line("return np.concatenate(out_blocks, axis=0)")
-    return sb.render(), params
-
-
-# --- Late-materialization templates -------------------------------------------
-
-
-def _late_bindings(
-    info: QueryInfo, providers: Dict[str, _Provider], rows: str = ""
-) -> Dict[str, Binding]:
-    """Bind every attribute to its morsel column ``c{j}`` — or, with
-    ``rows="[sel]"``, to the gather of its qualifying values, spelled
-    inline so each use fetches its own copy and frees it right after."""
-    return {
-        attr: Binding(f"c{position}{rows}", providers[attr].dtype)
-        for position, attr in enumerate(info.all_attrs)
-    }
-
-
-def _emit_late_selection(
+def _emit_selection(
     sb: SourceBuilder,
     info: QueryInfo,
     providers: Dict[str, _Provider],
@@ -725,12 +256,12 @@ def _emit_late_selection(
     """Emit the selection phase: one bitmap per conjunction, then one
     selection vector (cf. paper Fig. 6).
 
-    Column views ``c{j}`` for all attributes are emitted first.  Every
-    conjunct is then compiled over the morsel's full provider columns
-    and ANDed in place into one
-    boolean ``qmask``; each conjunct's temporaries are deleted as soon
-    as its mask is folded in.  One ``np.flatnonzero`` turns the bitmap
-    into the selection vector ``sel``.
+    Column views ``c{j}`` of the predicate attributes are emitted first
+    (a group column is the strided view ``buf[:, j]``).  Every conjunct
+    is then compiled over the morsel's full provider columns and ANDed
+    in place into one boolean ``qmask``; each conjunct's temporaries are
+    deleted as soon as its mask is folded in.  One ``np.flatnonzero`` turns the
+    bitmap into the selection vector ``sel``.
 
     Fig. 6 refines the selection vector conjunct by conjunct instead,
     fetching each later conjunct's columns at the surviving positions.
@@ -738,22 +269,20 @@ def _emit_late_selection(
     of ``sel``, each several times dearer per row than one streaming
     compare over the full column.  The bitmap therefore wins unless the
     first conjunct alone keeps only a few percent of the rows and many
-    conjuncts follow (DESIGN.md §4b).  ``CostModel.late_cost`` prices
-    this bitmap plan; only the interpreted reference,
-    :func:`~repro.execution.vectorized.run_late_interpreted`, keeps the
-    per-conjunct refinement.
+    conjuncts follow (DESIGN.md §4b).  ``CostModel`` prices this bitmap
+    for both strategies; only the interpreted references keep their
+    own evaluation orders.
 
     Returns ``"sel"`` when a selection vector ``sel`` exists afterwards,
     ``"mask"`` when only ``qmask`` does, ``"none"`` when the query has
-    no predicate.  ``count_only`` marks kernels that never gather
+    no predicate.  ``count_only`` marks kernels that never fetch
     qualifying rows (COUNT(*)-only aggregations): they count ``qmask``
     directly and skip ``np.flatnonzero``.
     """
-    for position, attr in enumerate(info.all_attrs):
-        sb.line(f"c{position} = {_slice_source(providers[attr], ':')}")
     if not info.has_predicate:
         return "none"
-    bindings = _late_bindings(info, providers)
+    _emit_views(sb, info, providers, info.where_attrs)
+    bindings = _view_bindings(info, providers)
     for number, conjunct in enumerate(info.query.predicates):
         with sb.scope():
             compiler = ExprCompiler(bindings, params, fused=False)
@@ -769,13 +298,170 @@ def _emit_late_selection(
     return "sel"
 
 
-def late_aggregate_source(
+def _view_bindings(
+    info: QueryInfo, providers: Dict[str, _Provider], rows: str = ""
+) -> Dict[str, Binding]:
+    """Bind every attribute to its morsel column ``c{j}`` — or, with
+    ``rows="[sel]"``, to the gather of its qualifying values, spelled
+    inline so each use fetches its own copy and frees it right after."""
+    return {
+        attr: Binding(f"c{position}{rows}", providers[attr].dtype)
+        for position, attr in enumerate(info.all_attrs)
+    }
+
+
+def _dense_buffers(
+    providers: Dict[str, _Provider], attrs: Sequence[str]
+) -> set:
+    """Indexes of the 2-D buffers ``attrs`` read whole (``read_whole``)."""
+    needed: Dict[int, set] = {}
+    widths: Dict[int, int] = {}
+    for attr in attrs:
+        provider = providers[attr]
+        if provider.position is not None:
+            needed.setdefault(provider.buffer_index, set()).add(
+                provider.position
+            )
+            widths[provider.buffer_index] = provider.width
+    return {
+        index
+        for index, positions in needed.items()
+        if read_whole(len(positions), widths[index])
+    }
+
+
+def _fused_bindings(
+    sb: SourceBuilder,
+    providers: Dict[str, _Provider],
+    attrs: Sequence[str],
+    has_sel: bool,
+) -> Dict[str, Binding]:
+    """Bind ``attrs`` to whole tuples: the morsel's buffers themselves,
+    or — after a selection — the qualifying tuples, fetched once per
+    buffer with ``take(sel, axis=0)``.
+
+    The whole-tuple fetch is the group-layout analog of the paper's
+    early tuple filtering, and several times faster than a boolean row
+    gather per buffer.  A buffer whose width far exceeds the query's
+    needs (the row-major case) is fetched column by column instead —
+    copying 150-attribute tuples to use 20 of them would dominate the
+    query.  2-D bindings carry base/position provenance for the
+    compiler's row-sum fusion and the dense column sums.
+    """
+    dense = _dense_buffers(providers, attrs)
+    bindings: Dict[str, Binding] = {}
+    fetched: Dict[object, str] = {}
+
+    def fetch(key: object, var: str, view: str, axis: str = "") -> str:
+        """``view`` itself, or its qualifying rows fetched once."""
+        if not has_sel:
+            return view
+        if key not in fetched:
+            sb.line(f"{var} = {view}.take(sel{axis})")
+            fetched[key] = var
+        return fetched[key]
+
+    for attr in attrs:
+        provider = providers[attr]
+        index, position = provider.buffer_index, provider.position
+        if position is None:
+            var = fetch(index, f"qb{index}", f"buf{index}")
+            bindings[attr] = Binding(var, provider.dtype)
+        elif has_sel and index not in dense:
+            var = fetch(
+                (index, position),
+                f"qc{index}_{position}",
+                f"buf{index}[:, {position}]",
+            )
+            bindings[attr] = Binding(var, provider.dtype)
+        else:
+            block = fetch(index, f"qb{index}", f"buf{index}", ", axis=0")
+            bindings[attr] = Binding(
+                f"{block}[:, {position}]",
+                provider.dtype,
+                base=block,
+                position=position,
+            )
+    return bindings
+
+
+def _emit_dense_sums(
+    sb: SourceBuilder,
+    slots: Sequence[_AggSlot],
+    providers: Dict[str, _Provider],
+    bindings: Dict[str, Binding],
+    attrs: Sequence[str],
+) -> Dict[int, str]:
+    """The one reduction special case: SUM/AVG over plain columns of a
+    2-D block the query reads whole become one ``einsum('ij->j')`` pass
+    per block — one contiguous pass instead of one strided pass per
+    column.  Integer blocks only: their sums are exact in any order, so
+    the answer bits match per-column sums.  Returns each such slot's
+    column-sum source."""
+    dense = _dense_buffers(providers, attrs)
+    sums: Dict[str, str] = {}
+    picks: Dict[int, str] = {}
+    for slot in slots:
+        if slot.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
+            continue
+        if not isinstance(slot.agg.arg, ColumnRef):
+            continue
+        provider = providers[slot.agg.arg.name]
+        if (
+            provider.buffer_index not in dense
+            or not np.issubdtype(provider.dtype, np.integer)
+        ):
+            continue
+        block = bindings[slot.agg.arg.name].base
+        if block not in sums:
+            # On 50 000 int64 rows of 8 columns: 241 us, against 1 172
+            # for 8 strided column sums and 1 198 for sum(axis=0); it
+            # pays a fixed per-row cost, so at 2 columns it is ~25 %
+            # slower.  int64 accumulation is exact for the value ranges
+            # the engine stores (|v| < 2^31).
+            sums[block] = sb.fresh("es")
+            sb.line(f"{sums[block]} = np.einsum('ij->j', {block})")
+        picks[slot.index] = f"{sums[block]}[{provider.position}]"
+    return picks
+
+
+def _value_bindings(
+    sb: SourceBuilder,
+    info: QueryInfo,
+    providers: Dict[str, _Provider],
+    fused: bool,
+    has_sel: bool,
+) -> Dict[str, Binding]:
+    """How each strategy fetches values after the shared selection."""
+    if fused:
+        return _fused_bindings(sb, providers, info.select_attrs, has_sel)
+    _emit_views(
+        sb,
+        info,
+        providers,
+        [a for a in info.select_attrs if a not in info.where_attrs],
+    )
+    return _view_bindings(info, providers, "[sel]" if has_sel else "")
+
+
+# --- Templates --------------------------------------------------------------
+
+_COUNT_SOURCE = {
+    "sel": "int(sel.shape[0])",
+    "mask": "int(np.count_nonzero(qmask))",
+    "none": "n",
+}
+
+
+def aggregate_source(
     info: QueryInfo, plan: AccessPlan
 ) -> Tuple[str, ParamRegistry]:
-    """Generate the late-materialization aggregation kernel (Fig. 6).
+    """Generate the aggregation kernel (Fig. 5 fused, Fig. 6 late).
 
-    Each aggregate gathers its arguments inside its own reduction, so no
-    gathered column outlives the slot that uses it.
+    A late kernel gathers each aggregate's arguments inside its own
+    reduction, so no gathered column outlives the slot that uses it; a
+    fused kernel reduces columns of the once-fetched tuples, each
+    MIN/MAX over its own column.
     """
     params = ParamRegistry()
     providers = _assign_providers(plan.layouts, info.all_attrs)
@@ -783,29 +469,37 @@ def late_aggregate_source(
         _AggSlot(i, agg)
         for i, agg in enumerate(collect_aggregates(info.query.select))
     ]
+    fused = plan.strategy is ExecutionStrategy.FUSED
     sb = SourceBuilder()
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
-        sel_mode = _emit_late_selection(
+        sel_mode = _emit_selection(
             sb, info, providers, params, count_only=not info.select_attrs
         )
         _emit_agg_init_slots(sb, slots)
-        if sel_mode == "sel":
-            sb.line("cnt = int(sel.shape[0])")
-        elif sel_mode == "mask":
-            sb.line("cnt = int(np.count_nonzero(qmask))")
-        else:
-            sb.line("cnt = n")
-        bindings = _late_bindings(
-            info, providers, "[sel]" if sel_mode == "sel" else ""
-        )
+        sb.line(f"cnt = {_COUNT_SOURCE[sel_mode]}")
         with sb.block("if cnt != 0:"):
-            # COUNT(*)-only queries need no gathers or updates; keep the
+            # COUNT(*)-only queries need no fetches or updates; keep the
             # guarded block syntactically valid.
             sb.line("pass")
+            bindings = _value_bindings(
+                sb, info, providers, fused, sel_mode == "sel"
+            )
+            dense = (
+                _emit_dense_sums(
+                    sb, slots, providers, bindings, info.select_attrs
+                )
+                if fused
+                else {}
+            )
             for slot in slots:
+                if slot.index in dense:
+                    sb.line(
+                        f"acc_s{slot.index} += float({dense[slot.index]})"
+                    )
+                    continue
                 with sb.scope():
-                    compiler = ExprCompiler(bindings, params, fused=False)
+                    compiler = ExprCompiler(bindings, params, fused=fused)
                     _emit_agg_update(sb, slot, compiler, "cnt")
         _emit_return_states(
             sb, "cnt", [_scalar_state_expr(slot) for slot in slots]
@@ -813,28 +507,78 @@ def late_aggregate_source(
     return sb.render(), params
 
 
-def late_project_source(
+def _contiguous_run(positions: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """(lo, hi) when positions are a contiguous ascending run, else None."""
+    if not positions:
+        return None
+    lo = positions[0]
+    for offset, position in enumerate(positions):
+        if position != lo + offset:
+            return None
+    return lo, lo + len(positions)
+
+
+def _emit_group_copy(
+    sb: SourceBuilder,
+    info: QueryInfo,
+    providers: Dict[str, _Provider],
+    out_dtype: np.dtype,
+) -> bool:
+    """Emit a plain unfiltered projection out of one group as a single
+    block copy — the best case the group layout was built for
+    (Fig. 10a).  False, emitting nothing, for any other query."""
+    outputs = info.query.select
+    if info.has_predicate or not all(
+        isinstance(out.expr, ColumnRef) for out in outputs
+    ):
+        return False
+    chosen = [providers[out.expr.name] for out in outputs]
+    if len({p.buffer_index for p in chosen}) != 1 or any(
+        p.position is None for p in chosen
+    ):
+        return False
+    buf = f"buf{chosen[0].buffer_index}"
+    positions = [p.position for p in chosen]
+    run = _contiguous_run(positions)
+    # Always materialize a fresh output block (the engine's contract):
+    # a contiguous slice copy is a plain memcpy.
+    source = (
+        f"{buf}[:, {run[0]}:{run[1]}]"
+        if run is not None
+        else f"{buf}[:, {positions!r}]"
+    )
+    sb.line(f"return {source}.astype(np.{out_dtype.name}, copy=True)")
+    return True
+
+
+def project_source(
     info: QueryInfo, plan: AccessPlan, out_dtype: np.dtype
 ) -> Tuple[str, ParamRegistry]:
-    """Generate the late-materialization projection kernel.
+    """Generate the projection kernel.
 
-    Each output column gathers its attributes inside its own write, so
-    no gathered column outlives the column it fills.
+    A late kernel gathers each output column's attributes inside its own
+    write, so no gathered column outlives the column it fills; a fused
+    kernel computes every output column from the once-fetched tuples.
     """
     params = ParamRegistry()
     providers = _assign_providers(plan.layouts, info.all_attrs)
     outputs = info.query.select
-    num_outputs = len(outputs)
+    fused = plan.strategy is ExecutionStrategy.FUSED
     sb = SourceBuilder()
     with sb.block(KERNEL_DEF):
         _emit_prelude(sb, providers)
-        has_sel = _emit_late_selection(sb, info, providers, params) == "sel"
-        sb.line(f"cnt = {'int(sel.shape[0])' if has_sel else 'n'}")
-        bindings = _late_bindings(info, providers, "[sel]" if has_sel else "")
-        sb.line(f"out = np.empty((cnt, {num_outputs}), dtype=np.{out_dtype.name})")
+        if fused and _emit_group_copy(sb, info, providers, out_dtype):
+            return sb.render(), params
+        has_sel = _emit_selection(sb, info, providers, params) == "sel"
+        sb.line(f"cnt = {_COUNT_SOURCE['sel' if has_sel else 'none']}")
+        bindings = _value_bindings(sb, info, providers, fused, has_sel)
+        sb.line(
+            f"out = np.empty((cnt, {len(outputs)}), "
+            f"dtype=np.{out_dtype.name})"
+        )
         for position, out in enumerate(outputs):
             with sb.scope():
-                compiler = ExprCompiler(bindings, params, fused=False)
+                compiler = ExprCompiler(bindings, params, fused=fused)
                 operand = compiler.compile_value(out.expr, sb)
                 sb.line(f"out[:, {position}] = {operand.source}")
         sb.line("return out")
@@ -842,13 +586,9 @@ def late_project_source(
 
 
 def build_source(
-    info: QueryInfo, plan: AccessPlan, block_rows: int, out_dtype: np.dtype
+    info: QueryInfo, plan: AccessPlan, out_dtype: np.dtype
 ) -> Tuple[str, ParamRegistry]:
-    """Dispatch to the right template for (strategy, query shape)."""
-    if plan.strategy is ExecutionStrategy.FUSED:
-        if info.is_aggregation:
-            return fused_aggregate_source(info, plan, block_rows)
-        return fused_project_source(info, plan, block_rows, out_dtype)
+    """Dispatch to the template for the query shape."""
     if info.is_aggregation:
-        return late_aggregate_source(info, plan)
-    return late_project_source(info, plan, out_dtype)
+        return aggregate_source(info, plan)
+    return project_source(info, plan, out_dtype)

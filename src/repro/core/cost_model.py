@@ -30,6 +30,7 @@ from ..sql.expressions import (
     Arithmetic,
     BoolConnective,
     BooleanOp,
+    ColumnRef,
     Comparison,
     ComparisonOp,
     Expr,
@@ -145,8 +146,8 @@ class SelectivityEstimator:
 
 
 def _dense(spec: GroupSpec) -> bool:
-    """Whether kernels handle the layout whole (``einsum``, whole-tuple
-    ``take``); a single column never is."""
+    """Whether the fused kernel fetches the layout's qualifying tuples
+    whole (one ``take``); a single column never is."""
     return spec.width > 1 and read_whole(spec.useful, spec.width)
 
 
@@ -176,9 +177,10 @@ class CostModel:
     ) -> None:
         self.machine = machine or MachineProfile()
         self.selectivity = selectivity or SelectivityEstimator()
-        # (ops, reductions, predicate key) memoized by query structure —
-        # the advisor costs the same windowed patterns thousands of times.
-        self._shape_cache: Dict[Tuple, Tuple[int, int, str]] = {}
+        # (ops, reductions, plain sums, predicate key) memoized by query
+        # structure — the advisor costs the same windowed patterns
+        # thousands of times.
+        self._shape_cache: Dict[Tuple, Tuple[int, int, int, str]] = {}
 
     # Elementary access costs ------------------------------------------------
 
@@ -221,26 +223,33 @@ class CostModel:
 
     # Strategy-level query costs -------------------------------------------------
 
-    def _query_shape(self, info: QueryInfo) -> Tuple[float, int, int]:
-        """(estimated selectivity, per-tuple arithmetic ops, reductions)."""
+    def _query_shape(self, info: QueryInfo) -> Tuple[float, int, int, int]:
+        """(estimated selectivity, per-tuple arithmetic ops, reductions,
+        SUM/AVG reductions over a plain column)."""
         cache_key = info.query.signature().structure
         cached = self._shape_cache.get(cache_key)
         if cached is None:
             select = info.query.select
             ops = sum(count_arithmetic_ops(out.expr) for out in select)
-            reductions = len({
+            aggregates = {
                 agg
                 for out in select
                 for agg in out.expr.aggregates()
                 if agg.func is not AggregateFunc.COUNT
-            })
-            cached = (ops, reductions, self._predicate_key(info))
+            }
+            sums = sum(
+                1
+                for agg in aggregates
+                if agg.func in (AggregateFunc.SUM, AggregateFunc.AVG)
+                and isinstance(agg.arg, ColumnRef)
+            )
+            cached = (ops, len(aggregates), sums, self._predicate_key(info))
             self._shape_cache[cache_key] = cached
-        ops, reductions, predicate_key = cached
+        ops, reductions, sums, predicate_key = cached
         selectivity = self.selectivity.estimate(
             info.query.where, predicate_key
         )
-        return selectivity, ops, reductions
+        return selectivity, ops, reductions, sums
 
     @staticmethod
     def _predicate_key(info: QueryInfo) -> str:
@@ -253,27 +262,37 @@ class CostModel:
     def _selection(
         self,
         info: QueryInfo,
+        cover: Sequence[GroupSpec],
         where_cover: Sequence[GroupSpec],
         scan_fraction: float,
-        per_row: float,
     ) -> Tuple[float, float]:
-        """(cost, qualifying rows) of the predicate phase over the
-        morsels that survive zone-map pruning: one compare pass per
-        predicate column, one AND (a byte per row) per extra conjunct,
-        then ``per_row`` to count or position-list the bitmap."""
+        """(cost, qualifying rows) of the selection phase both kernels
+        share, over the morsels that survive zone-map pruning: one
+        compare pass per predicate column, one AND (a byte per row) per
+        extra conjunct, then a position per row (``flatnonzero``) — or,
+        when no SELECT column is fetched (COUNT(*)), a byte per row to
+        count the bitmap."""
+        m = self.machine
         num_rows = where_cover[0].num_rows if where_cover else 0
         compares = sum(
             count * self.column_stride_access(spec)
             for spec, count in Counter(where_cover).items()
         )
-        per_row += max(0, len(info.query.predicates) - 1) / (
-            self.machine.io_bandwidth
-        )
+        per_row = m.cpu_per_word if cover else 1.0 / m.io_bandwidth
+        per_row += max(0, len(info.query.predicates) - 1) / m.io_bandwidth
         selectivity = self._query_shape(info)[0]
         return (
             scan_fraction * (compares + num_rows * per_row),
             selectivity * num_rows,
         )
+
+    def _in_place(self, info: QueryInfo, cover: Sequence[GroupSpec]) -> float:
+        """An unfiltered kernel, either strategy: every useful column is
+        read where it lies, one (strided) pass each, then consumed."""
+        _, ops, reductions, _ = self._query_shape(info)
+        total = sum(self.column_stride_access(spec) for spec in cover)
+        num_rows = cover[0].num_rows if cover else 0
+        return total + self._consume(info, num_rows, ops, reductions)
 
     def _consume(
         self, info: QueryInfo, qualifying: float, ops: int, reductions: int
@@ -299,21 +318,22 @@ class CostModel:
 
         ``cover`` describes the providers of the SELECT attributes and
         ``where_cover`` those of the predicate columns.  Filtered: the
-        selection, a count, positions, then ``take`` compaction per
-        SELECT provider (``_emit_compaction``'s rule).  Unfiltered: one
-        ``einsum`` pass per densely aggregated buffer, one copy for a
-        plain projection out of one group (a memcpy when it takes the
-        whole group, else a walk over its rows).  ``scan_fraction`` (morsels
-        surviving zone-map pruning) scales the predicate phase only:
-        every qualifying tuple lives in a surviving morsel.
+        shared selection, then one ``take`` of the qualifying tuples per
+        SELECT provider, or one per column of a provider the query reads
+        little of (``_fused_bindings``'s rule).  Unfiltered: the columns
+        are read in place as in :meth:`late_cost`, except that a plain
+        projection out of one group is one copy (a memcpy when it takes
+        the whole group, else a walk over its rows), and that the plain
+        SUMs over a layout read whole share one ``einsum`` pass.
+        ``scan_fraction`` (morsels surviving zone-map pruning) scales the
+        predicate phase only: every qualifying tuple lives in a surviving
+        morsel.
         """
-        _, ops, reductions = self._query_shape(info)
+        _, ops, reductions, sums = self._query_shape(info)
         m = self.machine
-        total = 0.0
         if info.has_predicate:
             total, qualifying = self._selection(
-                info, where_cover, scan_fraction,
-                m.cpu_per_word + 1.0 / m.io_bandwidth,
+                info, cover, where_cover, scan_fraction
             )
             for spec, count in Counter(cover).items():
                 if _dense(spec):
@@ -331,29 +351,33 @@ class CostModel:
                         cost += self.column_stride_access(spec)
                 total += count * cost
             return total + self._consume(info, qualifying, ops, reductions)
-        num_rows = cover[0].num_rows if cover else 0
-        if ops == 0 and info.is_aggregation:
-            for spec, count in Counter(cover).items():
-                if _dense(spec):
-                    total += count * self.sequential_access(spec)
-                else:
-                    total += count * (
-                        self.column_stride_access(spec)
-                        + num_rows * spec.useful * m.cpu_per_word
-                    )
-            return total
-        if ops == 0 and len(cover) == 1 and cover[0].width > 1:
+        if (
+            ops == 0
+            and not info.is_aggregation
+            and len(cover) == 1
+            and cover[0].width > 1
+        ):
             spec = cover[0]
-            write = self.intermediate(num_rows * len(info.query.select))
+            write = self.intermediate(spec.num_rows * len(info.query.select))
             if spec.useful == spec.width:
                 return 2.0 * write
             # A strided copy gathers each row's share of the group.
             pieces = math.ceil(spec.useful * m.word_bytes / m.cache_line_bytes)
-            row = GroupSpec.of(spec.width, 1, num_rows)
-            return pieces * self.gather_access(row, num_rows) + write
-        for spec, count in Counter(cover).items():
-            total += count * self.column_stride_access(spec)
-        return total + self._consume(info, num_rows, ops, reductions)
+            row = GroupSpec.of(spec.width, 1, spec.num_rows)
+            return pieces * self.gather_access(row, spec.num_rows) + write
+        total = self._in_place(info, cover)
+        for spec in cover:
+            if sums and _dense(spec):
+                # The one pass replaces the summed columns' passes and
+                # reductions; the sums are taken to read such layouts
+                # first.
+                summed = min(sums, spec.useful)
+                sums -= summed
+                per_column = spec.num_rows * (
+                    m.cpu_per_word + self.per_value(spec.width)
+                )
+                total += self.sequential_access(spec) - summed * per_column
+        return total
 
     def late_cost(
         self,
@@ -372,20 +396,14 @@ class CostModel:
         ``scan_fraction`` scales the predicate phase as in
         :meth:`fused_cost`.
         """
-        _, ops, reductions = self._query_shape(info)
-        m = self.machine
-        total = 0.0
-        if info.has_predicate:
-            per_row = m.cpu_per_word if cover else 1.0 / m.io_bandwidth
-            total, qualifying = self._selection(
-                info, where_cover, scan_fraction, per_row
-            )
-            for spec, count in Counter(cover).items():
-                total += count * self.gather_access(spec, qualifying)
-        else:
-            qualifying = cover[0].num_rows if cover else 0
-            for spec, count in Counter(cover).items():
-                total += count * self.column_stride_access(spec)
+        if not info.has_predicate:
+            return self._in_place(info, cover)
+        _, ops, reductions, _ = self._query_shape(info)
+        total, qualifying = self._selection(
+            info, cover, where_cover, scan_fraction
+        )
+        for spec, count in Counter(cover).items():
+            total += count * self.gather_access(spec, qualifying)
         return total + self._consume(info, qualifying, ops, reductions)
 
     # Concrete-plan costing -------------------------------------------------------

@@ -242,7 +242,7 @@ class Executor:
 
         try:
             operator, gen_seconds, cache_hit = generate_operator(
-                info, plan, self.config, self.operator_cache
+                info, plan, self.operator_cache
             )
         except CodegenError:
             # A failed generation/compilation must never fail the query:

@@ -407,17 +407,25 @@ class H2OService:
 
     # Worker loop ---------------------------------------------------------
 
-    def _spawn_worker(self) -> Optional[threading.Thread]:
+    def _spawn_worker(
+        self, respawn: bool = False
+    ) -> Optional[threading.Thread]:
         """Start one worker thread (initial pool or watchdog respawn)."""
-        if self._closed.is_set():
-            return None
         worker = threading.Thread(
             target=self._worker_loop,
             name=f"{self.name}-worker-{next(self._worker_ids)}",
             daemon=True,
         )
         with self._worker_lock:
+            # Checked under the lock close() reads the pool with, so a
+            # worker is either refused or joined by close().
+            if self._closed.is_set():
+                return None
             self._workers.append(worker)
+        if respawn:
+            # Counted before the thread runs: no reader may see the
+            # restored worker alive with its respawn not yet counted.
+            self.stats.note_worker_respawn()
         worker.start()
         return worker
 
@@ -431,9 +439,8 @@ class H2OService:
         for _ in range(max(0, deficit)):
             if not budget.try_take():
                 break  # budget exhausted; next tick retries
-            if self._spawn_worker() is None:
+            if self._spawn_worker(respawn=True) is None:
                 break  # the service closed meanwhile
-            self.stats.note_worker_respawn()
 
     def alive_workers(self) -> int:
         """How many worker threads are currently alive."""

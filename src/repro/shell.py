@@ -88,7 +88,7 @@ def _show_source(engine: H2OEngine, sql: str) -> None:
         for i, plan in enumerate(plans)
     )
     print(f"# plan: {plan.describe()}")
-    print(operator_source(info, plan, engine.config))
+    print(operator_source(info, plan))
 
 
 def run_shell(engine: H2OEngine, stream=None) -> None:

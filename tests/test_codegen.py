@@ -260,7 +260,6 @@ class TestGeneratorIntegration:
                 assert "def kernel" in source
 
     def test_operator_key_ignores_constants(self, table):
-        config = EngineConfig()
         a = analyze_query(
             parse_query("SELECT sum(a1) FROM r WHERE a2 < 1"), table.schema
         )
@@ -269,12 +268,9 @@ class TestGeneratorIntegration:
         )
         plan_a = enumerate_plans(table, a)[0]
         plan_b = enumerate_plans(table, b)[0]
-        assert operator_key(a, plan_a, config) == operator_key(
-            b, plan_b, config
-        )
+        assert operator_key(a, plan_a) == operator_key(b, plan_b)
 
     def test_operator_key_distinguishes_param_types(self, table):
-        config = EngineConfig()
         a = analyze_query(
             parse_query("SELECT sum(a1) FROM r WHERE a2 < 1"), table.schema
         )
@@ -283,17 +279,14 @@ class TestGeneratorIntegration:
         )
         plan_a = enumerate_plans(table, a)[0]
         plan_b = enumerate_plans(table, b)[0]
-        assert operator_key(a, plan_a, config) != operator_key(
-            b, plan_b, config
-        )
+        assert operator_key(a, plan_a) != operator_key(b, plan_b)
 
     def test_operator_key_distinguishes_layouts(self, table):
-        config = EngineConfig()
         info = analyze_query(
             parse_query("SELECT sum(a1) FROM r WHERE a2 < 1"), table.schema
         )
         plans = enumerate_plans(table, info)
-        keys = {operator_key(info, plan, config) for plan in plans}
+        keys = {operator_key(info, plan) for plan in plans}
         assert len(keys) == len(plans)
 
     def test_generated_source_mentions_positions(self, table):

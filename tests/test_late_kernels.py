@@ -1,23 +1,32 @@
-"""Generated late-materialization kernels against the interpreter.
+"""Generated kernels against the interpreters, bit for bit.
 
-The late kernels AND every conjunct into one bitmap and gather each
-SELECT attribute where it is used; ``run_late_interpreted`` refines a
-selection vector conjunct by conjunct and gathers up front.  The two
-must agree bit for bit on one morsel: the qualifying count, every
-partial-aggregate state (compared by ``float.hex``) and every projected
-value (compared by bit pattern), over plain and grouped providers, NaN
-and signed-zero floats, and empty and one-row morsels.
+Both strategies' kernels AND every conjunct into one bitmap over the
+morsel.  The late kernels then gather each SELECT attribute where it is
+used; ``run_late_interpreted`` refines a selection vector conjunct by
+conjunct and gathers up front.  The fused kernels fetch the qualifying
+tuples once; ``run_fused_interpreted`` filters and compacts vector by
+vector.  Each kernel must agree with its interpreter bit for bit on one
+morsel: the qualifying count, every partial-aggregate state (compared
+by ``float.hex``) and every projected value (compared by bit pattern),
+filtered and unfiltered, over plain and grouped providers, NaN,
+signed-zero and infinite floats, and empty and one-row morsels.
 """
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.codegen.cache import OperatorCache
 from repro.codegen.generator import generate_operator
 from repro.config import EngineConfig
-from repro.execution.strategies import AccessPlan, ExecutionStrategy
+from repro.execution.strategies import (
+    AccessPlan,
+    ExecutionStrategy,
+    fused_allowed,
+    narrowest_provider,
+)
 from repro.execution.vectorized import run_late_interpreted
+from repro.execution.volcano import run_fused_interpreted
 from repro.sql import analyze_query, parse_query
 from repro.sql.types import DataType
 from repro.storage import Schema, Table
@@ -105,26 +114,37 @@ def select_lists(draw):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, strategy=ExecutionStrategy.LATE):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     num_rows = draw(st.integers(1, 200))
     table = make_table(rng, num_rows)
-    where = " AND ".join(draw(st.lists(conjuncts(), min_size=1, max_size=6)))
-    sql = f"SELECT {draw(select_lists())} FROM r WHERE {where}"
-    info = analyze_query(parse_query(sql), SCHEMA)
+    where = " AND ".join(draw(st.lists(conjuncts(), min_size=0, max_size=6)))
+    sql = f"SELECT {draw(select_lists())} FROM r"
+    info = analyze_query(
+        parse_query(f"{sql} WHERE {where}" if where else sql), SCHEMA
+    )
+    assume(info.all_attrs)  # an unfiltered count(*) reads no column
 
-    # One provider per attribute: its plain column or (for i0/i1) a
-    # two-column group.
+    # One provider per attribute: its plain column or an integer group.
+    # A fused plan needs a group; it reads the query's narrowest cover.
     layouts = []
-    grouped = draw(st.booleans())
+    fused = strategy is ExecutionStrategy.FUSED
+    grouped = fused or draw(st.booleans())
+    group_attrs = draw(
+        st.sampled_from([("i0", "i1"), ("i1", "i2"), ("i0", "i1", "i2")])
+    )
     if grouped:
-        group, _ = stitch_group(table.layouts, ("i0", "i1"), SCHEMA)
+        group, _ = stitch_group(table.layouts, group_attrs, SCHEMA)
         layouts.append(group)
     for name in ATTRS:
-        if grouped and name in ("i0", "i1"):
+        if grouped and name in group_attrs:
             continue
         layouts.append(table.layouts_containing(name)[0])
     draw(st.randoms()).shuffle(layouts)
+    if fused:
+        picked = {narrowest_provider(layouts, a) for a in info.all_attrs}
+        layouts = [layouts[i] for i in sorted(picked)]
+        assume(fused_allowed(layouts))
 
     size = draw(st.sampled_from(["empty", "one", "any"]))
     lo = draw(st.integers(0, num_rows - 1))
@@ -134,7 +154,7 @@ def cases(draw):
         hi = lo + 1
     else:
         hi = draw(st.integers(lo, num_rows))
-    return info, AccessPlan(ExecutionStrategy.LATE, tuple(layouts)), lo, hi
+    return info, AccessPlan(strategy, tuple(layouts)), lo, hi
 
 
 def _hex(value):
@@ -145,12 +165,12 @@ def _bits(block: np.ndarray) -> bytes:
     return np.ascontiguousarray(block).view(np.uint8).tobytes()
 
 
-@given(cases())
-@settings(max_examples=300, deadline=None)
-def test_late_kernel_matches_interpreter_bit_for_bit(case):
+def run_both(case, interpret):
+    """Run the generated kernel and ``interpret`` on one morsel and
+    assert they agree bit for bit."""
     info, plan, lo, hi = case
     operator, _, _ = generate_operator(
-        info, plan, EngineConfig(), OperatorCache(enabled=False)
+        info, plan, OperatorCache(enabled=False)
     )
     with np.errstate(invalid="ignore"):  # inf + -inf in both paths
         got = operator.kernel(
@@ -159,7 +179,7 @@ def test_late_kernel_matches_interpreter_bit_for_bit(case):
             lo,
             hi,
         )
-        want, _ = run_late_interpreted(info, plan.layouts, lo, hi)
+        want, _ = interpret(info, plan.layouts, lo, hi)
     if info.is_aggregation:
         assert _hex(got[0]) == _hex(want[0]), operator.source
         assert [_hex(s) for s in got[1]] == [_hex(s) for s in want[1]], (
@@ -168,3 +188,21 @@ def test_late_kernel_matches_interpreter_bit_for_bit(case):
     else:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert _bits(got) == _bits(want), operator.source
+
+
+@given(cases())
+@settings(max_examples=300, deadline=None)
+def test_late_kernel_matches_interpreter_bit_for_bit(case):
+    run_both(case, run_late_interpreted)
+
+
+@given(cases(ExecutionStrategy.FUSED))
+@settings(max_examples=300, deadline=None)
+def test_fused_kernel_matches_interpreter_bit_for_bit(case):
+    vector_size = EngineConfig().vector_size
+    run_both(
+        case,
+        lambda info, layouts, lo, hi: run_fused_interpreted(
+            info, layouts, lo, hi, vector_size
+        ),
+    )

@@ -1,10 +1,13 @@
 """Template fast-path selection: the generated source must contain the
 specialization each (query shape × layout) case is designed to get."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.codegen import operator_source
+from repro.codegen.exprc import ExprCompiler
 from repro.execution.strategies import AccessPlan, ExecutionStrategy
 from repro.sql import analyze_query, parse_query
 from repro.storage import generate_table
@@ -46,15 +49,15 @@ class TestFusedFastPaths:
         assert "for start" not in source  # no block loop at all
 
     def test_unfiltered_plain_aggregation_is_axis_reduction(self, table):
-        # 5 of the group's 8 attributes are aggregated -> dense buffer,
-        # whole-buffer axis reductions.
+        # 5 of the group's 8 attributes are aggregated -> dense buffer:
+        # one einsum for the sums, MIN reduces its own column.
         source = source_for(
             table,
             "SELECT sum(a1), sum(a2), sum(a4), sum(a5), min(a3) FROM r",
             (group_of(table),),
         )
         assert "einsum('ij->j'" in source
-        assert ".min(axis=0)" in source
+        assert "float(buf0[:, 2].min())" in source
 
     def test_sparse_unfiltered_aggregation_per_column(self, table):
         # Only 3 of 8 attributes -> per-column strided reductions.
@@ -75,7 +78,7 @@ class TestFusedFastPaths:
         assert source.count(".sum(dtype=np.float64)") == 2
 
     def test_filtered_aggregation_compacts_with_take(self, table):
-        # 5 of 8 select attributes -> whole-tuple compaction per block.
+        # 5 of 8 select attributes -> one whole-tuple compaction.
         source = source_for(
             table,
             "SELECT sum(a1), sum(a2), sum(a4), sum(a5), sum(a6) "
@@ -83,7 +86,7 @@ class TestFusedFastPaths:
             (group_of(table),),
         )
         assert "np.flatnonzero" in source
-        assert ".take(idx, axis=0)" in source
+        assert ".take(sel, axis=0)" in source
 
     def test_wide_buffer_compacts_per_column(self, table):
         source = source_for(
@@ -91,8 +94,8 @@ class TestFusedFastPaths:
             "SELECT sum(a1), sum(a2) FROM r WHERE a3 < 0",
             (row_of(table),),
         )
-        assert ".take(idx, axis=0)" not in source  # no 40-wide row copy
-        assert ".take(idx)" in source  # per-column takes
+        assert ".take(sel, axis=0)" not in source  # no 40-wide row copy
+        assert ".take(sel)" in source  # per-column takes
 
     def test_add_chain_fuses_to_rowsum(self, table):
         source = source_for(
@@ -113,8 +116,9 @@ class TestFusedFastPaths:
             "SELECT a1 FROM r WHERE a2 < 0 AND a3 > 0 AND a4 != 5",
             (group_of(table),),
         )
-        assert source.count("np.logical_and") == 2
-        assert "out=m0" in source
+        # The conjunction folds in place into one bitmap.
+        assert source.count("np.logical_and(qmask, ") == 2
+        assert source.count("out=qmask") == 2
 
 
 class TestLateFaithfulness:
@@ -188,3 +192,59 @@ class TestLateFaithfulness:
         )
         assert "123456789" not in source
         assert "params[0]" in source
+
+
+class TestOneEmitter:
+    SHAPES = (
+        "SELECT sum(a1), max(a2), min(a3), avg(a4) FROM r",
+        "SELECT sum(a1 + a2), max(a3) FROM r WHERE a4 > 0",
+        "SELECT sum(a1), sum(a2), sum(a4), sum(a5), min(a3) "
+        "FROM r WHERE a6 < 0 AND a7 != 1",
+        "SELECT count(*) FROM r WHERE a1 < 0 OR a2 > 0",
+        "SELECT a1, a2 FROM r",
+        "SELECT a1 * 2, a2 + a3 FROM r",
+        "SELECT a1, a2 + a3 FROM r WHERE NOT (a4 < 0) AND a5 > 2",
+    )
+
+    @staticmethod
+    def layout_grid(table):
+        return {
+            "group": (group_of(table),),
+            "row": (row_of(table),),
+            "group+columns": (group_of(table),)
+            + tuple(table.narrowest_cover([f"a{i}" for i in range(9, 11)])),
+            "columns": tuple(
+                table.narrowest_cover([f"a{i}" for i in range(1, 9)])
+            ),
+        }
+
+    def test_every_strategy_selects_through_one_emitter(
+        self, table, monkeypatch
+    ):
+        callers = set()
+        compile_mask = ExprCompiler.compile_mask
+
+        def spy(self, expr, sb):
+            caller = sys._getframe(1)
+            if caller.f_code is not compile_mask.__code__:  # not recursion
+                callers.add(
+                    (caller.f_globals["__name__"], caller.f_code.co_name)
+                )
+            return compile_mask(self, expr, sb)
+
+        monkeypatch.setattr(ExprCompiler, "compile_mask", spy)
+        generated = 0
+        for sql in self.SHAPES:
+            for layouts in self.layout_grid(table).values():
+                for strategy in ExecutionStrategy:
+                    if strategy is ExecutionStrategy.FUSED and all(
+                        layout.width == 1 for layout in layouts
+                    ):
+                        continue
+                    source = source_for(table, sql, layouts, strategy)
+                    generated += 1
+                    assert "for start in range" not in source
+                    assert ".min(axis=0)" not in source
+                    assert ".max(axis=0)" not in source
+        assert generated == 7 * 7
+        assert callers == {("repro.codegen.templates", "_emit_selection")}
