@@ -36,6 +36,7 @@ from ..storage.layout import Layout
 from ..execution.strategies import (
     AccessPlan,
     ExecutionStrategy,
+    MIN_EINSUM_SUMS,
     narrowest_provider,
     read_whole,
 )
@@ -395,33 +396,37 @@ def _emit_dense_sums(
     """The one reduction special case: SUM/AVG over plain columns of a
     2-D block the query reads whole become one ``einsum('ij->j')`` pass
     per block — one contiguous pass instead of one strided pass per
-    column.  Integer blocks only: their sums are exact in any order, so
-    the answer bits match per-column sums.  Returns each such slot's
+    column — when at least ``MIN_EINSUM_SUMS`` columns are summed.
+    Integer blocks only: their sums are exact in any order, so the
+    answer bits match per-column sums.  Returns each such slot's
     column-sum source."""
     dense = _dense_buffers(providers, attrs)
-    sums: Dict[str, str] = {}
-    picks: Dict[int, str] = {}
+    summed: Dict[int, List[_AggSlot]] = {}
     for slot in slots:
         if slot.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
             continue
         if not isinstance(slot.agg.arg, ColumnRef):
             continue
         provider = providers[slot.agg.arg.name]
-        if (
-            provider.buffer_index not in dense
-            or not np.issubdtype(provider.dtype, np.integer)
+        if provider.buffer_index in dense and np.issubdtype(
+            provider.dtype, np.integer
         ):
+            summed.setdefault(provider.buffer_index, []).append(slot)
+    picks: Dict[int, str] = {}
+    for block_slots in summed.values():
+        names = {slot.agg.arg.name for slot in block_slots}
+        if len(names) < MIN_EINSUM_SUMS:
             continue
-        block = bindings[slot.agg.arg.name].base
-        if block not in sums:
-            # On 50 000 int64 rows of 8 columns: 241 us, against 1 172
-            # for 8 strided column sums and 1 198 for sum(axis=0); it
-            # pays a fixed per-row cost, so at 2 columns it is ~25 %
-            # slower.  int64 accumulation is exact for the value ranges
-            # the engine stores (|v| < 2^31).
-            sums[block] = sb.fresh("es")
-            sb.line(f"{sums[block]} = np.einsum('ij->j', {block})")
-        picks[slot.index] = f"{sums[block]}[{provider.position}]"
+        # On 50 000 int64 rows of 8 columns: 241 us, against 1 172 for
+        # 8 strided column sums and 1 198 for sum(axis=0).  int64
+        # accumulation is exact for the value ranges the engine stores
+        # (|v| < 2^31).
+        block = bindings[block_slots[0].agg.arg.name].base
+        var = sb.fresh("es")
+        sb.line(f"{var} = np.einsum('ij->j', {block})")
+        for slot in block_slots:
+            position = providers[slot.agg.arg.name].position
+            picks[slot.index] = f"{var}[{position}]"
     return picks
 
 

@@ -23,7 +23,11 @@ from typing import ClassVar, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 from ..config import MachineProfile
 from ..errors import CostModelError
 from ..execution.strategies import AccessPlan, ExecutionStrategy
-from ..execution.strategies import narrowest_provider, read_whole
+from ..execution.strategies import (
+    MIN_EINSUM_SUMS,
+    narrowest_provider,
+    read_whole,
+)
 from ..sql.analyzer import QueryInfo
 from ..sql.expressions import (
     AggregateFunc,
@@ -225,7 +229,7 @@ class CostModel:
 
     def _query_shape(self, info: QueryInfo) -> Tuple[float, int, int, int]:
         """(estimated selectivity, per-tuple arithmetic ops, reductions,
-        SUM/AVG reductions over a plain column)."""
+        columns under a SUM/AVG of the plain column)."""
         cache_key = info.query.signature().structure
         cached = self._shape_cache.get(cache_key)
         if cached is None:
@@ -237,12 +241,12 @@ class CostModel:
                 for agg in out.expr.aggregates()
                 if agg.func is not AggregateFunc.COUNT
             }
-            sums = sum(
-                1
+            sums = len({
+                agg.arg.name
                 for agg in aggregates
                 if agg.func in (AggregateFunc.SUM, AggregateFunc.AVG)
                 and isinstance(agg.arg, ColumnRef)
-            )
+            })
             cached = (ops, len(aggregates), sums, self._predicate_key(info))
             self._shape_cache[cache_key] = cached
         ops, reductions, sums, predicate_key = cached
@@ -324,7 +328,8 @@ class CostModel:
         are read in place as in :meth:`late_cost`, except that a plain
         projection out of one group is one copy (a memcpy when it takes
         the whole group, else a walk over its rows), and that the plain
-        SUMs over a layout read whole share one ``einsum`` pass.
+        SUMs over a layout read whole share one ``einsum`` pass when there
+        are at least ``MIN_EINSUM_SUMS`` of them.
         ``scan_fraction`` (morsels surviving zone-map pruning) scales the
         predicate phase only: every qualifying tuple lives in a surviving
         morsel.
@@ -373,6 +378,8 @@ class CostModel:
                 # first.
                 summed = min(sums, spec.useful)
                 sums -= summed
+                if summed < MIN_EINSUM_SUMS:
+                    continue
                 per_column = spec.num_rows * (
                     m.cpu_per_word + self.per_value(spec.width)
                 )

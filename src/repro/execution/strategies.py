@@ -87,6 +87,13 @@ def read_whole(useful: int, width: int) -> bool:
     return 2 * useful >= width
 
 
+#: Fewest plain-column SUMs over one buffer read whole that share one
+#: ``einsum('ij->j')`` pass.  ``einsum`` pays a fixed cost per row: on
+#: 50 000 int64 rows it takes 0.15 ms for 2 columns against 0.12 ms for
+#: 2 strided column sums, and 0.25 against 0.35 ms for 4.
+MIN_EINSUM_SUMS = 4
+
+
 @dataclass(frozen=True)
 class AccessPlan:
     """One concrete way to execute a query over existing layouts."""

@@ -14,6 +14,7 @@ signed-zero and infinite floats, and empty and one-row morsels.
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.codegen.cache import OperatorCache
@@ -33,7 +34,7 @@ from repro.storage import Schema, Table
 from repro.storage.schema import Attribute
 from repro.storage.stitcher import stitch_group
 
-INTS = ("i0", "i1", "i2")
+INTS = ("i0", "i1", "i2", "i3")
 FLOATS = ("f0", "f1")
 ATTRS = INTS + FLOATS
 SCHEMA = Schema(
@@ -131,7 +132,9 @@ def cases(draw, strategy=ExecutionStrategy.LATE):
     fused = strategy is ExecutionStrategy.FUSED
     grouped = fused or draw(st.booleans())
     group_attrs = draw(
-        st.sampled_from([("i0", "i1"), ("i1", "i2"), ("i0", "i1", "i2")])
+        st.sampled_from(
+            [("i0", "i1"), ("i1", "i2"), ("i0", "i1", "i2"), INTS]
+        )
     )
     if grouped:
         group, _ = stitch_group(table.layouts, group_attrs, SCHEMA)
@@ -206,3 +209,32 @@ def test_fused_kernel_matches_interpreter_bit_for_bit(case):
             info, layouts, lo, hi, vector_size
         ),
     )
+
+
+@pytest.mark.parametrize("where", ["", " WHERE i0 > 0 AND f0 < 3.0"])
+@pytest.mark.parametrize("num_rows", [1, 2, 200])
+def test_dense_sums_match_interpreter_bit_for_bit(where, num_rows):
+    """The fused kernel's one ``einsum`` pass: plain SUM/AVG over every
+    column of an integer group, next to MIN/MAX and COUNT."""
+    table = make_table(np.random.default_rng(num_rows), num_rows)
+    group, _ = stitch_group(table.layouts, INTS, SCHEMA)
+    sql = (
+        "SELECT sum(i0), avg(i1), sum(i2), sum(i3), avg(i0), max(i1), "
+        f"min(f0), count(*) FROM r{where}"
+    )
+    info = analyze_query(parse_query(sql), SCHEMA)
+    plan = AccessPlan(
+        ExecutionStrategy.FUSED, (group, table.layouts_containing("f0")[0])
+    )
+    source = generate_operator(info, plan, OperatorCache(enabled=False))[
+        0
+    ].source
+    assert "np.einsum('ij->j'" in source
+    vector_size = EngineConfig().vector_size
+    for lo, hi in ((0, num_rows), (0, 0), (num_rows - 1, num_rows)):
+        run_both(
+            (info, plan, lo, hi),
+            lambda info, layouts, lo, hi: run_fused_interpreted(
+                info, layouts, lo, hi, vector_size
+            ),
+        )
