@@ -168,6 +168,13 @@ def _bits(block: np.ndarray) -> bytes:
     return np.ascontiguousarray(block).view(np.uint8).tobytes()
 
 
+def fused_reference(info, layouts, lo, hi):
+    """The interpreted fused scan at the engine's vector size."""
+    return run_fused_interpreted(
+        info, layouts, lo, hi, EngineConfig().vector_size
+    )
+
+
 def run_both(case, interpret):
     """Run the generated kernel and ``interpret`` on one morsel and
     assert they agree bit for bit."""
@@ -202,13 +209,7 @@ def test_late_kernel_matches_interpreter_bit_for_bit(case):
 @given(cases(ExecutionStrategy.FUSED))
 @settings(max_examples=300, deadline=None)
 def test_fused_kernel_matches_interpreter_bit_for_bit(case):
-    vector_size = EngineConfig().vector_size
-    run_both(
-        case,
-        lambda info, layouts, lo, hi: run_fused_interpreted(
-            info, layouts, lo, hi, vector_size
-        ),
-    )
+    run_both(case, fused_reference)
 
 
 @pytest.mark.parametrize("where", ["", " WHERE i0 > 0 AND f0 < 3.0"])
@@ -226,15 +227,9 @@ def test_dense_sums_match_interpreter_bit_for_bit(where, num_rows):
     plan = AccessPlan(
         ExecutionStrategy.FUSED, (group, table.layouts_containing("f0")[0])
     )
-    source = generate_operator(info, plan, OperatorCache(enabled=False))[
-        0
-    ].source
-    assert "np.einsum('ij->j'" in source
-    vector_size = EngineConfig().vector_size
+    operator, _, _ = generate_operator(
+        info, plan, OperatorCache(enabled=False)
+    )
+    assert "np.einsum('ij->j'" in operator.source
     for lo, hi in ((0, num_rows), (0, 0), (num_rows - 1, num_rows)):
-        run_both(
-            (info, plan, lo, hi),
-            lambda info, layouts, lo, hi: run_fused_interpreted(
-                info, layouts, lo, hi, vector_size
-            ),
-        )
+        run_both((info, plan, lo, hi), fused_reference)
