@@ -59,7 +59,6 @@ ENGINE_KNOBS = dict(
     window_size=4,
     min_window=2,
     max_window=12,
-    amortization_threshold=1.0,
     max_scan_threads=1,
 )
 

@@ -64,8 +64,8 @@ class EngineConfig:
 
     The defaults mirror the paper's experimental setup: an initial
     monitoring window of 20 queries (section 4.1) that adapts between
-    ``min_window`` and ``max_window``, vectors sized to fit L1 (section
-    3.3), and lazy layout materialization enabled.
+    ``min_window`` and ``max_window``, and lazy layout materialization
+    enabled.
     """
 
     #: Initial size (in queries) of the monitoring window.
@@ -76,8 +76,6 @@ class EngineConfig:
     max_window: int = 60
     #: Whether the window adapts to workload shifts (Fig. 9 ablation).
     dynamic_window: bool = True
-    #: Number of tuples per execution vector (sized for cache locality).
-    vector_size: int = 4096
     #: How proposed layouts get materialized:
     #: - "lazy" (the paper's H2O): built inside the first query that
     #:   benefits, fused with its execution (online reorganization);
@@ -96,10 +94,6 @@ class EngineConfig:
     #: Whether to use on-the-fly generated operators at all; when False the
     #: engine falls back to the generic interpreted operator (Fig. 14).
     use_codegen: bool = True
-    #: Minimum windowed pattern frequency needed before a candidate
-    #: layout may be materialized (its expected net gain must also be
-    #: positive, so this is a floor, not the whole amortization test).
-    amortization_threshold: float = 1.0
     #: The layout-switching policy's hedge (docs/adaptation.md).  A
     #: per-candidate ledger accrues the Eq. 2 benefit the candidate
     #: *would have delivered* on each query it covers; the build is
@@ -107,10 +101,9 @@ class EngineConfig:
     #: projected build cost, bounding total reorganization spend to a
     #: constant factor of the benefit actually observed (the ski-rental
     #: discipline of arXiv 2405.04984).  0 (the paper's H2O) keeps the
-    #: gate open: any candidate that covers the query, clears
-    #: ``amortization_threshold`` and has positive expected gain is
-    #: built immediately.  Larger values trade adaptation latency for
-    #: thrash resistance.
+    #: gate open: any candidate that covers the query and has positive
+    #: expected gain is built immediately.  Larger values trade
+    #: adaptation latency for thrash resistance.
     hedging_factor: float = 0.0
     #: Whether per-morsel min/max zone maps are built (during lazy
     #: materialization's fused pass, on stitches and incrementally on
@@ -120,10 +113,7 @@ class EngineConfig:
     #: Rows per morsel: the unit of scan execution, of parallel
     #: dispatch and of zone-map granularity — every scan is a loop over
     #: morsels, and partial results are combined in morsel-index order,
-    #: so answer bits depend on the data and this value only.  Rounded
-    #: up to a multiple of ``vector_size`` at construction so that the
-    #: online reorganizer's fused block pass always aligns with morsel
-    #: boundaries.
+    #: so answer bits depend on the data and this value only.
     morsel_rows: int = 65536
     #: Upper bound on threads one query's scan may occupy, including the
     #: calling thread; 0 means "use every usable core", 1 means serial
@@ -150,8 +140,6 @@ class EngineConfig:
                 f"<= max_window, got {self.min_window} <= {self.window_size}"
                 f" <= {self.max_window}"
             )
-        if self.vector_size <= 0:
-            raise AdaptationError("vector_size must be positive")
         if self.materialization not in ("lazy", "eager", "never"):
             raise AdaptationError(
                 "materialization must be 'lazy', 'eager' or 'never', got "
@@ -169,14 +157,6 @@ class EngineConfig:
         if self.morsel_rows <= 0:
             raise AdaptationError(
                 f"morsel_rows must be positive, got {self.morsel_rows}"
-            )
-        if self.morsel_rows % self.vector_size != 0:
-            # Align upward so the reorganizer's fused vector_size blocks
-            # never straddle a morsel boundary (frozen dataclass, hence
-            # object.__setattr__ in __post_init__).
-            blocks = -(-self.morsel_rows // self.vector_size)
-            object.__setattr__(
-                self, "morsel_rows", blocks * self.vector_size
             )
         if self.max_scan_threads < 0:
             raise AdaptationError(

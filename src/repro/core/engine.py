@@ -686,8 +686,6 @@ class H2OEngine:
                 # A recent stitch of this group aborted; its backoff
                 # span (in queries) has not elapsed yet.
                 continue
-            if candidate.frequency < self.config.amortization_threshold:
-                continue
             if candidate.expected_gain <= 0:
                 continue
             if best is None or candidate.expected_gain > best.expected_gain:

@@ -21,6 +21,7 @@ the table; the layout manager refuses to register it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -36,7 +37,7 @@ from ..execution.evaluator import (
     finalize_output,
 )
 from ..execution.result import QueryResult
-from ..execution.volcano import projection_dtype
+from ..execution.volcano import VECTOR_ROWS, projection_dtype
 from ..sql.analyzer import QueryInfo
 from ..storage.column_group import ColumnGroup
 from ..storage.relation import LayoutSnapshot, Table
@@ -65,6 +66,13 @@ class Reorganizer:
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config or EngineConfig()
+
+    @property
+    def block_rows(self) -> int:
+        """Rows per block of the online pass: one interpreter vector, cut
+        to a divisor of ``morsel_rows`` so no block straddles a morsel
+        (the zone-map builder reduces blocks per morsel)."""
+        return math.gcd(VECTOR_ROWS, self.config.morsel_rows)
 
     def _zone_morsel_rows(self) -> int:
         """Morsel granularity for fused zone-map builds (0 = disabled)."""
@@ -131,11 +139,10 @@ class Reorganizer:
             sources[attr] = provider.column(attr)
 
         data = np.empty((num_rows, len(ordered)), dtype=dtype)
-        block_rows = self.config.vector_size
+        block_rows = self.block_rows
         # Zone maps ride the same fused pass: each stitched block is
         # reduced while cache-hot, then blocks collapse into per-morsel
-        # stats at the end (alignment holds because EngineConfig enforces
-        # morsel_rows % vector_size == 0).
+        # stats at the end.
         zone_morsel_rows = self._zone_morsel_rows()
         zone_builder = (
             ZoneMapBuilder(ordered, zone_morsel_rows)

@@ -32,7 +32,7 @@ from .parallel import ScanPool, get_scan_pool
 from .result import QueryResult
 from .strategies import AccessPlan, ExecutionStrategy
 from .vectorized import run_late_interpreted
-from .volcano import run_fused_interpreted
+from .volcano import VECTOR_ROWS, run_fused_interpreted
 
 
 @dataclass
@@ -202,7 +202,7 @@ class Executor:
 
             def runner(lo: int, hi: int):
                 return run_fused_interpreted(
-                    info, layouts, lo, hi, self.config.vector_size
+                    info, layouts, lo, hi, VECTOR_ROWS
                 )
 
         else:

@@ -20,6 +20,11 @@ from .operators import AggregateOperator, Filter, LayoutScan, Project
 from .operators.base import Operator
 from .result import QueryResult
 
+#: Rows per vector of the interpreted pipeline: a ~20-attribute vector
+#: stays cache-resident (paper §3.3, "vectors fit in L1").  The
+#: generated kernels do not use it; they work on whole morsels.
+VECTOR_ROWS = 4096
+
 
 def projection_dtype(info: QueryInfo) -> np.dtype:
     """Output dtype for a projection: int64 unless any output is float."""

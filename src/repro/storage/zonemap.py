@@ -227,8 +227,7 @@ class ZoneMapBuilder:
     block by block; feeding each stitched block here lets it produce the
     new layout's zone maps in the same single pass over the data.  Blocks
     must arrive in row order and must not straddle morsel boundaries
-    (guaranteed because ``EngineConfig`` enforces
-    ``morsel_rows % vector_size == 0``).
+    (the reorganizer's block size divides ``morsel_rows``).
     """
 
     def __init__(self, attrs: Sequence[str], morsel_rows: int) -> None:

@@ -9,15 +9,28 @@ package is the standing correctness gate for that property:
   schemas, integer data distributions, and query ASTs (SELECT / WHERE /
   aggregates built through :mod:`repro.sql.builder`), fully determined
   by one seed;
-- :mod:`~repro.testkit.oracle` — the differential oracle: every
-  generated sequence runs through eight paths — the row reference,
-  the interpreted Volcano evaluator, the column baseline, and the
-  adaptive engine inline, interpreted, behind the concurrent service
-  with N workers, on morsel-parallel scan threads, and with a
-  hedged switching policy — asserting
-  bit-identical results and engine invariants (epoch monotonicity,
-  snapshot row-count consistency, schema coverage, operator-cache
-  key/source agreement) after every step;
+- :mod:`~repro.testkit.oracle` — the differential oracle: one replay
+  loop and one table of paths (``PATHS``).  Every generated sequence
+  runs through ten paths:
+
+  ====================  ============================================
+  row reference         static row store, interpreted: ground truth
+  volcano               generic interpreted evaluator
+  column                late-materialization column store
+  adaptive-inline       H2O with a small adaptation window
+  adaptive-interpreted  … codegen off
+  adaptive-service      … behind the concurrent service, N workers
+  adaptive-parallel     … 4 scan threads vs a 1-thread twin
+  adaptive-guarded      … hedged switching policy
+  adaptive-lean         … plan cache, operator cache, zone maps and
+                        dynamic window off
+  adaptive-eager        … eager (offline) materialization
+  ====================  ============================================
+
+  asserting bit-identical results and engine invariants (epoch
+  monotonicity, snapshot row-count consistency, schema coverage,
+  operator-cache key/source agreement) after every step, plus each
+  row's end checks (exact zone maps, the policy ledger);
 - :mod:`~repro.testkit.faults` — the deterministic fault-injection
   driver: a seeded schedule of compile failures, mid-stitch aborts,
   worker deaths and forced timeouts, installed into the production

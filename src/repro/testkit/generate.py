@@ -96,6 +96,12 @@ class CaseSpec:
         """The query ASTs (parsed back from the canonical SQL text)."""
         return [parse_query(sql) for sql in self.queries]
 
+    @property
+    def ops(self) -> List[Tuple[str, str]]:
+        """The sequence as a query-only op stream of the oracle's
+        replay (scenario streams also carry appends)."""
+        return [("query", sql) for sql in self.queries]
+
     def with_queries(self, queries: Tuple[str, ...]) -> "CaseSpec":
         return replace(self, queries=tuple(queries))
 

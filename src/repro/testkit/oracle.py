@@ -1,77 +1,38 @@
 """The differential oracle: adaptation must be invisible in answers.
 
-One generated :class:`~repro.testkit.generate.CaseSpec` is executed
-through eight independent paths, each over its *own* copy of the same
-deterministic data:
+One replay loop (:func:`_replay`) and one table of paths
+(:data:`PATHS`).  A generated :class:`~repro.testkit.generate.CaseSpec`
+is a stream of queries; an adversarial scenario of
+:mod:`repro.workloads.scenarios` is a stream of queries *and* appends.
+Each path replays the stream over its *own* copy of the same
+deterministic data, and every answer must be **bit-identical** to the
+row reference (the generator bounds values so all float64 arithmetic is
+exact).  After every answer the physical invariants must hold
+(:func:`check_engine_invariants`); at the end of the stream each row
+runs its end checks: exact zone maps (:func:`check_zone_map_exactness`)
+and the switching policy's ledger, regret invariant included
+(:func:`check_policy_invariants`).  docs/testing.md §2 shows the table.
 
-1. **row reference** — the static row-store baseline, interpreted
-   (no codegen, no zone-map pruning, one scan thread): the ground
-   truth, sharing as little machinery with the adaptive paths as
-   possible;
-2. **volcano** — the generic interpreted Volcano evaluator over the
-   initial column layouts (a :class:`~repro.baselines.base.StaticEngine`
-   with codegen off);
-3. **column baseline** — the late-materialization column store;
-4. **adaptive inline** — the full H2O engine, paper defaults with a
-   small adaptation window so advisor runs, online reorganizations and
-   plan-cache hits all happen inside a short sequence;
-5. **adaptive interpreted** — the same engine with codegen disabled;
-6. **adaptive service** — the engine behind the concurrent service
-   with N workers, the whole sequence submitted at once, so workers
-   interleave shapes while their triggering queries stitch layouts
-   inline;
-7. **adaptive parallel** — the full engine with morsel-driven parallel
-   scans on a dedicated 4-thread :class:`~repro.execution.parallel.
-   ScanPool` and tiny morsels (so even small cases split into many),
-   checked both against the row reference and against a morsel-serial
-   twin: answers bit-identical *and* ``morsels_pruned`` equal — the
-   zone-map pruning decision must not depend on the thread count;
-8. **adaptive guarded** — the full engine with a hedged switching
-   policy (``hedging_factor=2.0``, see docs/adaptation.md):
-   materializations may be *deferred* but answers must stay
-   bit-identical, and the policy's regret invariant (hedged
-   reorganization spend never exceeds accrued benefit at switch) must
-   hold at the end of the sequence.
+:func:`scenario_case` (``python -m repro.testkit scenarios``) replays
+each scenario at hedging factor 0 and at a hedged factor with both end
+checks; the hedged replay must not build more layouts than hedge 0.
 
-At the end of the adaptive inline, interpreted and parallel paths (and
-of every scenario replay below, whose streams append) the oracle also
-re-derives every cached zone map from its layout's values and asserts
-**exact** equality: stitches build zone maps and appends extend them,
-and neither may leave stale or merely-conservative bounds behind.
-
-The module also hosts the **scenario-replay oracle**
-(:func:`scenario_case` / :func:`run_all_scenarios`, exposed as
-``python -m repro.testkit scenarios``): every adversarial scenario in
-:mod:`repro.workloads.scenarios` — queries *and* appends — is replayed
-at hedging factor 0 (the paper's greedy gate) and at a hedged factor
-against the row reference, asserting bit-identical answers, the
-physical invariants after every query, exact zone maps and the regret
-invariant.
-
-Every mode must produce **bit-identical** :class:`~repro.execution.
-result.QueryResult` data (the generator bounds values so all float64
-arithmetic is exact), and after every step the adaptive engines must
-satisfy the physical invariants:
-
-- layout **epoch monotonicity** (a snapshot's epoch never regresses);
-- **snapshot row-count consistency** (every layout in a snapshot has
-  exactly the snapshot's row count — no torn layout set);
-- **coverage** (the union of layout attribute sets covers the schema);
-- **operator-cache key/source agreement** (every cached kernel still
-  carries the exact source it was compiled from).
-
-The fault pass then re-runs the sequence with a seeded
-:class:`~repro.testkit.faults.FaultInjector` installed and asserts that
-every fired fault surfaces as the documented exception or a *counted*
-clean fallback — and that every query that did answer still answered
-identically to the reference.
+The **fault passes** replay a sequence again under a seeded
+:class:`~repro.testkit.faults.FaultInjector` — inline, then through the
+service — and audit that every fired fault shows up, with exact
+equality, in the counter that documents its clean fallback, while every
+query still answers identically to the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -80,22 +41,19 @@ from ..baselines.column_engine import ColumnStoreEngine
 from ..baselines.row_engine import RowStoreEngine
 from ..config import EngineConfig
 from ..core.engine import H2OEngine
+from ..execution.parallel import ScanPool
 from ..execution.result import QueryResult
 from ..service.service import H2OService
-from ..sql.parser import parse_query
+from ..storage.relation import Table
+from ..storage.zonemap import _minmax_per_morsel, cached_zone_maps
 from ..util.rng import derive_rng
 from .faults import FaultInjector, random_schedule
-from .generate import CaseSpec
+from .generate import CaseSpec, random_case
 
-#: Adaptation knobs used by the oracle's adaptive modes: a small window
+#: Adaptation knobs used by the oracle's adaptive paths: a small window
 #: so short sequences still exercise advisor runs, reorganizations and
 #: the plan cache.
-ORACLE_CONFIG = dict(
-    window_size=4,
-    min_window=2,
-    max_window=12,
-    amortization_threshold=1.0,
-)
+ORACLE_CONFIG = dict(window_size=4, min_window=2, max_window=12)
 
 #: The ground truth must not depend on what it judges: no zone-map
 #: pruning (the paths under test are checked against those very
@@ -104,15 +62,9 @@ REFERENCE_CONFIG = EngineConfig(
     use_codegen=False, zone_maps=False, max_scan_threads=1
 )
 
-CLEAN_MODES = (
-    "volcano",
-    "column",
-    "adaptive-inline",
-    "adaptive-interpreted",
-    "adaptive-service",
-    "adaptive-parallel",
-    "adaptive-guarded",
-)
+#: One step of a replayed stream: ``("query", sql)`` or
+#: ``("append", {attr: values})``.
+Op = Tuple[str, object]
 
 
 class OracleFailure(AssertionError):
@@ -141,6 +93,11 @@ class SequenceResult:
 # Result comparison ----------------------------------------------------------
 
 
+def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
+    return bool(np.array_equal(a, b, equal_nan=True))
+
+
 def results_identical(a: QueryResult, b: QueryResult) -> bool:
     """Bit-identical modulo float64 widening (NaN compares equal).
 
@@ -148,24 +105,31 @@ def results_identical(a: QueryResult, b: QueryResult) -> bool:
     representable in float64; engines may carry int64 or float64
     internally, but the *values* must match exactly.
     """
-    if a.column_names != b.column_names:
-        return False
-    if a.data.shape != b.data.shape:
-        return False
-    mine = np.asarray(a.data, dtype=np.float64)
-    theirs = np.asarray(b.data, dtype=np.float64)
-    return bool(np.array_equal(mine, theirs, equal_nan=True))
+    return (
+        a.column_names == b.column_names
+        and a.data.shape == b.data.shape
+        and _same_values(a.data, b.data)
+    )
 
 
 def _describe_divergence(
     index: int, sql: str, got: QueryResult, want: QueryResult, mode: str
 ) -> str:
     return (
-        f"[{mode}] query #{index} diverged from the row reference\n"
+        f"[{mode}] query #{index} diverged\n"
         f"  sql:  {sql}\n"
         f"  want: shape={want.data.shape} {want.rows()[:3]}\n"
         f"  got:  shape={got.data.shape} {got.rows()[:3]}"
     )
+
+
+def _check_answer(
+    index: int, sql: str, got: QueryResult, want: QueryResult, label: str
+) -> None:
+    if not results_identical(got, want):
+        raise OracleFailure(
+            _describe_divergence(index, sql, got, want, label)
+        )
 
 
 # Invariant checks -----------------------------------------------------------
@@ -207,6 +171,19 @@ def check_engine_invariants(
     return snapshot.epoch
 
 
+def _check_step(engine, report, last_epoch: int, label: str) -> int:
+    """The invariants after one answer, plus: the snapshot the answer
+    pinned is not newer than the table's (static baselines pin none)."""
+    epoch = check_engine_invariants(engine, last_epoch, label)
+    pinned = getattr(report, "snapshot_epoch", epoch)
+    if pinned > epoch:
+        raise OracleFailure(
+            f"[{label}] report pinned epoch {pinned} newer than the "
+            f"table's {epoch}"
+        )
+    return epoch
+
+
 def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
     """Every cached zone map must match a from-scratch recompute exactly.
 
@@ -217,8 +194,6 @@ def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
     ``layout.column(attr)`` and demanding exact equality catches both
     directions.
     """
-    from ..storage.zonemap import _minmax_per_morsel, cached_zone_maps
-
     snapshot = engine.table.snapshot()
     for layout in snapshot.layouts:
         maps = cached_zone_maps(layout)
@@ -230,22 +205,8 @@ def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
                 f"cover {maps.num_rows} rows, layout has {layout.num_rows}"
             )
         for attr in maps.attrs:
-            mins, maxs = maps.stats_for(attr)
-            true_mins, true_maxs = _minmax_per_morsel(
-                layout.column(attr), maps.morsel_rows
-            )
-            if not (
-                np.array_equal(
-                    np.asarray(mins, dtype=np.float64),
-                    np.asarray(true_mins, dtype=np.float64),
-                    equal_nan=True,
-                )
-                and np.array_equal(
-                    np.asarray(maxs, dtype=np.float64),
-                    np.asarray(true_maxs, dtype=np.float64),
-                    equal_nan=True,
-                )
-            ):
+            truth = _minmax_per_morsel(layout.column(attr), maps.morsel_rows)
+            if not all(map(_same_values, maps.stats_for(attr), truth)):
                 raise OracleFailure(
                     f"[{label}] zone map for {attr!r} on "
                     f"{layout.describe()} is not exact after adaptation"
@@ -271,9 +232,7 @@ def check_policy_invariants(engine: H2OEngine, label: str) -> None:
             f"{policy.accrued_at_switch}"
         )
     for record in policy.switches:
-        if record.accrued + 1e-9 < (
-            record.hedging_factor * record.build_cost
-        ):
+        if record.accrued + 1e-9 < record.hedging_factor * record.build_cost:
             raise OracleFailure(
                 f"[{label}] switch to {record.attrs} granted with "
                 f"accrued {record.accrued} < hedged cost "
@@ -288,11 +247,218 @@ def check_policy_invariants(engine: H2OEngine, label: str) -> None:
         )
 
 
+# The replay -----------------------------------------------------------------
+
+
+def _answers(engine, ops: Sequence[Op]) -> Iterator[Tuple[str, object]]:
+    """Apply ``ops`` to ``engine`` in order; yield ``(sql, report)`` per
+    query."""
+    for kind, arg in ops:
+        if kind == "query":
+            yield arg, engine.execute(arg)
+        else:
+            engine.table.append_rows(arg)
+
+
+def reference(table: Table, ops: Sequence[Op]) -> List[QueryResult]:
+    """Ground truth for ``ops`` over ``table``: the interpreted row
+    baseline, with appends applied at the same stream positions."""
+    engine = RowStoreEngine(table, REFERENCE_CONFIG)
+    return [report.result for _, report in _answers(engine, ops)]
+
+
+def _replay(
+    engine,
+    ops: Sequence[Op],
+    expected: Sequence[QueryResult],
+    label: str,
+    *,
+    twin: Optional[H2OEngine] = None,
+) -> None:
+    """Replay ``ops`` on ``engine``, checking every answer against
+    ``expected`` and the invariants after it.
+
+    A ``twin`` replays the same ops in lockstep and must answer
+    bit-identically *and* prune the same morsels: adaptation is blind to
+    the thread count, so the two evolve identical layouts, and zone-map
+    pruning must be a pure function of data + predicate, never of
+    scheduling.
+    """
+    twin_answers = _answers(twin, ops) if twin is not None else None
+    twin_label = f"{label} (vs morsel-serial twin)"
+    epoch = 0
+    for index, (sql, report) in enumerate(_answers(engine, ops)):
+        _check_answer(index, sql, report.result, expected[index], label)
+        if twin_answers is not None:
+            _, mirror = next(twin_answers)
+            _check_answer(index, sql, report.result, mirror.result, twin_label)
+            if report.morsels_pruned != mirror.morsels_pruned:
+                raise OracleFailure(
+                    f"[{label}] query #{index} pruning diverged between "
+                    f"parallel ({report.morsels_pruned}/"
+                    f"{report.morsels_total}) and serial "
+                    f"({mirror.morsels_pruned}/{mirror.morsels_total}) "
+                    f"execution\n  sql: {sql}"
+                )
+        epoch = _check_step(engine, report, epoch, label)
+
+
+def _serve(
+    service: H2OService,
+    spec: CaseSpec,
+    expected: Sequence[QueryResult],
+    label: str,
+    *,
+    concurrent: bool,
+) -> H2OEngine:
+    """Serve ``spec`` through ``service``, checking like :func:`_replay`.
+
+    ``concurrent`` submits the whole sequence at once, so workers
+    interleave shapes while triggering queries stitch layouts online;
+    otherwise one at a time, so each fault hits a deterministic query.
+    An exception reaching a waiter is a failure.
+    """
+    service.register(spec.build_table())
+    engine = service.system.engine_for(spec.table_name)
+    submit = functools.partial(service.submit, timeout=120.0)
+    pending = [submit(sql) for sql in spec.queries] if concurrent else []
+    epoch = 0
+    for index, sql in enumerate(spec.queries):
+        try:
+            future = pending[index] if concurrent else submit(sql)
+            report = future.result(120.0)
+        except Exception as exc:  # noqa: BLE001
+            raise OracleFailure(
+                f"[{label}] query #{index} surfaced an exception the "
+                f"degradation ladder should have absorbed: {exc!r}\n"
+                f"  sql: {sql}"
+            ) from exc
+        _check_answer(index, sql, report.result, expected[index], label)
+        epoch = _check_step(engine, report, epoch, label)
+    return engine
+
+
+# The paths ------------------------------------------------------------------
+
+
+def _config(**overrides: object) -> EngineConfig:
+    return EngineConfig(**{**ORACLE_CONFIG, **overrides})
+
+
+def _adaptive_engine(table: Table, **overrides: object) -> H2OEngine:
+    """H2O over ``table`` with ``ORACLE_CONFIG`` plus ``overrides``.
+
+    An engine allowed more than one scan thread gets a dedicated pool of
+    that many, so the check does not depend on the host's core count.
+    """
+    engine = H2OEngine(table, _config(**overrides))
+    threads = engine.config.max_scan_threads
+    if threads > 1:
+        engine.executor.scan_pool = _scan_pool(threads)
+    return engine
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_pool(threads: int) -> ScanPool:
+    # One pool per width for the whole process: idle pool threads never
+    # exit, so a pool per engine would leak them sequence after sequence.
+    return ScanPool(max_threads=threads)
+
+
+@dataclass(frozen=True)
+class OraclePath:
+    """One row of the oracle: an engine and its end-of-stream checks."""
+
+    name: str
+    #: ``ORACLE_CONFIG`` overrides of the adaptive engine under test.
+    overrides: Mapping[str, object] = field(default_factory=dict)
+    #: A non-adaptive engine over the path's table, in place of H2O.
+    static: Optional[Callable[[Table], object]] = None
+    #: Overrides of a twin replayed in lockstep (see :func:`_replay`).
+    twin: Optional[Mapping[str, object]] = None
+    end_checks: Tuple[Callable[[H2OEngine, str], None], ...] = ()
+    #: Serve the sequence through :class:`H2OService`, all at once.
+    served: bool = False
+
+    def engine(self, table: Table):
+        if self.static is not None:
+            return self.static(table)
+        return _adaptive_engine(table, **self.overrides)
+
+    def replay(
+        self,
+        make_table: Callable[[], Table],
+        ops: Sequence[Op],
+        expected: Sequence[QueryResult],
+    ):
+        """Replay ``ops`` on a fresh engine, then run the end checks."""
+        engine = self.engine(make_table())
+        twin = (
+            _adaptive_engine(make_table(), **self.twin)
+            if self.twin is not None
+            else None
+        )
+        _replay(engine, ops, expected, self.name, twin=twin)
+        self.check_end(engine)
+        return engine
+
+    def check_end(self, engine) -> None:
+        for check in self.end_checks:
+            check(engine, self.name)
+
+
+_ZONES = check_zone_map_exactness
+_POLICY = check_policy_invariants
+
+#: Every clean path of :meth:`DifferentialOracle.run_case`, in run order.
+PATHS: Tuple[OraclePath, ...] = (
+    OraclePath(
+        "volcano",
+        static=lambda table: StaticEngine(
+            table, EngineConfig(use_codegen=False)
+        ),
+    ),
+    OraclePath("column", static=ColumnStoreEngine),
+    OraclePath("adaptive-inline", end_checks=(_ZONES,)),
+    OraclePath(
+        "adaptive-interpreted", dict(use_codegen=False), end_checks=(_ZONES,)
+    ),
+    OraclePath("adaptive-service", served=True),
+    OraclePath(
+        "adaptive-parallel",
+        dict(max_scan_threads=4, morsel_rows=128),
+        twin=dict(max_scan_threads=1, morsel_rows=128),
+        end_checks=(_ZONES,),
+    ),
+    OraclePath(
+        "adaptive-guarded", dict(hedging_factor=2.0), end_checks=(_POLICY,)
+    ),
+    OraclePath(
+        "adaptive-lean",
+        dict(
+            plan_cache=False,
+            operator_cache=False,
+            zone_maps=False,
+            dynamic_window=False,
+        ),
+        end_checks=(_ZONES, _POLICY),
+    ),
+    OraclePath(
+        "adaptive-eager", dict(materialization="eager"), end_checks=(_ZONES,)
+    ),
+)
+
+CLEAN_MODES = tuple(path.name for path in PATHS)
+
+#: Answers checked per query: one per path, one more per twin.
+_ANSWERS_PER_QUERY = sum(1 if p.twin is None else 2 for p in PATHS)
+
+
 # The oracle -----------------------------------------------------------------
 
 
 class DifferentialOracle:
-    """Runs one spec through every mode and the fault pass."""
+    """Runs one spec through every path and the fault passes."""
 
     def __init__(
         self,
@@ -305,241 +471,94 @@ class DifferentialOracle:
         self.with_faults = with_faults
         self.faults_per_point = faults_per_point
 
-    # Engine/config factories ---------------------------------------------
-
-    def _adaptive_config(self, **overrides: object) -> EngineConfig:
-        merged = dict(ORACLE_CONFIG)
-        merged.update(overrides)
-        return EngineConfig(**merged)
-
-    # Reference ------------------------------------------------------------
-
     def reference_results(self, spec: CaseSpec) -> List[QueryResult]:
         """Ground truth: the interpreted row baseline."""
-        engine = RowStoreEngine(spec.build_table(), REFERENCE_CONFIG)
-        return [engine.execute(q).result for q in spec.parsed()]
+        return reference(spec.build_table(), spec.ops)
 
-    # Clean differential modes ---------------------------------------------
-
-    def run_case(self, spec: CaseSpec) -> SequenceResult:
-        """Run every mode + the fault pass; raises OracleFailure."""
-        started = time.perf_counter()
-        expected = self.reference_results(spec)
-        outcome = SequenceResult(spec=spec, modes=CLEAN_MODES)
-        self._run_static(
-            spec,
-            expected,
-            StaticEngine(spec.build_table(), EngineConfig(use_codegen=False)),
-            "volcano",
-        )
-        self._run_static(
-            spec, expected, ColumnStoreEngine(spec.build_table()), "column"
-        )
-        self._run_adaptive(spec, expected, use_codegen=True)
-        self._run_adaptive(spec, expected, use_codegen=False)
-        self._run_service(spec, expected)
-        self._run_adaptive_parallel(spec, expected)
-        self._run_adaptive_guarded(spec, expected)
-        outcome.queries_checked = len(expected) * (len(CLEAN_MODES) + 1)
-        if self.with_faults:
-            fired_inline = self._run_faulted_inline(spec, expected)
-            fired_service = self._run_faulted_service(spec, expected)
-            for point, count in {**fired_inline, **fired_service}.items():
-                outcome.fired_faults[point] = (
-                    fired_inline.get(point, 0) + fired_service.get(point, 0)
-                )
-        outcome.seconds = time.perf_counter() - started
-        return outcome
-
-    def _run_static(
+    @contextmanager
+    def _service(
         self,
         spec: CaseSpec,
-        expected: Sequence[QueryResult],
-        engine,
-        mode: str,
-    ) -> None:
-        for index, query in enumerate(spec.parsed()):
-            got = engine.execute(query).result
-            if not results_identical(got, expected[index]):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index, spec.queries[index], got, expected[index], mode
-                    )
-                )
-
-    def _run_adaptive(
-        self,
-        spec: CaseSpec,
-        expected: Sequence[QueryResult],
-        use_codegen: bool,
-    ) -> None:
-        mode = "adaptive-inline" if use_codegen else "adaptive-interpreted"
-        engine = H2OEngine(
-            spec.build_table(),
-            self._adaptive_config(use_codegen=use_codegen),
-        )
-        epoch = 0
-        for index, query in enumerate(spec.parsed()):
-            report = engine.execute(query)
-            if not results_identical(report.result, expected[index]):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index,
-                        spec.queries[index],
-                        report.result,
-                        expected[index],
-                        mode,
-                    )
-                )
-            epoch = check_engine_invariants(engine, epoch, mode)
-            if report.snapshot_epoch > epoch:
-                raise OracleFailure(
-                    f"[{mode}] report pinned epoch {report.snapshot_epoch} "
-                    f"newer than the table's {epoch}"
-                )
-        check_zone_map_exactness(engine, mode)
-
-    def _run_adaptive_parallel(
-        self, spec: CaseSpec, expected: Sequence[QueryResult]
-    ) -> None:
-        """Parallel morsel path vs a morsel-serial twin of itself.
-
-        Both engines share every adaptive knob (tiny morsels so even a
-        small case splits into many); only ``max_scan_threads`` differs
-        (4 vs 1), and the parallel engine gets a dedicated 4-thread pool
-        so the check is independent of the host's core count.  Adaptation is
-        deterministic and blind to the thread count, so the two engines
-        evolve identical layouts — which lets the oracle assert the
-        *stronger* property: per query, answers are bit-identical to
-        the row reference **and** ``morsels_pruned`` matches between
-        parallel and serial execution (zone-map pruning must be a pure
-        function of data + predicate, never of scheduling).
-        """
-        from ..execution.parallel import ScanPool
-
-        mode = "adaptive-parallel"
-        morsel_knobs = dict(vector_size=64, morsel_rows=128)
-        engine = H2OEngine(
-            spec.build_table(),
-            self._adaptive_config(max_scan_threads=4, **morsel_knobs),
-        )
-        engine.executor.scan_pool = ScanPool(max_threads=4)
-        twin = H2OEngine(
-            spec.build_table(),
-            self._adaptive_config(max_scan_threads=1, **morsel_knobs),
-        )
-        epoch = 0
-        for index, query in enumerate(spec.parsed()):
-            report = engine.execute(query)
-            twin_report = twin.execute(query)
-            if not results_identical(report.result, expected[index]):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index,
-                        spec.queries[index],
-                        report.result,
-                        expected[index],
-                        mode,
-                    )
-                )
-            if not results_identical(report.result, twin_report.result):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index,
-                        spec.queries[index],
-                        report.result,
-                        twin_report.result,
-                        f"{mode} (vs morsel-serial twin)",
-                    )
-                )
-            if report.morsels_pruned != twin_report.morsels_pruned:
-                raise OracleFailure(
-                    f"[{mode}] query #{index} pruning diverged between "
-                    f"parallel ({report.morsels_pruned}/"
-                    f"{report.morsels_total}) and serial "
-                    f"({twin_report.morsels_pruned}/"
-                    f"{twin_report.morsels_total}) execution\n"
-                    f"  sql: {spec.queries[index]}"
-                )
-            epoch = check_engine_invariants(engine, epoch, mode)
-        check_zone_map_exactness(engine, mode)
-
-    def _run_adaptive_guarded(
-        self, spec: CaseSpec, expected: Sequence[QueryResult]
-    ) -> None:
-        """The eighth path: a hedged switching policy.
-
-        Same adaptive knobs as ``adaptive-inline`` but with
-        ``hedging_factor=2.0`` — materializations the hedge-0 engine
-        performs immediately may be deferred or skipped here,
-        which must be invisible in answers.  Beyond bit-identity and
-        the physical invariants, the oracle asserts the policy's own
-        regret invariant and that its deferral/switch ledger is
-        consistent with the layouts actually built.
-        """
-        mode = "adaptive-guarded"
-        engine = H2OEngine(
-            spec.build_table(),
-            self._adaptive_config(hedging_factor=2.0),
-        )
-        epoch = 0
-        for index, query in enumerate(spec.parsed()):
-            report = engine.execute(query)
-            if not results_identical(report.result, expected[index]):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index,
-                        spec.queries[index],
-                        report.result,
-                        expected[index],
-                        mode,
-                    )
-                )
-            epoch = check_engine_invariants(engine, epoch, mode)
-        check_policy_invariants(engine, mode)
-
-    def _run_service(
-        self, spec: CaseSpec, expected: Sequence[QueryResult]
-    ) -> None:
-        mode = "adaptive-service"
+        name: str,
+        overrides: Optional[Mapping[str, object]] = None,
+        **kwargs: object,
+    ) -> Iterator[H2OService]:
         service = H2OService(
-            config=self._adaptive_config(),
+            config=_config(**(overrides or {})),
             num_workers=self.workers,
             max_pending=4 * max(1, len(spec.queries)),
-            name="oracle-service",
+            name=name,
+            **kwargs,
         )
         try:
-            service.register(spec.build_table())
-            engine = service.system.engine_for(spec.table_name)
-            epoch = 0
-            # Submit the whole sequence concurrently — workers interleave
-            # shapes while triggering queries stitch layouts online.
-            futures = [
-                service.submit(sql, timeout=120.0) for sql in spec.queries
-            ]
-            for index, future in enumerate(futures):
-                report = future.result(120.0)
-                if not results_identical(report.result, expected[index]):
-                    raise OracleFailure(
-                        _describe_divergence(
-                            index,
-                            spec.queries[index],
-                            report.result,
-                            expected[index],
-                            mode,
-                        )
-                    )
-                epoch = check_engine_invariants(engine, epoch, mode)
+            yield service
         finally:
             service.close()
 
+    def run_case(self, spec: CaseSpec) -> SequenceResult:
+        """Run every path + the fault passes; raises OracleFailure."""
+        started = time.perf_counter()
+        expected = self.reference_results(spec)
+        for path in PATHS:
+            if not path.served:
+                path.replay(spec.build_table, spec.ops, expected)
+                continue
+            with self._service(spec, "oracle-service", path.overrides) as sv:
+                engine = _serve(sv, spec, expected, path.name, concurrent=True)
+            path.check_end(engine)
+        outcome = SequenceResult(
+            spec=spec,
+            modes=CLEAN_MODES,
+            queries_checked=len(expected) * _ANSWERS_PER_QUERY,
+        )
+        if self.with_faults:
+            outcome.fired_faults = self._fault_passes(spec, expected, "")
+        outcome.seconds = time.perf_counter() - started
+        return outcome
+
+    def chaos_case(self, spec: CaseSpec) -> SequenceResult:
+        """One chaos sequence: faults at *every* registered point.
+
+        The two fault passes of :meth:`run_case` under their own
+        schedules.  Acceptance is strict: zero crashes, zero wrong
+        answers, the worker pool healed, and every fired fault accounted
+        for in the degradation evidence with exact equality.
+        """
+        started = time.perf_counter()
+        expected = self.reference_results(spec)
+        outcome = SequenceResult(
+            spec=spec,
+            modes=("chaos-inline", "chaos-service"),
+            queries_checked=2 * len(expected),
+            fired_faults=self._fault_passes(spec, expected, "chaos-"),
+        )
+        outcome.seconds = time.perf_counter() - started
+        return outcome
+
     # Fault passes ---------------------------------------------------------
 
-    def _run_faulted_inline(
-        self,
-        spec: CaseSpec,
-        expected: Sequence[QueryResult],
-        rng_tag: str = "inline",
+    def _fault_passes(
+        self, spec: CaseSpec, expected: Sequence[QueryResult], prefix: str
+    ) -> Dict[str, int]:
+        """Both fault passes; returns the merged point → fired count."""
+        fired = Counter(self._faulted_inline(spec, expected, prefix))
+        fired.update(self._faulted_service(spec, expected, prefix))
+        return dict(fired)
+
+    def _injector(
+        self, spec: CaseSpec, tag: str, horizon: int, points: Sequence[str]
+    ) -> FaultInjector:
+        return FaultInjector(
+            random_schedule(
+                derive_rng(spec.seed, "faults", tag),
+                horizon=max(4, horizon),
+                faults_per_point=self.faults_per_point,
+                points=tuple(points),
+            )
+        )
+
+    def _faulted_inline(
+        self, spec: CaseSpec, expected: Sequence[QueryResult], prefix: str
     ) -> Dict[str, int]:
         """Inline engine under compile + online-stitch faults.
 
@@ -547,213 +566,94 @@ class DifferentialOracle:
         still be answered, identically, and every fired fault must be
         visible in the engine's counters afterwards.
         """
-        mode = f"faults-{rng_tag}"
-        engine = H2OEngine(spec.build_table(), self._adaptive_config())
-        schedule = random_schedule(
-            derive_rng(spec.seed, "faults", rng_tag),
-            horizon=max(4, 2 * len(spec.queries)),
-            faults_per_point=self.faults_per_point,
-            points=("codegen.compile", "reorg.online"),
+        tag = f"{prefix}inline"
+        engine = _adaptive_engine(spec.build_table())
+        injector = self._injector(
+            spec, tag, 2 * len(spec.queries), _ENGINE_FAULTS
         )
-        injector = FaultInjector(schedule)
-        epoch = 0
         with injector:
-            for index, query in enumerate(spec.parsed()):
-                report = engine.execute(query)
-                if not results_identical(report.result, expected[index]):
-                    raise OracleFailure(
-                        _describe_divergence(
-                            index,
-                            spec.queries[index],
-                            report.result,
-                            expected[index],
-                            mode,
-                        )
-                    )
-                epoch = check_engine_invariants(engine, epoch, mode)
+            _replay(engine, spec.ops, expected, f"faults-{tag}")
         fired = injector.fired_by_point()
-        if engine.executor.codegen_fallbacks != fired.get(
-            "codegen.compile", 0
-        ):
-            raise OracleFailure(
-                f"[{mode}] {fired.get('codegen.compile', 0)} compile "
-                f"fault(s) fired but the executor recorded "
-                f"{engine.executor.codegen_fallbacks} interpreted "
-                f"fallback(s) — a fault was swallowed silently"
-            )
-        if engine.reorg_aborts != fired.get("reorg.online", 0):
-            raise OracleFailure(
-                f"[{mode}] {fired.get('reorg.online', 0)} online-stitch "
-                f"abort(s) fired but the engine recorded "
-                f"{engine.reorg_aborts} — a fault was swallowed silently"
-            )
+        _audit(f"faults-{tag}", fired, _engine_evidence(engine))
         return fired
 
-    def _run_faulted_service(
-        self,
-        spec: CaseSpec,
-        expected: Sequence[QueryResult],
-        rng_tag: str = "service",
+    def _faulted_service(
+        self, spec: CaseSpec, expected: Sequence[QueryResult], prefix: str
     ) -> Dict[str, int]:
         """Service under compile, online-stitch, worker-death and
-        transient-execute faults — every one *absorbed*.
+        transient-execute faults — every one *absorbed* by the
+        self-healing ladder (docs/resilience.md), and the pool healed.
 
-        The self-healing ladder (docs/resilience.md) means none of
-        these may reach a waiter: a worker death requeues the ticket
-        (the watchdog heals the pool), a transient execute failure is
-        retried under the attempt budget, a compile failure falls back
-        interpreted, an online stitch abort answers through planning and
-        quarantines the candidate.  Every query must therefore be answered
-        **bit-identically** — a surfaced exception is an oracle
-        failure — and every absorbed fault must show up in the evidence
-        counters with *exact* equality, so a silently swallowed fault
-        fails the run just as loudly as a crash.
-
-        ``max_query_attempts`` is set above the worst case a schedule
-        can stack on one ticket (``faults_per_point`` worker deaths +
-        ``faults_per_point`` transient failures), so absorption is a
-        guarantee, not luck.
+        ``max_query_attempts`` exceeds the worst case a schedule can
+        stack on one ticket (``faults_per_point`` worker deaths + as
+        many transient failures), so absorption is a guarantee.
         """
-        mode = f"faults-{rng_tag}"
-        service = H2OService(
-            config=self._adaptive_config(),
-            num_workers=self.workers,
-            max_pending=4 * max(1, len(spec.queries)),
-            max_query_attempts=2 * self.faults_per_point + 2,
-            name="oracle-fault-service",
+        tag = f"{prefix}service"
+        label = f"faults-{tag}"
+        injector = self._injector(
+            spec,
+            tag,
+            len(spec.queries),
+            _ENGINE_FAULTS + ("service.worker", "service.execute"),
         )
-        schedule = random_schedule(
-            derive_rng(spec.seed, "faults", rng_tag),
-            horizon=max(4, len(spec.queries)),
-            faults_per_point=self.faults_per_point,
-            points=(
-                "codegen.compile",
-                "reorg.online",
-                "service.worker",
-                "service.execute",
-            ),
-        )
-        injector = FaultInjector(schedule)
-        try:
-            with injector:
-                service.register(spec.build_table())
-                engine = service.system.engine_for(spec.table_name)
-                epoch = 0
-                # Serial submission keeps occurrence indices (and thus
-                # which query each fault hits) deterministic.
-                for index, sql in enumerate(spec.queries):
-                    try:
-                        report = service.execute(sql, timeout=120.0)
-                    except Exception as exc:  # noqa: BLE001
-                        raise OracleFailure(
-                            f"[{mode}] query #{index} surfaced an "
-                            f"exception the degradation ladder should "
-                            f"have absorbed: {exc!r}\n  sql: {sql}"
-                        )
-                    if not results_identical(report.result, expected[index]):
-                        raise OracleFailure(
-                            _describe_divergence(
-                                index,
-                                sql,
-                                report.result,
-                                expected[index],
-                                mode,
-                            )
-                        )
-                    epoch = check_engine_invariants(engine, epoch, mode)
-                # The watchdog must have healed the pool back to full
-                # strength (bounded wait — respawns are budgeted).
-                heal_deadline = time.monotonic() + 10.0
-                while (
-                    service.alive_workers() < self.workers
-                    and time.monotonic() < heal_deadline
-                ):
-                    time.sleep(0.01)
+        attempts = 2 * self.faults_per_point + 2
+        with self._service(
+            spec, "oracle-fault-service", max_query_attempts=attempts
+        ) as service, injector:
+            engine = _serve(service, spec, expected, label, concurrent=False)
+            deadline = time.monotonic() + 10.0  # respawns are budgeted
+            alive = service.alive_workers()
+            while alive < self.workers and time.monotonic() < deadline:
+                time.sleep(0.01)
                 alive = service.alive_workers()
-                if alive < self.workers:
-                    raise OracleFailure(
-                        f"[{mode}] watchdog failed to heal the pool: "
-                        f"{alive}/{self.workers} workers alive after "
-                        f"{service.stats.snapshot()['worker_deaths']:.0f} "
-                        f"death(s)"
-                    )
-        finally:
-            service.close()
+            if alive < self.workers:
+                raise OracleFailure(
+                    f"[{label}] watchdog failed to heal the pool: "
+                    f"{alive}/{self.workers} workers alive after "
+                    f"{service.stats.snapshot()['worker_deaths']:.0f} "
+                    f"death(s)"
+                )
         fired = injector.fired_by_point()
         stats = service.stats.snapshot()
-        audits: List[Tuple[str, int, int]] = [
-            (
-                "codegen.compile → executor.codegen_fallbacks",
-                fired.get("codegen.compile", 0),
-                engine.executor.codegen_fallbacks,
-            ),
-            (
-                "reorg.online → engine.reorg_aborts",
-                fired.get("reorg.online", 0),
-                engine.reorg_aborts,
-            ),
-            (
-                "service.worker → stats.worker_deaths",
-                fired.get("service.worker", 0),
-                int(stats["worker_deaths"]),
-            ),
-            (
-                "service.worker → stats.requeued_deaths",
-                fired.get("service.worker", 0),
-                int(stats["requeued_deaths"]),
-            ),
-            (
-                "service.execute → stats.retried_failures",
-                fired.get("service.execute", 0),
-                int(stats["retried_failures"]),
-            ),
-            ("no waiter saw a failure", 0, int(stats["failed"])),
-            ("no waiter saw a timeout", 0, int(stats["timeouts"])),
-        ]
-        for description, injected, observed in audits:
-            if injected != observed:
-                raise OracleFailure(
-                    f"[{mode}] fault evidence mismatch ({description}): "
-                    f"expected {injected} but observed {observed} — a "
-                    f"fault was swallowed silently or surfaced wrongly"
-                )
+        evidence = _engine_evidence(engine)
+        for point, counter in (
+            ("service.worker", "worker_deaths"),
+            ("service.worker", "requeued_deaths"),
+            ("service.execute", "retried_failures"),
+        ):
+            evidence[f"{point} → stats.{counter}"] = stats[counter]
+        evidence["no waiter saw a failure"] = stats["failed"]
+        evidence["no waiter saw a timeout"] = stats["timeouts"]
+        _audit(label, fired, evidence)
         return fired
 
-    # Chaos mode ------------------------------------------------------------
 
-    def chaos_case(self, spec: CaseSpec) -> SequenceResult:
-        """One chaos sequence: faults at *every* registered point.
+#: The fault points both fault passes schedule.
+_ENGINE_FAULTS = ("codegen.compile", "reorg.online")
 
-        Two sub-passes cover the four fault points end to end:
 
-        1. **inline** — ``codegen.compile`` + ``reorg.online`` against
-           the bare engine;
-        2. **service** — ``codegen.compile``, ``reorg.online``,
-           ``service.worker``, ``service.execute`` against the full
-           service.
+def _engine_evidence(engine: H2OEngine) -> Dict[str, float]:
+    return {
+        "codegen.compile → executor.codegen_fallbacks": (
+            engine.executor.codegen_fallbacks
+        ),
+        "reorg.online → engine.reorg_aborts": engine.reorg_aborts,
+    }
 
-        Acceptance is strict: zero crashes, zero wrong answers, the
-        worker pool healed, and every fired fault accounted for in the
-        degradation evidence with exact equality.
-        """
-        started = time.perf_counter()
-        expected = self.reference_results(spec)
-        outcome = SequenceResult(
-            spec=spec, modes=("chaos-inline", "chaos-service")
-        )
-        fired_inline = self._run_faulted_inline(
-            spec, expected, rng_tag="chaos-inline"
-        )
-        fired_service = self._run_faulted_service(
-            spec, expected, rng_tag="chaos-service"
-        )
-        for point in set(fired_inline) | set(fired_service):
-            outcome.fired_faults[point] = fired_inline.get(
-                point, 0
-            ) + fired_service.get(point, 0)
-        outcome.queries_checked = 2 * len(expected)
-        outcome.seconds = time.perf_counter() - started
-        return outcome
+
+def _audit(
+    label: str, fired: Mapping[str, int], evidence: Mapping[str, float]
+) -> None:
+    """Each counter must equal the faults fired at the point its key
+    names (``"point → counter"``); a key naming no point must read 0."""
+    for description, observed in evidence.items():
+        injected = fired.get(description.split(" → ")[0], 0)
+        if injected != int(observed):
+            raise OracleFailure(
+                f"[{label}] fault evidence mismatch ({description}): "
+                f"expected {injected} but observed {int(observed)} — a "
+                f"fault was swallowed silently or surfaced wrongly"
+            )
 
 
 def run_sequence(
@@ -764,8 +664,6 @@ def run_sequence(
     spec: Optional[CaseSpec] = None,
 ) -> SequenceResult:
     """Convenience wrapper: generate (or accept) a spec and run it."""
-    from .generate import random_case
-
     oracle = DifferentialOracle(workers=workers, with_faults=with_faults)
     return oracle.run_case(spec if spec is not None else random_case(seed))
 
@@ -778,24 +676,13 @@ def run_chaos_sequence(
     spec: Optional[CaseSpec] = None,
 ) -> SequenceResult:
     """One chaos sequence (see :meth:`DifferentialOracle.chaos_case`)."""
-    from .generate import random_case
-
     oracle = DifferentialOracle(
         workers=workers, faults_per_point=faults_per_point
     )
-    return oracle.chaos_case(
-        spec if spec is not None else random_case(seed)
-    )
+    return oracle.chaos_case(spec if spec is not None else random_case(seed))
 
 
 # Scenario replay oracle ------------------------------------------------------
-#
-# The adversarial scenario pack (repro/workloads/scenarios.py) replayed
-# at two hedging factors against the row reference: the replays may
-# reorganize differently, but every answer must stay bit-identical,
-# every engine invariant must hold after every query, and the zone maps
-# (extended by the scenario's appends) and the regret ledger must be
-# exact and balanced at the end of the stream.
 
 
 @dataclass
@@ -824,55 +711,6 @@ class ScenarioOutcome:
         )
 
 
-def _scenario_reference(scenario: "Scenario") -> List[QueryResult]:
-    """Ground truth for a scenario stream: the interpreted row baseline,
-    with the scenario's appends applied at the same stream positions."""
-    engine = RowStoreEngine(scenario.make_table(), REFERENCE_CONFIG)
-    expected: List[QueryResult] = []
-    for op in scenario.ops:
-        if op[0] == "query":
-            expected.append(engine.execute(parse_query(op[1])).result)
-        else:
-            engine.table.append_rows(
-                scenario.append_batch(op[1], op[2])
-            )
-    return expected
-
-
-def _replay_scenario(
-    scenario: "Scenario",
-    expected: Sequence[QueryResult],
-    hedging_factor: float,
-) -> H2OEngine:
-    """Replay one scenario at one hedging factor, checking every
-    answer."""
-    label = f"scenario:{scenario.name}:hedge-{hedging_factor:g}"
-    engine = H2OEngine(
-        scenario.make_table(),
-        EngineConfig(hedging_factor=hedging_factor, **ORACLE_CONFIG),
-    )
-    epoch = 0
-    index = 0
-    for op in scenario.ops:
-        if op[0] == "query":
-            report = engine.execute(parse_query(op[1]))
-            if not results_identical(report.result, expected[index]):
-                raise OracleFailure(
-                    _describe_divergence(
-                        index, op[1], report.result, expected[index], label
-                    )
-                )
-            epoch = check_engine_invariants(engine, epoch, label)
-            index += 1
-        else:
-            engine.table.append_rows(
-                scenario.append_batch(op[1], op[2])
-            )
-    check_zone_map_exactness(engine, label)
-    check_policy_invariants(engine, label)
-    return engine
-
-
 def scenario_case(
     name: str,
     seed: int = 0,
@@ -887,11 +725,20 @@ def scenario_case(
 
     started = time.perf_counter()
     scenario = build_scenario(name, seed, **kwargs)
-    expected = _scenario_reference(scenario)
+    ops = [
+        op if op[0] == "query" else ("append", scenario.append_batch(*op[1:]))
+        for op in scenario.ops
+    ]
+    expected = reference(scenario.make_table(), ops)
     outcome = ScenarioOutcome(name=scenario.name, seed=seed)
     factors = (0.0, hedging_factor)
     for factor in factors:
-        engine = _replay_scenario(scenario, expected, factor)
+        path = OraclePath(
+            f"scenario:{scenario.name}:hedge-{factor:g}",
+            dict(hedging_factor=factor),
+            end_checks=(_ZONES, _POLICY),
+        )
+        engine = path.replay(scenario.make_table, ops, expected)
         outcome.reorgs[factor] = len(engine.manager.creation_log)
         outcome.deferrals[factor] = engine.policy.deferrals
     hedged, greedy = outcome.reorgs[hedging_factor], outcome.reorgs[0.0]
@@ -917,8 +764,6 @@ def run_all_scenarios(
     from ..workloads.scenarios import SCENARIOS
 
     return [
-        scenario_case(
-            name, seed, hedging_factor=hedging_factor, **kwargs
-        )
+        scenario_case(name, seed, hedging_factor=hedging_factor, **kwargs)
         for name in SCENARIOS
     ]

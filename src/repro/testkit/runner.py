@@ -5,7 +5,7 @@ Green path::
     PYTHONPATH=src python -m repro.testkit run --seqs 50 --seed 0
 
 runs 50 seeded oracle sequences (seeds ``seed .. seed+seqs-1``), each
-through the eight oracle paths plus the two fault passes, and prints a
+through the ten oracle paths plus the two fault passes, and prints a
 one-line summary.  Red path: the first failing sequence is shrunk to a
 minimal spec and printed as a ≤10-line repro (seed + schema + SQL), and
 the process exits 1.

@@ -307,10 +307,7 @@ def test_hedge_zero_is_greedy_decision_for_decision(events):
 # Engine integration
 # ---------------------------------------------------------------------------
 
-ENGINE_KNOBS = dict(
-    window_size=4, min_window=2, max_window=12,
-    amortization_threshold=1.0,
-)
+ENGINE_KNOBS = dict(window_size=4, min_window=2, max_window=12)
 
 
 def replay(scenario, config, policy=None):

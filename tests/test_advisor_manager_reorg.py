@@ -211,7 +211,7 @@ class TestReorganizer:
         attribute sits in the new group or outside it: per-block sums
         and the projected rows equal a boolean-indexing reference."""
         reorg = Reorganizer()
-        block_rows = reorg.config.vector_size
+        block_rows = reorg.block_rows
         a1, a2, a9 = (np.asarray(table.column(a)) for a in ("a1", "a2", "a9"))
         mask = np.asarray(table.column("a3")) < 0
         info = analyze_query(

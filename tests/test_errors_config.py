@@ -63,10 +63,6 @@ class TestEngineConfig:
         with pytest.raises(errors.AdaptationError):
             EngineConfig(window_size=10, min_window=20, max_window=30)
 
-    def test_rejects_nonpositive_vector(self):
-        with pytest.raises(errors.AdaptationError):
-            EngineConfig(vector_size=0)
-
     def test_with_overrides(self):
         config = EngineConfig().with_overrides(use_codegen=False)
         assert config.use_codegen is False

@@ -61,7 +61,8 @@ def executors():
     return [
         Executor(EngineConfig(use_codegen=True)),
         Executor(EngineConfig(use_codegen=False)),
-        Executor(EngineConfig(use_codegen=True, vector_size=257)),
+        # Interpreted over small odd morsels: vectors cut at morsel ends.
+        Executor(EngineConfig(use_codegen=False, morsel_rows=257)),
     ]
 
 

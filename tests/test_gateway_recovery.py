@@ -110,7 +110,6 @@ def test_guarded_policy_ledger_survives_recovery(tmp_path):
         window_size=6,
         min_window=3,
         max_window=18,
-        amortization_threshold=1.0,
         hedging_factor=1e9,  # high enough that the ramp only defers
     )
     gateway_config = GatewayConfig(snapshot_every_records=0)

@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 
 from repro.codegen.cache import OperatorCache
 from repro.codegen.generator import generate_operator
-from repro.config import EngineConfig
 from repro.execution.strategies import (
     AccessPlan,
     ExecutionStrategy,
@@ -27,7 +26,7 @@ from repro.execution.strategies import (
     narrowest_provider,
 )
 from repro.execution.vectorized import run_late_interpreted
-from repro.execution.volcano import run_fused_interpreted
+from repro.execution.volcano import VECTOR_ROWS, run_fused_interpreted
 from repro.sql import analyze_query, parse_query
 from repro.sql.types import DataType
 from repro.storage import Schema, Table
@@ -169,10 +168,8 @@ def _bits(block: np.ndarray) -> bytes:
 
 
 def fused_reference(info, layouts, lo, hi):
-    """The interpreted fused scan at the engine's vector size."""
-    return run_fused_interpreted(
-        info, layouts, lo, hi, EngineConfig().vector_size
-    )
+    """The interpreted fused scan at the interpreter's vector size."""
+    return run_fused_interpreted(info, layouts, lo, hi, VECTOR_ROWS)
 
 
 def run_both(case, interpret):

@@ -157,7 +157,7 @@ class TestPlanMorsels:
         self.pool = ScanPool(max_threads=4)
 
     def plan(self, sql: str, pool=None, **overrides):
-        knobs = dict(vector_size=64, morsel_rows=256)
+        knobs = dict(morsel_rows=256)
         knobs.update(overrides)
         info = make_info(self.table, sql)
         return plan_morsels(
@@ -457,7 +457,7 @@ def test_keep_mask_reads_the_first_of_the_narrowest_providers():
 
 
 def parallel_config(**overrides) -> EngineConfig:
-    defaults = dict(vector_size=64, morsel_rows=128, max_scan_threads=4)
+    defaults = dict(morsel_rows=128, max_scan_threads=4)
     defaults.update(overrides)
     return EngineConfig(**defaults)
 

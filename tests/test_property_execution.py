@@ -71,7 +71,7 @@ def test_every_path_matches_numpy(case):
     executors = [
         Executor(EngineConfig()),
         Executor(EngineConfig(use_codegen=False)),
-        Executor(EngineConfig(vector_size=37)),
+        Executor(EngineConfig(use_codegen=False, morsel_rows=37)),
     ]
 
     results = []

@@ -65,7 +65,7 @@ def pinned_engine(
     layout and whose scans run on a dedicated ``threads``-wide pool."""
     engine = H2OEngine(
         table,
-        EngineConfig(vector_size=64, morsel_rows=MORSEL_ROWS, **knobs),
+        EngineConfig(morsel_rows=MORSEL_ROWS, **knobs),
     )
     engine.executor.scan_pool = ScanPool(max_threads=threads)
 
@@ -180,9 +180,7 @@ def test_interpreted_scan_runs_the_plans_own_interpreter(
     spy("fused")
     spy("late")
     executor = Executor(
-        EngineConfig(
-            use_codegen=False, vector_size=64, morsel_rows=MORSEL_ROWS
-        )
+        EngineConfig(use_codegen=False, morsel_rows=MORSEL_ROWS)
     )
     executor.scan_pool = ScanPool(max_threads=1)
     info = analyze_query(
@@ -253,9 +251,7 @@ def test_literals_over_aggregates_rebind_on_the_fast_lane():
     table = Table.from_columns(
         "r", Schema.from_names(ATTRS[:3]), columns, "column"
     )
-    engine = H2OEngine(
-        table, EngineConfig(vector_size=64, morsel_rows=MORSEL_ROWS)
-    )
+    engine = H2OEngine(table, EngineConfig(morsel_rows=MORSEL_ROWS))
     a1, a2, a3 = (columns[name] for name in ATTRS[:3])
     # Bounds of similar selectivity, so no repeat trips drift eviction.
     for i, (add, mul, sub, bound) in enumerate(

@@ -324,7 +324,6 @@ def test_ping_pong_scenario_guarded_bounds_reorgs_under_chaos():
         window_size=4,
         min_window=2,
         max_window=12,
-        amortization_threshold=1.0,
     )
 
     greedy_engine = _run_ping_pong_service(

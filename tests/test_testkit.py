@@ -10,7 +10,10 @@ Three layers:
 3. **mutation** — patching any fault handler to swallow its fault
    silently must turn the oracle red (the acceptance criterion from
    docs/testing.md).  Three representative mutations are automated
-   here; the manual procedure for the rest is documented.
+   here; the manual procedure for the rest is documented.  Three more
+   break what the end checks and the parallel twin guard: zone maps
+   after appends, pruning independent of threads, and the policy
+   ledger.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.testkit import (
     format_repro,
     random_case,
     run_sequence,
+    scenario_case,
     shrink_case,
 )
 from repro.testkit.oracle import ORACLE_CONFIG, results_identical
@@ -331,6 +335,72 @@ def test_mutation_uncounted_online_abort_fails_oracle(monkeypatch):
     monkeypatch.setattr(H2OEngine, "execute", swallowing)
     with pytest.raises(OracleFailure, match="swallowed silently"):
         run_sequence(13)
+
+
+# ---------------------------------------------------------------------------
+# Mutation checks: breaking what the end checks and the twin guard
+# ---------------------------------------------------------------------------
+
+
+def test_mutation_stale_tail_zone_map_fails_scenario_replay(monkeypatch):
+    """Appends extend zone maps incrementally; an ``extend_zone_maps``
+    that drops the rows appended into the old tail morsel must fail the
+    trickle-append replay's exactness check."""
+    from repro.storage import zonemap
+
+    real = zonemap.extend_zone_maps
+
+    def drops_tail_appends(old, layout):
+        grown = real(old, layout)
+        kept = -(-old.num_rows // old.morsel_rows)  # incl. the old tail
+        for attr in old.attrs:
+            old_stats, new_stats = old.stats_for(attr), grown.stats_for(attr)
+            for stale, fresh in zip(old_stats, new_stats):
+                fresh[:kept] = stale[:kept]
+        return grown
+
+    monkeypatch.setattr(zonemap, "extend_zone_maps", drops_tail_appends)
+    with pytest.raises(OracleFailure, match="not exact"):
+        scenario_case("trickle-append")
+
+
+def test_mutation_thread_dependent_pruning_fails_parallel_twin(monkeypatch):
+    """Skipping zone-map pruning whenever a scan may fan out keeps every
+    answer right, but ``adaptive-parallel`` and its one-thread twin then
+    prune different morsels."""
+    from dataclasses import replace
+
+    from repro.execution import executor
+
+    real = executor.plan_morsels
+
+    def prunes_only_serial(info, layouts, num_rows, config, pool):
+        if config.max_scan_threads != 1:
+            config = replace(config, zone_maps=False)
+        return real(info, layouts, num_rows, config, pool)
+
+    monkeypatch.setattr(executor, "plan_morsels", prunes_only_serial)
+    with pytest.raises(
+        OracleFailure, match=r"\[adaptive-parallel\].*pruning diverged"
+    ):
+        DifferentialOracle(with_faults=False).run_case(random_case(0))
+
+
+def test_mutation_unledgered_build_fails_guarded_row(monkeypatch):
+    """Seed 0 builds a layout on the hedged path; a policy that forgets
+    to ledger it must fail the policy end check."""
+    from repro.core.adaptation_policy import AdaptationPolicy
+
+    monkeypatch.setattr(
+        AdaptationPolicy,
+        "note_materialized",
+        lambda self, candidate, query_index: None,
+    )
+    with pytest.raises(
+        OracleFailure,
+        match=r"\[adaptive-guarded\].*unledgered reorganization",
+    ):
+        DifferentialOracle(with_faults=False).run_case(random_case(0))
 
 
 # ---------------------------------------------------------------------------
