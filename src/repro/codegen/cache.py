@@ -4,22 +4,25 @@
 operators into a cache.  If the same operator is requested by a future
 query, H2O accesses it directly from the cache." (paper section 3.4)
 
-Keys are structural: masked query shape (literals replaced by ``?``),
-execution strategy, and the exact layout-combination signature.  Two
-queries differing only in constants therefore share one compiled kernel,
-with the constants passed as runtime parameters.
+Keys are structural and name no attribute: the masked query shape with
+each attribute spelled as its column slot, the slot's provider (buffer
+slot, position, dtype, width), the execution strategy, the output dtype
+and the literal types — exactly what the templates read (see
+:func:`~repro.codegen.generator.operator_key`).  Two queries differing
+only in constants, or only in which attributes fill the slots, therefore
+share one source and one compiled kernel, with the constants passed as
+runtime parameters.  On the drifting Fig. 7 sequence, 245 cold plans
+need 21 distinct sources.
 
-Compiled kernels are also shared by **source text**.  A key names
-attributes, but the generated source does not — it binds buffer slots
-and column positions — so different keys often generate identical
-text (on the drifting Fig. 7 sequence most do).  On a key miss the
-generator builds the source as usual and asks :meth:`find_source` for a
-live entry with identical text; if one exists, the new key is stored
-with that entry's kernel and nothing is compiled.  Lookup is a scan of
-the live entries under the same lock, so sharing adds no index, no
-capacity and no eviction rule: once every key holding a text is
-evicted, that text compiles again on its next use.  A disabled cache
-shares nothing, so every generation compiles.
+Compiled kernels are also shared by **source text**: on a key miss the
+generator builds the source and asks :meth:`find_source` for a live
+entry with identical text (keys that differ in a fact the source does
+not use, such as the width of a buffer read column by column); if one
+exists, the new key is stored with that entry's kernel and nothing is
+compiled.  Lookup is a scan of the live entries under the same lock, so
+sharing adds no index, no capacity and no eviction rule: once every key
+holding a text is evicted, that text compiles again on its next use.  A
+disabled cache shares nothing, so every generation compiles.
 
 The cache is bounded: beyond ``capacity`` entries the least-recently
 used operator is evicted (a long-running engine serving a drifting

@@ -322,8 +322,9 @@ class ExprCompiler:
         raise CodegenError(f"cannot compile {expr!r} as a predicate")
 
 
-def masked_sql(expr: Expr) -> str:
-    """Render ``expr`` with every literal replaced by ``?``.
+def masked_sql(expr: Expr, column=None) -> str:
+    """Render ``expr`` with every literal replaced by ``?`` (and, with
+    ``column``, every attribute name respelled).
 
     Delegates to the canonical implementation in
     :mod:`repro.sql.signature` (shared with the engine's plan cache) so
@@ -333,6 +334,6 @@ def masked_sql(expr: Expr) -> str:
     from ..sql.signature import masked_sql as _canonical_masked_sql
 
     try:
-        return _canonical_masked_sql(expr)
+        return _canonical_masked_sql(expr, column)
     except AnalysisError as exc:
         raise CodegenError(str(exc)) from None

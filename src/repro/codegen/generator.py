@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Tuple
 
 import numpy as np
 
@@ -18,59 +18,47 @@ from ..errors import CodegenError
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.volcano import projection_dtype
 from ..sql.analyzer import QueryInfo
-from ..storage.layout import Layout
 from .cache import CacheEntry, OperatorCache
 from .compile import compile_kernel
 from .exprc import ParamRegistry, masked_sql
-from .templates import KERNEL_NAME, build_source
+from .templates import KERNEL_NAME, assign_providers, build_source
 
 
 def collect_literals(info: QueryInfo) -> List[object]:
     """The canonical runtime-parameter vector for one query.
 
-    Delegates to :func:`repro.sql.signature.query_literals` — the single
-    source of truth shared with the engine's plan cache, whose order
-    mirrors template emission exactly: predicate conjuncts first
+    The query's cached :attr:`~repro.sql.query.Query.literals` — the
+    single source of truth shared with the engine's plan cache, whose
+    order mirrors template emission exactly: predicate conjuncts first
     (pre-order each), then — for aggregations — the unique aggregate
     arguments in collection order; for projections, the output
     expressions in order.  :class:`ParamRegistry` validates templates
     against this order at generation time.
     """
-    from ..sql.signature import query_literals
-
-    return query_literals(info.query)
-
-
-def _layout_signature(layouts: Sequence[Layout]) -> Tuple:
-    """Hashable identity of a layout combination, order-sensitive."""
-    return tuple(
-        (
-            layout.kind.value,
-            layout.attrs,
-            layout.data.dtype.name,
-            layout.data.ndim,
-        )
-        for layout in layouts
-    )
+    return list(info.query.literals)
 
 
 def operator_key(info: QueryInfo, plan: AccessPlan) -> Hashable:
-    """The operator-cache key: structural query shape × layouts."""
-    masked_outputs = tuple(masked_sql(out.expr) for out in info.query.select)
-    masked_where = (
-        masked_sql(info.query.where) if info.query.where is not None else None
-    )
-    param_types = tuple(type(v).__name__ for v in collect_literals(info))
-    out_dtype = (
-        "agg" if info.is_aggregation else projection_dtype(info).name
-    )
+    """The operator-cache key: exactly what the templates read.
+
+    Attributes are spelled as their column slots (``$j`` for the
+    ``j``-th of ``info.all_attrs``, the ``c{j}`` of the source), each
+    slot with its provider (buffer slot, position, dtype and width);
+    then the strategy, the output dtype and the literal types.  The
+    source names no attribute, so queries that differ only in which
+    attributes fill the slots share one source and one kernel.
+    """
+    slots = {attr: f"${j}" for j, attr in enumerate(info.all_attrs)}
+    column = slots.__getitem__
+    query = info.query
+    providers = assign_providers(plan.layouts, info.all_attrs)
     return (
-        masked_outputs,
-        masked_where,
+        tuple(masked_sql(out.expr, column) for out in query.select),
+        masked_sql(query.where, column) if query.where is not None else None,
         plan.strategy,
-        _layout_signature(plan.layouts),
-        out_dtype,
-        param_types,
+        tuple(providers[attr] for attr in info.all_attrs),
+        "agg" if info.is_aggregation else projection_dtype(info).name,
+        query.shape_signature().param_types,
     )
 
 
@@ -132,9 +120,10 @@ def generate_operator(
 ) -> Tuple[GeneratedOperator, float, bool]:
     """Produce the operator for (query, plan), using the cache.
 
-    On a key miss the source is generated; a live cache entry with
-    identical text supplies its kernel, so each distinct source compiles
-    once (see :mod:`repro.codegen.cache`).
+    The key (:func:`operator_key`) determines the source, so a hit
+    reuses both.  On a miss the source is generated; a live cache entry
+    with identical text supplies its kernel, so each distinct source
+    compiles once (see :mod:`repro.codegen.cache`).
 
     Returns ``(operator, seconds, cache_hit)`` where ``seconds`` is the
     generation + compilation time actually spent (≈0 on a hit), charged
@@ -142,7 +131,7 @@ def generate_operator(
     """
     started = time.perf_counter()
     key = operator_key(info, plan)
-    params = tuple(collect_literals(info))
+    params = info.query.literals
     entry = cache.lookup(key)
     if entry is not None:
         elapsed = time.perf_counter() - started

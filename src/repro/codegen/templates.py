@@ -37,7 +37,7 @@ from ..execution.strategies import (
     AccessPlan,
     ExecutionStrategy,
     MIN_EINSUM_SUMS,
-    narrowest_provider,
+    narrowest_providers,
     read_whole,
 )
 from ..execution.evaluator import collect_aggregates
@@ -70,13 +70,14 @@ class _Provider:
     width: int = 1  # total attributes stored in the providing buffer
 
 
-def _assign_providers(
+def assign_providers(
     layouts: Sequence[Layout], attrs: Sequence[str]
 ) -> Dict[str, _Provider]:
     """Bind each attribute to its narrowest providing layout."""
+    narrowest = narrowest_providers(layouts)
     providers: Dict[str, _Provider] = {}
     for attr in attrs:
-        index = narrowest_provider(layouts, attr)
+        index = narrowest.get(attr)
         if index is None:
             raise CodegenError(f"no layout provides attribute {attr!r}")
         layout = layouts[index]
@@ -469,7 +470,7 @@ def aggregate_source(
     MIN/MAX over its own column.
     """
     params = ParamRegistry()
-    providers = _assign_providers(plan.layouts, info.all_attrs)
+    providers = assign_providers(plan.layouts, info.all_attrs)
     slots = [
         _AggSlot(i, agg)
         for i, agg in enumerate(collect_aggregates(info.query.select))
@@ -566,7 +567,7 @@ def project_source(
     kernel computes every output column from the once-fetched tuples.
     """
     params = ParamRegistry()
-    providers = _assign_providers(plan.layouts, info.all_attrs)
+    providers = assign_providers(plan.layouts, info.all_attrs)
     outputs = info.query.select
     fused = plan.strategy is ExecutionStrategy.FUSED
     sb = SourceBuilder()

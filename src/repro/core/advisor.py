@@ -30,7 +30,8 @@ from ..config import EngineConfig
 from ..execution.strategies import MAX_FUSED_SINGLES, MAX_FUSED_STREAMS
 from ..sql.analyzer import QueryInfo, analyze_query
 from ..storage.relation import Table
-from .cost_model import CostModel, GroupSpec
+from ..storage.schema import popcount as _popcount
+from .cost_model import CostModel, GroupSpec, SpecCover
 from .monitor import Monitor
 
 #: Groups one adaptation phase may select; the engine's accumulated
@@ -100,14 +101,6 @@ class CandidateLayout:
 # covers are integer operations: one bit per attribute, a group is a
 # (mask, width) pair, and single-column layouts are one ``singles`` mask
 # rather than groups, so the greedy scans only multi-attribute groups.
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - Python 3.9
-
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
-
 
 #: A multi-attribute group as the search sees it: (attribute mask, width).
 _Group = Tuple[int, int]
@@ -208,7 +201,9 @@ class _Costing:
     out sorted.  The Eq. 2 pricing — the ``fused_cost``/``late_cost``
     minimum over the cover variants — is memoized by (pattern, covers):
     nothing it reads (layouts, selectivity estimates) changes while one
-    object lives, which is one :meth:`LayoutAdvisor.propose` call.
+    object lives, which is one :meth:`LayoutAdvisor.propose` call.  The
+    counted specs of a (cover, clause) pair depend on the layout epoch
+    only, so ``carried`` hands over the previous phase's.
     """
 
     def __init__(
@@ -216,6 +211,7 @@ class _Costing:
         advisor: "LayoutAdvisor",
         infos: Sequence[QueryInfo],
         extra_groups: Sequence[FrozenSet[str]] = (),
+        carried: Optional[Dict[Tuple[Tuple[int, ...], int], SpecCover]] = None,
     ) -> None:
         table = advisor.table
         self.bits = {
@@ -239,6 +235,8 @@ class _Costing:
             _Pattern(info, self, multi, singles) for info in infos
         ]
         self._memo: Dict[Tuple[int, Tuple[Tuple[int, ...], ...]], float] = {}
+        self._specs: Dict[Tuple[Tuple[int, ...], int], SpecCover] = {}
+        self._carried = carried or {}
 
     def mask(self, attrs: Iterable[str]) -> int:
         bits = self.bits
@@ -280,16 +278,14 @@ class _Costing:
         costs: List[float] = []
         for cover in variants:
             specs = (
-                self._group_specs(cover, pattern.select),
-                self._group_specs(cover, pattern.where),
+                self._spec_cover(cover, pattern.select),
+                self._spec_cover(cover, pattern.where),
             )
             # Mirror the planner's fused_allowed rule: anchored by a
             # tuple-bearing group, few singleton streams, few streams.
-            fused_singles = sum(1 for mask in cover if not mask & (mask - 1))
-            if (
-                len(cover) <= MAX_FUSED_STREAMS
-                and fused_singles <= MAX_FUSED_SINGLES
-                and fused_singles < len(cover)
+            if len(cover) <= MAX_FUSED_STREAMS and (
+                sum(1 for mask in cover if not mask & (mask - 1))
+                <= min(MAX_FUSED_SINGLES, len(cover) - 1)
             ):
                 costs.append(self.cost_model.fused_cost(info, *specs))
             costs.append(self.cost_model.late_cost(info, *specs))
@@ -299,15 +295,33 @@ class _Costing:
             )
         return min(costs)
 
-    def _group_specs(
-        self, cover: Sequence[int], needed: int
-    ) -> Tuple[GroupSpec, ...]:
-        return tuple(
-            GroupSpec.of(_popcount(mask), _popcount(needed & mask),
-                         self.num_rows)
-            for mask in cover
-            if needed & mask
-        )
+    def _spec_cover(self, cover: Tuple[int, ...], needed: int) -> SpecCover:
+        """The accesses ``cover`` makes for the ``needed`` attributes,
+        counted once per (cover, needed) pair and layout epoch.  Equal
+        specs are counted on their (width, useful) pair, which keeps the
+        first-seen order a ``Counter`` of the specs would."""
+        key = (cover, needed)
+        specs = self._specs.get(key)
+        if specs is None:
+            specs = self._carried.get(key)
+            if specs is None:
+                counts: Dict[Tuple[int, int], int] = {}
+                order: List[GroupSpec] = []
+                for mask in cover:
+                    useful = needed & mask
+                    if useful:
+                        shape = (_popcount(mask), _popcount(useful))
+                        order.append(GroupSpec.of(*shape, self.num_rows))
+                        counts[shape] = counts.get(shape, 0) + 1
+                specs = SpecCover(
+                    order,
+                    tuple(
+                        (GroupSpec.of(*shape, self.num_rows), count)
+                        for shape, count in counts.items()
+                    ),
+                )
+            self._specs[key] = specs
+        return specs
 
 
 class LayoutAdvisor:
@@ -322,6 +336,14 @@ class LayoutAdvisor:
         self.table = table
         self.cost_model = cost_model
         self.config = config or EngineConfig()
+        #: Analyzer facts of the last phase's window shapes, keyed like
+        #: the phase's weighted patterns (the key includes the rendered
+        #: SQL, so equal keys analyze identically).
+        self._infos: Dict[tuple, QueryInfo] = {}
+        #: The last phase's per-epoch facts: (layout epoch, counted
+        #: cover specs, group build costs).  A phase keeps only what it
+        #: used, so neither grows past one phase's working set.
+        self._epoch_facts: Tuple[int, dict, dict] = (-1, {}, {})
 
     def query_cost(
         self, info: QueryInfo, extra_groups: Sequence[FrozenSet[str]] = ()
@@ -384,10 +406,20 @@ class LayoutAdvisor:
                 entry[1] += 1
         infos: List[QueryInfo] = []
         weights: List[int] = []
-        for query, count in weighted.values():
-            infos.append(analyze_query(query, self.table.schema))
+        known = self._infos
+        self._infos = {}
+        for key, (query, count) in weighted.items():
+            info = known.get(key)
+            if info is None:
+                info = analyze_query(query, self.table.schema)
+            self._infos[key] = info
+            infos.append(info)
             weights.append(count)
-        costing = _Costing(self, infos)
+        epoch = self.table.layout_epoch
+        carried_epoch, carried_specs, carried_builds = self._epoch_facts
+        if carried_epoch != epoch:
+            carried_specs, carried_builds = {}, {}
+        costing = _Costing(self, infos, carried=carried_specs)
         patterns = costing.patterns
 
         existing = {layout.attr_set for layout in self.table.layouts}
@@ -429,7 +461,9 @@ class LayoutAdvisor:
         def build_cost(group: FrozenSet[str]) -> float:
             cached = build_cost_memo.get(group)
             if cached is None:
-                cached = self._build_cost(group)
+                cached = carried_builds.get(group)
+                if cached is None:
+                    cached = self._build_cost(group)
                 build_cost_memo[group] = cached
             return cached
 
@@ -543,4 +577,5 @@ class LayoutAdvisor:
                 )
             )
         candidates_out.sort(key=lambda c: -c.expected_gain)
+        self._epoch_facts = (epoch, costing._specs, build_cost_memo)
         return candidates_out

@@ -9,7 +9,7 @@ selection vector, independently of the projection groups.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,69 +17,48 @@ from ..storage.schema import Schema
 
 
 class AffinityMatrix:
-    """Symmetric co-access counts over a schema's attributes."""
+    """Symmetric co-access counts over a schema's attributes.
 
-    def __init__(self, schema: Schema) -> None:
+    ``patterns`` maps attribute sets to how often they were accessed
+    together; the matrix is their weighted sum of outer products, built
+    in one product (counts are integers, so the sum is exact in any
+    order).  The monitor derives both of its matrices this way when
+    adaptation reads them, instead of updating a grid per query.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        patterns: Optional[Mapping[FrozenSet[str], int]] = None,
+    ) -> None:
         self.schema = schema
         self._index = {name: i for i, name in enumerate(schema.names)}
-        self._matrix = np.zeros((schema.width, schema.width), dtype=np.float64)
-        #: Per-pattern fancy-index cache: a recurring workload updates
-        #: the matrix with the same handful of attribute sets on every
-        #: query, so the ``np.ix_`` grids are memoized per frozenset.
-        self._ix_cache: Dict[FrozenSet[str], tuple] = {}
-        #: Whether a removal may have driven cells below zero (float
-        #: drift).  Clamping is deferred to the next *read* — the write
-        #: path runs once per query, the read paths run at adaptation
-        #: time only.
-        self._dirty = False
-
-    def _clamped(self) -> np.ndarray:
-        if self._dirty:
-            np.maximum(self._matrix, 0.0, out=self._matrix)
-            self._dirty = False
-        return self._matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The raw (width × width) count matrix (diagonal = frequency)."""
-        return self._clamped()
-
-    def add(self, attrs: Iterable[str], weight: float = 1.0) -> None:
-        """Record one access touching ``attrs`` together."""
-        grid = None
-        if isinstance(attrs, frozenset):
-            grid = self._ix_cache.get(attrs)
-        if grid is None:
-            positions = [
-                self._index[name] for name in attrs if name in self._index
-            ]
-            if not positions:
-                return
-            idx = np.array(positions, dtype=np.intp)
-            grid = np.ix_(idx, idx)
-            if isinstance(attrs, frozenset):
-                self._ix_cache[attrs] = grid
-        self._matrix[grid] += weight
-
-    def remove(self, attrs: Iterable[str], weight: float = 1.0) -> None:
-        """Forget one previously recorded access (window eviction)."""
-        self.add(attrs, -weight)
-        self._dirty = True
+        self.matrix = np.zeros((schema.width, schema.width), dtype=np.float64)
+        if patterns:
+            incidence = np.zeros(
+                (len(patterns), schema.width), dtype=np.float64
+            )
+            counts = np.empty(len(patterns), dtype=np.float64)
+            for row, (attrs, count) in enumerate(patterns.items()):
+                for name in attrs:
+                    position = self._index.get(name)
+                    if position is not None:
+                        incidence[row, position] = 1.0
+                counts[row] = count
+            self.matrix = incidence.T @ (incidence * counts[:, None])
 
     def affinity(self, first: str, second: str) -> float:
         """Co-access count of two attributes."""
-        return float(
-            self._clamped()[self._index[first], self._index[second]]
-        )
+        return float(self.matrix[self._index[first], self._index[second]])
 
     def frequency(self, attr: str) -> float:
         """How often ``attr`` was accessed at all."""
         position = self._index[attr]
-        return float(self._clamped()[position, position])
+        return float(self.matrix[position, position])
 
     def hot_attributes(self, limit: int = 0) -> List[Tuple[str, float]]:
         """Attributes by access frequency, hottest first."""
-        matrix = self._clamped()
+        matrix = self.matrix
         pairs = [
             (name, float(matrix[i, i]))
             for name, i in self._index.items()
@@ -95,31 +74,49 @@ class AffinityMatrix:
         the advisor: attributes whose pairwise affinity clears the
         threshold land in the same cluster.  Components are listed in
         schema order of their first accessed attribute (the advisor's
-        seed order, which breaks its ties).
+        seed order, which breaks its ties).  The search runs on one
+        integer adjacency mask per attribute.
         """
         names = self.schema.names
-        matrix = self._clamped()
+        matrix = self.matrix
         # Edges come from the upper triangle, mirrored: an undirected
-        # graph even if float drift left the matrix slightly asymmetric.
+        # graph even if the matrix was written asymmetric.
         upper = np.triu(matrix >= min_affinity, k=1)
-        linked = upper | upper.T
-        seen = np.zeros(len(names), dtype=bool)
+        packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+        adjacency: Dict[int, int] = {}
+
+        def neighbours(node: int) -> int:
+            mask = adjacency.get(node)
+            if mask is None:
+                mask = adjacency[node] = int.from_bytes(
+                    packed[node].tobytes(), "little"
+                )
+            return mask
+
+        seen = 0
         components: List[FrozenSet[str]] = []
-        for start in np.flatnonzero(np.diagonal(matrix) > 0):
-            if seen[start]:
+        for start in np.flatnonzero(np.diagonal(matrix) > 0).tolist():
+            if seen >> start & 1:
                 continue
-            member = np.zeros(len(names), dtype=bool)
-            member[start] = True
-            frontier = member.copy()
-            while frontier.any():
-                frontier = linked[frontier].any(axis=0) & ~member
+            member = frontier = 1 << start
+            while frontier:
+                reach = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    reach |= neighbours(bit.bit_length() - 1)
+                    frontier ^= bit
+                frontier = reach & ~member
                 member |= frontier
             seen |= member
-            components.append(
-                frozenset(names[k] for k in np.flatnonzero(member))
-            )
+            components.append(frozenset(_names_of(member, names)))
         return components
 
-    def reset(self) -> None:
-        self._matrix[:] = 0.0
-        self._dirty = False
+
+def _names_of(mask: int, names: Sequence[str]) -> List[str]:
+    """The names whose positions are set in ``mask``."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(names[bit.bit_length() - 1])
+        mask ^= bit
+    return out

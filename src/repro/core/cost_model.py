@@ -25,7 +25,7 @@ from ..errors import CostModelError
 from ..execution.strategies import AccessPlan, ExecutionStrategy
 from ..execution.strategies import (
     MIN_EINSUM_SUMS,
-    narrowest_provider,
+    narrowest_providers,
     read_whole,
 )
 from ..sql.analyzer import QueryInfo
@@ -82,6 +82,32 @@ class GroupSpec:
         return spec
 
 
+class SpecCover:
+    """The GroupSpecs of one cover, in order, with their multiplicities.
+
+    Eq. 2 charges equal accesses once times their count, in first-seen
+    order (``counted``), and a few terms walk the accesses in order
+    (``specs``).  Building the pairs once per cover lets the advisor
+    price one cover against many strategies without recounting it.
+    """
+
+    __slots__ = ("specs", "counted")
+
+    def __init__(
+        self,
+        specs: Sequence[GroupSpec],
+        counted: Optional[Tuple[Tuple[GroupSpec, int], ...]] = None,
+    ) -> None:
+        self.specs = tuple(specs)
+        self.counted = (
+            tuple(Counter(self.specs).items()) if counted is None else counted
+        )
+
+    @classmethod
+    def of(cls, cover: "Sequence[GroupSpec] | SpecCover") -> "SpecCover":
+        return cover if isinstance(cover, SpecCover) else cls(cover)
+
+
 class SelectivityEstimator:
     """Predicate selectivity: heuristics refined by observed feedback.
 
@@ -97,6 +123,9 @@ class SelectivityEstimator:
             raise CostModelError(f"blend must be in (0, 1], got {blend}")
         self._observed: Dict[str, float] = {}
         self._blend = blend
+        #: Heuristic estimates by predicate key: a function of the
+        #: masked predicate alone, so computed once per shape.
+        self._heuristics: Dict[str, float] = {}
 
     def observe(self, key: str, selectivity: float) -> None:
         """Fold one observed qualifying fraction into the history."""
@@ -127,9 +156,15 @@ class SelectivityEstimator:
         """Estimated qualifying fraction of ``predicate``."""
         if predicate is None:
             return 1.0
-        if key and key in self._observed:
-            return self._observed[key]
-        return self._heuristic(predicate)
+        if not key:
+            return self._heuristic(predicate)
+        observed = self._observed.get(key)
+        if observed is not None:
+            return observed
+        heuristic = self._heuristics.get(key)
+        if heuristic is None:
+            heuristic = self._heuristics[key] = self._heuristic(predicate)
+        return heuristic
 
     def _heuristic(self, predicate: Expr) -> float:
         if isinstance(predicate, Comparison):
@@ -257,18 +292,17 @@ class CostModel:
 
     @staticmethod
     def _predicate_key(info: QueryInfo) -> str:
-        if info.query.where is None:
-            return ""
-        from ..codegen.exprc import masked_sql
-
-        return masked_sql(info.query.where)
+        """The masked predicate (the shape signature's, cached on the
+        query); "" without a WHERE clause."""
+        return info.query.shape_signature().masked_where or ""
 
     def _selection(
         self,
         info: QueryInfo,
-        cover: Sequence[GroupSpec],
-        where_cover: Sequence[GroupSpec],
+        cover: SpecCover,
+        where_cover: SpecCover,
         scan_fraction: float,
+        selectivity: float,
     ) -> Tuple[float, float]:
         """(cost, qualifying rows) of the selection phase both kernels
         share, over the morsels that survive zone-map pruning: one
@@ -277,25 +311,26 @@ class CostModel:
         when no SELECT column is fetched (COUNT(*)), a byte per row to
         count the bitmap."""
         m = self.machine
-        num_rows = where_cover[0].num_rows if where_cover else 0
+        num_rows = where_cover.specs[0].num_rows if where_cover.specs else 0
         compares = sum(
             count * self.column_stride_access(spec)
-            for spec, count in Counter(where_cover).items()
+            for spec, count in where_cover.counted
         )
-        per_row = m.cpu_per_word if cover else 1.0 / m.io_bandwidth
+        per_row = m.cpu_per_word if cover.specs else 1.0 / m.io_bandwidth
         per_row += max(0, len(info.query.predicates) - 1) / m.io_bandwidth
-        selectivity = self._query_shape(info)[0]
         return (
             scan_fraction * (compares + num_rows * per_row),
             selectivity * num_rows,
         )
 
-    def _in_place(self, info: QueryInfo, cover: Sequence[GroupSpec]) -> float:
+    def _in_place(
+        self, info: QueryInfo, cover: SpecCover, ops: int, reductions: int
+    ) -> float:
         """An unfiltered kernel, either strategy: every useful column is
         read where it lies, one (strided) pass each, then consumed."""
-        _, ops, reductions, _ = self._query_shape(info)
-        total = sum(self.column_stride_access(spec) for spec in cover)
-        num_rows = cover[0].num_rows if cover else 0
+        specs = cover.specs
+        total = sum(self.column_stride_access(spec) for spec in specs)
+        num_rows = specs[0].num_rows if specs else 0
         return total + self._consume(info, num_rows, ops, reductions)
 
     def _consume(
@@ -314,8 +349,8 @@ class CostModel:
     def fused_cost(
         self,
         info: QueryInfo,
-        cover: Sequence[GroupSpec],
-        where_cover: Sequence[GroupSpec],
+        cover: "Sequence[GroupSpec] | SpecCover",
+        where_cover: "Sequence[GroupSpec] | SpecCover",
         scan_fraction: float = 1.0,
     ) -> float:
         """Eq. 2 for the generated fused kernel.
@@ -334,13 +369,15 @@ class CostModel:
         predicate phase only: every qualifying tuple lives in a surviving
         morsel.
         """
-        _, ops, reductions, sums = self._query_shape(info)
+        cover = SpecCover.of(cover)
+        selectivity, ops, reductions, sums = self._query_shape(info)
         m = self.machine
         if info.has_predicate:
             total, qualifying = self._selection(
-                info, cover, where_cover, scan_fraction
+                info, cover, SpecCover.of(where_cover), scan_fraction,
+                selectivity,
             )
-            for spec, count in Counter(cover).items():
+            for spec, count in cover.counted:
                 if _dense(spec):
                     # A position per row, then the whole tuple copied.
                     cost = qualifying * (
@@ -356,13 +393,14 @@ class CostModel:
                         cost += self.column_stride_access(spec)
                 total += count * cost
             return total + self._consume(info, qualifying, ops, reductions)
+        specs = cover.specs
         if (
             ops == 0
             and not info.is_aggregation
-            and len(cover) == 1
-            and cover[0].width > 1
+            and len(specs) == 1
+            and specs[0].width > 1
         ):
-            spec = cover[0]
+            spec = specs[0]
             write = self.intermediate(spec.num_rows * len(info.query.select))
             if spec.useful == spec.width:
                 return 2.0 * write
@@ -370,8 +408,8 @@ class CostModel:
             pieces = math.ceil(spec.useful * m.word_bytes / m.cache_line_bytes)
             row = GroupSpec.of(spec.width, 1, spec.num_rows)
             return pieces * self.gather_access(row, spec.num_rows) + write
-        total = self._in_place(info, cover)
-        for spec in cover:
+        total = self._in_place(info, cover, ops, reductions)
+        for spec in specs:
             if sums and _dense(spec):
                 # The one pass replaces the summed columns' passes and
                 # reductions; the sums are taken to read such layouts
@@ -389,8 +427,8 @@ class CostModel:
     def late_cost(
         self,
         info: QueryInfo,
-        cover: Sequence[GroupSpec],
-        where_cover: Sequence[GroupSpec],
+        cover: "Sequence[GroupSpec] | SpecCover",
+        where_cover: "Sequence[GroupSpec] | SpecCover",
         scan_fraction: float = 1.0,
     ) -> float:
         """Eq. 2 for the generated late-materialization kernel.
@@ -403,29 +441,37 @@ class CostModel:
         ``scan_fraction`` scales the predicate phase as in
         :meth:`fused_cost`.
         """
+        cover = SpecCover.of(cover)
+        selectivity, ops, reductions, _ = self._query_shape(info)
         if not info.has_predicate:
-            return self._in_place(info, cover)
-        _, ops, reductions, _ = self._query_shape(info)
+            return self._in_place(info, cover, ops, reductions)
         total, qualifying = self._selection(
-            info, cover, where_cover, scan_fraction
+            info, cover, SpecCover.of(where_cover), scan_fraction,
+            selectivity,
         )
-        for spec, count in Counter(cover).items():
+        for spec, count in cover.counted:
             total += count * self.gather_access(spec, qualifying)
         return total + self._consume(info, qualifying, ops, reductions)
 
     # Concrete-plan costing -------------------------------------------------------
 
     @staticmethod
-    def _specs_for_layouts(
-        layouts, attrs: Iterable[str]
-    ) -> Tuple[GroupSpec, ...]:
-        """GroupSpecs for concrete layouts, each attribute charged to its
-        narrowest provider (the binding the generated kernels use)."""
-        useful = Counter(narrowest_provider(layouts, attr) for attr in attrs)
-        return tuple(
-            GroupSpec.of(layouts[i].width, count, layouts[i].num_rows)
-            for i, count in sorted(useful.items())
-        )
+    def _plan_specs(
+        layouts, select_attrs: Iterable[str], where_attrs: Iterable[str]
+    ) -> Tuple[SpecCover, SpecCover]:
+        """SpecCovers of a concrete plan's SELECT and WHERE accesses, each
+        attribute charged to its narrowest provider (the binding the
+        generated kernels use)."""
+        provider = narrowest_providers(layouts)
+
+        def specs(attrs: Iterable[str]) -> SpecCover:
+            useful = Counter(provider[attr] for attr in attrs)
+            return SpecCover(
+                GroupSpec.of(layouts[i].width, count, layouts[i].num_rows)
+                for i, count in sorted(useful.items())
+            )
+
+        return specs(select_attrs), specs(where_attrs)
 
     def plan_cost(
         self,
@@ -446,8 +492,9 @@ class CostModel:
         )
         return price(
             info,
-            self._specs_for_layouts(plan.layouts, info.select_attrs),
-            self._specs_for_layouts(plan.layouts, info.where_attrs),
+            *self._plan_specs(
+                plan.layouts, info.select_attrs, info.where_attrs
+            ),
             scan_fraction,
         )
 

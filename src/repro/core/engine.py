@@ -87,7 +87,6 @@ from ..execution.strategies import AccessPlan, enumerate_plans
 from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
-from ..sql.signature import literal_extractor
 from ..storage.relation import LayoutSnapshot, Table
 from .adaptation_policy import AdaptationPolicy
 from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
@@ -428,12 +427,14 @@ class H2OEngine:
         # deferred candidate now clears its hedged threshold, and only
         # the cold path below can trigger its materialization (the
         # shape's cached plan would otherwise shortcut past it forever).
+        # Eager builds happen in adaptation phases, so only the lazy
+        # discipline needs the bypass.
         ripe = self.policy.observe(
             query.select_attributes,
             query.where_attributes,
             self.candidates,
             index,
-        )
+        ) and self.config.materialization == "lazy"
 
         # Pin the physical state this query will plan and scan against.
         snapshot = self.table.snapshot()
@@ -606,12 +607,26 @@ class H2OEngine:
             if self.config.materialization == "eager":
                 # The ablation discipline: build every proposal now,
                 # offline, instead of fusing creation with a query.
+                # Builds pass the switching policy's gate and are
+                # ledgered like online ones; a deferred proposal stays
+                # pooled, accruing benefit, until a later phase builds
+                # it (at hedge 0 the gate is always open).
+                deferred = []
                 for candidate in self.candidates:
-                    if candidate.expected_gain > 0:
-                        self.manager.build_group(
-                            candidate.attrs, query_index=index
-                        )
-                self.candidates = []
+                    if candidate.expected_gain <= 0:
+                        continue
+                    if self.table.find_group(candidate.attrs) is not None:
+                        continue
+                    if not self.policy.allow_materialization(
+                        candidate, index
+                    ):
+                        deferred.append(candidate)
+                        continue
+                    self.manager.build_group(
+                        candidate.attrs, query_index=index
+                    )
+                    self.policy.note_materialized(candidate, index)
+                self.candidates = deferred
             pool_after = {
                 c.ledger_key: (c.frequency, c.expected_gain)
                 for c in self.candidates
@@ -879,8 +894,9 @@ class H2OEngine:
             entry.plan_desc,
             deadline_check,
             kernel=entry.kernel,
-            params=entry.extract_params(query) if compiled else (),
+            params=query.literals if compiled else (),
             codegen_cache_hit=compiled,
+            zone_bounds=entry.zone_bounds,
         )
         phases["execute"] = (
             phases.get("execute", 0.0) + time.perf_counter() - t0
@@ -938,11 +954,7 @@ class H2OEngine:
                 is_aggregation=info.is_aggregation,
                 has_predicate=info.has_predicate,
                 kernel=stats.kernel,
-                extract_params=(
-                    literal_extractor(query)
-                    if stats.kernel is not None
-                    else None
-                ),
+                zone_bounds=stats.zone_bounds,
                 cost_estimate=prep.cost,
                 predicate_key=predicate_key,
                 selectivity=self.selectivity.estimate(
@@ -1008,8 +1020,8 @@ class H2OEngine:
         Captured under the engine lock, so it is consistent with one
         instant of query processing.  The affinity matrices are *not*
         serialized directly: they are an exact function of the windowed
-        queries (integer co-access counts, maintained add/remove
-        symmetric), so persisting the window's SQL and replaying it
+        queries (integer co-access counts derived from the window's
+        pattern counts), so persisting the window's SQL and replaying it
         through a fresh :class:`Monitor` reproduces them bit-for-bit.
         ``warmup_sql`` carries one representative query per recently
         executed shape so recovery can re-populate the plan and operator

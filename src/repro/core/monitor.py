@@ -4,8 +4,10 @@ H2O "uses a dynamic window of N queries to monitor the access patterns
 of the incoming queries" and keeps "statistics about attribute usage and
 frequency of attributes accessed together" in two affinity matrices
 (paper section 3.2).  The monitor maintains exactly that: a bounded
-deque of query signatures, the two matrices updated incrementally on
-entry/eviction, and pattern frequencies the advisor consumes.
+deque of queries and per-clause pattern counts updated on
+entry/eviction.  The two matrices are derived from those counts when
+adaptation reads them: every query moves a counter, and only the
+advisor, once per phase, pays for a matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ class Monitor:
         self.schema = schema
         self.capacity = capacity
         self._window: Deque[Query] = deque()
-        self.select_affinity = AffinityMatrix(schema)
-        self.where_affinity = AffinityMatrix(schema)
         self._select_patterns: Counter = Counter()
         self._where_patterns: Counter = Counter()
         #: Whole-query attribute sets, maintained incrementally so that
@@ -56,10 +56,8 @@ class Monitor:
         self.queries_seen += 1
         self._window.append(query)
         if signature.select_attrs:
-            self.select_affinity.add(signature.select_attrs)
             self._select_patterns[signature.select_attrs] += 1
         if signature.where_attrs:
-            self.where_affinity.add(signature.where_attrs)
             self._where_patterns[signature.where_attrs] += 1
         if query.attributes:
             self._access_sets[query.attributes] += 1
@@ -71,12 +69,10 @@ class Monitor:
         evicted_query = self._window.popleft()
         evicted = evicted_query.signature()
         if evicted.select_attrs:
-            self.select_affinity.remove(evicted.select_attrs)
             self._select_patterns[evicted.select_attrs] -= 1
             if self._select_patterns[evicted.select_attrs] <= 0:
                 del self._select_patterns[evicted.select_attrs]
         if evicted.where_attrs:
-            self.where_affinity.remove(evicted.where_attrs)
             self._where_patterns[evicted.where_attrs] -= 1
             if self._where_patterns[evicted.where_attrs] <= 0:
                 del self._where_patterns[evicted.where_attrs]
@@ -96,6 +92,16 @@ class Monitor:
 
     def __len__(self) -> int:
         return len(self._window)
+
+    @property
+    def select_affinity(self) -> AffinityMatrix:
+        """SELECT-clause co-access over the window (derived on read)."""
+        return AffinityMatrix(self.schema, self._select_patterns)
+
+    @property
+    def where_affinity(self) -> AffinityMatrix:
+        """WHERE-clause co-access over the window (derived on read)."""
+        return AffinityMatrix(self.schema, self._where_patterns)
 
     @property
     def window(self) -> Tuple[Query, ...]:

@@ -13,9 +13,10 @@ selectivities changed.
 This module caches the whole decision: a
 :class:`~repro.sql.signature.QueryShapeSignature` maps to the chosen
 :class:`AccessPlan`, the resolved (already compiled) kernel, the
-analyzer facts needed to interpret results, and a prebound
-parameter-extraction function.  A repeat query becomes
-``signature → cached plan → kernel call with fresh literals``.
+analyzer facts needed to interpret results, and the predicate's
+zone-map tests bound to the plan's layouts.  A repeat query becomes
+``signature → cached plan → kernel call with its own (cached)
+literals``.
 
 Invalidation is layered:
 
@@ -48,9 +49,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..execution.strategies import AccessPlan
-from ..sql.query import Query
 from ..sql.signature import QueryShapeSignature
 from ..sql.types import DataType
+from ..storage.zonemap import ZoneBounds
 
 
 @dataclass
@@ -73,8 +74,10 @@ class CachedPlan:
     #: Compiled kernel (``None`` when the engine runs interpreted; the
     #: fast lane then reuses the cached plan but executes generically).
     kernel: Optional[Callable] = None
-    #: Prebound literal extractor: query -> canonical parameter tuple.
-    extract_params: Optional[Callable[[Query], Tuple[object, ...]]] = None
+    #: The predicate's zone-map tests bound to ``plan``'s layouts
+    #: (``None`` when zone maps are off); a repeat tests its own
+    #: literals against them.
+    zone_bounds: Optional[ZoneBounds] = None
     #: Eq. 2 estimate the plan was chosen with.
     cost_estimate: float = 0.0
     #: Masked predicate key for the selectivity estimator ("" if none).

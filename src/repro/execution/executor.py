@@ -21,6 +21,7 @@ import numpy as np
 from ..config import EngineConfig
 from ..errors import CodegenError
 from ..sql.analyzer import QueryInfo
+from ..storage.zonemap import ZoneBounds
 from .evaluator import (
     AggregateAccumulator,
     collect_aggregates,
@@ -63,9 +64,11 @@ class ExecStats:
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
-    #: The compiled kernel that ran (``None`` when interpreted); the
-    #: engine's plan cache replays it for repeats of the shape.
+    #: The compiled kernel that ran (``None`` when interpreted) and the
+    #: zone-map binding the scan pruned with; the engine's plan cache
+    #: replays both for repeats of the shape.
     kernel: Optional[Callable] = None
+    zone_bounds: Optional[ZoneBounds] = None
     #: Degradation evidence: a compile failed and the interpreted path
     #: answered instead / the engine's circuit breaker was open, so no
     #: compile was attempted.
@@ -181,6 +184,7 @@ class Executor:
         params: Tuple[object, ...] = (),
         codegen_seconds: float = 0.0,
         codegen_cache_hit: bool = False,
+        zone_bounds: Optional[ZoneBounds] = None,
     ) -> Tuple[QueryResult, ExecStats]:
         """Scan ``plan``'s layouts morsel by morsel — the one scan driver.
 
@@ -190,6 +194,8 @@ class Executor:
         per morsel.  The cold generated path, the codegen fallback and
         the engine's fast lane (cached kernel, fresh literals) all end
         here, so they differ only in where their inputs come from.
+        ``zone_bounds`` is the shape's zone-map binding over the plan's
+        layouts when the caller kept one; otherwise the scan binds it.
         """
         layouts = plan.layouts
         if kernel is not None:
@@ -212,7 +218,8 @@ class Executor:
 
         pool = self._pool()
         mp = plan_morsels(
-            info, layouts, layouts[0].num_rows, self.config, pool
+            info, layouts, layouts[0].num_rows, self.config, pool,
+            zone_bounds,
         )
         result, qualifying, intermediate, used = run_morsels(
             runner, info, mp, pool, deadline_check
@@ -229,6 +236,7 @@ class Executor:
             morsels_pruned=mp.morsels_pruned,
             scan_threads_used=used,
             kernel=kernel,
+            zone_bounds=mp.bounds,
         )
         return result, stats
 

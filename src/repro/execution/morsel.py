@@ -39,11 +39,12 @@ from ..sql.analyzer import QueryInfo
 from ..sql.expressions import AggregateFunc
 from ..storage.layout import Layout
 from ..storage.zonemap import (
+    ZoneBounds,
+    bind_zone_bounds,
     conjunct_bounds,
     ensure_attr_stats,
     morsel_ranges,
     num_morsels_for,
-    prune_mask,
 )
 from .evaluator import collect_aggregates, finalize_output
 from .parallel import ScanPool
@@ -66,35 +67,36 @@ class MorselPlan:
     morsels_total: int
     morsels_pruned: int
     want_threads: int  # 1 = the loop runs on the caller alone
+    #: The zone-map binding the ranges were pruned with (None when zone
+    #: maps are off); the plan cache keeps it for the shape's repeats.
+    bounds: Optional[ZoneBounds] = None
 
 
-def keep_mask_for(
+def zone_bounds_for(
     info: QueryInfo,
     layouts: Sequence[Layout],
     num_rows: int,
     morsel_rows: int,
-) -> Optional[np.ndarray]:
-    """Per-morsel keep mask from zone maps, or None when nothing prunes.
+) -> ZoneBounds:
+    """Bind ``info``'s predicate to the zone maps of ``layouts``.
 
     Stats are resolved per predicate attribute from its narrowest
     providing layout — the first of equally narrow ones (all layouts are
     row-aligned, so any provider's stats are equally valid) — and built
     lazily on first consultation.  Providers are found in one pass over
-    ``layouts``: a planner's snapshot holds every column and group.
+    ``layouts``: a planner's snapshot holds every column and group.  The
+    binding depends only on the query's shape and the (immutable)
+    layouts, so the engine's plan cache keeps one per entry.
     """
-    if not info.has_predicate:
-        return None
+    num = num_morsels_for(num_rows, morsel_rows)
+    if not info.has_predicate or num == 0:
+        return ZoneBounds(num, ())
     predicates = info.query.predicates
     bounded = {
         bounds[0]
         for bounds in map(conjunct_bounds, predicates)
         if bounds is not None
     }
-    if not bounded:
-        return None
-    num = num_morsels_for(num_rows, morsel_rows)
-    if num == 0:
-        return None
     narrowest: Dict[str, Layout] = {}
     for layout in layouts:
         for attr in layout.attr_set & bounded:
@@ -108,7 +110,19 @@ def keep_mask_for(
             return None
         return ensure_attr_stats(layout, attr, morsel_rows)
 
-    return prune_mask(num, predicates, stats_for)
+    return bind_zone_bounds(num, predicates, stats_for)
+
+
+def keep_mask_for(
+    info: QueryInfo,
+    layouts: Sequence[Layout],
+    num_rows: int,
+    morsel_rows: int,
+) -> Optional[np.ndarray]:
+    """Per-morsel keep mask from zone maps, or None when nothing prunes."""
+    return zone_bounds_for(info, layouts, num_rows, morsel_rows).keep(
+        info.query.literals
+    )
 
 
 def plan_morsels(
@@ -117,19 +131,24 @@ def plan_morsels(
     num_rows: int,
     config: EngineConfig,
     pool: ScanPool,
+    bounds: Optional[ZoneBounds] = None,
 ) -> MorselPlan:
     """Which morsels an attribute-bearing query scans, on how many threads.
 
     An empty table has zero ranges and a small one a single range; the
     scan fans out as soon as two morsels survive pruning and both the
-    pool and ``max_scan_threads`` allow a second thread.
+    pool and ``max_scan_threads`` allow a second thread.  ``bounds`` is
+    the shape's zone-map binding over ``layouts`` when the caller kept
+    one (the fast lane); otherwise it is bound here.
     """
     ranges = morsel_ranges(num_rows, config.morsel_rows)
-    keep = (
-        keep_mask_for(info, layouts, num_rows, config.morsel_rows)
-        if config.zone_maps
-        else None
-    )
+    keep = None
+    if config.zone_maps:
+        if bounds is None:
+            bounds = zone_bounds_for(
+                info, layouts, num_rows, config.morsel_rows
+            )
+        keep = bounds.keep(info.query.literals)
     surviving = (
         ranges if keep is None else [ranges[i] for i in np.flatnonzero(keep)]
     )
@@ -139,6 +158,7 @@ def plan_morsels(
         morsels_total=len(ranges),
         morsels_pruned=len(ranges) - len(surviving),
         want_threads=max(1, min(cap, len(surviving))),
+        bounds=bounds,
     )
 
 

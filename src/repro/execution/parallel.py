@@ -138,6 +138,8 @@ class ScanPool:
         )
         self._spawned = 0
         self._idle = 0
+        self._threads: List[threading.Thread] = []
+        self._closed = False
 
     # Load accounting --------------------------------------------------
 
@@ -180,7 +182,9 @@ class ScanPool:
             # The caller occupies one slot; other busy external workers
             # occupy theirs; granted helpers occupy the rest.
             occupied = 1 + max(0, external - 1) + self._reserved
-            available = max(0, self.max_threads - occupied)
+            available = (
+                0 if self._closed else max(0, self.max_threads - occupied)
+            )
             extra = min(want - 1, available)
             self._reserved += extra
         return ScanGrant(self, extra)
@@ -202,6 +206,7 @@ class ScanPool:
                     name=f"h2o-scan-{self._spawned}",
                     daemon=True,
                 )
+                self._threads.append(thread)
                 thread.start()
         self._tasks.put(task)
 
@@ -214,10 +219,24 @@ class ScanPool:
             finally:
                 with self._lock:
                     self._idle -= 1
+            if task is None:
+                return  # close(): one sentinel per helper
             try:
                 task()
             except Exception:  # noqa: BLE001 - tasks report their own errors
                 pass
+
+    def close(self) -> None:
+        """Stop the idle helper threads: one sentinel per spawned helper,
+        then join them.  Later grants carry no helpers, so a scan on a
+        closed pool runs serially on its caller."""
+        with self._lock:
+            self._closed = True
+            threads, self._threads = self._threads, []
+        for _ in threads:
+            self._tasks.put(None)
+        for thread in threads:
+            thread.join()
 
     def snapshot(self) -> Dict[str, int]:
         """Introspection for stats/health endpoints (defensive copy)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from typing import TYPE_CHECKING, Union
 
@@ -66,18 +66,19 @@ def fused_allowed(layouts: Sequence[Layout]) -> bool:
     return singles < len(layouts)  # at least one tuple-bearing layout
 
 
-def narrowest_provider(layouts: Sequence[Layout], attr: str) -> Optional[int]:
-    """Index of the layout the kernels read ``attr`` from: its narrowest
-    provider, the first on ties (``None`` when no layout has it).  The
-    code generator binds attributes with it and the cost model prices
-    the same binding."""
-    candidates = [
-        index for index, layout in enumerate(layouts)
-        if attr in layout.attr_set
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda index: layouts[index].width)
+def narrowest_providers(layouts: Sequence[Layout]) -> Dict[str, int]:
+    """Attribute → index of the layout the kernels read it from: its
+    narrowest provider, the first on ties.  One pass per plan; the code
+    generator binds attributes with it and the cost model prices the
+    same binding."""
+    providers: Dict[str, int] = {}
+    for index, layout in enumerate(layouts):
+        width = layout.width
+        for attr in layout.attrs:
+            best = providers.get(attr)
+            if best is None or width < layouts[best].width:
+                providers[attr] = index
+    return providers
 
 
 def read_whole(useful: int, width: int) -> bool:

@@ -44,6 +44,7 @@ from ..resilience.budget import TokenBucket
 from ..resilience.health import HealthReport
 from ..resilience.supervisor import Supervisor
 from ..sql.parser import parse_query
+from ..util import faultpoints
 from ..util.faultpoints import fault_point
 from ..sql.query import Query
 from ..storage.relation import Table
@@ -566,12 +567,17 @@ class H2OService:
         # *outside* the per-query exception scope, so the raise escapes
         # to the worker loop's death handler (the ticket is requeued or
         # failed there; the watchdog replaces the thread).
-        fault_point("service.worker", query=ticket.query.to_sql())
+        # The SQL is rendered for the injector's records only, so a
+        # serving path without one never renders it.
+        injecting = faultpoints.active() is not None
+        if injecting:
+            fault_point("service.worker", query=ticket.query.to_sql())
         try:
             # Injectable failure site: a per-query failure inside the
             # execution scope (the testkit injects QueryTimeoutError to
             # model a forced timeout); retried below when transient.
-            fault_point("service.execute", query=ticket.query.to_sql())
+            if injecting:
+                fault_point("service.execute", query=ticket.query.to_sql())
             report = self.system.execute(
                 ticket.query, deadline=ticket.deadline
             )

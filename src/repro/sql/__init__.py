@@ -35,7 +35,6 @@ from .builder import QueryBuilder
 from .analyzer import analyze_query, QueryInfo
 from .signature import (
     QueryShapeSignature,
-    literal_extractor,
     masked_sql,
     query_literals,
     shape_signature,
@@ -62,7 +61,6 @@ __all__ = [
     "analyze_query",
     "QueryInfo",
     "QueryShapeSignature",
-    "literal_extractor",
     "masked_sql",
     "query_literals",
     "shape_signature",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, Tuple, Union
+from typing import FrozenSet, Iterator, List, Tuple, Union
 
 from ..errors import AnalysisError
 
@@ -80,8 +80,32 @@ class Expr:
     __slots__ = ()
 
     def columns(self) -> FrozenSet[str]:
-        """Names of all attributes referenced anywhere in this subtree."""
-        return frozenset(ref.name for ref in self.column_refs())
+        """Names of all attributes referenced anywhere in this subtree.
+
+        An explicit stack, not nested generators: a WHERE clause of k
+        AND-ed conjuncts is a k-deep tree, and ``yield from`` chains
+        cost O(k^2) per walk on the engine's per-query path.
+        """
+        names = []
+        stack: List[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is ColumnRef:
+                names.append(node.name)
+            elif kind is Literal:
+                continue
+            elif kind is Not:
+                stack.append(node.child)
+            elif kind is Aggregate:
+                if node.arg is not None:
+                    stack.append(node.arg)
+            elif kind is Comparison or kind is BooleanOp or kind is Arithmetic:
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                names.extend(ref.name for ref in node.column_refs())
+        return frozenset(names)
 
     def column_refs(self) -> Iterator["ColumnRef"]:
         """Yield every :class:`ColumnRef` leaf in this subtree."""
@@ -340,6 +364,15 @@ def flatten_conjuncts(predicate: "Expr | None") -> Tuple[Expr, ...]:
     """Split a predicate into its top-level AND-ed factors."""
     if predicate is None:
         return ()
-    if isinstance(predicate, BooleanOp):
-        return tuple(predicate.conjuncts())
-    return (predicate,)
+    # Left to right, iteratively (see ``Expr.columns``): the order
+    # ``BooleanOp.conjuncts`` yields.
+    factors = []
+    stack = [predicate]
+    while stack:
+        node = stack.pop()
+        if type(node) is BooleanOp and node.op is BoolConnective.AND:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            factors.append(node)
+    return tuple(factors)

@@ -182,6 +182,16 @@ class Query:
         """Top-level AND-ed conjuncts of the WHERE clause."""
         return flatten_conjuncts(self.where)
 
+    @cached_property
+    def literals(self) -> Tuple[object, ...]:
+        """The canonical runtime-parameter vector (see
+        :func:`repro.sql.signature.query_literals`): one AST walk per
+        query, shared by the shape signature, the code generator and the
+        fast lane's kernel call."""
+        from .signature import collect_literals
+
+        return tuple(collect_literals(self))
+
     @property
     def aggregate_calls(self) -> Tuple[Aggregate, ...]:
         """All aggregate nodes in the SELECT clause, in output order."""

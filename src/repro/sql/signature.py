@@ -11,11 +11,9 @@ truth for that equivalence:
   by ``?`` (pre-order, matching the parameter-collection order of the
   code generator);
 - :func:`query_literals` extracts a query's literal values in exactly
-  that canonical order, so a kernel compiled for one member of a shape
+  that canonical order (walked once per query and cached as
+  ``Query.literals``), so a kernel compiled for one member of a shape
   class can be invoked with any other member's constants;
-- :func:`literal_extractor` prebinds the traversal decisions (is the
-  query an aggregation?) into a reusable extraction function — the
-  per-repeat work is a single AST walk;
 - :func:`shape_signature` produces the hashable
   :class:`QueryShapeSignature` that keys the engine's plan cache.
 
@@ -44,44 +42,46 @@ from .expressions import (
 from .query import Query
 
 
-#: Per-node-type renderers: a single exact-type dict lookup replaces a
-#: chain of ``isinstance`` checks on a path the fast lane walks for every
-#: repeat query (lookup-key construction and parameter extraction).
-_MASKERS: Dict[type, Callable[[Expr], str]] = {
-    Literal: lambda expr: "?",
-    ColumnRef: lambda expr: expr.name,
-    Arithmetic: lambda expr: (
-        f"({masked_sql(expr.left)} {expr.op.value} "
-        f"{masked_sql(expr.right)})"
-    ),
-    Comparison: lambda expr: (
-        f"{masked_sql(expr.left)} {expr.op.value} "
-        f"{masked_sql(expr.right)}"
-    ),
-    BooleanOp: lambda expr: (
-        f"({masked_sql(expr.left)} {expr.op.value.upper()} "
-        f"{masked_sql(expr.right)})"
-    ),
-    Not: lambda expr: f"NOT ({masked_sql(expr.child)})",
-    Aggregate: lambda expr: (
-        f"{expr.func.value}"
-        f"({'*' if expr.arg is None else masked_sql(expr.arg)})"
-    ),
-}
-
-
-def masked_sql(expr: Expr) -> str:
+def masked_sql(
+    expr: Expr, column: Optional[Callable[[str], str]] = None
+) -> str:
     """Render ``expr`` with every literal replaced by ``?``.
 
     Pre-order traversal matching the compiler's parameter collection
     order, so two expressions with equal masked SQL bind their parameter
-    vectors compatibly — this string is the structural part of both the
-    operator-cache key and the plan-cache signature.
+    vectors compatibly — this string is the structural part of the
+    plan-cache signature.  ``column`` respells attribute names (the
+    operator cache spells them as the kernel's column slots).  The
+    fast lane renders every repeat query's signature, so dispatch is an
+    exact-type chain and operators are spelled from ``Enum._value_``
+    (no descriptor call per node).
     """
-    masker = _MASKERS.get(type(expr))
-    if masker is None:
-        raise AnalysisError(f"cannot mask {expr!r}")
-    return masker(expr)
+    kind = type(expr)
+    if kind is Literal:
+        return "?"
+    if kind is ColumnRef:
+        return expr.name if column is None else column(expr.name)
+    if kind is Comparison:
+        return (
+            f"{masked_sql(expr.left, column)} {expr.op._value_} "
+            f"{masked_sql(expr.right, column)}"
+        )
+    if kind is BooleanOp:
+        return (
+            f"({masked_sql(expr.left, column)} "
+            f"{expr.op._value_.upper()} {masked_sql(expr.right, column)})"
+        )
+    if kind is Arithmetic:
+        return (
+            f"({masked_sql(expr.left, column)} {expr.op._value_} "
+            f"{masked_sql(expr.right, column)})"
+        )
+    if kind is Aggregate:
+        arg = "*" if expr.arg is None else masked_sql(expr.arg, column)
+        return f"{expr.func._value_}({arg})"
+    if kind is Not:
+        return f"NOT ({masked_sql(expr.child, column)})"
+    raise AnalysisError(f"cannot mask {expr!r}")
 
 
 def _walk_literals(expr: Expr, out: List[object]) -> None:
@@ -103,6 +103,13 @@ def _walk_literals(expr: Expr, out: List[object]) -> None:
         raise AnalysisError(f"cannot collect literals from {expr!r}")
 
 
+def literal_count(expr: Expr) -> int:
+    """How many canonical-vector slots ``expr``'s literals take."""
+    literals: List[object] = []
+    _walk_literals(expr, literals)
+    return len(literals)
+
+
 def _unique_aggregates(query: Query) -> Tuple[Aggregate, ...]:
     """Unique aggregate nodes across the outputs, in first-seen order.
 
@@ -117,7 +124,8 @@ def _unique_aggregates(query: Query) -> Tuple[Aggregate, ...]:
     return tuple(seen.keys())
 
 
-def _collect(query: Query, is_aggregation: bool) -> List[object]:
+def collect_literals(query: Query) -> List[object]:
+    """One pre-order literal walk; prefer the cached ``Query.literals``."""
     literals: List[object] = []
     for conjunct in query.predicates:
         _walk_literals(conjunct, literals)
@@ -126,7 +134,7 @@ def _collect(query: Query, is_aggregation: bool) -> List[object]:
     # scan driver finalizes the output expressions from the query itself.
     for expr in (
         _unique_aggregates(query)
-        if is_aggregation
+        if query.is_aggregation
         else [out.expr for out in query.select]
     ):
         _walk_literals(expr, literals)
@@ -139,25 +147,10 @@ def query_literals(query: Query) -> List[object]:
     The order mirrors template emission exactly: predicate conjuncts
     first (pre-order each), then — for aggregations — the unique
     aggregate arguments in collection order; for projections, the
-    output expressions in order.
+    output expressions in order.  Two queries of one shape signature
+    bind a kernel compiled for either with their own vector.
     """
-    return _collect(query, query.is_aggregation)
-
-
-def literal_extractor(query: Query) -> Callable[[Query], Tuple[object, ...]]:
-    """A prebound parameter-extraction function for ``query``'s shape.
-
-    The returned callable maps any query of the *same shape signature*
-    to its parameter tuple in canonical order; the shape-dependent
-    traversal decisions (aggregation vs. projection) are bound once, so
-    a fast-lane repeat pays a single literal walk and nothing else.
-    """
-    is_aggregation = query.is_aggregation
-
-    def extract(repeat: Query) -> Tuple[object, ...]:
-        return tuple(_collect(repeat, is_aggregation))
-
-    return extract
+    return list(query.literals)
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ def shape_signature(query: Query) -> QueryShapeSignature:
         masked_sql(query.where) if query.where is not None else None
     )
     param_types = tuple(
-        type(value).__name__ for value in query_literals(query)
+        type(value).__name__ for value in query.literals
     )
     return QueryShapeSignature(
         table=query.table,

@@ -30,6 +30,7 @@ isolation the concurrent query service builds on.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +41,7 @@ from .column_group import ColumnGroup
 from .column_layout import SingleColumn
 from .layout import Layout, LayoutKind
 from .row_layout import build_row_layout
-from .schema import Schema
+from .schema import Schema, popcount
 
 
 class LayoutSnapshot:
@@ -63,6 +64,7 @@ class LayoutSnapshot:
         "num_rows",
         "layouts",
         "_attr_index",
+        "_masks",
     )
 
     def __init__(
@@ -79,6 +81,9 @@ class LayoutSnapshot:
         self.num_rows = num_rows
         self.layouts: Tuple[Layout, ...] = tuple(layouts)
         self._attr_index: Optional[Dict[str, List[Layout]]] = None
+        self._masks: Optional[
+            Tuple[Dict[str, int], Tuple[Tuple[Layout, int, int], ...]]
+        ] = None
 
     # Attribute index -----------------------------------------------------
 
@@ -92,6 +97,26 @@ class LayoutSnapshot:
                     index[attr].append(layout)
             self._attr_index = index
         return index
+
+    def _bitmasks(
+        self,
+    ) -> Tuple[Dict[str, int], Tuple[Tuple[Layout, int, int], ...]]:
+        """(attr → bit, (layout, mask, width) narrowest first), lazily.
+
+        Bit ``i`` is schema position ``i``; layouts keep the attribute
+        index's order (stable by width).
+        """
+        masks = self._masks
+        if masks is None:
+            bits = {name: 1 << i for i, name in enumerate(self.schema.names)}
+            ordered = []
+            for layout in sorted(self.layouts, key=lambda l: l.width):
+                mask = 0
+                for attr in layout.attrs:
+                    mask |= bits[attr]
+                ordered.append((layout, mask, layout.width))
+            masks = self._masks = (bits, tuple(ordered))
+        return masks
 
     # Access --------------------------------------------------------------
 
@@ -109,48 +134,62 @@ class LayoutSnapshot:
         attributes with the least useless width — the same preference
         order H2O's planner uses when the perfect group is absent
         (section 4.2.2: subsets of groups and multi-group access).
+        Covers are attribute bitmasks, one per layout per snapshot.
         """
-        needed = set(attrs)
-        if not needed:
+        bits, ordered = self._bitmasks()
+        remaining = 0
+        unknown = set()
+        for attr in attrs:
+            bit = bits.get(attr)
+            if bit is None:
+                unknown.add(attr)
+            else:
+                remaining |= bit
+        if unknown:
+            raise LayoutError(f"unknown attributes: {sorted(unknown)}")
+        if not remaining:
             # Attribute-free queries (a bare ``SELECT count(*)``) still
             # need a row count from *some* layout; the narrowest does.
             if not self.layouts:
                 return ()
             return (min(self.layouts, key=lambda l: l.width),)
-        unknown = [a for a in needed if a not in self.schema]
-        if unknown:
-            raise LayoutError(f"unknown attributes: {sorted(unknown)}")
-        index = self._index()
         # Only layouts that store at least one needed attribute matter.
-        # They are collected in schema order: the greedy pass below keeps
-        # the first of equal-key layouts, so iterating the ``needed`` set
-        # would make ties — and the plan — follow string-hash order.
-        relevant: List[Layout] = []
-        seen: set = set()
-        for attr in self.schema.ordered(needed):
-            for layout in index[attr]:
-                if id(layout) not in seen:
-                    seen.add(id(layout))
-                    relevant.append(layout)
+        # The greedy takes the layout covering most of what remains,
+        # then the narrower, then the earlier in schema order of the
+        # first needed attribute it stores (narrowest first among
+        # those): ties — and the plan — never follow string-hash order.
+        # A layout's coverage only shrinks as attributes are covered, so
+        # a heap of (−covered, width, rank) keys needs re-scoring only
+        # for the entries it pops (lazy greedy; the rank makes every
+        # key distinct, so the pick is exactly the scan's).
+        relevant = sorted(
+            (entry for entry in ordered if entry[1] & remaining),
+            key=lambda entry: (entry[1] & remaining) & -(entry[1] & remaining),
+        )
+        heap = [
+            (-popcount(mask & remaining), width, rank, mask, layout)
+            for rank, (layout, mask, width) in enumerate(relevant)
+        ]
+        heapq.heapify(heap)
         chosen: List[Layout] = []
-        while needed:
-            best: Optional[Layout] = None
-            best_key: Tuple[float, float] = (-1.0, 0.0)
-            for layout in relevant:
-                covered = len(needed & layout.attr_set)
-                if covered == 0:
-                    continue
-                key = (float(covered), -float(layout.width))
-                if key > best_key:
-                    best_key = key
-                    best = layout
-            if best is None:
+        while remaining:
+            if not heap:
                 raise LayoutError(
-                    f"attributes not stored anywhere: {sorted(needed)}"
+                    "attributes not stored anywhere: "
+                    f"{sorted(self._names_of(remaining))}"
                 )
-            chosen.append(best)
-            needed -= best.attr_set
+            negative, width, rank, mask, layout = heapq.heappop(heap)
+            covered = popcount(mask & remaining)
+            if covered == -negative:
+                chosen.append(layout)
+                remaining &= ~mask
+            elif covered:
+                heapq.heappush(heap, (-covered, width, rank, mask, layout))
         return tuple(chosen)
+
+    def _names_of(self, mask: int) -> List[str]:
+        names = self.schema.names
+        return [names[i] for i in range(len(names)) if mask >> i & 1]
 
     def narrowest_cover(self, attrs: Iterable[str]) -> Tuple[Layout, ...]:
         """Per-attribute narrowest providers (the column-store-ish cover).

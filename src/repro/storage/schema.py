@@ -16,6 +16,15 @@ from ..errors import SchemaError
 from ..sql.types import DataType
 
 
+try:
+    popcount = int.bit_count  # Python >= 3.10
+except AttributeError:  # pragma: no cover - Python 3.9
+
+    def popcount(mask: int) -> int:
+        """Set bits in an attribute bitmask."""
+        return bin(mask).count("1")
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One named, typed, fixed-width attribute."""
@@ -35,7 +44,7 @@ class Attribute:
 class Schema:
     """Ordered, immutable collection of uniquely named attributes."""
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("_attributes", "_index", "_names")
 
     def __init__(self, attributes: Iterable[Attribute]) -> None:
         attrs = tuple(attributes)
@@ -48,6 +57,7 @@ class Schema:
             index[attr.name] = position
         self._attributes = attrs
         self._index = index
+        self._names = tuple(attr.name for attr in attrs)
 
     # Constructors -------------------------------------------------------
 
@@ -70,7 +80,7 @@ class Schema:
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(attr.name for attr in self._attributes)
+        return self._names
 
     @property
     def width(self) -> int:

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..errors import LayoutError
 from ..sql.expressions import ColumnRef, Comparison, ComparisonOp, Expr, Literal
+from ..sql.signature import literal_count
 from .layout import Layout
 
 
@@ -352,48 +353,102 @@ def conjunct_bounds(
     return None
 
 
-def _rule(
-    op: ComparisonOp, mins: np.ndarray, maxs: np.ndarray, value: float
-) -> np.ndarray:
-    """Boolean keep-mask: True where the morsel *may* hold a match."""
-    if op is ComparisonOp.LT:
-        return mins < value
-    if op is ComparisonOp.LE:
-        return mins <= value
-    if op is ComparisonOp.GT:
-        return maxs > value
-    if op is ComparisonOp.GE:
-        return maxs >= value
-    if op is ComparisonOp.EQ:
-        return (mins <= value) & (maxs >= value)
-    if op is ComparisonOp.NE:
-        return ~((mins == value) & (maxs == value))
-    raise LayoutError(f"unknown comparison operator: {op}")  # pragma: no cover
+class ZoneBounds:
+    """A conjunction's zone-map tests bound to one layout set.
+
+    Binding resolves, once, everything a query shape fixes: which
+    conjuncts normalize to ``column <op> literal``, where each literal
+    sits in the query's canonical literal vector, and the ``(mins,
+    maxs)`` rows each test reads.  :meth:`keep` then tests all literals
+    of one query in one vectorised comparison per rule family.  Every
+    rule is rewritten as ``row < v`` or ``row <= v`` — ``maxs > v`` is
+    ``-maxs < -v`` and ``EQ`` is both ``mins <= v`` and ``-maxs <= -v``
+    — over float64 rows, which is how NumPy compares an int64 or float64
+    column with a Python float.  Only ``NE`` keeps its own test.
+    """
+
+    __slots__ = ("num_morsels", "_rules", "_ne")
+
+    def __init__(
+        self,
+        num_morsels: int,
+        tests: Sequence[Tuple[int, ComparisonOp, np.ndarray, np.ndarray]],
+    ) -> None:
+        self.num_morsels = num_morsels
+        # (literal slot, sign, row) per family, and (slot, mins, maxs)
+        # for NE.
+        lt: List[Tuple[int, float, np.ndarray]] = []
+        le: List[Tuple[int, float, np.ndarray]] = []
+        ne: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        for slot, op, mins, maxs in tests:
+            low = mins.astype(np.float64)
+            high = maxs.astype(np.float64)
+            if op is ComparisonOp.LT:
+                lt.append((slot, 1.0, low))
+            elif op is ComparisonOp.LE:
+                le.append((slot, 1.0, low))
+            elif op is ComparisonOp.GT:
+                lt.append((slot, -1.0, -high))
+            elif op is ComparisonOp.GE:
+                le.append((slot, -1.0, -high))
+            elif op is ComparisonOp.EQ:
+                le += [(slot, 1.0, low), (slot, -1.0, -high)]
+            else:
+                ne.append((slot, low, high))
+        self._rules = []
+        for compare, family in ((np.less, lt), (np.less_equal, le)):
+            if family:
+                slots, signs, rows = zip(*family)
+                signs = np.array(signs)[:, None]
+                self._rules.append((compare, slots, signs, np.stack(rows)))
+        self._ne = None
+        if ne:
+            slots, low, high = zip(*ne)
+            self._ne = (slots, np.stack(low), np.stack(high))
+
+    def __bool__(self) -> bool:
+        """Whether any conjunct is bound (else nothing can prune)."""
+        return bool(self._rules) or self._ne is not None
+
+    def keep(self, literals: Sequence[object]) -> Optional[np.ndarray]:
+        """Per-morsel keep mask for one query's ``literals`` (its
+        canonical literal vector), or None when nothing is bound."""
+        if not self:
+            return None
+        keep = np.ones(self.num_morsels, dtype=bool)
+        for compare, slots, signs, rows in self._rules:
+            values = np.array([float(literals[i]) for i in slots])[:, None]
+            keep &= compare(rows, signs * values).all(axis=0)
+        if self._ne is not None:
+            slots, low, high = self._ne
+            values = np.array([float(literals[i]) for i in slots])[:, None]
+            keep &= ~((low == values) & (high == values)).any(axis=0)
+        return keep
 
 
-def prune_mask(
+def bind_zone_bounds(
     num_morsels: int,
     conjuncts: Iterable[Expr],
     stats_for: Callable[[str], Optional[Tuple[np.ndarray, np.ndarray]]],
-) -> np.ndarray:
-    """Per-morsel keep mask for a conjunctive predicate.
+) -> ZoneBounds:
+    """Bind a conjunctive predicate's zone-map tests.
 
     ``stats_for(attr)`` supplies ``(mins, maxs)`` arrays (or None when
-    the attribute has no stats).  Conjuncts that cannot be normalized and
-    attributes without stats keep every morsel — pruning only ever
-    removes morsels a simple bound proves empty.
+    the attribute has no stats).  Conjuncts that cannot be normalized,
+    attributes without stats and stats of another granularity (stale)
+    bind nothing — pruning only ever removes morsels a simple bound
+    proves empty.  Each literal's slot is its index in the canonical
+    literal vector (``Query.literals``): conjuncts come first there, in
+    order, each pre-order.
     """
-    keep = np.ones(num_morsels, dtype=bool)
+    tests = []
+    slot = 0
     for conjunct in conjuncts:
         normalized = conjunct_bounds(conjunct)
-        if normalized is None:
-            continue
-        attr, op, value = normalized
-        stats = stats_for(attr)
-        if stats is None:
-            continue
-        mins, maxs = stats
-        if mins.shape[0] != num_morsels:
-            continue  # stale / mismatched granularity: prune nothing
-        keep &= _rule(op, mins, maxs, value)
-    return keep
+        if normalized is not None:
+            attr, op, _ = normalized
+            stats = stats_for(attr)
+            if stats is not None and stats[0].shape[0] == num_morsels:
+                tests.append((slot, op, stats[0], stats[1]))
+        slot += literal_count(conjunct)
+    return ZoneBounds(num_morsels, tests)

@@ -444,7 +444,9 @@ PATHS: Tuple[OraclePath, ...] = (
         end_checks=(_ZONES, _POLICY),
     ),
     OraclePath(
-        "adaptive-eager", dict(materialization="eager"), end_checks=(_ZONES,)
+        "adaptive-eager",
+        dict(materialization="eager"),
+        end_checks=(_ZONES, _POLICY),
     ),
 )
 

@@ -304,8 +304,9 @@ class TestGeneratorIntegration:
 
 
 class TestOneCompilePerSource:
-    """Operator keys name attributes, generated source does not, so many
-    keys share one source text — and compile it once."""
+    """Operator keys spell attributes as column slots, as the generated
+    source does, so queries over different attributes share one key —
+    and each source is generated and compiled once."""
 
     @staticmethod
     def run_fig7(monkeypatch, config, num_queries=200):
@@ -339,12 +340,13 @@ class TestOneCompilePerSource:
         engine, generated, compiled = self.run_fig7(
             monkeypatch, EngineConfig()
         )
-        assert len(set(generated)) < len(generated)  # sharing is possible
+        cold = sum(
+            1 for r in engine.reports if r.used_codegen and not r.plan_cache_hit
+        )
+        assert len(generated) < cold  # keys are shared across attributes
         assert len(compiled) == len(set(compiled)) == len(set(generated))
         # Shared kernels keep the oracle's key/source audit true.
-        entries = engine.executor.operator_cache.entries()
-        assert len({id(entry.kernel) for _, entry in entries}) < len(entries)
-        for _, entry in entries:
+        for _, entry in engine.executor.operator_cache.entries():
             assert entry.kernel.__h2o_source__ == entry.source
 
     def test_disabled_cache_compiles_every_generation(self, monkeypatch):

@@ -252,3 +252,162 @@ class TestOpsCounter:
     def test_counts_inside_aggregates(self):
         expr = parse_query("SELECT sum(a + b) FROM r").select[0].expr
         assert count_arithmetic_ops(expr) == 1
+
+
+# ---------------------------------------------------------------------------
+# Counted specs price exactly like the Counter-based terms they replaced
+# ---------------------------------------------------------------------------
+
+
+class CounterCostModel(CostModel):
+    """The Eq. 2 terms as they were before covers were counted once:
+    every call builds a ``Counter`` of its (plain tuple) covers."""
+
+    def _selection(self, info, cover, where_cover, scan_fraction):
+        from collections import Counter
+
+        m = self.machine
+        num_rows = where_cover[0].num_rows if where_cover else 0
+        compares = sum(
+            count * self.column_stride_access(spec)
+            for spec, count in Counter(where_cover).items()
+        )
+        per_row = m.cpu_per_word if cover else 1.0 / m.io_bandwidth
+        per_row += max(0, len(info.query.predicates) - 1) / m.io_bandwidth
+        selectivity = self._query_shape(info)[0]
+        return (
+            scan_fraction * (compares + num_rows * per_row),
+            selectivity * num_rows,
+        )
+
+    def _in_place(self, info, cover):
+        _, ops, reductions, _ = self._query_shape(info)
+        total = sum(self.column_stride_access(spec) for spec in cover)
+        num_rows = cover[0].num_rows if cover else 0
+        return total + self._consume(info, num_rows, ops, reductions)
+
+    def fused_cost(self, info, cover, where_cover, scan_fraction=1.0):
+        import math
+        from collections import Counter
+
+        from repro.core.cost_model import _dense
+        from repro.execution.strategies import MIN_EINSUM_SUMS
+
+        _, ops, reductions, sums = self._query_shape(info)
+        m = self.machine
+        if info.has_predicate:
+            total, qualifying = self._selection(
+                info, cover, where_cover, scan_fraction
+            )
+            for spec, count in Counter(cover).items():
+                if _dense(spec):
+                    cost = qualifying * (
+                        m.cpu_per_word
+                        + 2.0 * spec.width * m.word_bytes / m.io_bandwidth
+                    )
+                else:
+                    cost = spec.useful * self.gather_access(
+                        GroupSpec.of(1, 1, spec.num_rows), qualifying
+                    )
+                    if spec.width > 1:
+                        cost += self.column_stride_access(spec)
+                total += count * cost
+            return total + self._consume(info, qualifying, ops, reductions)
+        if (
+            ops == 0
+            and not info.is_aggregation
+            and len(cover) == 1
+            and cover[0].width > 1
+        ):
+            spec = cover[0]
+            write = self.intermediate(spec.num_rows * len(info.query.select))
+            if spec.useful == spec.width:
+                return 2.0 * write
+            pieces = math.ceil(spec.useful * m.word_bytes / m.cache_line_bytes)
+            row = GroupSpec.of(spec.width, 1, spec.num_rows)
+            return pieces * self.gather_access(row, spec.num_rows) + write
+        total = self._in_place(info, cover)
+        for spec in cover:
+            if sums and _dense(spec):
+                summed = min(sums, spec.useful)
+                sums -= summed
+                if summed < MIN_EINSUM_SUMS:
+                    continue
+                per_column = spec.num_rows * (
+                    m.cpu_per_word + self.per_value(spec.width)
+                )
+                total += self.sequential_access(spec) - summed * per_column
+        return total
+
+    def late_cost(self, info, cover, where_cover, scan_fraction=1.0):
+        from collections import Counter
+
+        if not info.has_predicate:
+            return self._in_place(info, cover)
+        _, ops, reductions, _ = self._query_shape(info)
+        total, qualifying = self._selection(
+            info, cover, where_cover, scan_fraction
+        )
+        for spec, count in Counter(cover).items():
+            total += count * self.gather_access(spec, qualifying)
+        return total + self._consume(info, qualifying, ops, reductions)
+
+
+_PRICED_SQL = (
+    "SELECT sum(a1), sum(a2), sum(a3), sum(a4), sum(a5) FROM r",
+    "SELECT sum(a1 + a2), max(a3) FROM r WHERE a4 < 5 AND a5 > 1",
+    "SELECT a1, a2, a3 FROM r",
+    "SELECT a1 * 2, a2 FROM r WHERE a3 < 0",
+    "SELECT count(*) FROM r WHERE a1 < 3 AND a2 < 4 AND a3 > 1",
+    "SELECT avg(a1), min(a2) FROM r WHERE a3 = 7",
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counted_specs_price_like_counters(seed):
+    """Random covers, duplicates spread out so first-seen order matters,
+    priced both from plain tuples and from the advisor's counted covers:
+    every estimate is ``float.hex``-equal to the Counter-based one."""
+    import random
+
+    from repro.core.advisor import LayoutAdvisor, _Costing
+    from repro.core.cost_model import SpecCover
+
+    rng = random.Random(seed)
+    table = generate_table("r", 8, 1000 + seed, rng=seed)
+    infos = [analyze_query(parse_query(sql), table.schema) for sql in _PRICED_SQL]
+    selectivity = SelectivityEstimator()
+    for info in infos[::2]:
+        selectivity.observe(CostModel._predicate_key(info), rng.random())
+    new = CostModel(selectivity=selectivity)
+    old = CounterCostModel(selectivity=selectivity)
+    costing = _Costing(LayoutAdvisor(table, new), infos)
+
+    def specs():
+        out = []
+        for _ in range(rng.randint(0, 6)):
+            width = rng.choice([1, 1, 2, 3, 8])
+            useful = rng.randint(1, width)
+            out.append(GroupSpec.of(width, useful, table.num_rows))
+        return tuple(out)
+
+    for _ in range(20):
+        cover, where = specs(), specs()
+        masks = tuple(rng.randrange(1, 256) for _ in range(rng.randint(1, 6)))
+        needed = rng.randrange(0, 256)
+        counted = costing._spec_cover(masks, needed)
+        for info in infos:
+            if info.has_predicate and not where:
+                continue
+            fraction = rng.choice([1.0, 0.5, 0.125])
+            for price in ("fused_cost", "late_cost"):
+                want = getattr(old, price)(info, cover, where, fraction)
+                got = getattr(new, price)(info, cover, where, fraction)
+                assert got.hex() == want.hex()
+                if not info.has_predicate or counted.specs:
+                    want = getattr(old, price)(info, counted.specs, counted.specs)
+                    got = getattr(new, price)(info, counted, counted)
+                    assert got.hex() == want.hex()
+                    assert got.hex() == getattr(new, price)(
+                        info, SpecCover(counted.specs), counted.specs
+                    ).hex()

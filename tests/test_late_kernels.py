@@ -23,7 +23,7 @@ from repro.execution.strategies import (
     AccessPlan,
     ExecutionStrategy,
     fused_allowed,
-    narrowest_provider,
+    narrowest_providers,
 )
 from repro.execution.vectorized import run_late_interpreted
 from repro.execution.volcano import VECTOR_ROWS, run_fused_interpreted
@@ -144,7 +144,8 @@ def cases(draw, strategy=ExecutionStrategy.LATE):
         layouts.append(table.layouts_containing(name)[0])
     draw(st.randoms()).shuffle(layouts)
     if fused:
-        picked = {narrowest_provider(layouts, a) for a in info.all_attrs}
+        providers = narrowest_providers(layouts)
+        picked = {providers[a] for a in info.all_attrs}
         layouts = [layouts[i] for i in sorted(picked)]
         assume(fused_allowed(layouts))
 

@@ -18,38 +18,40 @@ def q(sql):
 
 class TestAffinityMatrix:
     def test_co_access_counts(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        matrix.add(["a1", "a2"])
-        matrix.add(["a1", "a2", "a3"])
+        matrix = AffinityMatrix(
+            small_schema,
+            {frozenset({"a1", "a2"}): 1, frozenset({"a1", "a2", "a3"}): 1},
+        )
         assert matrix.affinity("a1", "a2") == 2
         assert matrix.affinity("a1", "a3") == 1
         assert matrix.affinity("a1", "a4") == 0
         assert matrix.frequency("a1") == 2
 
     def test_symmetry(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        matrix.add(["a1", "a5"])
+        matrix = AffinityMatrix(small_schema, {frozenset({"a1", "a5"}): 1})
         assert matrix.affinity("a1", "a5") == matrix.affinity("a5", "a1")
 
-    def test_remove_reverses_add(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        matrix.add(["a1", "a2"])
-        matrix.remove(["a1", "a2"])
-        assert matrix.affinity("a1", "a2") == 0
-        assert (matrix.matrix == 0).all()
+    def test_built_from_pattern_counts(self, small_schema):
+        counts = {frozenset({"a1", "a2"}): 2, frozenset({"a2", "a3"}): 1}
+        matrix = AffinityMatrix(small_schema, counts)
+        assert matrix.affinity("a1", "a2") == 2
+        assert matrix.affinity("a2", "a3") == 1
+        assert matrix.affinity("a1", "a3") == 0
+        assert matrix.frequency("a2") == 3
+        assert (matrix.matrix == matrix.matrix.T).all()
 
     def test_hot_attributes_ordering(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        for _ in range(3):
-            matrix.add(["a2"])
-        matrix.add(["a1"])
+        matrix = AffinityMatrix(
+            small_schema, {frozenset({"a2"}): 3, frozenset({"a1"}): 1}
+        )
         hot = matrix.hot_attributes()
         assert hot[0] == ("a2", 3.0)
 
     def test_clusters(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        matrix.add(["a1", "a2"])
-        matrix.add(["a3", "a4"])
+        matrix = AffinityMatrix(
+            small_schema,
+            {frozenset({"a1", "a2"}): 1, frozenset({"a3", "a4"}): 1},
+        )
         clusters = matrix.clusters(min_affinity=1.0)
         assert frozenset({"a1", "a2"}) in clusters
         assert frozenset({"a3", "a4"}) in clusters
@@ -99,8 +101,9 @@ class TestAffinityMatrix:
             )
 
     def test_unknown_attrs_ignored(self, small_schema):
-        matrix = AffinityMatrix(small_schema)
-        matrix.add(["a1", "zz"])  # zz silently skipped
+        matrix = AffinityMatrix(
+            small_schema, {frozenset({"a1", "zz"}): 1}  # zz silently skipped
+        )
         assert matrix.frequency("a1") == 1
 
 

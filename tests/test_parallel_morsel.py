@@ -8,8 +8,9 @@ Covers the PR 5 subsystem bottom-up:
 - **plan_morsels decisions** — every scan gets a morsel plan (one range
   for a one-morsel table, zero when everything is pruned); it fans out
   as soon as two morsels survive and two threads are allowed;
-- **prune_mask rules** — every comparison operator's keep rule,
-  literal-on-the-left normalization, conservative fallbacks, NaN;
+- **zone-bound rules** — every comparison operator's keep rule,
+  literal-on-the-left normalization, conservative fallbacks, NaN —
+  and the vectorised keep mask against the per-conjunct reference;
 - **zone-map exactness properties** (hypothesis) — built, extended
   (append), and stitched zone maps always equal brute-force per-morsel
   min/max, and a pruned morsel provably holds zero qualifying rows;
@@ -44,6 +45,8 @@ from repro.execution.parallel import ScanPool
 from repro.sql import parse_query
 from repro.sql.analyzer import analyze_query
 from repro.sql.expressions import (
+    Arithmetic,
+    ArithmeticOp,
     ColumnRef,
     Comparison,
     ComparisonOp,
@@ -52,16 +55,37 @@ from repro.sql.expressions import (
 from repro.storage import Schema, Table, generate_table
 from repro.storage.stitcher import stitch_group, stitch_single_columns
 from repro.storage.zonemap import (
+    bind_zone_bounds,
     cached_zone_maps,
     layout_zone_maps,
     morsel_ranges,
     num_morsels_for,
-    prune_mask,
 )
 
 
 def make_info(table: Table, sql: str):
     return analyze_query(parse_query(sql), table.schema)
+
+
+def prune_mask(num_morsels, conjuncts, stats_for):
+    """Bind ``conjuncts`` and test their own literals (which is what a
+    query of those conjuncts passes as its literal vector)."""
+    literals = []
+    for conjunct in conjuncts:
+        literals.extend(
+            node.value for node in _preorder(conjunct)
+            if isinstance(node, Literal)
+        )
+    keep = bind_zone_bounds(num_morsels, conjuncts, stats_for).keep(literals)
+    return np.ones(num_morsels, dtype=bool) if keep is None else keep
+
+
+def _preorder(expr):
+    yield expr
+    for child in ("left", "right", "child"):
+        node = getattr(expr, child, None)
+        if node is not None:
+            yield from _preorder(node)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +147,17 @@ class TestScanPool:
             used = grant.map_indexed(total, fn)
         assert used >= 1
         assert (hits == 1).all(), "an index was skipped or run twice"
+
+    def test_closed_pool_leaves_no_threads(self):
+        before = threading.active_count()
+        pool = ScanPool(max_threads=2)
+        with pool.acquire(2) as grant:
+            assert grant.map_indexed(8, lambda i: time.sleep(0.001)) == 2
+        assert threading.active_count() == before + 1
+        pool.close()
+        assert threading.active_count() == before
+        with pool.acquire(2) as grant:
+            assert grant.threads == 1  # closed: the caller scans alone
 
     def test_map_indexed_caps_helpers_at_work_items(self):
         pool = ScanPool(max_threads=8)
@@ -323,6 +358,100 @@ class TestPruneRules:
         assert mask.tolist() == [False, True]
 
 
+def reference_prune_mask(num_morsels, conjuncts, stats_for):
+    """The per-conjunct keep mask the vectorised ``ZoneBounds`` replaced:
+    normalize each conjunct, look its stats up, apply its rule."""
+    from repro.storage.zonemap import conjunct_bounds
+
+    keep = np.ones(num_morsels, dtype=bool)
+    for conjunct in conjuncts:
+        normalized = conjunct_bounds(conjunct)
+        if normalized is None:
+            continue
+        attr, op, value = normalized
+        stats = stats_for(attr)
+        if stats is None:
+            continue
+        mins, maxs = stats
+        if mins.shape[0] != num_morsels:
+            continue
+        if op is ComparisonOp.LT:
+            keep &= mins < value
+        elif op is ComparisonOp.LE:
+            keep &= mins <= value
+        elif op is ComparisonOp.GT:
+            keep &= maxs > value
+        elif op is ComparisonOp.GE:
+            keep &= maxs >= value
+        elif op is ComparisonOp.EQ:
+            keep &= (mins <= value) & (maxs >= value)
+        else:
+            keep &= ~((mins == value) & (maxs == value))
+    return keep
+
+
+_ZONE_ATTRS = ("a1", "a2", "a3")
+_BIG = 2**53
+
+
+@st.composite
+def zone_cases(draw):
+    num = draw(st.integers(1, 6))
+    values = st.one_of(
+        st.integers(-5, 5),
+        st.integers(_BIG - 3, _BIG + 3),
+        st.floats(-5, 5, width=32),
+        st.sampled_from([float("nan"), float("inf"), -0.0]),
+    )
+    stats = {}
+    for attr in _ZONE_ATTRS:
+        kind = draw(st.sampled_from(["int", "float", "stale", "none"]))
+        if kind == "none":
+            continue
+        length = num + 1 if kind == "stale" else num
+        raw = sorted(
+            draw(st.lists(values, min_size=2 * length, max_size=2 * length)),
+            key=lambda v: (v != v, v),
+        )
+        dtype = np.int64 if kind == "int" else np.float64
+        if dtype is np.int64:
+            raw = [int(v) if v == v and abs(v) != float("inf") else 0 for v in raw]
+        pairs = np.array(raw, dtype=dtype).reshape(length, 2)
+        stats[attr] = (pairs[:, 0].copy(), pairs[:, 1].copy())
+    conjuncts = []
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(list(ComparisonOp)))
+        column = ColumnRef(draw(st.sampled_from(_ZONE_ATTRS + ("zz",))))
+        literal = Literal(draw(values))
+        shape = draw(st.sampled_from(["left", "right", "columns", "nested"]))
+        if shape == "right":
+            conjuncts.append(Comparison(op, column, literal))
+        elif shape == "left":
+            conjuncts.append(Comparison(op, literal, column))
+        elif shape == "columns":
+            conjuncts.append(Comparison(op, column, ColumnRef("a1")))
+        else:
+            # A non-normalizable conjunct with literals of its own: the
+            # later conjuncts' literal slots must skip them.
+            inner = Arithmetic(ArithmeticOp.ADD, column, literal)
+            conjuncts.append(Comparison(op, inner, Literal(draw(values))))
+    return num, stats, conjuncts
+
+
+@given(zone_cases())
+@settings(max_examples=300, deadline=None)
+def test_vectorised_keep_mask_equals_per_conjunct_reference(case):
+    """All six operators, the literal on either side, int and float
+    stats (NaN, infinities, values past 2**53), stale stats, missing
+    stats and non-normalizable conjuncts: one vectorised comparison
+    keeps exactly the morsels the per-conjunct rules keep."""
+    num, stats, conjuncts = case
+    stats_for = stats.get
+    want = reference_prune_mask(num, conjuncts, stats_for)
+    got = prune_mask(num, conjuncts, stats_for)
+    assert got.tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Zone-map exactness properties (hypothesis)
 # ---------------------------------------------------------------------------
@@ -462,11 +591,23 @@ def parallel_config(**overrides) -> EngineConfig:
     return EngineConfig(**defaults)
 
 
+#: Pools the helpers below made; each test closes its own.
+_OPEN_POOLS = []
+
+
+@pytest.fixture(autouse=True)
+def _close_scan_pools():
+    yield
+    while _OPEN_POOLS:
+        _OPEN_POOLS.pop().close()
+
+
 def make_parallel_engine(table: Table, **overrides) -> H2OEngine:
     engine = H2OEngine(table, parallel_config(**overrides))
     # The container may expose a single core; inject a wider pool so
     # real helper threads run regardless of the host.
     engine.executor.scan_pool = ScanPool(max_threads=4)
+    _OPEN_POOLS.append(engine.executor.scan_pool)
     return engine
 
 

@@ -100,3 +100,108 @@ def test_forced_strategies_agree(case):
         fused = AccessPlan(ExecutionStrategy.FUSED, cover)
         result_fused, _ = executor.run_plan(info, fused)
         assert result_late.allclose(result_fused)
+
+
+#: One operator cache shared by every example below, so a key reused by
+#: a later case (another table, other attributes) must still name that
+#: case's exact source.
+_SHARED_CACHE = None
+
+
+@st.composite
+def slot_tables(draw, names):
+    """A table over ``names`` with drawn dtypes, base layout and groups."""
+    from repro.sql.types import DataType
+    from repro.storage.schema import Attribute
+
+    dtypes = [
+        draw(st.sampled_from([DataType.INT64, DataType.FLOAT64]))
+        for _ in names
+    ]
+    schema = Schema(Attribute(n, t) for n, t in zip(names, dtypes))
+    columns = {
+        n: np.arange(8).astype(t.value) for n, t in zip(names, dtypes)
+    }
+    layout = draw(st.sampled_from(["column", "row"]))
+    table = Table.from_columns("t", schema, columns, layout)
+    for _ in range(draw(st.integers(0, 2))):
+        # Slices of the schema: groups of different widths then share
+        # the positions of their common prefix.
+        start = draw(st.integers(0, len(names) - 2))
+        stop = draw(st.integers(start + 2, len(names)))
+        group = names[start:stop]
+        if table.find_group(group) is None:
+            built, _ = stitch_group(table.layouts, group, schema)
+            table.add_layout(built)
+    return table
+
+
+@st.composite
+def slot_queries(draw, names):
+    """Queries whose kernels depend on column dtypes and widths: chains
+    of arithmetic (in-place reuse), many plain SUMs (the dense einsum),
+    plain projections (the group copy), ints and floats mixed."""
+    from repro.sql.expressions import Arithmetic, ArithmeticOp, Literal
+
+    column = st.sampled_from(names).map(ColumnRef)
+    literal = st.one_of(st.integers(-5, 5), st.floats(-5, 5, width=32)).map(
+        Literal
+    )
+
+    @st.composite
+    def chain(draw):
+        expr = draw(column)
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from(list(ArithmeticOp)))
+            expr = Arithmetic(op, expr, draw(st.one_of(column, literal)))
+        return expr
+
+    builder = QueryBuilder("t")
+    shape = draw(st.sampled_from(["sums", "exprs", "project"]))
+    if shape == "sums":
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True)):
+            builder.select_sum(name)
+    elif shape == "exprs":
+        for _ in range(draw(st.integers(1, 3))):
+            builder.select_sum(draw(chain()))
+        builder.select_count()
+    else:
+        for _ in range(draw(st.integers(1, 4))):
+            builder.select(draw(st.one_of(column, chain())))
+    for _ in range(draw(st.integers(0, 2))):
+        builder.where(draw(column) < draw(literal).value)
+    return builder.build()
+
+
+_SLOT_NAMES = ("a1", "a2", "a3", "a4", "a5")
+
+
+@given(
+    slot_queries(_SLOT_NAMES),
+    st.lists(slot_tables(_SLOT_NAMES), min_size=3, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_slot_keyed_source_is_the_fresh_build(query, tables):
+    """Whatever key a (query, plan) pair hits in a shared cache, the
+    source it gets is exactly what ``build_source`` builds for it.  Each
+    example runs one query over tables that differ in dtypes, base
+    layout and groups, so keys collide often."""
+    global _SHARED_CACHE
+    from repro.codegen.cache import OperatorCache
+    from repro.codegen.generator import generate_operator
+    from repro.codegen.templates import build_source
+    from repro.execution.volcano import projection_dtype
+
+    if _SHARED_CACHE is None:
+        _SHARED_CACHE = OperatorCache(capacity=1 << 20)
+    for table in tables:
+        info = analyze_query(query, table.schema)
+        out_dtype = (
+            np.dtype(np.float64)
+            if info.is_aggregation
+            else projection_dtype(info)
+        )
+        for plan in enumerate_plans(table, info):
+            operator, _, _ = generate_operator(info, plan, _SHARED_CACHE)
+            assert operator.source == build_source(info, plan, out_dtype)[0]
+            assert operator.params == query.literals

@@ -1,11 +1,13 @@
 """Property tests for monitoring state under arbitrary event sequences."""
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.core.affinity import AffinityMatrix
 from repro.core.monitor import Monitor
 from repro.sql.builder import QueryBuilder
+from repro.sql.expressions import ColumnRef, Comparison, ComparisonOp, Literal
 from repro.storage import wide_schema
 
 SCHEMA = wide_schema(6)
@@ -21,17 +23,37 @@ attr_sets = st.lists(
 ).map(frozenset)
 
 
+class ReplayMatrix:
+    """The incrementally maintained matrix the monitor used to keep: a
+    grid add per entering query, a grid subtract per evicted one, and a
+    clamp at zero on read."""
+
+    def __init__(self, schema):
+        self._index = {name: i for i, name in enumerate(schema.names)}
+        self.matrix = np.zeros((schema.width, schema.width))
+
+    def add(self, attrs, weight=1.0):
+        positions = [self._index[n] for n in attrs if n in self._index]
+        if positions:
+            idx = np.array(positions, dtype=np.intp)
+            self.matrix[np.ix_(idx, idx)] += weight
+
+    def remove(self, attrs):
+        self.add(attrs, -1.0)
+        np.maximum(self.matrix, 0.0, out=self.matrix)
+
+
 @given(st.lists(attr_sets, max_size=40), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
 def test_window_stats_match_recomputation(observations, capacity):
-    """Incrementally maintained affinity == recomputed from the window."""
+    """The derived affinity matrix == a replay over the window."""
     monitor = Monitor(SCHEMA, capacity)
     for attrs in observations:
         monitor.observe(make_query(attrs))
 
     assert len(monitor) == min(capacity, len(observations))
 
-    fresh = AffinityMatrix(SCHEMA)
+    fresh = ReplayMatrix(SCHEMA)
     for query in monitor.window:
         fresh.add(query.select_attributes)
     assert (fresh.matrix == monitor.select_affinity.matrix).all()
@@ -60,15 +82,69 @@ def test_resize_never_corrupts(observations, resizes):
         }
 
 
-@given(st.lists(attr_sets, min_size=1, max_size=25))
-@settings(max_examples=40, deadline=None)
-def test_affinity_add_remove_inverse(observations):
-    matrix = AffinityMatrix(SCHEMA)
-    for attrs in observations:
-        matrix.add(attrs)
-    for attrs in observations:
-        matrix.remove(attrs)
-    assert (matrix.matrix == 0).all()
+def make_clause_query(select, where):
+    builder = QueryBuilder("r").select_columns(sorted(select))
+    for value, attr in enumerate(sorted(where)):
+        builder = builder.where(
+            Comparison(ComparisonOp.LT, ColumnRef(attr), Literal(value))
+        )
+    return builder.build()
+
+
+events = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"),
+            attr_sets,
+            st.sets(st.sampled_from(NAMES), max_size=3),
+        ),
+        st.tuples(st.just("resize"), st.integers(1, 10), st.just(frozenset())),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(events, st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_derived_affinity_matches_add_remove_replay(stream, capacity):
+    """Matrices derived from the pattern counts equal the add/remove
+    replay after every observe, eviction and resize — and so do their
+    clusters."""
+    monitor = Monitor(SCHEMA, capacity)
+    select, where = ReplayMatrix(SCHEMA), ReplayMatrix(SCHEMA)
+    window = []
+
+    def evict_beyond(limit):
+        while len(window) > limit:
+            old = window.pop(0)
+            if old.select_attributes:
+                select.remove(old.select_attributes)
+            if old.where_attributes:
+                where.remove(old.where_attributes)
+
+    for kind, first, second in stream:
+        if kind == "observe":
+            query = make_clause_query(first, second)
+            monitor.observe(query)
+            window.append(query)
+            select.add(query.select_attributes)
+            if query.where_attributes:
+                where.add(query.where_attributes)
+            evict_beyond(capacity)
+        else:
+            capacity = first
+            monitor.resize(capacity)
+            evict_beyond(capacity)
+        for derived, replayed in (
+            (monitor.select_affinity, select),
+            (monitor.where_affinity, where),
+        ):
+            assert (derived.matrix == replayed.matrix).all()
+            reference = AffinityMatrix(SCHEMA)
+            reference.matrix[:] = replayed.matrix
+            for floor in (1.0, 2.0):
+                assert derived.clusters(floor) == reference.clusters(floor)
 
 
 @given(st.lists(attr_sets, min_size=1, max_size=25))

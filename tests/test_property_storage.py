@@ -135,3 +135,50 @@ def test_partitioning_cover_invariant(data):
     for group in cover:
         got |= group
     assert set(needed) <= got
+
+
+def frozenset_cover(snapshot, attrs):
+    """``LayoutSnapshot.covering_layouts`` as a greedy over frozensets
+    (the implementation the bitmask cover replaced)."""
+    needed = set(attrs)
+    relevant, seen = [], set()
+    for attr in snapshot.schema.ordered(needed):
+        for layout in snapshot.layouts_containing(attr):
+            if id(layout) not in seen:
+                seen.add(id(layout))
+                relevant.append(layout)
+    chosen = []
+    while needed:
+        best, best_key = None, (-1.0, 0.0)
+        for layout in relevant:
+            covered = len(needed & layout.attr_set)
+            if covered == 0:
+                continue
+            key = (float(covered), -float(layout.width))
+            if key > best_key:
+                best_key, best = key, layout
+        chosen.append(best)
+        needed -= best.attr_set
+    return tuple(chosen)
+
+
+@given(random_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bitmask_cover_equals_frozenset_greedy(case, data):
+    """Same layouts in the same order, ties included: equal-width groups
+    covering equally much of the query are common here, and the first
+    in schema order of its first needed attribute must win."""
+    table, _columns = case
+    group = st.lists(st.sampled_from(ATTRS), min_size=2, max_size=4, unique=True)
+    for attrs in data.draw(st.lists(group, max_size=5)):
+        if table.find_group(attrs) is None:
+            built, _ = stitch_group(table.layouts, attrs, table.schema)
+            table.add_layout(built)
+    snapshot = table.snapshot()
+    for _ in range(4):
+        needed = data.draw(
+            st.lists(st.sampled_from(ATTRS), min_size=1, max_size=6, unique=True)
+        )
+        got = snapshot.covering_layouts(needed)
+        want = frozenset_cover(snapshot, needed)
+        assert [id(layout) for layout in got] == [id(l) for l in want]

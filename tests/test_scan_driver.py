@@ -58,6 +58,17 @@ def float_table(num_rows: int) -> Table:
     return Table.from_columns("r", schema, columns, "row")
 
 
+#: Pools ``pinned_engine`` made; each test closes its own.
+_OPEN_POOLS = []
+
+
+@pytest.fixture(autouse=True)
+def _close_scan_pools():
+    yield
+    while _OPEN_POOLS:
+        _OPEN_POOLS.pop().close()
+
+
 def pinned_engine(
     table: Table, strategy: ExecutionStrategy, threads: int, **knobs
 ) -> H2OEngine:
@@ -68,6 +79,7 @@ def pinned_engine(
         EngineConfig(morsel_rows=MORSEL_ROWS, **knobs),
     )
     engine.executor.scan_pool = ScanPool(max_threads=threads)
+    _OPEN_POOLS.append(engine.executor.scan_pool)
 
     def choose(snapshot, info, phases):
         return AccessPlan(strategy, tuple(snapshot.layouts)), 0.0

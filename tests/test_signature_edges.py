@@ -20,7 +20,6 @@ from repro.execution.executor import Executor
 from repro.execution.strategies import AccessPlan, ExecutionStrategy
 from repro.sql import analyze_query
 from repro.sql.signature import (
-    literal_extractor,
     masked_sql,
     query_literals,
     shape_signature,
@@ -59,9 +58,8 @@ class TestInLists:
         first = parse_query("SELECT sum(a1) FROM r WHERE a2 IN (10, 20, 30)")
         second = parse_query("SELECT sum(a1) FROM r WHERE a2 IN (7, 5, 9)")
         assert shape_signature(first) == shape_signature(second)
-        extract = literal_extractor(first)
-        assert extract(first) == (10, 20, 30)
-        assert extract(second) == (7, 5, 9)
+        assert first.literals == (10, 20, 30)
+        assert second.literals == (7, 5, 9)
 
     def test_in_fast_lane_result_matches_cold_execution(self, table):
         """A kernel cached for one IN query answers another correctly."""
@@ -95,10 +93,9 @@ class TestDuplicateLiterals:
             "SELECT sum(a1 + 7) FROM r WHERE a2 > 1 AND a3 < 3"
         )
         assert shape_signature(base) == shape_signature(repeat)
-        extract = literal_extractor(base)
         # Position, not value, decides the binding: the predicate
         # literals come first, the select literal last.
-        assert extract(repeat) == (1, 3, 7)
+        assert repeat.literals == (1, 3, 7)
 
     def test_duplicate_aggregates_fold_in_literal_order(self):
         """``sum(x+1), sum(x+1)`` dedups to one accumulator's literals."""

@@ -265,22 +265,23 @@ def test_mutation_broken_pruning_blames_the_engine_not_the_reference(
     monkeypatch,
 ):
     """The ground truth must not prune with the zone maps under test: a
-    ``prune_mask`` that wrongly drops morsel 0 leaves the reference
+    zone-map test that wrongly drops morsel 0 leaves the reference
     answers untouched, and the oracle still catches the engines that
     consulted it."""
-    from repro.execution import morsel
+    from repro.storage.zonemap import ZoneBounds
 
     spec = random_case(0)
     oracle = DifferentialOracle(with_faults=False)
     honest = oracle.reference_results(spec)
-    real = morsel.prune_mask
+    real = ZoneBounds.keep
 
-    def drops_morsel_zero(num_morsels, conjuncts, stats_for):
-        keep = real(num_morsels, conjuncts, stats_for)
-        keep[0] = False
+    def drops_morsel_zero(bounds, literals):
+        keep = real(bounds, literals)
+        if keep is not None:
+            keep[0] = False
         return keep
 
-    monkeypatch.setattr(morsel, "prune_mask", drops_morsel_zero)
+    monkeypatch.setattr(ZoneBounds, "keep", drops_morsel_zero)
     mutated = oracle.reference_results(spec)
     assert len(mutated) == len(honest)
     for got, want in zip(mutated, honest):
@@ -374,10 +375,10 @@ def test_mutation_thread_dependent_pruning_fails_parallel_twin(monkeypatch):
 
     real = executor.plan_morsels
 
-    def prunes_only_serial(info, layouts, num_rows, config, pool):
+    def prunes_only_serial(info, layouts, num_rows, config, pool, bounds):
         if config.max_scan_threads != 1:
             config = replace(config, zone_maps=False)
-        return real(info, layouts, num_rows, config, pool)
+        return real(info, layouts, num_rows, config, pool, bounds)
 
     monkeypatch.setattr(executor, "plan_morsels", prunes_only_serial)
     with pytest.raises(
@@ -473,3 +474,27 @@ def test_attribute_free_query_covering_layouts():
     assert engine.execute("SELECT count(*) FROM t").result.scalars() == (
         512,
     )
+
+
+# ---------------------------------------------------------------------------
+# Eager builds go through the switching policy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hedged_eager_builds_keep_the_policy_invariants(seed):
+    """Offline (eager) builds pass the hedged gate and are ledgered, so
+    the regret invariant and the switch/build count hold as they do for
+    online stitches."""
+    from repro.config import EngineConfig
+    from repro.core.engine import H2OEngine
+    from repro.testkit.oracle import check_policy_invariants
+
+    spec = random_case(seed)
+    engine = H2OEngine(
+        spec.build_table(),
+        EngineConfig(materialization="eager", hedging_factor=2.0),
+    )
+    for query in spec.parsed():
+        engine.execute(query)
+    check_policy_invariants(engine, f"eager-hedged seed {seed}")
