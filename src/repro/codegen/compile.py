@@ -35,7 +35,7 @@ def compile_kernel(
     # Injectable failure site: a compiler rejecting generated source.
     # The testkit raises CodegenError here; the executor's interpreted
     # fallback must then answer the query identically (see
-    # Executor._run_generated and docs/testing.md).
+    # Executor.run_plan and docs/testing.md).
     fault_point("codegen.compile", kernel_name=kernel_name)
     try:
         code = compile(source, filename, "exec")

@@ -88,8 +88,8 @@ class EngineConfig:
     operator_cache: bool = True
     #: Whether the engine keeps a signature-keyed plan cache (the
     #: steady-state fast lane): a repeat query shape skips analysis,
-    #: plan enumeration, Eq. 2 costing and codegen-key construction and
-    #: goes straight to the cached kernel with fresh literals.
+    #: zone-map binding, plan enumeration, Eq. 2 costing and code
+    #: generation, and runs its cached kernel with its own literals.
     plan_cache: bool = True
     #: Whether to use on-the-fly generated operators at all; when False the
     #: engine falls back to the generic interpreted operator (Fig. 14).

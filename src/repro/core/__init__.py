@@ -14,8 +14,9 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
 - :mod:`~repro.core.layout_manager` — owns the physical layouts,
 - :mod:`~repro.core.reorganizer` — offline and online (fused with query
   execution) data reorganization,
-- :mod:`~repro.core.plan_cache` — the steady-state fast lane: cached
-  (plan, kernel, parameter extractor) per query shape signature,
+- :mod:`~repro.core.plan_cache` — the steady-state fast lane: a query
+  shape's cached stage outputs (analyzer facts, plan, kernel, zone-map
+  binding) per shape signature,
 - :mod:`~repro.core.engine` — the query processor tying it together.
 """
 

@@ -20,20 +20,22 @@ All adaptation overheads — advisor runs, code generation, layout
 creation — are charged to the triggering query's response time, exactly
 as the paper reports them.
 
-**The steady-state fast lane.**  Once the store has adapted (the tail
-of Fig. 7), a recurring workload repeats the same query *shapes* with
-fresh literals.  Steps 3–4 then re-derive a decision that cannot have
-changed: analysis, plan enumeration, Eq. 2 costing and operator-cache
-key construction are all functions of (query shape, layouts, candidate
-pool, learned selectivities).  The engine therefore keeps a
+**One pipeline, with cached stage outputs.**  Once the store has
+adapted (the tail of Fig. 7), a recurring workload repeats the same
+query *shapes* with fresh literals, and analysis, plan enumeration,
+Eq. 2 costing, zone-map binding and code generation all re-derive
+outputs that are functions of (query shape, layouts, candidate pool,
+learned selectivities).  The engine keeps those outputs in a
 :class:`~repro.core.plan_cache.PlanCache` keyed by the query's masked
-shape signature: a repeat query goes ``signature → cached plan →
-the same scan driver as the cold path, fed the cached kernel and freshly
-extracted literals``.  Entries are
-invalidated by the table's layout epoch (any create/retire/append), by
-candidate-pool refreshes (a cached plan must not shortcut past a query
-that should trigger online materialization), and by learned-selectivity
-drift beyond :data:`SELECTIVITY_DRIFT_BAND`.  Monitoring and shift
+shape signature.  A hit fills the prepare stage's output
+(:class:`_Prepared`) from its entry instead of deriving it, then runs
+the same run and finish stages as a cold plan: the cached kernel gets
+the repeat's own literals, and so does the cached zone-map binding.
+Entries are invalidated by the table's layout epoch (any
+create/retire/append), by candidate-pool refreshes (a cached plan must
+not shortcut past a query that should trigger online materialization),
+and by learned-selectivity drift beyond
+:data:`SELECTIVITY_DRIFT_BAND`.  Monitoring and shift
 detection still run for every query — adaptivity is never bypassed,
 only re-derivation of unchanged decisions.
 
@@ -41,18 +43,18 @@ only re-derivation of unchanged decisions.
 :mod:`repro.service` worker pool).  Every query runs in three stages:
 
 1. *prepare* (under ``engine.lock``): monitoring, shift detection,
-   adaptation, snapshot pinning, plan-cache lookup or cold-path
-   analysis + Eq. 2 costing.  These touch the engine's shared mutable
-   state (monitor, window, candidate pool, plan cache, selectivity
-   estimator) and are short;
+   adaptation, snapshot pinning, then the query's plan — from the plan
+   cache, or by analysis, zone-map binding and Eq. 2 costing.  These
+   touch the engine's shared mutable state (monitor, window, candidate
+   pool, plan cache, selectivity estimator) and are short;
 2. *run* (lock **released**): the actual scan — compiled-kernel or
    interpreted execution against the layout buffers pinned by the
    query's :class:`~repro.storage.relation.LayoutSnapshot`.  NumPy
    kernels release the GIL on large blocks, so scans from different
    workers genuinely overlap; layout buffers are immutable, so no lock
    is needed;
-3. *finish* (under ``engine.lock``): selectivity feedback, plan-cache
-   store, usage accounting, report append.
+3. *finish* (under ``engine.lock``): selectivity feedback, usage
+   accounting, plan-cache store (or drift eviction), report append.
 
 Layout mutations (online reorganization, budget retirement) happen
 under the engine lock and publish atomically through the table's
@@ -79,7 +81,7 @@ from ..errors import (
     ReorganizationError,
 )
 from ..execution.executor import ExecStats, Executor
-from ..execution.morsel import DeadlineCheck, keep_mask_for
+from ..execution.morsel import DeadlineCheck, zone_bounds_for
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.quarantine import QuarantineList
 from ..execution.result import QueryResult
@@ -88,6 +90,7 @@ from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.relation import LayoutSnapshot, Table
+from ..storage.zonemap import ZoneBounds
 from .adaptation_policy import AdaptationPolicy
 from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
 from .cost_model import CostModel, SelectivityEstimator
@@ -156,12 +159,15 @@ class QueryReport:
     #: loop; zero morsels only when no scan ran — attribute-free
     #: queries and online reorganization): how many aligned morsels the
     #: table divides into, how many zone maps proved empty and skipped,
-    #: how many scan threads actually participated, and whether the
-    #: scan genuinely ran on more than one thread.
+    #: and how many scan threads actually participated.
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
-    parallel_scan: bool = False
+
+    @property
+    def parallel_scan(self) -> bool:
+        """True when the scan genuinely ran on more than one thread."""
+        return self.scan_threads_used > 1
 
     @property
     def degraded(self) -> bool:
@@ -179,20 +185,32 @@ class QueryReport:
 
 @dataclass
 class _Prepared:
-    """The locked *prepare* stage's decision, carried to run/finish."""
+    """The locked *prepare* stage's output, carried to run and finish.
+
+    A cold plan derives the stage outputs (``info`` to
+    ``predicate_key``); a plan-cache hit copies them from its entry,
+    with its own query swapped into ``info``.  Run and finish read the
+    same fields either way.
+    """
 
     index: int
     snapshot: LayoutSnapshot
     shift: bool
     adaptation_ran: bool
     window_size: int
-    #: Fast lane: the validated cache entry (mutually exclusive with
-    #: ``plan`` and ``result``).
-    entry: Optional[CachedPlan] = None
-    #: Cold path: analyzer facts + the chosen plan and its Eq. 2 cost.
+    #: Analyzer facts, the chosen plan and its Eq. 2 cost.
     info: Optional[QueryInfo] = None
     plan: Optional[AccessPlan] = None
     cost: float = 0.0
+    #: The compiled kernel, set only from a cache entry (a cold plan
+    #: generates its own in the run stage).
+    kernel: Optional[Callable] = None
+    #: The predicate's zone-map binding (None when zone maps are off).
+    zone_bounds: Optional[ZoneBounds] = None
+    #: Masked predicate key for the selectivity estimator ("" if none).
+    predicate_key: str = ""
+    #: The plan-cache entry this query hit (None for a cold plan).
+    entry: Optional[CachedPlan] = None
     #: Already answered under the lock (online reorganization).
     result: Optional[QueryResult] = None
     stats: Optional[ExecStats] = None
@@ -317,16 +335,10 @@ class H2OEngine:
         with self.lock:
             prep = self._prepare(query, phases)
 
-        if prep.result is not None:
-            result, stats = prep.result, prep.stats
-        elif prep.entry is not None:
+        result, stats = prep.result, prep.stats
+        if result is None:
             self._check_deadline(deadline, "run")
-            result, stats = self._execute_fast(
-                prep.entry, query, phases, self._morsel_deadline(deadline)
-            )
-        else:
-            self._check_deadline(deadline, "run")
-            result, stats = self._run_plan(
+            result, stats = self._run(
                 prep, phases, self._morsel_deadline(deadline)
             )
 
@@ -446,14 +458,21 @@ class H2OEngine:
             window_size=self.window.size,
         )
 
-        # 3. The steady-state fast lane: a repeat query shape under
-        # unchanged layouts skips analysis, planning, costing and
-        # codegen-key construction entirely.
+        # 3. A repeat query shape under unchanged layouts takes its
+        # stage outputs from the plan cache: analysis, planning,
+        # costing, zone-map binding and code generation are skipped.
         if self.config.plan_cache and not ripe:
-            prep.entry = self.plan_cache.lookup(
+            entry = self.plan_cache.lookup(
                 query.shape_signature(), snapshot.epoch
             )
-            if prep.entry is not None:
+            if entry is not None:
+                prep.entry = entry
+                prep.info = entry.info.for_query(query)
+                prep.plan = entry.plan
+                prep.cost = entry.cost_estimate
+                prep.kernel = entry.kernel
+                prep.zone_bounds = entry.zone_bounds
+                prep.predicate_key = entry.predicate_key
                 return prep
 
         # Cold path: full analysis, lazy materialization check, plan
@@ -463,6 +482,7 @@ class H2OEngine:
         # executes after the lock is released.
         info = analyze_query(query, self.table.schema)
         prep.info = info
+        prep.predicate_key = CostModel._predicate_key(info)
         candidate, deferred = self._triggered_candidate(info, index)
         prep.reorg_deferred = deferred
         if candidate is not None:
@@ -483,7 +503,9 @@ class H2OEngine:
                 self.reorg_aborts += 1
                 self.quarantine.note_failure(candidate.ledger_key)
                 prep.reorg_aborted = True
-        prep.plan, prep.cost = self._choose_plan(prep.snapshot, info, phases)
+        prep.plan, prep.cost, prep.zone_bounds = self._choose_plan(
+            snapshot, info, phases
+        )
         return prep
 
     # Stage 3: finish (engine lock held) -----------------------------------------
@@ -500,15 +522,11 @@ class H2OEngine:
         # Feedback first: a plan cached below stores the selectivity
         # estimate that already includes this query's observation.
         self._feedback(query, prep, stats)
-        cost = prep.cost
-        if prep.entry is not None:
-            cost = prep.entry.cost_estimate
-            self.manager.record_use(prep.entry.plan.layouts)
-        elif prep.result is None:
-            # Cold planned path (online reorg already did its own
-            # accounting inside ``_materialize_and_execute``).
+        if prep.plan is not None:
+            # Planned, not answered by online reorganization (which did
+            # its own accounting inside ``_materialize_and_execute``).
             self.manager.record_use(prep.plan.layouts)
-            self._maybe_cache_plan(query, prep, stats)
+            self._keep_plan(query, prep, stats)
 
         report = QueryReport(
             index=prep.index,
@@ -529,7 +547,7 @@ class H2OEngine:
             adaptation_ran=prep.adaptation_ran,
             shift_detected=prep.shift,
             window_size=prep.window_size,
-            cost_estimate=cost,
+            cost_estimate=prep.cost,
             snapshot_epoch=prep.snapshot.epoch,
             codegen_fallback=stats.codegen_fallback,
             breaker_short_circuit=stats.breaker_short_circuit,
@@ -538,7 +556,6 @@ class H2OEngine:
             morsels_total=stats.morsels_total,
             morsels_pruned=stats.morsels_pruned,
             scan_threads_used=stats.scan_threads_used,
-            parallel_scan=stats.scan_threads_used > 1,
         )
         self.morsels_total += report.morsels_total
         self.morsels_pruned += report.morsels_pruned
@@ -780,31 +797,36 @@ class H2OEngine:
         snapshot: LayoutSnapshot,
         info: QueryInfo,
         phases: Dict[str, float],
-    ) -> Tuple[AccessPlan, float]:
+    ) -> Tuple[AccessPlan, float, Optional[ZoneBounds]]:
         """Cost-based choice among (layout cover × strategy) plans.
 
-        Planning runs against the pinned snapshot, so a concurrent
-        layout publication cannot change the candidate covers mid-
-        enumeration.
+        Returns the plan, its Eq. 2 cost and the predicate's zone-map
+        binding.  Planning runs against the pinned snapshot, so a
+        concurrent layout publication cannot change the candidate
+        covers mid-enumeration.
 
         When zone maps are on, Eq. 2's scan terms are discounted by the
         fraction of morsels the query's predicate would actually touch
-        — the pruning-aware scan term.  The fraction is computed once
-        per planning (zone-map stats are row-aligned, hence identical
-        across every candidate plan's layouts) and folded into every
-        plan's cost, so a selective query's amortization and plan
-        choice reflect the scan it will really pay for.
+        — the pruning-aware scan term — so a selective query's
+        amortization and plan choice reflect the scan it will really
+        pay for.  The predicate is bound once, over the snapshot, and
+        that one binding prices every plan, prunes the chosen plan's
+        scan and is cached with the plan: zone-map stats are
+        row-aligned, so any layout providing an attribute yields the
+        same keep mask.
         """
         t0 = time.perf_counter()
         plans = enumerate_plans(snapshot, info)
+        bounds = None
         scan_fraction = 1.0
-        if self.config.zone_maps and info.has_predicate:
-            keep = keep_mask_for(
+        if self.config.zone_maps:
+            bounds = zone_bounds_for(
                 info,
                 snapshot.layouts,
                 snapshot.num_rows,
                 self.config.morsel_rows,
             )
+            keep = bounds.keep(info.query.literals)
             if keep is not None and keep.size:
                 scan_fraction = float(keep.sum()) / keep.size
         costed = [
@@ -817,38 +839,46 @@ class H2OEngine:
         ]
         cost, _, plan = min(costed)
         phases["plan"] = time.perf_counter() - t0
-        return plan, cost
+        return plan, cost, bounds
 
     # Stage 2: run (lock released) ----------------------------------------------
 
-    def _run_plan(
+    def _run(
         self,
         prep: _Prepared,
         phases: Dict[str, float],
         deadline_check: DeadlineCheck = None,
     ) -> Tuple[QueryResult, ExecStats]:
-        """Execute the chosen cold-path plan (no engine lock held).
+        """Execute the prepared plan (no engine lock held).
 
         The plan's layouts belong to the pinned snapshot and are
         immutable; codegen goes through the (internally locked)
         operator cache.
 
-        The per-signature circuit breaker gates the codegen path here:
-        an open breaker short-circuits straight to the interpreted
-        operators (no compile attempted), and every compile outcome is
-        reported back so the breaker's state machine advances.
+        A cached kernel runs as it is.  Otherwise the per-signature
+        circuit breaker gates code generation: an open breaker
+        short-circuits straight to the interpreted operators (no
+        compile attempted), and every compile outcome is reported back
+        so the breaker's state machine advances.
         """
         t1 = time.perf_counter()
+        info = prep.info
         allow_codegen = True
         signature = None
-        if self.config.use_codegen and prep.info.all_attrs:
-            signature = prep.info.query.shape_signature()
+        if (
+            prep.kernel is None
+            and self.config.use_codegen
+            and info.all_attrs
+        ):
+            signature = info.query.shape_signature()
             allow_codegen = self.breaker.allow(signature)
         result, stats = self.executor.run_plan(
-            prep.info,
+            info,
             prep.plan,
             allow_codegen=allow_codegen,
             deadline_check=deadline_check,
+            kernel=prep.kernel,
+            zone_bounds=prep.zone_bounds,
         )
         if signature is not None:
             if not allow_codegen:
@@ -858,69 +888,24 @@ class H2OEngine:
             elif stats.used_codegen:
                 self.breaker.record_success(signature)
         elapsed = time.perf_counter() - t1
-        phases["codegen"] = phases.get("codegen", 0.0) + stats.codegen_seconds
+        if prep.entry is None:
+            # A cold plan charges its generation (zero when interpreted
+            # or served by the operator cache); a hit generated nothing.
+            phases["codegen"] = (
+                phases.get("codegen", 0.0) + stats.codegen_seconds
+            )
         phases["execute"] = phases.get("execute", 0.0) + (
             elapsed - stats.codegen_seconds
         )
         return result, stats
 
-    # The steady-state fast lane ------------------------------------------------
+    # The plan cache -------------------------------------------------------------
 
-    def _execute_fast(
-        self,
-        entry: CachedPlan,
-        query: Query,
-        phases: Dict[str, float],
-        deadline_check: DeadlineCheck = None,
-    ) -> Tuple[QueryResult, ExecStats]:
-        """Answer a repeat query shape from its cached decision.
-
-        The cold path's pipeline with cached inputs: rebuild the
-        analyzer facts from the entry, extract the fresh literals, and
-        hand the cached plan and kernel to the executor's one scan
-        driver — so a repeat re-consults the zone maps with its own
-        literals and observes its deadline per morsel exactly like a
-        cold query.  Without a kernel (interpreted configurations) the
-        cached plan still skips analysis, enumeration and costing, and
-        the driver runs the plan's interpreter.  Runs without the engine
-        lock — everything it reads (the entry's plan, kernel, and
-        layout buffers) is immutable.
-        """
-        t0 = time.perf_counter()
-        compiled = entry.kernel is not None
-        result, stats = self.executor.run_scan(
-            self._entry_info(entry, query),
-            entry.plan,
-            entry.plan_desc,
-            deadline_check,
-            kernel=entry.kernel,
-            params=query.literals if compiled else (),
-            codegen_cache_hit=compiled,
-            zone_bounds=entry.zone_bounds,
-        )
-        phases["execute"] = (
-            phases.get("execute", 0.0) + time.perf_counter() - t0
-        )
-        return result, stats
-
-    @staticmethod
-    def _entry_info(entry: CachedPlan, query: Query) -> QueryInfo:
-        """Rebuild the analyzer facts for a cached plan (cheap: every
-        field but the fresh query object is stored on the entry)."""
-        return QueryInfo(
-            query=query,
-            select_attrs=entry.select_attrs,
-            where_attrs=entry.where_attrs,
-            all_attrs=entry.all_attrs,
-            output_types=entry.output_types,
-            is_aggregation=entry.is_aggregation,
-            has_predicate=entry.has_predicate,
-        )
-
-    def _maybe_cache_plan(
+    def _keep_plan(
         self, query: Query, prep: _Prepared, stats: ExecStats
     ) -> None:
-        """Cache the cold path's decision for future repeats.
+        """Keep a cold plan's stage outputs for its shape's repeats, or
+        evict a hit's entry whose selectivity drifted.
 
         Only plans chosen by cost-based planning are cached (online
         reorganization changes the layouts, so its epoch is stale by
@@ -929,36 +914,42 @@ class H2OEngine:
         *derived against* — if another worker's stitch or an append
         raced this query, the entry is stale immediately and the next
         lookup drops it, never serving a plan across an epoch boundary.
+
+        A hit's entry is evicted when the learned selectivity of its
+        predicate drifts beyond :data:`SELECTIVITY_DRIFT_BAND` from the
+        estimate the plan was stored with, so the next repeat re-plans
+        (and re-caches) cold — bounding the regret of a stale plan
+        decision.
         """
-        info = prep.info
-        if not self.config.plan_cache or not info.all_attrs:
+        entry = prep.entry
+        if entry is not None:
+            learned = self.selectivity.estimate(
+                query.where, prep.predicate_key
+            )
+            if abs(learned - entry.selectivity) > SELECTIVITY_DRIFT_BAND:
+                self.plan_cache.invalidate(entry.signature, "drift")
+            return
+        if not self.config.plan_cache or not prep.info.all_attrs:
             return
         if stats.codegen_fallback or stats.breaker_short_circuit:
-            # Never cache a degraded execution: the fast lane would pin
-            # this shape to the interpreted plan (or replay a decision
-            # made while its breaker was open) and bypass the breaker's
+            # Never cache a degraded execution: a hit would pin this
+            # shape to the interpreted plan (or replay a decision made
+            # while its breaker was open) and bypass the breaker's
             # half-open probe on every future repeat.  Cold-path repeats
             # keep probing until the shape compiles again.
             return
-        predicate_key = CostModel._predicate_key(info)
         self.plan_cache.store(
             CachedPlan(
                 signature=query.shape_signature(),
                 epoch=prep.snapshot.epoch,
+                info=prep.info,
                 plan=prep.plan,
-                plan_desc=stats.plan,
-                select_attrs=info.select_attrs,
-                where_attrs=info.where_attrs,
-                all_attrs=info.all_attrs,
-                output_types=info.output_types,
-                is_aggregation=info.is_aggregation,
-                has_predicate=info.has_predicate,
-                kernel=stats.kernel,
-                zone_bounds=stats.zone_bounds,
                 cost_estimate=prep.cost,
-                predicate_key=predicate_key,
+                kernel=stats.kernel,
+                zone_bounds=prep.zone_bounds,
+                predicate_key=prep.predicate_key,
                 selectivity=self.selectivity.estimate(
-                    query.where, predicate_key
+                    query.where, prep.predicate_key
                 ),
             )
         )
@@ -985,12 +976,6 @@ class H2OEngine:
         (not the rows actually scanned) — selectivity remains
         "qualifying fraction of the table", the quantity Eq. 2
         estimates with.
-
-        The fast lane's one extra is drift eviction: when the learned
-        selectivity drifts beyond :data:`SELECTIVITY_DRIFT_BAND` from
-        the estimate the cached plan was stored with, the entry is
-        evicted so the next repeat re-plans (and re-caches) on the cold
-        path — bounding the regret of a stale plan decision.
         """
         num_rows = prep.snapshot.num_rows
         if query.where is None or num_rows == 0:
@@ -1000,17 +985,7 @@ class H2OEngine:
             if query.is_aggregation:
                 return
             qualifying = stats.rows_out
-        entry = prep.entry
-        key = (
-            entry.predicate_key
-            if entry is not None
-            else CostModel._predicate_key(prep.info)
-        )
-        self.selectivity.observe(key, qualifying / num_rows)
-        if entry is not None:
-            learned = self.selectivity.estimate(query.where, key)
-            if abs(learned - entry.selectivity) > SELECTIVITY_DRIFT_BAND:
-                self.plan_cache.invalidate(entry.signature, "drift")
+        self.selectivity.observe(prep.predicate_key, qualifying / num_rows)
 
     # Learned-state persistence ---------------------------------------------
 

@@ -1,22 +1,22 @@
-"""The steady-state plan cache (the engine's fast lane).
+"""The plan cache: a query shape's cached stage outputs.
 
 H2O's adaptation overhead is designed to be paid once and amortized
 over a recurring query stream (paper section 3.4 caches generated
-operators for exactly this reason).  The cold path still re-derives the
-*decision* for every query: analyze the parse tree, enumerate (layout
-cover × strategy) plans, cost each with Eq. 2, and rebuild the operator
-cache key.  In the fully-adapted steady state — the tail of Fig. 7 —
-none of that can change between two structurally identical queries
-unless the physical layouts, the candidate pool, or the learned
-selectivities changed.
+operators for exactly this reason).  A cold query derives its plan
+stage by stage: analyze the parse tree, bind the predicate's zone maps,
+enumerate (layout cover × strategy) plans, cost each with Eq. 2, and
+generate the operator.  In the fully-adapted steady state — the tail of
+Fig. 7 — none of those outputs can change between two structurally
+identical queries unless the physical layouts, the candidate pool, or
+the learned selectivities changed.
 
-This module caches the whole decision: a
-:class:`~repro.sql.signature.QueryShapeSignature` maps to the chosen
-:class:`AccessPlan`, the resolved (already compiled) kernel, the
-analyzer facts needed to interpret results, and the predicate's
-zone-map tests bound to the plan's layouts.  A repeat query becomes
-``signature → cached plan → kernel call with its own (cached)
-literals``.
+This module keeps them: a
+:class:`~repro.sql.signature.QueryShapeSignature` maps to the shape's
+analyzer facts, the chosen :class:`AccessPlan` and its cost, the
+compiled kernel, and the predicate's zone-map binding.  The engine runs
+a hit through the same run and finish stages as a cold plan, with the
+repeat's own query (and so its own literals) in place of the cached
+one.  A cached plan is a *decision*, not a second executor.
 
 Invalidation is layered:
 
@@ -46,11 +46,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..execution.strategies import AccessPlan
+from ..sql.analyzer import QueryInfo
 from ..sql.signature import QueryShapeSignature
-from ..sql.types import DataType
 from ..storage.zonemap import ZoneBounds
 
 
@@ -61,22 +61,15 @@ class CachedPlan:
     signature: QueryShapeSignature
     #: Table layout epoch this entry was created under.
     epoch: int
+    #: Analyzer facts of the query that cached the entry; valid for
+    #: every query of this shape once a hit swaps in its own query.
+    info: QueryInfo
     plan: AccessPlan
-    #: Human-readable plan string (as ``ExecStats.plan`` reports it).
-    plan_desc: str
-    #: Analyzer facts, valid for every query of this shape.
-    select_attrs: Tuple[str, ...]
-    where_attrs: Tuple[str, ...]
-    all_attrs: Tuple[str, ...]
-    output_types: Tuple[DataType, ...]
-    is_aggregation: bool
-    has_predicate: bool
-    #: Compiled kernel (``None`` when the engine runs interpreted; the
-    #: fast lane then reuses the cached plan but executes generically).
+    #: Compiled kernel (``None`` when the engine runs interpreted; a
+    #: hit then reuses the cached plan but executes generically).
     kernel: Optional[Callable] = None
-    #: The predicate's zone-map tests bound to ``plan``'s layouts
-    #: (``None`` when zone maps are off); a repeat tests its own
-    #: literals against them.
+    #: The predicate's zone-map tests (``None`` when zone maps are
+    #: off); a repeat tests its own literals against them.
     zone_bounds: Optional[ZoneBounds] = None
     #: Eq. 2 estimate the plan was chosen with.
     cost_estimate: float = 0.0

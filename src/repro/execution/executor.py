@@ -64,11 +64,9 @@ class ExecStats:
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
-    #: The compiled kernel that ran (``None`` when interpreted) and the
-    #: zone-map binding the scan pruned with; the engine's plan cache
-    #: replays both for repeats of the shape.
+    #: The compiled kernel that ran (``None`` when interpreted); the
+    #: engine's plan cache keeps it for repeats of the shape.
     kernel: Optional[Callable] = None
-    zone_bounds: Optional[ZoneBounds] = None
     #: Degradation evidence: a compile failed and the interpreted path
     #: answered instead / the engine's circuit breaker was open, so no
     #: compile was attempted.
@@ -93,7 +91,7 @@ class Executor:
             enabled=self.config.operator_cache
         )
         #: How many times the generated path failed and the interpreted
-        #: fallback answered instead (see :meth:`_run_generated`).  The
+        #: fallback answered instead (see :meth:`run_plan`).  The
         #: testkit oracle asserts this equals the number of compile
         #: faults it injected — a silently swallowed failure is caught.
         self.codegen_fallbacks = 0
@@ -114,23 +112,57 @@ class Executor:
         plan: AccessPlan,
         allow_codegen: bool = True,
         deadline_check: DeadlineCheck = None,
+        kernel: Optional[Callable] = None,
+        zone_bounds: Optional[ZoneBounds] = None,
     ) -> Tuple[QueryResult, ExecStats]:
         """Execute ``info`` with ``plan`` and report what happened.
 
-        ``allow_codegen=False`` forces the interpreted path even when
-        the configuration enables codegen — the engine's per-signature
-        circuit breaker uses it to short-circuit compilation for shapes
-        whose compiles keep failing (see docs/resilience.md); answers
-        are identical either way, only slower.
+        A compiled ``kernel`` (the engine's plan cache keeps one per
+        query shape) runs as it is, fed ``info``'s literals.  Without
+        one the operator is generated when the configuration enables
+        codegen; ``allow_codegen=False`` forces the interpreted path
+        instead — the engine's per-signature circuit breaker uses it to
+        short-circuit compilation for shapes whose compiles keep
+        failing (see docs/resilience.md); answers are identical either
+        way, only slower.
 
+        ``zone_bounds`` is the predicate's zone-map binding when the
+        caller holds one; otherwise the scan binds it.
         ``deadline_check`` is invoked before each morsel of the scan; it
         should raise to abort an over-budget query between morsels.
         """
         if not info.all_attrs:
             return self._run_attribute_free(info, plan)
-        if self.config.use_codegen and allow_codegen:
-            return self._run_generated(info, plan, deadline_check)
-        return self.run_scan(info, plan, plan.describe(), deadline_check)
+        seconds, cache_hit = 0.0, kernel is not None
+        fallback = False
+        if kernel is None and self.config.use_codegen and allow_codegen:
+            from ..codegen.generator import generate_operator
+
+            try:
+                operator, seconds, cache_hit = generate_operator(
+                    info, plan, self.operator_cache
+                )
+                kernel = operator.kernel
+            except CodegenError:
+                # A failed generation/compilation must never fail the
+                # query: the interpreted operators answer any supported
+                # shape over any layout combination, just slower
+                # (Fig. 14).  The fallback is counted so it can never
+                # pass silently.
+                with self._fallback_lock:
+                    self.codegen_fallbacks += 1
+                fallback = True
+        result, stats = self.run_scan(
+            info,
+            plan,
+            deadline_check,
+            kernel=kernel,
+            codegen_seconds=seconds,
+            codegen_cache_hit=cache_hit,
+            zone_bounds=zone_bounds,
+        )
+        stats.codegen_fallback = fallback
+        return result, stats
 
     def _run_attribute_free(
         self, info: QueryInfo, plan: AccessPlan
@@ -178,28 +210,26 @@ class Executor:
         self,
         info: QueryInfo,
         plan: AccessPlan,
-        plan_desc: str,
         deadline_check: DeadlineCheck = None,
         kernel: Optional[Callable] = None,
-        params: Tuple[object, ...] = (),
         codegen_seconds: float = 0.0,
         codegen_cache_hit: bool = False,
         zone_bounds: Optional[ZoneBounds] = None,
     ) -> Tuple[QueryResult, ExecStats]:
         """Scan ``plan``'s layouts morsel by morsel — the one scan driver.
 
-        With a compiled ``kernel`` (and its literal vector ``params``)
-        every surviving morsel is one kernel call over the ``lo:hi``
-        slice; without one, the interpreter of ``plan.strategy`` runs
-        per morsel.  The cold generated path, the codegen fallback and
-        the engine's fast lane (cached kernel, fresh literals) all end
+        With a compiled ``kernel`` every surviving morsel is one kernel
+        call over the ``lo:hi`` slice, fed the query's literal vector;
+        without one, the interpreter of ``plan.strategy`` runs per
+        morsel.  A generated, a cached and a fallen-back plan all end
         here, so they differ only in where their inputs come from.
-        ``zone_bounds`` is the shape's zone-map binding over the plan's
-        layouts when the caller kept one; otherwise the scan binds it.
+        ``zone_bounds`` is the predicate's zone-map binding when the
+        caller holds one; otherwise the scan binds it.
         """
         layouts = plan.layouts
         if kernel is not None:
             buffers = tuple(layout.data for layout in layouts)
+            params = info.query.literals
 
             def runner(lo: int, hi: int):
                 return kernel(buffers, params, lo, hi), 0
@@ -226,7 +256,7 @@ class Executor:
         )
         stats = ExecStats(
             strategy=plan.strategy,
-            plan=plan_desc,
+            plan=plan.describe(),
             codegen_cache_hit=codegen_cache_hit,
             codegen_seconds=codegen_seconds,
             intermediate_bytes=intermediate,
@@ -236,41 +266,5 @@ class Executor:
             morsels_pruned=mp.morsels_pruned,
             scan_threads_used=used,
             kernel=kernel,
-            zone_bounds=mp.bounds,
         )
         return result, stats
-
-    def _run_generated(
-        self,
-        info: QueryInfo,
-        plan: AccessPlan,
-        deadline_check: DeadlineCheck = None,
-    ) -> Tuple[QueryResult, ExecStats]:
-        from ..codegen.generator import generate_operator
-
-        try:
-            operator, gen_seconds, cache_hit = generate_operator(
-                info, plan, self.operator_cache
-            )
-        except CodegenError:
-            # A failed generation/compilation must never fail the query:
-            # the interpreted operators answer any supported shape over
-            # any layout combination, just slower (Fig. 14).  The
-            # fallback is counted so it can never pass silently.
-            with self._fallback_lock:
-                self.codegen_fallbacks += 1
-            result, stats = self.run_scan(
-                info, plan, plan.describe(), deadline_check
-            )
-            stats.codegen_fallback = True
-            return result, stats
-        return self.run_scan(
-            info,
-            plan,
-            plan.describe(),
-            deadline_check,
-            kernel=operator.kernel,
-            params=operator.params,
-            codegen_seconds=gen_seconds,
-            codegen_cache_hit=cache_hit,
-        )

@@ -67,9 +67,6 @@ class MorselPlan:
     morsels_total: int
     morsels_pruned: int
     want_threads: int  # 1 = the loop runs on the caller alone
-    #: The zone-map binding the ranges were pruned with (None when zone
-    #: maps are off); the plan cache keeps it for the shape's repeats.
-    bounds: Optional[ZoneBounds] = None
 
 
 def zone_bounds_for(
@@ -86,7 +83,8 @@ def zone_bounds_for(
     lazily on first consultation.  Providers are found in one pass over
     ``layouts``: a planner's snapshot holds every column and group.  The
     binding depends only on the query's shape and the (immutable)
-    layouts, so the engine's plan cache keeps one per entry.
+    layouts, so the engine binds once over its snapshot, scans the
+    chosen plan with that binding and caches it with the plan.
     """
     num = num_morsels_for(num_rows, morsel_rows)
     if not info.has_predicate or num == 0:
@@ -113,18 +111,6 @@ def zone_bounds_for(
     return bind_zone_bounds(num, predicates, stats_for)
 
 
-def keep_mask_for(
-    info: QueryInfo,
-    layouts: Sequence[Layout],
-    num_rows: int,
-    morsel_rows: int,
-) -> Optional[np.ndarray]:
-    """Per-morsel keep mask from zone maps, or None when nothing prunes."""
-    return zone_bounds_for(info, layouts, num_rows, morsel_rows).keep(
-        info.query.literals
-    )
-
-
 def plan_morsels(
     info: QueryInfo,
     layouts: Sequence[Layout],
@@ -138,8 +124,8 @@ def plan_morsels(
     An empty table has zero ranges and a small one a single range; the
     scan fans out as soon as two morsels survive pruning and both the
     pool and ``max_scan_threads`` allow a second thread.  ``bounds`` is
-    the shape's zone-map binding over ``layouts`` when the caller kept
-    one (the fast lane); otherwise it is bound here.
+    the predicate's zone-map binding when the caller holds one (the
+    engine's, made over its snapshot); otherwise it is bound here.
     """
     ranges = morsel_ranges(num_rows, config.morsel_rows)
     keep = None
@@ -158,7 +144,6 @@ def plan_morsels(
         morsels_total=len(ranges),
         morsels_pruned=len(ranges) - len(surviving),
         want_threads=max(1, min(cap, len(surviving))),
-        bounds=bounds,
     )
 
 

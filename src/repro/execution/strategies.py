@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from typing import TYPE_CHECKING, Union
@@ -103,6 +104,11 @@ class AccessPlan:
     layouts: Tuple[Layout, ...]
 
     def describe(self) -> str:
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
+        # Once per plan: a cached plan describes itself on every hit.
         parts = ", ".join(layout.describe() for layout in self.layouts)
         return f"{self.strategy.value}({parts})"
 

@@ -598,12 +598,6 @@ class H2OService:
         ticket.complete(report)
         if not ticket.abandoned:
             self.stats.note_completed(time.monotonic() - started)
-            self.stats.note_scan(
-                report.morsels_total,
-                report.morsels_pruned,
-                report.scan_threads_used,
-                report.parallel_scan,
-            )
             if report.degraded:
                 # Correct answer through a fallback rung (codegen
                 # fallback, breaker short-circuit, or aborted online

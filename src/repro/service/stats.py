@@ -68,16 +68,6 @@ class ServiceStats:
         #: measure of scan overlap across workers).
         self.peak_concurrency = 0
         self._running = 0
-        #: Morsel-driven scan telemetry, aggregated over completed
-        #: queries: how many aligned morsels were planned, how many
-        #: zone maps pruned before dispatch, how many queries genuinely
-        #: ran multi-threaded, and the largest thread grant any single
-        #: scan received (the pool budgets grants against the service's
-        #: own in-flight load — see repro/execution/parallel.py).
-        self.morsels_total = 0
-        self.morsels_pruned = 0
-        self.parallel_queries = 0
-        self.scan_threads_used = 0
 
     # Recording -----------------------------------------------------------
 
@@ -137,22 +127,6 @@ class ServiceStats:
         with self._lock:
             self.degraded += 1
 
-    def note_scan(
-        self,
-        morsels_total: int,
-        morsels_pruned: int,
-        threads_used: int,
-        parallel: bool,
-    ) -> None:
-        """Fold one completed query's morsel telemetry into the totals."""
-        with self._lock:
-            self.morsels_total += int(morsels_total)
-            self.morsels_pruned += int(morsels_pruned)
-            if parallel:
-                self.parallel_queries += 1
-            if threads_used > self.scan_threads_used:
-                self.scan_threads_used = int(threads_used)
-
     def running(self) -> int:
         """Queries executing right now (the scan pool's load provider).
 
@@ -190,10 +164,6 @@ class ServiceStats:
                 "degraded": self.degraded,
                 "in_flight": self._running,
                 "peak_concurrency": self.peak_concurrency,
-                "morsels_total": self.morsels_total,
-                "morsels_pruned": self.morsels_pruned,
-                "parallel_queries": self.parallel_queries,
-                "scan_threads_used": self.scan_threads_used,
             }
         snap["latency_samples"] = len(samples)
         snap["p50_ms"] = percentile(samples, 0.50) * 1e3

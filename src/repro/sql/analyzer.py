@@ -59,6 +59,21 @@ class QueryInfo:
     is_aggregation: bool
     has_predicate: bool
 
+    def for_query(self, query: Query) -> "QueryInfo":
+        """These facts for another query of the same shape — a
+        plan-cache hit's own query, whose literals differ.  Built
+        directly: a hit pays this on every query, and
+        :func:`dataclasses.replace` introspects every field."""
+        return QueryInfo(
+            query,
+            self.select_attrs,
+            self.where_attrs,
+            self.all_attrs,
+            self.output_types,
+            self.is_aggregation,
+            self.has_predicate,
+        )
+
 
 def expression_type(expr: Expr, schema) -> DataType:
     """Infer the value type of an arithmetic/aggregate expression."""

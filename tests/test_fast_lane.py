@@ -99,21 +99,35 @@ PROPERTY_SHAPES = (
 )
 @settings(max_examples=15, deadline=None)
 def test_cached_plan_answers_equal_cold_path_answers(stream, seed):
-    """Property: the fast lane never changes an answer.
+    """Property: the fast lane never changes an answer or a decision.
 
     The same stream runs through two engines over identical data — one
     with the plan cache, one without — through whatever adaptation and
-    layout churn the stream provokes; every result pair must agree.
+    layout churn the stream provokes.  Every result pair must agree, and
+    so must the morsels the zone maps pruned and the layouts built.  A
+    query the cached engine plans cold picks the uncached engine's plan
+    and strategy; a hit replays the decision of its shape's last cold
+    plan (which may differ from a fresh plan while the learned
+    selectivity stays within the drift band).
     """
     table_on = generate_table("r", 5, 400, rng=seed)
     table_off = generate_table("r", 5, 400, rng=seed)
     engine_on = H2OEngine(table_on, EngineConfig(plan_cache=True))
     engine_off = H2OEngine(table_off, EngineConfig(plan_cache=False))
+    decided = {}
     for shape_index, literal in stream:
         sql = PROPERTY_SHAPES[shape_index].format(v=literal)
-        hot = engine_on.execute(sql).result
-        cold = engine_off.execute(sql).result
-        assert hot.allclose(cold), sql
+        hot = engine_on.execute(sql)
+        cold = engine_off.execute(sql)
+        assert hot.result.allclose(cold.result), sql
+        assert hot.morsels_pruned == cold.morsels_pruned, sql
+        assert hot.layout_created == cold.layout_created, sql
+        shape = hot.query.shape_signature()
+        if hot.plan_cache_hit:
+            assert (hot.plan, hot.strategy) == decided[shape], sql
+        else:
+            assert (hot.plan, hot.strategy) == (cold.plan, cold.strategy)
+            decided[shape] = (hot.plan, hot.strategy)
 
 
 class TestEpochInvalidation:
@@ -210,14 +224,8 @@ def _entry(sql: str, epoch: int = 0) -> CachedPlan:
     return CachedPlan(
         signature=query.shape_signature(),
         epoch=epoch,
+        info=None,
         plan=None,
-        plan_desc="test",
-        select_attrs=tuple(sorted(query.select_attributes)),
-        where_attrs=tuple(sorted(query.where_attributes)),
-        all_attrs=tuple(sorted(query.attributes)),
-        output_types=(),
-        is_aggregation=query.is_aggregation,
-        has_predicate=query.where is not None,
     )
 
 

@@ -37,11 +37,14 @@ import pytest
 from hypothesis import given, settings
 
 from tests.conftest import wait_until
+import repro.core.engine as engine_module
 from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.errors import QueryTimeoutError
-from repro.execution.morsel import keep_mask_for, plan_morsels
+from repro.execution import morsel
+from repro.execution.morsel import plan_morsels, zone_bounds_for
 from repro.execution.parallel import ScanPool
+from repro.execution.strategies import enumerate_plans
 from repro.sql import parse_query
 from repro.sql.analyzer import analyze_query
 from repro.sql.expressions import (
@@ -52,7 +55,9 @@ from repro.sql.expressions import (
     ComparisonOp,
     Literal,
 )
+from repro.sql.types import DataType
 from repro.storage import Schema, Table, generate_table
+from repro.storage.schema import Attribute
 from repro.storage.stitcher import stitch_group, stitch_single_columns
 from repro.storage.zonemap import (
     bind_zone_bounds,
@@ -65,6 +70,14 @@ from repro.storage.zonemap import (
 
 def make_info(table: Table, sql: str):
     return analyze_query(parse_query(sql), table.schema)
+
+
+def keep_mask_for(info, layouts, num_rows, morsel_rows):
+    """The zone-map keep mask of ``info``'s own literals over
+    ``layouts`` (None when nothing prunes)."""
+    return zone_bounds_for(info, layouts, num_rows, morsel_rows).keep(
+        info.query.literals
+    )
 
 
 def prune_mask(num_morsels, conjuncts, stats_for):
@@ -580,6 +593,120 @@ def test_keep_mask_reads_the_first_of_the_narrowest_providers():
     assert cached_zone_maps(group) is None
 
 
+#: Integer values around 2**53, where float64 rounds: a mixed int/float
+#: group stores them rounded, the int column exactly.
+BIG = 2**53
+
+
+@st.composite
+def mixed_binding_cases(draw):
+    """A column-major table of int and float attributes (ints near and
+    past 2**53 included), one or two stitched groups over it — mixed
+    int/float groups are stored as float64 — and a conjunctive query."""
+    names = ("a0", "a1", "a2", "a3", "a4")
+    dtypes = draw(
+        st.lists(
+            st.sampled_from([DataType.INT64, DataType.FLOAT64]),
+            min_size=len(names),
+            max_size=len(names),
+        )
+    )
+    schema = Schema(Attribute(n, t) for n, t in zip(names, dtypes))
+    num_rows = draw(st.integers(min_value=1, max_value=200))
+    morsel_rows = draw(st.sampled_from([8, 16, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = {}
+    for name, dtype in zip(names, dtypes):
+        if dtype is DataType.INT64:
+            base = draw(st.sampled_from([0, BIG, -BIG, 2**62]))
+            columns[name] = base + rng.integers(
+                -40, 40, size=num_rows, dtype=np.int64
+            )
+        else:
+            columns[name] = rng.integers(-160, 160, size=num_rows) / 4.0
+    table = Table.from_columns("r", schema, columns, "column")
+    for _ in range(draw(st.integers(1, 2))):
+        attrs = draw(
+            st.lists(st.sampled_from(names), min_size=2, max_size=4,
+                     unique=True)
+        )
+        ordered = [n for n in names if n in attrs]
+        if table.find_group(ordered) is None:
+            group, _ = stitch_group(
+                table.layouts,
+                ordered,
+                schema,
+                morsel_rows=draw(st.sampled_from([0, morsel_rows])),
+            )
+            table.add_layout(group)
+    conjuncts = []
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(names))
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
+        column = columns[name]
+        if column.dtype.kind == "i":
+            value = int(column[draw(st.integers(0, num_rows - 1))])
+            literal = str(value + draw(st.integers(-2, 2)))
+        else:
+            literal = repr(draw(st.integers(-170, 170)) / 4.0)
+        if draw(st.booleans()):
+            conjuncts.append(f"{name} {op} {literal}")
+        else:
+            conjuncts.append(f"{literal} {op} {name}")
+    select = draw(st.sampled_from(names))
+    sql = (
+        f"SELECT count(*), max({select}) FROM r WHERE "
+        + " AND ".join(conjuncts)
+    )
+    return table, morsel_rows, sql
+
+
+@given(mixed_binding_cases())
+@settings(max_examples=200, deadline=None)
+def test_snapshot_binding_keeps_what_every_covering_plan_keeps(case):
+    """Binding once is safe: zone-map stats are row-aligned and float64
+    rounding is monotone, so the predicate bound over the whole
+    snapshot — what the engine binds, prices with and caches — keeps
+    exactly the morsels a binding over any covering plan's layouts
+    keeps, for all six operators, mixed int/float groups and ints past
+    2**53."""
+    table, morsel_rows, sql = case
+    snapshot = table.snapshot()
+    info = make_info(table, sql)
+    num_rows = snapshot.num_rows
+    whole = keep_mask_for(info, snapshot.layouts, num_rows, morsel_rows)
+    assert whole is not None
+    for plan in enumerate_plans(snapshot, info):
+        got = keep_mask_for(info, plan.layouts, num_rows, morsel_rows)
+        assert got is not None, plan.describe()
+        assert got.tolist() == whole.tolist(), (sql, plan.describe())
+
+
+def test_a_query_binds_its_zone_maps_once(monkeypatch):
+    """A cold query binds its predicate once (planning, scan and cache
+    entry share the binding); a hit binds nothing."""
+    calls = []
+    real = morsel.zone_bounds_for
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(morsel, "zone_bounds_for", counting)
+    monkeypatch.setattr(
+        engine_module, "zone_bounds_for", counting, raising=False
+    )
+    engine = H2OEngine(
+        generate_table("r", 6, 4_000, rng=5), EngineConfig(morsel_rows=512)
+    )
+    cold = engine.execute("SELECT sum(a1) FROM r WHERE a2 > 10")
+    assert not cold.plan_cache_hit
+    assert len(calls) == 1
+    hit = engine.execute("SELECT sum(a1) FROM r WHERE a2 > 20")
+    assert hit.plan_cache_hit
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Engine-level: bit-identity, pruning telemetry, fast lane, deadline
 # ---------------------------------------------------------------------------
@@ -822,9 +949,10 @@ def test_parallel_scans_race_service_and_appends():
         assert observed, "readers never completed a query"
         torn = [c for c in observed if c not in valid_counts]
         assert not torn, f"torn counts under parallel scans: {sorted(set(torn))}"
-        snap = service.stats.snapshot()
-        assert snap["failed"] == 0
-        assert snap["morsels_total"] > 0, "morsel path never engaged"
+        assert service.stats.snapshot()["failed"] == 0
+        assert engine.stats()["morsels_total"] > 0, (
+            "morsel path never engaged"
+        )
         wait_until(
             lambda: pool.snapshot()["reserved"] == 0,
             timeout=30.0,

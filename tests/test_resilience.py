@@ -291,7 +291,7 @@ class TestEngineBreaker:
         with FaultInjector({"codegen.compile": frozenset(range(1000))}):
             engine.execute(self.SQL)
             engine.execute(self.SQL)
-        # Were a degraded plan cached, the repeat would bypass _run_plan's
+        # Were a degraded plan cached, the repeat would bypass _run's
         # breaker bookkeeping; the breaker saw both failures.
         assert engine.breaker.state(
             engine.reports[0].query.shape_signature()

@@ -82,7 +82,8 @@ def pinned_engine(
     _OPEN_POOLS.append(engine.executor.scan_pool)
 
     def choose(snapshot, info, phases):
-        return AccessPlan(strategy, tuple(snapshot.layouts)), 0.0
+        # No zone-map binding: the scan binds its own.
+        return AccessPlan(strategy, tuple(snapshot.layouts)), 0.0, None
 
     engine._choose_plan = choose
     return engine
@@ -234,13 +235,13 @@ def test_serial_scan_aborts_at_the_next_morsel_boundary(monkeypatch):
     kernel_calls = []
     real_scan = engine.executor.run_scan
 
-    def slow_kernel_scan(info, plan, desc, check, kernel=None, **rest):
+    def slow_kernel_scan(info, plan, check, kernel=None, **rest):
         def slow(bufs, params, lo, hi):
             kernel_calls.append((lo, hi))
             now[0] = 2.0  # the first morsel outlives the budget
             return kernel(bufs, params, lo, hi)
 
-        return real_scan(info, plan, desc, check, kernel=slow, **rest)
+        return real_scan(info, plan, check, kernel=slow, **rest)
 
     engine.executor.run_scan = slow_kernel_scan
     with pytest.raises(QueryTimeoutError, match="morsel boundary"):
