@@ -2,10 +2,11 @@
 
 Two new column groups (10 and 25 attributes) are created from a
 100-attribute relation while answering aggregation queries (10 and 20
-aggregations, no WHERE).  Offline = build the layout, then execute the
+aggregations, no WHERE).  Offline = stitch the layout, then execute the
 query as two separate passes; online = H2O's fused operator that
-stitches the new layout and evaluates the query in one pass over
-cache-hot blocks.
+stitches the new layout morsel by morsel and answers each morsel while
+it is cache-hot.  Both arms run the same generated fused kernel, so
+their answers are bit-identical.
 
 Q1/Q2 start from a row-major relation, Q3/Q4 from a column-major one.
 Expected: online wins all four cases, with a larger margin from
@@ -18,6 +19,7 @@ from ...core.reorganizer import Reorganizer
 from ...execution.executor import Executor
 from ...execution.strategies import AccessPlan, ExecutionStrategy
 from ...storage.generator import generate_table
+from ...storage.stitcher import stitch_group
 from ...util.timing import Timer
 from ...workloads.microbench import aggregation_query
 from ..harness import ExperimentResult, register, warm_table
@@ -31,6 +33,9 @@ CASES = (
     ("Q4", "column", 25, 20),
 )
 
+#: Timed runs per arm; each arm reports its best.
+REPEATS = 3
+
 
 @register("fig13", "online vs offline reorganization (Q1-Q4)")
 def fig13() -> ExperimentResult:
@@ -41,49 +46,62 @@ def fig13() -> ExperimentResult:
         headers=["case", "initial", "offline (s)", "online (s)",
                  "improvement"],
     )
-    reorganizer = Reorganizer(default_config())
     executor = Executor(default_config())
+    reorganizer = Reorganizer(
+        lambda info, plan, stitch: executor.run_plan(
+            info, plan, stitch=stitch
+        )
+    )
     for label, initial, width, num_aggs in CASES:
         table = generate_table(
             "r", 100, num_rows, rng=41, initial_layout=initial
         )
         warm_table(table)
-        attrs = [f"a{i}" for i in range(1, width + 1)]
+        attrs = table.schema.ordered(f"a{i}" for i in range(1, width + 1))
         query = aggregation_query(attrs[:num_aggs], func="sum")
         info = analyze(query, table)
 
-        # Offline: dedicated stitching pass, then execute over the group.
-        with Timer() as offline_timer:
-            outcome = reorganizer.offline(table, attrs)
-            plan = AccessPlan(ExecutionStrategy.FUSED, (outcome.group,))
-            result_offline, _stats = executor.run_plan(info, plan)
+        def offline():
+            """Stitch the whole group, then scan it: two passes."""
+            group, _stats = stitch_group(
+                table.covering_layouts(attrs), attrs, table.schema
+            )
+            plan = AccessPlan(ExecutionStrategy.FUSED, (group,))
+            return executor.run_plan(info, plan)[0]
 
-        # Online: one fused pass builds the group and answers the query.
-        table2 = generate_table(
-            "r", 100, num_rows, rng=41, initial_layout=initial
-        )
-        warm_table(table2)
-        with Timer() as online_timer:
-            outcome2 = reorganizer.online(table2, attrs, info)
+        def online():
+            """Stitch each morsel, then answer it while hot: one pass."""
+            return reorganizer.online(table, attrs, info).result
 
-        assert result_offline.allclose(outcome2.result)
-        improvement = (
-            (offline_timer.elapsed - online_timer.elapsed)
-            / offline_timer.elapsed
-            * 100.0
-        )
+        # Both arms run the same generated kernel over the same group
+        # shape; one untimed offline run compiles it for both, so the
+        # timings compare the passes, not the compiler.
+        answer = offline()
+        times = {offline: [], online: []}
+        for _ in range(REPEATS):
+            for arm in (offline, online):
+                with Timer() as timer:
+                    got = arm()
+                times[arm].append(timer.elapsed)
+                if got.data.tobytes() != answer.data.tobytes():
+                    raise AssertionError(
+                        f"{label}: offline and online answers differ"
+                    )
+        offline_s, online_s = min(times[offline]), min(times[online])
+        improvement = (offline_s - online_s) / offline_s * 100.0
         result.rows.append(
             [
                 label,
                 initial,
-                round(offline_timer.elapsed, 4),
-                round(online_timer.elapsed, 4),
+                round(offline_s, 4),
+                round(online_s, 4),
                 f"{improvement:.0f}%",
             ]
         )
     result.notes.append(
         "improvement = how much faster the fused (online) operator "
-        "finishes both tasks"
+        f"finishes both tasks; best of {REPEATS} runs per arm, the "
+        "shared kernel compiled before timing"
     )
     result.series["cases"] = result.rows
     return result

@@ -105,10 +105,10 @@ class EngineConfig:
     #: expected gain is built immediately.  Larger values trade
     #: adaptation latency for thrash resistance.
     hedging_factor: float = 0.0
-    #: Whether per-morsel min/max zone maps are built (during lazy
-    #: materialization's fused pass, on stitches and incrementally on
-    #: appends) and consulted to skip non-qualifying morsels before
-    #: dispatch and to discount scan cost in Eq. 1/Eq. 2 comparisons.
+    #: Whether per-morsel min/max zone maps are built (per attribute, on
+    #: a predicate's first consultation, and extended on appends) and
+    #: consulted to skip non-qualifying morsels before dispatch and to
+    #: discount scan cost in Eq. 1/Eq. 2 comparisons.
     zone_maps: bool = True
     #: Rows per morsel: the unit of scan execution, of parallel
     #: dispatch and of zone-map granularity — every scan is a loop over

@@ -12,8 +12,8 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
 - :mod:`~repro.core.adaptation_policy` — the layout-switching policy
   (the regret-bounded ledger; greedy at ``hedging_factor = 0``),
 - :mod:`~repro.core.layout_manager` — owns the physical layouts,
-- :mod:`~repro.core.reorganizer` — offline and online (fused with query
-  execution) data reorganization,
+- :mod:`~repro.core.reorganizer` — online data reorganization (a fused
+  scan that stitches each morsel of the new group before answering it),
 - :mod:`~repro.core.plan_cache` — the steady-state fast lane: a query
   shape's cached stage outputs (analyzer facts, plan, kernel, zone-map
   binding) per shape signature,

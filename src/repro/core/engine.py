@@ -81,7 +81,7 @@ from ..errors import (
     ReorganizationError,
 )
 from ..execution.executor import ExecStats, Executor
-from ..execution.morsel import DeadlineCheck, zone_bounds_for
+from ..execution.morsel import DeadlineCheck, StitchStep, zone_bounds_for
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.quarantine import QuarantineList
 from ..execution.result import QueryResult
@@ -156,10 +156,10 @@ class QueryReport:
     #: docs/adaptation.md).
     reorg_deferred: bool = False
     #: Scan telemetry, populated for every scan (every scan is a morsel
-    #: loop; zero morsels only when no scan ran — attribute-free
-    #: queries and online reorganization): how many aligned morsels the
-    #: table divides into, how many zone maps proved empty and skipped,
-    #: and how many scan threads actually participated.
+    #: loop, online reorganization's included; zero morsels only for
+    #: attribute-free queries): how many aligned morsels the table
+    #: divides into, how many zone maps proved empty and skipped, and
+    #: how many scan threads actually participated.
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
@@ -256,8 +256,8 @@ class H2OEngine:
         self.window = DynamicWindow(self.config)
         self.shift_detector = ShiftDetector()
         self.advisor = LayoutAdvisor(table, self.cost_model, self.config)
-        self.manager = LayoutManager(table, self.config)
-        self.reorganizer = Reorganizer(self.config)
+        self.manager = LayoutManager(table)
+        self.reorganizer = Reorganizer(self._run_plan)
         self.executor = Executor(self.config)
         self.plan_cache = PlanCache()
         #: The layout-switching policy (docs/adaptation.md); every gate
@@ -747,6 +747,7 @@ class H2OEngine:
         mechanism, so concurrent readers keep their pinned state.
         """
         outcome = self.reorganizer.online(self.table, candidate.attrs, info)
+        stats = outcome.stats
         # The stitch completed: clear any earlier-failure backoff state
         # so a future re-proposal of the same group starts fresh.  The
         # switch is ledgered now — the reorganization cost was paid
@@ -780,16 +781,13 @@ class H2OEngine:
             )
             if dropped:
                 self._last_adaptation_snapshot = None  # layouts changed
-        phases["reorg"] = outcome.seconds
-        from ..execution.strategies import ExecutionStrategy
-
-        stats = ExecStats(
-            strategy=ExecutionStrategy.FUSED,
-            plan=f"online-reorg(group[{','.join(candidate.attrs)}])",
-            rows_out=outcome.result.num_rows,
-            reorg_seconds=outcome.seconds,
-            layout_created=",".join(candidate.attrs) if registered else None,
+        phases["codegen"] = (
+            phases.get("codegen", 0.0) + stats.codegen_seconds
         )
+        phases["reorg"] = outcome.seconds
+        stats.plan = f"online-reorg(group[{','.join(candidate.attrs)}])"
+        if registered:
+            stats.layout_created = ",".join(candidate.attrs)
         return outcome.result, stats
 
     def _choose_plan(
@@ -854,39 +852,15 @@ class H2OEngine:
         The plan's layouts belong to the pinned snapshot and are
         immutable; codegen goes through the (internally locked)
         operator cache.
-
-        A cached kernel runs as it is.  Otherwise the per-signature
-        circuit breaker gates code generation: an open breaker
-        short-circuits straight to the interpreted operators (no
-        compile attempted), and every compile outcome is reported back
-        so the breaker's state machine advances.
         """
         t1 = time.perf_counter()
-        info = prep.info
-        allow_codegen = True
-        signature = None
-        if (
-            prep.kernel is None
-            and self.config.use_codegen
-            and info.all_attrs
-        ):
-            signature = info.query.shape_signature()
-            allow_codegen = self.breaker.allow(signature)
-        result, stats = self.executor.run_plan(
-            info,
+        result, stats = self._run_plan(
+            prep.info,
             prep.plan,
-            allow_codegen=allow_codegen,
             deadline_check=deadline_check,
             kernel=prep.kernel,
             zone_bounds=prep.zone_bounds,
         )
-        if signature is not None:
-            if not allow_codegen:
-                stats.breaker_short_circuit = True
-            elif stats.codegen_fallback:
-                self.breaker.record_failure(signature)
-            elif stats.used_codegen:
-                self.breaker.record_success(signature)
         elapsed = time.perf_counter() - t1
         if prep.entry is None:
             # A cold plan charges its generation (zero when interpreted
@@ -897,6 +871,47 @@ class H2OEngine:
         phases["execute"] = phases.get("execute", 0.0) + (
             elapsed - stats.codegen_seconds
         )
+        return result, stats
+
+    def _run_plan(
+        self,
+        info: QueryInfo,
+        plan: AccessPlan,
+        stitch: StitchStep = None,
+        deadline_check: DeadlineCheck = None,
+        kernel: Optional[Callable] = None,
+        zone_bounds: Optional[ZoneBounds] = None,
+    ) -> Tuple[QueryResult, ExecStats]:
+        """Run one plan through the executor, breaker-gated.
+
+        A cached kernel runs as it is.  Otherwise the per-signature
+        circuit breaker gates code generation: an open breaker
+        short-circuits straight to the interpreted operators (no
+        compile attempted), and every compile outcome is reported back
+        so the breaker's state machine advances.  Online reorganization
+        runs its stitching scan through here too (``stitch``).
+        """
+        allow_codegen = True
+        signature = None
+        if kernel is None and self.config.use_codegen and info.all_attrs:
+            signature = info.query.shape_signature()
+            allow_codegen = self.breaker.allow(signature)
+        result, stats = self.executor.run_plan(
+            info,
+            plan,
+            allow_codegen=allow_codegen,
+            deadline_check=deadline_check,
+            kernel=kernel,
+            zone_bounds=zone_bounds,
+            stitch=stitch,
+        )
+        if signature is not None:
+            if not allow_codegen:
+                stats.breaker_short_circuit = True
+            elif stats.codegen_fallback:
+                self.breaker.record_failure(signature)
+            elif stats.used_codegen:
+                self.breaker.record_success(signature)
         return result, stats
 
     # The plan cache -------------------------------------------------------------
@@ -962,12 +977,10 @@ class H2OEngine:
         """Report observed selectivity back to the estimator.
 
         Aggregation queries are included through the qualifying-row
-        count every scan reports (the combined per-morsel counts); the
-        one path that cannot tell (online reorganization) leaves it
-        ``None`` and only contributes when the result itself is the
-        qualifying row set.  The denominator is the row count of the
-        snapshot the query actually scanned, not the table's possibly
-        newer state.
+        count every scan reports (the combined per-morsel counts),
+        online reorganization's scan included.  The denominator is the
+        row count of the snapshot the query actually scanned, not the
+        table's possibly newer state.
 
         Zone-map pruning does not skew this feedback: a pruned morsel
         provably holds zero qualifying rows, so the sum of per-morsel
@@ -980,12 +993,9 @@ class H2OEngine:
         num_rows = prep.snapshot.num_rows
         if query.where is None or num_rows == 0:
             return
-        qualifying = stats.qualifying_rows
-        if qualifying is None:
-            if query.is_aggregation:
-                return
-            qualifying = stats.rows_out
-        self.selectivity.observe(prep.predicate_key, qualifying / num_rows)
+        self.selectivity.observe(
+            prep.predicate_key, stats.qualifying_rows / num_rows
+        )
 
     # Learned-state persistence ---------------------------------------------
 

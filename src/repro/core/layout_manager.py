@@ -19,7 +19,6 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..config import EngineConfig
 from ..storage.column_group import ColumnGroup
 from ..storage.layout import Layout, LayoutKind
 from ..storage.relation import Table
@@ -42,11 +41,8 @@ class LayoutEvent:
 class LayoutManager:
     """Creates, tracks and retires physical layouts for one table."""
 
-    def __init__(
-        self, table: Table, config: Optional[EngineConfig] = None
-    ) -> None:
+    def __init__(self, table: Table) -> None:
         self.table = table
-        self.config = config or EngineConfig()
         self._log_lock = threading.Lock()
         self._creation_log: List[LayoutEvent] = []
         self._uses: Dict[int, int] = {}
@@ -88,13 +84,7 @@ class LayoutManager:
         full_width = len(ordered) == self.table.schema.width
         with Timer() as timer:
             group, stats = stitch_group(
-                sources,
-                ordered,
-                self.table.schema,
-                full_width=full_width,
-                morsel_rows=(
-                    self.config.morsel_rows if self.config.zone_maps else 0
-                ),
+                sources, ordered, self.table.schema, full_width=full_width
             )
         self.table.add_layout(group)
         with self._log_lock:

@@ -106,7 +106,9 @@ class AggregateAccumulator:
     def update(self, values: "np.ndarray | None", count: int) -> None:
         """Fold one block of qualifying values into the state.
 
-        ``values`` is None for COUNT(*) (only the count matters).
+        ``values`` is None for COUNT(*) (only the count matters) and a
+        0-d array when the argument is a constant, which every one of
+        the ``count`` rows carries.
         """
         if count == 0:
             return
@@ -116,7 +118,11 @@ class AggregateAccumulator:
         if values is None:
             raise ExecutionError(f"{self.func.value}() needs values")
         if self.func in (AggregateFunc.SUM, AggregateFunc.AVG):
-            self._sum += float(values.sum(dtype=np.float64))
+            self._sum += (
+                float(values.sum(dtype=np.float64))
+                if values.ndim
+                else float(values) * count
+            )
         elif self.func is AggregateFunc.MIN:
             block_min = float(values.min())
             self._min = (

@@ -21,14 +21,20 @@ import numpy as np
 from ..config import EngineConfig
 from ..errors import CodegenError
 from ..sql.analyzer import QueryInfo
-from ..storage.zonemap import ZoneBounds
+from ..storage.zonemap import ZoneBounds, morsel_ranges
 from .evaluator import (
     AggregateAccumulator,
     collect_aggregates,
     evaluate_value,
     finalize_output,
 )
-from .morsel import DeadlineCheck, plan_morsels, run_morsels
+from .morsel import (
+    DeadlineCheck,
+    MorselPlan,
+    StitchStep,
+    plan_morsels,
+    run_morsels,
+)
 from .parallel import ScanPool, get_scan_pool
 from .result import QueryResult
 from .strategies import AccessPlan, ExecutionStrategy
@@ -51,16 +57,14 @@ class ExecStats:
     rows_out: int = 0
     #: Number of tuples that qualified the WHERE clause (equals
     #: ``rows_out`` for projections, but differs for aggregations whose
-    #: result is a single row).  ``None`` when the path cannot tell —
-    #: the engine's selectivity feedback skips those.
-    qualifying_rows: Optional[int] = None
+    #: result is a single row).
+    qualifying_rows: int = 0
     #: Filled in by the engine when the query also built a layout.
-    reorg_seconds: float = 0.0
     layout_created: Optional[str] = None
     #: Morsel telemetry of the scan: aligned morsels the table divides
     #: into, how many zone maps proved empty and skipped, and how many
     #: scan threads actually participated (zero/one when no scan ran:
-    #: attribute-free queries, online reorganization).
+    #: attribute-free queries).
     morsels_total: int = 0
     morsels_pruned: int = 0
     scan_threads_used: int = 1
@@ -114,6 +118,7 @@ class Executor:
         deadline_check: DeadlineCheck = None,
         kernel: Optional[Callable] = None,
         zone_bounds: Optional[ZoneBounds] = None,
+        stitch: StitchStep = None,
     ) -> Tuple[QueryResult, ExecStats]:
         """Execute ``info`` with ``plan`` and report what happened.
 
@@ -130,6 +135,8 @@ class Executor:
         caller holds one; otherwise the scan binds it.
         ``deadline_check`` is invoked before each morsel of the scan; it
         should raise to abort an over-budget query between morsels.
+        ``stitch`` is online reorganization's step (see
+        :meth:`run_scan`).
         """
         if not info.all_attrs:
             return self._run_attribute_free(info, plan)
@@ -160,6 +167,7 @@ class Executor:
             codegen_seconds=seconds,
             codegen_cache_hit=cache_hit,
             zone_bounds=zone_bounds,
+            stitch=stitch,
         )
         stats.codegen_fallback = fallback
         return result, stats
@@ -201,6 +209,7 @@ class Executor:
             strategy=plan.strategy,
             plan="attribute-free",
             rows_out=result.num_rows,
+            qualifying_rows=num_rows,
         )
         return result, stats
 
@@ -215,6 +224,7 @@ class Executor:
         codegen_seconds: float = 0.0,
         codegen_cache_hit: bool = False,
         zone_bounds: Optional[ZoneBounds] = None,
+        stitch: StitchStep = None,
     ) -> Tuple[QueryResult, ExecStats]:
         """Scan ``plan``'s layouts morsel by morsel — the one scan driver.
 
@@ -225,6 +235,12 @@ class Executor:
         here, so they differ only in where their inputs come from.
         ``zone_bounds`` is the predicate's zone-map binding when the
         caller holds one; otherwise the scan binds it.
+
+        ``stitch(lo, hi)`` is online reorganization's step: it fills one
+        morsel of a group the plan reads before the morsel is answered.
+        Such a scan runs serially on the caller and prunes nothing —
+        every morsel must be stitched, and zone maps bound over a
+        half-built group would cache wrong stats on it.
         """
         layouts = plan.layouts
         if kernel is not None:
@@ -247,10 +263,20 @@ class Executor:
                 return run_late_interpreted(info, layouts, lo, hi)
 
         pool = self._pool()
-        mp = plan_morsels(
-            info, layouts, layouts[0].num_rows, self.config, pool,
-            zone_bounds,
-        )
+        num_rows = layouts[0].num_rows
+        if stitch is None:
+            mp = plan_morsels(
+                info, layouts, num_rows, self.config, pool, zone_bounds
+            )
+        else:
+            answer = runner
+
+            def runner(lo: int, hi: int):
+                stitch(lo, hi)
+                return answer(lo, hi)
+
+            ranges = morsel_ranges(num_rows, self.config.morsel_rows)
+            mp = MorselPlan(ranges, len(ranges), 0, 1)
         result, qualifying, intermediate, used = run_morsels(
             runner, info, mp, pool, deadline_check
         )

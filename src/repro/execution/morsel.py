@@ -58,6 +58,10 @@ DeadlineCheck = Optional[Callable[[], None]]
 #: Maps one morsel ``(lo, hi)`` to ``(partial, intermediate_bytes)``.
 MorselRunner = Callable[[int, int], Tuple[object, int]]
 
+#: Optional per-morsel step run before the morsel is answered: online
+#: reorganization stitches the morsel ``(lo, hi)`` of its new group.
+StitchStep = Optional[Callable[[int, int], None]]
+
 
 @dataclass(frozen=True)
 class MorselPlan:

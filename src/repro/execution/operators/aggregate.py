@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ...sql.expressions import Aggregate as AggregateExpr
+from ...sql.expressions import AggregateFunc
 from ...sql.query import OutputColumn
 from ..evaluator import (
     AggregateAccumulator,
@@ -20,9 +23,12 @@ class Aggregate(Operator):
     """Consumes its child entirely and produces the one-row result.
 
     Aggregate arguments are evaluated per chunk with the interpreted
-    evaluator, folded into streaming accumulators, and the output
-    expressions (which may combine several aggregates arithmetically)
-    are finalized at the end.
+    evaluator and the output expressions (which may combine several
+    aggregates arithmetically) are finalized at the end.  MIN, MAX and
+    COUNT fold into their accumulators chunk by chunk; SUM and AVG keep
+    each chunk's values and sum them once, when the input is exhausted
+    — the order the generated kernels sum a morsel in, so an inexact
+    float sum carries the kernels' bits.
     """
 
     def __init__(
@@ -32,6 +38,7 @@ class Aggregate(Operator):
         self._outputs = tuple(outputs)
         self._aggregates = collect_aggregates(self._outputs)
         self._accumulators: Dict[AggregateExpr, AggregateAccumulator] = {}
+        self._summands: Dict[AggregateExpr, List[np.ndarray]] = {}
         self._done = False
         #: Tuples that reached the aggregate (i.e. qualified the filter
         #: below, if any) — the executor reports this as the qualifying
@@ -42,6 +49,12 @@ class Aggregate(Operator):
         self._child.open()
         self._accumulators = {
             agg: AggregateAccumulator(agg.func) for agg in self._aggregates
+        }
+        self._summands = {
+            agg: []
+            for agg in self._aggregates
+            if agg.arg is not None
+            and agg.func in (AggregateFunc.SUM, AggregateFunc.AVG)
         }
         self._done = False
         self.rows_seen = 0
@@ -57,9 +70,22 @@ class Aggregate(Operator):
             for agg, state in self._accumulators.items():
                 if agg.arg is None:  # COUNT(*)
                     state.update(None, chunk.num_rows)
-                else:
-                    values = evaluate_value(agg.arg, chunk.col)
+                    continue
+                values = evaluate_value(agg.arg, chunk.col)
+                summands = self._summands.get(agg)
+                if summands is None:
                     state.update(values, chunk.num_rows)
+                else:
+                    summands.append(values)
+        for agg, summands in self._summands.items():
+            if summands:
+                # A constant argument is one 0-d value for every chunk.
+                values = (
+                    summands[0]
+                    if summands[0].ndim == 0
+                    else np.concatenate(summands)
+                )
+                self._accumulators[agg].update(values, self.rows_seen)
         self._done = True
         return Chunk(num_rows=1, columns={})
 

@@ -124,7 +124,7 @@ def run_late_interpreted(
                 state.update(None, count)
             else:
                 values = evaluator.evaluate(agg.arg)
-                state.update(np.atleast_1d(values), count)
+                state.update(values, count)
             states.append(state.state())
         partial = (count, tuple(states))
         intermediate = 0

@@ -9,10 +9,10 @@ covering set of groups abstractly; a
 materialized (possibly replicating attributes across groups, as H2O
 allows when different query classes access the same data differently).
 
-The :mod:`~repro.storage.stitcher` implements the physical reorganization
-primitive — reading blocks from source layouts and stitching them into a
-new group — that the online reorganizer (paper section 3.2, Fig. 13)
-fuses with query execution.
+The :mod:`~repro.storage.stitcher` implements the offline physical
+reorganization primitive — reading source layouts and stitching them
+into a new group; the online reorganizer (paper section 3.2, Fig. 13)
+stitches morsel by morsel inside the scan that answers its query.
 """
 
 from .schema import Attribute, Schema

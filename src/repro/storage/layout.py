@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import enum
 import threading
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -108,13 +108,6 @@ class Layout(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> str:
         """Short human-readable identification for errors and reports."""
-
-    def block_ranges(self, block_rows: int) -> Iterator[Tuple[int, int]]:
-        """Yield (start, stop) row ranges of at most ``block_rows`` rows."""
-        if block_rows <= 0:
-            raise LayoutError(f"block_rows must be positive: {block_rows}")
-        for start in range(0, self.num_rows, block_rows):
-            yield start, min(start + block_rows, self.num_rows)
 
 
 def frozen_view(data: np.ndarray) -> np.ndarray:

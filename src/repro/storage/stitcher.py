@@ -2,9 +2,10 @@
 
 The paper (section 3.2, Data Reorganization) describes building a new
 layout by reading blocks from source layouts and *stitching* them into
-blocks of the target layout.  This module is that primitive, used both
-offline (create the layout, then query it — the slow path of Fig. 13)
-and online (the reorganizer fuses this copy loop with query evaluation).
+blocks of the target layout.  This module is that primitive for
+offline builds (create the layout, then query it — the slow path of
+Fig. 13); the online reorganizer stitches morsel by morsel inside the
+scan that answers its query.
 
 The stitcher always preserves tuple order, which maintains the
 row-alignment invariant every other component relies on.
@@ -22,7 +23,6 @@ from .column_group import ColumnGroup
 from .column_layout import SingleColumn
 from .layout import Layout
 from .schema import Schema
-from .zonemap import ZoneMaps, _minmax_per_morsel, attach_zone_maps
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ def stitch_group(
     attrs: Sequence[str],
     schema: Schema,
     full_width: bool = False,
-    morsel_rows: int = 0,
 ) -> Tuple[ColumnGroup, TransformStats]:
     """Build a new :class:`ColumnGroup` over ``attrs`` from ``sources``.
 
@@ -79,10 +78,6 @@ def stitch_group(
     in schema order).  The group dtype is the promoted dtype of its
     members.  Returns the new group plus the data-movement stats used by
     the cost model's transformation term (paper Eq. 1).
-
-    When ``morsel_rows`` is positive, per-morsel zone maps are built in
-    the same pass — each source column is reduced while it is still hot
-    from the copy — and attached to the new group.
     """
     attrs = tuple(attrs)
     if not attrs:
@@ -94,23 +89,9 @@ def stitch_group(
     (num_rows,) = rows
     dtype = schema.common_dtype(attrs).numpy_dtype
     data = np.empty((num_rows, len(attrs)), dtype=dtype)
-    mins: Dict[str, np.ndarray] = {}
-    maxs: Dict[str, np.ndarray] = {}
     for position, attr in enumerate(attrs):
-        values = providers[attr].column(attr)
-        data[:, position] = values
-        if morsel_rows > 0:
-            # Fused stats pass: reduce the target column we just wrote
-            # (contiguous in neither axis here, so reduce the written
-            # strided view — the data is cache-resident from the copy).
-            mins[attr], maxs[attr] = _minmax_per_morsel(
-                data[:, position], morsel_rows
-            )
+        data[:, position] = providers[attr].column(attr)
     group = ColumnGroup(attrs, data, full_width=full_width)
-    if morsel_rows > 0:
-        attach_zone_maps(
-            group, ZoneMaps(morsel_rows, num_rows, mins, maxs)
-        )
     stats = TransformStats(
         bytes_read=_read_bytes(providers),
         bytes_written=group.nbytes,
@@ -120,16 +101,12 @@ def stitch_group(
 
 
 def stitch_single_columns(
-    sources: Sequence[Layout],
-    attrs: Iterable[str],
-    morsel_rows: int = 0,
+    sources: Sequence[Layout], attrs: Iterable[str]
 ) -> Tuple[List[SingleColumn], TransformStats]:
     """Decompose attributes out of ``sources`` into single columns.
 
     Used when the advisor decides an attribute is always accessed alone
-    (splitting a group back toward the column-major extreme).  With a
-    positive ``morsel_rows``, zone maps are built on the freshly copied
-    (still cache-hot) column and attached.
+    (splitting a group back toward the column-major extreme).
     """
     attrs = tuple(attrs)
     providers = _plan_sources(sources, attrs)
@@ -138,14 +115,6 @@ def stitch_single_columns(
     for attr in attrs:
         values = np.ascontiguousarray(providers[attr].column(attr))
         column = SingleColumn(attr, values)
-        if morsel_rows > 0:
-            mins, maxs = _minmax_per_morsel(values, morsel_rows)
-            attach_zone_maps(
-                column,
-                ZoneMaps(
-                    morsel_rows, column.num_rows, {attr: mins}, {attr: maxs}
-                ),
-            )
         columns.append(column)
         written += column.nbytes
     stats = TransformStats(
@@ -154,33 +123,3 @@ def stitch_single_columns(
         source_layouts=len({id(lay) for lay in providers.values()}),
     )
     return columns, stats
-
-
-def stitched_block_iter(
-    sources: Sequence[Layout],
-    attrs: Sequence[str],
-    block_rows: int,
-    dtype: np.dtype,
-):
-    """Yield ``(start, stop, block)`` where ``block`` is the stitched
-    (stop-start, len(attrs)) array for that row range.
-
-    This is the building block of *online* reorganization: the caller
-    evaluates the query on each stitched block while also writing the
-    block into the new layout, so the relation is scanned once for both
-    tasks (Fig. 13's "online" bars).
-    """
-    attrs = tuple(attrs)
-    providers = _plan_sources(sources, attrs)
-    rows = {lay.num_rows for lay in providers.values()}
-    if len(rows) != 1:
-        raise LayoutError(f"source layouts disagree on row count: {rows}")
-    (num_rows,) = rows
-    if block_rows <= 0:
-        raise LayoutError(f"block_rows must be positive: {block_rows}")
-    for start in range(0, num_rows, block_rows):
-        stop = min(start + block_rows, num_rows)
-        block = np.empty((stop - start, len(attrs)), dtype=dtype)
-        for position, attr in enumerate(attrs):
-            block[:, position] = providers[attr].column(attr)[start:stop]
-        yield start, stop, block

@@ -1,11 +1,13 @@
 """Per-morsel zone maps (min/max pruning metadata) for every layout.
 
 A *zone map* stores, for each aligned morsel of ``morsel_rows`` rows and
-each attribute a layout holds, the minimum and maximum value occurring in
-that morsel.  The parallel scan subsystem consults them before dispatch
-to skip morsels that provably contain no qualifying rows, and the cost
-model uses the surviving fraction to price pruned scans (the chunk-level
-pruning that dominates scan cost in clustered stores).
+each attribute of a layout that a predicate has consulted, the minimum
+and maximum value occurring in that morsel (built on first consultation
+by :func:`ensure_attr_stats`).  The parallel scan subsystem consults
+them before dispatch to skip morsels that provably contain no
+qualifying rows, and the cost model uses the surviving fraction to
+price pruned scans (the chunk-level pruning that dominates scan cost in
+clustered stores).
 
 Invariants that make the maps cheap to keep correct:
 
@@ -116,43 +118,12 @@ def _minmax_per_morsel(
     return mins, maxs
 
 
-def build_zone_maps(layout: Layout, morsel_rows: int) -> ZoneMaps:
-    """Build zone maps for every attribute of ``layout`` from scratch.
-
-    Column groups are reduced morsel-block at a time over the contiguous
-    2-D array (one cache-friendly pass produces stats for all group
-    attributes at once); single columns use a reshape-based reduction.
-    """
-    num_rows = layout.num_rows
-    attrs = layout.attrs
-    data = getattr(layout, "data", None)
-    mins: Dict[str, np.ndarray] = {}
-    maxs: Dict[str, np.ndarray] = {}
-    if data is not None and getattr(data, "ndim", 0) == 2:
-        num = num_morsels_for(num_rows, morsel_rows)
-        block_mins = np.empty((num, len(attrs)), dtype=data.dtype)
-        block_maxs = np.empty((num, len(attrs)), dtype=data.dtype)
-        for i, (lo, hi) in enumerate(morsel_ranges(num_rows, morsel_rows)):
-            block = data[lo:hi]
-            np.fmin.reduce(block, axis=0, out=block_mins[i])
-            np.fmax.reduce(block, axis=0, out=block_maxs[i])
-        for j, attr in enumerate(attrs):
-            mins[attr] = np.ascontiguousarray(block_mins[:, j])
-            maxs[attr] = np.ascontiguousarray(block_maxs[:, j])
-    else:
-        for attr in attrs:
-            mins[attr], maxs[attr] = _minmax_per_morsel(
-                layout.column(attr), morsel_rows
-            )
-    return ZoneMaps(morsel_rows, num_rows, mins, maxs)
-
-
 def extend_zone_maps(old: ZoneMaps, layout: Layout) -> ZoneMaps:
     """Incrementally extend ``old`` to cover the appended-to ``layout``.
 
-    Complete morsels of the old map are reused untouched; only the tail
-    morsel that grew plus any brand-new morsels are recomputed from the
-    new layout.  This is what :meth:`Table.append_rows` relies on to keep
+    Only the attributes ``old`` tracks are extended.  Complete morsels
+    of the old map are reused untouched; only the tail morsel that grew
+    plus any brand-new morsels are recomputed from the new layout.  This is what :meth:`Table.append_rows` relies on to keep
     zone maps up to date without a full rebuild per append.
     """
     m = old.morsel_rows
@@ -165,13 +136,9 @@ def extend_zone_maps(old: ZoneMaps, layout: Layout) -> ZoneMaps:
     num = num_morsels_for(num_rows, m)
     mins: Dict[str, np.ndarray] = {}
     maxs: Dict[str, np.ndarray] = {}
-    for attr in layout.attrs:
-        stats = old.stats_for(attr)
+    for attr in old.attrs:
+        old_mins, old_maxs = old.stats_for(attr)
         column = layout.column(attr)
-        if stats is None:
-            mins[attr], maxs[attr] = _minmax_per_morsel(column, m)
-            continue
-        old_mins, old_maxs = stats
         new_mins = np.empty(num, dtype=column.dtype)
         new_maxs = np.empty(num, dtype=column.dtype)
         new_mins[:complete] = old_mins[:complete]
@@ -200,110 +167,17 @@ def cached_zone_maps(layout: Layout) -> Optional[ZoneMaps]:
     return getattr(layout, "_zone_maps", None)
 
 
-def layout_zone_maps(layout: Layout, morsel_rows: int) -> ZoneMaps:
-    """Zone maps for ``layout``, built lazily and cached on the object.
-
-    The cache uses the same benign-race pattern as ``attr_set``: layouts
-    are immutable, so two threads building concurrently produce
-    identical maps and the last write wins.  A cached map is only reused
-    when its granularity and row count match (a defensive check; row
-    counts cannot actually diverge on an immutable layout).
-    """
-    cached = cached_zone_maps(layout)
-    if (
-        cached is not None
-        and cached.morsel_rows == morsel_rows
-        and cached.num_rows == layout.num_rows
-    ):
-        return cached
-    maps = build_zone_maps(layout, morsel_rows)
-    attach_zone_maps(layout, maps)
-    return maps
-
-
-class ZoneMapBuilder:
-    """Accumulates per-block min/max during a fused stitching pass.
-
-    The online reorganizer evaluates the query and writes the new layout
-    block by block; feeding each stitched block here lets it produce the
-    new layout's zone maps in the same single pass over the data.  Blocks
-    must arrive in row order and must not straddle morsel boundaries
-    (the reorganizer's block size divides ``morsel_rows``).
-    """
-
-    def __init__(self, attrs: Sequence[str], morsel_rows: int) -> None:
-        self.attrs = tuple(attrs)
-        self.morsel_rows = int(morsel_rows)
-        self._block_mins: List[np.ndarray] = []
-        self._block_maxs: List[np.ndarray] = []
-        self._block_starts: List[int] = []
-        self._rows_seen = 0
-
-    def add_block(self, start: int, block: np.ndarray) -> None:
-        """Record stats for the stitched ``(rows, width)`` block."""
-        rows = int(block.shape[0])
-        if rows == 0:
-            return
-        if start != self._rows_seen:
-            raise LayoutError(
-                f"zone-map blocks must arrive in order: expected row "
-                f"{self._rows_seen}, got {start}"
-            )
-        m = self.morsel_rows
-        if start // m != (start + rows - 1) // m:
-            raise LayoutError(
-                f"block [{start}, {start + rows}) straddles a morsel "
-                f"boundary (morsel_rows={m})"
-            )
-        self._block_mins.append(np.fmin.reduce(block, axis=0))
-        self._block_maxs.append(np.fmax.reduce(block, axis=0))
-        self._block_starts.append(start)
-        self._rows_seen += rows
-
-    def finish(self) -> ZoneMaps:
-        """Reduce accumulated block stats into per-morsel zone maps."""
-        num_rows = self._rows_seen
-        m = self.morsel_rows
-        num = num_morsels_for(num_rows, m)
-        width = len(self.attrs)
-        mins: Dict[str, np.ndarray] = {}
-        maxs: Dict[str, np.ndarray] = {}
-        if num == 0:
-            dtype = (
-                self._block_mins[0].dtype if self._block_mins else np.float64
-            )
-            for attr in self.attrs:
-                mins[attr] = np.empty(0, dtype=dtype)
-                maxs[attr] = np.empty(0, dtype=dtype)
-            return ZoneMaps(m, num_rows, mins, maxs)
-        bmins = np.vstack(self._block_mins)
-        bmaxs = np.vstack(self._block_maxs)
-        morsel_of = np.asarray(self._block_starts, dtype=np.int64) // m
-        # Blocks arrive in order, so each morsel's blocks form one
-        # contiguous run; reduceat over the run starts collapses them.
-        seg_starts = np.searchsorted(morsel_of, np.arange(num))
-        for j in range(width):
-            attr = self.attrs[j]
-            mins[attr] = np.fmin.reduceat(
-                np.ascontiguousarray(bmins[:, j]), seg_starts
-            )
-            maxs[attr] = np.fmax.reduceat(
-                np.ascontiguousarray(bmaxs[:, j]), seg_starts
-            )
-        return ZoneMaps(m, num_rows, mins, maxs)
-
-
 def ensure_attr_stats(
     layout: Layout, attr: str, morsel_rows: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Per-morsel ``(mins, maxs)`` for one attribute, lazily cached.
 
-    Unlike :func:`layout_zone_maps` this never builds stats for the
-    layout's *other* attributes — execution-time pruning only pays for
-    the predicate columns it actually consults (one min/max scan the
-    first time, then cached until the immutable layout is replaced).
-    Existing cached maps are extended copy-on-write; a concurrent racer
-    produces an identical object and the last write wins.
+    This is the one zone-map builder: stats exist only for attributes
+    some predicate consulted (one min/max scan the first time, then
+    cached until the immutable layout is replaced, and carried across
+    appends by :func:`extend_zone_maps`).  Existing cached maps are
+    extended copy-on-write; a concurrent racer produces an identical
+    object and the last write wins.
     """
     if attr not in layout.attr_set:
         return None

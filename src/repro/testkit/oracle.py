@@ -187,10 +187,11 @@ def _check_step(engine, report, last_epoch: int, label: str) -> int:
 def check_zone_map_exactness(engine: H2OEngine, label: str) -> None:
     """Every cached zone map must match a from-scratch recompute exactly.
 
-    Stitches build zone maps in their fused pass and appends extend
-    them incrementally; either path leaving stale or merely-conservative
-    bounds behind would silently weaken pruning (or worse, prune a
-    qualifying morsel).  Recomputing per-morsel min/max from
+    Stats are built per attribute on a predicate's first consultation
+    (``ensure_attr_stats``) and extended incrementally by appends;
+    either path leaving stale or merely-conservative bounds behind
+    would silently weaken pruning (or worse, prune a qualifying
+    morsel).  Recomputing per-morsel min/max from
     ``layout.column(attr)`` and demanding exact equality catches both
     directions.
     """

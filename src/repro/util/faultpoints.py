@@ -21,8 +21,9 @@ Registered points (name → site → injected failure):
 - ``codegen.compile`` — :func:`repro.codegen.compile.compile_kernel`,
   before compiling generated source (a compiler failure);
 - ``reorg.online`` — :meth:`repro.core.reorganizer.Reorganizer.online`,
-  inside the block loop (a stitch aborted mid-reorganization, after
-  partial data has been written into the new group's backing array);
+  at the start of each morsel's stitch (a stitch aborted
+  mid-reorganization, after earlier morsels have been written into the
+  new group's backing array);
 - ``service.worker`` — :meth:`repro.service.service.H2OService.
   _run_ticket`, after the query is marked running but outside the
   per-query exception scope (an abrupt worker-thread death);

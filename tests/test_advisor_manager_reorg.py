@@ -10,8 +10,13 @@ from repro.core.layout_manager import LayoutManager
 from repro.core.monitor import Monitor
 from repro.core.reorganizer import Reorganizer
 from repro.errors import ExecutionError
+from repro.execution.executor import Executor
+from repro.execution.strategies import AccessPlan, ExecutionStrategy
 from repro.sql import analyze_query, parse_query
-from repro.storage import generate_table
+from repro.sql.types import DataType
+from repro.storage import Schema, Table, generate_table
+from repro.storage.schema import Attribute
+from repro.storage.stitcher import stitch_group
 from repro.workloads.microbench import aggregation_query
 
 
@@ -133,9 +138,8 @@ class TestLayoutManager:
 
     def test_register_group_mode_online(self, table):
         manager = LayoutManager(table)
-        reorg = Reorganizer()
-        outcome = reorg.offline(table, ["a5", "a6"])
-        manager.register_group(outcome.group, outcome.seconds)
+        group, _stats = stitch_group(table.layouts, ["a5", "a6"], table.schema)
+        manager.register_group(group, 0.01)
         assert manager.creation_log[0].mode == "online"
 
 
@@ -145,14 +149,11 @@ class TestReorganizer:
         return generate_table("r", 12, 20_000, rng=6, initial_layout="row")
 
     def test_offline_builds_correct_group(self, table):
-        reorg = Reorganizer()
-        outcome = reorg.offline(table, ["a2", "a7"])
-        assert outcome.mode == "offline"
-        assert outcome.result is None
+        group, _seconds = LayoutManager(table).build_group(["a7", "a2"])
+        assert group.attrs == ("a2", "a7")
+        assert table.find_group(["a2", "a7"]) is group
         for attr in ("a2", "a7"):
-            assert (
-                outcome.group.column(attr) == table.column(attr)
-            ).all()
+            assert (group.column(attr) == table.column(attr)).all()
 
     def test_online_result_matches_separate_execution(self, table):
         reorg = Reorganizer()
@@ -162,7 +163,6 @@ class TestReorganizer:
         )
         info = analyze_query(query, table.schema)
         outcome = reorg.online(table, attrs, info)
-        assert outcome.mode == "online"
         # Group correctness.
         for attr in attrs:
             assert (
@@ -206,34 +206,67 @@ class TestReorganizer:
             float((a1[mask] + a2[mask]).sum())
         )
 
-    def test_online_compaction_keeps_values_and_order(self, table):
-        """Qualifying tuples are compacted once per block, whether the
-        attribute sits in the new group or outside it: per-block sums
-        and the projected rows equal a boolean-indexing reference."""
-        reorg = Reorganizer()
-        block_rows = reorg.block_rows
-        a1, a2, a9 = (np.asarray(table.column(a)) for a in ("a1", "a2", "a9"))
-        mask = np.asarray(table.column("a3")) < 0
-        info = analyze_query(
-            parse_query("SELECT sum(a1 + a9), min(a9) FROM r WHERE a3 < 0"),
-            table.schema,
+    def test_online_compaction_keeps_values_and_order(self):
+        """The online answer is, bit for bit, a fused scan over the group
+        it built — compiled or interpreted — on inexact floats over
+        several morsels of several interpreter vectors each, from row
+        and column bases, with a predicate attribute outside the group,
+        for aggregation and projection."""
+        morsel_rows = 10_000  # 30 000 rows: three morsels, ragged vectors
+        rng = np.random.default_rng(17)
+        names = [f"f{i}" for i in range(1, 9)]
+        schema = Schema([Attribute(n, DataType.FLOAT64) for n in names])
+        columns = {n: rng.standard_normal(30_000) * 1e3 for n in names}
+        queries = (
+            "SELECT sum(f1 + f7), avg(f2), min(f7), count(*) FROM r "
+            "WHERE f7 > 0",
+            "SELECT sum(f1 * f2), max(f3) FROM r",
+            "SELECT f7, f1 + f2, f3 FROM r WHERE f7 < 0.5",
         )
-        outcome = reorg.online(table, ["a1", "a2", "a3"], info)
-        total = 0.0
-        for start in range(0, table.num_rows, block_rows):
-            keep = mask[start : start + block_rows]
-            block = a1[start : start + block_rows][keep]
-            block = block + a9[start : start + block_rows][keep]
-            total += float(block.sum(dtype=np.float64))
-        got = outcome.result.scalars()
-        assert got[0].hex() == total.hex()
-        assert got[1] == float(a9[mask].min())
-        info = analyze_query(
-            parse_query("SELECT a9, a2 FROM r WHERE a3 < 0"), table.schema
-        )
-        outcome = reorg.online(table, ["a1", "a2", "a3"], info)
-        assert np.array_equal(outcome.result.column(0), a9[mask])
-        assert np.array_equal(outcome.result.column(1), a2[mask])
+        for base in ("row", "column"):
+            table = Table.from_columns("r", schema, columns, base)
+            for use_codegen in (True, False):
+                config = EngineConfig(
+                    morsel_rows=morsel_rows, use_codegen=use_codegen
+                )
+                executor = Executor(config)
+                reorg = Reorganizer(
+                    lambda info, plan, stitch: executor.run_plan(
+                        info, plan, stitch=stitch
+                    )
+                )
+                for sql in queries:
+                    info = analyze_query(parse_query(sql), schema)
+                    outcome = reorg.online(table, ["f1", "f2", "f3"], info)
+                    group = outcome.group
+                    assert np.array_equal(
+                        group.data,
+                        np.column_stack([columns[a] for a in group.attrs]),
+                    )
+                    assert outcome.stats.morsels_total == 3
+                    assert outcome.stats.used_codegen is use_codegen
+                    others = ("f7",) if "f7" in info.all_attrs else ()
+                    plan = AccessPlan(
+                        ExecutionStrategy.FUSED,
+                        (group,) + table.narrowest_cover(others),
+                    )
+                    for twin in (True, False):
+                        want, _ = Executor(
+                            EngineConfig(
+                                morsel_rows=morsel_rows, use_codegen=twin
+                            )
+                        ).run_plan(info, plan)
+                        where = (base, use_codegen, twin, sql)
+                        if info.is_aggregation:
+                            assert [
+                                v.hex() for v in outcome.result.scalars()
+                            ] == [v.hex() for v in want.scalars()], where
+                        else:
+                            got = outcome.result.data
+                            assert got.dtype == want.data.dtype, where
+                            assert got.tobytes() == want.data.tobytes(), (
+                                where
+                            )
 
     def test_online_no_predicate(self, table):
         reorg = Reorganizer()

@@ -289,3 +289,61 @@ class TestSeedAdaptationRobustness:
         )
         assert engine.window.size == 8
         assert engine.monitor.queries_seen == 2
+
+
+def float_table(num_rows=70_000, width=8, seed=11):
+    """A column-major table of inexact float64 values."""
+    from repro.sql.types import DataType
+    from repro.storage import Schema, Table
+    from repro.storage.schema import Attribute
+
+    rng = np.random.default_rng(seed)
+    names = [f"f{i}" for i in range(1, width + 1)]
+    schema = Schema([Attribute(n, DataType.FLOAT64) for n in names])
+    columns = {n: rng.standard_normal(num_rows) * 1e3 for n in names}
+    return Table.from_columns("r", schema, columns, "column")
+
+
+FLOAT_SQL = "SELECT sum(f1 + f2), sum(f3), avg(f4) FROM r WHERE f5 > 0"
+
+
+class TestOnlineReorganization:
+    def test_stitching_repeat_returns_the_same_bits(self):
+        """The repeat that stitches a group answers with the bits every
+        other repeat returns, before and after the group exists."""
+        engine = H2OEngine(float_table())
+        reports = [engine.execute(FLOAT_SQL) for _ in range(40)]
+        stitched = [r for r in reports if r.layout_created]
+        assert len(stitched) == 1
+        assert {r.result.data.tobytes() for r in reports} == {
+            reports[0].result.data.tobytes()
+        }
+        assert stitched[0].plan.startswith("online-reorg(group[")
+        assert stitched[0].morsels_total == 2
+
+    def test_compile_fault_during_stitch_falls_back_and_keeps_group(self):
+        """A compile failure inside an online stitch is answered by the
+        interpreter, counted as a fallback, and the group still lands."""
+        from repro.testkit.faults import FaultInjector
+
+        engine = H2OEngine(float_table())
+        online = engine.reorganizer.online
+        fired = []
+
+        def faulted(source, attrs, info):
+            schedule = {"codegen.compile": frozenset(range(4))}
+            with FaultInjector(schedule) as injector:
+                outcome = online(source, attrs, info)
+            fired.append(injector.fired_count("codegen.compile"))
+            return outcome
+
+        engine.reorganizer.online = faulted
+        reports = [engine.execute(FLOAT_SQL) for _ in range(40)]
+        (stitched,) = [r for r in reports if r.layout_created]
+        assert fired == [1]
+        assert stitched.codegen_fallback and not stitched.used_codegen
+        assert engine.executor.codegen_fallbacks == 1
+        assert engine.table.find_group(stitched.layout_created) is not None
+        assert {r.result.data.tobytes() for r in reports} == {
+            reports[0].result.data.tobytes()
+        }

@@ -231,3 +231,38 @@ def test_dense_sums_match_interpreter_bit_for_bit(where, num_rows):
     assert "np.einsum('ij->j'" in operator.source
     for lo, hi in ((0, num_rows), (0, 0), (num_rows - 1, num_rows)):
         run_both((info, plan, lo, hi), fused_reference)
+
+
+@pytest.mark.parametrize("where", ["", " WHERE f0 > 0 AND i0 < 6"])
+@pytest.mark.parametrize(
+    "strategy", [ExecutionStrategy.LATE, ExecutionStrategy.FUSED]
+)
+def test_multi_vector_float_sums_match_interpreter_bit_for_bit(
+    strategy, where
+):
+    """Inexact float sums over a morsel of several interpreter vectors:
+    both interpreters sum a morsel's values once, in the kernels' order,
+    and a constant argument counts once per qualifying row."""
+    rng = np.random.default_rng(7)
+    num_rows = 3 * VECTOR_ROWS + 123
+    columns = {
+        name: rng.integers(-10, 11, size=num_rows, dtype=np.int64)
+        for name in INTS
+    }
+    for name in FLOATS:
+        columns[name] = rng.standard_normal(num_rows) * 1e3
+    table = Table.from_columns("r", SCHEMA, columns, "column")
+    sql = (
+        "SELECT sum(f0 + f1), avg(f1), sum(f0 * 3), sum(0.1), min(f0), "
+        f"sum(i0), count(*) FROM r{where}"
+    )
+    info = analyze_query(parse_query(sql), SCHEMA)
+    if strategy is ExecutionStrategy.FUSED:
+        group, _ = stitch_group(table.layouts, FLOATS, SCHEMA)
+        layouts = (group, table.layouts_containing("i0")[0])
+        interpret = fused_reference
+    else:
+        layouts = tuple(table.layouts_containing(a)[0] for a in info.all_attrs)
+        interpret = run_late_interpreted
+    for lo, hi in ((0, num_rows), (VECTOR_ROWS - 5, num_rows - 7)):
+        run_both((info, AccessPlan(strategy, layouts), lo, hi), interpret)

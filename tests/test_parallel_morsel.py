@@ -62,7 +62,7 @@ from repro.storage.stitcher import stitch_group, stitch_single_columns
 from repro.storage.zonemap import (
     bind_zone_bounds,
     cached_zone_maps,
-    layout_zone_maps,
+    ensure_attr_stats,
     morsel_ranges,
     num_morsels_for,
 )
@@ -489,13 +489,14 @@ def zoned_tables(draw):
 
 
 def assert_maps_exact(layout, morsel_rows: int) -> None:
-    """Every attribute's zone maps equal brute-force per-morsel min/max."""
-    maps = layout_zone_maps(layout, morsel_rows)
+    """Every attribute's zone maps — built on first consultation, then
+    read from the layout's cache — equal brute-force per-morsel
+    min/max."""
     ranges = morsel_ranges(layout.num_rows, morsel_rows)
-    assert maps.num_morsels == len(ranges)
     for attr in layout.attrs:
         column = np.asarray(layout.column(attr), dtype=np.float64)
-        mins, maxs = maps.stats_for(attr)
+        mins, maxs = ensure_attr_stats(layout, attr, morsel_rows)
+        assert mins.shape == maxs.shape == (len(ranges),)
         for i, (lo, hi) in enumerate(ranges):
             assert mins[i] == column[lo:hi].min()
             assert maxs[i] == column[lo:hi].max()
@@ -518,7 +519,22 @@ def test_zone_maps_exact_after_build_and_append(case):
         }
     )
     for layout in table.layouts:
+        assert cached_zone_maps(layout).attrs == layout.attrs
         assert_maps_exact(layout, morsel_rows)
+
+
+def test_append_extends_only_the_maps_a_predicate_built():
+    """Stats exist only for attributes some predicate consulted: an
+    append carries those forward and builds none for the others."""
+    table = generate_table("r", 6, 1_000, rng=5, initial_layout="row")
+    (row,) = table.layouts
+    ensure_attr_stats(row, "a2", 256)
+    table.append_rows(
+        {name: np.arange(300, dtype=np.int64) for name in table.schema.names}
+    )
+    (grown,) = table.layouts
+    assert cached_zone_maps(grown).attrs == ("a2",)
+    assert_maps_exact(grown, 256)
 
 
 @given(
@@ -528,13 +544,9 @@ def test_zone_maps_exact_after_build_and_append(case):
 @settings(max_examples=30, deadline=None)
 def test_zone_maps_exact_after_stitch(case, attrs):
     table, _columns, morsel_rows = case
-    group, _stats = stitch_group(
-        table.layouts, attrs, table.schema, morsel_rows=morsel_rows
-    )
+    group, _stats = stitch_group(table.layouts, attrs, table.schema)
     assert_maps_exact(group, morsel_rows)
-    singles, _stats = stitch_single_columns(
-        table.layouts, attrs, morsel_rows=morsel_rows
-    )
+    singles, _stats = stitch_single_columns(table.layouts, attrs)
     for single in singles:
         assert_maps_exact(single, morsel_rows)
 
@@ -632,12 +644,7 @@ def mixed_binding_cases(draw):
         )
         ordered = [n for n in names if n in attrs]
         if table.find_group(ordered) is None:
-            group, _ = stitch_group(
-                table.layouts,
-                ordered,
-                schema,
-                morsel_rows=draw(st.sampled_from([0, morsel_rows])),
-            )
+            group, _ = stitch_group(table.layouts, ordered, schema)
             table.add_layout(group)
     conjuncts = []
     for _ in range(draw(st.integers(1, 4))):

@@ -172,9 +172,3 @@ class TestRowLayout:
             build_row_layout(
                 schema, {"a": np.arange(5), "b": np.arange(6)}
             )
-
-    def test_block_ranges(self):
-        layout = SingleColumn("v", np.arange(10))
-        assert list(layout.block_ranges(4)) == [(0, 4), (4, 8), (8, 10)]
-        with pytest.raises(LayoutError):
-            list(layout.block_ranges(0))

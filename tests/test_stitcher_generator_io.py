@@ -8,11 +8,7 @@ from repro.sql import DataType
 from repro.storage import generate_table, wide_schema
 from repro.storage.io import load_table, save_table
 from repro.storage.layout import LayoutKind
-from repro.storage.stitcher import (
-    stitch_group,
-    stitch_single_columns,
-    stitched_block_iter,
-)
+from repro.storage.stitcher import stitch_group, stitch_single_columns
 
 
 class TestStitchGroup:
@@ -80,30 +76,6 @@ class TestStitchSingles:
             ).all()
             assert column.data.flags["C_CONTIGUOUS"]
         assert stats.bytes_written == sum(c.nbytes for c in columns)
-
-
-class TestBlockIter:
-    def test_blocks_reassemble_group(self, column_table):
-        attrs = ("a1", "a4")
-        full, _ = stitch_group(
-            column_table.layouts, attrs, column_table.schema
-        )
-        pieces = []
-        for start, stop, block in stitched_block_iter(
-            column_table.layouts, attrs, 300, full.data.dtype
-        ):
-            assert stop - start <= 300
-            pieces.append(block)
-        rebuilt = np.concatenate(pieces, axis=0)
-        assert (rebuilt == full.data).all()
-
-    def test_bad_block_size(self, column_table):
-        with pytest.raises(LayoutError):
-            list(
-                stitched_block_iter(
-                    column_table.layouts, ("a1",), 0, np.dtype(np.int64)
-                )
-            )
 
 
 class TestGenerator:
