@@ -304,6 +304,9 @@ class ExprCompiler:
                 f"{mask} = {_CMP_UFUNC[expr.op]}"
                 f"({left.source}, {right.source})"
             )
+            if not (left.is_array or right.is_array):
+                # Literals only: one constant over the whole morsel.
+                sb.line(f"{mask} = np.full(n, {mask})")
             return mask
         if isinstance(expr, BooleanOp):
             left_mask = self.compile_mask(expr.left, sb)

@@ -12,8 +12,9 @@ planned over the group plus the narrowest providers of its other
 attributes, and the plan runs through the executor's own path — code
 generation or the interpreter, the operator cache, the in-order morsel
 combine — with one extra step per morsel: stitch that morsel of the
-group, one cache-resident vector of rows at a time, then answer the
-morsel while it is hot.  The answer is therefore bit-identical to a
+group, one cache-resident sub-block of rows at a time (adjacent source
+columns of a row layout move as one 2-D slice), then answer the morsel
+while it is hot.  The answer is therefore bit-identical to a
 fused scan over the finished group.
 
 The offline alternative — stitch the whole group, then query it — is
@@ -37,10 +38,10 @@ from ..execution.executor import ExecStats, Executor
 from ..execution.morsel import StitchStep
 from ..execution.result import QueryResult
 from ..execution.strategies import AccessPlan, ExecutionStrategy
-from ..execution.volcano import VECTOR_ROWS
 from ..sql.analyzer import QueryInfo
 from ..storage.column_group import ColumnGroup
 from ..storage.relation import LayoutSnapshot, Table
+from ..storage.stitcher import stitch_rows, stitch_runs
 from ..util.faultpoints import fault_point
 from ..util.timing import Timer
 
@@ -101,7 +102,10 @@ class Reorganizer:
         group = ColumnGroup(
             ordered, data, full_width=len(ordered) == schema.width
         )
-        columns = [source.column(attr) for attr in ordered]
+        runs = stitch_runs(
+            {attr: source.layouts_containing(attr)[0] for attr in ordered},
+            ordered,
+        )
         others = [a for a in info.all_attrs if a not in group.attr_set]
         plan = AccessPlan(
             ExecutionStrategy.FUSED,
@@ -115,11 +119,7 @@ class Reorganizer:
             # the partial group (it was never published) and answers the
             # query through ordinary planning instead.
             fault_point("reorg.online", attrs=ordered, offset=lo)
-            for start in range(lo, hi, VECTOR_ROWS):
-                stop = min(start + VECTOR_ROWS, hi)
-                block = data[start:stop]
-                for position, column in enumerate(columns):
-                    block[:, position] = column[start:stop]
+            stitch_rows(data, runs, lo, hi)
 
         with Timer() as timer:
             result, stats = self._run(info, plan, stitch)

@@ -12,7 +12,7 @@ produce bit-identical results to it (integration tests enforce this).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -74,20 +74,34 @@ def evaluate_value(expr: Expr, resolve: Resolver) -> np.ndarray:
     raise ExecutionError(f"cannot evaluate {expr!r} as a value")
 
 
-def evaluate_predicate(expr: Expr, resolve: Resolver) -> np.ndarray:
-    """Evaluate a boolean expression to a boolean mask array."""
+def evaluate_predicate(
+    expr: Expr, resolve: Resolver, rows: Optional[int] = None
+) -> np.ndarray:
+    """Evaluate a boolean expression to a boolean mask array.
+
+    A predicate that reads no column (``1 > 2``) is one constant, which
+    every row shares: given the ``rows`` count, it folds to an all-false
+    or all-true mask over them.
+    """
+    mask = _evaluate_mask(expr, resolve)
+    if rows is not None and mask.ndim == 0:
+        return np.full(rows, bool(mask))
+    return mask
+
+
+def _evaluate_mask(expr: Expr, resolve: Resolver) -> np.ndarray:
     if isinstance(expr, Comparison):
         left = evaluate_value(expr.left, resolve)
         right = evaluate_value(expr.right, resolve)
         return _CMP_FUNCS[expr.op](left, right)
     if isinstance(expr, BooleanOp):
-        left = evaluate_predicate(expr.left, resolve)
-        right = evaluate_predicate(expr.right, resolve)
+        left = _evaluate_mask(expr.left, resolve)
+        right = _evaluate_mask(expr.right, resolve)
         if expr.op is BoolConnective.AND:
             return np.logical_and(left, right)
         return np.logical_or(left, right)
     if isinstance(expr, Not):
-        return np.logical_not(evaluate_predicate(expr.child, resolve))
+        return np.logical_not(_evaluate_mask(expr.child, resolve))
     raise ExecutionError(f"cannot evaluate {expr!r} as a predicate")
 
 

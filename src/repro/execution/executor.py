@@ -25,6 +25,7 @@ from ..storage.zonemap import ZoneBounds, morsel_ranges
 from .evaluator import (
     AggregateAccumulator,
     collect_aggregates,
+    evaluate_predicate,
     evaluate_value,
     finalize_output,
 )
@@ -39,7 +40,7 @@ from .parallel import ScanPool, get_scan_pool
 from .result import QueryResult
 from .strategies import AccessPlan, ExecutionStrategy
 from .vectorized import run_late_interpreted
-from .volcano import VECTOR_ROWS, run_fused_interpreted
+from .volcano import VECTOR_ROWS, projection_dtype, run_fused_interpreted
 
 
 @dataclass
@@ -175,8 +176,16 @@ class Executor:
     def _run_attribute_free(
         self, info: QueryInfo, plan: AccessPlan
     ) -> Tuple[QueryResult, ExecStats]:
-        """Queries that read no attributes (e.g. ``SELECT count(*)``)."""
+        """Queries that read no attributes (e.g. ``SELECT count(*)``).
+
+        Their WHERE clause, if any, reads no column either: it qualifies
+        every row or none.
+        """
         num_rows = plan.layouts[0].num_rows
+        if info.query.where is not None and not evaluate_predicate(
+            info.query.where, lambda _n: None
+        ):
+            num_rows = 0
         names = [out.name for out in info.query.select]
         if info.is_aggregation:
             agg_values = {}
@@ -198,11 +207,12 @@ class Executor:
             result = QueryResult.scalar_row(names, values)
         else:
             block = np.empty(
-                (num_rows, len(info.query.select)), dtype=np.float64
+                (num_rows, len(info.query.select)),
+                dtype=projection_dtype(info),
             )
             for position, out in enumerate(info.query.select):
-                block[:, position] = float(
-                    evaluate_value(out.expr, lambda _n: None)
+                block[:, position] = evaluate_value(
+                    out.expr, lambda _n: None
                 )
             result = QueryResult(names, block)
         stats = ExecStats(

@@ -30,7 +30,9 @@ class Filter(Operator):
             chunk = self._child.next_chunk()
             if chunk is None:
                 return None
-            mask = evaluate_predicate(self._predicate, chunk.col)
+            mask = evaluate_predicate(
+                self._predicate, chunk.col, chunk.num_rows
+            )
             kept = int(mask.sum())
             if kept == 0:
                 continue  # fully filtered vector; pull the next one

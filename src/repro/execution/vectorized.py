@@ -106,7 +106,9 @@ def run_late_interpreted(
             name: selection.gather(columns[name])
             for name in conjunct.columns()
         }
-        mask = evaluate_predicate(conjunct, gathered.__getitem__)
+        mask = evaluate_predicate(
+            conjunct, gathered.__getitem__, selection.count
+        )
         selection = selection.refine(mask)
 
     # Phase 2: gather SELECT-clause columns at the qualifying positions.

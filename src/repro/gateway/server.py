@@ -1,12 +1,16 @@
 """The asyncio gateway: HTTP routes bridged onto the threaded service.
 
-One event loop accepts connections and parses requests; everything that
-can block — query execution, WAL writes, checkpoints — runs on a thread
-pool via ``loop.run_in_executor`` so the loop never stalls.  Appends are
-coalesced by :class:`AppendBatcher` into group commits: requests that
-queue up while the previous commit's fsync is in flight share a single
-WAL batch and fsync, and every rider is acknowledged only after that
-fsync returns.
+One event loop accepts connections and parses requests.  A query is
+submitted to the service's queue from the loop itself and awaited there
+(:meth:`~repro.service.service.QueryFuture.aresult`); the worker that
+answers it wakes the loop with ``call_soon_threadsafe``, so the query
+crosses one thread hop, to a worker and back.  Everything else that can
+block — WAL writes, checkpoints, table creation, health and metrics
+snapshots — runs on a thread pool via ``loop.run_in_executor`` so the
+loop never stalls.  Appends are coalesced by :class:`AppendBatcher` into
+group commits: requests that queue up while the previous commit's fsync
+is in flight share a single WAL batch and fsync, and every rider is
+acknowledged only after that fsync returns.
 
 Routes::
 
@@ -392,12 +396,12 @@ class Gateway:
         timeout = self._timeout_from(body, self.config.default_timeout)
         tenant = self._tenant(request)
         tenant.acquire()
-        loop = asyncio.get_running_loop()
         try:
-            report = await loop.run_in_executor(
-                self._executor,
-                lambda: tenant.session.execute(sql, timeout=timeout),
-            )
+            # Submitted from the loop: a known shape binds in microseconds
+            # (the parser's shape table), and the worker that settles the
+            # ticket wakes the loop directly — one thread hop per query.
+            future = tenant.session.submit(sql, timeout=timeout)
+            report = await future.aresult(timeout)
         finally:
             tenant.release()
         result = report.result

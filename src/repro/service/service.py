@@ -24,11 +24,12 @@ H2OSystem` into a multi-client service:
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import queue
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..config import EngineConfig
 from ..core.engine import QueryReport
@@ -78,6 +79,7 @@ class _QueryTicket:
         "exception",
         "abandoned",
         "attempts",
+        "callbacks",
     )
 
     def __init__(
@@ -101,6 +103,25 @@ class _QueryTicket:
         #: Execution attempts started so far (the retry ladder caps
         #: this at the service's ``max_query_attempts``).
         self.attempts = 0
+        #: Run once when the ticket resolves (see :meth:`on_settled`).
+        self.callbacks: List[Callable[[], None]] = []
+
+    def on_settled(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the ticket is done, failed or
+        cancelled — right away when it already is.  It runs on the
+        thread that settles the ticket, so it must not block."""
+        with self.lock:
+            if not self.event.is_set():
+                self.callbacks.append(callback)
+                return
+        callback()
+
+    def _settle(self) -> List[Callable[[], None]]:
+        """Wake the waiters; returns the callbacks to run once the lock
+        is released (the caller holds it)."""
+        self.event.set()
+        callbacks, self.callbacks = self.callbacks, []
+        return callbacks
 
     # Worker side ---------------------------------------------------------
 
@@ -116,13 +137,17 @@ class _QueryTicket:
         with self.lock:
             self.state = _DONE
             self.report = report
-        self.event.set()
+            callbacks = self._settle()
+        for callback in callbacks:
+            callback()
 
     def fail(self, exc: BaseException) -> None:
         with self.lock:
             self.state = _FAILED
             self.exception = exc
-        self.event.set()
+            callbacks = self._settle()
+        for callback in callbacks:
+            callback()
 
     def reset_for_retry(self) -> bool:
         """RUNNING → PENDING for another attempt; False once finished.
@@ -145,7 +170,9 @@ class _QueryTicket:
             if self.state != _PENDING:
                 return False
             self.state = _CANCELLED
-        self.event.set()
+            callbacks = self._settle()
+        for callback in callbacks:
+            callback()
         return True
 
     def abandon(self) -> None:
@@ -177,23 +204,67 @@ class QueryFuture:
         ``timeout`` nor the ticket's own deadline is met; re-raises the
         worker-side exception if execution failed.
         """
-        ticket = self._ticket
+        wait = self._wait_budget(timeout)
+        return self._outcome(self._ticket.event.wait(wait), wait, timeout)
+
+    async def aresult(self, timeout: Optional[float] = None) -> QueryReport:
+        """:meth:`result` for a coroutine: the running event loop waits
+        instead of a thread.  The ticket's settling thread wakes the
+        loop with ``call_soon_threadsafe``; a loop timer stands in for
+        the timeout.  The outcome is :meth:`result`'s, status for
+        status."""
+        wait = self._wait_budget(timeout)
+        loop = asyncio.get_running_loop()
+        settled = loop.create_future()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(_resolve, settled, True)
+            except RuntimeError:  # the loop closed; nobody is waiting
+                pass
+
+        self._ticket.on_settled(wake)
+        timer = (
+            None
+            if wait is None
+            else loop.call_later(wait, _resolve, settled, False)
+        )
+        try:
+            finished = await settled
+        except asyncio.CancelledError:
+            self._give_up()
+            raise
+        finally:
+            if timer is not None:
+                timer.cancel()
+        return self._outcome(finished, wait, timeout)
+
+    def _wait_budget(self, timeout: Optional[float]) -> Optional[float]:
+        """Seconds to wait: ``timeout`` capped by the ticket's deadline."""
         wait = timeout
-        if ticket.deadline is not None:
-            remaining = ticket.deadline - time.monotonic()
-            wait = (
-                remaining if wait is None else min(wait, remaining)
-            )
-        if wait is not None:
-            wait = max(0.0, wait)
-        finished = ticket.event.wait(wait)
+        deadline = self._ticket.deadline
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            wait = remaining if wait is None else min(wait, remaining)
+        return None if wait is None else max(0.0, wait)
+
+    def _give_up(self) -> None:
+        """Cancel the query if still queued; a running query completes
+        in the background with its result discarded."""
+        if not self.cancel():
+            self._ticket.abandon()
+
+    def _outcome(
+        self,
+        finished: bool,
+        wait: Optional[float],
+        timeout: Optional[float],
+    ) -> QueryReport:
+        """The report, or the error a waiter sees; ``finished`` says
+        whether the ticket settled before the wait ran out."""
+        ticket = self._ticket
         if not finished:
-            # Best effort: cancel if still queued; a running query
-            # completes in the background with its result discarded.
-            if ticket.cancel():
-                self._service._on_cancelled(ticket)
-            else:
-                ticket.abandon()
+            self._give_up()
             self._service._on_timeout(ticket)
             raise QueryTimeoutError(
                 f"query did not finish within "
@@ -218,6 +289,11 @@ class QueryFuture:
         # waiter gets a fresh clone chained (``from``) to the original,
         # so ``__cause__`` still carries the worker-side story.
         raise _rebuild_exception(exception) from exception
+
+
+def _resolve(future: "asyncio.Future", value: bool) -> None:
+    if not future.done():
+        future.set_result(value)
 
 
 def _rebuild_exception(exc: BaseException) -> BaseException:
@@ -354,8 +430,11 @@ class H2OService:
 
         Raises :class:`ServiceOverloadedError` when the queue bound is
         exceeded and :class:`ServiceClosedError` after :meth:`close`.
-        Parsing happens in the caller's thread so syntax errors raise
-        synchronously.
+        SQL text is parsed in the caller's thread, so syntax errors
+        raise synchronously; a repeat of a known shape is bound from
+        the parser's shape table rather than parsed (see
+        :func:`~repro.sql.parser.parse_query`), cheap enough for the
+        gateway to submit from its event loop.
         """
         if self._closed.is_set():
             raise ServiceClosedError(f"service {self.name!r} is closed")

@@ -84,11 +84,11 @@ def masked_sql(
     raise AnalysisError(f"cannot mask {expr!r}")
 
 
-def _walk_literals(expr: Expr, out: List[object]) -> None:
-    """Pre-order literal collection."""
+def _walk_literals(expr: Expr, out: List[Literal]) -> None:
+    """Pre-order literal collection (the nodes)."""
     kind = type(expr)
     if kind is Literal:
-        out.append(expr.value)
+        out.append(expr)
     elif kind is ColumnRef:
         pass
     elif kind is Arithmetic or kind is Comparison or kind is BooleanOp:
@@ -105,7 +105,7 @@ def _walk_literals(expr: Expr, out: List[object]) -> None:
 
 def literal_count(expr: Expr) -> int:
     """How many canonical-vector slots ``expr``'s literals take."""
-    literals: List[object] = []
+    literals: List[Literal] = []
     _walk_literals(expr, literals)
     return len(literals)
 
@@ -126,7 +126,12 @@ def _unique_aggregates(query: Query) -> Tuple[Aggregate, ...]:
 
 def collect_literals(query: Query) -> List[object]:
     """One pre-order literal walk; prefer the cached ``Query.literals``."""
-    literals: List[object] = []
+    return [node.value for node in literal_nodes(query)]
+
+
+def literal_nodes(query: Query) -> List[Literal]:
+    """The :class:`Literal` nodes behind ``query``'s canonical vector."""
+    literals: List[Literal] = []
     for conjunct in query.predicates:
         _walk_literals(conjunct, literals)
     # Literals in arithmetic *over* aggregates (``sum(a) * 2``) are not

@@ -25,6 +25,15 @@ from .layout import Layout
 from .schema import Schema
 
 
+#: Rows stitched per sub-block: a block of a wide group stays cache-
+#: resident between the reads that fill it and the writes after them.
+STITCH_ROWS = 4096
+
+#: ``(first, stop, view)``: rows of the 2-D ``view`` fill target columns
+#: ``first:stop`` of a group being stitched.
+Run = Tuple[int, int, np.ndarray]
+
+
 @dataclass(frozen=True)
 class TransformStats:
     """Data volume moved by one stitching operation.
@@ -60,6 +69,52 @@ def _plan_sources(
     return providers
 
 
+def stitch_runs(
+    providers: Dict[str, Layout], attrs: Sequence[str]
+) -> List[Run]:
+    """How to copy ``attrs``, in order, out of their ``providers``.
+
+    Adjacent target columns that one 2-D source (a row layout or group)
+    holds adjacently, in the same order, are one run, so a sub-block of
+    them moves as one 2-D slice copy instead of one strided copy per
+    column.  A single column is a run of width one.
+    """
+    runs: List[Tuple[int, int, Layout, int]] = []
+    for position, attr in enumerate(attrs):
+        layout = providers[attr]
+        index = layout.index_of(attr)
+        if runs:
+            first, stop, last, start = runs[-1]
+            if (
+                last is layout
+                and layout.data.ndim == 2
+                and index == start + (stop - first)
+            ):
+                runs[-1] = (first, stop + 1, last, start)
+                continue
+        runs.append((position, position + 1, layout, index))
+    return [
+        (
+            first,
+            stop,
+            layout.data[:, start : start + stop - first]
+            if layout.data.ndim == 2
+            else layout.data[:, None],
+        )
+        for first, stop, layout, start in runs
+    ]
+
+
+def stitch_rows(data: np.ndarray, runs: Sequence[Run], lo: int, hi: int) -> None:
+    """Fill rows ``[lo, hi)`` of the group buffer ``data`` from ``runs``,
+    :data:`STITCH_ROWS` rows at a time."""
+    for start in range(lo, hi, STITCH_ROWS):
+        stop = min(start + STITCH_ROWS, hi)
+        block = data[start:stop]
+        for first, last, view in runs:
+            block[:, first:last] = view[start:stop]
+
+
 def _read_bytes(providers: Dict[str, Layout]) -> int:
     """Source bytes fetched: each used layout is scanned once, fully."""
     used = {id(lay): lay for lay in providers.values()}
@@ -89,8 +144,7 @@ def stitch_group(
     (num_rows,) = rows
     dtype = schema.common_dtype(attrs).numpy_dtype
     data = np.empty((num_rows, len(attrs)), dtype=dtype)
-    for position, attr in enumerate(attrs):
-        data[:, position] = providers[attr].column(attr)
+    stitch_rows(data, stitch_runs(providers, attrs), 0, num_rows)
     group = ColumnGroup(attrs, data, full_width=full_width)
     stats = TransformStats(
         bytes_read=_read_bytes(providers),

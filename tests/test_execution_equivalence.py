@@ -158,3 +158,42 @@ def test_operator_cache_reuses_across_constants(tables):
     a1 = np.asarray(table.column("a1"))
     a2 = np.asarray(table.column("a2"))
     assert result.scalars()[0] == pytest.approx(float(a1[a2 < -5000].sum()))
+
+
+#: A predicate that reads no column (left) against one that qualifies
+#: the same rows by reading a column (right): no row for a false
+#: constant, every row (or the other conjuncts' rows) for a true one.
+CONSTANT_PREDICATES = [
+    ("SELECT count(*) FROM r WHERE 1 > 2", "SELECT count(*) FROM r WHERE a1 > 2000000000"),
+    ("SELECT count(*) FROM r WHERE 2 > 1", "SELECT count(*) FROM r"),
+    ("SELECT sum(7) FROM r WHERE 1 > 2", "SELECT sum(7) FROM r WHERE a1 > 2000000000"),
+    ("SELECT sum(7), count(*) FROM r WHERE NOT (1 > 2)", "SELECT sum(7), count(*) FROM r"),
+    ("SELECT 7 FROM r WHERE 1 > 2", "SELECT 7 FROM r WHERE a1 > 2000000000"),
+    ("SELECT 7 FROM r WHERE 2 > 1", "SELECT 7 FROM r WHERE a1 = a1"),
+    ("SELECT 7, 2.5 FROM r", "SELECT 7, 2.5 FROM r WHERE a1 = a1"),
+    ("SELECT sum(a1) FROM r WHERE 1 > 2", "SELECT sum(a1) FROM r WHERE a1 > 2000000000"),
+    ("SELECT sum(a1) FROM r WHERE 2 > 1", "SELECT sum(a1) FROM r"),
+    ("SELECT sum(a1), count(*) FROM r WHERE a2 > 0 AND 1 > 2", "SELECT sum(a1), count(*) FROM r WHERE a2 > 2000000000"),
+    ("SELECT sum(a1), count(*) FROM r WHERE a2 > 0 AND 2 >= 1", "SELECT sum(a1), count(*) FROM r WHERE a2 > 0"),
+    ("SELECT a1, a2 FROM r WHERE 1 > 2", "SELECT a1, a2 FROM r WHERE a1 > 2000000000"),
+    ("SELECT a1, a2 FROM r WHERE 1 = 1", "SELECT a1, a2 FROM r"),
+    ("SELECT a1, 3 FROM r WHERE a2 > 0 AND 1 > 2", "SELECT a1, 3 FROM r WHERE a2 > 2000000000"),
+    ("SELECT a1, 3 FROM r WHERE a2 > 0 AND NOT (1 > 2)", "SELECT a1, 3 FROM r WHERE a2 > 0"),
+    ("SELECT count(*) FROM r WHERE 1 > 2 OR a2 > 0", "SELECT count(*) FROM r WHERE a2 > 0"),
+    ("SELECT count(*) FROM r WHERE a2 > 0 OR 2 > 1", "SELECT count(*) FROM r"),
+    ("SELECT max(a1) FROM r WHERE a2 > 0 AND (1 > 2 OR 3 > 2)", "SELECT max(a1) FROM r WHERE a2 > 0"),
+]
+
+
+@pytest.mark.parametrize("sql, reference", CONSTANT_PREDICATES)
+def test_constant_predicates_fold_on_every_path(sql, reference, tables, executors):
+    expected = all_results(reference, tables[:1], executors[:1])[0][0]
+    results = all_results(sql, tables, executors)
+    if analyze_query(parse_query(sql), tables[0].schema).all_attrs:
+        # Both the kernels and the interpreters answered.
+        assert {used for _, _, used in results} == {True, False}
+    for result, plan, used_codegen in results:
+        assert result.data.dtype == expected.data.dtype, (plan, used_codegen)
+        assert np.array_equal(
+            result.data, expected.data, equal_nan=True
+        ), (sql, plan, used_codegen)

@@ -69,6 +69,30 @@ class TestFastLaneEngages:
         assert not any(r.plan_cache_hit for r in engine.reports)
         assert engine.plan_cache.stats()["hits"] == 0
 
+    @pytest.mark.parametrize("use_codegen", [True, False])
+    def test_constant_conjunct_is_a_slot_of_the_shape(self, use_codegen):
+        """``1 < 2`` and ``2 < 1`` are one shape: the cached plan and
+        kernel evaluate the constant per query, never bake it in."""
+        engine = fresh_engine(use_codegen=use_codegen)
+        a1 = np.asarray(engine.table.column("a1"))
+        a2 = np.asarray(engine.table.column("a2"))
+        mask = a2 > 0
+        for lo, hi in ((1, 2), (2, 1), (3, 4), (5, 5), (-1, 0)):
+            report = engine.execute(
+                f"SELECT sum(a1), count(*) FROM r WHERE a2 > 0 AND {lo} < {hi}"
+            )
+            keep = mask if lo < hi else np.zeros_like(mask)
+            assert report.result.scalars() == pytest.approx(
+                (float(a1[keep].sum()), float(keep.sum()))
+            )
+            projected = engine.execute(
+                f"SELECT a1 FROM r WHERE {lo} < {hi}"
+            )
+            assert projected.result.num_rows == (len(a1) if lo < hi else 0)
+        # ``2 < 1`` ran both shapes' plans cached by ``1 < 2``.
+        assert engine.reports[2].plan_cache_hit
+        assert engine.reports[3].plan_cache_hit
+
     def test_describe_reports_plan_cache(self):
         engine = fresh_engine()
         engine.execute("SELECT a1 FROM r")

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.reorganizer import Reorganizer
 from repro.errors import LayoutError, StorageError, WorkloadError
-from repro.sql import DataType
+from repro.sql import DataType, analyze_query, parse_query
 from repro.storage import generate_table, wide_schema
 from repro.storage.io import load_table, save_table
 from repro.storage.layout import LayoutKind
-from repro.storage.stitcher import stitch_group, stitch_single_columns
+from repro.storage.relation import Table
+from repro.storage.schema import Attribute, Schema
+from repro.storage.stitcher import (
+    STITCH_ROWS,
+    stitch_group,
+    stitch_single_columns,
+)
 
 
 class TestStitchGroup:
@@ -62,6 +69,65 @@ class TestStitchGroup:
             stitch_group(
                 column_table.layouts[:2], ("a5",), column_table.schema
             )
+
+
+def _sources(kind: str) -> Table:
+    """8 attributes (a3 and a6 float64) over 2.5 sub-blocks of rows,
+    stored row-major, column-major, or mixed: a group over a5..a8
+    (written a7, a5, a6, a8) beside a group over a1..a3 and one column."""
+    schema = Schema(
+        Attribute(f"a{i}", DataType.FLOAT64 if i in (3, 6) else DataType.INT64)
+        for i in range(1, 9)
+    )
+    rows = STITCH_ROWS * 5 // 2 + 7
+    if kind != "mixed":
+        return generate_table("r", 8, rows, rng=3, initial_layout=kind, schema=schema)
+    base = generate_table("r", 8, rows, rng=3, schema=schema)
+    groups = [
+        stitch_group(base.layouts, attrs, schema)[0]
+        for attrs in (("a1", "a2", "a3"), ("a7", "a5", "a6", "a8"))
+    ]
+    return Table("r", schema, groups + [base.layouts[3]])
+
+
+def _per_column(table: Table, attrs) -> np.ndarray:
+    dtype = table.schema.common_dtype(attrs).numpy_dtype
+    data = np.empty((table.num_rows, len(attrs)), dtype=dtype)
+    for position, attr in enumerate(attrs):
+        data[:, position] = table.column(attr)
+    return data
+
+
+#: Target orders: whole runs, runs cut by a gap, reversed, promoted.
+STITCH_TARGETS = [
+    ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8"),
+    ("a5", "a6", "a8"),
+    ("a1", "a2", "a4", "a5", "a6"),
+    ("a8", "a7", "a2", "a1"),
+    ("a7", "a5", "a6"),
+    ("a3",),
+]
+
+
+@pytest.mark.parametrize("kind", ["row", "column", "mixed"])
+@pytest.mark.parametrize("attrs", STITCH_TARGETS)
+def test_stitched_groups_are_bytes_of_per_column_copies(kind, attrs):
+    """The 2-D run copies of the offline and the online stitch build
+    exactly what one copy per column builds."""
+    table = _sources(kind)
+    expected = _per_column(table, attrs)
+    group, _ = stitch_group(table.layouts, attrs, table.schema)
+    assert group.data.dtype == expected.dtype
+    assert group.data.tobytes() == expected.tobytes()
+
+    ordered = table.schema.ordered(attrs)
+    info = analyze_query(
+        parse_query(f"SELECT sum({ordered[0]}) FROM r WHERE a4 > 0"),
+        table.schema,
+    )
+    online = Reorganizer().online(table, attrs, info).group
+    assert online.attrs == ordered
+    assert online.data.tobytes() == _per_column(table, ordered).tobytes()
 
 
 class TestStitchSingles:
