@@ -76,9 +76,7 @@ class OptimalEngine:
         a copy (cached, untimed)."""
         single = self._singles.get(attr)
         if single is None:
-            single = min(
-                self.table.layouts_containing(attr), key=lambda l: l.width
-            )
+            single = self.table.layouts_containing(attr)[0]
             if single.width > 1:
                 single = SingleColumn(attr, self.table.column(attr))
             self._singles[attr] = single

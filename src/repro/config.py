@@ -123,11 +123,6 @@ class EngineConfig:
     #: register their load), so a saturated service degrades toward one
     #: thread per query instead of oversubscribing.
     max_scan_threads: int = 0
-    #: Storage budget in bytes for the table *including* replicated
-    #: groups; 0 means unlimited.  When a new layout pushes the table
-    #: past the budget, the least-used replicated groups are retired
-    #: (attribute coverage is never broken).
-    max_table_bytes: int = 0
     #: Machine model used for all cost estimation.
     machine: MachineProfile = field(default_factory=MachineProfile)
 

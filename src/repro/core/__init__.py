@@ -11,13 +11,16 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
   merging, costed with workload + transformation cost (Eq. 1),
 - :mod:`~repro.core.adaptation_policy` — the layout-switching policy
   (the regret-bounded ledger; greedy at ``hedging_factor = 0``),
-- :mod:`~repro.core.layout_manager` — owns the physical layouts,
+- :mod:`~repro.core.layout_manager` — owns the physical layouts, and
+  its :class:`Adaptation` runs monitor → window → advisor → policy →
+  online builds: whether a query builds a layout,
 - :mod:`~repro.core.reorganizer` — online data reorganization (a fused
   scan that stitches each morsel of the new group before answering it),
-- :mod:`~repro.core.plan_cache` — the steady-state fast lane: a query
-  shape's cached stage outputs (analyzer facts, plan, kernel, zone-map
-  binding) per shape signature,
-- :mod:`~repro.core.engine` — the query processor tying it together.
+- :mod:`~repro.core.planner` — how a query runs over the layouts there
+  are: plan enumeration, Eq. 2 choice, zone-map binding, selectivity
+  feedback and the plan cache (a query shape's cached stage outputs),
+- :mod:`~repro.core.engine` — prepare/run/finish around the two halves:
+  deadlines, the codegen breaker, telemetry, learned-state persistence.
 """
 
 from .adaptation_policy import AdaptationPolicy, LedgerEntry, SwitchRecord
@@ -27,8 +30,8 @@ from .monitor import AccessPattern, Monitor
 from .window import DynamicWindow
 from .history import ShiftDetector
 from .advisor import CandidateLayout, LayoutAdvisor
-from .layout_manager import LayoutManager
-from .plan_cache import CachedPlan, PlanCache
+from .layout_manager import Adaptation, LayoutManager
+from .planner import CachedPlan, PlanCache, Planner
 from .reorganizer import Reorganizer
 from .engine import H2OEngine, QueryReport
 from .system import H2OSystem
@@ -46,7 +49,9 @@ __all__ = [
     "ShiftDetector",
     "LayoutAdvisor",
     "CandidateLayout",
+    "Adaptation",
     "LayoutManager",
+    "Planner",
     "PlanCache",
     "CachedPlan",
     "Reorganizer",

@@ -142,17 +142,10 @@ class AdaptationPolicy:
         where_attrs: FrozenSet[str],
         candidates: Iterable[CandidateLayout],
         query_index: int,
-    ) -> bool:
-        """Account one query against the candidate ledger.
-
-        Returns True when the engine should *skip the plan-cache fast
-        lane* for this query: a previously deferred candidate now
-        clears its hedged threshold, and only the cold path can trigger
-        its materialization.  A candidate that was never deferred never
-        asks for the bypass, so at ``hedging_factor == 0`` fast-lane
-        behaviour is the paper's.
-        """
-        ripe = False
+    ) -> None:
+        """Account one query against the candidate ledger: every
+        candidate that could have served it accrues its per-use
+        benefit."""
         for candidate in candidates:
             if not candidate.serves(select_attrs, where_attrs):
                 continue
@@ -161,16 +154,6 @@ class AdaptationPolicy:
             entry.projected_cost = candidate.build_cost
             entry.observations += 1
             entry.last_observed = query_index
-            # Ask for the fast-lane bypass only when the gate has
-            # actually deferred this candidate before (so greedy would
-            # already have built it and the shape's plan is cached) and
-            # the accrual now covers the hedged cost — the cold path
-            # must get one shot at triggering the build.
-            if entry.deferrals > 0 and self._gate_open(
-                entry.accrued, candidate.build_cost
-            ):
-                ripe = True
-        return ripe
 
     def allow_materialization(
         self, candidate: CandidateLayout, query_index: int

@@ -1,68 +1,53 @@
 """The H2O engine: adaptive query processing end to end.
 
-Per query (paper Fig. 3 and sections 3.2–3.5):
+The engine ties the two halves of the paper's Fig. 3 together, one
+query at a time (sections 3.2–3.5):
 
-1. the Monitor records the query's access pattern (affinity matrices,
-   pattern frequencies) and the ShiftDetector checks for novelty —
-   shifts shrink the dynamic adaptation window;
-2. when the adaptation window elapses, the LayoutAdvisor evaluates the
-   windowed workload (Eq. 1) and refreshes the *candidate pool* of
-   proposed column groups — nothing is materialized yet;
-3. if the incoming query matches a candidate that can amortize its
-   creation, the Reorganizer materializes it **online**, answering the
-   query in the same pass, and the layout joins the table;
-4. otherwise the Query Processor enumerates (layout cover × strategy)
-   access plans, costs them (Eq. 2), and executes the cheapest with an
-   on-the-fly generated operator (cached when seen before);
-5. observed selectivities feed back into the cost model.
+1. the adaptation half (:class:`~repro.core.layout_manager.Adaptation`)
+   monitors the query, detects workload shifts, refreshes the candidate
+   pool when the dynamic window elapses (Eq. 1) and ledgers the
+   candidates' benefit for the switching policy;
+2. the query's plan comes from the planner
+   (:class:`~repro.core.planner.Planner`): a cached plan for a repeat
+   shape under unchanged layouts, or enumeration, zone-map binding and
+   Eq. 2 costing on the cold path;
+3. every query — a plan-cache hit or a cold plan — asks the adaptation
+   half whether it triggers a build; if it matches a candidate that can
+   amortize its creation, the Reorganizer materializes the group
+   **online**, answering the query in the same pass.  Otherwise the
+   planned plan runs with an on-the-fly generated operator (cached when
+   seen before);
+4. observed selectivities feed back into the planner's cost model.
 
 All adaptation overheads — advisor runs, code generation, layout
 creation — are charged to the triggering query's response time, exactly
-as the paper reports them.
-
-**One pipeline, with cached stage outputs.**  Once the store has
-adapted (the tail of Fig. 7), a recurring workload repeats the same
-query *shapes* with fresh literals, and analysis, plan enumeration,
-Eq. 2 costing, zone-map binding and code generation all re-derive
-outputs that are functions of (query shape, layouts, candidate pool,
-learned selectivities).  The engine keeps those outputs in a
-:class:`~repro.core.plan_cache.PlanCache` keyed by the query's masked
-shape signature.  A hit fills the prepare stage's output
-(:class:`_Prepared`) from its entry instead of deriving it, then runs
-the same run and finish stages as a cold plan: the cached kernel gets
-the repeat's own literals, and so does the cached zone-map binding.
-Entries are invalidated by the table's layout epoch (any
-create/retire/append), by candidate-pool refreshes (a cached plan must
-not shortcut past a query that should trigger online materialization),
-and by learned-selectivity drift beyond
-:data:`SELECTIVITY_DRIFT_BAND`.  Monitoring and shift
-detection still run for every query — adaptivity is never bypassed,
-only re-derivation of unchanged decisions.
+as the paper reports them.  Because the trigger question is asked on
+every query, a cached plan never shortcuts past a build, and the
+planner never hears about candidates: the plan cache is invalidated
+only by the table's layout epoch and by selectivity drift.
 
 **Concurrency model.**  The engine serves many threads (the
 :mod:`repro.service` worker pool).  Every query runs in three stages:
 
 1. *prepare* (under ``engine.lock``): monitoring, shift detection,
-   adaptation, snapshot pinning, then the query's plan — from the plan
-   cache, or by analysis, zone-map binding and Eq. 2 costing.  These
-   touch the engine's shared mutable state (monitor, window, candidate
-   pool, plan cache, selectivity estimator) and are short;
+   adaptation, snapshot pinning, the trigger check and the query's
+   plan.  These touch the engine's shared mutable state (monitor,
+   window, candidate pool, selectivity estimator) and are short;
 2. *run* (lock **released**): the actual scan — compiled-kernel or
    interpreted execution against the layout buffers pinned by the
    query's :class:`~repro.storage.relation.LayoutSnapshot`.  NumPy
    kernels release the GIL on large blocks, so scans from different
    workers genuinely overlap; layout buffers are immutable, so no lock
    is needed;
-3. *finish* (under ``engine.lock``): selectivity feedback, usage
-   accounting, plan-cache store (or drift eviction), report append.
+3. *finish* (under ``engine.lock``): selectivity feedback, plan-cache
+   store (or drift eviction), report append.
 
-Layout mutations (online reorganization, budget retirement) happen
-under the engine lock and publish atomically through the table's
-snapshot mechanism — a running scan keeps reading its pinned snapshot
-and can never observe a partially-materialized layout.  Adaptation is
-always charged to the query that triggers it, also under concurrent
-traffic: the worker that runs a triggering query pays its advisor run
-and stitch while the other workers keep scanning their snapshots.
+Online reorganization happens under the engine lock and publishes
+atomically through the table's snapshot mechanism — a running scan
+keeps reading its pinned snapshot and can never observe a
+partially-materialized layout.  The worker that runs a triggering query
+pays its advisor run and stitch while the other workers keep scanning
+their snapshots.
 """
 
 from __future__ import annotations
@@ -76,36 +61,23 @@ from ..config import EngineConfig
 from ..errors import (
     ExecutionError,
     H2OError,
-    LayoutError,
     QueryTimeoutError,
     ReorganizationError,
 )
 from ..execution.executor import ExecStats, Executor
-from ..execution.morsel import DeadlineCheck, StitchStep, zone_bounds_for
-from ..resilience.breaker import CircuitBreaker
-from ..resilience.quarantine import QuarantineList
+from ..execution.morsel import DeadlineCheck, StitchStep
 from ..execution.result import QueryResult
-from ..execution.strategies import AccessPlan, enumerate_plans
+from ..execution.strategies import AccessPlan
+from ..resilience.breaker import CircuitBreaker
 from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
 from ..storage.relation import LayoutSnapshot, Table
 from ..storage.zonemap import ZoneBounds
-from .adaptation_policy import AdaptationPolicy
-from .advisor import MAX_CANDIDATES, CandidateLayout, LayoutAdvisor
-from .cost_model import CostModel, SelectivityEstimator
-from .history import ShiftDetector
-from .layout_manager import LayoutManager
+from .cost_model import CostModel
+from .layout_manager import Adaptation
 from .monitor import Monitor
-from .plan_cache import CachedPlan, PlanCache
-from .reorganizer import Reorganizer
-from .window import DynamicWindow
-
-#: How far (absolute qualifying-fraction difference) the learned
-#: selectivity of a predicate may drift from the estimate its cached
-#: plan was costed with before the fast-lane entry is evicted and the
-#: next repeat re-plans on the cold path.
-SELECTIVITY_DRIFT_BAND = 0.2
+from .planner import CachedPlan, Planner
 
 #: Most recent :class:`QueryReport` objects an engine retains (each pins
 #: its query AST and result array, so a long-lived server must not keep
@@ -183,6 +155,11 @@ class QueryReport:
         return self.phases.get("reorg", 0.0)
 
 
+def _view(half: str, name: str) -> property:
+    """A read-only engine attribute that is ``engine.<half>.<name>``."""
+    return property(lambda engine: getattr(getattr(engine, half), name))
+
+
 @dataclass
 class _Prepared:
     """The locked *prepare* stage's output, carried to run and finish.
@@ -209,7 +186,8 @@ class _Prepared:
     zone_bounds: Optional[ZoneBounds] = None
     #: Masked predicate key for the selectivity estimator ("" if none).
     predicate_key: str = ""
-    #: The plan-cache entry this query hit (None for a cold plan).
+    #: The plan-cache entry whose plan this query runs (None for a
+    #: cold plan or an online build).
     entry: Optional[CachedPlan] = None
     #: Already answered under the lock (online reorganization).
     result: Optional[QueryResult] = None
@@ -244,27 +222,22 @@ class H2OEngine:
         #: *not* use it — its clock is the engine's query counter, so
         #: backoff spans are measured in queries, not seconds.
         self.clock: Callable[[], float] = clock or time.monotonic
-        #: Guards every piece of shared mutable decision state: monitor,
-        #: window, shift detector, candidate pool, selectivity
-        #: estimator, plan-cache *policy* (the cache itself has its own
-        #: lock), layout manager bookkeeping, and the reports list.
-        #: Query *execution* never holds it (see the module docstring).
+        #: Guards every piece of shared mutable decision state: the
+        #: adaptation half (monitor, window, shift detector, candidate
+        #: pool, policy), the planner's selectivity estimator (the plan
+        #: cache has its own lock), and the reports list.  Query
+        #: *execution* never holds it (see the module docstring).
         self.lock = threading.RLock()
-        self.selectivity = SelectivityEstimator()
-        self.cost_model = CostModel(self.config.machine, self.selectivity)
-        self.monitor = Monitor(table.schema, self.config.window_size)
-        self.window = DynamicWindow(self.config)
-        self.shift_detector = ShiftDetector()
-        self.advisor = LayoutAdvisor(table, self.cost_model, self.config)
-        self.manager = LayoutManager(table)
-        self.reorganizer = Reorganizer(self._run_plan)
+        self.planner = Planner(self.config)
+        self._query_counter = 0
+        self.adaptation = Adaptation(
+            table,
+            self.config,
+            self.planner.cost_model,
+            self._run_plan,
+            clock=lambda: float(self._query_counter),
+        )
         self.executor = Executor(self.config)
-        self.plan_cache = PlanCache()
-        #: The layout-switching policy (docs/adaptation.md); every gate
-        #: is open at the default ``hedging_factor`` of 0 (the paper's
-        #: greedy H2O).  Mutated only under the engine lock.
-        self.policy = AdaptationPolicy(self.config)
-        self.candidates: List[CandidateLayout] = []
         #: The last :data:`REPORT_HISTORY` reports, oldest first.
         self.reports: List[QueryReport] = []
         #: Running sums over *every* report since construction (or the
@@ -284,22 +257,23 @@ class H2OEngine:
         #: without touching the compiler, half-open-probing once per
         #: cooldown on :attr:`clock`.
         self.breaker = CircuitBreaker(clock=self.clock)
-        #: Exponential-backoff quarantine for candidate layouts whose
-        #: stitches keep aborting.  Its clock is the query counter, so
-        #: spans are "skip for the next N queries".
-        self.quarantine = QuarantineList(
-            clock=lambda: float(self._query_counter)
-        )
-        self._query_counter = 0
         #: Cumulative morsel telemetry across every query (zone-map
         #: pruning effectiveness; exported via :meth:`stats` and the
         #: gateway's ``GET /metrics``).
         self.morsels_total = 0
         self.morsels_pruned = 0
-        self._shift_since_adaptation = False
-        self._last_adaptation_snapshot: Optional[tuple] = None
-        #: Distinct access sets as of the last adaptation phase.
-        self._reference_patterns: List = []
+
+    # Read-only views of the two halves' state.
+    plan_cache = _view("planner", "cache")
+    selectivity = _view("planner", "selectivity")
+    monitor = _view("adaptation", "monitor")
+    window = _view("adaptation", "window")
+    policy = _view("adaptation", "policy")
+    candidates = _view("adaptation", "candidates")
+    quarantine = _view("adaptation", "quarantine")
+    manager = _view("adaptation", "manager")
+    advisor = _view("adaptation", "advisor")
+    reorganizer = _view("adaptation", "reorganizer")
 
     # Public API ---------------------------------------------------------------
 
@@ -403,51 +377,9 @@ class H2OEngine:
     def _prepare(self, query: Query, phases: Dict[str, float]) -> _Prepared:
         index = self._query_counter
         self._query_counter += 1
-
-        # 1. Monitoring + shift detection.  Novelty is judged against the
-        # patterns known as of the *previous adaptation* ("H2O detects
-        # workload shifts by comparing new queries with queries observed
-        # in the previous query window") — a rolling reference would make
-        # a shifted workload familiar to itself within a few queries.
-        if not self._reference_patterns and len(self.monitor) >= (
-            self.shift_detector.warmup
-        ):
-            self._reference_patterns = [
-                attrs for attrs, _ in self.monitor.distinct_access_sets()
-            ]
-        known = self._reference_patterns or [
-            attrs for attrs, _ in self.monitor.distinct_access_sets()
-        ]
-        self.monitor.observe(query)
-        self.window.note_query()
-        shift = self.shift_detector.assess(query.attributes, known)
-        if shift:
-            self._shift_since_adaptation = True
-            self.window.note_shift()
-            self.monitor.resize(self.window.size)
-
-        # 2. Periodic adaptation: refresh the candidate pool (cost
-        # charged to this query).
-        adaptation_ran = False
-        if self.window.due():
-            self._adapt(index, phases)
-            adaptation_ran = True
-
-        # Feed the switching policy's benefit ledger: every candidate
-        # that could have served this query accrues its Eq. 2 per-use
-        # delta.  ``ripe`` asks for a fast-lane bypass — a previously
-        # deferred candidate now clears its hedged threshold, and only
-        # the cold path below can trigger its materialization (the
-        # shape's cached plan would otherwise shortcut past it forever).
-        # Eager builds happen in adaptation phases, so only the lazy
-        # discipline needs the bypass.
-        ripe = self.policy.observe(
-            query.select_attributes,
-            query.where_attributes,
-            self.candidates,
-            index,
-        ) and self.config.materialization == "lazy"
-
+        # Monitoring, shift detection, the periodic adaptation phase and
+        # the switching policy's ledger (costs charged to this query).
+        shift, adaptation_ran = self.adaptation.observe(query, index, phases)
         # Pin the physical state this query will plan and scan against.
         snapshot = self.table.snapshot()
         prep = _Prepared(
@@ -458,36 +390,26 @@ class H2OEngine:
             window_size=self.window.size,
         )
 
-        # 3. A repeat query shape under unchanged layouts takes its
-        # stage outputs from the plan cache: analysis, planning,
-        # costing, zone-map binding and code generation are skipped.
-        if self.config.plan_cache and not ripe:
-            entry = self.plan_cache.lookup(
-                query.shape_signature(), snapshot.epoch
-            )
-            if entry is not None:
-                prep.entry = entry
-                prep.info = entry.info.for_query(query)
-                prep.plan = entry.plan
-                prep.cost = entry.cost_estimate
-                prep.kernel = entry.kernel
-                prep.zone_bounds = entry.zone_bounds
-                prep.predicate_key = entry.predicate_key
-                return prep
-
-        # Cold path: full analysis, lazy materialization check, plan
-        # enumeration + Eq. 2 costing.  Online reorganization mutates
-        # the layouts, so it runs entirely under the lock and publishes
-        # atomically; plain planning just records the decision and
-        # executes after the lock is released.
-        info = analyze_query(query, self.table.schema)
+        # A repeat query shape under unchanged layouts takes its
+        # analyzer facts from the plan cache; a cold one is analyzed.
+        entry = self.planner.lookup(query, snapshot.epoch)
+        if entry is not None:
+            info = entry.info.for_query(query)
+            prep.predicate_key = entry.predicate_key
+        else:
+            info = analyze_query(query, self.table.schema)
+            prep.predicate_key = CostModel._predicate_key(info)
         prep.info = info
-        prep.predicate_key = CostModel._predicate_key(info)
-        candidate, deferred = self._triggered_candidate(info, index)
-        prep.reorg_deferred = deferred
+
+        # Every query, hit or cold, asks whether it triggers a build.
+        # Online reorganization mutates the layouts, so it runs
+        # entirely under the lock and publishes atomically.
+        candidate, prep.reorg_deferred = self.adaptation.triggered(
+            info, index
+        )
         if candidate is not None:
             try:
-                prep.result, prep.stats = self._materialize_and_execute(
+                prep.result, prep.stats = self.adaptation.materialize(
                     info, candidate, index, phases
                 )
                 return prep
@@ -496,16 +418,27 @@ class H2OEngine:
                 # (the partial group only ever lived in a local buffer),
                 # the candidate stays in the pool so a later query can
                 # retry the stitch, and *this* query is answered through
-                # ordinary cost-based planning — degraded, never wrong.
-                # The candidate is quarantined under exponential backoff
+                # its plan — degraded, never wrong.  The candidate is
+                # quarantined under exponential backoff
                 # (docs/resilience.md) so the engine does not re-stitch
                 # a poisoned group on every matching query.
                 self.reorg_aborts += 1
                 self.quarantine.note_failure(candidate.ledger_key)
                 prep.reorg_aborted = True
-        prep.plan, prep.cost, prep.zone_bounds = self._choose_plan(
-            snapshot, info, phases
-        )
+
+        # Nothing triggered: the cached plan runs as it is (its
+        # costing, zone-map binding and kernel are skipped), or the
+        # planner enumerates and costs the cold query's plans.
+        if entry is not None:
+            prep.entry = entry
+            prep.plan = entry.plan
+            prep.cost = entry.cost_estimate
+            prep.kernel = entry.kernel
+            prep.zone_bounds = entry.zone_bounds
+        else:
+            prep.plan, prep.cost, prep.zone_bounds = self.planner.choose(
+                snapshot, info, phases
+            )
         return prep
 
     # Stage 3: finish (engine lock held) -----------------------------------------
@@ -519,14 +452,7 @@ class H2OEngine:
         phases: Dict[str, float],
         seconds: float,
     ) -> QueryReport:
-        # Feedback first: a plan cached below stores the selectivity
-        # estimate that already includes this query's observation.
-        self._feedback(query, prep, stats)
-        if prep.plan is not None:
-            # Planned, not answered by online reorganization (which did
-            # its own accounting inside ``_materialize_and_execute``).
-            self.manager.record_use(prep.plan.layouts)
-            self._keep_plan(query, prep, stats)
+        self.planner.learn(query, prep, stats)
 
         report = QueryReport(
             index=prep.index,
@@ -568,276 +494,6 @@ class H2OEngine:
                 self._phase_totals.get(phase, 0.0) + spent
             )
         return report
-
-    # Decision steps -------------------------------------------------------------
-
-    def _adapt(self, index: int, phases: Dict[str, float]) -> None:
-        """Refresh the candidate pool (the periodic adaptation phase).
-
-        Two cheap checks avoid re-running the full advisor when it could
-        not change anything: (a) the window's pattern population and the
-        layouts are exactly as last time; (b) most of the windowed
-        demand is already served by existing column groups (the stable,
-        fully-adapted state where the paper grows the window).  When the
-        candidate pool does change, every cached plan is dropped — a
-        fast-lane hit must never shortcut past a query that should now
-        trigger online materialization.
-
-        Callers must hold ``self.lock``.
-        """
-        t0 = time.perf_counter()
-        population = frozenset(
-            attrs for attrs, _ in self.monitor.distinct_access_sets()
-        )
-        layouts_key = tuple(
-            layout.attrs for layout in self.table.layouts
-        )
-        snapshot = (population, layouts_key)
-        # The served-demand skip only applies in the stable regime
-        # (no recent shift, window back at its initial size or
-        # larger): after drift, new patterns must reach the advisor
-        # even if the hot ones are already served.
-        stable = (
-            not self._shift_since_adaptation
-            and self.window.size >= self.config.window_size
-        )
-        if snapshot != self._last_adaptation_snapshot and not (
-            stable and self._served_fraction() >= 0.8
-        ):
-            pool_before = {
-                c.ledger_key: (c.frequency, c.expected_gain)
-                for c in self.candidates
-            }
-            proposals = self.advisor.propose(self.monitor)
-            # Accumulate: earlier proposals stay in the pool until a
-            # query materializes them or fresher analysis supersedes
-            # them — a candidate's pattern may recur only after the
-            # window that proposed it has rolled on.
-            pool = {c.ledger_key: c for c in self.candidates}
-            for candidate in proposals:
-                pool[candidate.ledger_key] = candidate
-            ranked = sorted(
-                pool.values(), key=lambda c: -c.expected_gain
-            )
-            self.candidates = ranked[: 2 * MAX_CANDIDATES]
-            self._last_adaptation_snapshot = snapshot
-            if self.config.materialization == "eager":
-                # The ablation discipline: build every proposal now,
-                # offline, instead of fusing creation with a query.
-                # Builds pass the switching policy's gate and are
-                # ledgered like online ones; a deferred proposal stays
-                # pooled, accruing benefit, until a later phase builds
-                # it (at hedge 0 the gate is always open).
-                deferred = []
-                for candidate in self.candidates:
-                    if candidate.expected_gain <= 0:
-                        continue
-                    if self.table.find_group(candidate.attrs) is not None:
-                        continue
-                    if not self.policy.allow_materialization(
-                        candidate, index
-                    ):
-                        deferred.append(candidate)
-                        continue
-                    self.manager.build_group(
-                        candidate.attrs, query_index=index
-                    )
-                    self.policy.note_materialized(candidate, index)
-                self.candidates = deferred
-            pool_after = {
-                c.ledger_key: (c.frequency, c.expected_gain)
-                for c in self.candidates
-            }
-            if pool_after != pool_before:
-                self.plan_cache.invalidate_all("candidates")
-        self.window.adapted()
-        if not self._shift_since_adaptation:
-            self.window.note_stable()
-        self._shift_since_adaptation = False
-        self.monitor.resize(self.window.size)
-        self._reference_patterns = [
-            attrs for attrs, _ in self.monitor.distinct_access_sets()
-        ]
-        phases["adapt"] = phases.get("adapt", 0.0) + (
-            time.perf_counter() - t0
-        )
-
-    def _served_fraction(self) -> float:
-        """Fraction of windowed queries already served by a group.
-
-        A query counts as served when some existing multi-attribute
-        layout contains its whole access set or its whole SELECT clause
-        — exactly the situations where planning finds a fused-group (or
-        Fig. 6 split) plan and the advisor would propose nothing new.
-        """
-        window = self.monitor.window
-        if not window:
-            return 1.0
-        groups = [
-            layout.attr_set
-            for layout in self.table.layouts
-            # Workload-specific groups only: the full-width (row-major)
-            # layout contains everything without serving anything.
-            if 2 <= layout.width < self.table.schema.width
-        ]
-        if not groups:
-            return 0.0
-        served = 0
-        for query in window:
-            attrs = query.attributes
-            select_attrs = query.select_attributes
-            for group in groups:
-                if attrs <= group or (
-                    select_attrs and select_attrs <= group
-                ):
-                    served += 1
-                    break
-        return served / len(window)
-
-    def _triggered_candidate(
-        self, info: QueryInfo, index: int
-    ) -> Tuple[Optional[CandidateLayout], bool]:
-        """The best candidate this query both matches and amortizes.
-
-        Returns ``(candidate, deferred)``: the winning candidate (or
-        None), and whether the switching policy refused an otherwise
-        eligible build (hedged threshold not yet met — the refusal is
-        recorded in the policy's debt ledger).
-        """
-        if self.config.materialization != "lazy":
-            return None, False
-        select_attrs = frozenset(info.select_attrs)
-        where_attrs = frozenset(info.where_attrs)
-        best: Optional[CandidateLayout] = None
-        for candidate in self.candidates:
-            if not candidate.serves(select_attrs, where_attrs):
-                continue
-            if self.table.find_group(candidate.attrs) is not None:
-                continue  # the table already embodies this candidate
-            if self.quarantine.blocked(candidate.ledger_key):
-                # A recent stitch of this group aborted; its backoff
-                # span (in queries) has not elapsed yet.
-                continue
-            if candidate.expected_gain <= 0:
-                continue
-            if best is None or candidate.expected_gain > best.expected_gain:
-                best = candidate
-        if best is not None and not self.policy.allow_materialization(
-            best, index
-        ):
-            # The paper's amortization test passed but the switching
-            # policy's hedged-benefit gate did not: the build is
-            # deferred, the deferral ledgered, and this query answered
-            # through ordinary planning.  The candidate stays in the
-            # pool accruing benefit until the gate opens.
-            return None, True
-        return best, False
-
-    def _materialize_and_execute(
-        self,
-        info: QueryInfo,
-        candidate: CandidateLayout,
-        index: int,
-        phases: Dict[str, float],
-    ) -> Tuple[QueryResult, ExecStats]:
-        """Online reorganization: build the layout while answering.
-
-        Runs under the engine lock (it mutates the layout set); the new
-        group is published atomically through the table's snapshot
-        mechanism, so concurrent readers keep their pinned state.
-        """
-        outcome = self.reorganizer.online(self.table, candidate.attrs, info)
-        stats = outcome.stats
-        # The stitch completed: clear any earlier-failure backoff state
-        # so a future re-proposal of the same group starts fresh.  The
-        # switch is ledgered now — the reorganization cost was paid
-        # even if a concurrent append discards the group below.
-        self.quarantine.note_success(candidate.ledger_key)
-        self.policy.note_materialized(candidate, index)
-        registered = True
-        try:
-            self.manager.register_group(
-                outcome.group,
-                outcome.seconds,
-                query_index=index,
-                mode="online",
-            )
-        except LayoutError:
-            # A concurrent append changed the row count while the group
-            # was being stitched; the query result (computed from the
-            # pinned pre-append state) is still correct — only the new
-            # layout is discarded and will be re-proposed later.
-            registered = False
-        self.candidates = [
-            c
-            for c in self.candidates
-            if c.ledger_key != candidate.ledger_key
-        ]
-        if registered and self.config.max_table_bytes:
-            # Enforce the storage budget by retiring cold groups (the
-            # one just built goes last).
-            dropped = self.manager.retire_cold_groups(
-                self.config.max_table_bytes
-            )
-            if dropped:
-                self._last_adaptation_snapshot = None  # layouts changed
-        phases["codegen"] = (
-            phases.get("codegen", 0.0) + stats.codegen_seconds
-        )
-        phases["reorg"] = outcome.seconds
-        stats.plan = f"online-reorg(group[{','.join(candidate.attrs)}])"
-        if registered:
-            stats.layout_created = ",".join(candidate.attrs)
-        return outcome.result, stats
-
-    def _choose_plan(
-        self,
-        snapshot: LayoutSnapshot,
-        info: QueryInfo,
-        phases: Dict[str, float],
-    ) -> Tuple[AccessPlan, float, Optional[ZoneBounds]]:
-        """Cost-based choice among (layout cover × strategy) plans.
-
-        Returns the plan, its Eq. 2 cost and the predicate's zone-map
-        binding.  Planning runs against the pinned snapshot, so a
-        concurrent layout publication cannot change the candidate
-        covers mid-enumeration.
-
-        When zone maps are on, Eq. 2's scan terms are discounted by the
-        fraction of morsels the query's predicate would actually touch
-        — the pruning-aware scan term — so a selective query's
-        amortization and plan choice reflect the scan it will really
-        pay for.  The predicate is bound once, over the snapshot, and
-        that one binding prices every plan, prunes the chosen plan's
-        scan and is cached with the plan: zone-map stats are
-        row-aligned, so any layout providing an attribute yields the
-        same keep mask.
-        """
-        t0 = time.perf_counter()
-        plans = enumerate_plans(snapshot, info)
-        bounds = None
-        scan_fraction = 1.0
-        if self.config.zone_maps:
-            bounds = zone_bounds_for(
-                info,
-                snapshot.layouts,
-                snapshot.num_rows,
-                self.config.morsel_rows,
-            )
-            keep = bounds.keep(info.query.literals)
-            if keep is not None and keep.size:
-                scan_fraction = float(keep.sum()) / keep.size
-        costed = [
-            (
-                self.cost_model.plan_cost(info, plan, scan_fraction),
-                i,
-                plan,
-            )
-            for i, plan in enumerate(plans)
-        ]
-        cost, _, plan = min(costed)
-        phases["plan"] = time.perf_counter() - t0
-        return plan, cost, bounds
 
     # Stage 2: run (lock released) ----------------------------------------------
 
@@ -914,89 +570,6 @@ class H2OEngine:
                 self.breaker.record_success(signature)
         return result, stats
 
-    # The plan cache -------------------------------------------------------------
-
-    def _keep_plan(
-        self, query: Query, prep: _Prepared, stats: ExecStats
-    ) -> None:
-        """Keep a cold plan's stage outputs for its shape's repeats, or
-        evict a hit's entry whose selectivity drifted.
-
-        Only plans chosen by cost-based planning are cached (online
-        reorganization changes the layouts, so its epoch is stale by
-        construction; attribute-free queries have nothing to reuse).
-        The entry is tagged with the epoch of the snapshot the plan was
-        *derived against* — if another worker's stitch or an append
-        raced this query, the entry is stale immediately and the next
-        lookup drops it, never serving a plan across an epoch boundary.
-
-        A hit's entry is evicted when the learned selectivity of its
-        predicate drifts beyond :data:`SELECTIVITY_DRIFT_BAND` from the
-        estimate the plan was stored with, so the next repeat re-plans
-        (and re-caches) cold — bounding the regret of a stale plan
-        decision.
-        """
-        entry = prep.entry
-        if entry is not None:
-            learned = self.selectivity.estimate(
-                query.where, prep.predicate_key
-            )
-            if abs(learned - entry.selectivity) > SELECTIVITY_DRIFT_BAND:
-                self.plan_cache.invalidate(entry.signature, "drift")
-            return
-        if not self.config.plan_cache or not prep.info.all_attrs:
-            return
-        if stats.codegen_fallback or stats.breaker_short_circuit:
-            # Never cache a degraded execution: a hit would pin this
-            # shape to the interpreted plan (or replay a decision made
-            # while its breaker was open) and bypass the breaker's
-            # half-open probe on every future repeat.  Cold-path repeats
-            # keep probing until the shape compiles again.
-            return
-        self.plan_cache.store(
-            CachedPlan(
-                signature=query.shape_signature(),
-                epoch=prep.snapshot.epoch,
-                info=prep.info,
-                plan=prep.plan,
-                cost_estimate=prep.cost,
-                kernel=stats.kernel,
-                zone_bounds=prep.zone_bounds,
-                predicate_key=prep.predicate_key,
-                selectivity=self.selectivity.estimate(
-                    query.where, prep.predicate_key
-                ),
-            )
-        )
-
-    # Selectivity feedback -------------------------------------------------------
-
-    def _feedback(
-        self, query: Query, prep: _Prepared, stats: ExecStats
-    ) -> None:
-        """Report observed selectivity back to the estimator.
-
-        Aggregation queries are included through the qualifying-row
-        count every scan reports (the combined per-morsel counts),
-        online reorganization's scan included.  The denominator is the
-        row count of the snapshot the query actually scanned, not the
-        table's possibly newer state.
-
-        Zone-map pruning does not skew this feedback: a pruned morsel
-        provably holds zero qualifying rows, so the sum of per-morsel
-        qualifying counts equals the full-scan count, and the
-        denominator deliberately stays the snapshot's *total* row count
-        (not the rows actually scanned) — selectivity remains
-        "qualifying fraction of the table", the quantity Eq. 2
-        estimates with.
-        """
-        num_rows = prep.snapshot.num_rows
-        if query.where is None or num_rows == 0:
-            return
-        self.selectivity.observe(
-            prep.predicate_key, stats.qualifying_rows / num_rows
-        )
-
     # Learned-state persistence ---------------------------------------------
 
     def adaptation_state(self, warmup_limit: int = 64) -> Dict[str, object]:
@@ -1069,8 +642,8 @@ class H2OEngine:
             window_size = _intval("window_size", self.window.size)
             # Hold adaptation (and window bookkeeping) while warming up:
             # an adaptation phase mid-warmup would propose candidates
-            # from warmup-polluted statistics and invalidate the very
-            # plan-cache entries the warmup is building.
+            # from warmup-polluted statistics, and a warmup query could
+            # then build one.
             self.window.size = 1 << 30
         try:
             for sql in state.get("warmup_sql", []):
@@ -1092,22 +665,16 @@ class H2OEngine:
                         # out of the recovered window.
                         pass
                 monitor.queries_seen = _intval("queries_seen")
-                self.monitor = monitor
+                self.adaptation.resume(monitor)
                 self.window.since_adaptation = _intval("since_adaptation")
                 self.window.shrink_events = _intval("shrink_events")
                 self.window.grow_events = _intval("grow_events")
                 self._query_counter = max(
                     self._query_counter, _intval("query_counter")
                 )
-                self._reference_patterns = [
-                    attrs for attrs, _ in monitor.distinct_access_sets()
-                ]
                 self.reports.clear()
                 self._seconds_total = 0.0
                 self._phase_totals = {}
-                self.candidates = []
-                self._last_adaptation_snapshot = None
-                self._shift_since_adaptation = False
                 # Restore the switching policy's ledger *after* warmup:
                 # warmup executions must not pollute the persisted
                 # accrual/deferral history (any switch the warmup itself

@@ -30,7 +30,7 @@ selectivity feedback (qualifying / num_rows) unskewed by pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from ..storage.zonemap import (
 from .evaluator import collect_aggregates, finalize_output
 from .parallel import ScanPool
 from .result import QueryResult
+from .strategies import narrowest_providers
 from .volcano import projection_dtype
 
 #: Optional per-morsel cancellation hook (the engine passes its deadline
@@ -99,18 +100,12 @@ def zone_bounds_for(
         for bounds in map(conjunct_bounds, predicates)
         if bounds is not None
     }
-    narrowest: Dict[str, Layout] = {}
-    for layout in layouts:
-        for attr in layout.attr_set & bounded:
-            best = narrowest.get(attr)
-            if best is None or layout.width < best.width:
-                narrowest[attr] = layout
+    narrowest = narrowest_providers(layouts)
 
     def stats_for(attr: str):
-        layout = narrowest.get(attr)
-        if layout is None:
+        if attr not in bounded or attr not in narrowest:
             return None
-        return ensure_attr_stats(layout, attr, morsel_rows)
+        return ensure_attr_stats(layouts[narrowest[attr]], attr, morsel_rows)
 
     return bind_zone_bounds(num, predicates, stats_for)
 

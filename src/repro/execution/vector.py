@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..storage.layout import Layout
+from .strategies import narrowest_providers
 
 
 class Block:
@@ -86,14 +87,14 @@ class BlockCursor:
         self.lo = lo
         self.hi = self.num_rows if hi is None else min(hi, self.num_rows)
         self.block_rows = block_rows
+        narrowest = narrowest_providers(layouts)
         providers: Dict[str, Layout] = {}
         for attr in attrs:
-            candidates = [l for l in layouts if attr in l.attr_set]
-            if not candidates:
+            if attr not in narrowest:
                 raise ExecutionError(
                     f"attribute {attr!r} is not stored in any given layout"
                 )
-            providers[attr] = min(candidates, key=lambda l: l.width)
+            providers[attr] = layouts[narrowest[attr]]
         self._providers = providers
 
     def __iter__(self) -> Iterator[Block]:

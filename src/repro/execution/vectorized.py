@@ -38,6 +38,7 @@ from .evaluator import (
     evaluate_predicate,
 )
 from .selection import SelectionVector
+from .strategies import narrowest_providers
 from .volcano import projection_dtype
 
 
@@ -72,12 +73,12 @@ def _provider_columns(
     layouts: Sequence[Layout], attrs: Sequence[str]
 ) -> Dict[str, np.ndarray]:
     """Full column per attribute, each from its narrowest provider."""
+    narrowest = narrowest_providers(layouts)
     columns: Dict[str, np.ndarray] = {}
     for attr in attrs:
-        candidates = [l for l in layouts if attr in l.attr_set]
-        if not candidates:
+        if attr not in narrowest:
             raise ExecutionError(f"attribute {attr!r} not stored")
-        columns[attr] = min(candidates, key=lambda l: l.width).column(attr)
+        columns[attr] = layouts[narrowest[attr]].column(attr)
     return columns
 
 

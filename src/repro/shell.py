@@ -70,7 +70,7 @@ def _show_plans(engine: H2OEngine, sql: str) -> None:
     info = analyze_query(parse_query(sql), engine.table.schema)
     plans = enumerate_plans(engine.table, info)
     costed = sorted(
-        ((engine.cost_model.plan_cost(info, plan), i, plan)
+        ((engine.planner.cost_model.plan_cost(info, plan), i, plan)
          for i, plan in enumerate(plans))
     )
     for rank, (cost, _i, plan) in enumerate(costed):
@@ -84,7 +84,7 @@ def _show_source(engine: H2OEngine, sql: str) -> None:
     info = analyze_query(parse_query(sql), engine.table.schema)
     plans = enumerate_plans(engine.table, info)
     _cost, _i, plan = min(
-        (engine.cost_model.plan_cost(info, plan), i, plan)
+        (engine.planner.cost_model.plan_cost(info, plan), i, plan)
         for i, plan in enumerate(plans)
     )
     print(f"# plan: {plan.describe()}")

@@ -93,8 +93,6 @@ class Expr:
             kind = type(node)
             if kind is ColumnRef:
                 names.append(node.name)
-            elif kind is Literal:
-                continue
             elif kind is Not:
                 stack.append(node.child)
             elif kind is Aggregate:
@@ -103,17 +101,27 @@ class Expr:
             elif kind is Comparison or kind is BooleanOp or kind is Arithmetic:
                 stack.append(node.right)
                 stack.append(node.left)
-            else:
-                names.extend(ref.name for ref in node.column_refs())
         return frozenset(names)
 
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        """Yield every :class:`ColumnRef` leaf in this subtree."""
-        raise NotImplementedError
-
     def contains_aggregate(self) -> bool:
-        """Whether any :class:`Aggregate` node appears in this subtree."""
-        return any(True for _ in self.aggregates())
+        """Whether any :class:`Aggregate` node appears in this subtree.
+
+        An explicit stack too: comparisons and aggregates run this on
+        their operands as the parser builds them, before it bounds
+        their depth.
+        """
+        stack: List[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Aggregate:
+                return True
+            if kind is Not:
+                stack.append(node.child)
+            elif kind is Comparison or kind is BooleanOp or kind is Arithmetic:
+                stack.append(node.left)
+                stack.append(node.right)
+        return False
 
     def aggregates(self) -> Iterator["Aggregate"]:
         """Yield every :class:`Aggregate` node in this subtree."""
@@ -177,9 +185,6 @@ class ColumnRef(Expr):
 
     name: str
 
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield self
-
     def aggregates(self) -> Iterator["Aggregate"]:
         return iter(())
 
@@ -195,9 +200,6 @@ class Literal(Expr):
     """A numeric constant."""
 
     value: Scalar
-
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        return iter(())
 
     def aggregates(self) -> Iterator["Aggregate"]:
         return iter(())
@@ -216,10 +218,6 @@ class Arithmetic(Expr):
     op: ArithmeticOp
     left: Expr
     right: Expr
-
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield from self.left.column_refs()
-        yield from self.right.column_refs()
 
     def aggregates(self) -> Iterator["Aggregate"]:
         yield from self.left.aggregates()
@@ -244,10 +242,6 @@ class Comparison(Expr):
         if self.left.contains_aggregate() or self.right.contains_aggregate():
             raise AnalysisError("aggregates are not allowed in predicates")
 
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield from self.left.column_refs()
-        yield from self.right.column_refs()
-
     def aggregates(self) -> Iterator["Aggregate"]:
         return iter(())
 
@@ -265,10 +259,6 @@ class BooleanOp(Expr):
     op: BoolConnective
     left: Expr
     right: Expr
-
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield from self.left.column_refs()
-        yield from self.right.column_refs()
 
     def aggregates(self) -> Iterator["Aggregate"]:
         return iter(())
@@ -301,9 +291,6 @@ class Not(Expr):
 
     child: Expr
 
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        yield from self.child.column_refs()
-
     def aggregates(self) -> Iterator["Aggregate"]:
         return iter(())
 
@@ -326,10 +313,6 @@ class Aggregate(Expr):
             raise AnalysisError(f"{self.func.value}() requires an argument")
         if self.arg is not None and self.arg.contains_aggregate():
             raise AnalysisError("nested aggregates are not allowed")
-
-    def column_refs(self) -> Iterator["ColumnRef"]:
-        if self.arg is not None:
-            yield from self.arg.column_refs()
 
     def aggregates(self) -> Iterator["Aggregate"]:
         yield self
@@ -376,3 +359,25 @@ def flatten_conjuncts(predicate: "Expr | None") -> Tuple[Expr, ...]:
         else:
             factors.append(node)
     return tuple(factors)
+
+
+def depth(expr: Expr) -> int:
+    """Operator nodes on the longest root-to-leaf path of ``expr`` (a
+    chain of n conjuncts is n deep), walked with an explicit stack."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, level = stack.pop()
+        kind = type(node)
+        if kind is Literal or kind is ColumnRef:
+            continue
+        level += 1
+        deepest = max(deepest, level)
+        if kind is Not:
+            stack.append((node.child, level))
+        elif kind is Aggregate:
+            if node.arg is not None:
+                stack.append((node.arg, level))
+        else:
+            stack.append((node.left, level))
+            stack.append((node.right, level))
+    return deepest

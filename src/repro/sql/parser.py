@@ -26,14 +26,22 @@ a bounded shape table keyed on the token stream with its numbers masked
 re-binds a repeat's numbers into fresh :class:`Literal` nodes of the
 first parse, which also lends the repeat its shape signature and
 attribute sets.
+
+What the parser accepts is bounded, because evaluation, hashing and code
+generation recurse over the expression tree and the gateway parses on
+its event loop: text longer than :data:`MAX_SQL_LENGTH` is refused
+before it is tokenized, and an expression deeper than
+:data:`MAX_EXPR_DEPTH` raises :class:`~repro.errors.ParseError` (HTTP
+400), never ``RecursionError``.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ParseError
 from .expressions import (
@@ -50,9 +58,10 @@ from .expressions import (
     Literal,
     Not,
     Scalar,
+    depth,
 )
 from .query import OutputColumn, Query
-from .signature import _walk_literals, literal_nodes
+from .signature import ShapeTemplate, _walk_literals
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -89,6 +98,17 @@ _COMPARISONS = {
 
 #: Shapes the shape table keeps per process; the oldest goes first.
 SHAPE_TABLE_CAPACITY = 512
+
+#: Deepest expression accepted: operator nodes on the longest
+#: root-to-leaf path (a chain of n conjuncts is n deep), and nesting of
+#: parentheses and aggregates.  Hashing a tree and parsing
+#: a nesting level take two interpreter frames a level, well inside
+#: Python's default recursion limit of 1 000.
+MAX_EXPR_DEPTH = 256
+
+#: Longest SQL text accepted, in characters.  Checked before the text
+#: is tokenized; the longest legal text parses in about 25 ms.
+MAX_SQL_LENGTH = 16 * 1024
 
 
 def _number(text: str) -> Scalar:
@@ -143,6 +163,24 @@ class _Parser:
         #: built from a number token, including those a backtracked
         #: attempt discarded (kept alive so no id is reused).
         self.origins: Dict[int, Tuple[Literal, int, bool]] = {}
+        #: Nesting depth, and whether it passed :data:`MAX_EXPR_DEPTH`
+        #: (no reading of the text is shallower: backtracking re-raises).
+        self._nesting, self._too_deep = 0, False
+
+    @contextmanager
+    def _nested(self) -> Iterator[None]:
+        """One level of parenthesis or aggregate nesting."""
+        self._nesting += 1
+        try:
+            if self._nesting > MAX_EXPR_DEPTH:
+                self._too_deep = True
+                raise ParseError(
+                    f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                    self._peek().position if self._peek() else len(self.text),
+                )
+            yield
+        finally:
+            self._nesting -= 1
 
     def _literal(self, value: Scalar, slot: int, negated: bool) -> Literal:
         literal = Literal(value)
@@ -205,6 +243,11 @@ class _Parser:
                 f"unexpected trailing input {trailing.text!r}",
                 trailing.position,
             )
+        for expr in (where, *(out.expr for out in select)):
+            if expr is not None and depth(expr) > MAX_EXPR_DEPTH:
+                raise ParseError(
+                    f"expression deeper than {MAX_EXPR_DEPTH} levels"
+                )
         return Query(table=table_token.text, select=select, where=where)
 
     def _parse_select_list(self) -> Tuple[OutputColumn, ...]:
@@ -224,22 +267,32 @@ class _Parser:
         return OutputColumn(expr=expr, alias=alias)
 
     def _parse_bool_expr(self) -> Expr:
-        left = self._parse_bool_term()
-        while self._match_keyword("or"):
-            right = self._parse_bool_term()
-            left = BooleanOp(BoolConnective.OR, left, right)
-        return left
-
-    def _parse_bool_term(self) -> Expr:
-        left = self._parse_bool_factor()
-        while self._match_keyword("and"):
-            right = self._parse_bool_factor()
-            left = BooleanOp(BoolConnective.AND, left, right)
-        return left
+        # OR of ANDs, both left-deep, in one loop: a parenthesized
+        # boolean costs two frames (this one and the factor's).
+        disjunction: Optional[Expr] = None
+        term = self._parse_bool_factor()
+        while True:
+            if self._match_keyword("and"):
+                right = self._parse_bool_factor()
+                term = BooleanOp(BoolConnective.AND, term, right)
+            elif self._match_keyword("or"):
+                if disjunction is not None:
+                    term = BooleanOp(BoolConnective.OR, disjunction, term)
+                disjunction = term
+                term = self._parse_bool_factor()
+            else:
+                break
+        if disjunction is None:
+            return term
+        return BooleanOp(BoolConnective.OR, disjunction, term)
 
     def _parse_bool_factor(self) -> Expr:
-        if self._match_keyword("not"):
-            return Not(self._parse_bool_factor())
+        # A run of NOTs is a loop, not a recursion; the tree-depth check
+        # bounds it.
+        negations = 0
+        while self._match_keyword("not"):
+            negations += 1
+        expr = None
         # A parenthesis is ambiguous between a grouped boolean expression
         # and a parenthesized arithmetic operand; try boolean first and
         # fall back to treating it as the left side of a comparison.
@@ -247,14 +300,21 @@ class _Parser:
             saved = self.index
             try:
                 self._expect_op("(")
-                inner = self._parse_bool_expr()
+                with self._nested():
+                    inner = self._parse_bool_expr()
                 self._expect_op(")")
                 if isinstance(inner, (Comparison, BooleanOp, Not)):
-                    return inner
+                    expr = inner
             except ParseError:
-                pass
-            self.index = saved
-        return self._parse_comparison()
+                if self._too_deep:
+                    raise
+            if expr is None:
+                self.index = saved
+        if expr is None:
+            expr = self._parse_comparison()
+        for _ in range(negations):
+            expr = Not(expr)
+        return expr
 
     def _parse_comparison(self) -> Expr:
         left = self._parse_expr()
@@ -307,21 +367,28 @@ class _Parser:
         return Not(expr) if negated else expr
 
     def _parse_expr(self) -> Expr:
-        left = self._parse_term()
+        # Sums of products, both left-deep, in one loop: a
+        # parenthesized operand costs two frames (this one and the
+        # factor's).
+        total: Optional[Expr] = None
+        joiner = ArithmeticOp.ADD
+        term = self._parse_factor()
         while True:
+            if self._match_op("*"):
+                right = self._parse_factor()
+                term = Arithmetic(ArithmeticOp.MUL, term, right)
+                continue
             op = self._match_op("+", "-")
             if op is None:
-                return left
-            right = self._parse_term()
-            arith = ArithmeticOp.ADD if op == "+" else ArithmeticOp.SUB
-            left = Arithmetic(arith, left, right)
-
-    def _parse_term(self) -> Expr:
-        left = self._parse_factor()
-        while self._match_op("*"):
-            right = self._parse_factor()
-            left = Arithmetic(ArithmeticOp.MUL, left, right)
-        return left
+                break
+            if total is not None:
+                term = Arithmetic(joiner, total, term)
+            total = term
+            joiner = ArithmeticOp.ADD if op == "+" else ArithmeticOp.SUB
+            term = self._parse_factor()
+        if total is None:
+            return term
+        return Arithmetic(joiner, total, term)
 
     def _parse_factor(self) -> Expr:
         token = self._next()
@@ -330,19 +397,29 @@ class _Parser:
                 _number(token.text), self._slot_of[self.index - 1], False
             )
         if token.kind == "op" and token.text == "-":
-            inner = self._parse_factor()
-            if isinstance(inner, Literal):
-                _, slot, negated = self.origins[id(inner)]
-                return self._literal(-inner.value, slot, not negated)
-            return Arithmetic(ArithmeticOp.SUB, Literal(0), inner)
+            # A run of unary minus is a loop; the tree-depth check
+            # bounds the ``0 - x`` nodes it leaves.
+            negations = 1
+            while self._match_op("-"):
+                negations += 1
+            expr = self._parse_factor()
+            for _ in range(negations):
+                if isinstance(expr, Literal):
+                    _, slot, negated = self.origins[id(expr)]
+                    expr = self._literal(-expr.value, slot, not negated)
+                else:
+                    expr = Arithmetic(ArithmeticOp.SUB, Literal(0), expr)
+            return expr
         if token.kind == "op" and token.text == "(":
-            inner = self._parse_expr()
+            with self._nested():
+                inner = self._parse_expr()
             self._expect_op(")")
             return inner
         if token.kind == "ident":
             lowered = token.text.lower()
             if lowered in _AGG_FUNCS and self._match_op("("):
-                return self._parse_aggregate_body(_AGG_FUNCS[lowered])
+                with self._nested():
+                    return self._parse_aggregate_body(_AGG_FUNCS[lowered])
             return ColumnRef(token.text)
         raise ParseError(f"unexpected token {token.text!r}", token.position)
 
@@ -356,101 +433,6 @@ class _Parser:
 
 
 # The shape table -----------------------------------------------------------
-
-Binder = Callable[[Sequence[Scalar]], Expr]
-
-
-def _binder(node: Expr, slots: Dict[int, Tuple[int, bool]]) -> Optional[Binder]:
-    """Rebuild ``node`` from one repeat's token numbers, or None when
-    ``node`` holds no slot (a repeat then shares it: nodes are frozen).
-
-    The constructors run as in a parse, so a bound tree is an ordinary
-    one; only slot-free subtrees (columns, the ``0`` of ``-x``) are
-    shared with the first parse.
-    """
-    kind = type(node)
-    if kind is Literal:
-        origin = slots.get(id(node))
-        if origin is None:
-            return None
-        slot, negated = origin
-        if negated:
-            return lambda values: Literal(-values[slot])
-        return lambda values: Literal(values[slot])
-    if kind is Arithmetic or kind is Comparison or kind is BooleanOp:
-        op, left, right = node.op, node.left, node.right
-        bind_left, bind_right = _binder(left, slots), _binder(right, slots)
-        if bind_left is None and bind_right is None:
-            return None
-        bind_left = bind_left or (lambda values: left)
-        bind_right = bind_right or (lambda values: right)
-        return lambda values: kind(op, bind_left(values), bind_right(values))
-    if kind is Not:
-        bind_child = _binder(node.child, slots)
-        if bind_child is None:
-            return None
-        return lambda values: Not(bind_child(values))
-    if kind is Aggregate and node.arg is not None:
-        func, bind_arg = node.func, _binder(node.arg, slots)
-        if bind_arg is None:
-            return None
-        return lambda values: Aggregate(func, bind_arg(values))
-    return None
-
-
-class _Shape:
-    """One cached shape: binds a repeat's numbers into a fresh query."""
-
-    __slots__ = ("table", "select", "where", "params", "cached", "shape")
-
-    def __init__(
-        self, query: Query, slots: Dict[int, Tuple[int, bool]]
-    ) -> None:
-        self.table = query.table
-        self.select = tuple(
-            (out, _binder(out.expr, slots)) for out in query.select
-        )
-        self.where = (
-            query.where,
-            None if query.where is None else _binder(query.where, slots),
-        )
-        #: ``(slot, negated, value)`` per entry of the canonical literal
-        #: vector: a slot's number, or the shape's own constant.
-        self.params = tuple(
-            slots.get(id(node), (None, False)) + (node.value,)
-            for node in literal_nodes(query)
-        )
-        self.shape = query.shape_signature()
-        self.cached = {
-            name: getattr(query, name)
-            for name in (
-                "is_aggregation",
-                "select_attributes",
-                "where_attributes",
-                "attributes",
-            )
-        }
-
-    def bind(self, values: Sequence[Scalar]) -> Query:
-        select = tuple(
-            out if bind is None else OutputColumn(bind(values), out.alias)
-            for out, bind in self.select
-        )
-        where, bind_where = self.where
-        if bind_where is not None:
-            where = bind_where(values)
-        query = Query(self.table, select, where)
-        query.__dict__.update(self.cached)
-        query.__dict__["literals"] = tuple(
-            value
-            if slot is None
-            else (-values[slot] if negated else values[slot])
-            for slot, negated, value in self.params
-        )
-        query.signature()  # slot 0 of the cache; the shape is slot 1
-        query._signature_cache.append(self.shape)
-        return query
-
 
 def _shape_key(text: str) -> Optional[Tuple[tuple, List[Scalar]]]:
     """``(key, numbers)`` of ``text``, or None when it does not tokenize.
@@ -485,7 +467,7 @@ def _shape_key(text: str) -> Optional[Tuple[tuple, List[Scalar]]]:
     return (tuple(parts), pattern), numbers
 
 
-_shapes: Dict[tuple, _Shape] = {}
+_shapes: Dict[tuple, ShapeTemplate] = {}
 _shapes_lock = threading.Lock()
 
 
@@ -509,7 +491,7 @@ def _remember(key: tuple, parser: _Parser, query: Query) -> None:
     ):
         return
     slots = {id(node): (slot, negated) for node, slot, negated in origins}
-    shape = _Shape(query, slots)
+    shape = ShapeTemplate(query, slots)
     with _shapes_lock:
         if len(_shapes) >= SHAPE_TABLE_CAPACITY:
             del _shapes[next(iter(_shapes))]
@@ -527,6 +509,10 @@ def parse_query(text: str) -> Query:
     >>> sorted(q.select_attributes), sorted(q.where_attributes)
     (['a', 'b'], ['c', 'd'])
     """
+    if len(text) > MAX_SQL_LENGTH:
+        raise ParseError(
+            f"SQL text of {len(text)} characters exceeds {MAX_SQL_LENGTH}"
+        )
     scanned = _shape_key(text)
     if scanned is not None:
         key, numbers = scanned

@@ -16,9 +16,11 @@ truth for that equivalence:
   class can be invoked with any other member's constants;
 - :func:`shape_signature` produces the hashable
   :class:`QueryShapeSignature` that keys the engine's plan cache.
+- :class:`ShapeTemplate` re-binds a repeat's numbers into the tree of
+  its shape's first parse (the parser's shape table).
 
 ``repro.codegen`` consumes these helpers for its operator-cache key;
-``repro.core.plan_cache`` consumes them for the fast lane.  Keeping them
+``repro.core.planner`` consumes them for the plan cache.  Keeping them
 here (in ``repro.sql``) keeps the dependency arrow one-directional:
 sql ← codegen, sql ← core.
 """
@@ -26,7 +28,7 @@ sql ← codegen, sql ← core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from .expressions import (
@@ -38,8 +40,9 @@ from .expressions import (
     Expr,
     Literal,
     Not,
+    Scalar,
 )
-from .query import Query
+from .query import OutputColumn, Query
 
 
 def masked_sql(
@@ -196,3 +199,100 @@ def shape_signature(query: Query) -> QueryShapeSignature:
         masked_where=masked_where,
         param_types=param_types,
     )
+
+
+# Re-binding a shape ----------------------------------------------------------
+
+Binder = Callable[[Sequence[Scalar]], Expr]
+
+
+def _binder(node: Expr, slots: Dict[int, Tuple[int, bool]]) -> Optional[Binder]:
+    """Rebuild ``node`` from one repeat's token numbers, or None when
+    ``node`` holds no slot (a repeat then shares it: nodes are frozen).
+
+    The constructors run as in a parse, so a bound tree is an ordinary
+    one; only slot-free subtrees (columns, the ``0`` of ``-x``) are
+    shared with the first parse.
+    """
+    kind = type(node)
+    if kind is Literal:
+        origin = slots.get(id(node))
+        if origin is None:
+            return None
+        slot, negated = origin
+        if negated:
+            return lambda values: Literal(-values[slot])
+        return lambda values: Literal(values[slot])
+    if kind is Arithmetic or kind is Comparison or kind is BooleanOp:
+        op, left, right = node.op, node.left, node.right
+        bind_left, bind_right = _binder(left, slots), _binder(right, slots)
+        if bind_left is None and bind_right is None:
+            return None
+        bind_left = bind_left or (lambda values: left)
+        bind_right = bind_right or (lambda values: right)
+        return lambda values: kind(op, bind_left(values), bind_right(values))
+    if kind is Not:
+        bind_child = _binder(node.child, slots)
+        if bind_child is None:
+            return None
+        return lambda values: Not(bind_child(values))
+    if kind is Aggregate and node.arg is not None:
+        func, bind_arg = node.func, _binder(node.arg, slots)
+        if bind_arg is None:
+            return None
+        return lambda values: Aggregate(func, bind_arg(values))
+    return None
+
+
+class ShapeTemplate:
+    """One cached shape: binds a repeat's numbers into a fresh query."""
+
+    __slots__ = ("table", "select", "where", "params", "cached", "shape")
+
+    def __init__(
+        self, query: Query, slots: Dict[int, Tuple[int, bool]]
+    ) -> None:
+        self.table = query.table
+        self.select = tuple(
+            (out, _binder(out.expr, slots)) for out in query.select
+        )
+        self.where = (
+            query.where,
+            None if query.where is None else _binder(query.where, slots),
+        )
+        #: ``(slot, negated, value)`` per entry of the canonical literal
+        #: vector: a slot's number, or the shape's own constant.
+        self.params = tuple(
+            slots.get(id(node), (None, False)) + (node.value,)
+            for node in literal_nodes(query)
+        )
+        self.shape = query.shape_signature()
+        self.cached = {
+            name: getattr(query, name)
+            for name in (
+                "is_aggregation",
+                "select_attributes",
+                "where_attributes",
+                "attributes",
+            )
+        }
+
+    def bind(self, values: Sequence[Scalar]) -> Query:
+        select = tuple(
+            out if bind is None else OutputColumn(bind(values), out.alias)
+            for out, bind in self.select
+        )
+        where, bind_where = self.where
+        if bind_where is not None:
+            where = bind_where(values)
+        query = Query(self.table, select, where)
+        query.__dict__.update(self.cached)
+        query.__dict__["literals"] = tuple(
+            value
+            if slot is None
+            else (-values[slot] if negated else values[slot])
+            for slot, negated, value in self.params
+        )
+        query.signature()  # slot 0 of the cache; the shape is slot 1
+        query._signature_cache.append(self.shape)
+        return query

@@ -41,6 +41,14 @@ bit-identical, every engine invariant held, the regret ledger balanced,
 and the hedged replay never reorganizing more than hedge 0.  Name
 scenarios to replay a subset; ``--seed`` reseeds the pack.
 
+Digest::
+
+    PYTHONPATH=src python -m repro.testkit digest --seqs 20 --seed 0
+
+prints one SHA-256 per stream over every query's plan, decisions and
+answer bytes (see :mod:`repro.testkit.digest`); equal lines on two trees
+mean the same plans, layouts and answers.
+
 Reproducing a printed case::
 
     PYTHONPATH=src python -m repro.testkit repro --seed S --attrs A \
@@ -214,6 +222,14 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_digest(args: argparse.Namespace) -> int:
+    from .digest import digests
+
+    for name, digest in digests(args.seqs, args.seed):
+        print(f"{digest}  {name}")
+    return 0
+
+
 def _cmd_repro(args: argparse.Namespace) -> int:
     spec = CaseSpec(
         seed=args.seed,
@@ -304,6 +320,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     scenarios.add_argument("-v", "--verbose", action="store_true")
     scenarios.set_defaults(func=_cmd_scenarios)
+
+    digest = sub.add_parser(
+        "digest", help="print one SHA-256 per stream of plans and answers"
+    )
+    digest.add_argument("--seqs", type=int, default=20)
+    digest.add_argument("--seed", type=int, default=0)
+    digest.set_defaults(func=_cmd_digest)
 
     repro = sub.add_parser("repro", help="re-run one explicit case spec")
     repro.add_argument("--seed", type=int, required=True)

@@ -118,24 +118,6 @@ class TestLayoutManager:
         assert seconds == 0.0
         assert len(manager.creation_log) == 1
 
-    def test_usage_tracking(self, table):
-        manager = LayoutManager(table)
-        layout = table.layouts[0]
-        manager.record_use([layout])
-        manager.record_use([layout])
-        assert manager.uses_of(layout) == 2
-
-    def test_retire_cold_groups(self, table):
-        manager = LayoutManager(table)
-        manager.build_group(["a1", "a2"])
-        manager.build_group(["a3", "a4"])
-        base_bytes = sum(
-            l.nbytes for l in table.layouts if l.width == 1
-        )
-        dropped = manager.retire_cold_groups(max_bytes=base_bytes)
-        assert len(dropped) == 2
-        assert all(l.width == 1 for l in table.layouts)
-
     def test_register_group_mode_online(self, table):
         manager = LayoutManager(table)
         group, _stats = stitch_group(table.layouts, ["a5", "a6"], table.schema)

@@ -9,10 +9,7 @@ from repro.core.engine import H2OEngine
 from repro.errors import ExecutionError
 from repro.sql import parse_query
 from repro.storage import generate_table
-from repro.storage.layout import LayoutKind
-from repro.testkit import PAPER_SUBSTRATE
 from repro.workloads.microbench import aggregation_query
-from repro.workloads.sequences import fig7_sequence
 
 
 def hot_workload(num_attrs=12, repeats=30):
@@ -185,62 +182,6 @@ class TestPhasesAccounting:
         assert engine.cumulative_seconds() == seconds
         assert engine.phase_totals() == phases
         assert engine.stats()["queries"] == 30
-
-
-class TestStorageBudget:
-    def test_budget_retires_cold_groups_and_answers_stay_identical(self):
-        # A Fig. 7-style drifting sequence builds more groups than the
-        # budget holds.  Its widest (merged) group is 24 of 40 attributes,
-        # so base + the newest group always fits in 1.75x base.
-        workload = fig7_sequence(
-            num_attrs=40,
-            num_rows=4_000,
-            num_queries=150,
-            z_low=4,
-            z_high=10,
-            num_patterns=4,
-            rng=3,
-        )
-        unbudgeted = H2OEngine(
-            workload.make_table(rng=1),
-            EngineConfig(window_size=10, machine=PAPER_SUBSTRATE),
-        )
-        table = workload.make_table(rng=1)
-        budget = int(table.nbytes * 1.75)
-        engine = H2OEngine(
-            table,
-            EngineConfig(
-                window_size=10, max_table_bytes=budget,
-                machine=PAPER_SUBSTRATE,
-            ),
-        )
-
-        def groups():
-            return {
-                layout.attrs
-                for layout in table.layouts
-                if layout.kind is LayoutKind.GROUP
-            }
-
-        built = retired = 0
-        before = groups()
-        for query in workload.queries:
-            want = unbudgeted.execute(query).result
-            report = engine.execute(query)
-            assert np.array_equal(
-                report.result.data, want.data, equal_nan=True
-            )
-            now = groups()
-            if report.layout_created:
-                built += 1
-                assert table.nbytes <= budget
-                assert report.layout_created in now  # never the new one
-            retired += len(before - now)
-            before = now
-            covered = {a for layout in table.layouts for a in layout.attrs}
-            assert covered == set(table.schema.names)
-        assert built > retired >= 1
-        assert len(groups()) < len(unbudgeted.manager.creation_log)
 
 
 class TestSeedAdaptationRobustness:

@@ -197,3 +197,39 @@ def test_constant_predicates_fold_on_every_path(sql, reference, tables, executor
         assert np.array_equal(
             result.data, expected.data, equal_nan=True
         ), (sql, plan, used_codegen)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("strategy", list(ExecutionStrategy))
+@pytest.mark.parametrize("use_codegen", [True, False])
+def test_equal_width_providers_read_the_first_layout(
+    first, strategy, use_codegen
+):
+    """Two equally narrow layouts store ``a1`` (with different values, so
+    the answer shows which one was read): generated kernels, both
+    interpreters and the zone-map binding all read the first of them."""
+    from repro.execution.strategies import AccessPlan
+    from repro.storage.column_group import ColumnGroup
+
+    rng = np.random.default_rng(9)
+    rows = 3000
+    data = [rng.integers(-1000, 1000, size=(rows, 2)) for _ in range(2)]
+    layouts = [
+        ColumnGroup(("a1", "a2"), data[0]),
+        ColumnGroup(("a1", "a3"), data[1]),
+    ]
+    if first:
+        layouts.reverse()
+    a1 = layouts[0].column("a1")
+    schema = generate_table("r", 3, 1, rng=0).schema
+    executor = Executor(EngineConfig(use_codegen=use_codegen, morsel_rows=512))
+    plan = AccessPlan(strategy, tuple(layouts))
+    for sql, expected in (
+        ("SELECT sum(a1), count(*) FROM r WHERE a1 > 500",
+         [[float(a1[a1 > 500].sum()), float((a1 > 500).sum())]]),
+        ("SELECT a1 FROM r WHERE a1 < -900", a1[a1 < -900][:, None]),
+    ):
+        info = analyze_query(parse_query(sql), schema)
+        result, stats = executor.run_plan(info, plan)
+        assert stats.used_codegen == use_codegen
+        assert np.array_equal(result.data, np.asarray(expected)), sql

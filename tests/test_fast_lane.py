@@ -4,8 +4,9 @@ The fast lane may skip analysis, planning, costing and codegen-key
 construction — but never correctness: a cached-plan answer must be
 bit-for-bit the answer the cold path would have produced, and any event
 that could change the cold path's decision (new layouts, retired
-layouts, appended rows, refreshed candidates, drifted selectivity) must
-drop the cached entry.
+layouts, appended rows, drifted selectivity) must drop the cached
+entry.  A hit never skips a build either: every query, hit or cold,
+asks the adaptation half whether it triggers one first.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 
 from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
-from repro.core.plan_cache import CachedPlan, PlanCache
+from repro.core.planner import CachedPlan, PlanCache
 from repro.sql import parse_query
 from repro.storage import generate_table
 
@@ -243,6 +244,35 @@ class TestDriftInvalidation:
         assert engine.execute(sql.format(v=full)).plan_cache_hit
 
 
+class TestEveryQueryAsksTheTrigger:
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_quarantined_group_is_built_once_its_backoff_expires(
+        self, plan_cache
+    ):
+        """An aborted stitch quarantines its group for a few queries;
+        the first repeat after the backoff builds it, whether the shape
+        is answered from the plan cache or planned cold."""
+        from repro.testkit.faults import FaultInjector
+        from repro.testkit.oracle import ORACLE_CONFIG
+
+        engine = H2OEngine(
+            generate_table("t", 8, 2000, rng=11),
+            EngineConfig(**{**ORACLE_CONFIG, "plan_cache": plan_cache}),
+        )
+        sql = "SELECT sum(a1 + a2) FROM t WHERE a3 > 0"
+        with FaultInjector({"reorg.online": {0}}):
+            reports = [engine.execute(sql) for _ in range(400)]
+        (aborted,) = [r.index for r in reports if r.reorg_aborted]
+        built = [r.index for r in reports if r.layout_created]
+        assert len(built) == 1
+        assert built[0] <= aborted + engine.quarantine.base + 1
+        assert engine.table.find_group(("a1", "a2")) is not None
+        assert engine.candidates == []
+        assert {r.result.data.tobytes() for r in reports} == {
+            reports[0].result.data.tobytes()
+        }
+
+
 def _entry(sql: str, epoch: int = 0) -> CachedPlan:
     query = parse_query(sql)
     return CachedPlan(
@@ -277,13 +307,15 @@ class TestPlanCacheUnit:
         assert cache.invalidations == {"epoch": 1}
         assert cache.misses == 1
 
-    def test_invalidate_all_counts_reason(self):
+    def test_invalidate_counts_reason(self):
         cache = PlanCache()
-        cache.store(_entry("SELECT a1 FROM r"))
+        first = _entry("SELECT a1 FROM r")
+        cache.store(first)
         cache.store(_entry("SELECT a2 FROM r"))
-        assert cache.invalidate_all("candidates") == 2
-        assert len(cache) == 0
-        assert cache.invalidations == {"candidates": 2}
+        assert cache.invalidate(first.signature, "drift")
+        assert not cache.invalidate(first.signature, "drift")
+        assert len(cache) == 1
+        assert cache.invalidations == {"drift": 1}
 
     def test_stats_shape(self):
         cache = PlanCache()

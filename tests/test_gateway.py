@@ -155,6 +155,19 @@ def test_sql_error_is_400(client):
     assert excinfo.value.status == 400
 
 
+def test_unbounded_sql_is_400(client):
+    """A 20 000-conjunct WHERE (~290 KB) is refused by the parser's
+    length bound: a 400, never a 500 from RecursionError."""
+    seed_table(client)
+    sql = "SELECT count(*) FROM t WHERE " + " AND ".join(
+        f"a > {i}" for i in range(20_000)
+    )
+    with pytest.raises(GatewayHTTPError) as excinfo:
+        client.query(sql)
+    assert excinfo.value.status == 400
+    assert client.query("SELECT count(*) FROM t WHERE a > 0")
+
+
 def test_invalid_json_body_is_400(client):
     client._conn.request(
         "POST",

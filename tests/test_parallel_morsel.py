@@ -37,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 
 from tests.conftest import wait_until
-import repro.core.engine as engine_module
+import repro.core.planner as planner_module
 from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.errors import QueryTimeoutError
@@ -701,7 +701,7 @@ def test_a_query_binds_its_zone_maps_once(monkeypatch):
 
     monkeypatch.setattr(morsel, "zone_bounds_for", counting)
     monkeypatch.setattr(
-        engine_module, "zone_bounds_for", counting, raising=False
+        planner_module, "zone_bounds_for", counting, raising=False
     )
     engine = H2OEngine(
         generate_table("r", 6, 4_000, rng=5), EngineConfig(morsel_rows=512)

@@ -227,3 +227,103 @@ class TestSugar:
     def test_dangling_not(self):
         with pytest.raises(ParseError):
             parse_query("SELECT a FROM r WHERE a NOT < 5")
+
+
+class TestBounds:
+    """What the parser accepts is bounded: past either bound it raises
+    ParseError (HTTP 400), never RecursionError."""
+
+    @staticmethod
+    def conjuncts(n):
+        return "SELECT count(*), sum(a2) FROM r WHERE " + " AND ".join(
+            f"a{1 + i % 3} > {i - 40}" for i in range(n)
+        )
+
+    @staticmethod
+    def terms(n):
+        # The aggregate is one level, each ``+`` another; the negative
+        # literal is the deepest leaf.
+        terms = ["-5"] + ["a1"] * (n - 1)
+        return "SELECT sum(" + " + ".join(terms) + ") FROM r"
+
+    @pytest.mark.parametrize("build", ["conjuncts", "terms"])
+    def test_query_at_the_depth_bound_answers_with_and_without_codegen(
+        self, build
+    ):
+        import numpy as np
+
+        from repro.config import EngineConfig
+        from repro.core.engine import H2OEngine
+        from repro.sql.parser import MAX_EXPR_DEPTH
+        from repro.storage import generate_table
+
+        sql = getattr(self, build)(MAX_EXPR_DEPTH)
+        answers = []
+        for use_codegen in (True, False):
+            engine = H2OEngine(
+                generate_table("r", 4, 3000, rng=2),
+                EngineConfig(use_codegen=use_codegen),
+            )
+            report = engine.execute(sql)
+            assert report.used_codegen == use_codegen
+            # The query's own SQL rendering parses back to it.
+            assert parse_query(report.query.to_sql()) == report.query
+            answers.append(report.result.data)
+        assert answers[0].tobytes() == answers[1].tobytes()
+        assert not np.isnan(answers[0]).any()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "conjuncts",
+            "terms",
+            "SELECT count(*) FROM r WHERE {}a1 > 0",
+            "SELECT count(*) FROM r WHERE {}a1 > 0{}",
+            "SELECT count(*) FROM r WHERE {}a1{} > 0",
+            "SELECT sum({}a1) FROM r",
+        ],
+    )
+    def test_one_past_the_depth_bound_is_a_parse_error(self, sql):
+        from repro.sql.parser import MAX_EXPR_DEPTH
+
+        past = MAX_EXPR_DEPTH + 1
+        if sql in ("conjuncts", "terms"):
+            text = getattr(self, sql)(past)
+        elif sql.endswith("a1 > 0"):
+            text = sql.format("NOT " * past)
+        elif "sum" in sql:
+            text = sql.format("-" * past)
+        else:
+            text = sql.format("(" * past, ")" * past)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_EXPR_DEPTH}"):
+            parse_query(text)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT count(*) FROM r WHERE " + " + ".join(["a1"] * 3200) + " > 0",
+            "SELECT sum(" + " + ".join(["a1"] * 3200) + ") FROM r",
+            "SELECT sum(" + "-" * 16000 + "a1) FROM r",
+        ],
+        ids=["comparison", "aggregate", "unary-minus"],
+    )
+    def test_long_chains_inside_the_length_bound_are_parse_errors(self, sql):
+        """Chains parse in loops, and the operand checks that comparisons
+        and aggregates run on construction walk them without recursion,
+        so the depth bound answers before any recursive walk."""
+        from repro.sql.parser import MAX_EXPR_DEPTH, MAX_SQL_LENGTH
+
+        assert len(sql) <= MAX_SQL_LENGTH
+        with pytest.raises(ParseError, match=f"deeper than {MAX_EXPR_DEPTH}"):
+            parse_query(sql)
+
+    def test_text_past_the_length_bound_is_refused_before_tokenizing(self):
+        from repro.sql.parser import MAX_SQL_LENGTH
+
+        head = "SELECT sum(a1) FROM r WHERE a2 > 0"
+        fits = head + " " * (MAX_SQL_LENGTH - len(head))
+        assert parse_query(fits).table == "r"
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_query(fits + " ")
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_query(self.conjuncts(20_000))

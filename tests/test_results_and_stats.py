@@ -144,7 +144,7 @@ class TestServedFraction:
             generate_table("r", 8, 1000, rng=1, initial_layout="column")
         )
         engine.execute("SELECT a1, a2 FROM r")
-        assert engine._served_fraction() == 0.0
+        assert engine.adaptation.served_fraction() == 0.0
 
     def test_row_layout_does_not_count(self):
         from repro.core.engine import H2OEngine
@@ -153,7 +153,7 @@ class TestServedFraction:
             generate_table("r", 8, 1000, rng=1, initial_layout="row")
         )
         engine.execute("SELECT a1, a2 FROM r")
-        assert engine._served_fraction() == 0.0
+        assert engine.adaptation.served_fraction() == 0.0
 
     def test_group_serves_contained_queries(self):
         from repro.core.engine import H2OEngine
@@ -165,4 +165,4 @@ class TestServedFraction:
         LayoutManager(engine.table).build_group(["a1", "a2", "a3"])
         engine.execute("SELECT a1, a2 FROM r")
         engine.execute("SELECT a7 FROM r")
-        assert engine._served_fraction() == pytest.approx(0.5)
+        assert engine.adaptation.served_fraction() == pytest.approx(0.5)

@@ -85,7 +85,7 @@ def pinned_engine(
         # No zone-map binding: the scan binds its own.
         return AccessPlan(strategy, tuple(snapshot.layouts)), 0.0, None
 
-    engine._choose_plan = choose
+    engine.planner.choose = choose
     return engine
 
 
