@@ -100,8 +100,8 @@ def _config(**overrides) -> EngineConfig:
         max_scan_threads=4,
         # Keep the sweep about scan time: no adaptation churn mid-run.
         window_size=10**6,
+        min_window=10**6,
         max_window=10**6,
-        dynamic_window=False,
     )
     knobs.update(overrides)
     return EngineConfig(**knobs)

@@ -16,9 +16,7 @@ workload = fig9_sequence(num_attrs=100, num_rows=80_000, rng=5)
 print(f"workload: {workload.description}\n")
 
 configs = {
-    "static": EngineConfig(
-        window_size=30, min_window=30, max_window=30, dynamic_window=False
-    ),
+    "static": EngineConfig(window_size=30, min_window=30, max_window=30),
     "dynamic": EngineConfig(window_size=30, min_window=8, max_window=60),
 }
 

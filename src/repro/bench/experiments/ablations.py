@@ -26,7 +26,10 @@ VARIANTS: Dict[str, dict] = {
     "no codegen (generic ops)": {"use_codegen": False},
     "eager materialization": {"materialization": "eager"},
     "no materialization": {"materialization": "never"},
-    "static window": {"dynamic_window": False},
+    "static window": {
+        "min_window": EngineConfig.window_size,
+        "max_window": EngineConfig.window_size,
+    },
 }
 
 

@@ -31,7 +31,6 @@ def fig9() -> ExperimentResult:
                 window_size=WINDOW,
                 min_window=WINDOW,
                 max_window=WINDOW,
-                dynamic_window=False,
             ),
         )
 

@@ -15,8 +15,8 @@ from typing import Hashable, List, Tuple
 import numpy as np
 
 from ..errors import CodegenError
+from ..execution.result import projection_dtype
 from ..execution.strategies import AccessPlan, ExecutionStrategy
-from ..execution.volcano import projection_dtype
 from ..sql.analyzer import QueryInfo
 from .cache import CacheEntry, OperatorCache
 from .compile import compile_kernel

@@ -72,10 +72,9 @@ class EngineConfig:
     window_size: int = 20
     #: Lower bound for the dynamic window.
     min_window: int = 8
-    #: Upper bound for the dynamic window.
+    #: Upper bound for the dynamic window.  With ``min_window ==
+    #: max_window`` the window is static (Fig. 9's baseline).
     max_window: int = 60
-    #: Whether the window adapts to workload shifts (Fig. 9 ablation).
-    dynamic_window: bool = True
     #: How proposed layouts get materialized:
     #: - "lazy" (the paper's H2O): built inside the first query that
     #:   benefits, fused with its execution (online reorganization);

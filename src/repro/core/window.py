@@ -48,9 +48,8 @@ class DynamicWindow:
         self.since_adaptation = 0
 
     def note_shift(self) -> None:
-        """Workload shift detected → shrink multiplicatively (if dynamic)."""
-        if not self.config.dynamic_window:
-            return
+        """Workload shift detected → shrink multiplicatively, down to
+        ``min_window``."""
         new_size = max(
             self.config.min_window, int(self.size * WINDOW_SHRINK_FACTOR)
         )
@@ -59,9 +58,7 @@ class DynamicWindow:
             self.shrink_events += 1
 
     def note_stable(self) -> None:
-        """Workload looks stable → grow additively (if dynamic)."""
-        if not self.config.dynamic_window:
-            return
+        """Workload looks stable → grow additively, up to ``max_window``."""
         new_size = min(self.config.max_window, self.size + WINDOW_GROW_STEP)
         if new_size != self.size:
             self.size = new_size

@@ -105,15 +105,22 @@ def _evaluate_mask(expr: Expr, resolve: Resolver) -> np.ndarray:
     raise ExecutionError(f"cannot evaluate {expr!r} as a predicate")
 
 
+def _fold(pick, kept: "float | None", new: float) -> float:
+    """``pick`` (min or max) of two blocks' results.  A NaN on either
+    side wins, as it does in numpy's reduction over all the blocks."""
+    if kept is None or new != new:
+        return new
+    return kept if kept != kept else pick(kept, new)
+
+
 class AggregateAccumulator:
     """Streaming state for one aggregate call across blocks."""
 
-    __slots__ = ("func", "_sum", "_count", "_min", "_max")
+    __slots__ = ("func", "_sum", "_min", "_max")
 
     def __init__(self, func: AggregateFunc) -> None:
         self.func = func
         self._sum = 0.0
-        self._count = 0
         self._min: "float | None" = None
         self._max: "float | None" = None
 
@@ -124,10 +131,7 @@ class AggregateAccumulator:
         0-d array when the argument is a constant, which every one of
         the ``count`` rows carries.
         """
-        if count == 0:
-            return
-        self._count += count
-        if self.func is AggregateFunc.COUNT:
+        if count == 0 or self.func is AggregateFunc.COUNT:
             return
         if values is None:
             raise ExecutionError(f"{self.func.value}() needs values")
@@ -138,15 +142,9 @@ class AggregateAccumulator:
                 else float(values) * count
             )
         elif self.func is AggregateFunc.MIN:
-            block_min = float(values.min())
-            self._min = (
-                block_min if self._min is None else min(self._min, block_min)
-            )
+            self._min = _fold(min, self._min, float(values.min()))
         elif self.func is AggregateFunc.MAX:
-            block_max = float(values.max())
-            self._max = (
-                block_max if self._max is None else max(self._max, block_max)
-            )
+            self._max = _fold(max, self._max, float(values.max()))
 
     def state(self) -> "float | None":
         """This accumulator as one slot of the partial-aggregate contract
@@ -159,22 +157,6 @@ class AggregateAccumulator:
         if self.func in (AggregateFunc.SUM, AggregateFunc.AVG):
             return self._sum
         return self._min if self.func is AggregateFunc.MIN else self._max
-
-    def finalize(self) -> float:
-        """The aggregate's final scalar value.
-
-        Empty inputs follow numpy-friendly conventions: SUM→0, COUNT→0,
-        MIN/MAX/AVG→NaN.
-        """
-        if self.func is AggregateFunc.COUNT:
-            return float(self._count)
-        if self.func is AggregateFunc.SUM:
-            return self._sum
-        if self.func is AggregateFunc.AVG:
-            return self._sum / self._count if self._count else float("nan")
-        if self.func is AggregateFunc.MIN:
-            return self._min if self._min is not None else float("nan")
-        return self._max if self._max is not None else float("nan")
 
 
 def finalize_output(expr: Expr, agg_values: Dict[Aggregate, float]) -> float:

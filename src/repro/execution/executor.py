@@ -2,9 +2,10 @@
 
 Given an analyzed query and a concrete :class:`AccessPlan`, the executor
 runs it either through the generated kernel path (default — H2O's
-on-the-fly operators) or through the interpreted operators (the generic
-fallback and Fig. 14 baseline).  Either way the scan is the same morsel
-loop (:meth:`Executor.run_scan`); only what runs per morsel differs.
+on-the-fly operators) or through the interpreted morsel functions (the
+generic fallback and Fig. 14 baseline).  Either way the scan is the
+same morsel loop (:meth:`Executor.run_scan`); only what runs per morsel
+differs.
 Strategy and layout decisions are *not* made here; the engine (or a
 baseline) passes an explicit plan.
 """
@@ -12,6 +13,7 @@ baseline) passes an explicit plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import threading
@@ -27,20 +29,19 @@ from .evaluator import (
     collect_aggregates,
     evaluate_predicate,
     evaluate_value,
-    finalize_output,
 )
+from .interpreted import run_fused_interpreted, run_late_interpreted
 from .morsel import (
     DeadlineCheck,
     MorselPlan,
     StitchStep,
+    finish,
     plan_morsels,
     run_morsels,
 )
 from .parallel import ScanPool, get_scan_pool
-from .result import QueryResult
+from .result import QueryResult, projection_dtype
 from .strategies import AccessPlan, ExecutionStrategy
-from .vectorized import run_late_interpreted
-from .volcano import VECTOR_ROWS, projection_dtype, run_fused_interpreted
 
 
 @dataclass
@@ -53,8 +54,6 @@ class ExecStats:
     #: Seconds spent generating + compiling operator source (charged to
     #: the query, as in the paper).
     codegen_seconds: float = 0.0
-    #: Bytes of intermediate results materialized during execution.
-    intermediate_bytes: int = 0
     rows_out: int = 0
     #: Number of tuples that qualified the WHERE clause (equals
     #: ``rows_out`` for projections, but differs for aggregations whose
@@ -153,7 +152,7 @@ class Executor:
                 kernel = operator.kernel
             except CodegenError:
                 # A failed generation/compilation must never fail the
-                # query: the interpreted operators answer any supported
+                # query: the interpreters answer any supported
                 # shape over any layout combination, just slower
                 # (Fig. 14).  The fallback is counted so it can never
                 # pass silently.
@@ -179,16 +178,15 @@ class Executor:
         """Queries that read no attributes (e.g. ``SELECT count(*)``).
 
         Their WHERE clause, if any, reads no column either: it qualifies
-        every row or none.
+        every row or none.  They finish like a one-morsel scan.
         """
         num_rows = plan.layouts[0].num_rows
         if info.query.where is not None and not evaluate_predicate(
             info.query.where, lambda _n: None
         ):
             num_rows = 0
-        names = [out.name for out in info.query.select]
         if info.is_aggregation:
-            agg_values = {}
+            states = []
             for agg in collect_aggregates(info.query.select):
                 state = AggregateAccumulator(agg.func)
                 if agg.arg is None:
@@ -199,27 +197,23 @@ class Executor:
                     state.update(
                         np.full(num_rows, float(value)), num_rows
                     )
-                agg_values[agg] = state.finalize()
-            values = [
-                finalize_output(out.expr, agg_values)
-                for out in info.query.select
-            ]
-            result = QueryResult.scalar_row(names, values)
+                states.append(state.state())
+            partial_result = (num_rows, tuple(states))
         else:
-            block = np.empty(
+            partial_result = np.empty(
                 (num_rows, len(info.query.select)),
                 dtype=projection_dtype(info),
             )
             for position, out in enumerate(info.query.select):
-                block[:, position] = evaluate_value(
+                partial_result[:, position] = evaluate_value(
                     out.expr, lambda _n: None
                 )
-            result = QueryResult(names, block)
+        result, qualifying = finish(info, [partial_result])
         stats = ExecStats(
             strategy=plan.strategy,
             plan="attribute-free",
             rows_out=result.num_rows,
-            qualifying_rows=num_rows,
+            qualifying_rows=qualifying,
         )
         return result, stats
 
@@ -254,24 +248,15 @@ class Executor:
         """
         layouts = plan.layouts
         if kernel is not None:
-            buffers = tuple(layout.data for layout in layouts)
-            params = info.query.literals
-
-            def runner(lo: int, hi: int):
-                return kernel(buffers, params, lo, hi), 0
-
+            runner = partial(
+                kernel,
+                tuple(layout.data for layout in layouts),
+                info.query.literals,
+            )
         elif plan.strategy is ExecutionStrategy.FUSED:
-
-            def runner(lo: int, hi: int):
-                return run_fused_interpreted(
-                    info, layouts, lo, hi, VECTOR_ROWS
-                )
-
+            runner = partial(run_fused_interpreted, info, layouts)
         else:
-
-            def runner(lo: int, hi: int):
-                return run_late_interpreted(info, layouts, lo, hi)
-
+            runner = partial(run_late_interpreted, info, layouts)
         pool = self._pool()
         num_rows = layouts[0].num_rows
         if stitch is None:
@@ -287,7 +272,7 @@ class Executor:
 
             ranges = morsel_ranges(num_rows, self.config.morsel_rows)
             mp = MorselPlan(ranges, len(ranges), 0, 1)
-        result, qualifying, intermediate, used = run_morsels(
+        result, qualifying, used = run_morsels(
             runner, info, mp, pool, deadline_check
         )
         stats = ExecStats(
@@ -295,7 +280,6 @@ class Executor:
             plan=plan.describe(),
             codegen_cache_hit=codegen_cache_hit,
             codegen_seconds=codegen_seconds,
-            intermediate_bytes=intermediate,
             rows_out=result.num_rows,
             qualifying_rows=qualifying,
             morsels_total=mp.morsels_total,

@@ -14,12 +14,11 @@ order.  Answer bits are therefore a function of the data and
 plan-cache state.
 
 The driver evaluates nothing itself.  A *runner* — a compiled kernel
-bound to its buffers and literals, or one of the two interpreters
-(:func:`~repro.execution.volcano.run_fused_interpreted`,
-:func:`~repro.execution.vectorized.run_late_interpreted`) — maps a
-morsel to ``(partial, intermediate_bytes)``, where the partial is a
+bound to its buffers and literals, or one of the two interpreters of
+:mod:`repro.execution.interpreted` — maps a morsel to its partial: a
 ``(qualifying_count, states)`` payload for an aggregation and a
-row-major output block for a projection.
+row-major output block for a projection.  :func:`finish` turns the
+partials into the query's result.
 
 Pruning is exact — a pruned morsel provably holds zero qualifying rows
 (see :mod:`repro.storage.zonemap`) — so the sum of per-morsel qualifying
@@ -48,16 +47,15 @@ from ..storage.zonemap import (
 )
 from .evaluator import collect_aggregates, finalize_output
 from .parallel import ScanPool
-from .result import QueryResult
+from .result import QueryResult, projection_dtype
 from .strategies import narrowest_providers
-from .volcano import projection_dtype
 
 #: Optional per-morsel cancellation hook (the engine passes its deadline
 #: check, which raises QueryTimeoutError when the budget is exhausted).
 DeadlineCheck = Optional[Callable[[], None]]
 
-#: Maps one morsel ``(lo, hi)`` to ``(partial, intermediate_bytes)``.
-MorselRunner = Callable[[int, int], Tuple[object, int]]
+#: Maps one morsel ``(lo, hi)`` to its partial.
+MorselRunner = Callable[[int, int], object]
 
 #: Optional per-morsel step run before the morsel is answered: online
 #: reorganization stitches the morsel ``(lo, hi)`` of its new group.
@@ -152,21 +150,21 @@ def run_morsels(
     mp: MorselPlan,
     pool: ScanPool,
     deadline_check: DeadlineCheck = None,
-) -> Tuple[QueryResult, int, int, int]:
+) -> Tuple[QueryResult, int, int]:
     """Run ``runner`` over the surviving morsels and combine in order.
 
-    Returns ``(result, qualifying_rows, intermediate_bytes,
-    threads_used)``.  ``deadline_check`` is invoked before every morsel.
-    Pruned morsels contribute nothing — exactly what executing them
-    would have contributed, since they hold zero qualifying rows.
+    Returns ``(result, qualifying_rows, threads_used)``.
+    ``deadline_check`` is invoked before every morsel.  Pruned morsels
+    contribute nothing — exactly what executing them would have
+    contributed, since they hold zero qualifying rows.
     """
     count = len(mp.ranges)
-    outcomes: List[Tuple[object, int]] = [None] * count
+    partials: List[object] = [None] * count
 
     def run_one(index: int) -> None:
         if deadline_check is not None:
             deadline_check()
-        outcomes[index] = runner(*mp.ranges[index])
+        partials[index] = runner(*mp.ranges[index])
 
     used = 1
     if mp.want_threads <= 1:
@@ -175,9 +173,15 @@ def run_morsels(
     else:
         with pool.acquire(mp.want_threads) as grant:
             used = grant.map_indexed(count, run_one)
+    return (*finish(info, partials), used)
 
-    partials = [partial for partial, _ in outcomes]
-    intermediate = sum(nbytes for _, nbytes in outcomes)
+
+def finish(
+    info: QueryInfo, partials: Sequence[object]
+) -> Tuple[QueryResult, int]:
+    """``(result, qualifying_rows)`` of ``info`` from its partials, in
+    morsel-index order: aggregates combine and finalize, projection
+    blocks concatenate."""
     names = [out.name for out in info.query.select]
     if info.is_aggregation:
         agg_values, cnt = combine_partial_aggregates(
@@ -187,11 +191,10 @@ def run_morsels(
             float(finalize_output(out.expr, agg_values))
             for out in info.query.select
         ]
-        result = QueryResult.scalar_row(names, values)
-        return result, int(cnt), intermediate, used
+        return QueryResult.scalar_row(names, values), int(cnt)
     blocks = [block for block in partials if block.shape[0]]
     result = QueryResult.from_blocks(names, blocks, projection_dtype(info))
-    return result, result.num_rows, intermediate, used
+    return result, result.num_rows
 
 
 def combine_partial_aggregates(

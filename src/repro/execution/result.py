@@ -13,6 +13,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
+from ..sql.analyzer import QueryInfo
+from ..sql.types import DataType
+
+
+def projection_dtype(info: QueryInfo) -> np.dtype:
+    """Output dtype for a projection: int64 unless any output is float."""
+    if any(t is DataType.FLOAT64 for t in info.output_types):
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
 
 
 class QueryResult:

@@ -160,12 +160,11 @@ class _Parser:
             )
         }
         #: ``id(literal) -> (literal, slot, negated)`` for every literal
-        #: built from a number token, including those a backtracked
-        #: attempt discarded (kept alive so no id is reused).
+        #: built from a number token, including those a unary minus
+        #: replaced (kept alive so no id is reused).
         self.origins: Dict[int, Tuple[Literal, int, bool]] = {}
-        #: Nesting depth, and whether it passed :data:`MAX_EXPR_DEPTH`
-        #: (no reading of the text is shallower: backtracking re-raises).
-        self._nesting, self._too_deep = 0, False
+        #: Parenthesis and aggregate nesting depth.
+        self._nesting = 0
 
     @contextmanager
     def _nested(self) -> Iterator[None]:
@@ -173,7 +172,6 @@ class _Parser:
         self._nesting += 1
         try:
             if self._nesting > MAX_EXPR_DEPTH:
-                self._too_deep = True
                 raise ParseError(
                     f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
                     self._peek().position if self._peek() else len(self.text),
@@ -266,11 +264,15 @@ class _Parser:
             alias = alias_token.text
         return OutputColumn(expr=expr, alias=alias)
 
-    def _parse_bool_expr(self) -> Expr:
+    def _parse_bool_expr(self, operand: bool = False) -> Expr:
         # OR of ANDs, both left-deep, in one loop: a parenthesized
-        # boolean costs two frames (this one and the factor's).
+        # boolean costs two frames (this one and the factor's).  With
+        # ``operand``, the text is inside a parenthesis and may instead
+        # be an arithmetic operand (see _parse_bool_factor).
         disjunction: Optional[Expr] = None
-        term = self._parse_bool_factor()
+        term = self._parse_bool_factor(operand)
+        if not _is_boolean(term):
+            return term
         while True:
             if self._match_keyword("and"):
                 right = self._parse_bool_factor()
@@ -286,38 +288,36 @@ class _Parser:
             return term
         return BooleanOp(BoolConnective.OR, disjunction, term)
 
-    def _parse_bool_factor(self) -> Expr:
+    def _parse_bool_factor(self, operand: bool = False) -> Expr:
         # A run of NOTs is a loop, not a recursion; the tree-depth check
         # bounds it.
         negations = 0
         while self._match_keyword("not"):
             negations += 1
-        expr = None
-        # A parenthesis is ambiguous between a grouped boolean expression
-        # and a parenthesized arithmetic operand; try boolean first and
-        # fall back to treating it as the left side of a comparison.
-        if self._peek() and self._peek().kind == "op" and self._peek().text == "(":
-            saved = self.index
-            try:
-                self._expect_op("(")
-                with self._nested():
-                    inner = self._parse_bool_expr()
-                self._expect_op(")")
-                if isinstance(inner, (Comparison, BooleanOp, Not)):
-                    expr = inner
-            except ParseError:
-                if self._too_deep:
-                    raise
-            if expr is None:
-                self.index = saved
-        if expr is None:
-            expr = self._parse_comparison()
+        operand = operand and not negations
+        # A parenthesis opens either a grouped boolean expression or a
+        # parenthesized arithmetic operand.  Its text is parsed once,
+        # allowing both; an operand then starts a comparison, or is
+        # itself the operand of an enclosing parenthesis.
+        if self._match_op("("):
+            with self._nested():
+                expr = self._parse_bool_expr(operand=True)
+            self._expect_op(")")
+            if not _is_boolean(expr):
+                expr = self._parse_comparison(expr, operand)
+        else:
+            expr = self._parse_comparison(None, operand)
         for _ in range(negations):
             expr = Not(expr)
         return expr
 
-    def _parse_comparison(self) -> Expr:
-        left = self._parse_expr()
+    def _parse_comparison(
+        self, first: Optional[Expr] = None, operand: bool = False
+    ) -> Expr:
+        """A comparison whose left side starts with the factor ``first``
+        when given; with ``operand``, a left side that no comparison
+        follows is returned as it is."""
+        left = self._parse_expr(first)
         if self._match_keyword("between"):
             return self._parse_between(left, negated=False)
         if self._match_keyword("in"):
@@ -332,6 +332,8 @@ class _Parser:
             raise ParseError("expected BETWEEN or IN after NOT", position)
         token = self._peek()
         if token is None or token.kind != "op" or token.text not in _COMPARISONS:
+            if operand:
+                return left
             position = token.position if token else len(self.text)
             raise ParseError("expected comparison operator", position)
         self.index += 1
@@ -366,13 +368,13 @@ class _Parser:
             )
         return Not(expr) if negated else expr
 
-    def _parse_expr(self) -> Expr:
+    def _parse_expr(self, first: Optional[Expr] = None) -> Expr:
         # Sums of products, both left-deep, in one loop: a
         # parenthesized operand costs two frames (this one and the
-        # factor's).
+        # factor's).  ``first`` is a first factor parsed already.
         total: Optional[Expr] = None
         joiner = ArithmeticOp.ADD
-        term = self._parse_factor()
+        term = self._parse_factor() if first is None else first
         while True:
             if self._match_op("*"):
                 right = self._parse_factor()
@@ -430,6 +432,10 @@ class _Parser:
         arg = self._parse_expr()
         self._expect_op(")")
         return Aggregate(func, arg)
+
+
+def _is_boolean(expr: Expr) -> bool:
+    return isinstance(expr, (Comparison, BooleanOp, Not))
 
 
 # The shape table -----------------------------------------------------------

@@ -129,10 +129,6 @@ class ColumnGroup(Layout):
         """Contiguous (stop-start, width) view of a row range."""
         return self._data[start:stop]
 
-    def gather_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Materialize the given tuple positions as a new dense block."""
-        return self._data[positions]
-
     def project(self, names: Sequence[str]) -> Dict[str, np.ndarray]:
         """Strided views of the named attributes."""
         return {name: self.column(name) for name in names}

@@ -440,7 +440,8 @@ PATHS: Tuple[OraclePath, ...] = (
             plan_cache=False,
             operator_cache=False,
             zone_maps=False,
-            dynamic_window=False,
+            min_window=ORACLE_CONFIG["window_size"],
+            max_window=ORACLE_CONFIG["window_size"],
         ),
         end_checks=(_ZONES, _POLICY),
     ),

@@ -1,4 +1,4 @@
-"""The interpreted evaluator and the volcano operators."""
+"""The interpreted evaluator and the aggregate states it feeds."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,6 @@ from repro.execution.evaluator import (
     evaluate_value,
     finalize_output,
 )
-from repro.execution.operators import (
-    AggregateOperator,
-    Chunk,
-    Filter,
-    LayoutScan,
-    Project,
-)
 from repro.sql import parse_query
 from repro.sql.expressions import Aggregate, AggregateFunc, col, lit
 
@@ -26,6 +19,17 @@ from repro.sql.expressions import Aggregate, AggregateFunc, col, lit
 def resolver(**columns):
     arrays = {k: np.asarray(v) for k, v in columns.items()}
     return arrays.__getitem__
+
+
+def finalized(state, count):
+    """``state``'s aggregate over ``count`` rows, finished by the one
+    combine rule every partial goes through."""
+    arg = None if state.func is AggregateFunc.COUNT else col("a")
+    agg = Aggregate(state.func, arg)
+    agg_values, _ = combine_partial_aggregates(
+        [agg], [(count, (state.state(),))]
+    )
+    return agg_values[agg]
 
 
 class TestEvaluateValue:
@@ -83,7 +87,7 @@ class TestAccumulator:
         state = AggregateAccumulator(func)
         arr = np.asarray(values)
         state.update(arr if func is not AggregateFunc.COUNT else None, len(values))
-        assert state.finalize() == expected
+        assert finalized(state, len(values)) == expected
 
     def test_streaming_equals_single_shot(self):
         rng = np.random.default_rng(0)
@@ -95,13 +99,16 @@ class TestAccumulator:
             for start in range(0, len(values), 10):
                 block = values[start : start + 10]
                 chunked.update(block, len(block))
-            assert whole.finalize() == chunked.finalize()
+            assert whole.state() == chunked.state()
 
     def test_empty_semantics(self):
-        assert AggregateAccumulator(AggregateFunc.SUM).finalize() == 0.0
-        assert AggregateAccumulator(AggregateFunc.COUNT).finalize() == 0.0
-        assert np.isnan(AggregateAccumulator(AggregateFunc.MIN).finalize())
-        assert np.isnan(AggregateAccumulator(AggregateFunc.AVG).finalize())
+        def empty(func):
+            return finalized(AggregateAccumulator(func), 0)
+
+        assert empty(AggregateFunc.SUM) == 0.0
+        assert empty(AggregateFunc.COUNT) == 0.0
+        assert np.isnan(empty(AggregateFunc.MIN))
+        assert np.isnan(empty(AggregateFunc.AVG))
 
     @pytest.mark.parametrize("func", list(AggregateFunc))
     def test_states_combine_to_the_whole(self, func):
@@ -120,7 +127,7 @@ class TestAccumulator:
             payloads.append((len(part), (state.state(),)))
         agg_values, count = combine_partial_aggregates([agg], payloads)
         assert count == len(values)
-        assert agg_values[agg] == whole.finalize()
+        assert agg_values[agg] == finalized(whole, len(values))
 
 
 class TestFinalizeOutput:
@@ -134,50 +141,3 @@ class TestFinalizeOutput:
         query = parse_query("SELECT sum(a) + sum(a), min(b) FROM r")
         aggs = collect_aggregates(query.select)
         assert len(aggs) == 2
-
-
-class TestOperators:
-    def test_scan_produces_requested_columns(self, column_table):
-        scan = LayoutScan(column_table.layouts, ("a1", "a3"), 512)
-        chunks = list(scan)
-        assert sum(c.num_rows for c in chunks) == column_table.num_rows
-        for chunk in chunks:
-            chunk.validate()
-            assert set(chunk.columns) == {"a1", "a3"}
-
-    def test_filter_compacts(self, column_table):
-        scan = LayoutScan(column_table.layouts, ("a1",), 512)
-        filtered = Filter(scan, col("a1") < 0)
-        total = sum(chunk.num_rows for chunk in filtered)
-        expected = int((column_table.column("a1") < 0).sum())
-        assert total == expected
-
-    def test_project_row_major_output(self, column_table):
-        scan = LayoutScan(column_table.layouts, ("a1", "a2"), 512)
-        project = Project(scan, parse_query("SELECT a1 + a2 FROM r").select)
-        blocks = [c.col(Project.OUTPUT_KEY) for c in project]
-        stacked = np.concatenate(blocks)
-        expected = column_table.column("a1") + column_table.column("a2")
-        assert (stacked[:, 0] == expected).all()
-
-    def test_aggregate_operator(self, column_table):
-        query = parse_query("SELECT sum(a1), count(*) FROM r")
-        scan = LayoutScan(column_table.layouts, ("a1",), 512)
-        agg = AggregateOperator(scan, query.select)
-        for _ in agg:
-            pass
-        result = agg.result()
-        assert result.scalars()[0] == pytest.approx(
-            float(column_table.column("a1").sum())
-        )
-        assert result.scalars()[1] == column_table.num_rows
-
-    def test_chunk_missing_column(self):
-        chunk = Chunk(num_rows=1, columns={"a": np.array([1])})
-        with pytest.raises(ExecutionError):
-            chunk.col("b")
-
-    def test_chunk_validate_catches_mismatch(self):
-        chunk = Chunk(num_rows=2, columns={"a": np.array([1])})
-        with pytest.raises(ExecutionError):
-            chunk.validate()

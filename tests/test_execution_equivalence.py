@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
+from repro.errors import ExecutionError
 from repro.execution import Executor, enumerate_plans
 from repro.execution.strategies import ExecutionStrategy, fused_allowed
 from repro.sql import analyze_query, parse_query
@@ -207,7 +208,8 @@ def test_equal_width_providers_read_the_first_layout(
 ):
     """Two equally narrow layouts store ``a1`` (with different values, so
     the answer shows which one was read): generated kernels, both
-    interpreters and the zone-map binding all read the first of them."""
+    interpreters and the zone-map binding all read the first of them.
+    A plan with no provider of an attribute raises naming it."""
     from repro.execution.strategies import AccessPlan
     from repro.storage.column_group import ColumnGroup
 
@@ -233,3 +235,9 @@ def test_equal_width_providers_read_the_first_layout(
         result, stats = executor.run_plan(info, plan)
         assert stats.used_codegen == use_codegen
         assert np.array_equal(result.data, np.asarray(expected)), sql
+    info = analyze_query(
+        parse_query("SELECT sum(a3) FROM r WHERE a1 > 0"), schema
+    )
+    without_a3 = next(layout for layout in layouts if "a3" not in layout.attrs)
+    with pytest.raises(ExecutionError, match="'a3'"):
+        executor.run_plan(info, AccessPlan(strategy, (without_a3,)))

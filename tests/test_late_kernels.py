@@ -2,7 +2,7 @@
 
 Both strategies' kernels AND every conjunct into one bitmap over the
 morsel.  The late kernels then gather each SELECT attribute where it is
-used; ``run_late_interpreted`` refines a selection vector conjunct by
+used; ``run_late_interpreted`` refines a position array conjunct by
 conjunct and gathers up front.  The fused kernels fetch the qualifying
 tuples once; ``run_fused_interpreted`` filters and compacts vector by
 vector.  Each kernel must agree with its interpreter bit for bit on one
@@ -25,8 +25,11 @@ from repro.execution.strategies import (
     fused_allowed,
     narrowest_providers,
 )
-from repro.execution.vectorized import run_late_interpreted
-from repro.execution.volcano import VECTOR_ROWS, run_fused_interpreted
+from repro.execution.interpreted import (
+    VECTOR_ROWS,
+    run_fused_interpreted,
+    run_late_interpreted,
+)
 from repro.sql import analyze_query, parse_query
 from repro.sql.types import DataType
 from repro.storage import Schema, Table
@@ -168,11 +171,6 @@ def _bits(block: np.ndarray) -> bytes:
     return np.ascontiguousarray(block).view(np.uint8).tobytes()
 
 
-def fused_reference(info, layouts, lo, hi):
-    """The interpreted fused scan at the interpreter's vector size."""
-    return run_fused_interpreted(info, layouts, lo, hi, VECTOR_ROWS)
-
-
 def run_both(case, interpret):
     """Run the generated kernel and ``interpret`` on one morsel and
     assert they agree bit for bit."""
@@ -187,7 +185,7 @@ def run_both(case, interpret):
             lo,
             hi,
         )
-        want, _ = interpret(info, plan.layouts, lo, hi)
+        want = interpret(info, plan.layouts, lo, hi)
     if info.is_aggregation:
         assert _hex(got[0]) == _hex(want[0]), operator.source
         assert [_hex(s) for s in got[1]] == [_hex(s) for s in want[1]], (
@@ -207,7 +205,7 @@ def test_late_kernel_matches_interpreter_bit_for_bit(case):
 @given(cases(ExecutionStrategy.FUSED))
 @settings(max_examples=300, deadline=None)
 def test_fused_kernel_matches_interpreter_bit_for_bit(case):
-    run_both(case, fused_reference)
+    run_both(case, run_fused_interpreted)
 
 
 @pytest.mark.parametrize("where", ["", " WHERE i0 > 0 AND f0 < 3.0"])
@@ -230,10 +228,12 @@ def test_dense_sums_match_interpreter_bit_for_bit(where, num_rows):
     )
     assert "np.einsum('ij->j'" in operator.source
     for lo, hi in ((0, num_rows), (0, 0), (num_rows - 1, num_rows)):
-        run_both((info, plan, lo, hi), fused_reference)
+        run_both((info, plan, lo, hi), run_fused_interpreted)
 
 
-@pytest.mark.parametrize("where", ["", " WHERE f0 > 0 AND i0 < 6"])
+@pytest.mark.parametrize(
+    "where", ["", " WHERE f0 > 0 AND i0 < 6", " WHERE i3 = 1"]
+)
 @pytest.mark.parametrize(
     "strategy", [ExecutionStrategy.LATE, ExecutionStrategy.FUSED]
 )
@@ -242,7 +242,9 @@ def test_multi_vector_float_sums_match_interpreter_bit_for_bit(
 ):
     """Inexact float sums over a morsel of several interpreter vectors:
     both interpreters sum a morsel's values once, in the kernels' order,
-    and a constant argument counts once per qualifying row."""
+    and a constant argument counts once per qualifying row.  ``i3``
+    alternates by vector, so ``i3 = 1`` qualifies no row of one vector
+    and every row of the next."""
     rng = np.random.default_rng(7)
     num_rows = 3 * VECTOR_ROWS + 123
     columns = {
@@ -251,6 +253,7 @@ def test_multi_vector_float_sums_match_interpreter_bit_for_bit(
     }
     for name in FLOATS:
         columns[name] = rng.standard_normal(num_rows) * 1e3
+    columns["i3"] = np.arange(num_rows) // VECTOR_ROWS % 2
     table = Table.from_columns("r", SCHEMA, columns, "column")
     sql = (
         "SELECT sum(f0 + f1), avg(f1), sum(f0 * 3), sum(0.1), min(f0), "
@@ -259,10 +262,35 @@ def test_multi_vector_float_sums_match_interpreter_bit_for_bit(
     info = analyze_query(parse_query(sql), SCHEMA)
     if strategy is ExecutionStrategy.FUSED:
         group, _ = stitch_group(table.layouts, FLOATS, SCHEMA)
-        layouts = (group, table.layouts_containing("i0")[0])
-        interpret = fused_reference
+        layouts = (group,) + tuple(
+            table.layouts_containing(a)[0]
+            for a in info.all_attrs
+            if a not in FLOATS
+        )
+        interpret = run_fused_interpreted
     else:
         layouts = tuple(table.layouts_containing(a)[0] for a in info.all_attrs)
         interpret = run_late_interpreted
     for lo, hi in ((0, num_rows), (VECTOR_ROWS - 5, num_rows - 7)):
         run_both((info, AccessPlan(strategy, layouts), lo, hi), interpret)
+
+
+@pytest.mark.parametrize("where", ["", " WHERE i0 < 6"])
+def test_fused_min_max_see_a_nan_past_the_first_vector(where):
+    """The fused interpreter folds MIN/MAX vector by vector; a NaN
+    after the first vector survives the fold, as it does the kernels'
+    one reduction over the morsel."""
+    num_rows = 2 * VECTOR_ROWS + 9
+    made = make_table(np.random.default_rng(3), num_rows)
+    columns = {name: made.column(name).copy() for name in ATTRS}
+    columns["f0"][np.isnan(columns["f0"])] = 1.5
+    columns["f0"][VECTOR_ROWS + 7] = np.nan
+    table = Table.from_columns("r", SCHEMA, columns, "column")
+    group, _ = stitch_group(table.layouts, FLOATS, SCHEMA)
+    info = analyze_query(
+        parse_query(f"SELECT min(f0), max(f0), count(*) FROM r{where}"),
+        SCHEMA,
+    )
+    layouts = (group, table.layouts_containing("i0")[0])
+    plan = AccessPlan(ExecutionStrategy.FUSED, layouts)
+    run_both((info, plan, 0, num_rows), run_fused_interpreted)

@@ -178,7 +178,7 @@ class TestDynamicWindow:
         assert window.size == 8 + WINDOW_GROW_STEP
 
     def test_static_window_never_moves(self):
-        config = EngineConfig(window_size=20, dynamic_window=False)
+        config = EngineConfig(window_size=20, min_window=20, max_window=20)
         window = DynamicWindow(config)
         window.note_shift()
         window.note_stable()

@@ -317,6 +317,29 @@ class TestBounds:
         with pytest.raises(ParseError, match=f"deeper than {MAX_EXPR_DEPTH}"):
             parse_query(sql)
 
+    @pytest.mark.parametrize("tail", [" > 0", " * 2 + 1 > 0"])
+    def test_a_parenthesized_operand_is_parsed_once(self, tail, monkeypatch):
+        """Each parenthesis around an arithmetic operand in a WHERE is
+        read once, not once per enclosing level: parse work grows
+        linearly with the nesting (the gateway parses on its event
+        loop)."""
+        from repro.sql import parser
+
+        calls = []
+        real = parser._Parser._parse_factor
+
+        def counting(self):
+            calls.append(self.index)
+            return real(self)
+
+        monkeypatch.setattr(parser._Parser, "_parse_factor", counting)
+        depth = parser.MAX_EXPR_DEPTH - 1
+        sql = "SELECT count(*) FROM r WHERE {}a1{}" + tail
+        nested = parser._Parser(sql.format("(" * depth, ")" * depth))
+        query = nested.parse_query()
+        assert query == parse_query(sql.format("", ""))
+        assert len(calls) <= depth + 4
+
     def test_text_past_the_length_bound_is_refused_before_tokenizing(self):
         from repro.sql.parser import MAX_SQL_LENGTH
 

@@ -190,7 +190,7 @@ def test_slot_keyed_source_is_the_fresh_build(query, tables):
     from repro.codegen.cache import OperatorCache
     from repro.codegen.generator import generate_operator
     from repro.codegen.templates import build_source
-    from repro.execution.volcano import projection_dtype
+    from repro.execution.result import projection_dtype
 
     if _SHARED_CACHE is None:
         _SHARED_CACHE = OperatorCache(capacity=1 << 20)

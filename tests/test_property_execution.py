@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import EngineConfig
-from repro.execution import Executor, SelectionVector, enumerate_plans
+from repro.execution import Executor, enumerate_plans
 from repro.sql import analyze_query
 from repro.sql.builder import QueryBuilder
 from repro.sql.expressions import col
@@ -101,29 +101,3 @@ def test_every_path_matches_numpy(case):
 
     for other in results[1:]:
         assert reference.allclose(other)
-
-
-@given(
-    st.lists(st.booleans(), min_size=0, max_size=200),
-    st.data(),
-)
-@settings(max_examples=80, deadline=None)
-def test_selection_vector_matches_boolean_model(bits, data):
-    """SelectionVector refinement == plain boolean masking."""
-    mask1 = np.array(bits, dtype=bool)
-    model = mask1.copy()
-    sel = SelectionVector.all_rows(len(bits)).refine(mask1)
-
-    # a second refinement over the currently selected rows
-    keep_count = int(model.sum())
-    bits2 = data.draw(
-        st.lists(st.booleans(), min_size=keep_count, max_size=keep_count)
-    )
-    mask2 = np.array(bits2, dtype=bool)
-    sel = sel.refine(mask2)
-    positions_model = np.flatnonzero(model)[mask2]
-    assert (sel.positions == positions_model).all()
-    assert sel.count == len(positions_model)
-
-    column = np.arange(len(bits)) * 3
-    assert (sel.gather(column) == column[positions_model]).all()

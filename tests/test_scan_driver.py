@@ -7,8 +7,7 @@ monolithic scan path beside the morsel loop):
   ``morsel_rows`` only: never of the pool size, of zone-map pruning, or
   of whether the plan cache answered (cold vs fast lane);
 - **strategy fidelity** — interpreted execution runs the interpreter of
-  the plan's strategy at every table size and under pruning, and
-  reports the intermediates it materialized summed over morsels;
+  the plan's strategy at every table size and under pruning;
 - **deadlines reach serial scans** — a one-thread scan observes its
   deadline at every morsel boundary;
 - **the literal contract** — literals in arithmetic *over* aggregates
@@ -181,10 +180,9 @@ def test_interpreted_scan_runs_the_plans_own_interpreter(
     def spy(name):
         real = getattr(executor_module, f"run_{name}_interpreted")
 
-        def wrapper(info, layouts, lo, hi, *rest):
-            partial, nbytes = real(info, layouts, lo, hi, *rest)
-            calls[name].append(((lo, hi), nbytes))
-            return partial, nbytes
+        def wrapper(info, layouts, lo, hi):
+            calls[name].append((lo, hi))
+            return real(info, layouts, lo, hi)
 
         monkeypatch.setattr(
             executor_module, f"run_{name}_interpreted", wrapper
@@ -209,15 +207,12 @@ def test_interpreted_scan_runs_the_plans_own_interpreter(
         else ("late", "fused")
     )
     assert stats.morsels_total == 3 and stats.morsels_pruned == 1
-    assert [rng for rng, _ in calls[mine]] == [
+    assert calls[mine] == [
         (MORSEL_ROWS, 2 * MORSEL_ROWS),
         (2 * MORSEL_ROWS, 3 * MORSEL_ROWS),
     ]
     assert calls[other] == []
     assert stats.strategy is strategy and not stats.used_codegen
-    # Intermediates are reported per morsel and summed by the driver.
-    assert stats.intermediate_bytes > 0
-    assert stats.intermediate_bytes == sum(n for _, n in calls[mine])
     assert result.num_rows == 2 * MORSEL_ROWS - 10 == stats.qualifying_rows
 
 

@@ -110,12 +110,6 @@ class TestColumnGroup:
         group = ColumnGroup(("a", "b"), fortran)
         assert group.data.flags["C_CONTIGUOUS"]
 
-    def test_gather_rows(self):
-        group = self.make()
-        picked = group.gather_rows(np.array([0, 2]))
-        assert picked.shape == (2, 3)
-        assert (picked[1] == group.data[2]).all()
-
     def test_block(self):
         group = self.make()
         block = group.block(2, 5)
