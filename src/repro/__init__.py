@@ -37,7 +37,7 @@ from .storage import (
 )
 from .execution import ExecutionStrategy, QueryResult
 from .core import CostModel, H2OEngine, H2OSystem, QueryReport
-from .service import H2OService, QueryFuture, Session
+from .service import H2OService, QueryFuture
 from .baselines import (
     AutoPartEngine,
     ColumnStoreEngine,
@@ -72,7 +72,6 @@ __all__ = [
     "H2OService",
     "QueryFuture",
     "QueryReport",
-    "Session",
     "RowStoreEngine",
     "ColumnStoreEngine",
     "OptimalEngine",

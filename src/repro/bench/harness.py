@@ -145,19 +145,6 @@ def warm_table(table: Table) -> int:
     return checksum
 
 
-def time_queries(engine, queries, repeats: int = 1) -> List[float]:
-    """Run a query list through an engine; per-query seconds (best of
-    ``repeats`` for micro-benchmarks, single pass otherwise)."""
-    best: List[float] = []
-    for query in queries:
-        times = []
-        for _ in range(repeats):
-            report = engine.execute(query)
-            times.append(report.seconds)
-        best.append(min(times))
-    return best
-
-
 def median(values: Sequence[float]) -> float:
     ordered = sorted(values)
     mid = len(ordered) // 2

@@ -35,7 +35,7 @@ decision lock so compilation never stalls other queries' planning), so
 every operation — including the LRU reordering a lookup performs — runs
 under an internal lock.  Two workers racing to compile the same key do
 redundant work once; both stores are consistent and the last one wins.
-:meth:`stats` and :meth:`stats_dict` return defensive copies.
+:meth:`stats` returns a defensive copy.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 
 @dataclass
@@ -153,13 +153,3 @@ class OperatorCache:
                 self.misses,
                 self.evictions,
             )
-
-    def stats_dict(self) -> Dict[str, int]:
-        """Named counters as a fresh (defensive) dict."""
-        size, hits, misses, evictions = self.stats()
-        return {
-            "size": size,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-        }

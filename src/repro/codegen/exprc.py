@@ -20,7 +20,7 @@ and the parameter type signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class ParamRegistry:
         self.values.append(value)
         return f"params[{index}]"
 
-    @property
-    def type_signature(self) -> Tuple[str, ...]:
-        """Per-parameter Python type names (part of the cache key)."""
-        return tuple(type(v).__name__ for v in self.values)
 
 
 class ExprCompiler:

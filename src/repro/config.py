@@ -183,7 +183,7 @@ class GatewayConfig:
     tenant_quota: int = 16
     #: Distinct API keys that may hold their own tenant state.  Beyond
     #: the cap, new keys share one ``tenant-overflow`` tenant instead of
-    #: allocating a fresh session/quota/metrics label each — bounding
+    #: allocating a fresh quota/metrics label each — bounding
     #: memory and metrics cardinality against key-spray clients.
     max_tenants: int = 64
     #: Optional API-key allowlist.  ``None`` (the default) accepts any

@@ -20,7 +20,8 @@ Components map one-to-one onto the paper's architecture (Fig. 3):
   are: plan enumeration, Eq. 2 choice, zone-map binding, selectivity
   feedback and the plan cache (a query shape's cached stage outputs),
 - :mod:`~repro.core.engine` — prepare/run/finish around the two halves:
-  deadlines, the codegen breaker, telemetry, learned-state persistence.
+  deadlines, the codegen quarantine, telemetry, learned-state
+  persistence.
 """
 
 from .adaptation_policy import AdaptationPolicy, LedgerEntry, SwitchRecord

@@ -68,7 +68,7 @@ from ..execution.executor import ExecStats, Executor
 from ..execution.morsel import DeadlineCheck, StitchStep
 from ..execution.result import QueryResult
 from ..execution.strategies import AccessPlan
-from ..resilience.breaker import CircuitBreaker
+from ..resilience.quarantine import QuarantineList
 from ..sql.analyzer import QueryInfo, analyze_query
 from ..sql.parser import parse_query
 from ..sql.query import Query
@@ -116,9 +116,9 @@ class QueryReport:
     #: answered correctly but through a fallback rung.
     #: A compile failed and the interpreted path answered instead.
     codegen_fallback: bool = False
-    #: The codegen circuit breaker was open for this shape, so no
-    #: compile was even attempted (interpreted path, by decision).
-    breaker_short_circuit: bool = False
+    #: This shape's compiles were quarantined after a recent failure,
+    #: so no compile was even attempted (interpreted path, by decision).
+    compile_blocked: bool = False
     #: An online reorganization triggered by this query aborted; the
     #: candidate was quarantined and the query answered via planning.
     reorg_aborted: bool = False
@@ -146,7 +146,7 @@ class QueryReport:
         """True when any degradation rung absorbed a fault here."""
         return (
             self.codegen_fallback
-            or self.breaker_short_circuit
+            or self.compile_blocked
             or self.reorg_aborted
         )
 
@@ -209,19 +209,10 @@ class H2OEngine:
     """
 
     def __init__(
-        self,
-        table: Table,
-        config: Optional[EngineConfig] = None,
-        clock: Optional[Callable[[], float]] = None,
+        self, table: Table, config: Optional[EngineConfig] = None
     ) -> None:
         self.table = table
         self.config = config or EngineConfig()
-        #: Injectable time source consumed by the codegen circuit
-        #: breaker (tests drive it with a fake clock; production uses
-        #: ``time.monotonic``).  The quarantine list deliberately does
-        #: *not* use it — its clock is the engine's query counter, so
-        #: backoff spans are measured in queries, not seconds.
-        self.clock: Callable[[], float] = clock or time.monotonic
         #: Guards every piece of shared mutable decision state: the
         #: adaptation half (monitor, window, shift detector, candidate
         #: pool, policy), the planner's selectivity estimator (the plan
@@ -235,7 +226,7 @@ class H2OEngine:
             self.config,
             self.planner.cost_model,
             self._run_plan,
-            clock=lambda: float(self._query_counter),
+            clock=self._queries,
         )
         self.executor = Executor(self.config)
         #: The last :data:`REPORT_HISTORY` reports, oldest first.
@@ -251,12 +242,14 @@ class H2OEngine:
         #: Queries aborted at a stage boundary because their deadline
         #: had already passed (see :meth:`execute`'s ``deadline``).
         self.deadline_aborts = 0
-        #: Per-signature codegen circuit breaker (docs/resilience.md):
-        #: after the breaker's threshold of consecutive compile failures
-        #: for one query shape the engine serves that shape interpreted
-        #: without touching the compiler, half-open-probing once per
-        #: cooldown on :attr:`clock`.
-        self.breaker = CircuitBreaker(clock=self.clock)
+        #: Per-shape codegen backoff (docs/resilience.md): a failed
+        #: compile blocks compiles of its query shape for 4, 8, … up to
+        #: 256 queries, during which the shape runs interpreted; a
+        #: compiled run clears the block.
+        self.compile_quarantine = QuarantineList(clock=self._queries)
+        #: Queries that ran interpreted because their shape's compiles
+        #: were quarantined.
+        self.compiles_blocked = 0
         #: Cumulative morsel telemetry across every query (zone-map
         #: pruning effectiveness; exported via :meth:`stats` and the
         #: gateway's ``GET /metrics``).
@@ -274,6 +267,14 @@ class H2OEngine:
     manager = _view("adaptation", "manager")
     advisor = _view("adaptation", "advisor")
     reorganizer = _view("adaptation", "reorganizer")
+
+    def _queries(self) -> float:
+        """The clock both quarantines count in: queries prepared so far.
+
+        A quarantined candidate or shape is retried after N more
+        queries, not after N possibly idle seconds.
+        """
+        return float(self._query_counter)
 
     # Public API ---------------------------------------------------------------
 
@@ -476,7 +477,7 @@ class H2OEngine:
             cost_estimate=prep.cost,
             snapshot_epoch=prep.snapshot.epoch,
             codegen_fallback=stats.codegen_fallback,
-            breaker_short_circuit=stats.breaker_short_circuit,
+            compile_blocked=stats.compile_blocked,
             reorg_aborted=prep.reorg_aborted,
             reorg_deferred=prep.reorg_deferred,
             morsels_total=stats.morsels_total,
@@ -485,6 +486,7 @@ class H2OEngine:
         )
         self.morsels_total += report.morsels_total
         self.morsels_pruned += report.morsels_pruned
+        self.compiles_blocked += report.compile_blocked
         self.reports.append(report)
         if len(self.reports) > REPORT_HISTORY:
             del self.reports[0]
@@ -538,20 +540,19 @@ class H2OEngine:
         kernel: Optional[Callable] = None,
         zone_bounds: Optional[ZoneBounds] = None,
     ) -> Tuple[QueryResult, ExecStats]:
-        """Run one plan through the executor, breaker-gated.
+        """Run one plan through the executor, codegen-quarantine-gated.
 
-        A cached kernel runs as it is.  Otherwise the per-signature
-        circuit breaker gates code generation: an open breaker
-        short-circuits straight to the interpreted operators (no
-        compile attempted), and every compile outcome is reported back
-        so the breaker's state machine advances.  Online reorganization
-        runs its stitching scan through here too (``stitch``).
+        A cached kernel runs as it is.  Otherwise a shape whose compiles
+        are quarantined runs interpreted without a compile attempt, a
+        failed compile quarantines its shape, and a compiled run clears
+        the quarantine.  Online reorganization runs its stitching scan
+        through here too (``stitch``).
         """
         allow_codegen = True
         signature = None
         if kernel is None and self.config.use_codegen and info.all_attrs:
             signature = info.query.shape_signature()
-            allow_codegen = self.breaker.allow(signature)
+            allow_codegen = not self.compile_quarantine.blocked(signature)
         result, stats = self.executor.run_plan(
             info,
             plan,
@@ -563,11 +564,11 @@ class H2OEngine:
         )
         if signature is not None:
             if not allow_codegen:
-                stats.breaker_short_circuit = True
+                stats.compile_blocked = True
             elif stats.codegen_fallback:
-                self.breaker.record_failure(signature)
+                self.compile_quarantine.note_failure(signature)
             elif stats.used_codegen:
-                self.breaker.record_success(signature)
+                self.compile_quarantine.note_success(signature)
         return result, stats
 
     # Learned-state persistence ---------------------------------------------
@@ -750,10 +751,10 @@ class H2OEngine:
                     self.policy.deferrals,
                     self.policy.invested_cost,
                 ),
-                "  codegen breaker: open={} short_circuits={} "
+                "  codegen: quarantined shapes={} blocked={} "
                 "fallbacks={}".format(
-                    len(self.breaker.open_keys()),
-                    self.breaker.short_circuits,
+                    len(self.compile_quarantine.blocked_keys()),
+                    self.compiles_blocked,
                     self.executor.codegen_fallbacks,
                 ),
                 f"  layouts created: {len(self.manager.creation_log)} "

@@ -95,9 +95,3 @@ class ShiftDetector:
         if not shifted:
             self._in_shift = False
         return False
-
-    @property
-    def unseen_fraction(self) -> float:
-        if not self._recent_flags:
-            return 0.0
-        return sum(self._recent_flags) / len(self._recent_flags)

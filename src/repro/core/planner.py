@@ -277,11 +277,10 @@ class Planner:
             return
         if not prep.info.all_attrs:
             return
-        if stats.codegen_fallback or stats.breaker_short_circuit:
+        if stats.codegen_fallback or stats.compile_blocked:
             # Never cache a degraded execution: a hit would pin this
-            # shape to the interpreted plan (or replay a decision made
-            # while its breaker was open) and bypass the breaker's
-            # half-open probe on every future repeat.
+            # shape to the interpreted plan and skip the compile retry
+            # its quarantine schedules on every future repeat.
             return
         self.cache.store(
             CachedPlan(

@@ -50,7 +50,7 @@ from ..util.timing import Timer
 LayoutSource = Union[Table, LayoutSnapshot]
 
 #: Runs a plan with a per-morsel stitch step; the engine passes its own
-#: run (breaker-gated code generation), a bare reorganizer an
+#: run (quarantine-gated code generation), a bare reorganizer an
 #: :class:`Executor`'s.
 PlanRunner = Callable[
     [QueryInfo, AccessPlan, StitchStep], Tuple[QueryResult, ExecStats]

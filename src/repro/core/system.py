@@ -111,17 +111,3 @@ class H2OSystem:
         return sum(
             engine.cumulative_seconds() for engine in self.engines()
         )
-
-    def describe(self) -> str:
-        """Status of every active engine."""
-        with self._lock:
-            engines = dict(self._engines)
-        if not engines:
-            return (
-                f"H2O system: {len(self.catalog)} table(s) registered, "
-                "no queries yet"
-            )
-        parts = []
-        for name in sorted(engines):
-            parts.append(engines[name].describe())
-        return "\n\n".join(parts)

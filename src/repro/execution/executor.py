@@ -72,10 +72,10 @@ class ExecStats:
     #: engine's plan cache keeps it for repeats of the shape.
     kernel: Optional[Callable] = None
     #: Degradation evidence: a compile failed and the interpreted path
-    #: answered instead / the engine's circuit breaker was open, so no
-    #: compile was attempted.
+    #: answered instead / the engine had quarantined the shape's
+    #: compiles, so no compile was attempted.
     codegen_fallback: bool = False
-    breaker_short_circuit: bool = False
+    compile_blocked: bool = False
 
     @property
     def used_codegen(self) -> bool:
@@ -126,10 +126,10 @@ class Executor:
         query shape) runs as it is, fed ``info``'s literals.  Without
         one the operator is generated when the configuration enables
         codegen; ``allow_codegen=False`` forces the interpreted path
-        instead — the engine's per-signature circuit breaker uses it to
-        short-circuit compilation for shapes whose compiles keep
-        failing (see docs/resilience.md); answers are identical either
-        way, only slower.
+        instead — the engine's per-shape compile quarantine uses it to
+        skip compilation for shapes whose compiles recently failed (see
+        docs/resilience.md); answers are identical either way, only
+        slower.
 
         ``zone_bounds`` is the predicate's zone-map binding when the
         caller holds one; otherwise the scan binds it.
@@ -192,11 +192,10 @@ class Executor:
                 if agg.arg is None:
                     state.update(None, num_rows)
                 else:
-                    # A constant argument repeated for every tuple.
+                    # A constant argument, carried by every tuple: a 0-d
+                    # value, summed as ``value * count`` like the kernels.
                     value = evaluate_value(agg.arg, lambda _n: None)
-                    state.update(
-                        np.full(num_rows, float(value)), num_rows
-                    )
+                    state.update(np.asarray(float(value)), num_rows)
                 states.append(state.state())
             partial_result = (num_rows, tuple(states))
         else:

@@ -23,8 +23,8 @@ MIN and MAX keeping a NaN as the kernels' one reduction does; a
 projection's partial is its row-major output block.
 
 They answer when codegen is off (the testkit oracle's ground truth),
-when a compile fails and when the circuit breaker is open; every
-generated kernel must agree with them bit for bit.
+when a compile fails and while a shape's compiles are quarantined;
+every generated kernel must agree with them bit for bit.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from ..storage.zonemap import (
     morsel_ranges,
     num_morsels_for,
 )
-from .evaluator import collect_aggregates, finalize_output
+from .evaluator import _fold, collect_aggregates, finalize_output
 from .parallel import ScanPool
 from .result import QueryResult, projection_dtype
 from .strategies import narrowest_providers
@@ -227,9 +227,9 @@ def combine_partial_aggregates(
             if agg.func in (AggregateFunc.SUM, AggregateFunc.AVG):
                 sums[i] += state
             elif agg.func is AggregateFunc.MIN and state is not None:
-                mins[i] = state if mins[i] is None else min(mins[i], state)
+                mins[i] = _fold(min, mins[i], state)
             elif agg.func is AggregateFunc.MAX and state is not None:
-                maxs[i] = state if maxs[i] is None else max(maxs[i], state)
+                maxs[i] = _fold(max, maxs[i], state)
     agg_values = {}
     for i, agg in enumerate(aggregates):
         if agg.func is AggregateFunc.COUNT:

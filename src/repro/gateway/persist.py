@@ -632,9 +632,9 @@ class DurableStore:
 
     # -- reads -------------------------------------------------------------
 
-    def execute(self, query, session=None, timeout: Optional[float] = None):
+    def execute(self, query, timeout: Optional[float] = None):
         """Run one query through the service (never takes the lock)."""
-        return self.service.execute(query, session=session, timeout=timeout)
+        return self.service.execute(query, timeout=timeout)
 
     def tables(self) -> List[str]:
         with self._lock:

@@ -218,7 +218,6 @@ class Gateway:
         self.store = store
         self.config = config or store.gateway_config
         self.tenants = TenantRegistry(
-            store.service,
             quota=self.config.tenant_quota,
             allowed_keys=self.config.api_keys,
             max_tenants=self.config.max_tenants,
@@ -400,7 +399,7 @@ class Gateway:
             # Submitted from the loop: a known shape binds in microseconds
             # (the parser's shape table), and the worker that settles the
             # ticket wakes the loop directly — one thread hop per query.
-            future = tenant.session.submit(sql, timeout=timeout)
+            future = self.store.service.submit(sql, timeout=timeout)
             report = await future.aresult(timeout)
         finally:
             tenant.release()
@@ -487,9 +486,8 @@ class Gateway:
         )
         status = 200 if report.status == "healthy" else 503
         payload = dataclasses.asdict(report)
-        # Nested breaker/quarantine maps can hold non-JSON values; keep
-        # the wire payload to the scalar rungs.
-        payload.pop("breaker_states", None)
+        # The nested quarantine map can hold non-JSON values; keep the
+        # wire payload to the scalar rungs.
         payload.pop("quarantines", None)
         return status, payload
 

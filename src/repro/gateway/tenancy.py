@@ -1,12 +1,13 @@
-"""Multi-tenant admission on top of the service's session machinery.
+"""Multi-tenant admission in front of the service.
 
 Each distinct API key maps to a :class:`Tenant`: its own
-:class:`~repro.service.Session` (per-tenant submitted/completed/timeout
-counters for free), its own :class:`~repro.service.AdmissionController`
-quota bounding *that tenant's* in-flight requests, and per-endpoint
-request counters for ``/metrics``.  The service-wide admission bound
-still applies underneath — the tenant quota is the fairness layer that
-keeps one hot tenant from consuming the whole service-wide budget.
+:class:`~repro.service.AdmissionController` quota bounding *that
+tenant's* in-flight requests, and the request and quota-rejection
+counters ``/metrics`` labels by tenant.  Queries are counted once, by
+the service's :class:`~repro.service.ServiceStats`.  The service-wide
+admission bound still applies underneath — the tenant quota is the
+fairness layer that keeps one hot tenant from consuming the whole
+service-wide budget.
 """
 
 from __future__ import annotations
@@ -15,17 +16,14 @@ import threading
 from typing import Dict, Iterable, Optional
 
 from ..errors import AuthError, TenantQuotaError
-from ..service import AdmissionController, H2OService, Session
+from ..service import AdmissionController
 
 
 class Tenant:
-    """One API key's identity, session, quota and counters."""
+    """One API key's identity, quota and counters."""
 
-    def __init__(
-        self, name: str, session: Session, quota: int
-    ) -> None:
+    def __init__(self, name: str, quota: int) -> None:
         self.name = name
-        self.session = session
         self.admission = AdmissionController(quota)
         self._lock = threading.Lock()
         self.requests = 0
@@ -53,15 +51,14 @@ class Tenant:
                 "rejected_quota": self.rejected,
             }
         snap["in_flight"] = self.admission.in_flight
-        snap.update(self.session.stats())
         return snap
 
 
 class TenantRegistry:
     """API key → tenant, created on first use — but *bounded*.
 
-    Tenant state (a session, an admission quota, a ``/metrics`` label)
-    is allocated per distinct key, so an unvalidated registry would let
+    Tenant state (an admission quota, a ``/metrics`` label) is
+    allocated per distinct key, so an unvalidated registry would let
     any client grow memory and metrics cardinality without limit by
     spraying fresh keys.  Two defenses:
 
@@ -84,12 +81,10 @@ class TenantRegistry:
 
     def __init__(
         self,
-        service: H2OService,
         quota: int,
         allowed_keys: Optional[Iterable[str]] = None,
         max_tenants: int = 64,
     ) -> None:
-        self._service = service
         self._quota = quota
         self._allowed = (
             None if allowed_keys is None else frozenset(allowed_keys)
@@ -118,15 +113,10 @@ class TenantRegistry:
                 return tenant
             if key and self._keyed >= self._max:
                 if self._overflow is None:
-                    self._overflow = Tenant(
-                        self.OVERFLOW_NAME,
-                        self._service.session(client=self.OVERFLOW_NAME),
-                        self._quota,
-                    )
+                    self._overflow = Tenant(self.OVERFLOW_NAME, self._quota)
                 return self._overflow
             name = self._public_name(key) if key else self.DEFAULT_NAME
-            session = self._service.session(client=name)
-            tenant = Tenant(name, session, self._quota)
+            tenant = Tenant(name, self._quota)
             self._tenants[key] = tenant
             if key:
                 self._keyed += 1

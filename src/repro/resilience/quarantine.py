@@ -1,15 +1,15 @@
-"""Exponential-backoff quarantine for poisoned reorganization candidates.
+"""Exponential-backoff quarantine for whatever keeps failing.
 
-When an online stitch for a candidate layout aborts, the
-candidate deliberately *stays in the pool* — the abort is usually
-transient (PR 3's contract).  But "stays eligible" without backoff
-means the advisor re-triggers the same stitch on the very next matching
-query, and a persistently failing candidate turns every hot query into
-a failed reorganization attempt.  The quarantine list is the middle
-ground: after each failure the candidate is blocked for an
+The engine keeps two: one keyed by query shape over code generation,
+one keyed by candidate over online reorganization.  A failed compile
+or an aborted stitch is usually transient, so the shape or candidate
+stays eligible — but retrying it on the very next matching query turns
+every hot query into a failed attempt.  The quarantine list is the
+middle ground: after each failure the key is blocked for an
 exponentially growing span, so retries happen but thin out
 (``base``, ``2·base``, ``4·base``, … capped at ``cap``), and one
-success clears the history entirely.
+success clears the history entirely.  A blocked shape runs
+interpreted; a blocked candidate is not re-stitched.
 
 The clock is injectable and *unitless*: the engine passes its own query
 counter, so backoff is measured in **queries** — deterministic under

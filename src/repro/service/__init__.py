@@ -1,4 +1,4 @@
-"""The concurrent query service: multi-client sessions over one store.
+"""The concurrent query service: many clients over one store.
 
 This package lifts the single-threaded :class:`~repro.core.system.H2OSystem`
 into a multi-client service:
@@ -7,10 +7,8 @@ into a multi-client service:
   API (futures, timeouts, graceful shutdown);
 - :class:`~repro.service.admission.AdmissionController` — bounded
   in-flight capacity with O(1) back-pressure rejection;
-- :class:`~repro.service.session.Session` — per-client handles with
-  their own accounting and default timeout;
-- :class:`~repro.service.stats.ServiceStats` — thread-safe counters and
-  latency percentiles.
+- :class:`~repro.service.stats.ServiceStats` — the service's one set of
+  thread-safe counters and latency percentiles.
 
 The service is *self-healing* (docs/resilience.md): a worker watchdog
 prunes dead threads and respawns them under a token-bucket budget,
@@ -29,7 +27,6 @@ via a single atomic epoch bump.
 from ..resilience.health import HealthReport
 from .admission import AdmissionController
 from .service import H2OService, QueryFuture
-from .session import Session
 from .stats import ServiceStats, percentile
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "H2OService",
     "HealthReport",
     "QueryFuture",
-    "Session",
     "ServiceStats",
     "percentile",
 ]

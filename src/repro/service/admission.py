@@ -7,13 +7,14 @@ latency cliff.  The admission controller tracks the number of queries
 rejects the excess at submission time with
 :class:`~repro.errors.ServiceOverloadedError` — back-pressure, not a
 crash.  Rejection is O(1) and happens in the client's thread before any
-resources are committed.
+resources are committed.  The controller counts nothing else: admitted
+and rejected submissions are the owner's counters (``ServiceStats``
+for the service, ``Tenant`` for a gateway tenant's quota).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict
 
 from ..errors import ServiceError
 
@@ -29,20 +30,13 @@ class AdmissionController:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._in_flight = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.peak_in_flight = 0
 
     def try_acquire(self) -> bool:
-        """Admit one query if the bound allows; count the outcome."""
+        """Admit one query if the bound allows."""
         with self._lock:
             if self._in_flight >= self.capacity:
-                self.rejected += 1
                 return False
             self._in_flight += 1
-            self.admitted += 1
-            if self._in_flight > self.peak_in_flight:
-                self.peak_in_flight = self._in_flight
             return True
 
     def release(self) -> None:
@@ -56,14 +50,3 @@ class AdmissionController:
     def in_flight(self) -> int:
         with self._lock:
             return self._in_flight
-
-    def stats(self) -> Dict[str, int]:
-        """A consistent defensive copy of the admission counters."""
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "in_flight": self._in_flight,
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "peak_in_flight": self.peak_in_flight,
-            }

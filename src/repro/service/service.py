@@ -29,7 +29,7 @@ import itertools
 import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 from ..config import EngineConfig
 from ..core.engine import QueryReport
@@ -50,7 +50,6 @@ from ..util.faultpoints import fault_point
 from ..sql.query import Query
 from ..storage.relation import Table
 from .admission import AdmissionController
-from .session import Session
 from .stats import ServiceStats
 
 _PENDING = "pending"
@@ -69,7 +68,6 @@ class _QueryTicket:
 
     __slots__ = (
         "query",
-        "session",
         "deadline",
         "submitted_at",
         "lock",
@@ -82,14 +80,8 @@ class _QueryTicket:
         "callbacks",
     )
 
-    def __init__(
-        self,
-        query: Query,
-        session: Optional[Session],
-        deadline: Optional[float],
-    ) -> None:
+    def __init__(self, query: Query, deadline: Optional[float]) -> None:
         self.query = query
-        self.session = session
         self.deadline = deadline
         self.submitted_at = time.monotonic()
         self.lock = threading.Lock()
@@ -366,8 +358,6 @@ class H2OService:
             queue.SimpleQueue()
         )
         self._closed = threading.Event()
-        self._session_lock = threading.Lock()
-        self._sessions: Dict[str, Session] = {}
         self._worker_lock = threading.Lock()
         self._worker_ids = itertools.count()
         self._workers: List[threading.Thread] = []
@@ -387,43 +377,11 @@ class H2OService:
         """Register a table with the underlying system."""
         self.system.register(table, replace=replace)
 
-    # Sessions ------------------------------------------------------------
-
-    def session(
-        self,
-        client: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> Session:
-        """Open a client session (timeout defaults to the service's)."""
-        session_id = client or f"session-{next(self._ids)}"
-        session = Session(
-            self,
-            session_id,
-            default_timeout=(
-                timeout if timeout is not None else self.default_timeout
-            ),
-        )
-        with self._session_lock:
-            self._sessions[session_id] = session
-        return session
-
-    def sessions(self) -> Dict[str, Session]:
-        """A defensive copy of the open sessions by id."""
-        with self._session_lock:
-            return dict(self._sessions)
-
-    def _forget_session(self, session: Session) -> None:
-        """Drop a closed session (unless its id was since re-opened)."""
-        with self._session_lock:
-            if self._sessions.get(session.session_id) is session:
-                del self._sessions[session.session_id]
-
     # Submission ----------------------------------------------------------
 
     def submit(
         self,
         query: Union[Query, str],
-        session: Optional[Session] = None,
         timeout: Optional[float] = None,
     ) -> QueryFuture:
         """Admit a query into the bounded queue; returns a future.
@@ -443,12 +401,8 @@ class H2OService:
         if timeout is None:
             timeout = self.default_timeout
         self.stats.note_submitted()
-        if session is not None:
-            session._note("submitted")
         if not self.admission.try_acquire():
             self.stats.note_rejected()
-            if session is not None:
-                session._note("rejected")
             raise ServiceOverloadedError(
                 f"service {self.name!r} is at capacity "
                 f"({self.admission.capacity} queries in flight); "
@@ -457,33 +411,17 @@ class H2OService:
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        ticket = _QueryTicket(query, session, deadline)
+        ticket = _QueryTicket(query, deadline)
         self._queue.put(ticket)
         return QueryFuture(ticket, self)
 
     def execute(
         self,
         query: Union[Query, str],
-        session: Optional[Session] = None,
         timeout: Optional[float] = None,
     ) -> QueryReport:
         """Submit and block for the report (the synchronous API)."""
-        return self.submit(query, session=session, timeout=timeout).result(
-            timeout
-        )
-
-    def run_concurrent(
-        self,
-        queries: Sequence[Union[Query, str]],
-        session: Optional[Session] = None,
-        timeout: Optional[float] = None,
-    ) -> List[QueryReport]:
-        """Submit a batch and wait for all reports, preserving order."""
-        futures = [
-            self.submit(q, session=session, timeout=timeout)
-            for q in queries
-        ]
-        return [future.result(timeout) for future in futures]
+        return self.submit(query, timeout=timeout).result(timeout)
 
     # Worker loop ---------------------------------------------------------
 
@@ -580,8 +518,6 @@ class H2OService:
             failure.__cause__ = exc
             ticket.fail(failure)
             self.stats.note_failed(started=was_running)
-            if ticket.session is not None:
-                ticket.session._note("failed")
         elif was_running:
             # Already resolved elsewhere; keep the in-flight gauge
             # honest for the attempt this thread had started.
@@ -671,19 +607,15 @@ class H2OService:
                     return True
             ticket.fail(exc)
             self.stats.note_failed()
-            if ticket.session is not None:
-                ticket.session._note("failed")
             return False
         ticket.complete(report)
         if not ticket.abandoned:
             self.stats.note_completed(time.monotonic() - started)
             if report.degraded:
                 # Correct answer through a fallback rung (codegen
-                # fallback, breaker short-circuit, or aborted online
+                # fallback, quarantined compile, or aborted online
                 # reorg) — visible in stats and health, never silent.
                 self.stats.note_degraded()
-            if ticket.session is not None:
-                ticket.session._note("completed")
         else:
             # The waiter already gave up; the slot is released but the
             # latency sample would skew percentiles, so only count the
@@ -695,8 +627,6 @@ class H2OService:
 
     def _on_timeout(self, ticket: _QueryTicket) -> None:
         self.stats.note_timeout()
-        if ticket.session is not None:
-            ticket.session._note("timeouts")
 
     def _on_cancelled(self, ticket: _QueryTicket) -> None:
         self.stats.note_cancelled()
@@ -740,8 +670,6 @@ class H2OService:
                     )
                 )
                 self.stats.note_failed(started=False)
-                if ticket.session is not None:
-                    ticket.session._note("failed")
             self.admission.release()
 
     @property
@@ -760,42 +688,19 @@ class H2OService:
         """One consistent snapshot of the whole degradation ladder.
 
         Assembled from the worker pool, the admission controller and
-        every engine's breaker/quarantine/fallback
-        counters — see :mod:`repro.resilience.health` for the status
-        semantics (``healthy`` / ``degraded`` / ``closed``).
+        every engine's quarantine and fallback counters — see
+        :mod:`repro.resilience.health` for the status semantics
+        (``healthy`` / ``degraded`` / ``closed``).
         """
         snap = self.stats.snapshot()
         engines = self.system.engines()
-        breaker_states = {
-            e.table.name: e.breaker.snapshot() for e in engines
-        }
-        quarantines = {
-            e.table.name: e.quarantine.snapshot() for e in engines
-        }
-        policies = {
-            e.table.name: e.policy.snapshot() for e in engines
-        }
-        reorgs_deferred = sum(e.policy.deferrals for e in engines)
-        layout_switches = sum(e.policy.switch_count for e in engines)
-        codegen_fallbacks = sum(
-            e.executor.codegen_fallbacks for e in engines
-        )
-        breaker_short_circuits = sum(
-            e.breaker.short_circuits for e in engines
-        )
-        reorg_aborts = sum(e.reorg_aborts for e in engines)
-        deadline_aborts = sum(e.deadline_aborts for e in engines)
         workers_alive = self.alive_workers()
-        open_breakers = any(
-            snapshot["open"] for snapshot in breaker_states.values()
-        )
-        blocked = any(
-            snapshot["blocked"] for snapshot in quarantines.values()
-        )
         if self._closed.is_set():
             status = "closed"
-        elif (
-            workers_alive < self._target_workers or open_breakers or blocked
+        elif workers_alive < self._target_workers or any(
+            e.compile_quarantine.blocked_keys()
+            or e.quarantine.blocked_keys()
+            for e in engines
         ):
             status = "degraded"
         else:
@@ -812,44 +717,16 @@ class H2OService:
             requeued_deaths=int(snap["requeued_deaths"]),
             retried_failures=int(snap["retried_failures"]),
             degraded_queries=int(snap["degraded"]),
-            breaker_states=breaker_states,
-            quarantines=quarantines,
-            policies=policies,
-            codegen_fallbacks=codegen_fallbacks,
-            breaker_short_circuits=breaker_short_circuits,
-            reorg_aborts=reorg_aborts,
-            deadline_aborts=deadline_aborts,
-            reorgs_deferred=reorgs_deferred,
-            layout_switches=layout_switches,
+            quarantines={
+                e.table.name: e.quarantine.snapshot() for e in engines
+            },
+            policies={e.table.name: e.policy.snapshot() for e in engines},
+            codegen_fallbacks=sum(
+                e.executor.codegen_fallbacks for e in engines
+            ),
+            compiles_blocked=sum(e.compiles_blocked for e in engines),
+            reorg_aborts=sum(e.reorg_aborts for e in engines),
+            deadline_aborts=sum(e.deadline_aborts for e in engines),
+            reorgs_deferred=sum(e.policy.deferrals for e in engines),
+            layout_switches=sum(e.policy.switch_count for e in engines),
         )
-
-    def describe(self) -> str:
-        """Multi-line status: service counters + per-engine summaries."""
-        snap = self.stats.snapshot()
-        lines = [
-            f"H2O service {self.name!r}: {len(self._workers)} workers, "
-            f"admission {self.admission.stats()}",
-            "  queries: submitted={submitted} completed={completed} "
-            "rejected={rejected} timeouts={timeouts} failed={failed}".format(
-                **{k: int(snap[k]) for k in (
-                    "submitted",
-                    "completed",
-                    "rejected",
-                    "timeouts",
-                    "failed",
-                )}
-            ),
-            f"  latency: p50={snap['p50_ms']:.2f}ms "
-            f"p99={snap['p99_ms']:.2f}ms "
-            f"(peak concurrency {int(snap['peak_concurrency'])})",
-            "  resilience: deaths={} respawns={} requeued={} "
-            "retried={} degraded={}".format(
-                int(snap["worker_deaths"]),
-                int(snap["worker_respawns"]),
-                int(snap["requeued_deaths"]),
-                int(snap["retried_failures"]),
-                int(snap["degraded"]),
-            ),
-        ]
-        lines.append(self.system.describe())
-        return "\n".join(lines)

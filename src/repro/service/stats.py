@@ -61,8 +61,8 @@ class ServiceStats:
         #: ``service.execute`` faults.
         self.retried_failures = 0
         #: Queries answered correctly but through a degradation rung
-        #: (``QueryReport.degraded``): codegen fallback, breaker
-        #: short-circuit, or an aborted online reorganization.
+        #: (``QueryReport.degraded``): codegen fallback, quarantined
+        #: compile, or an aborted online reorganization.
         self.degraded = 0
         #: Peak number of queries executing simultaneously (a direct
         #: measure of scan overlap across workers).

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
 
 from ..errors import AnalysisError
-from .expressions import Aggregate, Expr, flatten_conjuncts
+from .expressions import Expr, flatten_conjuncts
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,6 @@ class Query:
         from .signature import collect_literals
 
         return tuple(collect_literals(self))
-
-    @property
-    def aggregate_calls(self) -> Tuple[Aggregate, ...]:
-        """All aggregate nodes in the SELECT clause, in output order."""
-        calls: list = []
-        for out in self.select:
-            calls.extend(out.expr.aggregates())
-        return tuple(calls)
 
     def signature(self) -> QuerySignature:
         """The hashable access-pattern shape of this query (cached)."""

@@ -11,7 +11,7 @@ columns are modeled similarly to the row-major layouts").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -120,10 +120,6 @@ class ColumnGroup(Layout):
         return f"{kind}[{names}]"
 
     # Group-specific access ----------------------------------------------
-
-    def positions_of(self, names: Iterable[str]) -> np.ndarray:
-        """Physical column indices for ``names`` within this group."""
-        return np.array([self.index_of(n) for n in names], dtype=np.intp)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """Contiguous (stop-start, width) view of a row range."""

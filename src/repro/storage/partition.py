@@ -12,7 +12,7 @@ represented with ``allow_overlap=True``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 from ..errors import LayoutError
 from .schema import Schema
@@ -175,12 +175,3 @@ def row_partitioning(schema: Schema) -> Partitioning:
 def column_partitioning(schema: Schema) -> Partitioning:
     """The column-major configuration: one singleton group per attribute."""
     return Partitioning(schema, [[name] for name in schema.names])
-
-
-def partitioning_from_sets(
-    schema: Schema, groups: Sequence[Iterable[str]]
-) -> Partitioning:
-    """Build a (possibly overlapping, possibly partial) configuration."""
-    return Partitioning(
-        schema, groups, allow_overlap=True, require_cover=False
-    )

@@ -48,9 +48,6 @@ class TransformStats:
     bytes_written: int
     source_layouts: int
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
 
 
 def _plan_sources(

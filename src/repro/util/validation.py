@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def check_positive(name: str, value: float) -> None:
@@ -29,13 +29,3 @@ def check_unique(name: str, items: Iterable[object]) -> None:
         if item in seen:
             raise ValueError(f"duplicate {name}: {item!r}")
         seen.add(item)
-
-
-def first_duplicate(items: Sequence[object]) -> "object | None":
-    """Return the first duplicated item in ``items`` or ``None``."""
-    seen = set()
-    for item in items:
-        if item in seen:
-            return item
-        seen.add(item)
-    return None

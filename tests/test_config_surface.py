@@ -1,4 +1,4 @@
-"""The knob count is a conscious diff, not drift."""
+"""The knob count and the report surface are conscious diffs, not drift."""
 
 import re
 from dataclasses import fields
@@ -26,6 +26,19 @@ def test_knob_count_is_pinned():
     # need *different* values — otherwise use a constant, or derive the
     # value from the inputs.  Lowering it is always welcome.
     assert len(fields(EngineConfig)) + len(fields(GatewayConfig)) == 23
+
+
+def test_report_surface_is_pinned():
+    # Each stats/health/describe/snapshot/as_dict method is one more
+    # shape a reader must learn for the numbers it repeats.  Raising
+    # this count needs a reason: a number no existing report carries.
+    # Lowering it is always welcome.
+    pattern = re.compile(r"def (stats|health|describe|snapshot|as_dict)\(")
+    count = sum(
+        len(pattern.findall(path.read_text()))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    assert count == 25
 
 
 def test_every_field_is_varied_or_allowlisted():

@@ -302,7 +302,9 @@ def test_healthz_reports_healthy(client):
     status, payload = client.healthz()
     assert status == 200
     assert payload["status"] == "healthy"
-    assert "breaker_states" not in payload
+    for key in ("degraded_queries", "codegen_fallbacks", "compiles_blocked"):
+        assert payload[key] == 0
+    assert "quarantines" not in payload
 
 
 def test_metrics_exposition(client):

@@ -921,22 +921,23 @@ def test_parallel_scans_race_service_and_appends():
             stop.set()
 
     def reader(worker_id: int) -> None:
-        session = service.session(f"reader-{worker_id}", timeout=120.0)
         try:
             i = 0
             while not stop.is_set():
                 i += 1
                 # Hot shape drives online stitches; the count
                 # probe checks snapshot consistency under appends.
-                report = session.execute(
-                    "SELECT count(*), sum(a1 - a1) FROM r"
+                report = service.execute(
+                    "SELECT count(*), sum(a1 - a1) FROM r",
+                    timeout=120.0,
                 )
                 count, zero = report.result.scalars()
                 assert zero == 0.0
                 observed.append(int(count))
-                session.execute(
+                service.execute(
                     f"SELECT sum(a1 + a2 + a3) FROM r "
-                    f"WHERE a4 > {(i % 16 - 8) * 10**8}"
+                    f"WHERE a4 > {(i % 16 - 8) * 10**8}",
+                    timeout=120.0,
                 )
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)

@@ -3,14 +3,13 @@
 Covers every rung of the degradation ladder in isolation with fake
 clocks (no sleeps in the state-machine tests) and then end to end:
 
-- the per-signature codegen circuit breaker FSM;
 - the exponential-backoff quarantine list;
 - the watchdog's token-bucket respawn budget;
-- the engine acceptance test: with a permanently failing compiler the
-  breaker *stops compile attempts* (asserted via the fault-point
-  occurrence counter) while queries keep answering correctly through
-  the interpreted path, and a half-open probe re-closes the breaker
-  once the compiler heals;
+- the engine acceptance test: with a permanently failing compiler a
+  query shape's compile attempts follow the 4/8/16-query backoff
+  (asserted via the fault-point occurrence counter) while its queries
+  keep answering a codegen-off engine's answers, and one compiled run
+  clears the quarantine once the compiler heals;
 - error-taxonomy retryability, per-waiter exception clones, deadline
   propagation, the overload ladder, worker respawn, degraded-query
   accounting, and the service health report.
@@ -18,6 +17,7 @@ clocks (no sleeps in the state-machine tests) and then end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -37,13 +37,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ServiceClosedError,
 )
-from repro.resilience import (
-    CircuitBreaker,
-    HealthReport,
-    QuarantineList,
-    TokenBucket,
-)
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.resilience import HealthReport, QuarantineList, TokenBucket
 from repro.testkit.faults import FaultInjector
 
 
@@ -56,87 +50,6 @@ def expected_sum(table, value_attr, where_attr):
     values = np.asarray(table.column(value_attr), dtype=np.float64)
     mask = np.asarray(table.column(where_attr)) > 0
     return float(values[mask].sum())
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker state machine (fake clock, zero sleeps)
-# ---------------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=2, cooldown=10.0):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            threshold=threshold, cooldown=cooldown, clock=lambda: now[0]
-        )
-        return breaker, now
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=0.0)
-
-    def test_opens_after_consecutive_failures_only(self):
-        breaker, _ = self.make(threshold=2)
-        breaker.record_failure("sig")
-        breaker.record_success("sig")  # resets the consecutive count
-        breaker.record_failure("sig")
-        assert breaker.state("sig") == CLOSED
-        breaker.record_failure("sig")
-        assert breaker.state("sig") == OPEN
-        assert breaker.opens == 1
-
-    def test_open_short_circuits_until_cooldown(self):
-        breaker, now = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure("sig")
-        assert not breaker.allow("sig")
-        assert not breaker.allow("sig")
-        assert breaker.short_circuits == 2
-        now[0] = 9.999
-        assert not breaker.allow("sig")
-        now[0] = 10.0
-        assert breaker.allow("sig")  # the half-open probe
-        assert breaker.state("sig") == HALF_OPEN
-        assert breaker.probes == 1
-
-    def test_single_probe_failed_probe_reopens(self):
-        breaker, now = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure("sig")
-        now[0] = 10.0
-        assert breaker.allow("sig")
-        # Only one probe at a time: a second caller is short-circuited.
-        assert not breaker.allow("sig")
-        breaker.record_failure("sig")  # the probe failed
-        assert breaker.state("sig") == OPEN
-        assert breaker.opens == 2
-        now[0] = 15.0
-        assert not breaker.allow("sig")  # a fresh full cooldown applies
-        now[0] = 20.0
-        assert breaker.allow("sig")
-        breaker.record_success("sig")
-        assert breaker.state("sig") == CLOSED
-        assert breaker.closes == 1
-        assert breaker.open_keys() == []
-
-    def test_lost_probe_expires_instead_of_wedging(self):
-        breaker, now = self.make(threshold=1, cooldown=10.0)
-        breaker.record_failure("sig")
-        now[0] = 10.0
-        assert breaker.allow("sig")  # probe granted ... and never reports
-        now[0] = 19.0
-        assert not breaker.allow("sig")
-        now[0] = 20.0
-        assert breaker.allow("sig")  # probe slot expired: a fresh probe
-        assert breaker.probes == 2
-
-    def test_keys_are_independent(self):
-        breaker, _ = self.make(threshold=1)
-        breaker.record_failure("a")
-        assert not breaker.allow("a")
-        assert breaker.allow("b")
-        snap = breaker.snapshot()
-        assert snap["tracked"] == 1 and snap["open"] == ("a",)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +74,7 @@ class TestQuarantine:
         assert quarantine.note_failure(key) == 16.0  # capped
         assert quarantine.events == 4
         assert quarantine.blocked(key)
+        assert not quarantine.blocked(frozenset({"a3"}))  # keys independent
         now[0] = 15.0
         assert quarantine.blocked(key)
         now[0] = 16.0
@@ -226,77 +140,62 @@ class TestRetryability:
 
 
 # ---------------------------------------------------------------------------
-# Engine acceptance: the breaker stops compile attempts, answers stay right
+# Engine acceptance: failed compiles back off in queries, answers stay right
 # ---------------------------------------------------------------------------
 
 
-class TestEngineBreaker:
+class TestCodegenQuarantine:
     SQL = "SELECT sum(a1) FROM r WHERE a2 > 0"
 
-    def test_breaker_stops_compile_attempts_and_probe_recloses(self, table):
-        now = [0.0]
-        engine = H2OEngine(
-            table, EngineConfig(use_codegen=True), clock=lambda: now[0]
-        )
-        threshold = engine.breaker.threshold
-        cooldown = engine.breaker.cooldown
-        want = expected_sum(table, "a1", "a2")
+    def test_compile_attempts_back_off_in_queries_and_clear(self, table):
+        engine = H2OEngine(table, EngineConfig(use_codegen=True))
+        reference = H2OEngine(table, EngineConfig(use_codegen=False))
+        want = reference.execute(self.SQL).result.scalars()
 
         injector = FaultInjector({"codegen.compile": frozenset(range(1000))})
+        attempted = []
         with injector:
-            # Every compile fails; the first `threshold` queries fall
-            # back per-query, then the breaker opens.
-            for index in range(threshold + 4):
+            for index in range(30):
+                before = injector.occurrences("codegen.compile")
                 report = engine.execute(self.SQL)
-                assert report.result.scalars()[0] == pytest.approx(want)
+                assert report.result.scalars() == want
                 assert report.degraded
-                if index < threshold:
+                if injector.occurrences("codegen.compile") > before:
+                    attempted.append(index)
                     assert report.codegen_fallback
                 else:
-                    assert report.breaker_short_circuit
-            attempts_after_open = injector.occurrences("codegen.compile")
-            # The acceptance criterion: attempts STOP once the breaker
-            # opens — repeats are served interpreted without touching
-            # the compiler at all.
-            for _ in range(4):
-                engine.execute(self.SQL)
-            assert (
-                injector.occurrences("codegen.compile")
-                == attempts_after_open
-            )
-            assert engine.breaker.open_keys()
-            assert engine.breaker.short_circuits >= 8
+                    assert report.compile_blocked
+        # A failed compile blocks its shape for 4, then 8, then 16
+        # queries: only these four queries tried the compiler.
+        assert attempted == [0, 4, 12, 28]
+        assert engine.executor.codegen_fallbacks == 4
+        assert engine.compiles_blocked == 26
+        assert engine.compile_quarantine.blocked_keys()
+        # Other shapes still compile.
+        assert engine.execute("SELECT sum(a3) FROM r").used_codegen
 
-            # After the cooldown exactly one probe goes through — and
-            # fails again, re-opening the breaker.
-            now[0] = cooldown
+        # The compiler heals.  The shape stays interpreted until its
+        # 32-query span ends; then one compiled run clears the history.
+        for _ in range(40):
             report = engine.execute(self.SQL)
-            assert report.codegen_fallback
-            assert (
-                injector.occurrences("codegen.compile")
-                == attempts_after_open + 1
-            )
-
-        # The compiler heals (injector uninstalled).  After another
-        # cooldown the next probe succeeds and the breaker closes.
-        now[0] = 2 * cooldown
-        report = engine.execute(self.SQL)
-        assert report.result.scalars()[0] == pytest.approx(want)
-        assert not report.degraded
-        assert engine.breaker.open_keys() == []
-        assert engine.breaker.closes == 1
+            assert report.result.scalars() == want
+            if report.used_codegen:
+                break
+        assert report.used_codegen and not report.degraded
+        assert engine.compile_quarantine.blocked_keys() == []
 
     def test_degraded_plans_are_never_cached(self, table):
         engine = H2OEngine(table, EngineConfig(use_codegen=True))
         with FaultInjector({"codegen.compile": frozenset(range(1000))}):
             engine.execute(self.SQL)
             engine.execute(self.SQL)
-        # Were a degraded plan cached, the repeat would bypass _run's
-        # breaker bookkeeping; the breaker saw both failures.
-        assert engine.breaker.state(
-            engine.reports[0].query.shape_signature()
-        ) in (OPEN, CLOSED)
-        assert engine.executor.codegen_fallbacks == 2
+        # The compiler heals, but the shape is still quarantined.  Were
+        # a degraded plan cached, this repeat would be a plan-cache hit
+        # and never come back to the compiler.
+        report = engine.execute(self.SQL)
+        assert report.compile_blocked and not report.plan_cache_hit
+        assert not any(r.plan_cache_hit for r in engine.reports)
+        assert engine.executor.codegen_fallbacks == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +312,8 @@ class TestDegradedAccounting:
 
 
 class TestHealthReport:
+    SQL = "SELECT sum(a1) FROM r WHERE a2 > 0"
+
     def test_healthy_then_degraded_then_closed(self, table):
         service = make_service(
             table, config=EngineConfig(use_codegen=True), num_workers=2
@@ -423,35 +324,36 @@ class TestHealthReport:
             assert isinstance(health, HealthReport)
             assert health.status == "healthy"
             assert health.workers_alive == 2
-            assert health.open_breakers == ()
-            assert "health: healthy" in health.describe()
 
-            # Open a breaker: the service reports degraded while still
-            # answering every query.
-            threshold = service.system.engines()[0].breaker.threshold
+            # A failed compile quarantines the shape: the service
+            # reports degraded while still answering every query.
             with FaultInjector(
                 {"codegen.compile": frozenset(range(1000))}
             ):
-                for _ in range(threshold + 1):
-                    report = service.execute(
-                        "SELECT sum(a1) FROM r WHERE a2 > 0", timeout=60.0
-                    )
+                for _ in range(2):
+                    report = service.execute(self.SQL, timeout=60.0)
                     assert report.result.scalars()
             health = service.health()
             assert health.status == "degraded"
-            assert health.open_breakers
-            assert health.codegen_fallbacks == threshold
-            assert health.breaker_short_circuits >= 1
-            counters = health.counters()
-            assert counters["degraded_queries"] >= threshold + 1
-            assert "open breakers" in health.describe()
+            assert health.codegen_fallbacks == 1
+            assert health.compiles_blocked == 1
+            assert health.degraded_queries == 2
+
+            # The fault clears: once the span ends the shape compiles
+            # again and the service is healthy.
+            for _ in range(8):
+                report = service.execute(self.SQL, timeout=60.0)
+                if report.used_codegen:
+                    break
+            assert report.used_codegen
+            assert service.health().status == "healthy"
         finally:
             service.close()
         assert service.health().status == "closed"
 
     def test_counters_cover_every_ladder_rung(self, table):
         with make_service(table, num_workers=1) as service:
-            counters = service.health().counters()
+            counters = dataclasses.asdict(service.health())
         for key in (
             "worker_deaths",
             "worker_respawns",
@@ -459,7 +361,7 @@ class TestHealthReport:
             "retried_failures",
             "degraded_queries",
             "codegen_fallbacks",
-            "breaker_short_circuits",
+            "compiles_blocked",
             "reorg_aborts",
             "deadline_aborts",
         ):

@@ -133,6 +133,17 @@ class TestExecutorAccounting:
         assert stats.plan == "attribute-free"
         assert result.scalars() == (4000.0,)
 
+    def test_constant_sum_matches_with_and_without_attributes(self, table):
+        """``sum(0.1)`` is ``0.1 * count`` whether or not the query
+        reads a column, as in the kernels and the interpreters."""
+        executor = Executor(EngineConfig())
+        sums = []
+        for sql in ("SELECT sum(0.1) FROM r", "SELECT sum(0.1), sum(a1) FROM r"):
+            info = analyze_query(parse_query(sql), table.schema)
+            result, _ = executor.run_plan(info, enumerate_plans(table, info)[0])
+            sums.append(result.scalars()[0])
+        assert sums[0].hex() == sums[1].hex() == (0.1 * table.num_rows).hex()
+
 
 class TestServedFraction:
     def test_no_groups_is_zero(self, table):

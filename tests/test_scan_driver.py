@@ -365,6 +365,22 @@ class TestCombineContract:
             # so regrouping must be bit-identical.
             assert serial[agg] == split[agg]
 
+    @pytest.mark.parametrize("use_codegen", [True, False])
+    @pytest.mark.parametrize("nan_row", [10, 300])
+    def test_min_max_keep_a_nan_from_any_morsel(self, nan_row, use_codegen):
+        """One NaN in either of two morsels makes MIN and MAX NaN, as
+        numpy's reduction over the whole column does."""
+        column = np.arange(2 * MORSEL_ROWS, dtype=np.float64)
+        column[nan_row] = np.nan
+        schema = Schema.from_names(("f0",), DataType.FLOAT64)
+        table = Table.from_columns("r", schema, {"f0": column}, "column")
+        engine = H2OEngine(
+            table,
+            EngineConfig(morsel_rows=MORSEL_ROWS, use_codegen=use_codegen),
+        )
+        report = engine.execute("SELECT min(f0), max(f0) FROM r")
+        assert all(math.isnan(v) for v in report.result.scalars())
+
 
 def test_hypothesis_split_independence():
     """Property: the combine fold is independent of how rows are split.

@@ -1,6 +1,6 @@
 """Unit tests for the concurrent query service's building blocks.
 
-Covers admission control, sessions, futures/timeouts, service stats,
+Covers admission control, futures/timeouts, service stats,
 snapshot isolation (including the append-epoch contract), and an
 append racing an inline online stitch.
 """
@@ -51,10 +51,11 @@ class TestAdmission:
         ctl = AdmissionController(2)
         assert ctl.try_acquire() and ctl.try_acquire()
         assert not ctl.try_acquire()
-        assert ctl.stats()["rejected"] == 1
+        assert ctl.in_flight == 2
         ctl.release()
+        assert ctl.in_flight == 1
         assert ctl.try_acquire()
-        assert ctl.stats()["peak_in_flight"] == 2
+        assert ctl.in_flight == 2
 
     def test_release_never_goes_negative(self):
         ctl = AdmissionController(1)
@@ -74,57 +75,6 @@ class TestAdmission:
             snap = service.stats.snapshot()
             assert snap["submitted"] == 4
             assert snap["rejected"] == 1
-        finally:
-            service.close()
-
-
-# ---------------------------------------------------------------------------
-# Sessions
-# ---------------------------------------------------------------------------
-
-
-class TestSessions:
-    def test_session_accounting(self, table):
-        with make_service(table, num_workers=2) as service:
-            session = service.session("alice")
-            for _ in range(5):
-                session.execute("SELECT sum(a1) FROM r", timeout=30.0)
-            stats = session.stats()
-            assert stats["submitted"] == 5
-            assert stats["completed"] == 5
-            assert stats["failed"] == 0
-
-    def test_closed_session_refuses_submissions(self, table):
-        with make_service(table, num_workers=1) as service:
-            session = service.session("bob")
-            session.close()
-            with pytest.raises(ServiceError):
-                session.submit("SELECT sum(a1) FROM r")
-
-    def test_sessions_are_tracked_by_id(self, table):
-        with make_service(table, num_workers=1) as service:
-            service.session("a")
-            service.session("b")
-            assert set(service.sessions()) == {"a", "b"}
-
-    def test_closed_sessions_leave_the_service(self, table):
-        with make_service(table, num_workers=1) as service:
-            for _ in range(50):  # anonymous handles must not accumulate
-                service.session().close()
-            assert service.sessions() == {}
-            stale = service.session("a")
-            reopened = service.session("a")
-            stale.close()  # must not evict the live holder of the id
-            assert service.sessions() == {"a": reopened}
-
-    def test_session_rejection_is_counted_per_client(self, table):
-        service = make_service(table, num_workers=0, max_pending=1)
-        try:
-            session = service.session("carol")
-            session.submit("SELECT sum(a1) FROM r")
-            with pytest.raises(ServiceOverloadedError):
-                session.submit("SELECT sum(a1) FROM r")
-            assert session.stats()["rejected"] == 1
         finally:
             service.close()
 
@@ -166,15 +116,14 @@ class TestFuturesAndTimeouts:
         finally:
             service.close()
 
-    def test_default_timeout_applies_to_sessions(self, table):
+    def test_default_timeout_applies_to_execute(self, table):
         service = make_service(
             table, num_workers=0, max_pending=4, default_timeout=0.05
         )
         try:
-            session = service.session("dave")
             with pytest.raises(QueryTimeoutError):
-                session.execute("SELECT sum(a1) FROM r")
-            assert session.stats()["timeouts"] == 1
+                service.execute("SELECT sum(a1) FROM r")
+            assert service.stats.snapshot()["timeouts"] == 1
         finally:
             service.close()
 

@@ -1,8 +1,7 @@
 """Shutdown semantics: closing always surfaces ``ServiceClosedError``.
 
-The contract (ISSUE 3 satellite): after ``close()`` — of a session or
-of the whole service — every further submission, and every ticket that
-was still queued, fails with the *documented*
+The contract: after ``close()`` every further submission, and every
+ticket that was still queued, fails with the *documented*
 :class:`~repro.errors.ServiceClosedError`, never a bare queue error,
 and the admission gauge returns to zero so nothing leaks.
 """
@@ -27,33 +26,14 @@ def make_service(num_workers=2, **kwargs):
     return service
 
 
-def test_session_submit_after_session_close_raises_closed_error():
-    service = make_service()
-    try:
-        session = service.session("client-a")
-        assert session.execute("SELECT sum(a1) FROM r", timeout=30.0)
-        session.close()
-        assert session.closed
-        with pytest.raises(ServiceClosedError):
-            session.submit("SELECT sum(a1) FROM r")
-        with pytest.raises(ServiceClosedError):
-            session.execute("SELECT sum(a1) FROM r")
-        # Other sessions on the same service are unaffected.
-        other = service.session("client-b")
-        assert other.execute("SELECT count(*) FROM r", timeout=30.0)
-    finally:
-        service.close()
-
-
 def test_service_submit_after_close_raises_closed_error():
     service = make_service()
     service.close()
     with pytest.raises(ServiceClosedError):
         service.submit("SELECT sum(a1) FROM r")
-    # A session routed through the closed service gets the same error.
-    session = service.session("late-client")
+    # The synchronous API gets the same error.
     with pytest.raises(ServiceClosedError):
-        session.execute("SELECT sum(a1) FROM r")
+        service.execute("SELECT sum(a1) FROM r", timeout=30.0)
     # ServiceClosedError is a ServiceError (callers catching the broad
     # class keep working), but never a queue/attribute error.
     try:

@@ -113,13 +113,12 @@ def test_concurrent_results_identical_to_serial():
     errors: list = []
 
     def client(worker_id: int) -> None:
-        session = service.session(f"client-{worker_id}", timeout=120.0)
         try:
             # Each client runs the full workload in a rotated order so
             # shapes overlap across threads (maximum cache contention).
             for offset in range(NUM_SHAPES):
                 index = (offset + worker_id * 7) % NUM_SHAPES
-                report = session.execute(queries[index])
+                report = service.execute(queries[index], timeout=120.0)
                 results.setdefault(index, []).append(
                     report.result.scalars()
                 )
@@ -172,10 +171,9 @@ def test_inline_adaptation_publishes_during_traffic():
     epochs: list = []
 
     def client(worker_id: int) -> None:
-        session = service.session(f"hot-{worker_id}", timeout=120.0)
         try:
             for _ in range(30):
-                report = session.execute(hot)
+                report = service.execute(hot, timeout=120.0)
                 epochs.append(report.snapshot_epoch)
                 assert report.result.scalars() == expected
         except BaseException as exc:  # pragma: no cover - failure path
@@ -226,11 +224,11 @@ def test_overload_rejects_gracefully_from_many_threads():
     lock = threading.Lock()
 
     def flood(worker_id: int) -> None:
-        session = service.session(f"flood-{worker_id}", timeout=120.0)
         for i in range(12):
             try:
-                report = session.execute(
-                    f"SELECT sum(a{1 + i % 4}) FROM r"
+                report = service.execute(
+                    f"SELECT sum(a{1 + i % 4}) FROM r",
+                    timeout=120.0,
                 )
                 assert len(report.result.scalars()) == 1
                 with lock:
@@ -402,11 +400,11 @@ def test_appends_concurrent_with_queries_never_tear():
             stop.set()
 
     def reader(worker_id: int) -> None:
-        session = service.session(f"reader-{worker_id}", timeout=120.0)
         try:
             while not stop.is_set():
-                report = session.execute(
-                    "SELECT count(*), sum(a1 - a1) FROM r"
+                report = service.execute(
+                    "SELECT count(*), sum(a1 - a1) FROM r",
+                    timeout=120.0,
                 )
                 count, zero = report.result.scalars()
                 observed.append(int(count))
@@ -507,12 +505,12 @@ def test_in_place_appends_never_disturb_pinned_scans():
             stop.set()
 
     def reader(worker_id: int) -> None:
-        session = service.session(f"pinned-{worker_id}", timeout=120.0)
         try:
             while not stop.is_set():
-                report = session.execute(
+                report = service.execute(
                     "SELECT count(*), sum(a1 + a2), sum(a3) FROM r "
-                    "WHERE a3 > 0"
+                    "WHERE a3 > 0",
+                    timeout=120.0,
                 )
                 got = tuple(float(v) for v in report.result.scalars())
                 assert got in answers, f"answer of no epoch: {got}"

@@ -62,11 +62,6 @@ class TestCatalogLifecycle:
         with pytest.raises(CatalogError):
             system.execute("SELECT a1 FROM orders")
 
-    def test_describe(self, system):
-        assert "no queries yet" in system.describe()
-        system.execute("SELECT a1 FROM orders")
-        assert "window size" in system.describe()
-
     def test_external_catalog(self):
         catalog = Catalog()
         catalog.register(generate_table("t", 3, 500, rng=0))
