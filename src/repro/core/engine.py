@@ -24,7 +24,8 @@ creation — are charged to the triggering query's response time, exactly
 as the paper reports them.  Because the trigger question is asked on
 every query, a cached plan never shortcuts past a build, and the
 planner never hears about candidates: the plan cache is invalidated
-only by the table's layout epoch and by selectivity drift.
+only by a change of the table's layout set and by selectivity drift
+(an append rebinds a cached plan to the extended layouts).
 
 **Concurrency model.**  The engine serves many threads (the
 :mod:`repro.service` worker pool).  Every query runs in three stages:
@@ -391,9 +392,9 @@ class H2OEngine:
             window_size=self.window.size,
         )
 
-        # A repeat query shape under unchanged layouts takes its
+        # A repeat query shape under an unchanged layout set takes its
         # analyzer facts from the plan cache; a cold one is analyzed.
-        entry = self.planner.lookup(query, snapshot.epoch)
+        entry = self.planner.lookup(query, snapshot)
         if entry is not None:
             info = entry.info.for_query(query)
             prep.predicate_key = entry.predicate_key

@@ -22,14 +22,25 @@ one.  A cached plan is a *decision*, not a second executor.
 
 An entry is invalidated by
 
-- **layout epoch** — every entry is tagged with the table's
-  ``layout_epoch`` at caching time; any layout creation or row append
-  bumps the epoch and a later lookup drops the stale entry;
+- **layout set** — every entry is tagged with its snapshot's
+  ``layout_set_epoch``; a layout creation or retirement bumps it and a
+  later lookup drops the stale entry;
 - **selectivity drift** — an entry is dropped when the learned
   selectivity of its predicate drifts beyond
   :data:`SELECTIVITY_DRIFT_BAND` from the estimate the plan was costed
   with (Rong et al. frame this as bounding the regret of stale
   layout/plan decisions).
+
+An append bumps only the snapshot's ``epoch``: it extends every layout
+and keeps their order, so neither the plan choice, the kernel (its
+operator key is buffer slot, position, dtype and width) nor the shape's
+analysis changes.  A hit on an entry cached at another ``epoch`` is
+rebound instead of re-planned: its plan's layouts are taken from the
+query's snapshot by position, its zone bounds are bound again over that
+snapshot (the appended layouts carry extended zone maps), and the
+rebound entry is stored under the new epoch.  A writer appending
+between every two reads therefore costs each read one rebind, not a
+cold plan and a codegen lookup.
 
 The cache is a bounded LRU over signatures, so a drifting workload
 cannot grow it without bound.
@@ -47,7 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from ..config import EngineConfig
@@ -73,8 +84,13 @@ class CachedPlan:
     """Everything needed to answer a repeat query without re-planning."""
 
     signature: QueryShapeSignature
-    #: Table layout epoch this entry was created under.
+    #: Snapshot ``epoch`` the plan's layouts and zone bounds belong to.
     epoch: int
+    #: Snapshot ``layout_set_epoch`` the plan was chosen under.
+    layout_set_epoch: int
+    #: Index of each of the plan's layouts in its snapshot's layouts
+    #: (the rebind after an append).
+    positions: Tuple[int, ...]
     #: Analyzer facts of the query that cached the entry; valid for
     #: every query of this shape once a hit swaps in its own query.
     info: QueryInfo
@@ -105,7 +121,7 @@ class PlanCache:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Entries dropped because they went stale (epoch mismatch,
+    #: Entries dropped because they went stale (layout set changed,
     #: selectivity drift), keyed by reason.
     invalidations: Dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(
@@ -113,11 +129,12 @@ class PlanCache:
     )
 
     def lookup(
-        self, signature: QueryShapeSignature, epoch: int
+        self, signature: QueryShapeSignature, layout_set_epoch: int
     ) -> Optional[CachedPlan]:
-        """The live entry for ``signature`` under ``epoch``, or None.
+        """The live entry for ``signature`` under ``layout_set_epoch``,
+        or None.
 
-        An entry cached under an older layout epoch is dropped on sight
+        An entry cached under another layout set is dropped on sight
         (counted as an ``epoch`` invalidation) and reported as a miss —
         the cold path will re-plan against the current layouts and
         re-cache.
@@ -127,7 +144,7 @@ class PlanCache:
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.epoch != epoch:
+            if entry.layout_set_epoch != layout_set_epoch:
                 del self._entries[signature]
                 self._count_invalidation("epoch")
                 self.misses += 1
@@ -187,12 +204,40 @@ class Planner:
         self.cost_model = CostModel(config.machine, self.selectivity)
         self.cache = PlanCache()
 
-    def lookup(self, query: Query, epoch: int) -> Optional[CachedPlan]:
-        """The cached stage outputs of ``query``'s shape under
-        ``epoch`` (None on a miss or with the plan cache off)."""
+    def lookup(
+        self, query: Query, snapshot: LayoutSnapshot
+    ) -> Optional[CachedPlan]:
+        """The cached stage outputs of ``query``'s shape over
+        ``snapshot`` (None on a miss or with the plan cache off); an
+        entry cached before an append is rebound to ``snapshot``."""
         if not self.config.plan_cache:
             return None
-        return self.cache.lookup(query.shape_signature(), epoch)
+        entry = self.cache.lookup(
+            query.shape_signature(), snapshot.layout_set_epoch
+        )
+        if entry is not None and entry.epoch != snapshot.epoch:
+            entry = self._rebind(entry, snapshot)
+            self.cache.store(entry)
+        return entry
+
+    def _rebind(
+        self, entry: CachedPlan, snapshot: LayoutSnapshot
+    ) -> CachedPlan:
+        """``entry`` over ``snapshot``, which holds the same layouts in
+        the same order with rows appended: same plan choice and kernel,
+        the snapshot's layouts and zone bounds."""
+        layouts = snapshot.layouts
+        plan = AccessPlan(
+            entry.plan.strategy, tuple(layouts[i] for i in entry.positions)
+        )
+        bounds = None
+        if self.config.zone_maps:
+            bounds = zone_bounds_for(
+                entry.info, layouts, snapshot.num_rows, self.config.morsel_rows
+            )
+        return replace(
+            entry, epoch=snapshot.epoch, plan=plan, zone_bounds=bounds
+        )
 
     def choose(
         self,
@@ -258,9 +303,10 @@ class Planner:
         Zone-map pruning does not skew it: a pruned morsel provably
         holds zero qualifying rows, and the denominator stays the
         snapshot's *total* row count — the quantity Eq. 2 estimates
-        with.  A kept entry is tagged with the epoch of the snapshot
-        the plan was *derived against*, so a stitch or append that
-        raced this query makes it stale at once.
+        with.  A kept entry is tagged with the epochs of the snapshot
+        the plan was *derived against*, so a stitch that raced this
+        query makes it stale at once and an append that raced it makes
+        the next hit rebind.
         """
         num_rows = prep.snapshot.num_rows
         if query.where is not None and num_rows:
@@ -282,10 +328,14 @@ class Planner:
             # shape to the interpreted plan and skip the compile retry
             # its quarantine schedules on every future repeat.
             return
+        snapshot = prep.snapshot
+        index = {id(layout): i for i, layout in enumerate(snapshot.layouts)}
         self.cache.store(
             CachedPlan(
                 signature=query.shape_signature(),
-                epoch=prep.snapshot.epoch,
+                epoch=snapshot.epoch,
+                layout_set_epoch=snapshot.layout_set_epoch,
+                positions=tuple(index[id(l)] for l in prep.plan.layouts),
                 info=prep.info,
                 plan=prep.plan,
                 cost_estimate=prep.cost,

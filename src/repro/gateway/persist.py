@@ -52,7 +52,7 @@ from ..service import H2OService
 from ..sql.types import DataType
 from ..storage.column_group import ColumnGroup
 from ..storage.column_layout import SingleColumn
-from ..storage.io import save_table
+from ..storage.io import load_columns, save_table
 from ..storage.layout import Layout
 from ..storage.relation import Table
 from ..storage.schema import Attribute, Schema
@@ -347,10 +347,9 @@ def load_snapshot(
                 (snap_dir / "tables" / f"{name}.json").read_text()
             )
             schema = _build_schema(meta["attributes"])
-            with np.load(snap_dir / "tables" / f"{name}.npz") as archive:
-                columns = {
-                    attr: archive[attr].copy() for attr in schema.names
-                }
+            columns = load_columns(
+                snap_dir / "tables" / f"{name}.npz", schema
+            )
             per_table = state["tables"][name]
             layouts = _rebuild_layouts(
                 schema, columns, per_table["layouts"]

@@ -87,11 +87,10 @@ def encode_record(record: WALRecord) -> bytes:
     for name, dtype_name in record.attributes:
         if name not in record.columns:
             continue
-        dtype = DataType.from_any(dtype_name).numpy_dtype
-        array = np.ascontiguousarray(
-            np.asarray(record.columns[name], dtype=dtype)
-        )
-        blob = array.astype(dtype.newbyteorder("<"), copy=False).tobytes()
+        dtype = DataType.from_any(dtype_name).numpy_dtype.newbyteorder("<")
+        # One call; no copy when the column is already coerced.
+        array = np.ascontiguousarray(record.columns[name], dtype=dtype)
+        blob = array.tobytes()
         header["columns"].append(
             {"name": name, "dtype": dtype_name, "rows": int(array.shape[0])}
         )

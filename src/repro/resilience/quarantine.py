@@ -8,7 +8,10 @@ every hot query into a failed attempt.  The quarantine list is the
 middle ground: after each failure the key is blocked for an
 exponentially growing span, so retries happen but thin out
 (``base``, ``2·base``, ``4·base``, … capped at ``cap``), and one
-success clears the history entirely.  A blocked shape runs
+success clears the history entirely.  A key that has stayed
+failure-free for ``cap`` past the end of its backoff is forgotten too,
+so keys that fail once and never recur (a shape seen once, a candidate
+never rebuilt) do not accumulate.  A blocked shape runs
 interpreted; a blocked candidate is not re-stitched.
 
 The clock is injectable and *unitless*: the engine passes its own query
@@ -55,17 +58,32 @@ class QuarantineList:
         #: Total quarantine events ever recorded (monotonic telemetry).
         self.events = 0
 
+    def _forget_expired(self, now: float) -> None:
+        """Drop every key failure-free since ``blocked_until + cap``
+        (caller holds the lock).  Only a failure adds a key and every
+        failure sweeps first, so the list never holds more than the keys
+        that failed within ``2 · cap`` of clock before the latest one."""
+        expired = [
+            key
+            for key, entry in self._entries.items()
+            if now >= entry.blocked_until + self.cap
+        ]
+        for key in expired:
+            del self._entries[key]
+
     # Recording ------------------------------------------------------------
 
     def note_failure(self, key: Hashable) -> float:
         """Record one failure for ``key``; returns the backoff applied."""
         with self._lock:
+            now = self.clock()
+            self._forget_expired(now)
             entry = self._entries.setdefault(key, _Entry())
             entry.failures += 1
             backoff = min(
                 self.cap, self.base * (2.0 ** (entry.failures - 1))
             )
-            entry.blocked_until = self.clock() + backoff
+            entry.blocked_until = now + backoff
             self.events += 1
             return backoff
 
@@ -98,6 +116,7 @@ class QuarantineList:
         """Defensive copy for health reports (keys stringified)."""
         with self._lock:
             now = self.clock()
+            self._forget_expired(now)
             blocked: Tuple[str, ...] = tuple(
                 sorted(
                     _describe_key(key)

@@ -155,8 +155,9 @@ class ColumnGroup(Layout):
         grown._buffer = buffer
         maps = getattr(self, "_zone_maps", None)
         if maps is not None:
-            # Incremental zone-map maintenance: reuse every complete
-            # morsel's stats, recompute only the tail (storage/zonemap).
+            # Incremental zone-map maintenance in O(appended rows):
+            # fold the old tail's bounds with the new rows
+            # (storage/zonemap).
             from .zonemap import attach_zone_maps, extend_zone_maps
 
             attach_zone_maps(grown, extend_zone_maps(maps, grown))

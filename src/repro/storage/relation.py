@@ -18,7 +18,10 @@ share the old object's backing buffer but only ever writes past the end
 of every view already handed out (``layout.reserve_rows``).  The
 whole physical state of a table at one instant is described by an
 immutable :class:`LayoutSnapshot`: the tuple of layouts, the row count,
-and the layout epoch.  The table holds exactly one reference to the
+and two epochs — ``epoch``, bumped by every change, and
+``layout_set_epoch``, bumped only when a layout is added or dropped (an
+append extends every layout in place of the old one, keeping their
+order).  The table holds exactly one reference to the
 current snapshot; every mutation builds a complete replacement snapshot
 under the writer lock and publishes it with a single attribute
 assignment (atomic under the GIL).  Readers call :meth:`Table.snapshot`
@@ -61,6 +64,7 @@ class LayoutSnapshot:
         "table_name",
         "schema",
         "epoch",
+        "layout_set_epoch",
         "num_rows",
         "layouts",
         "_attr_index",
@@ -74,10 +78,15 @@ class LayoutSnapshot:
         epoch: int,
         num_rows: int,
         layouts: Iterable[Layout],
+        layout_set_epoch: int = 0,
     ) -> None:
         self.table_name = table_name
         self.schema = schema
         self.epoch = epoch
+        #: Bumped only by :meth:`Table.add_layout`/:meth:`Table.drop_layout`:
+        #: two snapshots with equal ``layout_set_epoch`` hold the same
+        #: layouts in the same order, one possibly extended by appends.
+        self.layout_set_epoch = layout_set_epoch
         self.num_rows = num_rows
         self.layouts: Tuple[Layout, ...] = tuple(layouts)
         self._attr_index: Optional[Dict[str, List[Layout]]] = None
@@ -328,14 +337,19 @@ class Table:
         """
         return self._snapshot
 
-    def _publish(self, layouts: Sequence[Layout], num_rows: int) -> None:
-        """Replace the current snapshot (writer lock held), one epoch bump."""
+    def _publish(
+        self, layouts: Sequence[Layout], num_rows: int, new_set: bool
+    ) -> None:
+        """Replace the current snapshot (writer lock held), one epoch
+        bump; ``new_set`` also bumps ``layout_set_epoch``."""
+        current = self._snapshot
         self._snapshot = LayoutSnapshot(
             self.name,
             self.schema,
-            self._snapshot.epoch + 1,
+            current.epoch + 1,
             num_rows,
             layouts,
+            current.layout_set_epoch + new_set,
         )
 
     # Delegating read views ----------------------------------------------
@@ -351,10 +365,11 @@ class Table:
     @property
     def layout_epoch(self) -> int:
         """Monotonic counter bumped whenever the physical state changes
-        (layout added/dropped, rows appended).  Anything caching a
-        decision derived from the layouts — the engine's plan cache
-        above all — tags its entries with the epoch and treats a
-        mismatch as invalidation."""
+        (layout added/dropped, rows appended).  A decision that depends
+        only on *which* layouts exist — the engine's plan cache above
+        all — validates against the snapshot's ``layout_set_epoch``
+        instead, and rebinds to the current layouts when only rows
+        were appended."""
         return self._snapshot.epoch
 
     # Layout management -----------------------------------------------------
@@ -374,7 +389,7 @@ class Table:
                     f"layout stores attributes not in schema: {unknown}"
                 )
             self._publish(
-                current.layouts + (layout,), current.num_rows
+                current.layouts + (layout,), current.num_rows, True
             )
 
     def drop_layout(self, layout: Layout) -> None:
@@ -395,7 +410,7 @@ class Table:
                     f"dropping {layout.describe()} would leave attributes "
                     f"unstored: {sorted(missing)}"
                 )
-            self._publish(remaining, current.num_rows)
+            self._publish(remaining, current.num_rows, True)
 
     def _check_coverage(self, layouts: Sequence[Layout]) -> None:
         covered: set = set()
@@ -422,8 +437,9 @@ class Table:
         snapshot with a **single** epoch bump after *all* secondary
         layouts are updated — a concurrent reader therefore either sees
         the complete pre-append state or the complete post-append state,
-        never a half-appended layout set, and a cached plan can never
-        validate against an intermediate epoch.
+        never a half-appended layout set.  The layouts keep their order
+        and ``layout_set_epoch`` is unchanged, so a cached plan rebinds
+        to the extended layouts by position.
         """
         missing = [n for n in self.schema.names if n not in columns]
         if missing:
@@ -439,7 +455,7 @@ class Table:
         with self._write_lock:
             current = self._snapshot
             extended = [layout.extended(columns) for layout in current.layouts]
-            self._publish(extended, current.num_rows + extra)
+            self._publish(extended, current.num_rows + extra, False)
 
     # Access ----------------------------------------------------------------
 

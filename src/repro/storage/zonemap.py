@@ -121,19 +121,28 @@ def _minmax_per_morsel(
 def extend_zone_maps(old: ZoneMaps, layout: Layout) -> ZoneMaps:
     """Incrementally extend ``old`` to cover the appended-to ``layout``.
 
-    Only the attributes ``old`` tracks are extended.  Complete morsels
-    of the old map are reused untouched; only the tail morsel that grew
-    plus any brand-new morsels are recomputed from the new layout.  This is what :meth:`Table.append_rows` relies on to keep
-    zone maps up to date without a full rebuild per append.
+    Only the attributes ``old`` tracks are extended, in O(appended
+    rows): every morsel of the old map is reused, the partial tail
+    morsel's bounds are folded (``np.fmin``/``np.fmax``) with the
+    appended rows that land in it, and only brand-new morsels are
+    reduced from scratch.  The fold gives exactly the bounds a fresh
+    :func:`_minmax_per_morsel` gives (NaN-ignoring either way; of two
+    equal signed zeros either may be kept).  This is what
+    :meth:`Table.append_rows` relies on to keep zone maps up to date
+    without a rebuild per append.
     """
     m = old.morsel_rows
     num_rows = layout.num_rows
-    if num_rows < old.num_rows:
+    old_rows = old.num_rows
+    if num_rows < old_rows:
         raise LayoutError(
-            f"cannot extend zone maps backwards: {old.num_rows} -> {num_rows}"
+            f"cannot extend zone maps backwards: {old_rows} -> {num_rows}"
         )
-    complete = old.num_rows // m
+    complete = old_rows // m
+    old_num = num_morsels_for(old_rows, m)
     num = num_morsels_for(num_rows, m)
+    # Appended rows that fall into the old partial tail morsel.
+    tail_stop = min(old_num * m, num_rows)
     mins: Dict[str, np.ndarray] = {}
     maxs: Dict[str, np.ndarray] = {}
     for attr in old.attrs:
@@ -141,14 +150,22 @@ def extend_zone_maps(old: ZoneMaps, layout: Layout) -> ZoneMaps:
         column = layout.column(attr)
         new_mins = np.empty(num, dtype=column.dtype)
         new_maxs = np.empty(num, dtype=column.dtype)
-        new_mins[:complete] = old_mins[:complete]
-        new_maxs[:complete] = old_maxs[:complete]
-        if num > complete:
-            tail_mins, tail_maxs = _minmax_per_morsel(
-                column[complete * m :], m
+        new_mins[:old_num] = old_mins
+        new_maxs[:old_num] = old_maxs
+        if tail_stop > old_rows:
+            fresh = column[old_rows:tail_stop]
+            new_mins[complete] = np.fmin(
+                old_mins[complete], np.fmin.reduce(fresh)
             )
-            new_mins[complete:] = tail_mins
-            new_maxs[complete:] = tail_maxs
+            new_maxs[complete] = np.fmax(
+                old_maxs[complete], np.fmax.reduce(fresh)
+            )
+        if num > old_num:
+            tail_mins, tail_maxs = _minmax_per_morsel(
+                column[old_num * m :], m
+            )
+            new_mins[old_num:] = tail_mins
+            new_maxs[old_num:] = tail_maxs
         mins[attr] = new_mins
         maxs[attr] = new_maxs
     return ZoneMaps(m, num_rows, mins, maxs)

@@ -21,9 +21,9 @@ differential oracle (repro/testkit/oracle.py), the service stress suite
   lookups, the classic hybrid tension: neither class alone justifies
   the other's layout;
 - **trickle-append** — a recurring analytical workload with small
-  appends between rounds: every append bumps the epoch and re-opens
-  every cached decision, so adaptation must stay profitable under
-  constant low-grade invalidation.
+  appends between rounds: every append bumps the epoch, so every
+  cached plan is rebound to the extended layouts and the zone maps
+  grow with each batch.
 
 Values are integers in ``[-VALUE_BOUND, VALUE_BOUND]`` (the testkit's
 exactness discipline: float64 arithmetic on sums of such values is
@@ -304,8 +304,8 @@ def trickle_append(
     num_rows: int = 4096,
 ) -> Scenario:
     """A recurring analytical workload with a small append between
-    rounds: every append bumps the layout epoch and re-opens every
-    cached decision."""
+    rounds: every append bumps the epoch, and every cached plan is
+    rebound to the extended layouts."""
     rng = np.random.default_rng(seed * 7919 + 71)
     names = [f"a{i + 1}" for i in range(num_attrs)]
     hot = tuple(names[0:3])

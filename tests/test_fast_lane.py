@@ -4,10 +4,15 @@ The fast lane may skip analysis, planning, costing and codegen-key
 construction — but never correctness: a cached-plan answer must be
 bit-for-bit the answer the cold path would have produced, and any event
 that could change the cold path's decision (new layouts, retired
-layouts, appended rows, drifted selectivity) must drop the cached
-entry.  A hit never skips a build either: every query, hit or cold,
+layouts, drifted selectivity) must drop the cached entry.  Appended
+rows change no decision: a hit rebinds its plan and zone bounds to the
+extended layouts.  A hit never skips a build either: every query, hit or cold,
 asks the adaptation half whether it triggers one first.
 """
+
+import sys
+import threading
+import time
 
 import hypothesis.strategies as st
 import numpy as np
@@ -18,7 +23,7 @@ from repro.config import EngineConfig
 from repro.core.engine import H2OEngine
 from repro.core.planner import CachedPlan, PlanCache
 from repro.sql import parse_query
-from repro.storage import generate_table
+from repro.storage import Schema, Table, generate_table
 
 
 def fresh_engine(plan_cache=True, rows=2_000, attrs=8, rng=7, **overrides):
@@ -156,31 +161,49 @@ def test_cached_plan_answers_equal_cold_path_answers(stream, seed):
 
 
 class TestEpochInvalidation:
-    def test_append_rows_drops_cached_plans(self):
-        engine = fresh_engine(rows=1_000, attrs=4)
+    def test_append_rows_keeps_cached_plans(self):
+        """An append keeps the layout set, so a repeat stays a hit: its
+        plan is rebound to the extended layouts and its zone bounds to
+        their extended maps.  Adding or dropping a layout still evicts."""
+        engine = fresh_engine(rows=1_000, attrs=4, morsel_rows=256)
         sql = "SELECT sum(a1), count(*) FROM r WHERE a2 > {v}"
         engine.execute(sql.format(v=5))
-        before = engine.execute(sql.format(v=6))
-        assert before.plan_cache_hit
+        assert engine.execute(sql.format(v=6)).plan_cache_hit
 
+        # Rows 1 000..1 299 fill the partial tail morsel and two new
+        # ones; only they satisfy a2 > 10**9.
         extra = {
-            name: np.full(50, 10**8, dtype=np.int64)
+            name: np.full(300, 2 * 10**9, dtype=np.int64)
             for name in engine.table.schema.names
         }
         engine.table.append_rows(extra)
 
-        after = engine.execute(sql.format(v=7))
-        assert not after.plan_cache_hit  # stale entry dropped on sight
-        assert engine.plan_cache.stats()["invalidations"].get("epoch", 0) >= 1
-        # The re-planned answer sees the appended tuples.
+        after = engine.execute(sql.format(v=10**9))
+        assert after.plan_cache_hit
+        assert after.morsels_total == 6 and after.morsels_pruned == 3
+        assert engine.plan_cache.stats()["invalidations"] == {}
+        cold = H2OEngine(engine.table, EngineConfig(plan_cache=False))
+        want = cold.execute(sql.format(v=10**9)).result.data
+        assert after.result.data.tobytes() == want.tobytes()
+        assert after.result.scalars() == (300 * 2.0 * 10**9, 300)
+        # The rebound entry is stored under the new epoch: the plan
+        # scans the snapshot's layouts.
+        again = engine.execute(sql.format(v=7))
+        assert again.plan_cache_hit
+        assert again.snapshot_epoch == engine.table.layout_epoch
         a1 = np.asarray(engine.table.column("a1"))
         a2 = np.asarray(engine.table.column("a2"))
         mask = a2 > 7
-        assert after.result.scalars() == pytest.approx(
+        assert again.result.scalars() == pytest.approx(
             (float(a1[mask].sum()), float(mask.sum()))
         )
-        # And the shape re-enters the fast lane under the new epoch.
-        assert engine.execute(sql.format(v=8)).plan_cache_hit
+
+        group, _ = engine.manager.build_group(("a1", "a2"))
+        assert not engine.execute(sql.format(v=8)).plan_cache_hit
+        assert engine.execute(sql.format(v=9)).plan_cache_hit
+        engine.table.drop_layout(group)
+        assert not engine.execute(sql.format(v=10)).plan_cache_hit
+        assert engine.plan_cache.stats()["invalidations"] == {"epoch": 2}
 
     def test_new_layout_drops_cached_plans(self):
         engine = fresh_engine(rows=1_000, attrs=6)
@@ -229,6 +252,104 @@ class TestEpochInvalidation:
         )
 
 
+class TestAppendsRaceRepeats:
+    def test_every_answer_is_some_published_epochs(self):
+        """A writer appends while two readers repeat cached shapes, with
+        thread switches forced every few microseconds: hits rebind to
+        whatever snapshot they pinned, so every answer equals the serial
+        answer after some number of appended batches."""
+        rng = np.random.default_rng(5)
+        base = {
+            f"a{i}": rng.integers(0, 1_000, size=700, dtype=np.int64)
+            for i in range(1, 5)
+        }
+        batches = [
+            {
+                name: rng.integers(1_000, 2_000, size=37, dtype=np.int64)
+                for name in base
+            }
+            for _ in range(120)
+        ]
+        table = Table.from_columns("r", Schema.from_names(base), base)
+        engine = H2OEngine(table, EngineConfig(morsel_rows=128))
+        shapes = (
+            "SELECT sum(a1), count(*) FROM r WHERE a2 > {v}",
+            "SELECT sum(a3 + a4), max(a1) FROM r WHERE a2 > {v} AND a3 < 1900",
+        )
+        literals = (500, 1_200, 1_800)
+        # The serial answers after k batches, for every k.
+        serial = {}
+        columns = {name: values.copy() for name, values in base.items()}
+        for k in range(len(batches) + 1):
+            if k:
+                for name in columns:
+                    columns[name] = np.concatenate(
+                        [columns[name], batches[k - 1][name]]
+                    )
+            a1, a2, a3, a4 = (columns[f"a{i}"] for i in range(1, 5))
+            for v in literals:
+                mask = a2 > v
+                serial.setdefault((0, v), set()).add(
+                    (float(a1[mask].sum()), float(mask.sum()))
+                )
+                mask &= a3 < 1900
+                serial.setdefault((1, v), set()).add(
+                    (
+                        float((a3 + a4)[mask].sum()),
+                        float(a1[mask].max()) if mask.any() else None,
+                    )
+                )
+        for shape, sql in enumerate(shapes):
+            engine.execute(sql.format(v=literals[0]))  # cache the plans
+
+        done = threading.Event()
+        errors, hits = [], []
+
+        def writer():
+            try:
+                for batch in batches:
+                    table.append_rows(batch)
+                    time.sleep(0.002)
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(seed):
+            pick = np.random.default_rng(seed)
+            try:
+                while not done.is_set():
+                    shape = int(pick.integers(0, 2))
+                    v = literals[int(pick.integers(0, 3))]
+                    report = engine.execute(shapes[shape].format(v=v))
+                    # The max over no qualifying row reads as NaN.
+                    got = tuple(
+                        None if x is None or x != x else float(x)
+                        for x in report.result.scalars()
+                    )
+                    assert got in serial[(shape, v)], (shape, v, got)
+                    hits.append(report.plan_cache_hit)
+            except BaseException as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(i,)) for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, repr(errors[0])
+        assert table.num_rows == 700 + 120 * 37
+        assert sum(hits) > len(hits) // 2
+
+
 class TestDriftInvalidation:
     def test_selectivity_drift_evicts_the_entry(self):
         engine = fresh_engine(rows=2_000, attrs=4)
@@ -274,10 +395,13 @@ class TestEveryQueryAsksTheTrigger:
 
 
 def _entry(sql: str, epoch: int = 0) -> CachedPlan:
+    """An entry cached under layout set ``epoch`` (and row epoch 0)."""
     query = parse_query(sql)
     return CachedPlan(
         signature=query.shape_signature(),
-        epoch=epoch,
+        epoch=0,
+        layout_set_epoch=epoch,
+        positions=(),
         info=None,
         plan=None,
     )

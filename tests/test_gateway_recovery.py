@@ -266,3 +266,59 @@ def test_restore_still_rejects_an_unknown_layout_kind(tmp_path):
     state_path.write_text(json.dumps(state))
     with pytest.raises(SnapshotError, match="unknown layout kind"):
         DurableStore(data_dir, num_workers=1)
+
+
+def test_recovers_a_snapshot_in_the_older_deflated_int64_format(tmp_path):
+    """Snapshots used to hold every column at its schema dtype, deflated
+    (``np.savez_compressed``).  Now integers are stored narrowed and
+    uncompressed; a data dir checkpointed in the older format recovers
+    to the same answers, WAL tail included."""
+    data_dir = tmp_path / "d"
+    store = DurableStore(data_dir, num_workers=1)
+    rng = np.random.default_rng(11)
+    info = np.iinfo(np.int64)
+    columns = {
+        "a": rng.integers(-50, 50, size=2000, dtype=np.int64),
+        "b": rng.integers(0, 2**40, size=2000, dtype=np.int64),
+        "c": rng.standard_normal(2000),
+    }
+    columns["b"][:2] = [info.min, info.max]
+    columns["c"][:3] = [np.nan, -0.0, np.inf]
+    store.create_table(
+        "t", [("a", "int64"), ("b", "int64"), ("c", "float64")], columns
+    )
+    for i in range(6):
+        store.execute(f"SELECT a, b FROM t WHERE a > {i}")
+    store.checkpoint()
+    store.append(
+        "t", {"a": [7, -7], "b": [1, 2**50], "c": [0.25, -0.0]}
+    )
+    sqls = (
+        "SELECT count(*), sum(a), max(c) FROM t WHERE a < 10",
+        "SELECT a, b, c FROM t WHERE a > 3",
+        "SELECT min(b), max(b) FROM t",
+    )
+    answers = {sql: store.execute(sql).result.data.tobytes() for sql in sqls}
+    store.abandon()
+
+    (_, _, snap_dir), = list_snapshots(data_dir / "snapshots")
+    npz = snap_dir / "tables" / "t.npz"
+    with np.load(npz) as archive:
+        assert archive["a"].dtype == np.int8
+        old = {
+            "a": archive["a"].astype(np.int64),
+            "b": archive["b"].astype(np.int64),
+            "c": archive["c"],
+        }
+    np.savez_compressed(npz, **old)
+
+    recovered = DurableStore(data_dir, num_workers=1)
+    try:
+        assert recovered.stats()["recovered"]
+        assert recovered.replayed_records == 1
+        table = recovered.system.catalog.get("t")
+        assert table.column("a").dtype == np.int64
+        for sql, want in answers.items():
+            assert recovered.execute(sql).result.data.tobytes() == want, sql
+    finally:
+        recovered.close(checkpoint=False)

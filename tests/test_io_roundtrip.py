@@ -5,10 +5,14 @@ extension, so ``save_table(t, "data.v2")`` used to scatter its files as
 ``data.npz``/``data.json`` — and two tables saved as ``data.v1`` and
 ``data.v2`` silently overwrote each other.  ``_sibling`` appends instead
 of replacing; these tests pin that down along with full-fidelity content
-round-trips (every dtype, empty tables, NaN bit patterns).
+round-trips (every dtype, empty tables, NaN bit patterns) and the
+on-disk format: integers narrowed to the smallest width that holds
+them, stored without deflate, and the older deflated format still read.
 """
 
 from __future__ import annotations
+
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,7 +20,12 @@ import pytest
 from repro.errors import StorageError
 from repro.sql.types import DataType
 from repro.storage import Schema, Table, generate_table
-from repro.storage.io import _sibling, load_table, save_table
+from repro.storage.io import (
+    _sibling,
+    load_table,
+    narrowest_int_dtype,
+    save_table,
+)
 from repro.storage.schema import Attribute
 
 
@@ -143,3 +152,73 @@ def test_load_detects_row_count_mismatch(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(StorageError, match="row count mismatch"):
         load_table(tmp_path / "tbl")
+
+
+# ---------------------------------------------------------------------------
+# The on-disk format: narrowed integers, stored (not deflated)
+# ---------------------------------------------------------------------------
+
+
+WIDTHS = (np.int8, np.int16, np.int32, np.int64)
+
+
+@pytest.mark.parametrize("index", range(len(WIDTHS)))
+def test_narrowing_picks_the_width_exactly_at_the_iinfo_edges(index):
+    info = np.iinfo(WIDTHS[index])
+    edges = np.array([info.min, info.max], dtype=np.int64)
+    assert narrowest_int_dtype(edges) == WIDTHS[index]
+    if index + 1 < len(WIDTHS):
+        wider = WIDTHS[index + 1]
+        assert narrowest_int_dtype(edges - [1, 0]) == wider
+        assert narrowest_int_dtype(edges + [0, 1]) == wider
+    assert narrowest_int_dtype(np.array([], dtype=np.int64)) == np.int8
+
+
+def test_integer_columns_are_stored_narrow_and_uncompressed(tmp_path):
+    table = make_table(
+        "n",
+        {
+            "small": np.array([-128, 0, 127], dtype=np.int64),
+            "mid": np.array([0, 1, 40_000], dtype=np.int64),
+            "f": np.array([0.5, -1.5, 2.25], dtype=np.float64),
+        },
+    )
+    save_table(table, tmp_path / "n")
+    with np.load(tmp_path / "n.npz") as archive:
+        assert archive["small"].dtype == np.int8
+        assert archive["mid"].dtype == np.int32
+        assert archive["f"].dtype == np.float64
+    with zipfile.ZipFile(tmp_path / "n.npz") as archive:
+        assert {i.compress_type for i in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+    loaded = load_table(tmp_path / "n")
+    assert_tables_equal(table, loaded)
+    assert loaded.column("small").dtype == np.int64
+
+
+def test_roundtrip_int64_extremes_nan_and_signed_zero_bit_exact(tmp_path):
+    info = np.iinfo(np.int64)
+    floats = np.array([np.nan, -np.nan, -0.0, 0.0, np.inf], dtype=np.float64)
+    table = make_table(
+        "edges",
+        {
+            "lo": np.array([info.min, 0, 1, -1, 5], dtype=np.int64),
+            "hi": np.array([info.max, 0, 1, -1, 5], dtype=np.int64),
+            "f": floats,
+        },
+    )
+    save_table(table, tmp_path / "edges")
+    loaded = load_table(tmp_path / "edges")
+    assert_tables_equal(table, loaded)
+    assert loaded.column("f").tobytes() == floats.tobytes()
+
+
+def test_loads_the_older_deflated_int64_format(tmp_path):
+    table = generate_table("g", num_attrs=4, num_rows=300, rng=5)
+    save_table(table, tmp_path / "g")
+    np.savez_compressed(
+        tmp_path / "g.npz",
+        **{name: table.column(name) for name in table.schema.names},
+    )
+    assert_tables_equal(table, load_table(tmp_path / "g"))

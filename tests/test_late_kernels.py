@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from repro.codegen.cache import OperatorCache
+from repro.core.engine import H2OEngine
 from repro.codegen.generator import generate_operator
 from repro.execution.strategies import (
     AccessPlan,
@@ -229,6 +230,43 @@ def test_dense_sums_match_interpreter_bit_for_bit(where, num_rows):
     assert "np.einsum('ij->j'" in operator.source
     for lo, hi in ((0, num_rows), (0, 0), (num_rows - 1, num_rows)):
         run_both((info, plan, lo, hi), run_fused_interpreted)
+
+
+def test_dense_sums_do_not_wrap_near_the_int64_limit():
+    """Values near 2^62 sum past int64 within a few rows.  The dense
+    ``einsum`` pass accumulates in float64 like every other SUM, so the
+    fused plan over a group answers what the late plans answer, not a
+    wrapped int64."""
+    rng = np.random.default_rng(3)
+    columns = {
+        name: rng.integers(2**62 - 2**40, 2**62, size=1000, dtype=np.int64)
+        for name in INTS
+    }
+    for name in FLOATS:
+        columns[name] = rng.standard_normal(1000)
+    table = Table.from_columns("r", SCHEMA, columns, "column")
+    group, _ = stitch_group(table.layouts, INTS, SCHEMA)
+    info = analyze_query(
+        parse_query("SELECT sum(i0), sum(i1), sum(i2), sum(i3) FROM r"),
+        SCHEMA,
+    )
+    singles = tuple(table.layouts_containing(name)[0] for name in INTS)
+    executor = H2OEngine(table).executor
+    answers = []
+    for plan in (
+        AccessPlan(ExecutionStrategy.FUSED, (group,)),
+        AccessPlan(ExecutionStrategy.LATE, (group,)),
+        AccessPlan(ExecutionStrategy.LATE, singles),
+    ):
+        result, stats = executor.run_plan(info, plan)
+        assert stats.used_codegen
+        answers.append(result.scalars())
+    # Partial sums pass 2^53, so the summation orders may differ in the
+    # last bits (DESIGN §4b); a wrapped sum is off by ~1e21.
+    want = [float(columns[name].sum(dtype=np.float64)) for name in INTS]
+    assert min(want) > 4e21
+    for answer in answers:
+        assert list(answer) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(

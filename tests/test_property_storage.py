@@ -1,12 +1,20 @@
 """Property-based storage invariants: stitching preserves data and
-order; partitionings cover; covers actually cover."""
+order; partitionings cover; covers actually cover; appends keep zone
+maps exact."""
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.sql.types import DataType
 from repro.storage import Partitioning, Schema, Table
+from repro.storage.schema import Attribute
 from repro.storage.stitcher import stitch_group, stitch_single_columns
+from repro.storage.zonemap import (
+    _minmax_per_morsel,
+    cached_zone_maps,
+    ensure_attr_stats,
+)
 
 ATTRS = tuple(f"c{i}" for i in range(6))
 
@@ -182,3 +190,64 @@ def test_bitmask_cover_equals_frozenset_greedy(case, data):
         got = snapshot.covering_layouts(needed)
         want = frozenset_cover(snapshot, needed)
         assert [id(layout) for layout in got] == [id(l) for l in want]
+
+
+# Zone maps extended by appends ------------------------------------------
+
+ZONE_MORSEL = 8
+INT64 = np.iinfo(np.int64)
+ZONE_INTS = st.one_of(
+    st.integers(-5, 5), st.sampled_from([INT64.min, INT64.max])
+)
+ZONE_FLOATS = st.one_of(
+    st.sampled_from([np.nan, -0.0, 0.0, np.inf, -np.inf]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def zone_batches(draw, min_size=1):
+    """One batch: two int64 columns (extremes included) and two float64
+    columns (NaN, signed zeros, infinities included)."""
+    size = draw(st.integers(min_size, 3 * ZONE_MORSEL))
+    ints = st.lists(ZONE_INTS, min_size=size, max_size=size)
+    floats = st.lists(ZONE_FLOATS, min_size=size, max_size=size)
+    return {
+        "i0": np.array(draw(ints), dtype=np.int64),
+        "i1": np.array(draw(ints), dtype=np.int64),
+        "f0": np.array(draw(floats), dtype=np.float64),
+        "f1": np.array(draw(floats), dtype=np.float64),
+    }
+
+
+@given(
+    zone_batches(min_size=0),
+    st.lists(zone_batches(), min_size=1, max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_appended_zone_maps_equal_a_fresh_build(base, batches):
+    """Appends of any size, across morsel boundaries, extend every
+    tracked attribute's maps to exactly what a fresh per-morsel min/max
+    over the whole column gives, on single columns and on groups."""
+    schema = Schema(
+        [Attribute("i0"), Attribute("i1")]
+        + [Attribute(name, DataType.FLOAT64) for name in ("f0", "f1")]
+    )
+    table = Table.from_columns("r", schema, base, "column")
+    for attrs in (("i0", "i1"), ("f0", "f1")):
+        group, _ = stitch_group(table.layouts, attrs, schema)
+        table.add_layout(group)
+    for layout in table.layouts:
+        for attr in layout.attrs:
+            ensure_attr_stats(layout, attr, ZONE_MORSEL)
+    for batch in batches:
+        table.append_rows(batch)
+        for layout in table.layouts:
+            maps = cached_zone_maps(layout)
+            assert maps.num_rows == layout.num_rows == table.num_rows
+            for attr in layout.attrs:
+                want = _minmax_per_morsel(layout.column(attr), ZONE_MORSEL)
+                got = maps.stats_for(attr)
+                for have, expect in zip(got, want):
+                    assert have.dtype == expect.dtype
+                    assert np.array_equal(have, expect, equal_nan=True)

@@ -84,6 +84,22 @@ class TestQuarantine:
         quarantine.note_success(key)
         assert quarantine.note_failure(key) == 4.0
 
+    def test_keys_failure_free_past_their_backoff_are_forgotten(self):
+        now = [0.0]
+        quarantine = QuarantineList(base=4.0, cap=16.0, clock=lambda: now[0])
+        for key in range(300):
+            quarantine.note_failure(key)
+        now[0] = 10.0
+        # Inside cap past the backoff: kept, so a repeat backs off longer.
+        assert quarantine.note_failure(0) == 8.0
+        assert quarantine.snapshot()["tracked"] == 300
+        now[0] = 4.0 + 16.0
+        assert quarantine.snapshot()["tracked"] == 1  # key 0 is younger
+        now[0] = 18.0 + 16.0
+        assert not quarantine.blocked("other")
+        assert quarantine.snapshot()["tracked"] == 0
+        assert quarantine.note_failure(0) == 4.0  # a fresh history
+
     def test_snapshot_renders_frozensets_stably(self):
         quarantine = QuarantineList(base=4.0, clock=lambda: 0.0)
         quarantine.note_failure(frozenset({"b", "a"}))
@@ -183,6 +199,27 @@ class TestCodegenQuarantine:
                 break
         assert report.used_codegen and not report.degraded
         assert engine.compile_quarantine.blocked_keys() == []
+
+    def test_shapes_that_failed_once_are_forgotten(self):
+        """300 shapes fail to compile once each and never recur; after
+        1 000 other queries the quarantine tracks none of them."""
+        table = generate_table("r", num_attrs=12, num_rows=500, rng=7)
+        engine = H2OEngine(table, EngineConfig(use_codegen=True))
+        names = table.schema.names
+        shapes = [
+            f"SELECT sum({a}), max({b}) FROM r WHERE {c} > 0"
+            for a in names
+            for b in names
+            for c in names[:3]
+        ][:300]
+        assert len(shapes) == 300
+        with FaultInjector({"codegen.compile": frozenset(range(300))}):
+            for sql in shapes:
+                assert engine.execute(sql).codegen_fallback
+        assert engine.compile_quarantine.events == 300
+        for index in range(1000):
+            engine.execute(f"SELECT sum(a1) FROM r WHERE a2 > {index}")
+        assert engine.compile_quarantine.snapshot()["tracked"] == 0
 
     def test_degraded_plans_are_never_cached(self, table):
         engine = H2OEngine(table, EngineConfig(use_codegen=True))
